@@ -18,7 +18,6 @@ from toricspec.laurent import (
     BackendMismatchError,
     InconclusiveError,
     KernelModule,
-    LaurentPoly,
     LinearSubspace,
     MonomialModule,
     RestrictedElement,
@@ -52,6 +51,7 @@ from toricspec.oracle import (
     feasible_supports,
 )
 from toricspec.oracle import spectrum as translated_spectrum
+from toricspec.polys import Poly
 from toricspec.polytope import (
     DelzantPolytope,
     ToricData,

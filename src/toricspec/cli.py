@@ -13,7 +13,6 @@ from toricspec.lattice import mat_vec
 from toricspec.laurent import (
     BackendMismatchError,
     InconclusiveError,
-    LaurentPoly,
     kernel_K,
     kernel_K0,
     membership,
@@ -25,6 +24,7 @@ from toricspec.minimal import (
     translated_point_bound,
 )
 from toricspec.oracle import DiagonalMap, count_report, spectrum as oracle_spectrum
+from toricspec.polys import Poly
 from toricspec.polytope import (
     ToricHypothesisError,
     is_cpn,
@@ -39,8 +39,7 @@ from toricspec.quadforms import DecompositionParams, spectrum as quad_spectrum
 
 
 def frac_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def vec_str(v) -> str:
@@ -197,7 +196,7 @@ def cmd_kernel(args, report: Report) -> int:
     if args.member is not None:
         exps = parse_int_vector(args.member)
         verdict = membership(
-            LaurentPoly.monomial(exps), km.module, km.subspace, backend=args.backend
+            Poly.monomial(exps), km.module, km.subspace, backend=args.backend
         )
         report.kv("member", str(verdict).lower())
         report.kv("backend", args.backend)
@@ -316,10 +315,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+VALUE_OPTIONS = ("--member", "--mu", "--lam", "--nu", "--window")
+
+
+def _attach_negative_values(argv):
+    """argparse reads `--nu -1/2` as two options; pass it on as `--nu=-1/2`."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in VALUE_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return 1 if exc.code else 0
     report = Report(args.format)

@@ -1,24 +1,23 @@
-"""Buchberger's algorithm over Q and ideal saturation by a monomial.
+"""Buchberger's algorithm over Q in graded reverse lexicographic order.
 
-Graded reverse lexicographic order is the default; saturation adjoins an
-inverse variable t with the relation t*f - 1 and eliminates it through a
-block order, so the returned generators live back in the original variables.
+The membership algebra needs no saturation: its relation ideals are generated
+by linear forms, so each is the ideal of a linear subspace and hence prime.
+Saturating it by the product of the coordinates changes it only when it
+contains a coordinate, and then the saturation is the unit ideal.
 """
 
-from fractions import Fraction
-
-from toricspec.polys import Poly, elim_last_key, grevlex_key
+from toricspec.polys import Poly, grevlex_key
 
 
-def normal_form(f: Poly, basis, key=grevlex_key) -> Poly:
+def normal_form(f: Poly, basis) -> Poly:
     """Remainder of f under multivariate division by `basis`."""
     if not basis:
         return f
-    leads = [g.leading(key) for g in basis]
+    leads = [g.leading() for g in basis]
     rem_terms = {}
     work = f
     while work.terms:
-        e, c = work.leading(key)
+        e, c = work.leading()
         reduced = False
         for g, (ge, gc) in zip(basis, leads):
             diff = tuple(a - b for a, b in zip(e, ge))
@@ -40,37 +39,37 @@ def _disjoint(e1, e2):
     return all(a == 0 or b == 0 for a, b in zip(e1, e2))
 
 
-def s_polynomial(f: Poly, g: Poly, key=grevlex_key) -> Poly:
-    fe, fc = f.leading(key)
-    ge, gc = g.leading(key)
+def s_polynomial(f: Poly, g: Poly) -> Poly:
+    fe, fc = f.leading()
+    ge, gc = g.leading()
     l = _lcm(fe, ge)
     return f.term_mul(tuple(a - b for a, b in zip(l, fe)), 1 / fc) - g.term_mul(
         tuple(a - b for a, b in zip(l, ge)), 1 / gc
     )
 
 
-def interreduce(basis, key=grevlex_key):
+def interreduce(basis):
     """Reduce each element against the others; drop zeros; monic output."""
-    work = [g.monic(key) for g in basis if not g.is_zero()]
+    work = [g.monic() for g in basis if not g.is_zero()]
     changed = True
     while changed:
         changed = False
         for i in range(len(work)):
             others = work[:i] + work[i + 1:]
-            r = normal_form(work[i], others, key)
+            r = normal_form(work[i], others)
             if r.terms != work[i].terms:
                 changed = True
                 if r.is_zero():
                     work = others
                 else:
-                    work = others + [r.monic(key)]
+                    work = others + [r.monic()]
                 break
-    return sorted(work, key=lambda g: g.leading(key)[0])
+    return sorted(work, key=lambda g: g.leading()[0])
 
 
-def buchberger(gens, key=grevlex_key):
+def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by `gens`."""
-    basis = interreduce(gens, key)
+    basis = interreduce(gens)
     if not basis:
         return []
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
@@ -79,12 +78,12 @@ def buchberger(gens, key=grevlex_key):
         # normal strategy: smallest lcm first
         i, j = min(
             pairs,
-            key=lambda ij: key(_lcm(basis[ij[0]].leading(key)[0], basis[ij[1]].leading(key)[0])),
+            key=lambda ij: grevlex_key(_lcm(basis[ij[0]].leading()[0], basis[ij[1]].leading()[0])),
         )
         pairs.remove((i, j))
         processed.add((i, j))
         fi, fj = basis[i], basis[j]
-        ei, ej = fi.leading(key)[0], fj.leading(key)[0]
+        ei, ej = fi.leading()[0], fj.leading()[0]
         if _disjoint(ei, ej):
             continue
         l = _lcm(ei, ej)
@@ -93,7 +92,7 @@ def buchberger(gens, key=grevlex_key):
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            ek = basis[k].leading(key)[0]
+            ek = basis[k].leading()[0]
             if all(a >= b for a, b in zip(l, ek)):
                 p1 = (max(i, k), min(i, k))
                 p2 = (max(j, k), min(j, k))
@@ -102,36 +101,14 @@ def buchberger(gens, key=grevlex_key):
                     break
         if skip:
             continue
-        h = normal_form(s_polynomial(fi, fj, key), basis, key)
+        h = normal_form(s_polynomial(fi, fj), basis)
         if h.is_zero():
             continue
-        basis.append(h.monic(key))
+        basis.append(h.monic())
         new = len(basis) - 1
         pairs.update((new, t) for t in range(new))
-    return interreduce(basis, key)
+    return interreduce(basis)
 
 
-def ideal_member(f: Poly, groebner_basis, key=grevlex_key) -> bool:
-    return normal_form(f, groebner_basis, key).is_zero()
-
-
-def saturate(gens, factor_exps) -> list[Poly]:
-    """Generators of (I : f^infinity) for the monomial f = prod x_i^e_i.
-
-    Adjoins t with t*f = 1, computes an eliminating Groebner basis (t in its
-    own block, compared first), and keeps the t-free elements.
-    """
-    if not gens:
-        return []
-    n = gens[0].nvars
-    lifted = [Poly(n + 1, {e + (0,): c for e, c in g.terms.items()}) for g in gens]
-    relation = Poly(
-        n + 1,
-        {tuple(factor_exps) + (1,): Fraction(1), (0,) * (n + 1): Fraction(-1)},
-    )
-    gb = buchberger(lifted + [relation], key=elim_last_key)
-    out = []
-    for g in gb:
-        if all(e[-1] == 0 for e in g.terms):
-            out.append(Poly(n, {e[:-1]: c for e, c in g.terms.items()}))
-    return out
+def ideal_member(f: Poly, groebner_basis) -> bool:
+    return normal_form(f, groebner_basis).is_zero()

@@ -1,14 +1,16 @@
-"""Laurent-polynomial algebra over Q and the lattice-generated kernel modules.
+"""Lattice-generated kernel modules of Laurent polynomials and their membership.
 
-The objects: Laurent polynomials in u_1..u_n; linear subspaces V of Q^n with
-their coordinate restriction u_i -> l_i(w); monomial modules generated by the
-lattice points above a level, together with the translation (shift) action;
-and a membership test with two independent backends:
+The objects: Laurent polynomials in u_1..u_n (`Poly` with signed exponents);
+linear subspaces V of Q^n with their coordinate restriction u_i -> l_i(w);
+monomial modules generated by the lattice points above a level, together with
+the translation (shift) action; and a membership test with two independent
+backends:
 
   * a Groebner route: clear all denominators by a uniform monomial shift,
-    which turns the module into a polynomial ideal, saturate the linear
-    relation ideal by the product of coordinates via an adjoined inverse
-    variable, and reduce;
+    which turns the module into a polynomial ideal, add the linear relation
+    ideal of V, and reduce.  The relation ideal is the ideal of a linear
+    subspace, hence prime, so it needs no saturation by u_1...u_n: its
+    reduced basis is the row echelon form of the annihilator of V;
   * a bounded-degree route: restrict to the subspace coordinates, clear
     denominators, and solve an exact linear system for multiplier
     polynomials of degree at most D (complete for witnesses within D).
@@ -18,11 +20,21 @@ The two backends must agree; a disagreement raises.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
-from toricspec.groebner import buchberger, normal_form, saturate
-from toricspec.lattice import IntMat, IntVec, integer_kernel, transpose, vec_gcd
-from toricspec.polys import Poly
-from toricspec.polytope import ToricData, ToricHypothesisError
+from toricspec.groebner import buchberger, normal_form
+from toricspec.lattice import (
+    IntMat,
+    IntVec,
+    identity_matrix,
+    integer_kernel,
+    rref,
+    solve_rational,
+    transpose,
+    vec_gcd,
+)
+from toricspec.polys import Poly, monomials_of_degree
+from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
 
 
 class InconclusiveError(Exception):
@@ -34,120 +46,6 @@ class BackendMismatchError(Exception):
 
 
 WINDOW_CAP = 16
-
-
-# --- Laurent polynomials ----------------------------------------------------
-
-
-class LaurentPoly:
-    """Finite Q-linear combination of monomials u^a, a in Z^n."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for exps, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    self.terms[tuple(exps)] = c
-
-    @classmethod
-    def monomial(cls, exps, coeff=1):
-        return cls(len(exps), {tuple(exps): Fraction(coeff)})
-
-    @classmethod
-    def one(cls, nvars):
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
-
-    def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly(self.nvars, {e: c * other for e, c in self.terms.items()}) if other else LaurentPoly(self.nvars)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def mul_monomial(self, exps, coeff=1):
-        return LaurentPoly(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()},
-        )
-
-    def min_exponents(self) -> IntVec:
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
-
-    def to_poly(self, shift) -> Poly:
-        """u^shift * self as a true polynomial; shift must clear all negatives."""
-        terms = {}
-        for e, c in self.terms.items():
-            ee = tuple(a + b for a, b in zip(e, shift))
-            if any(x < 0 for x in ee):
-                raise ValueError("shift does not clear negative exponents")
-            terms[ee] = c
-        return Poly(self.nvars, terms)
-
-    def render(self, names=None):
-        if not self.terms:
-            return "0"
-        names = names or [f"u{i+1}" for i in range(self.nvars)]
-        bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                f"{names[i]}^{p}" if p != 1 else names[i] for i, p in enumerate(e) if p
-            )
-            if not mono:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{c}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-    __repr__ = render
 
 
 # --- linear subspaces and restriction ---------------------------------------
@@ -198,8 +96,6 @@ class LinearSubspace:
     def annihilator(self) -> tuple[IntVec, ...]:
         """Integer basis of the linear forms on Q^n vanishing on V."""
         if self.dim == 0:
-            from toricspec.lattice import identity_matrix
-
             return tuple(tuple(row) for row in identity_matrix(self.nvars))
         return integer_kernel(transpose(self.basis)).vectors
 
@@ -284,7 +180,7 @@ class RestrictedElement:
     __repr__ = render
 
 
-def restrict(q: LaurentPoly, subspace: LinearSubspace):
+def restrict(q: Poly, subspace: LinearSubspace):
     """Substitute u_i -> l_i(w); negative exponents become denominator factors.
 
     Returns ZERO_RING when some coordinate vanishes identically on V.
@@ -330,15 +226,7 @@ class MonomialModule:
 
     def lattice_points(self, window=None):
         w = self.window if window is None else window
-        k = self.toric.k
-        def boxes(i):
-            if i == k:
-                yield ()
-                return
-            for x in range(self.center[i] - w, self.center[i] + w + 1):
-                for rest in boxes(i + 1):
-                    yield (x,) + rest
-        for m in boxes(0):
+        for m in product(*(range(c - w, c + w + 1) for c in self.center)):
             if self.threshold is None or self.toric.p_value(m) >= self.threshold:
                 yield m
 
@@ -375,7 +263,7 @@ class KernelModule:
 
 def kernel_K(toric: ToricData, threshold, window: int) -> KernelModule:
     """The level module restricted to the full kernel subspace."""
-    if not _rational(toric):
+    if not rationality_check(toric):
         raise ToricHypothesisError("p is not primitive integral")
     subspace = LinearSubspace(basis=toric.iota)
     ring = "ZeroRing" if subspace.is_zero_ring() else "R"
@@ -388,7 +276,7 @@ def kernel_K(toric: ToricData, threshold, window: int) -> KernelModule:
 
 def kernel_K0(toric: ToricData, threshold, window: int) -> KernelModule:
     """The level module restricted to the p-kernel subspace."""
-    if not _rational(toric):
+    if not rationality_check(toric):
         raise ToricHypothesisError("p is not primitive integral")
     cols = [toric.iota_apply(v) for v in toric.k0.vectors]
     basis = tuple(tuple(col[i] for col in cols) for i in range(toric.n))
@@ -403,34 +291,18 @@ def kernel_K0(toric: ToricData, threshold, window: int) -> KernelModule:
     )
 
 
-def _rational(toric: ToricData) -> bool:
-    from toricspec.polytope import rationality_check
-
-    return rationality_check(toric)
-
-
 # --- membership: Groebner backend -------------------------------------------
 
 _GB_CACHE: dict = {}
-_SAT_CACHE: dict = {}
-_REL_GB_CACHE: dict = {}
 
 
-def _saturated_relations(subspace: LinearSubspace):
-    """Generators of the relation ideal, saturated by u_1...u_n."""
-    key = subspace.basis
-    if key not in _SAT_CACHE:
-        n = subspace.nvars
-        forms = [Poly.linear_form(tuple(Fraction(x) for x in row)) for row in subspace.annihilator()]
-        _SAT_CACHE[key] = saturate(forms, (1,) * n) if forms else []
-    return _SAT_CACHE[key]
-
-
-def _relation_gb(subspace: LinearSubspace):
-    key = subspace.basis
-    if key not in _REL_GB_CACHE:
-        _REL_GB_CACHE[key] = buchberger(list(_saturated_relations(subspace)))
-    return _REL_GB_CACHE[key]
+def _linear_relations(subspace: LinearSubspace) -> list[Poly]:
+    """Reduced Groebner basis of the relation ideal of V: the monic row echelon
+    form of the annihilator, sorted by leading exponent; [1] on a zero ring."""
+    if subspace.is_zero_ring():
+        return [Poly.constant(subspace.nvars, 1)]
+    red, pivots = rref(subspace.annihilator())
+    return sorted((Poly.linear_form(row) for row in red[: len(pivots)]), key=lambda g: g.leading()[0])
 
 
 def _minimal_monomials(exps_list):
@@ -442,16 +314,16 @@ def _minimal_monomials(exps_list):
     return out
 
 
-def _reduced_ideal_gb(monomial_exps, subspace: LinearSubspace, nvars: int):
+def _reduced_ideal_gb(monomial_exps, subspace: LinearSubspace):
     """Groebner basis of <monomials> + relation ideal, computed through the
     linear quotient: reducing by the relation basis substitutes away the
     leading variables, so Buchberger runs on supports of the subspace
     dimension only.  Membership: reduce by the relation basis, then by this."""
-    rel = _relation_gb(subspace)
+    rel = _linear_relations(subspace)
     reduced = []
     seen = set()
     for e in _minimal_monomials(monomial_exps):
-        g = normal_form(Poly.monomial(nvars, e), rel)
+        g = normal_form(Poly.monomial(e), rel)
         if g.is_zero():
             continue
         gm = g.monic()
@@ -475,18 +347,21 @@ def _module_groebner(module: MonomialModule, subspace: LinearSubspace, window: i
     key = (module, subspace.basis, window, base)
     if key not in _GB_CACHE:
         shifted = [tuple(a + b for a, b in zip(g, base)) for g in gens]
-        _GB_CACHE[key] = (_reduced_ideal_gb(shifted, subspace, n), base)
+        _GB_CACHE[key] = (_reduced_ideal_gb(shifted, subspace), base)
     return _GB_CACHE[key]
 
 
-def _groebner_verdict(q: LaurentPoly, module: MonomialModule, subspace: LinearSubspace, window: int) -> bool:
+def _groebner_verdict(q: Poly, module: MonomialModule, subspace: LinearSubspace, window: int) -> bool:
     if q.is_zero():
         return True
     q_clear = tuple(max(0, -m) for m in q.min_exponents())
     (gb, rel), shift = _module_groebner(module, subspace, window, shift=q_clear)
     if not gb and not rel:
         return False
-    return reduce_modulo(q.to_poly(shift), gb, rel).is_zero()
+    cleared = q.term_mul(shift)
+    if min(cleared.min_exponents(), default=0) < 0:
+        raise ValueError("shift does not clear negative exponents")
+    return reduce_modulo(cleared, gb, rel).is_zero()
 
 
 # --- membership: bounded-degree backend --------------------------------------
@@ -518,7 +393,7 @@ def _generator_restrictions(module, subspace, window):
     key = (module, subspace.basis, window)
     if key not in _RESTRICT_CACHE:
         gens = module.generators(window)
-        rgens = [restrict(LaurentPoly.monomial(g), subspace) for g in gens]
+        rgens = [restrict(Poly.monomial(g), subspace) for g in gens]
         gden = tuple(
             max((r.denom_exps[i] for r in rgens), default=0)
             for i in range(subspace.nvars)
@@ -537,18 +412,6 @@ def _clear_to(r: RestrictedElement, target, subspace: LinearSubspace) -> Poly:
     return out
 
 
-def _monomials_of_degree(nvars, degree):
-    if degree < 0:
-        return
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
-    for first in range(degree, -1, -1):
-        for rest in _monomials_of_degree(nvars - 1, degree - first):
-            yield (first,) + rest
-
-
 def _solve_exact(columns, rhs_terms):
     """Solve sum c_j * column_j = rhs over Q; returns coefficient list or None."""
     rows = sorted({e for col in columns for e in col.terms} | set(rhs_terms))
@@ -560,8 +423,6 @@ def _solve_exact(columns, rhs_terms):
     b = [Fraction(0)] * len(rows)
     for e, c in rhs_terms.items():
         b[index[e]] = c
-    from toricspec.lattice import solve_rational
-
     return solve_rational(a, b)
 
 
@@ -604,7 +465,7 @@ def _candidate_columns(cleared_gens_with_labels, degree, k, degree_bound):
         delta = degree - rg.total_degree()
         if delta < 0 or delta > degree_bound:
             continue
-        for mono in _monomials_of_degree(k, delta):
+        for mono in monomials_of_degree(k, delta):
             yield (g, mono), rg.term_mul(mono)
 
 
@@ -700,21 +561,22 @@ def _verdict_at_window(q, module, subspace, window, backend, degree_bound):
     return gb
 
 
-def _membership_protocol(q, module, subspace, backend, degree_bound):
-    """Window-stability loop; returns (verdict, window at which it stabilized)."""
-    w = module.window
-    prev = _verdict_at_window(q, module, subspace, w, backend, degree_bound)
-    while w + 2 <= WINDOW_CAP:
-        cur = _verdict_at_window(q, module, subspace, w + 2, backend, degree_bound)
+def stable_verdict(verdict_at, window):
+    """Window-stability loop: evaluate `verdict_at` at `window` and widen by 2
+    until two consecutive verdicts agree; returns (verdict, window at which it
+    stabilized).  Raises InconclusiveError past WINDOW_CAP."""
+    prev = verdict_at(window)
+    while window + 2 <= WINDOW_CAP:
+        window += 2
+        cur = verdict_at(window)
         if cur == prev:
-            return cur, w + 2
+            return cur, window
         prev = cur
-        w += 2
     raise InconclusiveError(f"window protocol failed to stabilize below {WINDOW_CAP}")
 
 
 def membership(
-    q: LaurentPoly,
+    q: Poly,
     module: MonomialModule,
     subspace: LinearSubspace,
     backend: str = "both",
@@ -725,24 +587,28 @@ def membership(
     Window-stability protocol: evaluate at the module window W and W+2 and
     widen by 2 until two consecutive verdicts agree (cap 16 -> Inconclusive).
     """
-    verdict, _ = _membership_protocol(q, module, subspace, backend, degree_bound)
+    verdict, _ = stable_verdict(
+        lambda w: _verdict_at_window(q, module, subspace, w, backend, degree_bound), module.window
+    )
     return verdict
 
 
 def membership_certified(
-    q: LaurentPoly,
+    q: Poly,
     module: MonomialModule,
     subspace: LinearSubspace,
     degree_bound: int = 8,
 ):
     """Both-backend verdict plus, for members, the bounded-degree certificate
     extracted at the stabilized window.  Returns (verdict, certificate, window)."""
-    verdict, window = _membership_protocol(q, module, subspace, "both", degree_bound)
+    verdict, window = stable_verdict(
+        lambda w: _verdict_at_window(q, module, subspace, w, "both", degree_bound), module.window
+    )
     if not verdict:
         return False, None, window
     _, cert = _brute_verdict(q, module, subspace, window, degree_bound, want_certificate=True)
     return True, cert, window
 
 
-def kernel_membership(q: LaurentPoly, km: KernelModule, backend: str = "both", degree_bound: int = 8) -> bool:
+def kernel_membership(q: Poly, km: KernelModule, backend: str = "both", degree_bound: int = 8) -> bool:
     return membership(q, km.module, km.subspace, backend=backend, degree_bound=degree_bound)

@@ -12,15 +12,14 @@ bound is min_chern per unit period.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from toricspec.lattice import IntVec
 from toricspec.laurent import (
     InconclusiveError,
     KernelModule,
-    LaurentPoly,
     MonomialModule,
     RestrictedElement,
-    WINDOW_CAP,
     _reduced_ideal_gb,
     kernel_K0,
     membership,
@@ -29,9 +28,10 @@ from toricspec.laurent import (
     reduce_modulo,
     restrict,
     restriction_class_key,
+    stable_verdict,
     verify_certificate,
 )
-from toricspec.polys import Poly
+from toricspec.polys import Poly, monomials_of_degree
 from toricspec.polytope import ToricData, ToricHypothesisError, is_cpn, rationality_check
 
 
@@ -56,8 +56,8 @@ class MinimalDegreeWitness:
     successor_certificates: dict     # i -> bounded-degree certificate for u_i * q
     windows: dict                    # i -> window at which the certificate was taken
 
-    def laurent(self) -> LaurentPoly:
-        return LaurentPoly.monomial(self.monomial)
+    def laurent(self) -> Poly:
+        return Poly.monomial(self.monomial)
 
     def verify(self, km: KernelModule, degree_bound: int = 8) -> bool:
         """Re-check all n + 1 verdicts on the bounded-degree backend alone."""
@@ -68,12 +68,12 @@ class MinimalDegreeWitness:
         for i in range(n):
             succ = list(self.monomial)
             succ[i] += 1
-            if not membership(LaurentPoly.monomial(tuple(succ)), km.module, km.subspace,
+            if not membership(Poly.monomial(tuple(succ)), km.module, km.subspace,
                               backend="brute", degree_bound=degree_bound):
                 return False
             cert = self.successor_certificates.get(i)
             if cert is not None and not verify_certificate(
-                LaurentPoly.monomial(tuple(succ)), km.module, km.subspace, cert,
+                Poly.monomial(tuple(succ)), km.module, km.subspace, cert,
                 window=self.windows.get(i),
             ):
                 return False
@@ -116,7 +116,7 @@ def bounding_modules(toric: ToricData, nu, c_minus, c_plus, window: int = 2) -> 
     lower = kernel_K0(toric, r_minus, window)
     upper = kernel_K0(toric, r_plus, window)
     for g in upper.module.generators():
-        if not membership(LaurentPoly.monomial(g), lower.module, lower.subspace):
+        if not membership(Poly.monomial(g), lower.module, lower.subspace):
             raise InconclusiveError("bounding inclusion failed on a generator")
     return BoundingData(
         nu=nu, c_minus=c_minus, c_plus=c_plus, r_minus=r_minus, r_plus=r_plus,
@@ -130,32 +130,19 @@ _IDEAL_CACHE: dict = {}
 
 
 def _polynomial_part_ideal(km: KernelModule, window: int):
-    """Groebner data of the positive-part monomial ideal plus the saturated
-    relation ideal.  The polynomial part of the module is exactly the monomial
+    """Groebner data of the positive-part monomial ideal plus the relation
+    ideal.  The polynomial part of the module is exactly the monomial
     ideal generated by the componentwise-positive parts of the generators."""
     key = (km.module, km.subspace.basis, window)
     if key not in _IDEAL_CACHE:
-        n = km.module.toric.n
         positive = [tuple(max(x, 0) for x in g) for g in km.module.generators(window)]
-        _IDEAL_CACHE[key] = _reduced_ideal_gb(positive, km.subspace, n)
+        _IDEAL_CACHE[key] = _reduced_ideal_gb(positive, km.subspace)
     return _IDEAL_CACHE[key]
 
 
 def _ideal_member_at(poly: Poly, km: KernelModule, window: int) -> bool:
     gb, rel = _polynomial_part_ideal(km, window)
     return reduce_modulo(poly, gb, rel).is_zero()
-
-
-def _ideal_member_stable(poly: Poly, km: KernelModule) -> bool:
-    w = km.module.window
-    prev = _ideal_member_at(poly, km, w)
-    while w + 2 <= WINDOW_CAP:
-        cur = _ideal_member_at(poly, km, w + 2)
-        if cur == prev:
-            return cur
-        prev = cur
-        w += 2
-    raise InconclusiveError("ideal window protocol failed to stabilize")
 
 
 def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -> tuple[int, ...]:
@@ -173,8 +160,8 @@ def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -
     for i in range(n):
         found = None
         for m in range(cap + 1):
-            exps = tuple(m if j == i else 0 for j in range(n))
-            if _ideal_member_stable(Poly.monomial(n, exps), km):
+            q = Poly.monomial(tuple(m if j == i else 0 for j in range(n)))
+            if stable_verdict(lambda w: _ideal_member_at(q, km, w), window)[0]:
                 found = m
                 break
         if found is None:
@@ -186,25 +173,11 @@ def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -
 def monomial_ideal_member(toric: ToricData, r, window: int, exps) -> bool:
     """Membership of a polynomial monomial in the polynomial-part ideal."""
     km = kernel_K0(toric, Fraction(r), window)
-    return _ideal_member_stable(Poly.monomial(toric.n, tuple(exps)), km)
+    q = Poly.monomial(tuple(exps))
+    return stable_verdict(lambda w: _ideal_member_at(q, km, w), window)[0]
 
 
 # --- the witness search ---------------------------------------------------------
-
-
-def _monomials_of_degree_lex(nvars, degree):
-    def rec(rem, length):
-        if length == 1:
-            yield (rem,)
-            return
-        for first in range(rem + 1):
-            for rest in rec(rem - first, length - 1):
-                yield (first,) + rest
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
-    yield from rec(degree, nvars)
 
 
 def _scaled_shift(toric: ToricData, nu: Fraction) -> IntVec:
@@ -239,12 +212,12 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2, degree_bo
     if toric.min_chern is None:
         # without proportionality the module can swallow the whole ring; probe
         # the constant at the given level
-        if membership(LaurentPoly.one(n), km.module, km.subspace, degree_bound=degree_bound):
+        if membership(Poly.constant(n, 1), km.module, km.subspace, degree_bound=degree_bound):
             return NoMinimalElement(nu=nu)
         raise ToricHypothesisError("not monotone")
     shift = _scaled_shift(toric, nu)
     shifted = novikov_shift(km.module, shift)
-    if membership(LaurentPoly.one(n), shifted, km.subspace, degree_bound=degree_bound):
+    if membership(Poly.constant(n, 1), shifted, km.subspace, degree_bound=degree_bound):
         raise InconclusiveError("degree normalization failed to exclude the constant")
     exps = nullstellensatz_exponents(toric, nu + toric.p_value(shift), window)
     cap = sum(exps) + 2
@@ -255,26 +228,27 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2, degree_bo
         key = restriction_class_key(km.subspace, a)
         if key not in member_cache:
             member_cache[key] = membership(
-                LaurentPoly.monomial(a), shifted, km.subspace, degree_bound=degree_bound
+                Poly.monomial(a), shifted, km.subspace, degree_bound=degree_bound
             )
         return member_cache[key]
 
     iota_shift = toric.iota_apply(shift)
     for degree in range(cap + 1):
-        for a in _monomials_of_degree_lex(n, degree):
+        # ascending lex: the reverse of the descending enumeration
+        for a in reversed(list(monomials_of_degree(n, degree))):
             if is_member(a):
                 continue
             successors = [tuple(x + (1 if j == i else 0) for j, x in enumerate(a)) for i in range(n)]
             if all(is_member(s) for s in successors):
                 q_exps = tuple(x - y for x, y in zip(a, iota_shift))
-                q = LaurentPoly.monomial(q_exps)
+                q = Poly.monomial(q_exps)
                 if membership(q, km.module, km.subspace, degree_bound=degree_bound):
                     raise InconclusiveError("witness failed re-check on the original module")
                 certs, windows = {}, {}
                 for i in range(n):
                     succ = tuple(x + (1 if j == i else 0) for j, x in enumerate(q_exps))
                     ok, cert, w = membership_certified(
-                        LaurentPoly.monomial(succ), km.module, km.subspace, degree_bound
+                        Poly.monomial(succ), km.module, km.subspace, degree_bound
                     )
                     if not ok:
                         raise InconclusiveError("successor failed re-check on the original module")
@@ -303,16 +277,7 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
     seen = set()
     violations = []
     checked = 0
-
-    def boxes(i):
-        if i == n:
-            yield ()
-            return
-        for x in range(-box, box + 1):
-            for rest in boxes(i + 1):
-                yield (x,) + rest
-
-    for a in boxes(0):
+    for a in product(range(-box, box + 1), repeat=n):
         if Fraction(sum(a)) >= bound:
             continue
         key = restriction_class_key(km.subspace, a)
@@ -320,7 +285,7 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
             continue
         seen.add(key)
         checked += 1
-        if membership(LaurentPoly.monomial(a), km.module, km.subspace):
+        if membership(Poly.monomial(a), km.module, km.subspace):
             violations.append(a)
     return violations, checked
 

@@ -1,8 +1,8 @@
-"""Multivariate polynomials over Q with tuple exponents.
+"""Multivariate Laurent polynomials over Q with tuple exponents.
 
-Shared between the restriction machinery (numerators in the subspace
-coordinates) and the Groebner engine.  Exponents are nonnegative; Laurent
-bookkeeping lives elsewhere.
+One type serves the module elements (signed exponents in u_1..u_n), the
+restriction machinery (numerators in the subspace coordinates) and the
+Groebner engine (nonnegative exponents, graded reverse lexicographic order).
 """
 
 from fractions import Fraction
@@ -13,14 +13,22 @@ def grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def elim_last_key(exps):
-    """Block order eliminating the last variable: compare its exponent first,
-    then grevlex on the rest."""
-    return (exps[-1], grevlex_key(exps[:-1]))
+def monomials_of_degree(nvars, degree):
+    """Exponent vectors of total degree `degree`, in descending lex order."""
+    if degree < 0:
+        return
+    if nvars == 0:
+        if degree == 0:
+            yield ()
+        return
+    for first in range(degree, -1, -1):
+        for rest in monomials_of_degree(nvars - 1, degree - first):
+            yield (first,) + rest
 
 
 class Poly:
-    """Polynomial in `nvars` variables with Fraction coefficients."""
+    """Polynomial in `nvars` variables with Fraction coefficients; exponents
+    may be negative."""
 
     __slots__ = ("nvars", "terms")
 
@@ -42,8 +50,8 @@ class Poly:
         return cls(nvars, {(0,) * nvars: Fraction(value)})
 
     @classmethod
-    def monomial(cls, nvars, exps, coeff=1):
-        return cls(nvars, {tuple(exps): Fraction(coeff)})
+    def monomial(cls, exps, coeff=1):
+        return cls(len(exps), {tuple(exps): Fraction(coeff)})
 
     @classmethod
     def linear_form(cls, coeffs):
@@ -120,6 +128,11 @@ class Poly:
             {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()},
         )
 
+    def min_exponents(self):
+        if not self.terms:
+            return (0,) * self.nvars
+        return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
+
     def total_degree(self):
         if not self.terms:
             return -1
@@ -135,14 +148,14 @@ class Poly:
             comps.setdefault(sum(e), {})[e] = c
         return {d: Poly(self.nvars, t) for d, t in sorted(comps.items())}
 
-    def leading(self, key=grevlex_key):
-        e = max(self.terms, key=key)
+    def leading(self):
+        e = max(self.terms, key=grevlex_key)
         return e, self.terms[e]
 
-    def monic(self, key=grevlex_key):
+    def monic(self):
         if not self.terms:
             return self
-        _, c = self.leading(key)
+        _, c = self.leading()
         return self * (1 / c)
 
     def exact_divide(self, divisor):
@@ -161,32 +174,17 @@ class Poly:
             rem = rem - divisor.term_mul(diff, c / dc)
         return Poly(self.nvars, q)
 
-    def __repr__(self):
+    def render(self, names=None):
+        """Canonical display with named variables (default u1..un),
+        graded-lex term order."""
         if not self.terms:
             return "0"
+        names = names or [f"u{i+1}" for i in range(self.nvars)]
         bits = []
-        for e in sorted(self.terms, key=grevlex_key, reverse=True):
+        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
             c = self.terms[e]
             mono = "*".join(
-                f"x{i}^{p}" if p > 1 else f"x{i}" for i, p in enumerate(e) if p
-            )
-            if mono:
-                bits.append(f"{c}*{mono}" if c != 1 else mono)
-            else:
-                bits.append(str(c))
-        return " + ".join(bits)
-
-    def render(self, names):
-        """Canonical display with named variables, graded-lex term order."""
-        if not self.terms:
-            return "0"
-        def gl_key(e):
-            return (sum(e), e)
-        bits = []
-        for e in sorted(self.terms, key=gl_key, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                f"{names[i]}^{p}" if p > 1 else names[i] for i, p in enumerate(e) if p
+                f"{names[i]}^{p}" if p != 1 else names[i] for i, p in enumerate(e) if p
             )
             if not mono:
                 bits.append(str(c))
@@ -197,3 +195,5 @@ class Poly:
             else:
                 bits.append(f"{c}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
+
+    __repr__ = render

@@ -212,7 +212,9 @@ def validate(poly: DelzantPolytope) -> ValidationReport:
     """Compactness (trivial recession cone, by Fourier-Motzkin), smoothness
     (simple vertices whose conormals extend to a lattice basis), vertex list.
 
-    Raises ToricHypothesisError on an empty polytope.
+    Raises ToricHypothesisError on an empty polytope, and on a compact one
+    with an inequality that is not tight at d affinely independent vertices
+    (a redundant facet, numbered from 1 in file order).
     """
     d = poly.d
     full = [(tuple(Fraction(c) for c in v), Fraction(a)) for v, a in poly.facets]
@@ -231,6 +233,13 @@ def validate(poly: DelzantPolytope) -> ValidationReport:
         if not compact:
             break
     verts = _enumerate_vertices(poly)
+    for j in range(poly.n if compact else 0):
+        tight = [x for x, active in verts.items() if j in active]
+        if any(len(verts[x]) == d for x in tight):
+            continue  # the d - 1 edges along j from a simple vertex end in vertices
+        spans = [[a - b for a, b in zip(x, tight[0])] for x in tight[1:]]
+        if len(tight) < d or len(rref(spans)[1]) < d - 1:
+            raise ToricHypothesisError(f"redundant facet {j + 1}")
     smooth = bool(verts)
     for x, active in verts.items():
         if len(active) != d:
@@ -349,16 +358,15 @@ def toric_data(poly: DelzantPolytope) -> ToricData:
 # --- text format ------------------------------------------------------------
 
 
-def _format_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def parse_fraction(text: str) -> Fraction:
     """Exact rational literal `p/q` or integer; floating-point forms rejected."""
     text = text.strip()
     if any(ch in text for ch in ".eE"):
         raise ValueError(f"not an exact rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def parse_polytope(text: str) -> DelzantPolytope:
@@ -367,28 +375,32 @@ def parse_polytope(text: str) -> DelzantPolytope:
     d = None
     facets = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "dim":
-            if d is not None:
-                raise ValueError(f"line {lineno}: duplicate dim")
-            d = int(parts[1])
-        elif parts[0] == "facet":
-            if d is None:
-                raise ValueError(f"line {lineno}: facet before dim")
-            if ";" not in parts:
-                raise ValueError(f"line {lineno}: missing ';' in facet line")
-            sep = parts.index(";")
-            conormal = tuple(int(x) for x in parts[1:sep])
-            if len(conormal) != d:
-                raise ValueError(f"line {lineno}: expected {d} conormal entries")
-            if sep + 2 != len(parts):
-                raise ValueError(f"line {lineno}: expected one offset after ';'")
-            facets.append((conormal, parse_fraction(parts[sep + 1])))
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
+        try:
+            if parts[0] == "dim":
+                if d is not None:
+                    raise ValueError("duplicate dim")
+                if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+                    raise ValueError("dim must be one positive integer")
+                d = int(parts[1])
+            elif parts[0] == "facet":
+                if d is None:
+                    raise ValueError("facet before dim")
+                if ";" not in parts:
+                    raise ValueError("missing ';' in facet line")
+                sep = parts.index(";")
+                conormal = tuple(int(x) for x in parts[1:sep])
+                if len(conormal) != d:
+                    raise ValueError(f"expected {d} conormal entries")
+                if sep + 2 != len(parts):
+                    raise ValueError("expected one offset after ';'")
+                facets.append((conormal, parse_fraction(parts[sep + 1])))
+            else:
+                raise ValueError(f"unknown directive {parts[0]!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if d is None:
         raise ValueError("missing dim line")
     return DelzantPolytope(d=d, facets=tuple(facets))
@@ -397,5 +409,5 @@ def parse_polytope(text: str) -> DelzantPolytope:
 def format_polytope(poly: DelzantPolytope) -> str:
     lines = [f"dim {poly.d}"]
     for v, a in poly.facets:
-        lines.append("facet " + " ".join(str(x) for x in v) + " ; " + _format_fraction(a))
+        lines.append("facet " + " ".join(str(x) for x in v) + " ; " + str(a))
     return "\n".join(lines) + "\n"

@@ -5,14 +5,15 @@ form C = i(Id - A)(Id + A)^{-1}; composing with a diagonal torus rotation
 subtracts tan(pi*lam_j / 2N) on the j-th coordinate block.  Eigenvalues come
 in closed form tan(pi(2k+1)/4N) - tan(pi*lam_j/2N), so the negative index and
 the degenerate locus (half-integer coordinates) are exact rational data.
-Floating point appears only in the cross-validation helpers.
+Floating point appears only in the cross-validation helpers, which import
+numpy on first use (the optional `numeric` extra).
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from toricspec.lattice import IntMat
 
@@ -82,6 +83,8 @@ def shift_matrix(N: int) -> IntMat:
 
 def quad_form_matrix(N: int) -> np.ndarray:
     """C = i(Id - A)(Id + A)^{-1}, Hermitian with spectrum -tan(pi(2k+1)/4N)."""
+    import numpy as np
+
     a = np.array(shift_matrix(N), dtype=complex)
     ident = np.eye(2 * N, dtype=complex)
     return 1j * (ident - a) @ np.linalg.inv(ident + a)
@@ -99,6 +102,8 @@ def eigen_vector(N: int, j: int, k: int, n: int | None = None) -> np.ndarray:
         n = j
     if not (1 <= j <= n):
         raise ValueError("coordinate index out of range")
+    import numpy as np
+
     theta = (2 * k + 1) * math.pi / (2 * N)
     out = np.zeros(2 * n * N, dtype=complex)
     for block in range(2 * N):
@@ -189,6 +194,8 @@ def t_lambda_value(lam_coords, N2: int, x) -> float:
 
 def assemble_numeric_form(params: DecompositionParams, lam, iota: IntMat) -> np.ndarray:
     """2nN x 2nN Hermitian matrix of the full quadratic form, block-major layout."""
+    import numpy as np
+
     N = params.N
     coords = apply_iota(iota, lam)
     n = len(coords)
@@ -200,5 +207,7 @@ def assemble_numeric_form(params: DecompositionParams, lam, iota: IntMat) -> np.
 
 def numeric_negative_index(matrix: np.ndarray, tol: float = 1e-9) -> int:
     """Real dimension (twice the complex count) of the negative eigenspace."""
+    import numpy as np
+
     vals = np.linalg.eigvalsh(matrix)
     return 2 * int((vals < -tol).sum())

@@ -1,6 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from toricspec.cli import parse_data_report, run
 
@@ -92,10 +97,6 @@ def test_machine_reports_are_deterministic():
 
 def test_machine_reports_deterministic_across_processes():
     # different hash seeds shake out any set/dict iteration order leaking into reports
-    import os
-    import subprocess
-    import sys
-
     outs = []
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -193,6 +194,7 @@ def test_spectrum_quadform():
 
 
 def test_spectrum_quadform_numeric_block_is_commented():
+    pytest.importorskip("numpy")
     code, out = invoke(
         "spectrum-quadform", str(POLY / "cp1xcp1_monotone.poly"),
         "--N", "2", "--lam", "1/3,0", "--numeric",
@@ -217,3 +219,52 @@ def test_human_format_runs():
     code, out = invoke("--format", "human", "data", str(POLY / "cp2.poly"))
     assert code == 0
     assert "N_M" in out
+
+
+def test_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, toricspec.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("flag, value, rest", [
+    ("--member", "-1,0,0,1", ("kernel", "--nu", "1/2")),
+    ("--nu", "-1/2", ("kernel", "--member", "1,1,0,0")),
+    ("--mu", "-1/4,0,0,0", ("spectrum", "--window", "0:2")),
+    ("--window", "-1:1", ("spectrum", "--mu", "1/4,0,0,0")),
+    ("--lam", "-1/3,0", ("spectrum-quadform", "--N", "2")),
+])
+def test_negative_option_values(flag, value, rest):
+    path = str(POLY / "cp1xcp1_monotone.poly")
+    spaced = invoke(rest[0], path, *rest[1:], flag, value)
+    joined = invoke(rest[0], path, *rest[1:], f"{flag}={value}")
+    assert spaced[0] == 0
+    assert spaced == joined
+
+
+@pytest.mark.parametrize("text", [
+    "dim\nfacet 1 ; 1\nfacet -1 ; 1\n",
+    "dim 1\nfacet 1 ; 1/0\nfacet -1 ; 1\n",
+    "dim -1\n",
+    "dim 0\n",
+    "dim 3/2\n",
+    "dim 1\nfacet x ; 1\nfacet -1 ; 1\n",
+])
+def test_malformed_polytope_exits_1(tmp_path, capsys, text):
+    bad = tmp_path / "bad.poly"
+    bad.write_text(text)
+    code, out = invoke("validate", str(bad))
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: line")
+
+
+def test_redundant_facet_rejected():
+    path = str(POLY / "cp1xcp1_redundant.poly")
+    for command in ("validate", "data"):
+        code, out = invoke(command, path)
+        assert code == 2
+        assert machine_dict(out) == {"error": "redundant facet 5"}

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
 
-from toricspec.groebner import buchberger, ideal_member, normal_form, s_polynomial, saturate
-from toricspec.polys import Poly, grevlex_key
+from toricspec.groebner import buchberger, ideal_member, normal_form, s_polynomial
+from toricspec.laurent import _linear_relations, kernel_K, kernel_K0
+from toricspec.polys import Poly
 
 
 def P(nvars, terms):
@@ -12,7 +13,7 @@ def P(nvars, terms):
 def test_grevlex_leading():
     # x*y^2 beats x^2 in grevlex? deg 3 > 2, yes; among degree 3: x^2*y > x*y^2
     f = P(2, {(2, 1): 1, (1, 2): 1})
-    assert f.leading(grevlex_key)[0] == (2, 1)
+    assert f.leading()[0] == (2, 1)
 
 
 def test_normal_form_linear_substitution():
@@ -71,25 +72,16 @@ def test_membership_is_witnessed_random():
         assert ideal_member(c1 * f + c2 * g, gb)
 
 
-def test_saturate_prime_linear_ideal_is_fixed():
-    # <x0 - x1> : (x0 x1)^inf = <x0 - x1>
-    g = P(2, {(1, 0): 1, (0, 1): -1})
-    sat = saturate([g], (1, 1))
-    gb = buchberger(sat)
-    assert ideal_member(g, gb)
-    assert not ideal_member(P(2, {(1, 0): 1}), gb)
-
-
-def test_saturate_extracts_hidden_factor():
-    # <x0^2 * x1> : x0^inf = <x1>
-    g = P(2, {(2, 1): 1})
-    sat = buchberger(saturate([g], (1, 0)))
-    assert ideal_member(P(2, {(0, 1): 1}), sat)
-    assert not ideal_member(P(2, {(1, 0): 1}), sat)
-
-
-def test_saturate_whole_ring():
-    # <x0, x1> : (x0 x1)^inf = (1)
-    gens = [P(2, {(1, 0): 1}), P(2, {(0, 1): 1})]
-    sat = buchberger(saturate(gens, (1, 1)))
-    assert ideal_member(P(2, {(0, 0): 1}), sat)
+def test_linear_relations_match_buchberger(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # the relation ideal is prime, so no saturation is needed: the row echelon
+    # form of the annihilator is already its reduced Groebner basis
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            sub = maker(T, Fraction(1, 2), 2).subspace
+            if sub.is_zero_ring():
+                assert _linear_relations(sub) == [Poly.constant(T.n, 1)]
+                continue
+            forms = [Poly.linear_form(row) for row in sub.annihilator()]
+            assert _linear_relations(sub) == buchberger(forms)
+    cp2_k0 = kernel_K0(T_cp2, Fraction(1, 2), 2).subspace
+    assert _linear_relations(cp2_k0) == [Poly.constant(3, 1)]

@@ -5,7 +5,6 @@ import pytest
 
 from toricspec.laurent import (
     InconclusiveError,
-    LaurentPoly,
     kernel_K0,
     kernel_membership,
     membership,
@@ -25,6 +24,7 @@ from toricspec.minimal import (
     nullstellensatz_exponents,
     translated_point_bound,
 )
+from toricspec.polys import Poly
 from toricspec.polytope import ToricHypothesisError
 
 H = Fraction(1, 2)
@@ -72,7 +72,7 @@ def test_bounding_sandwich_on_random_monomials(T_monotone):
     data = bounding_modules(T_monotone, H, Fraction(-1, 4), Fraction(1, 4))
     for _ in range(20):
         exps = tuple(rng.randint(-2, 2) for _ in range(4))
-        q = LaurentPoly.monomial(exps)
+        q = Poly.monomial(exps)
         in_upper = kernel_membership(q, data.upper)
         in_lower = kernel_membership(q, data.lower)
         assert not in_upper or in_lower
@@ -115,7 +115,7 @@ def test_witness_monotone_square(T_monotone):
     assert isinstance(w, MinimalDegreeWitness)
     km = kernel_K0(T_monotone, H, 2)
     # restriction is a scalar multiple of the first coordinate restriction
-    target = restrict(LaurentPoly.monomial((1, 0, 0, 0)), km.subspace)
+    target = restrict(Poly.monomial((1, 0, 0, 0)), km.subspace)
     assert w.restriction.is_scalar_multiple_of(target) is not None
     assert w.restriction.degree() == 1
     assert w.verify(km)
@@ -139,10 +139,10 @@ def test_witness_shift_invariance(T_monotone):
             a + b for a, b in zip(w.monomial, T_monotone.iota_apply(m))
         )
         shifted_module = novikov_shift(km.module, m)
-        assert not membership(LaurentPoly.monomial(moved), shifted_module, km.subspace)
+        assert not membership(Poly.monomial(moved), shifted_module, km.subspace)
         for i in range(4):
             succ = tuple(x + (1 if j == i else 0) for j, x in enumerate(moved))
-            assert membership(LaurentPoly.monomial(succ), shifted_module, km.subspace)
+            assert membership(Poly.monomial(succ), shifted_module, km.subspace)
 
 
 def test_degree_floor_exhaustive_square(T_monotone):

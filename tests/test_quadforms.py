@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from toricspec.lattice import identity_matrix
@@ -24,23 +23,27 @@ H = Fraction(1, 2)
 
 
 def blockers(N, n=1):
+    np = pytest.importorskip("numpy")
     a = np.array(shift_matrix(N), dtype=complex)
     return np.kron(a, np.eye(n))
 
 
 def test_shift_matrix_small():
+    np = pytest.importorskip("numpy")
     assert shift_matrix(1) == ((0, 1), (-1, 0))
     a = np.array(shift_matrix(1))
     assert np.array_equal(a @ a, -np.eye(2))
 
 
 def test_shift_matrix_power_identity():
+    np = pytest.importorskip("numpy")
     for N in (1, 2, 3, 5):
         a = np.array(shift_matrix(N), dtype=float)
         assert np.array_equal(np.linalg.matrix_power(a, 2 * N), -np.eye(2 * N))
 
 
 def test_quad_form_matrix_hermitian_and_spectrum():
+    np = pytest.importorskip("numpy")
     for N in range(1, 7):
         c = quad_form_matrix(N)
         assert np.max(np.abs(c - c.conj().T)) < 1e-12
@@ -52,22 +55,26 @@ def test_quad_form_matrix_hermitian_and_spectrum():
 
 
 def test_quad_form_n1_values():
+    np = pytest.importorskip("numpy")
     got = np.sort(np.linalg.eigvalsh(quad_form_matrix(1)))
     assert np.allclose(got, [-1.0, 1.0], atol=1e-12)
 
 
 def test_quad_form_n2_values():
+    np = pytest.importorskip("numpy")
     got = np.sort(np.linalg.eigvalsh(quad_form_matrix(2)))
     t1, t3 = math.tan(math.pi / 8), math.tan(3 * math.pi / 8)
     assert np.allclose(got, [-t3, -t1, t1, t3], atol=1e-12)
 
 
 def test_eigen_vector_n1_k0():
+    np = pytest.importorskip("numpy")
     x = eigen_vector(1, 1, 0)
     assert np.allclose(x, [1, 1j], atol=1e-14)
 
 
 def test_eigen_vector_n2_k0_phases():
+    np = pytest.importorskip("numpy")
     x = eigen_vector(2, 1, 0)
     want = [np.exp(1j * math.pi * l / 4) for l in range(4)]
     assert np.allclose(x, want, atol=1e-14)
@@ -83,6 +90,7 @@ def test_eigen_vector_out_of_range():
 
 
 def test_eigen_relation_residuals():
+    np = pytest.importorskip("numpy")
     for N in range(1, 7):
         for n in (1, 2):
             a = blockers(N, n)
@@ -165,6 +173,7 @@ def random_off_front_lambda(rng, n, N):
 
 
 def test_negative_index_matches_numeric_count():
+    np = pytest.importorskip("numpy")
     rng = random.Random(1234)
     for n in (1, 2, 3):
         for N in (1, 2, 4, 6):
@@ -192,6 +201,7 @@ def test_spectrum_monotone_in_positive_directions():
 
 
 def test_empty_front_means_no_zero_eigenvalue():
+    np = pytest.importorskip("numpy")
     rng = random.Random(77)
     params = DecompositionParams(N1=0, N2=3)
     for _ in range(20):
