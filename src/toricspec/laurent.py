@@ -302,7 +302,8 @@ def _linear_relations(subspace: LinearSubspace) -> list[Poly]:
     if subspace.is_zero_ring():
         return [Poly.constant(subspace.nvars, 1)]
     red, pivots = rref(subspace.annihilator())
-    return sorted((Poly.linear_form(row) for row in red[: len(pivots)]), key=lambda g: g.leading()[0])
+    forms = [Poly.linear_form(row) for row in red[: len(pivots)]]
+    return sorted(forms, key=lambda g: g.leading()[0])
 
 
 def _minimal_monomials(exps_list):

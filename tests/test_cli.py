@@ -224,7 +224,7 @@ def test_human_format_runs():
 def test_import_leaves_numpy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, toricspec.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=dict(os.environ),
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
