@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from toricspec.groebner import buchberger, ideal_member, normal_form, s_polynomial
-from toricspec.laurent import _linear_relations, kernel_K, kernel_K0
+from toricspec.laurent import LinearSubspace, _linear_relations, kernel_K, kernel_K0
 from toricspec.polys import Poly
 
 
@@ -85,3 +85,49 @@ def test_linear_relations_match_buchberger(T_monotone, T_p12, T_cp2, T_cp3, T_cu
             assert _linear_relations(sub) == buchberger(forms)
     cp2_k0 = kernel_K0(T_cp2, Fraction(1, 2), 2).subspace
     assert _linear_relations(cp2_k0) == [Poly.constant(3, 1)]
+
+
+def test_saturate_prime_linear_ideal_is_fixed(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # I : (u1...un)^inf = I for the relation ideal I of V, unless V is a zero
+    # ring: m*f lies in I exactly when f does, for m = u1...un
+    rng = random.Random(7)
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            sub = maker(T, Fraction(1, 2), 2).subspace
+            if sub.is_zero_ring():
+                continue
+            rel = _linear_relations(sub)
+            m = (1,) * T.n
+            units = [Poly.monomial(tuple(int(j == i) for j in range(T.n))) for i in range(T.n)]
+            samples = [g * u for g in rel for u in units] + units
+            for _ in range(10):
+                exps = tuple(rng.randint(0, 1) for _ in range(T.n))
+                samples.append(Poly.monomial(exps, rng.randint(1, 3)) + rel[0])
+            verdicts = [ideal_member(f, rel) for f in samples]
+            assert True in verdicts and False in verdicts
+            for f, member in zip(samples, verdicts):
+                assert ideal_member(f.term_mul(m), rel) == member
+
+
+def test_saturate_extracts_hidden_factor():
+    # <x0 - x1> : x0^inf = <x0 - x1>: a member x0^2 x1 * f gives f back
+    sub = LinearSubspace(((1,), (1,)))
+    rel = _linear_relations(sub)
+    assert rel == [P(2, {(1, 0): 1, (0, 1): -1})]
+    hidden = P(2, {(3, 1): 1, (2, 2): -1})
+    assert ideal_member(hidden, rel)
+    assert ideal_member(hidden.term_mul((-2, -1)), rel)
+    assert not ideal_member(P(2, {(3, 1): 1}), rel)
+    assert not ideal_member(P(2, {(1, 0): 1}), rel)
+
+
+def test_saturate_whole_ring():
+    # V inside {u1 = 0}: I = <u1> and I : (u1 u2)^inf = (1), which the
+    # relation route returns directly
+    sub = LinearSubspace(((0,), (1,)))
+    assert sub.is_zero_ring()
+    forms = [Poly.linear_form(row) for row in sub.annihilator()]
+    gb = buchberger(forms)
+    assert ideal_member(P(2, {(1, 1): 1}), gb)
+    assert not ideal_member(P(2, {(0, 0): 1}), gb)
+    assert _linear_relations(sub) == [P(2, {(0, 0): 1})]
