@@ -23,9 +23,11 @@ from toricspec.laurent import (
     RestrictedElement,
     ZERO_RING,
     ZeroRing,
+    clear_caches,
     kernel_K,
     kernel_K0,
     kernel_membership,
+    memo_counts,
     membership,
     module_generators,
     novikov_shift,

@@ -13,6 +13,7 @@ from toricspec.lattice import mat_vec
 from toricspec.laurent import (
     BackendMismatchError,
     InconclusiveError,
+    check_start_window,
     kernel_K,
     kernel_K0,
     membership,
@@ -186,6 +187,11 @@ def cmd_kernel(args, report: Report) -> int:
     data = toric_data(_load(args.polytope))
     nu = parse_fraction(args.nu) if args.nu is not None else None
     km = _kernel_module(data, args.ring, nu, args.W)
+    if args.member is not None:
+        exps = parse_int_vector(args.member)
+        if len(exps) != data.n:
+            raise ValueError(f"--member needs {data.n} exponents, got {len(exps)}")
+        check_start_window(args.W)
     report.kv("ring", km.ring)
     report.kv("threshold", frac_str(nu) if nu is not None else "-inf")
     report.kv("window", args.W)
@@ -194,7 +200,6 @@ def cmd_kernel(args, report: Report) -> int:
     for i, g in enumerate(gens):
         report.kv(f"gen.{i}", vec_str(g))
     if args.member is not None:
-        exps = parse_int_vector(args.member)
         verdict = membership(
             Poly.monomial(exps), km.module, km.subspace, backend=args.backend
         )

@@ -6,29 +6,57 @@ Saturating it by the product of the coordinates changes it only when it
 contains a coordinate, and then the saturation is the unit ideal.
 """
 
+import heapq
+
 from toricspec.polys import Poly, grevlex_key
 
 
 def normal_form(f: Poly, basis) -> Poly:
-    """Remainder of f under multivariate division by `basis`."""
+    """Remainder of f under multivariate division by `basis`: the largest
+    remaining term is divided by the first basis element whose leading
+    monomial divides it, or else moved to the remainder.  The remaining terms
+    sit in a dict with a heap of their exponents, so a division step costs the
+    size of the divisor, not of the dividend."""
+    if any(g.nvars != f.nvars for g in basis):
+        raise ValueError("basis and polynomial have different variable counts")
     if not basis:
         return f
-    leads = [g.leading() for g in basis]
+    divisors = [(g.leading(), g.terms) for g in basis]
+    work = dict(f.terms)
+    heap = [(_heap_key(e), e) for e in work]
+    heapq.heapify(heap)
     rem_terms = {}
-    work = f
-    while work.terms:
-        e, c = work.leading()
-        reduced = False
-        for g, (ge, gc) in zip(basis, leads):
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue  # a stale heap entry: the term cancelled earlier
+        for (ge, gc), terms in divisors:
             diff = tuple(a - b for a, b in zip(e, ge))
             if all(x >= 0 for x in diff):
-                work = work - g.term_mul(diff, c / gc)
-                reduced = True
+                factor = c / gc
+                for te, tc in terms.items():
+                    if te == ge:
+                        continue  # the leading term cancels exactly
+                    t = tuple(a + b for a, b in zip(te, diff))
+                    d = factor * tc
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = -d
+                        heapq.heappush(heap, (_heap_key(t), t))
+                    elif old != d:
+                        work[t] = old - d
+                    else:
+                        del work[t]
                 break
-        if not reduced:
+        else:
             rem_terms[e] = c
-            work = Poly(work.nvars, {k: v for k, v in work.terms.items() if k != e})
     return Poly(f.nvars, rem_terms)
+
+
+def _heap_key(exps):
+    """Ascending order of this key is descending grevlex order."""
+    return (-sum(exps), exps[::-1])
 
 
 def _lcm(e1, e2):
@@ -72,27 +100,31 @@ def buchberger(gens):
     basis = interreduce(gens)
     if not basis:
         return []
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    leads = [g.leading()[0] for g in basis]
+    pair_key = {}  # pair -> grevlex key of the lcm of its leading exponents
+
+    def add_pairs(new):
+        for t in range(new):
+            pair_key[new, t] = grevlex_key(_lcm(leads[new], leads[t]))
+
+    for i in range(len(basis)):
+        add_pairs(i)
+    pairs = set(pair_key)
     processed = set()
     while pairs:
         # normal strategy: smallest lcm first
-        i, j = min(
-            pairs,
-            key=lambda ij: grevlex_key(_lcm(basis[ij[0]].leading()[0], basis[ij[1]].leading()[0])),
-        )
+        i, j = min(pairs, key=pair_key.__getitem__)
         pairs.remove((i, j))
         processed.add((i, j))
-        fi, fj = basis[i], basis[j]
-        ei, ej = fi.leading()[0], fj.leading()[0]
+        ei, ej = leads[i], leads[j]
         if _disjoint(ei, ej):
             continue
         l = _lcm(ei, ej)
         # chain criterion
         skip = False
-        for k in range(len(basis)):
+        for k, ek in enumerate(leads):
             if k in (i, j):
                 continue
-            ek = basis[k].leading()[0]
             if all(a >= b for a, b in zip(l, ek)):
                 p1 = (max(i, k), min(i, k))
                 p2 = (max(j, k), min(j, k))
@@ -101,11 +133,13 @@ def buchberger(gens):
                     break
         if skip:
             continue
-        h = normal_form(s_polynomial(fi, fj), basis)
+        h = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if h.is_zero():
             continue
         basis.append(h.monic())
+        leads.append(basis[-1].leading()[0])
         new = len(basis) - 1
+        add_pairs(new)
         pairs.update((new, t) for t in range(new))
     return interreduce(basis)
 

@@ -21,6 +21,7 @@ The two backends must agree; a disagreement raises.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from math import ceil, lcm
 
 from toricspec.groebner import buchberger, normal_form
 from toricspec.lattice import (
@@ -29,7 +30,6 @@ from toricspec.lattice import (
     identity_matrix,
     integer_kernel,
     rref,
-    solve_rational,
     transpose,
     vec_gcd,
 )
@@ -46,6 +46,39 @@ class BackendMismatchError(Exception):
 
 
 WINDOW_CAP = 16
+
+
+# --- the memo ------------------------------------------------------------------
+#
+# Everything derived from a module and a window alone is built once and kept
+# here under (kind, key): generators, coordinate-form powers, cleared
+# generator restrictions and Groebner data.
+
+_MEMO: dict = {}
+_MEMO_COUNTS: dict = {}  # kind -> [hits, misses]
+
+
+def memo(kind: str, key, build):
+    """The value stored under (kind, key), built by `build()` on first use."""
+    counts = _MEMO_COUNTS.setdefault(kind, [0, 0])
+    value = _MEMO.get((kind, key), _MEMO)
+    if value is _MEMO:
+        counts[1] += 1
+        value = _MEMO[kind, key] = build()
+    else:
+        counts[0] += 1
+    return value
+
+
+def memo_counts() -> dict:
+    """kind -> (hits, misses) since the last `clear_caches()`."""
+    return {kind: tuple(c) for kind, c in _MEMO_COUNTS.items()}
+
+
+def clear_caches():
+    """Drop every memoized value and reset the hit/miss counts."""
+    _MEMO.clear()
+    _MEMO_COUNTS.clear()
 
 
 # --- linear subspaces and restriction ---------------------------------------
@@ -88,6 +121,10 @@ class LinearSubspace:
         """The linear form l_i = (row i of basis) . w."""
         return Poly.linear_form(tuple(Fraction(x) for x in self.basis[i]))
 
+    def form_power(self, i: int, e: int) -> Poly:
+        """l_i ** e, built once per (subspace, i, e)."""
+        return memo("form_power", (self.basis, i, e), lambda: self.coordinate_form(i) ** e)
+
     def is_zero_ring(self) -> bool:
         if self.dim == 0:
             return True
@@ -121,7 +158,7 @@ class RestrictedElement:
         out = Poly.constant(self.subspace.dim, 1)
         for i, e in enumerate(self.denom_exps):
             if e:
-                out = out * self.subspace.coordinate_form(i) ** e
+                out = out * self.subspace.form_power(i, e)
         return out
 
     def __mul__(self, other):
@@ -156,7 +193,7 @@ class RestrictedElement:
         for i in range(len(exps)):
             if exps[i] == 0:
                 continue
-            form = self.subspace.coordinate_form(i)
+            form = self.subspace.form_power(i, 1)
             while exps[i] > 0:
                 q = num.exact_divide(form)
                 if q is None:
@@ -188,13 +225,13 @@ def restrict(q: Poly, subspace: LinearSubspace):
     if subspace.is_zero_ring():
         return ZERO_RING
     n = q.nvars
-    forms = [subspace.coordinate_form(i) for i in range(n)]
     denom = tuple(max(0, max((-e[i] for e in q.terms), default=0)) for i in range(n))
     total = Poly.zero(subspace.dim)
     for e, c in q.terms.items():
         piece = Poly.constant(subspace.dim, c)
         for i, p in enumerate(e):
-            piece = piece * forms[i] ** (p + denom[i])
+            if p + denom[i]:
+                piece = piece * subspace.form_power(i, p + denom[i])
         total = total + piece
     return RestrictedElement(total, denom, subspace).reduced()
 
@@ -224,16 +261,29 @@ class MonomialModule:
         if self.center is None:
             object.__setattr__(self, "center", (0,) * self.toric.k)
 
-    def lattice_points(self, window=None):
-        w = self.window if window is None else window
-        for m in product(*(range(c - w, c + w + 1) for c in self.center)):
-            if self.threshold is None or self.toric.p_value(m) >= self.threshold:
-                yield m
-
     def generators(self, window=None):
-        """Exponent vectors iota(m), sorted by (total degree, lex)."""
-        gens = [self.toric.iota_apply(m) for m in self.lattice_points(window)]
-        return sorted(gens, key=lambda g: (sum(g), g))
+        """Exponent vectors iota(m), sorted by (total degree, lex); built once
+        per (level, window)."""
+        w = self.window if window is None else window
+        return list(memo("generators", _level_key(self, w), lambda: self._enumerate(w)))
+
+    def _enumerate(self, w):
+        """The window box tested in integers: with D the lcm of the
+        denominators of p, keep m when sum (D p_i) m_i >= ceil(D threshold)."""
+        scale = lcm(*(x.denominator for x in self.toric.p))
+        weights = [int(x * scale) for x in self.toric.p]
+        floor = None if self.threshold is None else ceil(self.threshold * scale)
+        gens = [
+            self.toric.iota_apply(m)
+            for m in product(*(range(c - w, c + w + 1) for c in self.center))
+            if floor is None or sum(a * b for a, b in zip(weights, m)) >= floor
+        ]
+        return tuple(sorted(gens, key=lambda g: (sum(g), g)))
+
+
+def _level_key(module: MonomialModule, window: int):
+    """What the generators at `window` depend on."""
+    return (module.toric, module.threshold, module.center, window)
 
 
 def module_generators(toric: ToricData, threshold, window: int):
@@ -261,39 +311,30 @@ class KernelModule:
     ring: str  # "R" | "R0" | "ZeroRing"
 
 
-def kernel_K(toric: ToricData, threshold, window: int) -> KernelModule:
-    """The level module restricted to the full kernel subspace."""
+def _kernel_module(toric: ToricData, threshold, window: int, basis, ring: str) -> KernelModule:
     if not rationality_check(toric):
         raise ToricHypothesisError("p is not primitive integral")
-    subspace = LinearSubspace(basis=toric.iota)
-    ring = "ZeroRing" if subspace.is_zero_ring() else "R"
+    subspace = LinearSubspace(basis=basis)
     return KernelModule(
         module=MonomialModule(toric=toric, threshold=threshold, window=window),
         subspace=subspace,
-        ring=ring,
+        ring="ZeroRing" if subspace.is_zero_ring() else ring,
     )
+
+
+def kernel_K(toric: ToricData, threshold, window: int) -> KernelModule:
+    """The level module restricted to the full kernel subspace."""
+    return _kernel_module(toric, threshold, window, toric.iota, "R")
 
 
 def kernel_K0(toric: ToricData, threshold, window: int) -> KernelModule:
     """The level module restricted to the p-kernel subspace."""
-    if not rationality_check(toric):
-        raise ToricHypothesisError("p is not primitive integral")
     cols = [toric.iota_apply(v) for v in toric.k0.vectors]
     basis = tuple(tuple(col[i] for col in cols) for i in range(toric.n))
-    if not cols:
-        basis = tuple(() for _ in range(toric.n))
-    subspace = LinearSubspace(basis=basis)
-    ring = "ZeroRing" if subspace.is_zero_ring() else "R0"
-    return KernelModule(
-        module=MonomialModule(toric=toric, threshold=threshold, window=window),
-        subspace=subspace,
-        ring=ring,
-    )
+    return _kernel_module(toric, threshold, window, basis, "R0")
 
 
 # --- membership: Groebner backend -------------------------------------------
-
-_GB_CACHE: dict = {}
 
 
 def _linear_relations(subspace: LinearSubspace) -> list[Poly]:
@@ -339,24 +380,29 @@ def reduce_modulo(q_poly: Poly, gb, rel):
     return normal_form(normal_form(q_poly, rel), gb)
 
 
-def _module_groebner(module: MonomialModule, subspace: LinearSubspace, window: int, shift=None):
-    gens = module.generators(window)
-    n = module.toric.n
-    base = tuple(max(0, -min((g[i] for g in gens), default=0)) for i in range(n))
-    if shift is not None:
-        base = tuple(max(a, b) for a, b in zip(base, shift))
-    key = (module, subspace.basis, window, base)
-    if key not in _GB_CACHE:
-        shifted = [tuple(a + b for a, b in zip(g, base)) for g in gens]
-        _GB_CACHE[key] = (_reduced_ideal_gb(shifted, subspace), base)
-    return _GB_CACHE[key]
+def _module_groebner(module: MonomialModule, subspace: LinearSubspace, window: int, shift):
+    """Groebner data of the generators times the least monomial that clears
+    both their negative exponents and `shift`; returns ((gb, rel), monomial)."""
+    level = _level_key(module, window)
+
+    def generator_floor():
+        gens = module.generators(window)
+        return tuple(max(0, -min((g[i] for g in gens), default=0)) for i in range(module.toric.n))
+
+    base = tuple(max(a, b) for a, b in zip(memo("generator_floor", level, generator_floor), shift))
+
+    def build():
+        shifted = [tuple(a + b for a, b in zip(g, base)) for g in module.generators(window)]
+        return _reduced_ideal_gb(shifted, subspace)
+
+    return memo("groebner", (level, subspace.basis, base), build), base
 
 
 def _groebner_verdict(q: Poly, module: MonomialModule, subspace: LinearSubspace, window: int) -> bool:
     if q.is_zero():
         return True
     q_clear = tuple(max(0, -m) for m in q.min_exponents())
-    (gb, rel), shift = _module_groebner(module, subspace, window, shift=q_clear)
+    (gb, rel), shift = _module_groebner(module, subspace, window, q_clear)
     if not gb and not rel:
         return False
     cleared = q.term_mul(shift)
@@ -366,8 +412,6 @@ def _groebner_verdict(q: Poly, module: MonomialModule, subspace: LinearSubspace,
 
 
 # --- membership: bounded-degree backend --------------------------------------
-
-_RESTRICT_CACHE: dict = {}
 
 
 def restriction_class_key(subspace: LinearSubspace, exps):
@@ -390,18 +434,18 @@ def restriction_class_key(subspace: LinearSubspace, exps):
 
 
 def _generator_restrictions(module, subspace, window):
-    """Cached restrictions of the window generators with a common denominator."""
-    key = (module, subspace.basis, window)
-    if key not in _RESTRICT_CACHE:
+    """Restrictions of the window generators and their common denominator."""
+
+    def build():
         gens = module.generators(window)
         rgens = [restrict(Poly.monomial(g), subspace) for g in gens]
         gden = tuple(
             max((r.denom_exps[i] for r in rgens), default=0)
             for i in range(subspace.nvars)
         )
-        cleared = [_clear_to(r, gden, subspace) for r in rgens]
-        _RESTRICT_CACHE[key] = (gens, rgens, gden, cleared)
-    return _RESTRICT_CACHE[key]
+        return gens, rgens, gden
+
+    return memo("restrictions", (_level_key(module, window), subspace.basis), build)
 
 
 def _clear_to(r: RestrictedElement, target, subspace: LinearSubspace) -> Poly:
@@ -409,31 +453,52 @@ def _clear_to(r: RestrictedElement, target, subspace: LinearSubspace) -> Poly:
     for i, e in enumerate(target):
         extra = e - r.denom_exps[i]
         if extra:
-            out = out * subspace.coordinate_form(i) ** extra
+            out = out * subspace.form_power(i, extra)
     return out
 
 
-def _solve_exact(columns, rhs_terms):
-    """Solve sum c_j * column_j = rhs over Q; returns coefficient list or None."""
-    rows = sorted({e for col in columns for e in col.terms} | set(rhs_terms))
-    index = {e: i for i, e in enumerate(rows)}
-    a = [[Fraction(0)] * len(columns) for _ in rows]
-    for j, col in enumerate(columns):
-        for e, c in col.terms.items():
-            a[index[e]][j] = c
-    b = [Fraction(0)] * len(rows)
-    for e, c in rhs_terms.items():
-        b[index[e]] = c
-    return solve_rational(a, b)
+def _cleared_restrictions(q: Poly, module: MonomialModule, subspace: LinearSubspace, window: int):
+    """q and the window generators restricted to V over one common denominator:
+    (generators, their cleared numerators, the cleared numerator of q).  None
+    when V is a zero ring.  The cleared generators are built once per target
+    denominator."""
+    rq = restrict(q, subspace)
+    if rq is ZERO_RING:
+        return None
+    gens, rgens, gden = _generator_restrictions(module, subspace, window)
+    target = tuple(max(a, b) for a, b in zip(gden, rq.denom_exps))
+    cleared_gens = memo(
+        "cleared",
+        (_level_key(module, window), subspace.basis, target),
+        lambda: [_clear_to(r, target, subspace) for r in rgens],
+    )
+    return gens, cleared_gens, _clear_to(rq, target, subspace)
+
+
+def _axpy(target: dict, f, vec: dict):
+    """target += f * vec in place, dropping zero entries."""
+    for e, c in vec.items():
+        s = target.get(e, 0) + f * c
+        if s:
+            target[e] = s
+        else:
+            target.pop(e, None)
 
 
 class _Span:
-    """Incremental row-echelon span of coefficient vectors keyed by exponent."""
+    """Incremental row-echelon span of coefficient vectors keyed by exponent.
 
-    def __init__(self):
-        self.pivots = {}  # leading exponent -> monic reduced vector
+    With `track`, each pivot carries its combination of the labels of the
+    inserted vectors, so a vector that reduces to zero comes with its
+    expression in them."""
 
-    def reduce(self, vec):
+    def __init__(self, track=False):
+        self.track = track
+        self.pivots = {}  # leading exponent -> (monic reduced vector, label combination)
+
+    def reduce(self, vec, combo=None):
+        """`vec` minus pivot multiples until no pivot exponent is left; the
+        subtracted label combination is added to `combo` when one is given."""
         vec = {e: c for e, c in vec.items() if c}
         while True:
             hits = [e for e in vec if e in self.pivots]
@@ -441,21 +506,24 @@ class _Span:
                 return vec
             lead = max(hits)
             f = vec[lead]
-            for e, c in self.pivots[lead].items():
-                s = vec.get(e, 0) - f * c
-                if s:
-                    vec[e] = s
-                else:
-                    vec.pop(e, None)
+            pivot, labels = self.pivots[lead]
+            _axpy(vec, -f, pivot)
+            if combo is not None:
+                _axpy(combo, f, labels)
 
-    def add(self, vec) -> bool:
+    def add(self, vec, label=None) -> bool:
         """Insert after reduction; returns True when the span grew."""
-        red = self.reduce(vec)
+        combo = {} if self.track else None
+        red = self.reduce(vec, combo)
         if not red:
             return False
         lead = max(red)
         inv = 1 / red[lead]
-        self.pivots[lead] = {e: c * inv for e, c in red.items()}
+        labels = None
+        if self.track:
+            labels = {lab: -c * inv for lab, c in combo.items()}
+            labels[label] = inv
+        self.pivots[lead] = ({e: c * inv for e, c in red.items()}, labels)
         return True
 
 
@@ -476,65 +544,41 @@ def _brute_verdict(q, module, subspace, window, degree_bound, want_certificate=F
     Returns (verdict, certificate); the certificate maps generator exponents
     to multiplier polynomials (in restricted coordinates) for each graded
     component of the cleared restriction, and is only assembled on request.
+    Each slice inserts candidate columns into a span until the component
+    reduces to zero.
     """
-    rq = restrict(q, subspace)
-    if rq is ZERO_RING:
+    cleared = _cleared_restrictions(q, module, subspace, window)
+    if cleared is None:
         return True, {}
-    gens, rgens, gden, cleared_base = _generator_restrictions(module, subspace, window)
-    target = tuple(max(a, b) for a, b in zip(gden, rq.denom_exps))
-    if target == gden:
-        cleared_gens = cleared_base
-    else:
-        cleared_gens = [_clear_to(r, target, subspace) for r in rgens]
-    cleared_q = _clear_to(rq, target, subspace)
-    if cleared_q.is_zero():
-        return True, {}
+    gens, cleared_gens, cleared_q = cleared
     k = subspace.dim
     labeled = list(zip(gens, cleared_gens))
     certificate = {}
     for degree, component in cleared_q.homogeneous_components().items():
+        span = _Span(track=want_certificate)
+        combo = {} if want_certificate else None
+        residual = component.terms
+        for label, col in _candidate_columns(labeled, degree, k, degree_bound):
+            if not residual:
+                break
+            if span.add(col.terms, label):
+                residual = span.reduce(residual, combo)
+        if residual:
+            return False, None
         if want_certificate:
-            labels, columns = [], []
-            for label, col in _candidate_columns(labeled, degree, k, degree_bound):
-                labels.append(label)
-                columns.append(col)
-            sol = _solve_exact(columns, component.terms) if columns else None
-            if sol is None:
-                return False, None
-            comp_cert = {}
-            for (g, mono), c in zip(labels, sol):
-                if c:
-                    comp_cert.setdefault(g, {})[mono] = c
-            certificate[degree] = {g: Poly(k, t) for g, t in comp_cert.items()}
-        else:
-            span = _Span()
-            full_rank = 1  # dim of the degree slice in k variables
-            for i in range(k - 1):
-                full_rank = full_rank * (degree + 1 + i) // (i + 1)
-            residual = span.reduce(component.terms)
-            for _, col in _candidate_columns(labeled, degree, k, degree_bound):
-                if not residual:
-                    break
-                if span.add(col.terms):
-                    residual = span.reduce(residual)
-                    if len(span.pivots) >= full_rank:
-                        residual = {}
-            if residual:
-                return False, None
+            multipliers = {}
+            for (g, mono), c in combo.items():
+                multipliers.setdefault(g, {})[mono] = c
+            certificate[degree] = {g: Poly(k, t) for g, t in multipliers.items()}
     return True, certificate
 
 
 def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
     """Re-expand a bounded-degree certificate and compare exactly."""
-    rq = restrict(q, subspace)
-    if rq is ZERO_RING:
+    cleared = _cleared_restrictions(q, module, subspace, module.window if window is None else window)
+    if cleared is None:
         return True
-    gens, rgens, gden, cleared_base = _generator_restrictions(
-        module, subspace, window if window is not None else module.window
-    )
-    target = tuple(max(a, b) for a, b in zip(gden, rq.denom_exps))
-    cleared_gens = cleared_base if target == gden else [_clear_to(r, target, subspace) for r in rgens]
-    cleared_q = _clear_to(rq, target, subspace)
+    gens, cleared_gens, cleared_q = cleared
     by_exps = dict(zip(gens, cleared_gens))
     total = Poly.zero(subspace.dim)
     for comp in certificate.values():
@@ -562,10 +606,21 @@ def _verdict_at_window(q, module, subspace, window, backend, degree_bound):
     return gb
 
 
+def check_start_window(window: int):
+    """The window protocol compares `window` with `window + 2` at least once;
+    a start window without that room below WINDOW_CAP is inconclusive."""
+    if window + 2 > WINDOW_CAP:
+        raise InconclusiveError(
+            f"start window {window} leaves no room to widen below the cap {WINDOW_CAP}"
+        )
+
+
 def stable_verdict(verdict_at, window):
     """Window-stability loop: evaluate `verdict_at` at `window` and widen by 2
     until two consecutive verdicts agree; returns (verdict, window at which it
-    stabilized).  Raises InconclusiveError past WINDOW_CAP."""
+    stabilized).  Raises InconclusiveError past WINDOW_CAP, before evaluating
+    anything when the start window is already too close to it."""
+    check_start_window(window)
     prev = verdict_at(window)
     while window + 2 <= WINDOW_CAP:
         window += 2

@@ -20,8 +20,10 @@ from toricspec.laurent import (
     KernelModule,
     MonomialModule,
     RestrictedElement,
+    _level_key,
     _reduced_ideal_gb,
     kernel_K0,
+    memo,
     membership,
     membership_certified,
     novikov_shift,
@@ -126,18 +128,17 @@ def bounding_modules(toric: ToricData, nu, c_minus, c_plus, window: int = 2) -> 
 
 # --- the polynomial-part ideal ------------------------------------------------
 
-_IDEAL_CACHE: dict = {}
-
 
 def _polynomial_part_ideal(km: KernelModule, window: int):
     """Groebner data of the positive-part monomial ideal plus the relation
     ideal.  The polynomial part of the module is exactly the monomial
     ideal generated by the componentwise-positive parts of the generators."""
-    key = (km.module, km.subspace.basis, window)
-    if key not in _IDEAL_CACHE:
+
+    def build():
         positive = [tuple(max(x, 0) for x in g) for g in km.module.generators(window)]
-        _IDEAL_CACHE[key] = _reduced_ideal_gb(positive, km.subspace)
-    return _IDEAL_CACHE[key]
+        return _reduced_ideal_gb(positive, km.subspace)
+
+    return memo("polynomial_part", (_level_key(km.module, window), km.subspace.basis), build)
 
 
 def _ideal_member_at(poly: Poly, km: KernelModule, window: int) -> bool:
@@ -246,12 +247,12 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2, degree_bo
                     raise InconclusiveError("witness failed re-check on the original module")
                 certs, windows = {}, {}
                 for i in range(n):
-                    succ = tuple(x + (1 if j == i else 0) for j, x in enumerate(q_exps))
-                    ok, cert, w = membership_certified(
-                        Poly.monomial(succ), km.module, km.subspace, degree_bound
-                    )
+                    succ = Poly.monomial(tuple(x + (1 if j == i else 0) for j, x in enumerate(q_exps)))
+                    ok, cert, w = membership_certified(succ, km.module, km.subspace, degree_bound)
                     if not ok:
                         raise InconclusiveError("successor failed re-check on the original module")
+                    if not verify_certificate(succ, km.module, km.subspace, cert, window=w):
+                        raise InconclusiveError("successor certificate failed re-verification")
                     certs[i], windows[i] = cert, w
                 return MinimalDegreeWitness(
                     monomial=q_exps,

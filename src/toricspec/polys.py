@@ -76,7 +76,12 @@ class Poly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
+    def _check_nvars(self, other):
+        if other.nvars != self.nvars:
+            raise ValueError(f"variable count mismatch: {self.nvars} and {other.nvars}")
+
     def __add__(self, other):
+        self._check_nvars(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
@@ -97,6 +102,7 @@ class Poly:
             if not other:
                 return Poly.zero(self.nvars)
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        self._check_nvars(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -123,6 +129,8 @@ class Poly:
         return result
 
     def term_mul(self, exps, coeff=1):
+        if len(exps) != self.nvars:
+            raise ValueError(f"variable count mismatch: {self.nvars} and {len(exps)}")
         return Poly(
             self.nvars,
             {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()},

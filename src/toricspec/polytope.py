@@ -37,6 +37,14 @@ class ToricHypothesisError(Exception):
         super().__init__(reason)
 
 
+def _check_facet(conormal, offset):
+    """A facet needs a primitive conormal and a positive offset."""
+    if not is_primitive(conormal):
+        raise ValueError(f"conormal {conormal} is not primitive")
+    if offset <= 0:
+        raise ValueError("offsets must be positive")
+
+
 @dataclass(frozen=True)
 class DelzantPolytope:
     d: int
@@ -48,10 +56,7 @@ class DelzantPolytope:
         for v, a in self.facets:
             if len(v) != self.d:
                 raise ValueError("conormal length mismatch")
-            if not is_primitive(v):
-                raise ValueError(f"conormal {v} is not primitive")
-            if a <= 0:
-                raise ValueError("offsets must be positive")
+            _check_facet(v, a)
 
     @property
     def n(self) -> int:
@@ -372,7 +377,7 @@ def parse_fraction(text: str) -> Fraction:
 def parse_polytope(text: str) -> DelzantPolytope:
     """Line-based format: `dim <d>` then `facet <v_1> ... <v_d> ; <a>` lines,
     `#` starting a comment anywhere."""
-    d = None
+    d = dim_line = None
     facets = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split("#", 1)[0].split()
@@ -384,7 +389,7 @@ def parse_polytope(text: str) -> DelzantPolytope:
                     raise ValueError("duplicate dim")
                 if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
                     raise ValueError("dim must be one positive integer")
-                d = int(parts[1])
+                d, dim_line = int(parts[1]), lineno
             elif parts[0] == "facet":
                 if d is None:
                     raise ValueError("facet before dim")
@@ -396,13 +401,17 @@ def parse_polytope(text: str) -> DelzantPolytope:
                     raise ValueError(f"expected {d} conormal entries")
                 if sep + 2 != len(parts):
                     raise ValueError("expected one offset after ';'")
-                facets.append((conormal, parse_fraction(parts[sep + 1])))
+                offset = parse_fraction(parts[sep + 1])
+                _check_facet(conormal, offset)
+                facets.append((conormal, offset))
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if d is None:
         raise ValueError("missing dim line")
+    if len(facets) < d + 1:
+        raise ValueError(f"line {dim_line}: dim {d} needs at least {d + 1} facets, found {len(facets)}")
     return DelzantPolytope(d=d, facets=tuple(facets))
 
 

@@ -268,3 +268,35 @@ def test_redundant_facet_rejected():
         code, out = invoke(command, path)
         assert code == 2
         assert machine_dict(out) == {"error": "redundant facet 5"}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim 1\nfacet 1 ; 0\nfacet -1 ; 1\n", "error: line 2: offsets must be positive"),
+    ("dim 1\nfacet -1 ; 1\n# comment\nfacet 2 ; 1\n", "error: line 4: conormal (2,) is not primitive"),
+    ("# square missing two sides\ndim 2\nfacet 1 0 ; 1\nfacet 0 1 ; 1\n",
+     "error: line 2: dim 2 needs at least 3 facets, found 2"),
+])
+def test_facet_errors_name_their_line(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.poly"
+    bad.write_text(text)
+    code, out = invoke("validate", str(bad))
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.strip() == message
+
+
+def test_start_window_past_cap_fails_before_building():
+    code, out = invoke(
+        "kernel", str(POLY / "cp1xcp1_monotone.poly"), "--W", "40", "--nu", "1/2", "--member", "1,0,0,0"
+    )
+    assert code == 2
+    assert machine_dict(out) == {
+        "error": "inconclusive: start window 40 leaves no room to widen below the cap 16"
+    }
+
+
+def test_member_length_mismatch_exits_1(capsys):
+    code, out = invoke("kernel", str(POLY / "cp1xcp1_monotone.poly"), "--nu", "1/2", "--member", "1,0,0")
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.strip() == "error: --member needs 4 exponents, got 3"

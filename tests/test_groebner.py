@@ -1,5 +1,8 @@
 import random
+import signal
 from fractions import Fraction
+
+import pytest
 
 from toricspec.groebner import buchberger, ideal_member, normal_form, s_polynomial
 from toricspec.laurent import LinearSubspace, _linear_relations, kernel_K, kernel_K0
@@ -131,3 +134,62 @@ def test_saturate_whole_ring():
     assert ideal_member(P(2, {(1, 1): 1}), gb)
     assert not ideal_member(P(2, {(0, 0): 1}), gb)
     assert _linear_relations(sub) == [P(2, {(0, 0): 1})]
+
+
+def test_poly_arithmetic_rejects_mismatched_nvars():
+    two, three = Poly.linear_form((1, 1)), Poly.linear_form((1, -1, 0))
+    for op in (lambda: two * three, lambda: two + three, lambda: two - three,
+               lambda: two.term_mul((1, 0, 0))):
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            op()
+
+
+def test_normal_form_rejects_mismatched_nvars():
+    # before the check this division never terminated: a SIGALRM turns a
+    # regression into a failure instead of a hang
+    def timeout(signum, frame):
+        raise TimeoutError("normal_form did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(ValueError, match="variable counts"):
+            normal_form(Poly.linear_form((1, 0, 0)), [Poly.linear_form((1, -1))])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _textbook_normal_form(f, basis):
+    """Division as written in textbooks: rebuild the dividend after every step."""
+    leads = [g.leading() for g in basis]
+    rem, work = {}, f
+    while work.terms:
+        e, c = work.leading()
+        for g, (ge, gc) in zip(basis, leads):
+            diff = tuple(a - b for a, b in zip(e, ge))
+            if all(x >= 0 for x in diff):
+                work = work - g.term_mul(diff, c / gc)
+                break
+        else:
+            rem[e] = c
+            work = Poly(work.nvars, {k: v for k, v in work.terms.items() if k != e})
+    return Poly(f.nvars, rem)
+
+
+def test_normal_form_matches_textbook_division():
+    rng = random.Random(11)
+
+    def rand_poly(n, terms, degree):
+        return Poly(n, {
+            tuple(rng.randint(0, degree) for _ in range(n)): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            for _ in range(terms)
+        })
+
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        # division is defined for any basis, Groebner or not
+        basis = [g for g in (rand_poly(n, rng.randint(1, 4), 3) for _ in range(rng.randint(1, 4))) if g]
+        for _ in range(4):
+            f = rand_poly(n, rng.randint(1, 8), 5)
+            assert normal_form(f, basis) == _textbook_normal_form(f, basis)

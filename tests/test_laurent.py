@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,10 +9,13 @@ from toricspec.laurent import (
     KernelModule,
     LinearSubspace,
     MonomialModule,
+    clear_caches,
     kernel_K,
     kernel_K0,
     kernel_membership,
+    memo_counts,
     membership,
+    membership_certified,
     module_generators,
     novikov_shift,
     restrict,
@@ -276,9 +280,107 @@ def test_window_protocol_cap_raises(T_monotone, monkeypatch):
         laurent_mod.membership(U(1, 0, 0, 0), km.module, km.subspace)
 
 
+def test_window_protocol_rejects_start_window_before_evaluating():
+    import toricspec.laurent as laurent_mod
+
+    def evaluated(window):
+        raise AssertionError(f"evaluated at window {window}")
+
+    for window in (laurent_mod.WINDOW_CAP - 1, 40):
+        with pytest.raises(laurent_mod.InconclusiveError, match=f"start window {window} .* cap 16"):
+            laurent_mod.stable_verdict(evaluated, window)
+
+
 def test_degree_grading_of_generators(T_monotone, T_cube):
     for T, r in ((T_monotone, H), (T_monotone, Fraction(1)), (T_cube, H)):
         gens = module_generators(T, r, 3)
         bound = r * T.min_chern
         for g in gens:
             assert Fraction(sum(g)) >= bound
+
+
+# --- the memo and the coefficient-tracking span ------------------------------------
+
+
+def _direct_generators(module, window):
+    """The window box tested with Fraction values of p, mapped through iota."""
+    toric = module.toric
+    gens = []
+    for m in product(*(range(c - window, c + window + 1) for c in module.center)):
+        level = sum((Fraction(p) * x for p, x in zip(toric.p, m)), Fraction(0))
+        if module.threshold is None or level >= module.threshold:
+            gens.append(tuple(sum(a * b for a, b in zip(row, m)) for row in toric.iota))
+    return sorted(gens, key=lambda g: (sum(g), g))
+
+
+def test_integer_generators_match_fraction_enumeration(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    checked = 0
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for threshold in (None, Fraction(1), Fraction(-2), H, Fraction(-2, 3), Fraction(5, 3)):
+            base = MonomialModule(toric=T, threshold=threshold, window=1)
+            shifts = [(0,) * T.k, (1,) + (0,) * (T.k - 1), tuple((-1) ** i * (i + 2) for i in range(T.k))]
+            for m in shifts:
+                module = novikov_shift(base, m)
+                for window in (1, 2, 3, 4):
+                    assert module.generators(window) == _direct_generators(module, window)
+                    checked += 1
+    assert checked == 5 * 6 * 3 * 4
+
+
+def test_memo_clear_caches_and_counts(T_monotone):
+    km = kernel_K0(T_monotone, H, 2)
+    queries = [U(1, 0, 0, 0), U(1, 1, 0, 0), U(0, 0, 1, 1), U(-1, 0, 2, 1), U(2, -1, 0, 0)]
+    clear_caches()
+    assert memo_counts() == {}
+    first = [membership(q, km.module, km.subspace) for q in queries]
+    built = memo_counts()
+    kinds = ("generators", "generator_floor", "groebner", "restrictions", "cleared", "form_power")
+    for kind in kinds:
+        assert built[kind][1] > 0, kind
+    again = [membership(q, km.module, km.subspace) for q in queries]
+    assert again == first
+    km.module.generators()
+    counts = memo_counts()
+    for kind in kinds:
+        assert counts[kind][0] > built[kind][0], kind   # every kind answered from the memo
+        assert counts[kind][1] == built[kind][1], kind  # and nothing was rebuilt
+    clear_caches()
+    assert memo_counts() == {}
+    assert [membership(q, km.module, km.subspace) for q in queries] == first
+    assert memo_counts()["groebner"][1] == built["groebner"][1]
+
+
+def test_tracked_span_certificates_round_trip(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    rng = random.Random(3)
+    nonempty = 0
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        km = kernel_K0(T, H, 2)
+        gens = km.module.generators()
+        picks = rng.sample(gens, min(3, len(gens)))
+        members = [Poly.monomial(g) for g in picks]
+        # a coordinate multiple and a rational combination of generators are members too
+        members.append(Poly.monomial(tuple(x + (i == 0) for i, x in enumerate(picks[0]))))
+        members.append(Poly.monomial(picks[0], Fraction(2, 3)) - Poly.monomial(picks[-1], 5))
+        for q in members:
+            ok, cert, window = membership_certified(q, km.module, km.subspace)
+            assert ok
+            if km.ring == "ZeroRing":
+                assert cert == {}
+            assert verify_certificate(q, km.module, km.subspace, cert, window=window)
+            nonempty += bool(cert)
+    assert nonempty >= 10
+
+
+def test_tracked_span_agrees_with_verdict_and_rejects_forgeries(T_monotone):
+    km = kernel_K0(T_monotone, H, 2)
+    for exps in ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (2, 1, -1, 0), (0, 1, 0, 0)):
+        q = U(*exps)
+        plain = _brute_verdict(q, km.module, km.subspace, 2, 8)
+        tracked = _brute_verdict(q, km.module, km.subspace, 2, 8, want_certificate=True)
+        assert plain[0] == tracked[0]
+        assert (tracked[1] is None) == (not tracked[0])
+    ok, cert = _brute_verdict(U(1, 1, 0, 0), km.module, km.subspace, 2, 8, want_certificate=True)
+    degree, comp = next(iter(cert.items()))
+    g, mult = next(iter(comp.items()))
+    forged = {degree: {**comp, g: mult * Fraction(2)}}
+    assert not verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, forged, window=2)

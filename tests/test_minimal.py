@@ -166,3 +166,18 @@ def test_translated_point_bound_cube(T_cube):
     bound, witness = translated_point_bound(T_cube)
     assert bound == 2
     assert isinstance(witness, MinimalDegreeWitness)
+
+
+def test_witness_successor_certificates_are_verified(T_monotone, monkeypatch):
+    import toricspec.minimal as minimal_mod
+
+    witness = find_minimal_degree_element(T_monotone, H)
+    km = kernel_K0(T_monotone, H, 2)
+    for i, cert in witness.successor_certificates.items():
+        succ = tuple(x + (j == i) for j, x in enumerate(witness.monomial))
+        assert minimal_mod.verify_certificate(
+            Poly.monomial(succ), km.module, km.subspace, cert, window=witness.windows[i]
+        )
+    monkeypatch.setattr(minimal_mod, "verify_certificate", lambda *a, **k: False)
+    with pytest.raises(InconclusiveError, match="certificate failed re-verification"):
+        find_minimal_degree_element(T_monotone, H)
