@@ -32,8 +32,8 @@ def normal_form(f: Poly, basis) -> Poly:
         if c is None:
             continue  # a stale heap entry: the term cancelled earlier
         for (ge, gc), terms in divisors:
-            diff = tuple(a - b for a, b in zip(e, ge))
-            if all(x >= 0 for x in diff):
+            if all(a >= b for a, b in zip(e, ge)):
+                diff = tuple(a - b for a, b in zip(e, ge))
                 factor = c / gc
                 for te, tc in terms.items():
                     if te == ge:
@@ -77,21 +77,24 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 
 
 def interreduce(basis):
-    """Reduce each element against the others; drop zeros; monic output."""
+    """Reduce each element against the others; drop zeros; monic output.
+
+    Each pass replaces every element by its normal form modulo the rest in
+    place; passes repeat until one changes nothing."""
     work = [g.monic() for g in basis if not g.is_zero()]
     changed = True
     while changed:
         changed = False
-        for i in range(len(work)):
-            others = work[:i] + work[i + 1:]
-            r = normal_form(work[i], others)
+        i = 0
+        while i < len(work):
+            r = normal_form(work[i], work[:i] + work[i + 1:])
             if r.terms != work[i].terms:
                 changed = True
                 if r.is_zero():
-                    work = others
-                else:
-                    work = others + [r.monic()]
-                break
+                    del work[i]
+                    continue
+                work[i] = r.monic()
+            i += 1
     return sorted(work, key=lambda g: g.leading()[0])
 
 

@@ -10,10 +10,12 @@ backends:
     which turns the module into a polynomial ideal, add the linear relation
     ideal of V, and reduce.  The relation ideal is the ideal of a linear
     subspace, hence prime, so it needs no saturation by u_1...u_n: its
-    reduced basis is the row echelon form of the annihilator of V;
-  * a bounded-degree route: restrict to the subspace coordinates, clear
-    denominators, and solve an exact linear system for multiplier
-    polynomials of degree at most D (complete for witnesses within D).
+    reduced basis is the row echelon form of the annihilator of V, and
+    reducing by it is substitution of the pivot variables;
+  * a graded linear-algebra route ("brute"): restrict the minimal generators
+    to the subspace coordinates, clear their denominators once, and decide
+    each graded slice of the query by an exact span of generator multiples
+    of every degree.  It is complete at each window.
 
 The two backends must agree; a disagreement raises.
 """
@@ -42,7 +44,7 @@ class InconclusiveError(Exception):
 
 
 class BackendMismatchError(Exception):
-    """The Groebner and bounded-degree membership backends disagreed."""
+    """The Groebner and brute (graded linear-algebra) membership backends disagreed."""
 
 
 WINDOW_CAP = 16
@@ -51,8 +53,8 @@ WINDOW_CAP = 16
 # --- the memo ------------------------------------------------------------------
 #
 # Everything derived from a module and a window alone is built once and kept
-# here under (kind, key): generators, coordinate-form powers, cleared
-# generator restrictions and Groebner data.
+# here under (kind, key): generators, coordinate-form powers, cleared minimal
+# generators, graded slice spans, relation substitutions and Groebner data.
 
 _MEMO: dict = {}
 _MEMO_COUNTS: dict = {}  # kind -> [hits, misses]
@@ -125,6 +127,14 @@ class LinearSubspace:
         """l_i ** e, built once per (subspace, i, e)."""
         return memo("form_power", (self.basis, i, e), lambda: self.coordinate_form(i) ** e)
 
+    def form_product(self, exps) -> Poly:
+        """prod l_i ** exps[i] for nonnegative exponents."""
+        out = Poly.constant(self.dim, 1)
+        for i, e in enumerate(exps):
+            if e:
+                out = out * self.form_power(i, e)
+        return out
+
     def is_zero_ring(self) -> bool:
         if self.dim == 0:
             return True
@@ -155,11 +165,7 @@ class RestrictedElement:
         return self.numerator.total_degree() - sum(self.denom_exps)
 
     def _denom_poly(self) -> Poly:
-        out = Poly.constant(self.subspace.dim, 1)
-        for i, e in enumerate(self.denom_exps):
-            if e:
-                out = out * self.subspace.form_power(i, e)
-        return out
+        return self.subspace.form_product(self.denom_exps)
 
     def __mul__(self, other):
         return RestrictedElement(
@@ -347,8 +353,38 @@ def _linear_relations(subspace: LinearSubspace) -> list[Poly]:
     return sorted(forms, key=lambda g: g.leading()[0])
 
 
+def _relation_substitution(subspace: LinearSubspace):
+    """Per coordinate, None for a free variable of the row echelon annihilator,
+    or for a pivot variable minus the rest of its monic row, which involves
+    free variables only."""
+    red, pivots = rref(subspace.annihilator())
+    subs = [None] * subspace.nvars
+    for row, p in zip(red, pivots):
+        subs[p] = -Poly.linear_form(tuple(0 if j == p else x for j, x in enumerate(row)))
+    return subs
+
+
+def reduce_relations(q: Poly, subspace: LinearSubspace) -> Poly:
+    """Normal form of a polynomial q modulo the relation ideal of V: each pivot
+    variable is replaced by its substitute, whose powers are built once.  The
+    result involves free variables only, so no leading term of the relation
+    basis divides it; it is the remainder of division by `_linear_relations`."""
+    if subspace.is_zero_ring():
+        return Poly.zero(q.nvars)
+    subs = memo("relation_substitution", subspace.basis, lambda: _relation_substitution(subspace))
+    out = Poly.zero(q.nvars)
+    for e, c in q.terms.items():
+        piece = Poly.monomial(tuple(0 if s is not None else x for x, s in zip(e, subs)), c)
+        for i, s in enumerate(subs):
+            if s is not None and e[i]:
+                piece = piece * memo("relation_power", (subspace.basis, i, e[i]), lambda: s ** e[i])
+        out = out + piece
+    return out
+
+
 def _minimal_monomials(exps_list):
-    """Minimal elements under componentwise <= (monomial ideal generators)."""
+    """Minimal elements under componentwise <= (monomial ideal generators),
+    sorted by (total degree, lex)."""
     out = []
     for e in sorted(exps_list, key=lambda g: (sum(g), g)):
         if not any(all(a >= b for a, b in zip(e, f)) for f in out):
@@ -359,13 +395,12 @@ def _minimal_monomials(exps_list):
 def _reduced_ideal_gb(monomial_exps, subspace: LinearSubspace):
     """Groebner basis of <monomials> + relation ideal, computed through the
     linear quotient: reducing by the relation basis substitutes away the
-    leading variables, so Buchberger runs on supports of the subspace
-    dimension only.  Membership: reduce by the relation basis, then by this."""
-    rel = _linear_relations(subspace)
+    pivot variables, so Buchberger runs on supports of the subspace dimension
+    only.  Membership: `reduce_modulo` by this basis."""
     reduced = []
     seen = set()
     for e in _minimal_monomials(monomial_exps):
-        g = normal_form(Poly.monomial(e), rel)
+        g = reduce_relations(Poly.monomial(e), subspace)
         if g.is_zero():
             continue
         gm = g.monic()
@@ -373,23 +408,29 @@ def _reduced_ideal_gb(monomial_exps, subspace: LinearSubspace):
         if key not in seen:
             seen.add(key)
             reduced.append(gm)
-    return buchberger(reduced), rel
+    return buchberger(reduced)
 
 
-def reduce_modulo(q_poly: Poly, gb, rel):
-    return normal_form(normal_form(q_poly, rel), gb)
+def reduce_modulo(q_poly: Poly, gb, subspace: LinearSubspace) -> Poly:
+    return normal_form(reduce_relations(q_poly, subspace), gb)
 
 
-def _module_groebner(module: MonomialModule, subspace: LinearSubspace, window: int, shift):
-    """Groebner data of the generators times the least monomial that clears
-    both their negative exponents and `shift`; returns ((gb, rel), monomial)."""
-    level = _level_key(module, window)
+def _generator_floor(module: MonomialModule, window: int):
+    """The least exponents T with g + T >= 0 for every window generator g; the
+    minimal generators attain the same minima."""
 
-    def generator_floor():
+    def build():
         gens = module.generators(window)
         return tuple(max(0, -min((g[i] for g in gens), default=0)) for i in range(module.toric.n))
 
-    base = tuple(max(a, b) for a, b in zip(memo("generator_floor", level, generator_floor), shift))
+    return memo("generator_floor", _level_key(module, window), build)
+
+
+def _module_groebner(module: MonomialModule, subspace: LinearSubspace, window: int, shift):
+    """Groebner basis of the generators times the least monomial that clears
+    both their negative exponents and `shift`; returns (basis, monomial)."""
+    level = _level_key(module, window)
+    base = tuple(max(a, b) for a, b in zip(_generator_floor(module, window), shift))
 
     def build():
         shifted = [tuple(a + b for a, b in zip(g, base)) for g in module.generators(window)]
@@ -402,16 +443,14 @@ def _groebner_verdict(q: Poly, module: MonomialModule, subspace: LinearSubspace,
     if q.is_zero():
         return True
     q_clear = tuple(max(0, -m) for m in q.min_exponents())
-    (gb, rel), shift = _module_groebner(module, subspace, window, q_clear)
-    if not gb and not rel:
-        return False
+    gb, shift = _module_groebner(module, subspace, window, q_clear)
     cleared = q.term_mul(shift)
     if min(cleared.min_exponents(), default=0) < 0:
         raise ValueError("shift does not clear negative exponents")
-    return reduce_modulo(cleared, gb, rel).is_zero()
+    return reduce_modulo(cleared, gb, subspace).is_zero()
 
 
-# --- membership: bounded-degree backend --------------------------------------
+# --- membership: brute (graded linear-algebra) backend -------------------------
 
 
 def restriction_class_key(subspace: LinearSubspace, exps):
@@ -433,46 +472,31 @@ def restriction_class_key(subspace: LinearSubspace, exps):
     return tuple(sums)
 
 
-def _generator_restrictions(module, subspace, window):
-    """Restrictions of the window generators and their common denominator."""
+def _cleared_generators(module, subspace, window):
+    """The minimal window generators g (every other generator is a u-multiple
+    of one), the common floor T clearing their negative exponents, and their
+    restrictions cleared to T: prod l_i^(g_i + T_i)."""
 
     def build():
-        gens = module.generators(window)
-        rgens = [restrict(Poly.monomial(g), subspace) for g in gens]
-        gden = tuple(
-            max((r.denom_exps[i] for r in rgens), default=0)
-            for i in range(subspace.nvars)
-        )
-        return gens, rgens, gden
+        gens = _minimal_monomials(module.generators(window))
+        floor = _generator_floor(module, window)
+        cleared = [subspace.form_product(tuple(a + b for a, b in zip(g, floor))) for g in gens]
+        return gens, cleared, floor
 
-    return memo("restrictions", (_level_key(module, window), subspace.basis), build)
+    return memo("cleared_generators", (_level_key(module, window), subspace.basis), build)
 
 
-def _clear_to(r: RestrictedElement, target, subspace: LinearSubspace) -> Poly:
-    out = r.numerator
-    for i, e in enumerate(target):
-        extra = e - r.denom_exps[i]
-        if extra:
-            out = out * subspace.form_power(i, extra)
-    return out
-
-
-def _cleared_restrictions(q: Poly, module: MonomialModule, subspace: LinearSubspace, window: int):
-    """q and the window generators restricted to V over one common denominator:
-    (generators, their cleared numerators, the cleared numerator of q).  None
-    when V is a zero ring.  The cleared generators are built once per target
-    denominator."""
+def _cleared_query(q: Poly, subspace: LinearSubspace, floor):
+    """The restriction of q times prod l_i^floor_i, or None when that is not a
+    polynomial (then q is no member).  Where q's denominator d exceeds the
+    floor, q is cleared at d and divided exactly by prod l_i^(d_i - floor_i):
+    the generators cleared at d are the floor-cleared ones times that product."""
     rq = restrict(q, subspace)
-    if rq is ZERO_RING:
-        return None
-    gens, rgens, gden = _generator_restrictions(module, subspace, window)
-    target = tuple(max(a, b) for a, b in zip(gden, rq.denom_exps))
-    cleared_gens = memo(
-        "cleared",
-        (_level_key(module, window), subspace.basis, target),
-        lambda: [_clear_to(r, target, subspace) for r in rgens],
-    )
-    return gens, cleared_gens, _clear_to(rq, target, subspace)
+    num = rq.numerator * subspace.form_product(tuple(max(0, t - d) for t, d in zip(floor, rq.denom_exps)))
+    deeper = tuple(max(0, d - t) for t, d in zip(floor, rq.denom_exps))
+    if any(deeper):
+        return num.exact_divide(subspace.form_product(deeper))
+    return num
 
 
 def _axpy(target: dict, f, vec: dict):
@@ -527,43 +551,58 @@ class _Span:
         return True
 
 
-def _candidate_columns(cleared_gens_with_labels, degree, k, degree_bound):
-    for g, rg in cleared_gens_with_labels:
-        if rg.is_zero():
-            continue
-        delta = degree - rg.total_degree()
-        if delta < 0 or delta > degree_bound:
-            continue
-        for mono in monomials_of_degree(k, delta):
-            yield (g, mono), rg.term_mul(mono)
+class _GradedSlice:
+    """The degree-D part of the cleared module: the span of g * w^a over the
+    cleared generators g and every monomial w^a of degree D - deg(g) >= 0,
+    pulled into the span lazily and kept for later queries."""
+
+    def __init__(self, gens, cleared, degree, k, track):
+        self.span = _Span(track)
+        self.columns = (
+            ((g, mono), rg.term_mul(mono))
+            for g, rg in zip(gens, cleared)
+            for mono in monomials_of_degree(k, degree - rg.total_degree())
+        )
+
+    def residual(self, vec, combo=None):
+        """`vec` reduced against the span, pulling columns while it is nonzero;
+        empty exactly when `vec` lies in the slice."""
+        vec = self.span.reduce(vec, combo)
+        while vec:
+            column = next(self.columns, None)
+            if column is None:
+                break
+            label, col = column
+            if self.span.add(col.terms, label):
+                vec = self.span.reduce(vec, combo)
+        return vec
 
 
-def _brute_verdict(q, module, subspace, window, degree_bound, want_certificate=False):
-    """Exact linear algebra in the subspace coordinates, graded slice by slice.
+def _brute_verdict(q, module, subspace, window, want_certificate=False):
+    """Exact linear algebra in the subspace coordinates, graded slice by slice;
+    complete at each window, since every multiplier degree is admitted.
 
     Returns (verdict, certificate); the certificate maps generator exponents
     to multiplier polynomials (in restricted coordinates) for each graded
     component of the cleared restriction, and is only assembled on request.
-    Each slice inserts candidate columns into a span until the component
-    reduces to zero.
     """
-    cleared = _cleared_restrictions(q, module, subspace, window)
-    if cleared is None:
+    if subspace.is_zero_ring():
         return True, {}
-    gens, cleared_gens, cleared_q = cleared
+    gens, cleared_gens, floor = _cleared_generators(module, subspace, window)
+    cleared_q = _cleared_query(q, subspace, floor)
+    if cleared_q is None:
+        return False, None
     k = subspace.dim
-    labeled = list(zip(gens, cleared_gens))
+    level = (_level_key(module, window), subspace.basis)
     certificate = {}
     for degree, component in cleared_q.homogeneous_components().items():
-        span = _Span(track=want_certificate)
+        graded = memo(
+            "graded_slice",
+            (level, degree, want_certificate),
+            lambda: _GradedSlice(gens, cleared_gens, degree, k, want_certificate),
+        )
         combo = {} if want_certificate else None
-        residual = component.terms
-        for label, col in _candidate_columns(labeled, degree, k, degree_bound):
-            if not residual:
-                break
-            if span.add(col.terms, label):
-                residual = span.reduce(residual, combo)
-        if residual:
+        if graded.residual(component.terms, combo):
             return False, None
         if want_certificate:
             multipliers = {}
@@ -574,31 +613,36 @@ def _brute_verdict(q, module, subspace, window, degree_bound, want_certificate=F
 
 
 def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
-    """Re-expand a bounded-degree certificate and compare exactly."""
-    cleared = _cleared_restrictions(q, module, subspace, module.window if window is None else window)
-    if cleared is None:
+    """Re-expand a brute-backend certificate and compare exactly.  A label g
+    may be any u-multiple of a window generator (u^g is then in the module),
+    not only a minimal generator."""
+    if subspace.is_zero_ring():
         return True
-    gens, cleared_gens, cleared_q = cleared
-    by_exps = dict(zip(gens, cleared_gens))
+    gens, _, floor = _cleared_generators(module, subspace, module.window if window is None else window)
+    cleared_q = _cleared_query(q, subspace, floor)
+    if cleared_q is None:
+        return False
     total = Poly.zero(subspace.dim)
     for comp in certificate.values():
         for g, mult in comp.items():
-            total = total + by_exps[g] * mult
+            if not any(all(a >= b for a, b in zip(g, m)) for m in gens):
+                return False
+            total = total + subspace.form_product(tuple(a + b for a, b in zip(g, floor))) * mult
     return total == cleared_q
 
 
 # --- membership: public entry -------------------------------------------------
 
 
-def _verdict_at_window(q, module, subspace, window, backend, degree_bound):
+def _verdict_at_window(q, module, subspace, window, backend):
     if subspace.is_zero_ring():
         return True
     if backend == "groebner":
         return _groebner_verdict(q, module, subspace, window)
     if backend == "brute":
-        return _brute_verdict(q, module, subspace, window, degree_bound)[0]
+        return _brute_verdict(q, module, subspace, window)[0]
     gb = _groebner_verdict(q, module, subspace, window)
-    br = _brute_verdict(q, module, subspace, window, degree_bound)[0]
+    br = _brute_verdict(q, module, subspace, window)[0]
     if gb != br:
         raise BackendMismatchError(
             f"groebner={gb} brute={br} at window {window} for {q.render()}"
@@ -636,7 +680,6 @@ def membership(
     module: MonomialModule,
     subspace: LinearSubspace,
     backend: str = "both",
-    degree_bound: int = 8,
 ) -> bool:
     """Is q in the module plus the relation ideal of the subspace?
 
@@ -644,27 +687,22 @@ def membership(
     widen by 2 until two consecutive verdicts agree (cap 16 -> Inconclusive).
     """
     verdict, _ = stable_verdict(
-        lambda w: _verdict_at_window(q, module, subspace, w, backend, degree_bound), module.window
+        lambda w: _verdict_at_window(q, module, subspace, w, backend), module.window
     )
     return verdict
 
 
-def membership_certified(
-    q: Poly,
-    module: MonomialModule,
-    subspace: LinearSubspace,
-    degree_bound: int = 8,
-):
-    """Both-backend verdict plus, for members, the bounded-degree certificate
+def membership_certified(q: Poly, module: MonomialModule, subspace: LinearSubspace):
+    """Both-backend verdict plus, for members, the brute-backend certificate
     extracted at the stabilized window.  Returns (verdict, certificate, window)."""
     verdict, window = stable_verdict(
-        lambda w: _verdict_at_window(q, module, subspace, w, "both", degree_bound), module.window
+        lambda w: _verdict_at_window(q, module, subspace, w, "both"), module.window
     )
     if not verdict:
         return False, None, window
-    _, cert = _brute_verdict(q, module, subspace, window, degree_bound, want_certificate=True)
+    _, cert = _brute_verdict(q, module, subspace, window, want_certificate=True)
     return True, cert, window
 
 
-def kernel_membership(q: Poly, km: KernelModule, backend: str = "both", degree_bound: int = 8) -> bool:
-    return membership(q, km.module, km.subspace, backend=backend, degree_bound=degree_bound)
+def kernel_membership(q: Poly, km: KernelModule, backend: str = "both") -> bool:
+    return membership(q, km.module, km.subspace, backend=backend)

@@ -55,23 +55,21 @@ class MinimalDegreeWitness:
     nu: Fraction
     shift: IntVec                    # lattice translation used to normalize degrees
     shifted_monomial: IntVec         # the breadth-first hit, before translating back
-    successor_certificates: dict     # i -> bounded-degree certificate for u_i * q
+    successor_certificates: dict     # i -> brute-backend certificate for u_i * q
     windows: dict                    # i -> window at which the certificate was taken
 
     def laurent(self) -> Poly:
         return Poly.monomial(self.monomial)
 
-    def verify(self, km: KernelModule, degree_bound: int = 8) -> bool:
-        """Re-check all n + 1 verdicts on the bounded-degree backend alone."""
-        if membership(self.laurent(), km.module, km.subspace, backend="brute",
-                      degree_bound=degree_bound):
+    def verify(self, km: KernelModule) -> bool:
+        """Re-check all n + 1 verdicts on the brute backend alone."""
+        if membership(self.laurent(), km.module, km.subspace, backend="brute"):
             return False
         n = km.module.toric.n
         for i in range(n):
             succ = list(self.monomial)
             succ[i] += 1
-            if not membership(Poly.monomial(tuple(succ)), km.module, km.subspace,
-                              backend="brute", degree_bound=degree_bound):
+            if not membership(Poly.monomial(tuple(succ)), km.module, km.subspace, backend="brute"):
                 return False
             cert = self.successor_certificates.get(i)
             if cert is not None and not verify_certificate(
@@ -130,7 +128,7 @@ def bounding_modules(toric: ToricData, nu, c_minus, c_plus, window: int = 2) -> 
 
 
 def _polynomial_part_ideal(km: KernelModule, window: int):
-    """Groebner data of the positive-part monomial ideal plus the relation
+    """Groebner basis of the positive-part monomial ideal plus the relation
     ideal.  The polynomial part of the module is exactly the monomial
     ideal generated by the componentwise-positive parts of the generators."""
 
@@ -142,8 +140,7 @@ def _polynomial_part_ideal(km: KernelModule, window: int):
 
 
 def _ideal_member_at(poly: Poly, km: KernelModule, window: int) -> bool:
-    gb, rel = _polynomial_part_ideal(km, window)
-    return reduce_modulo(poly, gb, rel).is_zero()
+    return reduce_modulo(poly, _polynomial_part_ideal(km, window), km.subspace).is_zero()
 
 
 def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -> tuple[int, ...]:
@@ -192,7 +189,7 @@ def _scaled_shift(toric: ToricData, nu: Fraction) -> IntVec:
     return tuple(s * x for x in toric.b)
 
 
-def find_minimal_degree_element(toric: ToricData, nu, window: int = 2, degree_bound: int = 8):
+def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
     """A monomial class q outside the level-nu kernel module whose coordinate
     successors u_i * q all fall in; or NoMinimalElement when the module is the
     whole ring.
@@ -213,12 +210,12 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2, degree_bo
     if toric.min_chern is None:
         # without proportionality the module can swallow the whole ring; probe
         # the constant at the given level
-        if membership(Poly.constant(n, 1), km.module, km.subspace, degree_bound=degree_bound):
+        if membership(Poly.constant(n, 1), km.module, km.subspace):
             return NoMinimalElement(nu=nu)
         raise ToricHypothesisError("not monotone")
     shift = _scaled_shift(toric, nu)
     shifted = novikov_shift(km.module, shift)
-    if membership(Poly.constant(n, 1), shifted, km.subspace, degree_bound=degree_bound):
+    if membership(Poly.constant(n, 1), shifted, km.subspace):
         raise InconclusiveError("degree normalization failed to exclude the constant")
     exps = nullstellensatz_exponents(toric, nu + toric.p_value(shift), window)
     cap = sum(exps) + 2
@@ -228,9 +225,7 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2, degree_bo
         # verdicts only depend on the restriction class of the monomial
         key = restriction_class_key(km.subspace, a)
         if key not in member_cache:
-            member_cache[key] = membership(
-                Poly.monomial(a), shifted, km.subspace, degree_bound=degree_bound
-            )
+            member_cache[key] = membership(Poly.monomial(a), shifted, km.subspace)
         return member_cache[key]
 
     iota_shift = toric.iota_apply(shift)
@@ -243,12 +238,12 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2, degree_bo
             if all(is_member(s) for s in successors):
                 q_exps = tuple(x - y for x, y in zip(a, iota_shift))
                 q = Poly.monomial(q_exps)
-                if membership(q, km.module, km.subspace, degree_bound=degree_bound):
+                if membership(q, km.module, km.subspace):
                     raise InconclusiveError("witness failed re-check on the original module")
                 certs, windows = {}, {}
                 for i in range(n):
                     succ = Poly.monomial(tuple(x + (1 if j == i else 0) for j, x in enumerate(q_exps)))
-                    ok, cert, w = membership_certified(succ, km.module, km.subspace, degree_bound)
+                    ok, cert, w = membership_certified(succ, km.module, km.subspace)
                     if not ok:
                         raise InconclusiveError("successor failed re-check on the original module")
                     if not verify_certificate(succ, km.module, km.subspace, cert, window=w):

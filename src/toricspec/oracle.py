@@ -169,10 +169,7 @@ def spectrum(toric: ToricData, dmap: DiagonalMap, window) -> SpectrumReport:
 
 def count_in_period(toric: ToricData, dmap: DiagonalMap, nu) -> int:
     """|spectrum in [nu, nu + 1)| -- half-open, so a boundary hit at nu counts."""
-    nu = Fraction(nu)
-    report = spectrum(toric, dmap, (nu, nu + 1))
-    values = [v for v, _ in report.values if v < nu + 1]
-    return len(values)
+    return len(count_report(toric, dmap, nu).values)
 
 
 def count_report(toric: ToricData, dmap: DiagonalMap, nu) -> SpectrumReport:

@@ -30,10 +30,11 @@ class Poly:
     """Polynomial in `nvars` variables with Fraction coefficients; exponents
     may be negative."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_leading")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
+        self._leading = None
         self.terms = {}
         if terms:
             for exps, coeff in terms.items():
@@ -157,8 +158,12 @@ class Poly:
         return {d: Poly(self.nvars, t) for d, t in sorted(comps.items())}
 
     def leading(self):
-        e = max(self.terms, key=grevlex_key)
-        return e, self.terms[e]
+        """(exponents, coefficient) of the grevlex-largest term, found once:
+        the terms of a Poly never change after construction."""
+        if self._leading is None:
+            e = max(self.terms, key=grevlex_key)
+            self._leading = (e, self.terms[e])
+        return self._leading
 
     def monic(self):
         if not self.terms:

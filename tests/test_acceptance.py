@@ -210,6 +210,6 @@ def test_criterion_8_backend_agreement():
                         },
                     )
                     # raises BackendMismatchError on any disagreement
-                    kernel_membership(q, km, backend="both", degree_bound=8)
+                    kernel_membership(q, km, backend="both")
                     count += 1
         assert count >= 100

@@ -300,3 +300,15 @@ def test_member_length_mismatch_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.strip() == "error: --member needs 4 exponents, got 3"
+
+
+@pytest.mark.parametrize("backend", ("both", "brute", "groebner"))
+def test_member_needing_high_multiplier_degree(backend):
+    # u3^6*u4^12 restricts to a multiple of w^18 while the least cleared
+    # generator has degree 2, so the brute backend needs multipliers of degree 16
+    code, out = invoke(
+        "kernel", str(POLY / "cp1xcp1_monotone.poly"), "--W", "2", "--ring", "K0", "--nu", "1/2",
+        "--member", "0,0,6,12", "--backend", backend,
+    )
+    assert code == 0
+    assert machine_dict(out)["member"] == "true"

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from toricspec.groebner import buchberger, ideal_member, normal_form, s_polynomial
-from toricspec.laurent import LinearSubspace, _linear_relations, kernel_K, kernel_K0
+from toricspec.groebner import buchberger, ideal_member, interreduce, normal_form, s_polynomial
+from toricspec.laurent import LinearSubspace, _linear_relations, kernel_K, kernel_K0, reduce_relations
 from toricspec.polys import Poly
 
 
@@ -193,3 +193,89 @@ def test_normal_form_matches_textbook_division():
         for _ in range(4):
             f = rand_poly(n, rng.randint(1, 8), 5)
             assert normal_form(f, basis) == _textbook_normal_form(f, basis)
+
+
+def test_relation_substitution_matches_division(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # substituting the pivot variables gives the remainder of division by the
+    # relation basis, on zero rings too
+    rng = random.Random(17)
+    checked = 0
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            sub = maker(T, Fraction(1, 2), 2).subspace
+            rel = _linear_relations(sub)
+            for _ in range(8):
+                q = Poly(T.n, {
+                    tuple(rng.randint(0, 3) for _ in range(T.n)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 4))
+                })
+                assert reduce_relations(q, sub) == normal_form(q, rel)
+                checked += 1
+    assert checked == 5 * 2 * 8
+
+
+def _rand_ideal(rng, n):
+    return [
+        Poly(n, {
+            tuple(rng.randint(0, 3) for _ in range(n)): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 3))
+        })
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def _is_reduced(basis):
+    leads = [g.leading()[0] for g in basis]
+    for g, lead in zip(basis, leads):
+        if g.terms[lead] != 1:
+            return False
+        for other in leads:
+            if other is not lead and any(all(a >= b for a, b in zip(e, other)) for e in g.terms):
+                return False
+    return True
+
+
+def test_interreduce_reaches_a_fixed_point():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        gens = _rand_ideal(rng, n)
+        out = interreduce(gens + [g * Fraction(3) for g in gens[:1]])
+        assert interreduce(out) == out
+        for i, g in enumerate(out):
+            assert normal_form(g, out[:i] + out[i + 1:]) == g
+        for g in gens:
+            assert ideal_member(g, buchberger(out))
+
+
+def test_buchberger_returns_the_reduced_basis_in_any_order():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        gens = _rand_ideal(rng, n)
+        gb = buchberger(gens)
+        assert _is_reduced(gb)
+        assert buchberger(list(reversed(gens))) == gb
+        assert all(ideal_member(g, gb) for g in gens)
+
+
+def test_buchberger_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        xs = sympy.symbols(f"x0:{n}")
+        gens = [g for g in _rand_ideal(rng, n) if g]
+        exprs = [
+            sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(x ** a for x, a in zip(xs, e))
+                for e, c in g.terms.items())
+            for g in gens
+        ]
+        theirs = sympy.groebner(exprs, *xs, order="grevlex")
+        converted = sorted(
+            # sympy clears denominators; the reduced basis is monic
+            (Poly(n, {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(h, *xs).terms()}).monic()
+             for h in theirs.exprs),
+            key=lambda g: g.leading()[0],
+        )
+        assert buchberger(gens) == converted

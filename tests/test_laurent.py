@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +22,11 @@ from toricspec.laurent import (
     restrict,
     verify_certificate,
     _brute_verdict,
+    _groebner_verdict,
+    _minimal_monomials,
 )
 from toricspec.polys import Poly
+from toricspec.polytope import parse_polytope, toric_data
 
 H = Fraction(1, 2)
 
@@ -211,7 +215,7 @@ def test_membership_backends_agree_on_random_queries(T_monotone, T_p12, T_cp2):
 def test_brute_certificate_roundtrip(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
     ok, cert = _brute_verdict(
-        U(1, 1, 0, 0), km.module, km.subspace, 2, 8, want_certificate=True
+        U(1, 1, 0, 0), km.module, km.subspace, 2, want_certificate=True
     )
     assert ok and cert
     assert verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, cert, window=2)
@@ -263,8 +267,8 @@ def test_window_protocol_escalates_until_agreement(T_cube):
     # two windows disagree and the protocol must widen once more
     km = kernel_K0(T_cube, Fraction(7, 2), 2)
     q = Poly.monomial(T_cube.iota_apply((4, 0, 0)))
-    assert _verdict_at_window(q, km.module, km.subspace, 2, "both", 8) is False
-    assert _verdict_at_window(q, km.module, km.subspace, 4, "both", 8) is True
+    assert _verdict_at_window(q, km.module, km.subspace, 2, "both") is False
+    assert _verdict_at_window(q, km.module, km.subspace, 4, "both") is True
     assert membership(q, km.module, km.subspace) is True
 
 
@@ -334,7 +338,8 @@ def test_memo_clear_caches_and_counts(T_monotone):
     assert memo_counts() == {}
     first = [membership(q, km.module, km.subspace) for q in queries]
     built = memo_counts()
-    kinds = ("generators", "generator_floor", "groebner", "restrictions", "cleared", "form_power")
+    kinds = ("generators", "generator_floor", "groebner", "cleared_generators", "graded_slice",
+             "form_power", "relation_substitution", "relation_power")
     for kind in kinds:
         assert built[kind][1] > 0, kind
     again = [membership(q, km.module, km.subspace) for q in queries]
@@ -375,12 +380,91 @@ def test_tracked_span_agrees_with_verdict_and_rejects_forgeries(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
     for exps in ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (2, 1, -1, 0), (0, 1, 0, 0)):
         q = U(*exps)
-        plain = _brute_verdict(q, km.module, km.subspace, 2, 8)
-        tracked = _brute_verdict(q, km.module, km.subspace, 2, 8, want_certificate=True)
+        plain = _brute_verdict(q, km.module, km.subspace, 2)
+        tracked = _brute_verdict(q, km.module, km.subspace, 2, want_certificate=True)
         assert plain[0] == tracked[0]
         assert (tracked[1] is None) == (not tracked[0])
-    ok, cert = _brute_verdict(U(1, 1, 0, 0), km.module, km.subspace, 2, 8, want_certificate=True)
+    ok, cert = _brute_verdict(U(1, 1, 0, 0), km.module, km.subspace, 2, want_certificate=True)
     degree, comp = next(iter(cert.items()))
     g, mult = next(iter(comp.items()))
     forged = {degree: {**comp, g: mult * Fraction(2)}}
     assert not verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, forged, window=2)
+
+
+# --- the graded slices of the brute backend --------------------------------------
+
+
+def _read_toric(name):
+    path = Path(__file__).resolve().parent.parent / "polytopes" / name
+    return toric_data(parse_polytope(path.read_text()))
+
+
+@pytest.mark.parametrize(
+    "name, maker, nu",
+    [
+        ("cp1xcp1_monotone.poly", kernel_K0, H),
+        ("hirzebruch_monotone.poly", kernel_K0, Fraction(0)),
+        ("cp2.poly", kernel_K, Fraction(1, 3)),
+    ],
+)
+def test_backends_agree_at_one_window(name, maker, nu):
+    # every exponent in {0, 3, ..., 12}: the high-degree queries need
+    # multipliers of every degree, not only small ones
+    T = _read_toric(name)
+    km = maker(T, nu, 2)
+    members = 0
+    for exps in product(range(0, 13, 3), repeat=T.n):
+        q = U(*exps)
+        gb = _groebner_verdict(q, km.module, km.subspace, 2)
+        assert _brute_verdict(q, km.module, km.subspace, 2)[0] == gb, exps
+        members += gb
+    assert members > 0
+
+
+def _slice_queries(T):
+    rng = random.Random(29)
+    return [U(*(rng.randint(-3, 4) for _ in range(T.n))) for _ in range(30)]
+
+
+def test_grown_slices_change_no_verdict(T_monotone, T_cube):
+    for T in (T_monotone, T_cube):
+        km = kernel_K0(T, H, 2)
+        queries = _slice_queries(T)
+        clear_caches()
+        forward = [_brute_verdict(q, km.module, km.subspace, 2)[0] for q in queries]
+        clear_caches()
+        backward = [_brute_verdict(q, km.module, km.subspace, 2)[0] for q in reversed(queries)]
+        assert forward == backward[::-1]
+        assert forward == [_groebner_verdict(q, km.module, km.subspace, 2) for q in queries]
+        assert any(forward) and not all(forward)
+
+
+def test_certificate_from_grown_slice_verifies(T_monotone, T_cube):
+    for T in (T_monotone, T_cube):
+        km = kernel_K0(T, H, 2)
+        queries = _slice_queries(T)
+        clear_caches()
+        members = [q for q in queries if membership_certified(q, km.module, km.subspace)[0]]
+        # grow the slices through unrelated queries first, then certify
+        for q in queries:
+            _brute_verdict(q, km.module, km.subspace, 2, want_certificate=True)
+        for q in members + [U(*(x + 1 for x in next(iter(members[0].terms))))]:
+            ok, cert, window = membership_certified(q, km.module, km.subspace)
+            assert ok and cert
+            assert verify_certificate(q, km.module, km.subspace, cert, window=window)
+
+
+def test_certificate_labels_may_be_any_module_monomial(T_monotone):
+    # the brute backend certifies with minimal generators only, but a
+    # certificate naming a non-minimal generator, or a u-multiple of one, is
+    # just as valid; the constant 1 names no module element, so "1 = 1 * 1"
+    # certifies nothing
+    km = kernel_K0(T_monotone, H, 2)
+    gens = km.module.generators()
+    g = next(g for g in gens if g not in _minimal_monomials(gens))
+    one = Poly.constant(km.subspace.dim, 1)
+    for label in (g, tuple(x + (i == 1) for i, x in enumerate(g))):
+        assert verify_certificate(Poly.monomial(label), km.module, km.subspace, {0: {label: one}}, window=2)
+    zero = (0,) * T_monotone.n
+    assert not any(all(a >= b for a, b in zip(zero, h)) for h in gens)
+    assert not verify_certificate(Poly.monomial(zero), km.module, km.subspace, {0: {zero: one}}, window=2)
