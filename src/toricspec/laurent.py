@@ -6,12 +6,14 @@ monomial modules generated by the lattice points above a level, together with
 the translation (shift) action; and a membership test with two independent
 backends:
 
-  * a Groebner route: clear all denominators by a uniform monomial shift,
-    which turns the module into a polynomial ideal, add the linear relation
-    ideal of V, and reduce.  The relation ideal is the ideal of a linear
-    subspace, hence prime, so it needs no saturation by u_1...u_n: its
-    reduced basis is the row echelon form of the annihilator of V, and
-    reducing by it is substitution of the pivot variables;
+  * a Groebner route: multiply the generators by the least monomial u^T
+    that clears their negative exponents, which turns the module into a
+    polynomial ideal, add the linear relation ideal of V, and reduce.  The
+    relation ideal is the ideal of a linear subspace, hence prime, so it
+    needs no saturation by u_1...u_n: its reduced basis is the row echelon
+    form of the annihilator of V, and reducing by it is substitution of the
+    pivot variables.  A query with deeper denominators is cleared further
+    and divided exactly by the extra monomial's image modulo the relations;
   * a graded linear-algebra route ("brute"): restrict the minimal generators
     to the subspace coordinates, clear their denominators once, and decide
     each graded slice of the query by an exact span of generator multiples
@@ -135,6 +137,13 @@ class LinearSubspace:
                 out = out * self.form_power(i, e)
         return out
 
+    def image(self, q: Poly) -> Poly:
+        """sum c * prod l_i ** e_i over the terms c u^e of a polynomial q."""
+        total = Poly.zero(self.dim)
+        for e, c in q.terms.items():
+            total = total + self.form_product(e) * c
+        return total
+
     def is_zero_ring(self) -> bool:
         if self.dim == 0:
             return True
@@ -230,16 +239,8 @@ def restrict(q: Poly, subspace: LinearSubspace):
     """
     if subspace.is_zero_ring():
         return ZERO_RING
-    n = q.nvars
-    denom = tuple(max(0, max((-e[i] for e in q.terms), default=0)) for i in range(n))
-    total = Poly.zero(subspace.dim)
-    for e, c in q.terms.items():
-        piece = Poly.constant(subspace.dim, c)
-        for i, p in enumerate(e):
-            if p + denom[i]:
-                piece = piece * subspace.form_power(i, p + denom[i])
-        total = total + piece
-    return RestrictedElement(total, denom, subspace).reduced()
+    denom = tuple(max(0, -m) for m in q.min_exponents())
+    return RestrictedElement(subspace.image(q.term_mul(denom)), denom, subspace).reduced()
 
 
 # --- monomial modules --------------------------------------------------------
@@ -426,28 +427,37 @@ def _generator_floor(module: MonomialModule, window: int):
     return memo("generator_floor", _level_key(module, window), build)
 
 
-def _module_groebner(module: MonomialModule, subspace: LinearSubspace, window: int, shift):
-    """Groebner basis of the generators times the least monomial that clears
-    both their negative exponents and `shift`; returns (basis, monomial)."""
-    level = _level_key(module, window)
-    base = tuple(max(a, b) for a, b in zip(_generator_floor(module, window), shift))
+def _cleared(q: Poly, floor, image):
+    """image(q * u^floor), where `image` is a backend's map from polynomials
+    in u onto coordinates of V; None when q * u^floor is no polynomial on V
+    (then q is no member).  Where q's denominator d exceeds the floor, q is
+    cleared at d and divided exactly by image(u^(d - floor)): the generators
+    cleared at d are the floor-cleared ones times that image, and the
+    coordinate ring of V is a domain."""
+    depth = tuple(max(t, -m) for t, m in zip(floor, q.min_exponents()))
+    num = image(q.term_mul(depth))
+    if depth == floor:
+        return num
+    return num.exact_divide(image(Poly.monomial(tuple(d - t for d, t in zip(depth, floor)))))
+
+
+def _module_groebner(module: MonomialModule, subspace: LinearSubspace, window: int):
+    """Groebner basis of the generators cleared at the generator floor; built
+    once per (level, window, subspace)."""
 
     def build():
-        shifted = [tuple(a + b for a, b in zip(g, base)) for g in module.generators(window)]
-        return _reduced_ideal_gb(shifted, subspace)
+        floor = _generator_floor(module, window)
+        cleared = [tuple(a + b for a, b in zip(g, floor)) for g in module.generators(window)]
+        return _reduced_ideal_gb(cleared, subspace)
 
-    return memo("groebner", (level, subspace.basis, base), build), base
+    return memo("groebner", (_level_key(module, window), subspace.basis), build)
 
 
 def _groebner_verdict(q: Poly, module: MonomialModule, subspace: LinearSubspace, window: int) -> bool:
-    if q.is_zero():
+    if q.is_zero() or subspace.is_zero_ring():
         return True
-    q_clear = tuple(max(0, -m) for m in q.min_exponents())
-    gb, shift = _module_groebner(module, subspace, window, q_clear)
-    cleared = q.term_mul(shift)
-    if min(cleared.min_exponents(), default=0) < 0:
-        raise ValueError("shift does not clear negative exponents")
-    return reduce_modulo(cleared, gb, subspace).is_zero()
+    cleared = _cleared(q, _generator_floor(module, window), lambda f: reduce_relations(f, subspace))
+    return cleared is not None and normal_form(cleared, _module_groebner(module, subspace, window)).is_zero()
 
 
 # --- membership: brute (graded linear-algebra) backend -------------------------
@@ -484,19 +494,6 @@ def _cleared_generators(module, subspace, window):
         return gens, cleared, floor
 
     return memo("cleared_generators", (_level_key(module, window), subspace.basis), build)
-
-
-def _cleared_query(q: Poly, subspace: LinearSubspace, floor):
-    """The restriction of q times prod l_i^floor_i, or None when that is not a
-    polynomial (then q is no member).  Where q's denominator d exceeds the
-    floor, q is cleared at d and divided exactly by prod l_i^(d_i - floor_i):
-    the generators cleared at d are the floor-cleared ones times that product."""
-    rq = restrict(q, subspace)
-    num = rq.numerator * subspace.form_product(tuple(max(0, t - d) for t, d in zip(floor, rq.denom_exps)))
-    deeper = tuple(max(0, d - t) for t, d in zip(floor, rq.denom_exps))
-    if any(deeper):
-        return num.exact_divide(subspace.form_product(deeper))
-    return num
 
 
 def _axpy(target: dict, f, vec: dict):
@@ -589,7 +586,7 @@ def _brute_verdict(q, module, subspace, window, want_certificate=False):
     if subspace.is_zero_ring():
         return True, {}
     gens, cleared_gens, floor = _cleared_generators(module, subspace, window)
-    cleared_q = _cleared_query(q, subspace, floor)
+    cleared_q = _cleared(q, floor, subspace.image)
     if cleared_q is None:
         return False, None
     k = subspace.dim
@@ -619,7 +616,7 @@ def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
     if subspace.is_zero_ring():
         return True
     gens, _, floor = _cleared_generators(module, subspace, module.window if window is None else window)
-    cleared_q = _cleared_query(q, subspace, floor)
+    cleared_q = _cleared(q, floor, subspace.image)
     if cleared_q is None:
         return False
     total = Poly.zero(subspace.dim)
@@ -635,8 +632,6 @@ def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
 
 
 def _verdict_at_window(q, module, subspace, window, backend):
-    if subspace.is_zero_ring():
-        return True
     if backend == "groebner":
         return _groebner_verdict(q, module, subspace, window)
     if backend == "brute":

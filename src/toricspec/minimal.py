@@ -5,9 +5,12 @@ degree at least threshold * min_chern, the polynomial part of the module plus
 the relation ideal is zero-dimensional away from the origin, and some
 monomial class q escapes the module while all its coordinate successors u_i*q
 fall in.  The witness search shifts the level up by a positive lattice
-direction until the constant 1 escapes, walks monomials breadth-first by
-(total degree, lex), and translates back; the resulting point count lower
-bound is min_chern per unit period.
+direction s*b until the constant 1 escapes, walks monomials breadth-first by
+(total degree, lex), and translates back.  The shift acts on generators as
+multiplication by u^iota(s*b), so u^a lies in the shifted module exactly when
+u^(a - iota(s*b)) lies in the level module, and the search asks the level
+module at translated monomials.  The resulting point count lower bound is
+min_chern per unit period.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,6 @@ from toricspec.laurent import (
     memo,
     membership,
     membership_certified,
-    novikov_shift,
     reduce_modulo,
     restrict,
     restriction_class_key,
@@ -196,9 +198,9 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
 
     Search: translate the level up along a strictly positive lattice direction
     until degree 0 is excluded, walk monomials breadth-first ordered by total
-    degree then lex, stop at the first monomial all of whose successors are
-    members, translate back, and certify every verdict against the original
-    module.
+    degree then lex, and stop at the first monomial all of whose successors
+    are members.  Each question is asked of the level module at the monomial
+    translated back, where each successor's certificate is also re-verified.
     """
     nu = Fraction(nu)
     if not rationality_check(toric):
@@ -214,8 +216,12 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
             return NoMinimalElement(nu=nu)
         raise ToricHypothesisError("not monotone")
     shift = _scaled_shift(toric, nu)
-    shifted = novikov_shift(km.module, shift)
-    if membership(Poly.constant(n, 1), shifted, km.subspace):
+    iota_shift = toric.iota_apply(shift)
+
+    def back(a):
+        return tuple(x - y for x, y in zip(a, iota_shift))
+
+    if membership(Poly.monomial(back((0,) * n)), km.module, km.subspace):
         raise InconclusiveError("degree normalization failed to exclude the constant")
     exps = nullstellensatz_exponents(toric, nu + toric.p_value(shift), window)
     cap = sum(exps) + 2
@@ -225,10 +231,9 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
         # verdicts only depend on the restriction class of the monomial
         key = restriction_class_key(km.subspace, a)
         if key not in member_cache:
-            member_cache[key] = membership(Poly.monomial(a), shifted, km.subspace)
+            member_cache[key] = membership(Poly.monomial(back(a)), km.module, km.subspace)
         return member_cache[key]
 
-    iota_shift = toric.iota_apply(shift)
     for degree in range(cap + 1):
         # ascending lex: the reverse of the descending enumeration
         for a in reversed(list(monomials_of_degree(n, degree))):
@@ -236,13 +241,10 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
                 continue
             successors = [tuple(x + (1 if j == i else 0) for j, x in enumerate(a)) for i in range(n)]
             if all(is_member(s) for s in successors):
-                q_exps = tuple(x - y for x, y in zip(a, iota_shift))
-                q = Poly.monomial(q_exps)
-                if membership(q, km.module, km.subspace):
-                    raise InconclusiveError("witness failed re-check on the original module")
+                q_exps = back(a)
                 certs, windows = {}, {}
-                for i in range(n):
-                    succ = Poly.monomial(tuple(x + (1 if j == i else 0) for j, x in enumerate(q_exps)))
+                for i, s in enumerate(successors):
+                    succ = Poly.monomial(back(s))
                     ok, cert, w = membership_certified(succ, km.module, km.subspace)
                     if not ok:
                         raise InconclusiveError("successor failed re-check on the original module")
@@ -251,7 +253,7 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
                     certs[i], windows[i] = cert, w
                 return MinimalDegreeWitness(
                     monomial=q_exps,
-                    restriction=restrict(q, km.subspace),
+                    restriction=restrict(Poly.monomial(q_exps), km.subspace),
                     nu=nu,
                     shift=shift,
                     shifted_monomial=a,

@@ -146,6 +146,8 @@ def spectrum(toric: ToricData, dmap: DiagonalMap, window) -> SpectrumReport:
     if len(dmap.mu) != toric.n:
         raise ValueError("mu length must match the facet count")
     lo, hi = Fraction(window[0]), Fraction(window[1])
+    if lo > hi:
+        raise ValueError(f"window {lo}:{hi} is empty (lo > hi)")
     classes = []
     for support in feasible_supports(toric):
         cls = _support_class(toric, dmap, support)

@@ -12,8 +12,8 @@ vertex enumeration plus basis-extension tests.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import lcm
 
 from toricspec.lattice import (
     IntMat,
@@ -27,6 +27,7 @@ from toricspec.lattice import (
     solve_rational,
     vec_gcd,
 )
+from toricspec.polys import monomials_of_degree
 
 
 class ToricHypothesisError(Exception):
@@ -288,19 +289,10 @@ def monotonicity_check(data: ToricData) -> int | None:
     return ratio.numerator
 
 
-def _positive_b_candidates(iota: IntMat, k: int, grade: int):
-    """Lattice vectors of 1-norm `grade` in Z^k, lexicographically increasing."""
-
-    def shells(rem, length):
-        if length == 0:
-            if rem == 0:
-                yield ()
-            return
-        for head in range(-rem, rem + 1):
-            for tail in shells(rem - abs(head), length - 1):
-                yield (head,) + tail
-
-    yield from sorted(shells(grade, k))
+def _positive_b_candidates(k: int, grade: int):
+    """Lattice vectors of 1-norm `grade` in Z^k, lexicographically increasing:
+    every sign pattern of each nonnegative vector of total degree `grade`."""
+    return sorted(m for a in monomials_of_degree(k, grade) for m in product(*({x, -x} for x in a)))
 
 
 def find_positive_b(iota: IntMat, k: int, grade_cap: int = 64) -> IntVec:
@@ -311,7 +303,7 @@ def find_positive_b(iota: IntMat, k: int, grade_cap: int = 64) -> IntVec:
     exists whenever the polytope is compact.
     """
     for grade in range(1, grade_cap + 1):
-        for m in _positive_b_candidates(iota, k, grade):
+        for m in _positive_b_candidates(k, grade):
             img = mat_vec(iota, m)
             if all(x >= 1 for x in img):
                 return m
@@ -347,9 +339,7 @@ def toric_data(poly: DelzantPolytope) -> ToricData:
     rational = rationality_check(stub)
     min_chern = monotonicity_check(stub) if rational else None
     # kernel of p inside the kappa lattice: clear denominators first
-    denom = 1
-    for pi in p:
-        denom = denom * pi.denominator // gcd(denom, pi.denominator)
+    denom = lcm(*(pi.denominator for pi in p))
     p_int = tuple(int(pi * denom) for pi in p)
     k0 = integer_kernel((p_int,))
     b = find_positive_b(iota, k)

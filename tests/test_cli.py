@@ -10,6 +10,14 @@ import pytest
 from toricspec.cli import parse_data_report, run
 
 POLY = Path(__file__).resolve().parent.parent / "polytopes"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**extra):
+    """The environment for a child interpreter that imports toricspec from
+    this checkout, installed or not."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def invoke(*argv):
@@ -99,12 +107,11 @@ def test_machine_reports_deterministic_across_processes():
     # different hash seeds shake out any set/dict iteration order leaking into reports
     outs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [sys.executable, "-m", "toricspec.cli", "spectrum",
              str(POLY / "cp1xcp1_monotone.poly"), "--mu", "1/4,1/3,0,0",
              "--window=-1:2", "--nu", "1/8"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(PYTHONHASHSEED=seed),
         )
         assert proc.returncode == 0
         outs.append(proc.stdout)
@@ -215,6 +222,18 @@ def test_spectrum_command():
     assert d["period_check"] == "true"
 
 
+def test_spectrum_window_order(capsys):
+    path = str(POLY / "cp1xcp1_monotone.poly")
+    code, out = invoke("spectrum", path, "--mu", "1/4,0,0,0", "--window=2:1")
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.strip() == "error: window 2:1 is empty (lo > hi)"
+    # a one-point window is valid
+    code, out = invoke("spectrum", path, "--mu", "1/4,0,0,0", "--window=1:1")
+    assert code == 0
+    assert machine_dict(out)["window"] == "1:1"
+
+
 def test_human_format_runs():
     code, out = invoke("--format", "human", "data", str(POLY / "cp2.poly"))
     assert code == 0
@@ -224,7 +243,7 @@ def test_human_format_runs():
 def test_import_leaves_numpy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, toricspec.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

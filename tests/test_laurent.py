@@ -22,8 +22,11 @@ from toricspec.laurent import (
     restrict,
     verify_certificate,
     _brute_verdict,
+    _generator_floor,
     _groebner_verdict,
     _minimal_monomials,
+    _reduced_ideal_gb,
+    reduce_modulo,
 )
 from toricspec.polys import Poly
 from toricspec.polytope import parse_polytope, toric_data
@@ -419,6 +422,35 @@ def test_backends_agree_at_one_window(name, maker, nu):
         assert _brute_verdict(q, km.module, km.subspace, 2)[0] == gb, exps
         members += gb
     assert members > 0
+
+
+def test_deep_queries_match_a_basis_cleared_at_their_own_depth(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # the Groebner route clears every query at the generator floor and divides
+    # a deeper one exactly; the reference clears the generators at the
+    # query's own depth max(floor, -min q) and builds a basis for that depth;
+    # a generator plus a relation form over u1^6 is a deep member
+    rng = random.Random(11)
+    verdicts = set()
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            km = maker(T, H, 2)
+            gens = km.module.generators()
+            floor = _generator_floor(km.module, 2)
+            reference = {}
+            deep = tuple(-6 * (i == 0) for i in range(T.n))
+            relation = Poly.linear_form(km.subspace.annihilator()[0]).term_mul(deep)
+            queries = [U(*(rng.randint(-6, 3) for _ in range(T.n))) for _ in range(4)]
+            queries += [U(*gens[0]) * U(*deep), U(*gens[-1]) + relation]
+            for q in queries:
+                depth = tuple(max(t, -m) for t, m in zip(floor, q.min_exponents()))
+                if depth not in reference:
+                    cleared = [tuple(a + b for a, b in zip(g, depth)) for g in gens]
+                    reference[depth] = _reduced_ideal_gb(cleared, km.subspace)
+                want = reduce_modulo(q.term_mul(depth), reference[depth], km.subspace).is_zero()
+                assert _groebner_verdict(q, km.module, km.subspace, 2) == want, (T.n, maker, q)
+                if km.ring != "ZeroRing":
+                    verdicts.add((want, depth != floor))
+    assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
 
 
 def _slice_queries(T):

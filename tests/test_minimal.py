@@ -5,8 +5,10 @@ import pytest
 
 from toricspec.laurent import (
     InconclusiveError,
+    clear_caches,
     kernel_K0,
     kernel_membership,
+    memo_counts,
     membership,
     novikov_shift,
     restrict,
@@ -143,6 +145,16 @@ def test_witness_shift_invariance(T_monotone):
         for i in range(4):
             succ = tuple(x + (1 if j == i else 0) for j, x in enumerate(moved))
             assert membership(Poly.monomial(succ), shifted_module, km.subspace)
+
+
+def test_witness_search_builds_one_basis_per_window(T_monotone):
+    # the search asks the level module at translated monomials, and every
+    # query is cleared at the generator floor: one Groebner basis for each of
+    # the two windows the protocol compares, whatever the shift and the depth
+    clear_caches()
+    w = find_minimal_degree_element(T_monotone, Fraction(3))
+    assert isinstance(w, MinimalDegreeWitness)
+    assert memo_counts()["groebner"][1] == 2
 
 
 def test_degree_floor_exhaustive_square(T_monotone):
