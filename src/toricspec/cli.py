@@ -24,7 +24,7 @@ from toricspec.minimal import (
     find_minimal_degree_element,
     translated_point_bound,
 )
-from toricspec.oracle import DiagonalMap, count_report, spectrum as oracle_spectrum
+from toricspec.oracle import DiagonalMap, count_report, period_report, spectrum as oracle_spectrum
 from toricspec.polys import Poly
 from toricspec.polytope import (
     ToricHypothesisError,
@@ -237,13 +237,17 @@ def cmd_bound(args, report: Report) -> int:
 
 
 def cmd_spectrum(args, report: Report) -> int:
+    if args.window is None and args.nu is None:
+        raise ValueError("spectrum requires --window and/or --nu")
     data = toric_data(_load(args.polytope))
     mu = parse_vector(args.mu)
     dmap = DiagonalMap(mu=mu, twisted=not args.untwisted)
+    classes = None
     if args.window is not None:
         lo_text, _, hi_text = args.window.partition(":")
         window = (parse_fraction(lo_text), parse_fraction(hi_text))
         res = oracle_spectrum(data, dmap, window)
+        classes = res.classes
         report.kv("window", f"{frac_str(window[0])}:{frac_str(window[1])}")
         report.kv("value_count", len(res.values))
         for i, (v, supports) in enumerate(res.values):
@@ -255,13 +259,11 @@ def cmd_spectrum(args, report: Report) -> int:
         report.kv("period_check", str(res.period_check).lower())
     if args.nu is not None:
         nu = parse_fraction(args.nu)
-        res = count_report(data, dmap, nu)
+        res = count_report(data, dmap, nu) if classes is None else period_report(classes, nu)
         report.kv("nu", frac_str(nu))
         report.kv("count_in_period", len(res.values))
         if res.boundary_hits:
             report.kv("boundary", ";".join(frac_str(v) for v in res.boundary_hits))
-    if args.window is None and args.nu is None:
-        raise ValueError("spectrum requires --window and/or --nu")
     return 0
 
 

@@ -2,9 +2,9 @@
 
 Hermite/Smith normal forms, saturated integer kernels, primitivity and
 basis-extension tests, plus the small amount of exact rational elimination
-(RREF, solving, nullspaces) the rest of the package is built on.  Everything
-here is arbitrary-precision and allocation-light: vectors are tuples of ints,
-matrices are row-major tuples of tuples.
+(RREF, solving, unimodular inverses, nullspaces) the rest of the package is
+built on.  Everything here is arbitrary-precision and allocation-light:
+vectors are tuples of ints, matrices are row-major tuples of tuples.
 """
 
 from dataclasses import dataclass
@@ -264,35 +264,6 @@ def extends_to_lattice_basis(vectors, ambient_dim: int) -> bool:
     return len(inv) == len(vecs) and all(x == 1 for x in inv)
 
 
-def solve_integer(m: IntMat, rhs) -> IntVec | None:
-    """One integer solution of M z = rhs, or None (Hermite-form descent)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return (0,) * cols
-    h, u = hermite_normal_form(m)
-    y = [0] * cols
-    pivots = []  # (row, col)
-    seen_rows = set()
-    for j in range(cols):
-        col = [h[i][j] for i in range(rows)]
-        if not any(col):
-            continue
-        r = next(i for i in range(rows) if col[i] != 0)
-        pivots.append((r, j))
-        seen_rows.add(r)
-    for r, j in pivots:
-        partial = sum(h[r][jj] * y[jj] for jj in range(cols) if jj != j)
-        num = rhs[r] - partial
-        if num % h[r][j]:
-            return None
-        y[j] = num // h[r][j]
-    for i in range(rows):
-        if sum(h[i][j] * y[j] for j in range(cols)) != rhs[i]:
-            return None
-    return mat_vec(u, y)
-
-
 # --- exact rational elimination -------------------------------------------
 
 
@@ -340,6 +311,15 @@ def solve_rational(a_rows, b) -> list[Fraction] | None:
             return None
         x[c] = red[r][-1]
     return x
+
+
+def unimodular_inverse(m: IntMat) -> IntMat:
+    """Integer inverse of a square integer matrix with determinant +-1."""
+    n = len(m)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    if pivots[:n] != list(range(n)) or any(x.denominator != 1 for row in red for x in row):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(x.numerator for x in row[n:]) for row in red)
 
 
 def nullspace_rational(a_rows, ncols: int) -> list[list[Fraction]]:

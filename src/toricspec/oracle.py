@@ -5,18 +5,18 @@ mu_j}.  A shift value s is realized exactly when some kernel-algebra element
 lam satisfies the half-integer condition on a feasible support set (the
 coordinates that can carry a ray meeting the momentum level) and p(lam) = -s.
 Per support the solutions form an affine lattice, so the spectrum is a finite
-union of arithmetic progressions of rationals, computed exactly: feasibility
-by Fourier-Motzkin, the congruence by Hermite-form descent, the value group
-by rational gcds.
+union of arithmetic progressions of rationals, computed exactly: the minimal
+feasible supports are the complements of the vertices' facet sets, and each
+support's class takes one inverse of a unimodular minor of iota, with the
+value group given by a rational gcd.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import floor, gcd, lcm
 
-from toricspec.lattice import integer_kernel, solve_integer, solve_rational, transpose
-from toricspec.polytope import ToricData, ToricHypothesisError, rational_feasible, rationality_check
+from toricspec.lattice import unimodular_inverse
+from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
 
 
 @dataclass(frozen=True)
@@ -46,26 +46,17 @@ class SpectrumReport:
 
 def feasible_supports(toric: ToricData) -> list[tuple[int, ...]]:
     """Minimal coordinate sets S for which {x >= 0 on S, 0 off S, iota^T x = p}
-    is solvable (exact rational feasibility)."""
-    n, k = toric.n, toric.k
-    found: list[tuple[int, ...]] = []
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            if any(set(prev).issubset(subset) for prev in found):
-                continue
-            eqs = []
-            for i in range(k):
-                coeffs = [Fraction(0)] * size
-                for pos, j in enumerate(subset):
-                    coeffs[pos] = Fraction(toric.iota[j][i])
-                eqs.append((tuple(coeffs), -toric.p[i]))
-            ineqs = [
-                (tuple(Fraction(pos == t) for pos in range(size)), Fraction(0))
-                for t in range(size)
-            ]
-            if rational_feasible(eqs, ineqs, size):
-                found.append(subset)
-    return sorted(tuple(j + 1 for j in subset) for subset in found)
+    is solvable.
+
+    Since p = iota^T a and ker iota^T = im beta^T, the set {x >= 0, iota^T x = p}
+    is the polytope embedded as x = a + beta^T y, and x_j vanishes exactly on
+    the facets through y.  The minimal supports are therefore the complements
+    of the vertices' active facet sets.
+    """
+    return sorted(
+        tuple(j + 1 for j in range(toric.n) if j not in facets)
+        for facets in toric.vertex_facets
+    )
 
 
 def _fraction_gcd(values) -> Fraction:
@@ -82,45 +73,24 @@ def _fraction_gcd(values) -> Fraction:
     return Fraction(g, denom)
 
 
-def _support_class(toric: ToricData, dmap: DiagonalMap, support) -> SpectrumClass | None:
-    """Solve the phase congruence on one support; None when unsatisfiable."""
-    k = toric.k
-    idx = [j - 1 for j in support]
-    rows = [toric.iota[j] for j in idx]  # |S| x k
+def _support_class(toric: ToricData, dmap: DiagonalMap, support) -> SpectrumClass:
+    """Solve the phase congruence iota_S lam in c + Z^k on one support.
+
+    The support is the complement of a Delzant vertex's facets, so the k x k
+    minor iota_S is unimodular: the solutions are lam = iota_S^-1 (c + z) for
+    z in Z^k, and their values -p(lam) = -x.(c + z), with x = iota_S^-T p,
+    form base + step Z.
+    """
+    inv = unimodular_inverse(tuple(toric.iota[j - 1] for j in support))
     half = Fraction(1, 2) if dmap.twisted else Fraction(0)
-    c = [half - dmap.mu[j] for j in idx]
-    left_kernel = integer_kernel(transpose(tuple(rows))).vectors
-    if left_kernel:
-        d = []
-        for b in left_kernel:
-            val = -sum((Fraction(bi) * ci for bi, ci in zip(b, c)), Fraction(0))
-            if val.denominator != 1:
-                return None
-            d.append(int(val))
-        z0 = solve_integer(tuple(left_kernel), d)
-        if z0 is None:
-            return None
-        lattice = integer_kernel(tuple(left_kernel)).vectors
-    else:
-        z0 = (0,) * len(idx)
-        lattice = tuple(
-            tuple(1 if t == s else 0 for t in range(len(idx))) for s in range(len(idx))
-        )
-    # any rational x with iota_S^T x = p computes the value of p on solutions
-    a_rows = [[Fraction(rows[t][i]) for t in range(len(idx))] for i in range(k)]
-    x = solve_rational(a_rows, list(toric.p))
-    if x is None:
-        return None
-    y0 = [ci + zi for ci, zi in zip(c, z0)]
-    base = -sum((xi * yi for xi, yi in zip(x, y0)), Fraction(0))
-    step = _fraction_gcd(
-        [sum((xi * Fraction(ki) for xi, ki in zip(x, kappa)), Fraction(0)) for kappa in lattice]
-    )
-    lam = solve_rational([[Fraction(r[i]) for i in range(k)] for r in rows], y0)
-    if lam is None:
-        return None
+    c = [half - dmap.mu[j - 1] for j in support]
+    x = [sum((row[t] * pi for row, pi in zip(inv, toric.p)), Fraction(0)) for t in range(toric.k)]
+    lam = tuple(sum((a * ci for a, ci in zip(row, c)), Fraction(0)) for row in inv)
     return SpectrumClass(
-        support=tuple(support), base=base, step=step, witness_lambda=tuple(lam)
+        support=tuple(support),
+        base=-sum((xi * ci for xi, ci in zip(x, c)), Fraction(0)),
+        step=_fraction_gcd(x),
+        witness_lambda=lam,
     )
 
 
@@ -138,21 +108,22 @@ def _class_values_in(cls: SpectrumClass, lo: Fraction, hi: Fraction):
     return out
 
 
-def spectrum(toric: ToricData, dmap: DiagonalMap, window) -> SpectrumReport:
-    """All realized shift values in the closed rational window, with the
-    supports realizing each value."""
+def spectrum_classes(toric: ToricData, dmap: DiagonalMap) -> tuple[SpectrumClass, ...]:
+    """One class per minimal feasible support: the values it realizes are
+    base + step Z."""
     if not rationality_check(toric):
         raise ToricHypothesisError("p is not primitive integral")
     if len(dmap.mu) != toric.n:
         raise ValueError("mu length must match the facet count")
+    return tuple(_support_class(toric, dmap, support) for support in feasible_supports(toric))
+
+
+def window_report(classes, window) -> SpectrumReport:
+    """The classes' values in the closed rational window, with the supports
+    realizing each value."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if lo > hi:
         raise ValueError(f"window {lo}:{hi} is empty (lo > hi)")
-    classes = []
-    for support in feasible_supports(toric):
-        cls = _support_class(toric, dmap, support)
-        if cls is not None:
-            classes.append(cls)
     by_value: dict[Fraction, set] = {}
     for cls in classes:
         for v in _class_values_in(cls, lo, hi):
@@ -169,15 +140,11 @@ def spectrum(toric: ToricData, dmap: DiagonalMap, window) -> SpectrumReport:
     )
 
 
-def count_in_period(toric: ToricData, dmap: DiagonalMap, nu) -> int:
-    """|spectrum in [nu, nu + 1)| -- half-open, so a boundary hit at nu counts."""
-    return len(count_report(toric, dmap, nu).values)
-
-
-def count_report(toric: ToricData, dmap: DiagonalMap, nu) -> SpectrumReport:
-    """Like count_in_period but returning the full report with boundary flags."""
+def period_report(classes, nu) -> SpectrumReport:
+    """The classes' values in the half-open period [nu, nu + 1), with a value
+    at nu flagged as a boundary hit."""
     nu = Fraction(nu)
-    report = spectrum(toric, dmap, (nu, nu + 1))
+    report = window_report(classes, (nu, nu + 1))
     boundary = tuple(v for v, _ in report.values if v == nu)
     values = tuple((v, s) for v, s in report.values if v < nu + 1)
     return SpectrumReport(
@@ -187,3 +154,19 @@ def count_report(toric: ToricData, dmap: DiagonalMap, nu) -> SpectrumReport:
         period_check=report.period_check,
         boundary_hits=boundary,
     )
+
+
+def spectrum(toric: ToricData, dmap: DiagonalMap, window) -> SpectrumReport:
+    """All realized shift values in the closed rational window, with the
+    supports realizing each value."""
+    return window_report(spectrum_classes(toric, dmap), window)
+
+
+def count_in_period(toric: ToricData, dmap: DiagonalMap, nu) -> int:
+    """|spectrum in [nu, nu + 1)| -- half-open, so a boundary hit at nu counts."""
+    return len(count_report(toric, dmap, nu).values)
+
+
+def count_report(toric: ToricData, dmap: DiagonalMap, nu) -> SpectrumReport:
+    """Like count_in_period but returning the full report with boundary flags."""
+    return period_report(spectrum_classes(toric, dmap), nu)

@@ -7,7 +7,9 @@ the induced rational covector p and integral covector c, the minimal
 proportionality factor between them, the p-kernel sublattice, and a strictly
 positive lattice direction b.  Compactness is decided by exact
 Fourier-Motzkin elimination on the recession cone; smoothness by brute-force
-vertex enumeration plus basis-extension tests.
+vertex enumeration plus basis-extension tests.  The vertices' active facet
+sets are kept on the reduction data, where they give the translated
+spectrum's minimal supports.
 """
 
 from dataclasses import dataclass
@@ -76,6 +78,7 @@ class ValidationReport:
     compact: bool
     smooth: bool
     vertices: tuple[tuple[Fraction, ...], ...]
+    vertex_facets: tuple[frozenset[int], ...]  # 0-based active facets, per vertex
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,7 @@ class ToricData:
     b: IntVec                         # strictly positive lattice direction
     hbar: Fraction | None             # 1 exactly when p is primitive integral
     polytope: DelzantPolytope
+    vertex_facets: tuple[frozenset[int], ...]  # 0-based active facets, per vertex
 
     @property
     def k(self) -> int:
@@ -216,16 +220,19 @@ def _enumerate_vertices(poly: DelzantPolytope):
 
 def validate(poly: DelzantPolytope) -> ValidationReport:
     """Compactness (trivial recession cone, by Fourier-Motzkin), smoothness
-    (simple vertices whose conormals extend to a lattice basis), vertex list.
+    (simple vertices whose conormals extend to a lattice basis), vertex list
+    with each vertex's active facet set.
 
     Raises ToricHypothesisError on an empty polytope, and on a compact one
     with an inequality that is not tight at d affinely independent vertices
     (a redundant facet, numbered from 1 in file order).
     """
     d = poly.d
-    full = [(tuple(Fraction(c) for c in v), Fraction(a)) for v, a in poly.facets]
-    if not fourier_motzkin_feasible(full, d):
-        raise ToricHypothesisError("empty polytope")
+    verts = _enumerate_vertices(poly)
+    if not verts:  # empty, or containing a line: only Fourier-Motzkin tells which
+        full = [(tuple(Fraction(c) for c in v), Fraction(a)) for v, a in poly.facets]
+        if not fourier_motzkin_feasible(full, d):
+            raise ToricHypothesisError("empty polytope")
     cone = [(tuple(Fraction(c) for c in v), Fraction(0)) for v, _ in poly.facets]
     compact = True
     for i in range(d):
@@ -238,7 +245,6 @@ def validate(poly: DelzantPolytope) -> ValidationReport:
                 break
         if not compact:
             break
-    verts = _enumerate_vertices(poly)
     for j in range(poly.n if compact else 0):
         tight = [x for x, active in verts.items() if j in active]
         if any(len(verts[x]) == d for x in tight):
@@ -255,7 +261,10 @@ def validate(poly: DelzantPolytope) -> ValidationReport:
             smooth = False
             break
     vertices = tuple(sorted(verts))
-    return ValidationReport(compact=compact, smooth=smooth, vertices=vertices)
+    return ValidationReport(
+        compact=compact, smooth=smooth, vertices=vertices,
+        vertex_facets=tuple(verts[x] for x in vertices),
+    )
 
 
 # --- reduction data ---------------------------------------------------------
@@ -335,6 +344,7 @@ def toric_data(poly: DelzantPolytope) -> ToricData:
     stub = ToricData(
         n=n, d=poly.d, beta=beta, kappa=kappa, iota=iota, p=p, chern=chern,
         min_chern=None, k0=LatticeBasis(k, ()), b=(0,) * k, hbar=None, polytope=poly,
+        vertex_facets=report.vertex_facets,
     )
     rational = rationality_check(stub)
     min_chern = monotonicity_check(stub) if rational else None
@@ -347,6 +357,7 @@ def toric_data(poly: DelzantPolytope) -> ToricData:
         n=n, d=poly.d, beta=beta, kappa=kappa, iota=iota, p=p, chern=chern,
         min_chern=min_chern, k0=k0, b=b,
         hbar=Fraction(1) if rational else None, polytope=poly,
+        vertex_facets=report.vertex_facets,
     )
 
 

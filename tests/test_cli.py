@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from toricspec.cli import parse_data_report, run
 
 POLY = Path(__file__).resolve().parent.parent / "polytopes"
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -232,6 +234,59 @@ def test_spectrum_window_order(capsys):
     code, out = invoke("spectrum", path, "--mu", "1/4,0,0,0", "--window=1:1")
     assert code == 0
     assert machine_dict(out)["window"] == "1:1"
+
+
+def test_spectrum_builds_classes_once(monkeypatch):
+    import toricspec.oracle as oracle
+
+    path = str(CORPUS / "pentagon.poly")
+    mu = "--mu=1/4,0,1/3,0,0"
+    _, window_only = invoke("spectrum", path, mu, "--window=-1:2")
+    _, nu_only = invoke("spectrum", path, mu, "--nu=1/2")
+    calls = []
+    support_class = oracle._support_class
+
+    def counted(toric, dmap, support):
+        calls.append(support)
+        return support_class(toric, dmap, support)
+
+    monkeypatch.setattr(oracle, "_support_class", counted)
+    code, both = invoke("spectrum", path, mu, "--window=-1:2", "--nu=1/2")
+    assert code == 0
+    assert both == window_only + nu_only
+    assert len(calls) == len(set(calls)) == 5  # the pentagon's vertex supports, once each
+
+
+@pytest.mark.parametrize("path", [POLY / "halfplane.poly", POLY / "cp1xcp1_monotone.poly"])
+def test_spectrum_needs_window_or_nu_before_reading(path, capsys):
+    # a usage error, even when the polytope itself would fail a hypothesis
+    code, out = invoke("spectrum", str(path), "--mu", "0,0")
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.strip() == "error: spectrum requires --window and/or --nu"
+
+
+ANSWERS = json.loads((CORPUS / "answers.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(ANSWERS))
+def test_corpus_validate_and_data_match_answers(name):
+    ans = ANSWERS[name]
+    path = str(CORPUS / f"{name}.poly")
+    code, out = invoke("validate", path)
+    d = machine_dict(out)
+    assert code == (0 if ans["compact"] and ans["smooth"] else 2)
+    assert (d["compact"], d["smooth"]) == (str(ans["compact"]).lower(), str(ans["smooth"]).lower())
+    assert int(d["vertex_count"]) == ans["vertex_count"]
+    code, out = invoke("data", path)
+    d = machine_dict(out)
+    if ans["n"] is None:
+        assert code == 2 and "error" in d
+        return
+    assert code == 0
+    assert (int(d["n"]), int(d["k"])) == (ans["n"], ans["k"])
+    assert d["N_M"] == ("absent" if ans["N_M"] is None else str(ans["N_M"]))
+    assert d["is_cpn"] == str(ans["is_cpn"]).lower()
 
 
 def test_human_format_runs():

@@ -17,6 +17,7 @@ from toricspec.lattice import (
     smith_invariants,
     solve_rational,
     transpose,
+    unimodular_inverse,
 )
 
 
@@ -203,3 +204,22 @@ def test_rational_solvers():
     assert len(ns) == 2
     for v in ns:
         assert v[0] + v[1] == 0
+
+
+def test_unimodular_inverse():
+    rng = random.Random(5)
+    for n in (1, 2, 3, 5):
+        m = identity_matrix(n)
+        for _ in range(4 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            step = [list(row) for row in identity_matrix(n)]
+            if i == j:
+                step[i][i] = -1
+            else:
+                step[i][j] = rng.randint(-3, 3)
+            m = mat_mul(m, tuple(tuple(row) for row in step))
+        assert abs(det(m)) == 1
+        assert mat_mul(unimodular_inverse(m), m) == identity_matrix(n)
+    for bad in (((2,),), ((1, 1), (1, 1)), ((1, 0), (0, 3))):
+        with pytest.raises(ValueError):
+            unimodular_inverse(bad)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +13,18 @@ from toricspec.oracle import (
     feasible_supports,
     spectrum,
 )
-from toricspec.polytope import ToricHypothesisError, rational_feasible
+from toricspec.lattice import det
+from toricspec.polytope import (
+    ToricHypothesisError,
+    parse_polytope,
+    rational_feasible,
+    toric_data,
+    validate,
+)
 from toricspec.quadforms import front_coordinates
-from tests.conftest import cp1xcp1
-from toricspec.polytope import toric_data
+from tests.conftest import cp1xcp1, cpn_simplex, cube3
+
+ROOT = Path(__file__).resolve().parent.parent
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -43,6 +53,61 @@ def test_feasible_supports_recheck(T_monotone, T_cube):
                 for t in range(size)
             ]
             assert rational_feasible(eqs, ineqs, size)
+
+
+def fm_supports(toric):
+    """Reference search: every coordinate subset, smallest first, tested for
+    {x >= 0 on S, 0 off S, iota^T x = p} by Fourier-Motzkin, keeping the
+    minimal feasible ones."""
+    n, k = toric.n, toric.k
+    found = []
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            if any(set(prev).issubset(subset) for prev in found):
+                continue
+            eqs = []
+            for i in range(k):
+                coeffs = [Fraction(0)] * size
+                for pos, j in enumerate(subset):
+                    coeffs[pos] = Fraction(toric.iota[j][i])
+                eqs.append((tuple(coeffs), -toric.p[i]))
+            ineqs = [
+                (tuple(Fraction(pos == t) for pos in range(size)), Fraction(0))
+                for t in range(size)
+            ]
+            if rational_feasible(eqs, ineqs, size):
+                found.append(subset)
+    return sorted(tuple(j + 1 for j in subset) for subset in found)
+
+
+def compact_smooth_files():
+    """Every compact, smooth polytope file of the repository and the benchmark corpus."""
+    out = []
+    for path in sorted(ROOT.glob("polytopes/*.poly")) + sorted(ROOT.glob("perfbench/corpus/*.poly")):
+        poly = parse_polytope(path.read_text())
+        try:
+            report = validate(poly)
+        except ToricHypothesisError:
+            continue
+        if report.compact and report.smooth:
+            out.append(poly)
+    return out
+
+
+def test_vertex_supports_match_fm_search():
+    polys = [
+        cp1xcp1(), cp1xcp1((H, H, Fraction(1), Fraction(1))),
+        cpn_simplex(2), cpn_simplex(3), cube3(),
+    ] + compact_smooth_files()
+    assert len(polys) >= 20
+    for poly in polys:
+        T = toric_data(poly)
+        supports = feasible_supports(T)
+        assert supports == fm_supports(T)
+        assert len(supports) == len(validate(poly).vertices)
+        for support in supports:
+            # the Delzant condition at the vertex: the minor iota_S is unimodular
+            assert abs(det(tuple(T.iota[j - 1] for j in support))) == 1
 
 
 def square_residues_oracle(mu, twisted=True):
