@@ -6,6 +6,7 @@ error, 2 hypothesis failure (named in the report).
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -336,10 +337,15 @@ def _attach_negative_values(argv):
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first `run`, not at import."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
+        args = _parser().parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return 1 if exc.code else 0
     report = Report(args.format)

@@ -1,10 +1,11 @@
 """Exact integer and rational linear algebra.
 
 Hermite/Smith normal forms, saturated integer kernels, primitivity and
-basis-extension tests, plus the small amount of exact rational elimination
-(RREF, solving, unimodular inverses, nullspaces) the rest of the package is
-built on.  Everything here is arbitrary-precision and allocation-light:
-vectors are tuples of ints, matrices are row-major tuples of tuples.
+basis-extension tests, fraction-free determinants and unimodular inverses,
+plus the small amount of exact rational elimination (RREF, solving,
+nullspaces) the rest of the package is built on.  Everything here is
+arbitrary-precision and allocation-light: vectors are tuples of ints,
+matrices are row-major tuples of tuples.
 """
 
 from dataclasses import dataclass
@@ -314,12 +315,29 @@ def solve_rational(a_rows, b) -> list[Fraction] | None:
 
 
 def unimodular_inverse(m: IntMat) -> IntMat:
-    """Integer inverse of a square integer matrix with determinant +-1."""
+    """Integer inverse of a square integer matrix with determinant +-1.
+
+    Fraction-free Gauss-Jordan on [M | I]: every division by the previous
+    pivot is exact, and the left block ends as D I with D = +-det M, the
+    right block as D M^-1.
+    """
     n = len(m)
-    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
-    if pivots[:n] != list(range(n)) or any(x.denominator != 1 for row in red for x in row):
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if a[i][k]), None)
+        if pr is None:
+            raise ValueError("matrix is not unimodular")
+        a[k], a[pr] = a[pr], a[k]
+        pivot = a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = pivot
+    if abs(prev) != 1:
         raise ValueError("matrix is not unimodular")
-    return tuple(tuple(x.numerator for x in row[n:]) for row in red)
+    return tuple(tuple(prev * x for x in row[n:]) for row in a)
 
 
 def nullspace_rational(a_rows, ncols: int) -> list[list[Fraction]]:

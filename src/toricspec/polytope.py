@@ -5,31 +5,30 @@ rational offsets a_j, cutting out {x : <x, v_j> + a_j >= 0}.  From it we
 compute the conormal map, the kernel lattice with its inclusion into Z^n,
 the induced rational covector p and integral covector c, the minimal
 proportionality factor between them, the p-kernel sublattice, and a strictly
-positive lattice direction b.  Compactness is decided by exact
-Fourier-Motzkin elimination on the recession cone; smoothness by brute-force
-vertex enumeration plus basis-extension tests.  The vertices' active facet
-sets are kept on the reduction data, where they give the translated
-spectrum's minimal supports.
+positive lattice direction b.  Validation works in integers: vertices by
+Cramer's rule over every facet d-subset, smoothness from the same
+determinants, and compactness from the extreme rays of the recession cone.
+Fourier-Motzkin elimination is left only to tell an empty input from one
+containing a line.  The vertices' active facet sets are kept on the
+reduction data, where they give the translated spectrum's minimal supports.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm
 
 from toricspec.lattice import (
     IntMat,
     IntVec,
     LatticeBasis,
-    extends_to_lattice_basis,
+    det,
     integer_kernel,
     is_primitive,
     mat_vec,
     rref,
-    solve_rational,
     vec_gcd,
 )
-from toricspec.polys import monomials_of_degree
 
 
 class ToricHypothesisError(Exception):
@@ -188,44 +187,72 @@ def rational_feasible(eqs, ineqs, nvars: int) -> bool:
 
 
 def _enumerate_vertices(poly: DelzantPolytope):
-    """All vertices with their active facet sets, by brute force over d-subsets."""
-    d, n = poly.d, poly.n
+    """Every vertex, in the order of the first facet d-subset that meets in
+    it, mapped to its active facet set and its smoothness (simple, with
+    conormals of determinant +-1, i.e. a lattice basis).
+
+    Cramer's rule in integers: with L the lcm of the offset denominators and
+    A = L a, a d-subset S with D = det V_S != 0 meets in x = X / (L D), where
+    X_i is det V_S with column i replaced by -A_S.  Facet j holds at x iff
+    sign(D) (v_j . X + A_j D) >= 0, with equality iff it is active there.
+    """
+    d = poly.d
+    scale = lcm(*(a.denominator for _, a in poly.facets))
+    rows = [(v, a.numerator * (scale // a.denominator)) for v, a in poly.facets]
     verts = {}
-    for subset in combinations(range(n), d):
-        rows = [[Fraction(c) for c in poly.facets[j][0]] for j in subset]
-        rhs = [-poly.facets[j][1] for j in subset]
-        red, pivots = rref([row + [r] for row, r in zip(rows, rhs)])
-        if len(pivots) != d or d in pivots:
+    for subset in combinations(range(poly.n), d):
+        mat = [rows[j][0] for j in subset]
+        D = det(mat)
+        if D == 0:
             continue
-        x = [Fraction(0)] * d
-        for r, c in enumerate(pivots):
-            x[c] = red[r][-1]
-        feasible = True
-        for v, a in poly.facets:
-            if sum(Fraction(vi) * xi for vi, xi in zip(v, x)) + a < 0:
-                feasible = False
+        rhs = [-rows[j][1] for j in subset]
+        X = [det([v[:i] + (r,) + v[i + 1:] for v, r in zip(mat, rhs)]) for i in range(d)]
+        sign = 1 if D > 0 else -1
+        active = []
+        for j, (v, A) in enumerate(rows):
+            slack = sign * (sum(vi * xi for vi, xi in zip(v, X)) + A * D)
+            if slack < 0:
                 break
-        if feasible:
-            verts.setdefault(tuple(x), set()).update(subset)
-    # active sets include every facet passing through the vertex
-    out = {}
-    for x in verts:
-        active = set()
-        for j, (v, a) in enumerate(poly.facets):
-            if sum(Fraction(vi) * xi for vi, xi in zip(v, x)) + a == 0:
-                active.add(j)
-        out[x] = frozenset(active)
-    return out
+            if slack == 0:
+                active.append(j)
+        else:
+            x = tuple(Fraction(xi, scale * D) for xi in X)
+            if x not in verts:
+                verts[x] = (frozenset(active), len(active) == d and abs(D) == 1)
+    return verts
+
+
+def _has_recession_ray(poly: DelzantPolytope) -> bool:
+    """Whether the recession cone {y : V y >= 0} of a polytope with a vertex
+    is nonzero.  That cone is pointed, so it is nonzero iff it has an extreme
+    ray (Schrijver, Theory of Linear and Integer Programming, 1986, 8.8): a
+    y != 0 tight at d - 1 independent rows T, hence +-r with r the cofactor
+    vector of V_T, so that V r >= 0 or V r <= 0."""
+    d = poly.d
+    conormals = [v for v, _ in poly.facets]
+    for rows in combinations(conormals, d - 1):
+        r = [(-1) ** i * det([v[:i] + v[i + 1:] for v in rows]) for i in range(d)]
+        if not any(r):
+            continue
+        dots = [sum(vi * ri for vi, ri in zip(v, r)) for v in conormals]
+        if min(dots) >= 0 or max(dots) <= 0:
+            return True
+    return False
 
 
 def validate(poly: DelzantPolytope) -> ValidationReport:
-    """Compactness (trivial recession cone, by Fourier-Motzkin), smoothness
-    (simple vertices whose conormals extend to a lattice basis), vertex list
-    with each vertex's active facet set.
+    """Compactness, smoothness, and the vertex list with each vertex's active
+    facet set, all in integer arithmetic.
+
+    Without a vertex the input is empty or contains a line, so it is not
+    compact; with one, it is compact iff its recession cone has no extreme
+    ray.  It is smooth iff it has a vertex and every vertex is simple with
+    conormals of determinant +-1.
 
     Raises ToricHypothesisError on an empty polytope, and on a compact one
-    with an inequality that is not tight at d affinely independent vertices
-    (a redundant facet, numbered from 1 in file order).
+    with a facet repeated verbatim or with an inequality that is not tight at
+    d affinely independent vertices (a redundant facet, numbered from 1 in
+    file order; of two equal facets, the later one).
     """
     d = poly.d
     verts = _enumerate_vertices(poly)
@@ -233,37 +260,20 @@ def validate(poly: DelzantPolytope) -> ValidationReport:
         full = [(tuple(Fraction(c) for c in v), Fraction(a)) for v, a in poly.facets]
         if not fourier_motzkin_feasible(full, d):
             raise ToricHypothesisError("empty polytope")
-    cone = [(tuple(Fraction(c) for c in v), Fraction(0)) for v, _ in poly.facets]
-    compact = True
-    for i in range(d):
-        for sign in (1, -1):
-            ray = [Fraction(0)] * d
-            ray[i] = Fraction(sign)
-            probe = cone + [(tuple(ray), Fraction(-1))]  # sign*x_i >= 1
-            if fourier_motzkin_feasible(probe, d):
-                compact = False
-                break
-        if not compact:
-            break
+    compact = bool(verts) and not _has_recession_ray(poly)
     for j in range(poly.n if compact else 0):
-        tight = [x for x, active in verts.items() if j in active]
-        if any(len(verts[x]) == d for x in tight):
+        if poly.facets[j] in poly.facets[:j]:
+            raise ToricHypothesisError(f"redundant facet {j + 1}")
+        tight = [x for x, (active, _) in verts.items() if j in active]
+        if any(len(verts[x][0]) == d for x in tight):
             continue  # the d - 1 edges along j from a simple vertex end in vertices
         spans = [[a - b for a, b in zip(x, tight[0])] for x in tight[1:]]
         if len(tight) < d or len(rref(spans)[1]) < d - 1:
             raise ToricHypothesisError(f"redundant facet {j + 1}")
-    smooth = bool(verts)
-    for x, active in verts.items():
-        if len(active) != d:
-            smooth = False
-            break
-        if not extends_to_lattice_basis([poly.facets[j][0] for j in sorted(active)], d):
-            smooth = False
-            break
     vertices = tuple(sorted(verts))
     return ValidationReport(
-        compact=compact, smooth=smooth, vertices=vertices,
-        vertex_facets=tuple(verts[x] for x in vertices),
+        compact=compact, smooth=bool(verts) and all(ok for _, ok in verts.values()),
+        vertices=vertices, vertex_facets=tuple(verts[x][0] for x in vertices),
     )
 
 
@@ -298,24 +308,35 @@ def monotonicity_check(data: ToricData) -> int | None:
     return ratio.numerator
 
 
-def _positive_b_candidates(k: int, grade: int):
-    """Lattice vectors of 1-norm `grade` in Z^k, lexicographically increasing:
-    every sign pattern of each nonnegative vector of total degree `grade`."""
-    return sorted(m for a in monomials_of_degree(k, grade) for m in product(*({x, -x} for x in a)))
-
-
 def find_positive_b(iota: IntMat, k: int, grade_cap: int = 64) -> IntVec:
     """Smallest (graded-lex over 1-norm shells) lattice vector b with iota(b)
     componentwise strictly positive.
 
     Strict positivity makes the level set sum b_j |z_j|^2 = const compact; it
-    exists whenever the polytope is compact.
+    exists whenever the polytope is compact.  Each shell is searched depth
+    first, coordinate by coordinate in increasing order, so candidates come in
+    lex order; a partial vector is dropped as soon as some row of iota cannot
+    reach 1 with the 1-norm left to spend.
     """
+    # reach[i][j]: what one unit of 1-norm on coordinates i.. adds to row j at most
+    reach = [[max(map(abs, row[i:]), default=0) for row in iota] for i in range(k + 1)]
+
+    def search(i, image, left):
+        if any(y + left * r < 1 for y, r in zip(image, reach[i])):
+            return None
+        if i == k:
+            return ()
+        choices = range(-left, left + 1) if i < k - 1 else (-left, left) if left else (0,)
+        for x in choices:
+            rest = search(i + 1, [y + x * row[i] for y, row in zip(image, iota)], left - abs(x))
+            if rest is not None:
+                return (x,) + rest
+        return None
+
     for grade in range(1, grade_cap + 1):
-        for m in _positive_b_candidates(k, grade):
-            img = mat_vec(iota, m)
-            if all(x >= 1 for x in img):
-                return m
+        b = search(0, [0] * len(iota), grade)
+        if b is not None:
+            return b
     raise ToricHypothesisError("no strictly positive lattice direction found")
 
 

@@ -344,6 +344,39 @@ def test_redundant_facet_rejected():
         assert machine_dict(out) == {"error": "redundant facet 5"}
 
 
+def test_repeated_facet_line_is_redundant(tmp_path):
+    text = (POLY / "cp2.poly").read_text()
+    doubled = tmp_path / "cp2_doubled.poly"
+    doubled.write_text(text + text.splitlines()[-1] + "\n")
+    for command in ("validate", "data"):
+        code, out = invoke(command, str(doubled))
+        assert code == 2
+        assert machine_dict(out) == {"error": "redundant facet 4"}
+
+
+def fresh_report(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricspec.cli", *argv],
+        capture_output=True, text=True, env=child_env(),
+    )
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("first, second", [
+    (["spectrum", "{}", "--mu=1/3,0,0", "--window=0:2", "--untwisted"],
+     ["spectrum", "{}", "--mu=1/3,0,0", "--window=0:2"]),
+    (["--format", "human", "data", "{}"], ["data", "{}"]),
+])
+def test_reused_parser_keeps_no_state(first, second):
+    path = str(POLY / "cp2.poly")
+    first, second = ([arg.format(path) for arg in argv] for argv in (first, second))
+    code, out = invoke(*first)
+    assert code == 0
+    again = invoke(*second)
+    assert again[1] != out
+    assert again == fresh_report(*second)
+
+
 @pytest.mark.parametrize("text, message", [
     ("dim 1\nfacet 1 ; 0\nfacet -1 ; 1\n", "error: line 2: offsets must be positive"),
     ("dim 1\nfacet -1 ; 1\n# comment\nfacet 2 ; 1\n", "error: line 4: conormal (2,) is not primitive"),

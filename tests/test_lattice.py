@@ -14,6 +14,7 @@ from toricspec.lattice import (
     mat_mul,
     mat_vec,
     nullspace_rational,
+    rref,
     smith_invariants,
     solve_rational,
     transpose,
@@ -223,3 +224,45 @@ def test_unimodular_inverse():
     for bad in (((2,),), ((1, 1), (1, 1)), ((1, 0), (0, 3))):
         with pytest.raises(ValueError):
             unimodular_inverse(bad)
+
+
+def fraction_unimodular_inverse(m):
+    """Reference: RREF of [M | I] over Q, with integral output required."""
+    n = len(m)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    if pivots[:n] != list(range(n)) or any(x.denominator != 1 for row in red for x in row):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(x.numerator for x in row[n:]) for row in red)
+
+
+def random_unimodular(rng, n, steps):
+    """Product of random elementary integer matrices, rows then shuffled."""
+    m = [list(row) for row in identity_matrix(n)]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            f = rng.randint(-3, 3)
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return tuple(tuple(row) for row in m)
+
+
+def test_unimodular_inverse_matches_fraction_reference():
+    rng = random.Random(17)
+    for n in range(1, 7):
+        for _ in range(40):
+            m = random_unimodular(rng, n, 3 * n)
+            assert abs(det(m)) == 1
+            assert unimodular_inverse(m) == fraction_unimodular_inverse(m)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        m = [list(row) for row in random_unimodular(rng, n, 3 * n)]
+        doubled = tuple(tuple(2 * x for x in row) if i == 0 else tuple(row) for i, row in enumerate(m))
+        singular = tuple(tuple(row) for row in m[:-1]) + (tuple(-2 * x for x in m[0]),)
+        assert abs(det(doubled)) == 2 and det(singular) == 0
+        for bad in (doubled, singular):
+            for inverse in (unimodular_inverse, fraction_unimodular_inverse):
+                with pytest.raises(ValueError):
+                    inverse(bad)

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
+from pathlib import Path
 
 import pytest
 
 from tests.conftest import cp1xcp1, cpn_simplex, cube3
-from toricspec.lattice import mat_vec
+from toricspec.lattice import extends_to_lattice_basis, mat_vec, rref
+from toricspec.polys import monomials_of_degree
 from toricspec.polytope import (
     DelzantPolytope,
     ToricHypothesisError,
+    _enumerate_vertices,
     find_positive_b,
     format_polytope,
     fourier_motzkin_feasible,
@@ -18,6 +23,8 @@ from toricspec.polytope import (
     toric_data,
     validate,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 H = Fraction(1, 2)
 
@@ -241,3 +248,124 @@ def test_parse_rejects_malformed_lines():
         parse_polytope("dim 2\nfacet 1/2 0 ; 1\nfacet -1 0 ; 1\nfacet 0 1 ; 1\n")
     with pytest.raises(ValueError):
         parse_polytope("dim 1\nridge 1 ; 1\n")  # unknown directive
+
+
+# --- integer validation against the Fraction / Fourier-Motzkin references ---
+
+
+def fm_compact(poly):
+    """Reference: the recession cone {y : V y >= 0} is zero iff no probe
+    {V y >= 0, +-y_i >= 1} is feasible, by Fourier-Motzkin."""
+    cone = [(tuple(Fraction(c) for c in v), Fraction(0)) for v, _ in poly.facets]
+    for i in range(poly.d):
+        for sign in (1, -1):
+            ray = [Fraction(0)] * poly.d
+            ray[i] = Fraction(sign)
+            if fourier_motzkin_feasible(cone + [(tuple(ray), Fraction(-1))], poly.d):
+                return False
+    return True
+
+
+def rref_vertices(poly):
+    """Reference: solve every facet d-subset by a Fraction RREF, keep the
+    feasible points in the order first met, then collect the active facets."""
+    d = poly.d
+    verts = {}
+    for subset in combinations(range(poly.n), d):
+        rows = [[Fraction(c) for c in poly.facets[j][0]] for j in subset]
+        rhs = [-poly.facets[j][1] for j in subset]
+        red, pivots = rref([row + [r] for row, r in zip(rows, rhs)])
+        if len(pivots) != d or d in pivots:
+            continue
+        x = [Fraction(0)] * d
+        for r, c in enumerate(pivots):
+            x[c] = red[r][-1]
+        if all(sum(vi * xi for vi, xi in zip(v, x)) + a >= 0 for v, a in poly.facets):
+            verts.setdefault(tuple(x), set()).update(subset)
+    return {
+        x: frozenset(j for j, (v, a) in enumerate(poly.facets) if sum(vi * xi for vi, xi in zip(v, x)) + a == 0)
+        for x in verts
+    }
+
+
+def random_polytopes(seed, count):
+    """Seeded family: d = 1..3, d+1..d+4 primitive conormals in [-2, 2]^d,
+    offsets in {1..4}/{1, 2}."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 3)
+        n = rng.randint(d + 1, d + 4)
+        facets = []
+        while len(facets) < n:
+            v = tuple(rng.randint(-2, 2) for _ in range(d))
+            if any(v) and gcd(*v) == 1:
+                facets.append((v, Fraction(rng.randint(1, 4), rng.randint(1, 2))))
+        out.append(DelzantPolytope(d=d, facets=tuple(facets)))
+    return out
+
+
+def test_compactness_matches_fm_probes():
+    classes = set()
+    for poly in random_polytopes(11, 400):
+        compact = fm_compact(poly)
+        simple = all(len(active) == poly.d for active, _ in _enumerate_vertices(poly).values())
+        classes.add((compact, simple))
+        try:
+            assert validate(poly).compact == compact
+        except ToricHypothesisError as exc:
+            # only compact input is checked for redundant facets
+            assert exc.reason.startswith("redundant facet") and compact
+    assert classes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_integer_vertices_match_fraction_rref():
+    files = sorted(ROOT.glob("polytopes/*.poly")) + sorted(ROOT.glob("perfbench/corpus/*.poly"))
+    polys = [parse_polytope(path.read_text()) for path in files] + random_polytopes(12, 300)
+    assert len(polys) > 300
+    for poly in polys:
+        verts = _enumerate_vertices(poly)
+        expected = rref_vertices(poly)
+        assert list(verts) == list(expected)
+        assert [active for active, _ in verts.values()] == list(expected.values())
+        for active, smooth in verts.values():
+            basis = len(active) == poly.d and extends_to_lattice_basis(
+                [poly.facets[j][0] for j in sorted(active)], poly.d
+            )
+            assert smooth == basis
+
+
+def graded_lex_positive_b(iota, k, grade_cap):
+    """Reference: sort each 1-norm shell of Z^k, test every candidate's image."""
+    for grade in range(1, grade_cap + 1):
+        shell = sorted(m for a in monomials_of_degree(k, grade) for m in product(*({x, -x} for x in a)))
+        for m in shell:
+            if all(x >= 1 for x in mat_vec(iota, m)):
+                return m
+    return None
+
+
+def test_find_positive_b_matches_sorted_shells():
+    files = sorted(ROOT.glob("perfbench/corpus/*.poly"))
+    datas = []
+    for path in files:
+        try:
+            datas.append(toric_data(parse_polytope(path.read_text())))
+        except ToricHypothesisError:
+            continue
+    assert max(T.k for T in datas) == 5
+    for T in datas:
+        assert find_positive_b(T.iota, T.k) == graded_lex_positive_b(T.iota, T.k, 8) == T.b
+    rng = random.Random(13)
+    found = 0
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        iota = tuple(tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(rng.randint(k, k + 3)))
+        expected = graded_lex_positive_b(iota, k, 4)
+        if expected is None:
+            with pytest.raises(ToricHypothesisError):
+                find_positive_b(iota, k, grade_cap=4)
+        else:
+            found += 1
+            assert find_positive_b(iota, k, grade_cap=4) == expected
+    assert 50 < found < 250
