@@ -41,7 +41,7 @@ from toricspec.quadforms import DecompositionParams, spectrum as quad_spectrum
 
 
 def frac_str(x) -> str:
-    return str(Fraction(x))
+    return str(x) if type(x) in (int, Fraction) else str(Fraction(x))
 
 
 def vec_str(v) -> str:

@@ -1,5 +1,9 @@
 """Buchberger's algorithm over Q in graded reverse lexicographic order.
 
+Coefficients stay exact (`int | Fraction`).  The bases are monic, so a
+division step scales a basis element by a dividend coefficient and divides by
+nothing.
+
 The membership algebra needs no saturation: its relation ideals are generated
 by linear forms, so each is the ideal of a linear subspace and hence prime.
 Saturating it by the product of the coordinates changes it only when it
@@ -7,8 +11,9 @@ contains a coordinate, and then the saturation is the unit ideal.
 """
 
 import heapq
+from operator import add, ge, sub
 
-from toricspec.polys import Poly, grevlex_key
+from toricspec.polys import Poly, exact_div, grevlex_key
 
 
 def normal_form(f: Poly, basis) -> Poly:
@@ -31,14 +36,14 @@ def normal_form(f: Poly, basis) -> Poly:
         c = work.pop(e, None)
         if c is None:
             continue  # a stale heap entry: the term cancelled earlier
-        for (ge, gc), terms in divisors:
-            if all(a >= b for a, b in zip(e, ge)):
-                diff = tuple(a - b for a, b in zip(e, ge))
-                factor = c / gc
+        for (lead, gc), terms in divisors:
+            if all(map(ge, e, lead)):
+                diff = tuple(map(sub, e, lead))
+                factor = c if gc == 1 else exact_div(c, gc)
                 for te, tc in terms.items():
-                    if te == ge:
+                    if te == lead:
                         continue  # the leading term cancels exactly
-                    t = tuple(a + b for a, b in zip(te, diff))
+                    t = tuple(map(add, te, diff))
                     d = factor * tc
                     old = work.get(t)
                     if old is None:
@@ -71,8 +76,8 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     fe, fc = f.leading()
     ge, gc = g.leading()
     l = _lcm(fe, ge)
-    return f.term_mul(tuple(a - b for a, b in zip(l, fe)), 1 / fc) - g.term_mul(
-        tuple(a - b for a, b in zip(l, ge)), 1 / gc
+    return f.term_mul(tuple(a - b for a, b in zip(l, fe)), exact_div(1, fc)) - g.term_mul(
+        tuple(a - b for a, b in zip(l, ge)), exact_div(1, gc)
     )
 
 

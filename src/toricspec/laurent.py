@@ -25,7 +25,7 @@ The two backends must agree; a disagreement raises.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 from toricspec.groebner import buchberger, normal_form
 from toricspec.lattice import (
@@ -37,7 +37,7 @@ from toricspec.lattice import (
     transpose,
     vec_gcd,
 )
-from toricspec.polys import Poly, monomials_of_degree
+from toricspec.polys import Poly, exact_div, monomials_of_degree
 from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
 
 
@@ -123,7 +123,7 @@ class LinearSubspace:
 
     def coordinate_form(self, i: int) -> Poly:
         """The linear form l_i = (row i of basis) . w."""
-        return Poly.linear_form(tuple(Fraction(x) for x in self.basis[i]))
+        return Poly.linear_form(self.basis[i])
 
     def form_power(self, i: int, e: int) -> Poly:
         """l_i ** e, built once per (subspace, i, e)."""
@@ -188,17 +188,17 @@ class RestrictedElement:
             return NotImplemented
         return (self.numerator * other._denom_poly()) == (other.numerator * self._denom_poly())
 
-    def is_scalar_multiple_of(self, other) -> Fraction | None:
+    def is_scalar_multiple_of(self, other) -> int | Fraction | None:
         """The scalar c with self = c * other, if one exists."""
         left = self.numerator * other._denom_poly()
         right = other.numerator * self._denom_poly()
         if right.is_zero():
-            return Fraction(0) if left.is_zero() else None
+            return 0 if left.is_zero() else None
         e, c = right.leading()
         lc = left.terms.get(e)
         if lc is None:
             return None
-        scale = lc / c
+        scale = exact_div(lc, c)
         return scale if left == right * scale else None
 
     def reduced(self):
@@ -463,22 +463,29 @@ def _groebner_verdict(q: Poly, module: MonomialModule, subspace: LinearSubspace,
 # --- membership: brute (graded linear-algebra) backend -------------------------
 
 
-def restriction_class_key(subspace: LinearSubspace, exps):
-    """Monomials with equal keys restrict to scalar multiples of each other:
-    group the coordinates by (sign-normalized primitive) restriction direction
-    and sum the exponents within each group."""
+def _direction_groups(basis):
+    """Per coordinate, the index of its (sign-normalized primitive) restriction
+    direction among the distinct directions, and the number of directions."""
     directions: dict = {}
-    sums: list = []
-    for i, row in enumerate(subspace.basis):
+    groups = []
+    for row in basis:
         g = vec_gcd(row)
         key = tuple(x // g for x in row) if g else tuple(row)
         neg = tuple(-x for x in key)
         if key not in directions and neg in directions:
             key = neg
-        if key not in directions:
-            directions[key] = len(sums)
-            sums.append(0)
-        sums[directions[key]] += exps[i]
+        groups.append(directions.setdefault(key, len(directions)))
+    return tuple(groups), len(directions)
+
+
+def restriction_class_key(subspace: LinearSubspace, exps):
+    """Monomials with equal keys restrict to scalar multiples of each other:
+    group the coordinates by restriction direction (built once per subspace)
+    and sum the exponents within each group."""
+    groups, count = memo("restriction_groups", subspace.basis, lambda: _direction_groups(subspace.basis))
+    sums = [0] * count
+    for group, e in zip(groups, exps):
+        sums[group] += e
     return tuple(sums)
 
 
@@ -507,45 +514,88 @@ def _axpy(target: dict, f, vec: dict):
 
 
 class _Span:
-    """Incremental row-echelon span of coefficient vectors keyed by exponent.
+    """Incremental row-echelon span of coefficient vectors keyed by exponent,
+    kept fraction-free: a pivot is an integer vector keyed by its leading
+    exponent and stored with its leading coefficient, made positive; it has
+    no content (with tracking, none in common with its label combination).
 
-    With `track`, each pivot carries its combination of the labels of the
-    inserted vectors, so a vector that reduces to zero comes with its
-    expression in them."""
+    With `track`, each pivot also carries the integer combination of the
+    labels of the inserted vectors that equals it, so a vector that reduces
+    to zero comes with its expression in them."""
 
     def __init__(self, track=False):
         self.track = track
-        self.pivots = {}  # leading exponent -> (monic reduced vector, label combination)
+        self.pivots = {}  # leading exponent -> (vector, leading coefficient, label combination)
 
-    def reduce(self, vec, combo=None):
-        """`vec` minus pivot multiples until no pivot exponent is left; the
-        subtracted label combination is added to `combo` when one is given."""
-        vec = {e: c for e, c in vec.items() if c}
+    def reduce(self, vec, scale=1, combo=None):
+        """Eliminate the pivot exponents from `vec`; returns (residual, scale,
+        combo), the residual empty exactly when `vec` lies in the span.
+
+        Membership does not change under scaling, so the denominators of a
+        fresh query (scale 1, no combination yet) are cleared first, and a
+        pivot with leading coefficient p removes an entry f as
+        vec <- (p/g) vec - (f/g) pivot, g = gcd(f, p), after which the
+        content is divided out.  With a label combination `combo`
+        (tracking), scale and combo follow along, keeping
+        scale * query = residual + sum combo[label] * column when that held
+        for the given `vec`."""
+        if not all(type(c) is int for c in vec.values()):
+            den = lcm(*(c.denominator for c in vec.values()))
+            vec = {e: c.numerator * (den // c.denominator) for e, c in vec.items()}
+            scale *= den
+        vec, scale, combo = _primitive({e: c for e, c in vec.items() if c}, scale, combo)
+        pivots = self.pivots
         while True:
-            hits = [e for e in vec if e in self.pivots]
+            hits = [e for e in vec if e in pivots]
             if not hits:
-                return vec
+                return vec, scale, combo
             lead = max(hits)
             f = vec[lead]
-            pivot, labels = self.pivots[lead]
-            _axpy(vec, -f, pivot)
+            pivot, p, labels = pivots[lead]
+            g = gcd(f, p)
+            a, b = p // g, f // g
+            if a != 1:
+                for e in vec:
+                    vec[e] *= a
+            _axpy(vec, -b, pivot)
             if combo is not None:
-                _axpy(combo, f, labels)
+                if a != 1:
+                    scale *= a
+                    for lab in combo:
+                        combo[lab] *= a
+                _axpy(combo, b, labels)
+            vec, scale, combo = _primitive(vec, scale, combo)
 
     def add(self, vec, label=None) -> bool:
         """Insert after reduction; returns True when the span grew."""
-        combo = {} if self.track else None
-        red = self.reduce(vec, combo)
+        red, scale, combo = self.reduce(vec, 1, {} if self.track else None)
         if not red:
             return False
         lead = max(red)
-        inv = 1 / red[lead]
         labels = None
         if self.track:
-            labels = {lab: -c * inv for lab, c in combo.items()}
-            labels[label] = inv
-        self.pivots[lead] = ({e: c * inv for e, c in red.items()}, labels)
+            # scale * vec = red + sum combo * column, with no common content
+            labels = {lab: -c for lab, c in combo.items()}
+            labels[label] = scale
+        if red[lead] < 0:
+            red = {e: -c for e, c in red.items()}
+            if labels is not None:
+                labels = {lab: -c for lab, c in labels.items()}
+        self.pivots[lead] = (red, red[lead], labels)
         return True
+
+
+def _primitive(vec, scale, combo):
+    """`vec`, and with a label combination also `scale` and `combo`, divided
+    by their common content."""
+    content = gcd(*vec.values(), *(() if combo is None else (scale, *combo.values())))
+    if content <= 1:
+        return vec, scale, combo
+    vec = {e: c // content for e, c in vec.items()}
+    if combo is not None:
+        scale //= content
+        combo = {lab: c // content for lab, c in combo.items()}
+    return vec, scale, combo
 
 
 class _GradedSlice:
@@ -561,18 +611,19 @@ class _GradedSlice:
             for mono in monomials_of_degree(k, degree - rg.total_degree())
         )
 
-    def residual(self, vec, combo=None):
-        """`vec` reduced against the span, pulling columns while it is nonzero;
-        empty exactly when `vec` lies in the slice."""
-        vec = self.span.reduce(vec, combo)
+    def residual(self, vec, track=False):
+        """`vec` reduced against the span, pulling columns while it is nonzero:
+        (residual, scale, combo) as in `_Span.reduce`, the residual empty
+        exactly when `vec` lies in the slice."""
+        vec, scale, combo = self.span.reduce(vec, 1, {} if track else None)
         while vec:
             column = next(self.columns, None)
             if column is None:
                 break
             label, col = column
             if self.span.add(col.terms, label):
-                vec = self.span.reduce(vec, combo)
-        return vec
+                vec, scale, combo = self.span.reduce(vec, scale, combo)
+        return vec, scale, combo
 
 
 def _brute_verdict(q, module, subspace, window, want_certificate=False):
@@ -598,13 +649,13 @@ def _brute_verdict(q, module, subspace, window, want_certificate=False):
             (level, degree, want_certificate),
             lambda: _GradedSlice(gens, cleared_gens, degree, k, want_certificate),
         )
-        combo = {} if want_certificate else None
-        if graded.residual(component.terms, combo):
+        residual, scale, combo = graded.residual(component.terms, want_certificate)
+        if residual:
             return False, None
         if want_certificate:
             multipliers = {}
             for (g, mono), c in combo.items():
-                multipliers.setdefault(g, {})[mono] = c
+                multipliers.setdefault(g, {})[mono] = exact_div(c, scale)
             certificate[degree] = {g: Poly(k, t) for g, t in multipliers.items()}
     return True, certificate
 

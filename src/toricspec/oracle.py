@@ -59,39 +59,33 @@ def feasible_supports(toric: ToricData) -> list[tuple[int, ...]]:
     )
 
 
-def _fraction_gcd(values) -> Fraction:
-    """Generator of the additive subgroup of Q spanned by the values."""
-    nums = [v for v in values if v]
-    if not nums:
-        return Fraction(0)
-    denom = 1
-    for v in nums:
-        denom = lcm(denom, v.denominator)
-    g = 0
-    for v in nums:
-        g = gcd(g, int(v * denom))
-    return Fraction(g, denom)
-
-
 def _support_class(toric: ToricData, dmap: DiagonalMap, support) -> SpectrumClass:
     """Solve the phase congruence iota_S lam in c + Z^k on one support.
 
     The support is the complement of a Delzant vertex's facets, so the k x k
     minor iota_S is unimodular: the solutions are lam = iota_S^-1 (c + z) for
     z in Z^k, and their values -p(lam) = -x.(c + z), with x = iota_S^-T p,
-    form base + step Z.
+    form base + step Z.  Both products run on integer numerators over a
+    common denominator.
     """
     inv = unimodular_inverse(tuple(toric.iota[j - 1] for j in support))
     half = Fraction(1, 2) if dmap.twisted else Fraction(0)
-    c = [half - dmap.mu[j - 1] for j in support]
-    x = [sum((row[t] * pi for row, pi in zip(inv, toric.p)), Fraction(0)) for t in range(toric.k)]
-    lam = tuple(sum((a * ci for a, ci in zip(row, c)), Fraction(0)) for row in inv)
+    p_den, p_num = _common_denominator(toric.p)
+    c_den, c_num = _common_denominator([half - dmap.mu[j - 1] for j in support])
+    x_num = [sum(row[t] * pi for row, pi in zip(inv, p_num)) for t in range(toric.k)]
     return SpectrumClass(
         support=tuple(support),
-        base=-sum((xi * ci for xi, ci in zip(x, c)), Fraction(0)),
-        step=_fraction_gcd(x),
-        witness_lambda=lam,
+        base=Fraction(-sum(xi * ci for xi, ci in zip(x_num, c_num)), p_den * c_den),
+        step=Fraction(gcd(*x_num), p_den),
+        witness_lambda=tuple(Fraction(sum(a * ci for a, ci in zip(row, c_num)), c_den) for row in inv),
     )
+
+
+def _common_denominator(values):
+    """(D, numerators) with values[i] = numerators[i] / D, D the lcm of the
+    denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _class_values_in(cls: SpectrumClass, lo: Fraction, hi: Fraction):

@@ -3,9 +3,31 @@
 One type serves the module elements (signed exponents in u_1..u_n), the
 restriction machinery (numerators in the subspace coordinates) and the
 Groebner engine (nonnegative exponents, graded reverse lexicographic order).
+
+Coefficients are exact and canonical: an `int` when integral, a `Fraction`
+otherwise.  The coordinate forms have integer coefficients, so most of the
+membership algebra runs in integers; coefficients are divided only through
+`exact_div`, since `int / int` would give a float.
 """
 
 from fractions import Fraction
+from operator import add
+
+
+def exact_coefficient(c):
+    """c as a canonical coefficient: an int when integral, else a Fraction."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"polynomial coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
+def exact_div(a, b):
+    """The exact quotient a / b of two coefficients: an int when integral."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return exact_coefficient(Fraction(a, b))
 
 
 def grevlex_key(exps):
@@ -27,8 +49,8 @@ def monomials_of_degree(nvars, degree):
 
 
 class Poly:
-    """Polynomial in `nvars` variables with Fraction coefficients; exponents
-    may be negative."""
+    """Polynomial in `nvars` variables with exact coefficients (`int` when
+    integral, else `Fraction`); exponents may be negative."""
 
     __slots__ = ("nvars", "terms", "_leading")
 
@@ -37,8 +59,9 @@ class Poly:
         self._leading = None
         self.terms = {}
         if terms:
-            for exps, coeff in terms.items():
-                c = Fraction(coeff)
+            for exps, c in terms.items():
+                if type(c) is not int:
+                    c = exact_coefficient(c)
                 if c:
                     self.terms[tuple(exps)] = c
 
@@ -48,11 +71,11 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def monomial(cls, exps, coeff=1):
-        return cls(len(exps), {tuple(exps): Fraction(coeff)})
+        return cls(len(exps), {tuple(exps): coeff})
 
     @classmethod
     def linear_form(cls, coeffs):
@@ -62,7 +85,7 @@ class Poly:
             if c:
                 e = [0] * n
                 e[i] = 1
-                terms[tuple(e)] = Fraction(c)
+                terms[tuple(e)] = c
         return cls(n, terms)
 
     def is_zero(self):
@@ -99,15 +122,13 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Fraction) or isinstance(other, int):
-            if not other:
-                return Poly.zero(self.nvars)
+        if not isinstance(other, Poly):
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check_nvars(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -134,7 +155,7 @@ class Poly:
             raise ValueError(f"variable count mismatch: {self.nvars} and {len(exps)}")
         return Poly(
             self.nvars,
-            {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()},
+            {tuple(map(add, e, exps)): c * coeff for e, c in self.terms.items()},
         )
 
     def min_exponents(self):
@@ -169,7 +190,7 @@ class Poly:
         if not self.terms:
             return self
         _, c = self.leading()
-        return self * (1 / c)
+        return self * exact_div(1, c)
 
     def exact_divide(self, divisor):
         """Quotient if divisor divides exactly, else None."""
@@ -183,8 +204,8 @@ class Poly:
             diff = tuple(a - b for a, b in zip(e, de))
             if any(x < 0 for x in diff):
                 return None
-            q[diff] = c / dc
-            rem = rem - divisor.term_mul(diff, c / dc)
+            q[diff] = f = exact_div(c, dc)
+            rem = rem - divisor.term_mul(diff, f)
         return Poly(self.nvars, q)
 
     def render(self, names=None):

@@ -13,7 +13,7 @@ containing a line.  The vertices' active facet sets are kept on the
 reduction data, where they give the translated spectrum's minimal supports.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -95,6 +95,15 @@ class ToricData:
     hbar: Fraction | None             # 1 exactly when p is primitive integral
     polytope: DelzantPolytope
     vertex_facets: tuple[frozenset[int], ...]  # 0-based active facets, per vertex
+
+    def __hash__(self):
+        """The hash of the field tuple, as the dataclass would compute it, but
+        taken once per instance: a ToricData sits in every memo key."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def k(self) -> int:

@@ -419,3 +419,13 @@ def test_member_needing_high_multiplier_degree(backend):
     )
     assert code == 0
     assert machine_dict(out)["member"] == "true"
+
+
+def test_frac_str_formats_every_exact_type():
+    from fractions import Fraction
+
+    from toricspec.cli import frac_str
+
+    cases = [(0, "0"), (-3, "-3"), (True, "1"), (Fraction(6, 4), "3/2"), (Fraction(-4, 2), "-2"), ("2/4", "1/2")]
+    for value, text in cases:
+        assert frac_str(value) == text == str(Fraction(value))

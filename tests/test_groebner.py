@@ -169,7 +169,7 @@ def _textbook_normal_form(f, basis):
         for g, (ge, gc) in zip(basis, leads):
             diff = tuple(a - b for a, b in zip(e, ge))
             if all(x >= 0 for x in diff):
-                work = work - g.term_mul(diff, c / gc)
+                work = work - g.term_mul(diff, Fraction(c) / gc)
                 break
         else:
             rem[e] = c

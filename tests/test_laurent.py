@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -20,12 +21,14 @@ from toricspec.laurent import (
     module_generators,
     novikov_shift,
     restrict,
+    restriction_class_key,
     verify_certificate,
     _brute_verdict,
     _generator_floor,
     _groebner_verdict,
     _minimal_monomials,
     _reduced_ideal_gb,
+    _Span,
     reduce_modulo,
 )
 from toricspec.polys import Poly
@@ -340,13 +343,15 @@ def test_memo_clear_caches_and_counts(T_monotone):
     clear_caches()
     assert memo_counts() == {}
     first = [membership(q, km.module, km.subspace) for q in queries]
+    classes = [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries]
     built = memo_counts()
     kinds = ("generators", "generator_floor", "groebner", "cleared_generators", "graded_slice",
-             "form_power", "relation_substitution", "relation_power")
+             "form_power", "relation_substitution", "relation_power", "restriction_groups")
     for kind in kinds:
         assert built[kind][1] > 0, kind
     again = [membership(q, km.module, km.subspace) for q in queries]
     assert again == first
+    assert [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries] == classes
     km.module.generators()
     counts = memo_counts()
     for kind in kinds:
@@ -500,3 +505,135 @@ def test_certificate_labels_may_be_any_module_monomial(T_monotone):
     zero = (0,) * T_monotone.n
     assert not any(all(a >= b for a, b in zip(zero, h)) for h in gens)
     assert not verify_certificate(Poly.monomial(zero), km.module, km.subspace, {0: {zero: one}}, window=2)
+
+
+# --- the fraction-free span ---------------------------------------------------------
+
+
+class _FractionSpan:
+    """Reference span: monic Fraction pivots, each with its label combination."""
+
+    def __init__(self, track=False):
+        self.track = track
+        self.pivots = {}
+
+    @staticmethod
+    def _axpy(target, f, vec):
+        for e, c in vec.items():
+            s = target.get(e, 0) + f * c
+            if s:
+                target[e] = s
+            else:
+                target.pop(e, None)
+
+    def reduce(self, vec, combo=None):
+        vec = {e: Fraction(c) for e, c in vec.items() if c}
+        while True:
+            hits = [e for e in vec if e in self.pivots]
+            if not hits:
+                return vec
+            lead = max(hits)
+            f = vec[lead]
+            pivot, labels = self.pivots[lead]
+            self._axpy(vec, -f, pivot)
+            if combo is not None:
+                self._axpy(combo, f, labels)
+
+    def add(self, vec, label=None):
+        combo = {} if self.track else None
+        red = self.reduce(vec, combo)
+        if not red:
+            return False
+        lead = max(red)
+        inv = 1 / red[lead]
+        labels = None
+        if self.track:
+            labels = {lab: -c * inv for lab, c in combo.items()}
+            labels[label] = inv
+        self.pivots[lead] = ({e: c * inv for e, c in red.items()}, labels)
+        return True
+
+
+def _rand_vec(rng, rational, support=10, size=5):
+    vec = {}
+    for _ in range(rng.randint(1, size)):
+        e = (rng.randint(0, support), rng.randint(0, 2))
+        vec[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rational else rng.randint(-9, 9)
+    return vec
+
+
+def _combination(rng, vecs):
+    out = {}
+    for vec in rng.sample(vecs, min(3, len(vecs))):
+        f = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for e, c in vec.items():
+            out[e] = out.get(e, 0) + f * c
+    return out
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_fraction_free_span_matches_fraction_span(rational):
+    rng = random.Random(53 + rational)
+    verdicts = set()
+    for trial in range(150):
+        columns = [_rand_vec(rng, rational) for _ in range(rng.randint(1, 14))]
+        # repeats and combinations of earlier columns do not grow the span
+        columns += [_combination(rng, columns) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(columns)
+        for track in (False, True):
+            span, ref = _Span(track), _FractionSpan(track)
+            for i, col in enumerate(columns):
+                assert span.add(col, i) == ref.add(col, i)
+            assert len(span.pivots) == len(ref.pivots)
+            for lead, (vec, p, labels) in span.pivots.items():
+                assert all(type(c) is int for c in vec.values())
+                assert p == vec[lead] > 0 and max(vec) == lead
+                if track:
+                    # a pivot is the integer combination of the columns it names
+                    assert all(type(c) is int for c in labels.values())
+                    rebuilt = {}
+                    for lab, c in labels.items():
+                        ref._axpy(rebuilt, c, columns[lab])
+                    assert rebuilt == vec
+            queries = [_combination(rng, columns) for _ in range(3)] + [_rand_vec(rng, rational) for _ in range(3)]
+            for q in queries:
+                residual, scale, combo = span.reduce(q, 1, {} if track else None)
+                member = not ref.reduce(q)
+                assert (not residual) == member
+                verdicts.add(member)
+                if track and member:
+                    # combo / scale rebuilds the query exactly
+                    rebuilt = {}
+                    for lab, c in combo.items():
+                        ref._axpy(rebuilt, Fraction(c, scale), columns[lab])
+                    assert rebuilt == {e: c for e, c in q.items() if c}
+    assert verdicts == {True, False}
+
+
+def _class_key_reference(subspace, exps):
+    """The grouping recomputed on every call, as a direct reference."""
+    directions, sums = {}, []
+    for i, row in enumerate(subspace.basis):
+        g = gcd(*row)
+        key = tuple(x // g for x in row) if g else tuple(row)
+        neg = tuple(-x for x in key)
+        if key not in directions and neg in directions:
+            key = neg
+        if key not in directions:
+            directions[key] = len(sums)
+            sums.append(0)
+        sums[directions[key]] += exps[i]
+    return tuple(sums)
+
+
+def test_restriction_class_key_matches_reference(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    rng = random.Random(59)
+    clear_caches()
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            sub = maker(T, H, 2).subspace
+            for _ in range(40):
+                exps = tuple(rng.randint(-3, 3) for _ in range(T.n))
+                assert restriction_class_key(sub, exps) == _class_key_reference(sub, exps)
+    hits, misses = memo_counts()["restriction_groups"]
+    assert misses <= 10 and hits >= 390

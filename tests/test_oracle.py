@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from toricspec.oracle import (
     DiagonalMap,
     SpectrumReport,
+    SpectrumClass,
+    _support_class,
     count_in_period,
     count_report,
     feasible_supports,
     spectrum,
 )
-from toricspec.lattice import det
+from toricspec.lattice import det, unimodular_inverse
 from toricspec.polytope import (
     ToricHypothesisError,
     parse_polytope,
@@ -244,3 +247,39 @@ def test_spectrum_cube(T_cube):
     mu = (Q, Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
     dmap = DiagonalMap(mu=mu)
     assert count_in_period(T_cube, dmap, Fraction(1, 16)) == T_cube.min_chern
+
+
+def _fraction_support_class(toric, dmap, support):
+    """Reference: the class of one support in Fraction arithmetic throughout."""
+    inv = unimodular_inverse(tuple(toric.iota[j - 1] for j in support))
+    half = H if dmap.twisted else Fraction(0)
+    c = [half - dmap.mu[j - 1] for j in support]
+    x = [sum((row[t] * pi for row, pi in zip(inv, toric.p)), Fraction(0)) for t in range(toric.k)]
+    nums = [v for v in x if v]
+    denom = lcm(*(v.denominator for v in nums))
+    g = 0
+    for v in nums:
+        g = gcd(g, int(v * denom))
+    return SpectrumClass(
+        support=tuple(support),
+        base=-sum((xi * ci for xi, ci in zip(x, c)), Fraction(0)),
+        step=Fraction(g, denom),
+        witness_lambda=tuple(sum((a * ci for a, ci in zip(row, c)), Fraction(0)) for row in inv),
+    )
+
+
+def test_support_class_matches_fraction_reference():
+    rng = random.Random(61)
+    polys = [cp1xcp1(), cp1xcp1((H, H, Fraction(1), Fraction(1))), cpn_simplex(3), cube3()]
+    checked = 0
+    for poly in polys + compact_smooth_files():
+        T = toric_data(poly)
+        for twisted in (True, False):
+            mu = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(T.n))
+            dmap = DiagonalMap(mu=mu, twisted=twisted)
+            for support in feasible_supports(T):
+                got = _support_class(T, dmap, support)
+                assert got == _fraction_support_class(T, dmap, support)
+                assert all(type(v) is Fraction for v in (got.base, got.step, *got.witness_lambda))
+                checked += 1
+    assert checked > 100

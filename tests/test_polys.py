@@ -1,0 +1,205 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from toricspec.groebner import normal_form
+from toricspec.polys import Poly, exact_div, grevlex_key
+
+
+class _FractionPoly:
+    """Reference polynomial: every coefficient a Fraction, every operation
+    written out directly, leading terms found afresh each time."""
+
+    def __init__(self, nvars, terms):
+        self.nvars = nvars
+        self.terms = {tuple(e): Fraction(c) for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return _FractionPoly(self.nvars, out)
+
+    def __neg__(self):
+        return _FractionPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return _FractionPoly(self.nvars, out)
+
+    def __pow__(self, k):
+        out = _FractionPoly(self.nvars, {(0,) * self.nvars: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def term_mul(self, exps, coeff):
+        return _FractionPoly(
+            self.nvars, {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()}
+        )
+
+    def leading(self):
+        e = max(self.terms, key=grevlex_key)
+        return e, self.terms[e]
+
+    def monic(self):
+        if not self.terms:
+            return self
+        _, c = self.leading()
+        return _FractionPoly(self.nvars, {e: x / c for e, x in self.terms.items()})
+
+    def exact_divide(self, divisor):
+        rem, q = self, {}
+        de, dc = divisor.leading()
+        while rem.terms:
+            e, c = rem.leading()
+            diff = tuple(a - b for a, b in zip(e, de))
+            if any(x < 0 for x in diff):
+                return None
+            q[diff] = c / dc
+            rem = rem - divisor.term_mul(diff, c / dc)
+        return _FractionPoly(self.nvars, q)
+
+    def normal_form(self, basis):
+        rem, work = {}, self
+        while work.terms:
+            e, c = work.leading()
+            for g in basis:
+                ge, gc = g.leading()
+                diff = tuple(a - b for a, b in zip(e, ge))
+                if all(x >= 0 for x in diff):
+                    work = work - g.term_mul(diff, c / gc)
+                    break
+            else:
+                rem[e] = c
+                work = _FractionPoly(self.nvars, {k: v for k, v in work.terms.items() if k != e})
+        return _FractionPoly(self.nvars, rem)
+
+
+def _canonical(p: Poly):
+    """Every stored coefficient is a nonzero int or a non-integral Fraction."""
+    for c in p.terms.values():
+        assert c
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+    return True
+
+
+def _same(p: Poly, ref: _FractionPoly):
+    assert _canonical(p)
+    assert p.terms == ref.terms
+    return True
+
+
+def _rand_coeff(rng, rational):
+    if rational and rng.random() < 0.5:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return rng.randint(-6, 6)
+
+
+def _rand_pair(rng, nvars, nterms, degree, rational, signed=False):
+    lo = -2 if signed else 0
+    terms = {
+        tuple(rng.randint(lo, degree) for _ in range(nvars)): _rand_coeff(rng, rational)
+        for _ in range(nterms)
+    }
+    return Poly(nvars, terms), _FractionPoly(nvars, terms)
+
+
+def test_poly_matches_fraction_reference():
+    rng = random.Random(41)
+    checked = 0
+    for trial in range(300):
+        nvars = rng.randint(1, 3)
+        rational = trial % 2 == 1
+        signed = trial % 3 == 0
+        (f, rf), (g, rg) = (_rand_pair(rng, nvars, rng.randint(0, 5), 3, rational, signed) for _ in range(2))
+        _same(f, rf)
+        _same(f + g, rf + rg)
+        _same(f - g, rf - rg)
+        _same(f - f, rf - rf)
+        _same(f * g, rf * rg)
+        k = rng.randint(0, 3)
+        _same(f ** k, rf ** k)
+        exps = tuple(rng.randint(-1, 2) for _ in range(nvars))
+        coeff = _rand_coeff(rng, True)
+        _same(f.term_mul(exps, coeff), rf.term_mul(exps, coeff))
+        _same(f * coeff, rf.term_mul((0,) * nvars, coeff))
+        _same(f.monic(), rf.monic())
+        # equality and hashing do not see how a coefficient was written
+        same = Poly(nvars, {e: Fraction(c) for e, c in f.terms.items()})
+        assert same == f and hash(same) == hash(f)
+        assert (f == g) == (f.terms == g.terms)
+        if not signed and g.terms:
+            product = f * g
+            assert product.exact_divide(g) == f
+            q = (product + Poly.constant(nvars, 1)).exact_divide(g)
+            ref_q = (rf * rg + _FractionPoly(nvars, {(0,) * nvars: 1})).exact_divide(rg)
+            assert (q is None) == (ref_q is None)
+            if q is not None:
+                _same(q, ref_q)
+            checked += 1
+    assert checked > 100
+
+
+def test_normal_form_matches_fraction_reference():
+    rng = random.Random(43)
+    for trial in range(120):
+        nvars = rng.randint(1, 3)
+        rational = trial % 2 == 1
+        basis = [_rand_pair(rng, nvars, rng.randint(1, 3), 2, rational) for _ in range(rng.randint(1, 3))]
+        basis = [(g, rg) for g, rg in basis if g.terms]
+        f, rf = _rand_pair(rng, nvars, 6, 4, rational)
+        # non-monic divisors as well as the monic ones of a Groebner basis
+        for divisors, refs in (
+            ([g for g, _ in basis], [rg for _, rg in basis]),
+            ([g.monic() for g, _ in basis], [rg.monic() for _, rg in basis]),
+        ):
+            _same(normal_form(f, divisors), rf.normal_form(refs))
+
+
+def test_integer_polys_stay_integer():
+    rng = random.Random(47)
+    for _ in range(50):
+        f, _ = _rand_pair(rng, 3, 4, 3, False)
+        g, _ = _rand_pair(rng, 3, 3, 2, False)
+        for p in (f + g, f * g, f ** 3, f.term_mul((1, -1, 0), 7)):
+            assert all(type(c) is int for c in p.terms.values())
+    assert Poly(2, {(1, 0): Fraction(4, 2)}).terms == {(1, 0): 2}
+    assert type(Poly(2, {(1, 0): Fraction(4, 2)}).terms[1, 0]) is int
+    assert type(Poly.monomial((1, 1), True).terms[1, 1]) is int
+    assert (Poly.linear_form((2, 4)).monic()).terms == {(1, 0): 1, (0, 1): 2}
+    assert Poly.linear_form((3, 4)).monic().terms == {(1, 0): 1, (0, 1): Fraction(4, 3)}
+
+
+def test_float_coefficients_raise():
+    f = Poly.linear_form((1, 2))
+    for make in (
+        lambda: Poly(2, {(1, 0): 0.5}),
+        lambda: Poly(2, {(1, 0): 0.0}),
+        lambda: Poly.constant(2, 1.0),
+        lambda: Poly.monomial((1, 0), 2.0),
+        lambda: Poly.linear_form((1.0, 2)),
+        lambda: f * 0.5,
+        lambda: 0.5 * f,
+        lambda: f.term_mul((0, 1), 1.5),
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_exact_div():
+    assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
+    assert exact_div(-6, 4) == Fraction(-3, 2)
+    assert exact_div(7, -7) == -1 and type(exact_div(7, -7)) is int
+    assert exact_div(Fraction(3, 2), Fraction(1, 2)) == 3 and type(exact_div(Fraction(3, 2), Fraction(1, 2))) is int
+    assert exact_div(1, Fraction(2, 3)) == Fraction(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)

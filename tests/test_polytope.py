@@ -369,3 +369,18 @@ def test_find_positive_b_matches_sorted_shells():
             found += 1
             assert find_positive_b(iota, k, grade_cap=4) == expected
     assert 50 < found < 250
+
+
+def test_toric_data_hash_is_the_field_hash_taken_once():
+    from dataclasses import fields, replace
+
+    for poly in (cp1xcp1(), cube3(), cpn_simplex(2)):
+        T, fresh = toric_data(poly), toric_data(poly)
+        assert T is not fresh and T == fresh
+        expected = hash(tuple(getattr(T, f.name) for f in fields(T)))
+        assert hash(T) == hash(fresh) == expected
+        assert hash(T) == expected  # the cached value
+        moved = replace(T, b=tuple(2 * x for x in T.b))
+        assert moved != T
+        assert hash(moved) == hash(tuple(getattr(moved, f.name) for f in fields(moved)))
+        assert "_hash" not in {f.name for f in fields(T)}
