@@ -240,12 +240,15 @@ def cmd_bound(args, report: Report) -> int:
 def cmd_spectrum(args, report: Report) -> int:
     if args.window is None and args.nu is None:
         raise ValueError("spectrum requires --window and/or --nu")
+    if args.window is not None:
+        lo_text, colon, hi_text = args.window.partition(":")
+        if not (colon and lo_text and hi_text):
+            raise ValueError(f"window must be lo:hi, got '{args.window}'")
     data = toric_data(_load(args.polytope))
     mu = parse_vector(args.mu)
     dmap = DiagonalMap(mu=mu, twisted=not args.untwisted)
     classes = None
     if args.window is not None:
-        lo_text, _, hi_text = args.window.partition(":")
         window = (parse_fraction(lo_text), parse_fraction(hi_text))
         res = oracle_spectrum(data, dmap, window)
         classes = res.classes

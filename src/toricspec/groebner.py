@@ -1,8 +1,20 @@
-"""Buchberger's algorithm over Q in graded reverse lexicographic order.
+"""Buchberger's algorithm over Q in graded reverse lexicographic order, run in
+integers.
 
-Coefficients stay exact (`int | Fraction`).  The bases are monic, so a
-division step scales a basis element by a dividend coefficient and divides by
-nothing.
+Polynomials come in and go out as `Poly` with exact coefficients; inside, a
+polynomial is a dict of integer coefficients keyed by exponent.  Division is
+fraction-free: the dividend's denominators are cleared first, and a divisor
+with leading coefficient p removes a term c by scaling the work and the
+remainder by p/g and subtracting (c/g) times a multiple of the divisor,
+g = gcd(c, p); the common content is then divided out.  The accumulated
+scale is divided out once at the end, which gives the exact remainder.
+
+Buchberger's algorithm keeps its basis primitive (integer, content 1,
+positive lead), builds S-polynomials by cross-multiplying the leads, and
+takes its pairs from the Gebauer-Moeller update (criteria B, M, F and the
+product criterion; Gebauer and Moeller, JSC 1988; Becker and Weispfenning,
+*Groebner Bases*, 1993, section 5.5), in a heap ordered by the lcm of the
+leading monomials (the normal strategy).
 
 The membership algebra needs no saturation: its relation ideals are generated
 by linear forms, so each is the ideal of a linear subspace and hence prime.
@@ -11,40 +23,86 @@ contains a coordinate, and then the saturation is the unit ideal.
 """
 
 import heapq
+from fractions import Fraction
+from math import gcd, lcm
 from operator import add, ge, sub
 
 from toricspec.polys import Poly, exact_div, grevlex_key
 
 
-def normal_form(f: Poly, basis) -> Poly:
-    """Remainder of f under multivariate division by `basis`: the largest
-    remaining term is divided by the first basis element whose leading
-    monomial divides it, or else moved to the remainder.  The remaining terms
-    sit in a dict with a heap of their exponents, so a division step costs the
-    size of the divisor, not of the dividend."""
-    if any(g.nvars != f.nvars for g in basis):
-        raise ValueError("basis and polynomial have different variable counts")
-    if not basis:
-        return f
-    divisors = [(g.leading(), g.terms) for g in basis]
-    work = dict(f.terms)
+# --- integer polynomials ---------------------------------------------------------
+#
+# A divisor is the tuple (lead, degree, p, terms): its leading exponent, the
+# total degree of that exponent, its leading coefficient p and its terms, an
+# integer dict holding the lead under the very tuple object `lead`.
+
+
+def _integral(terms):
+    """(`terms` times den, den) for the least common denominator den of the
+    coefficients; the dict is a new one."""
+    if all(type(c) is int for c in terms.values()):
+        return dict(terms), 1
+    den = lcm(*(Fraction(c).denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) if type(c) is Fraction else c * den
+            for e, c in terms.items()}, den
+
+
+def _divisor(terms):
+    """The divisor tuple of a nonzero integer dict divided by its content and
+    made to have a positive lead."""
+    lead = max(terms, key=grevlex_key)
+    content = gcd(*terms.values())
+    if terms[lead] < 0:
+        content = -content
+    if content != 1:
+        terms = {e: c // content for e, c in terms.items()}
+    return lead, sum(lead), terms[lead], terms
+
+
+def _primitive_divisors(polys):
+    return [_divisor(_integral(g.terms)[0]) for g in polys if g.terms]
+
+
+def _heap_key(exps):
+    """Ascending order of this key is descending grevlex order."""
+    return (-sum(exps), exps[::-1])
+
+
+def _divide(work: dict, divisors, full=True):
+    """Divide the integer dict `work` (consumed) by `divisors`, in order: the
+    largest remaining term is divided by the first divisor whose leading
+    monomial divides it, or else moved to the remainder; without `full`, the
+    first term moved ends the division and the rest of `work` goes with it.
+    Returns (remainder, scale): an integer dict and the rational number by
+    which it is the remainder of the given `work`.  After each step that
+    scales, the common content of work and remainder is divided out."""
     heap = [(_heap_key(e), e) for e in work]
     heapq.heapify(heap)
-    rem_terms = {}
+    scale = 1
+    rem = {}
     while heap:
-        e = heapq.heappop(heap)[1]
+        key, e = heapq.heappop(heap)
         c = work.pop(e, None)
         if c is None:
             continue  # a stale heap entry: the term cancelled earlier
-        for (lead, gc), terms in divisors:
-            if all(map(ge, e, lead)):
+        degree = -key[0]
+        for lead, ld, p, terms in divisors:
+            # divisibility implies lower degree and lower lex order, both cheap
+            if ld <= degree and lead <= e and all(map(ge, e, lead)):
+                g = gcd(c, p)
+                a, b = p // g, c // g
+                if a != 1:
+                    scale *= a
+                    for t in work:
+                        work[t] *= a
+                    for t in rem:
+                        rem[t] *= a
                 diff = tuple(map(sub, e, lead))
-                factor = c if gc == 1 else exact_div(c, gc)
                 for te, tc in terms.items():
-                    if te == lead:
+                    if te is lead:
                         continue  # the leading term cancels exactly
                     t = tuple(map(add, te, diff))
-                    d = factor * tc
+                    d = b * tc
                     old = work.get(t)
                     if old is None:
                         work[t] = -d
@@ -53,104 +111,205 @@ def normal_form(f: Poly, basis) -> Poly:
                         work[t] = old - d
                     else:
                         del work[t]
+                if a != 1:
+                    content = gcd(*work.values(), *rem.values())
+                    if content > 1:
+                        scale = Fraction(scale, content)
+                        for t in work:
+                            work[t] //= content
+                        for t in rem:
+                            rem[t] //= content
                 break
         else:
-            rem_terms[e] = c
-    return Poly(f.nvars, rem_terms)
+            rem[e] = c
+            if not full:
+                rem.update(work)
+                break
+    return rem, scale
 
 
-def _heap_key(exps):
-    """Ascending order of this key is descending grevlex order."""
-    return (-sum(exps), exps[::-1])
+def _reduce(terms: dict, divisors, full=True) -> dict:
+    """An integer multiple of the remainder of `terms` under `divisors`; of its
+    leading term alone, without `full`."""
+    return _divide(dict(terms), divisors, full)[0]
 
 
-def _lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+def _monic(d) -> Poly:
+    lead, _, p, terms = d
+    return Poly(len(lead), {e: exact_div(c, p) for e, c in terms.items()})
 
 
-def _disjoint(e1, e2):
-    return all(a == 0 or b == 0 for a, b in zip(e1, e2))
+# --- division --------------------------------------------------------------------
 
 
-def s_polynomial(f: Poly, g: Poly) -> Poly:
-    fe, fc = f.leading()
-    ge, gc = g.leading()
-    l = _lcm(fe, ge)
-    return f.term_mul(tuple(a - b for a, b in zip(l, fe)), exact_div(1, fc)) - g.term_mul(
-        tuple(a - b for a, b in zip(l, ge)), exact_div(1, gc)
-    )
+class DivisionBasis:
+    """A basis prepared for division once: the divisor tuples of its nonzero
+    elements, in list order.  `normal_form` accepts one in place of a list of
+    polynomials, so a basis divided by many times is converted once."""
+
+    __slots__ = ("nvars", "divisors")
+
+    def __init__(self, nvars: int, basis):
+        if any(g.nvars != nvars for g in basis):
+            raise ValueError("basis and polynomial have different variable counts")
+        self.nvars = nvars
+        self.divisors = tuple(_primitive_divisors(basis))
+
+    def __len__(self):
+        return len(self.divisors)
 
 
-def interreduce(basis):
-    """Reduce each element against the others; drop zeros; monic output.
-
-    Each pass replaces every element by its normal form modulo the rest in
-    place; passes repeat until one changes nothing."""
-    work = [g.monic() for g in basis if not g.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(work):
-            r = normal_form(work[i], work[:i] + work[i + 1:])
-            if r.terms != work[i].terms:
-                changed = True
-                if r.is_zero():
-                    del work[i]
-                    continue
-                work[i] = r.monic()
-            i += 1
-    return sorted(work, key=lambda g: g.leading()[0])
-
-
-def buchberger(gens):
-    """Reduced Groebner basis of the ideal generated by `gens`."""
-    basis = interreduce(gens)
-    if not basis:
-        return []
-    leads = [g.leading()[0] for g in basis]
-    pair_key = {}  # pair -> grevlex key of the lcm of its leading exponents
-
-    def add_pairs(new):
-        for t in range(new):
-            pair_key[new, t] = grevlex_key(_lcm(leads[new], leads[t]))
-
-    for i in range(len(basis)):
-        add_pairs(i)
-    pairs = set(pair_key)
-    processed = set()
-    while pairs:
-        # normal strategy: smallest lcm first
-        i, j = min(pairs, key=pair_key.__getitem__)
-        pairs.remove((i, j))
-        processed.add((i, j))
-        ei, ej = leads[i], leads[j]
-        if _disjoint(ei, ej):
-            continue
-        l = _lcm(ei, ej)
-        # chain criterion
-        skip = False
-        for k, ek in enumerate(leads):
-            if k in (i, j):
-                continue
-            if all(a >= b for a, b in zip(l, ek)):
-                p1 = (max(i, k), min(i, k))
-                p2 = (max(j, k), min(j, k))
-                if p1 in processed and p2 in processed:
-                    skip = True
-                    break
-        if skip:
-            continue
-        h = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if h.is_zero():
-            continue
-        basis.append(h.monic())
-        leads.append(basis[-1].leading()[0])
-        new = len(basis) - 1
-        add_pairs(new)
-        pairs.update((new, t) for t in range(new))
-    return interreduce(basis)
+def normal_form(f: Poly, basis) -> Poly:
+    """Remainder of f under multivariate division by `basis` (a sequence of
+    polynomials or a `DivisionBasis`): the largest remaining term is divided
+    by the first nonzero basis element whose leading monomial divides it, or
+    else moved to the remainder."""
+    if not isinstance(basis, DivisionBasis):
+        basis = DivisionBasis(f.nvars, basis)
+    elif basis.nvars != f.nvars:
+        raise ValueError("basis and polynomial have different variable counts")
+    if not basis.divisors or not f.terms:
+        return f
+    work, den = _integral(f.terms)
+    rem, scale = _divide(work, basis.divisors)
+    return Poly(f.nvars, {e: exact_div(c, scale * den) for e, c in rem.items()})
 
 
 def ideal_member(f: Poly, groebner_basis) -> bool:
     return normal_form(f, groebner_basis).is_zero()
+
+
+def _lcm(e1, e2):
+    return tuple(map(max, e1, e2))
+
+
+def _divides(e1, e2):
+    return all(map(ge, e2, e1))
+
+
+def _disjoint(e1, e2):
+    return not any(map(min, e1, e2))
+
+
+def s_polynomial(f: Poly, g: Poly) -> Poly:
+    if f.is_zero() or g.is_zero():
+        raise ValueError("S-polynomial of the zero polynomial")
+    fe, fc = f.leading()
+    ge_, gc = g.leading()
+    l = _lcm(fe, ge_)
+    return f.term_mul(tuple(map(sub, l, fe)), exact_div(1, fc)) - g.term_mul(
+        tuple(map(sub, l, ge_)), exact_div(1, gc)
+    )
+
+
+# --- interreduction and Buchberger --------------------------------------------------
+
+
+def _autoreduce(divisors):
+    """Primitive divisors with pairwise non-dividing leads generating the same
+    ideal.  One pass over a worklist in ascending order of leading monomial:
+    an element's leading term is reduced by the kept elements until no kept
+    lead divides it, the element is kept when nonzero, and kept elements
+    whose lead its new lead divides go back on the worklist."""
+    heap = [(grevlex_key(d[0]), n, d) for n, d in enumerate(divisors)]
+    heapq.heapify(heap)
+    count = len(heap)
+    kept = []
+    while heap:
+        d = heapq.heappop(heap)[2]
+        r = _reduce(d[3], kept, False)
+        if not r:
+            continue
+        d = _divisor(r)
+        lead = d[0]
+        back = [k for k in kept if _divides(lead, k[0])]
+        if back:
+            kept = [k for k in kept if not _divides(lead, k[0])]
+            for k in back:
+                heapq.heappush(heap, (grevlex_key(k[0]), count, k))
+                count += 1
+        kept.append(d)
+    return kept
+
+
+def _reduced_basis(divisors):
+    """Monic polynomials, sorted by leading exponent, from divisors with
+    pairwise non-dividing leads: each element's tail is reduced once by the
+    others, which leaves its lead in place."""
+    out = []
+    for n, d in enumerate(divisors):
+        others = divisors[:n] + divisors[n + 1:]
+        out.append(_monic(_divisor(_reduce(d[3], others))))
+    return sorted(out, key=lambda g: g.leading()[0])
+
+
+def interreduce(basis):
+    """Reduce each element against the others; drop zeros; monic output,
+    sorted by leading exponent."""
+    return _reduced_basis(_autoreduce(_primitive_divisors(basis)))
+
+
+def _s_poly(d1, d2, l):
+    """p2/g * u^(l - lead1) * f1 - p1/g * u^(l - lead2) * f2, g = gcd(p1, p2):
+    the integer S-polynomial, without the cancelled term u^l."""
+    (lead1, _, p1, t1), (lead2, _, p2, t2) = d1, d2
+    g = gcd(p1, p2)
+    a, b = p2 // g, p1 // g
+    out = {}
+    for lead, terms, f in ((lead1, t1, a), (lead2, t2, -b)):
+        diff = tuple(map(sub, l, lead))
+        for e, c in terms.items():
+            if e is lead:
+                continue
+            t = tuple(map(add, e, diff))
+            s = out.get(t, 0) + f * c
+            if s:
+                out[t] = s
+            else:
+                out.pop(t, None)
+    return out
+
+
+def buchberger(gens):
+    """Reduced Groebner basis of the ideal generated by `gens`: monic, sorted
+    by leading exponent."""
+    polys = []  # every primitive divisor made, indexed by pair entries
+    basis = []  # indices into polys of the current basis, in insertion order
+    heap = []   # (grevlex key of lcm, i, j, lcm) for each pending pair
+
+    def update(h):
+        """Gebauer-Moeller: add polys[h] to the basis, the pairs it needs to
+        the heap, and drop the pairs and basis elements it makes redundant."""
+        nonlocal basis, heap
+        lh = polys[h][0]
+        new = [(g, _lcm(lh, polys[g][0])) for g in basis]
+        kept = []
+        for n, (g, l) in enumerate(new):
+            # criteria M and F: another new pair whose lcm divides this one's,
+            # not yet dropped, makes it redundant (of equal lcms the last stays)
+            if _disjoint(lh, polys[g][0]) or not (
+                any(_divides(l2, l) for _, l2 in new[n + 1:]) or any(_divides(l2, l) for _, l2 in kept)
+            ):
+                kept.append((g, l))
+        # criterion B: lead(h) divides lcm(i, j) and differs from lcm(i, h) and lcm(j, h)
+        pending = [
+            entry for entry in heap
+            if not (_divides(lh, entry[3]) and _lcm(polys[entry[1]][0], lh) != entry[3]
+                    and _lcm(polys[entry[2]][0], lh) != entry[3])
+        ]
+        # the product criterion: coprime leads give a zero S-polynomial
+        pending += [(grevlex_key(l), g, h, l) for g, l in kept if not _disjoint(lh, polys[g][0])]
+        heapq.heapify(pending)
+        heap = pending
+        basis = [g for g in basis if not _divides(lh, polys[g][0])] + [h]
+
+    for d in _autoreduce(_primitive_divisors(gens)):
+        polys.append(d)
+        update(len(polys) - 1)
+    while heap:
+        _, i, j, l = heapq.heappop(heap)
+        r = _reduce(_s_poly(polys[i], polys[j], l), [polys[g] for g in basis])
+        if r:
+            polys.append(_divisor(r))
+            update(len(polys) - 1)
+    return _reduced_basis([polys[g] for g in basis])

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, gcd, lcm
 
-from toricspec.groebner import buchberger, normal_form
+from toricspec.groebner import DivisionBasis, buchberger, normal_form
 from toricspec.lattice import (
     IntMat,
     IntVec,
@@ -55,8 +55,9 @@ WINDOW_CAP = 16
 # --- the memo ------------------------------------------------------------------
 #
 # Everything derived from a module and a window alone is built once and kept
-# here under (kind, key): generators, coordinate-form powers, cleared minimal
-# generators, graded slice spans, relation substitutions and Groebner data.
+# here under (kind, key): generators, minimal generators, coordinate-form
+# powers, cleared minimal generators, graded slice spans, relation
+# substitutions and Groebner data.
 
 _MEMO: dict = {}
 _MEMO_COUNTS: dict = {}  # kind -> [hits, misses]
@@ -385,31 +386,47 @@ def reduce_relations(q: Poly, subspace: LinearSubspace) -> Poly:
 
 def _minimal_monomials(exps_list):
     """Minimal elements under componentwise <= (monomial ideal generators),
-    sorted by (total degree, lex)."""
+    one copy of each, sorted by (total degree, lex).
+
+    Per coordinate i and value v, a bitset holds the distinct vectors with
+    i-th entry at most v; a vector is minimal exactly when the AND of its
+    entries' bitsets holds it alone."""
+    exps = sorted(set(exps_list), key=lambda g: (sum(g), g))
+    at_most = []
+    for i in range(len(exps[0]) if exps else 0):
+        bits = {}
+        for n, e in enumerate(exps):
+            bits[e[i]] = bits.get(e[i], 0) | 1 << n
+        running = 0
+        for v in sorted(bits):
+            running = bits[v] = running | bits[v]
+        at_most.append(bits)
     out = []
-    for e in sorted(exps_list, key=lambda g: (sum(g), g)):
-        if not any(all(a >= b for a, b in zip(e, f)) for f in out):
+    for n, e in enumerate(exps):
+        below = -1
+        for bits, v in zip(at_most, e):
+            below &= bits[v]
+        if below == 1 << n:
             out.append(e)
     return out
 
 
-def _reduced_ideal_gb(monomial_exps, subspace: LinearSubspace):
+def _minimal_generators(module: MonomialModule, window: int):
+    """The minimal window generators: every other generator is a u-multiple of
+    one; built once per (level, window) for both backends."""
+    return memo("minimal_generators", _level_key(module, window),
+                lambda: _minimal_monomials(module.generators(window)))
+
+
+def _reduced_ideal_gb(monomial_exps, subspace: LinearSubspace) -> DivisionBasis:
     """Groebner basis of <monomials> + relation ideal, computed through the
     linear quotient: reducing by the relation basis substitutes away the
     pivot variables, so Buchberger runs on supports of the subspace dimension
-    only.  Membership: `reduce_modulo` by this basis."""
-    reduced = []
-    seen = set()
-    for e in _minimal_monomials(monomial_exps):
-        g = reduce_relations(Poly.monomial(e), subspace)
-        if g.is_zero():
-            continue
-        gm = g.monic()
-        key = frozenset(gm.terms.items())
-        if key not in seen:
-            seen.add(key)
-            reduced.append(gm)
-    return buchberger(reduced)
+    only.  Membership: `reduce_modulo` by this basis.  Monomials that are
+    multiples of others may be passed, but cost Buchberger steps; zero and
+    repeated images drop out in Buchberger's interreduction."""
+    images = [reduce_relations(Poly.monomial(e), subspace) for e in monomial_exps]
+    return DivisionBasis(subspace.nvars, buchberger(images))
 
 
 def reduce_modulo(q_poly: Poly, gb, subspace: LinearSubspace) -> Poly:
@@ -442,12 +459,12 @@ def _cleared(q: Poly, floor, image):
 
 
 def _module_groebner(module: MonomialModule, subspace: LinearSubspace, window: int):
-    """Groebner basis of the generators cleared at the generator floor; built
-    once per (level, window, subspace)."""
+    """Groebner basis of the minimal generators cleared at the generator
+    floor; built once per (level, window, subspace)."""
 
     def build():
         floor = _generator_floor(module, window)
-        cleared = [tuple(a + b for a, b in zip(g, floor)) for g in module.generators(window)]
+        cleared = [tuple(a + b for a, b in zip(g, floor)) for g in _minimal_generators(module, window)]
         return _reduced_ideal_gb(cleared, subspace)
 
     return memo("groebner", (_level_key(module, window), subspace.basis), build)
@@ -490,15 +507,13 @@ def restriction_class_key(subspace: LinearSubspace, exps):
 
 
 def _cleared_generators(module, subspace, window):
-    """The minimal window generators g (every other generator is a u-multiple
-    of one), the common floor T clearing their negative exponents, and their
-    restrictions cleared to T: prod l_i^(g_i + T_i)."""
+    """The restrictions of the minimal window generators g cleared to the
+    generator floor T: prod l_i^(g_i + T_i), in the order of the generators."""
 
     def build():
-        gens = _minimal_monomials(module.generators(window))
         floor = _generator_floor(module, window)
-        cleared = [subspace.form_product(tuple(a + b for a, b in zip(g, floor))) for g in gens]
-        return gens, cleared, floor
+        return [subspace.form_product(tuple(a + b for a, b in zip(g, floor)))
+                for g in _minimal_generators(module, window)]
 
     return memo("cleared_generators", (_level_key(module, window), subspace.basis), build)
 
@@ -636,7 +651,8 @@ def _brute_verdict(q, module, subspace, window, want_certificate=False):
     """
     if subspace.is_zero_ring():
         return True, {}
-    gens, cleared_gens, floor = _cleared_generators(module, subspace, window)
+    gens, floor = _minimal_generators(module, window), _generator_floor(module, window)
+    cleared_gens = _cleared_generators(module, subspace, window)
     cleared_q = _cleared(q, floor, subspace.image)
     if cleared_q is None:
         return False, None
@@ -666,7 +682,8 @@ def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
     not only a minimal generator."""
     if subspace.is_zero_ring():
         return True
-    gens, _, floor = _cleared_generators(module, subspace, module.window if window is None else window)
+    window = module.window if window is None else window
+    gens, floor = _minimal_generators(module, window), _generator_floor(module, window)
     cleared_q = _cleared(q, floor, subspace.image)
     if cleared_q is None:
         return False

@@ -24,6 +24,7 @@ from toricspec.laurent import (
     MonomialModule,
     RestrictedElement,
     _level_key,
+    _minimal_monomials,
     _reduced_ideal_gb,
     kernel_K0,
     memo,
@@ -136,7 +137,7 @@ def _polynomial_part_ideal(km: KernelModule, window: int):
 
     def build():
         positive = [tuple(max(x, 0) for x in g) for g in km.module.generators(window)]
-        return _reduced_ideal_gb(positive, km.subspace)
+        return _reduced_ideal_gb(_minimal_monomials(positive), km.subspace)
 
     return memo("polynomial_part", (_level_key(km.module, window), km.subspace.basis), build)
 

@@ -236,6 +236,16 @@ def test_spectrum_window_order(capsys):
     assert machine_dict(out)["window"] == "1:1"
 
 
+@pytest.mark.parametrize("window", ["0", "1:", ":2"])
+def test_spectrum_window_needs_both_ends(window, capsys):
+    # checked before the polytope is read: a missing file gives the same error
+    for path in (str(POLY / "cp1xcp1_monotone.poly"), str(POLY / "no_such_file.poly")):
+        code, out = invoke("spectrum", path, "--mu", "1/4,0,0,0", f"--window={window}")
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.strip() == f"error: window must be lo:hi, got '{window}'"
+
+
 def test_spectrum_builds_classes_once(monkeypatch):
     import toricspec.oracle as oracle
 

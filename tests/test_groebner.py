@@ -1,12 +1,26 @@
+import heapq
 import random
 import signal
 from fractions import Fraction
+from operator import add, ge, sub
 
 import pytest
 
-from toricspec.groebner import buchberger, ideal_member, interreduce, normal_form, s_polynomial
-from toricspec.laurent import LinearSubspace, _linear_relations, kernel_K, kernel_K0, reduce_relations
-from toricspec.polys import Poly
+from toricspec.groebner import DivisionBasis, buchberger, ideal_member, interreduce, normal_form, s_polynomial
+from toricspec.laurent import (
+    LinearSubspace,
+    _cleared,
+    _generator_floor,
+    _groebner_verdict,
+    _linear_relations,
+    _minimal_generators,
+    _module_groebner,
+    clear_caches,
+    kernel_K,
+    kernel_K0,
+    reduce_relations,
+)
+from toricspec.polys import Poly, exact_div, grevlex_key
 
 
 def P(nvars, terms):
@@ -279,3 +293,233 @@ def test_buchberger_matches_sympy():
             key=lambda g: g.leading()[0],
         )
         assert buchberger(gens) == converted
+
+
+def test_zero_basis_elements_divide_nothing():
+    x, zero = Poly.linear_form((1, 0)), Poly.zero(2)
+    assert normal_form(x, [zero]) == x
+    assert normal_form(x, [zero, x]) == zero
+    assert not ideal_member(x, [zero])
+    assert ideal_member(x, [zero, x])
+    assert len(DivisionBasis(2, [zero, x, zero])) == 1
+    for f, g in ((x, zero), (zero, x), (zero, zero)):
+        with pytest.raises(ValueError, match="S-polynomial of the zero polynomial"):
+            s_polynomial(f, g)
+
+
+# --- the reference engine ----------------------------------------------------------
+#
+# Division, interreduction and Buchberger's algorithm as the Fraction engine
+# computed them before the integer engine replaced it: monic bases, a chain
+# test over processed pairs, and interreduction repeated until a pass changes
+# nothing.  The integer engine must give the same results.
+
+
+def _reference_heap_key(exps):
+    return (-sum(exps), exps[::-1])
+
+
+def _reference_normal_form(f, basis):
+    if not basis:
+        return f
+    divisors = [(g.leading(), g.terms) for g in basis]
+    work = dict(f.terms)
+    heap = [(_reference_heap_key(e), e) for e in work]
+    heapq.heapify(heap)
+    rem_terms = {}
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        for (lead, gc), terms in divisors:
+            if all(map(ge, e, lead)):
+                diff = tuple(map(sub, e, lead))
+                factor = c if gc == 1 else exact_div(c, gc)
+                for te, tc in terms.items():
+                    if te == lead:
+                        continue
+                    t = tuple(map(add, te, diff))
+                    d = factor * tc
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = -d
+                        heapq.heappush(heap, (_reference_heap_key(t), t))
+                    elif old != d:
+                        work[t] = old - d
+                    else:
+                        del work[t]
+                break
+        else:
+            rem_terms[e] = c
+    return Poly(f.nvars, rem_terms)
+
+
+def _reference_lcm(e1, e2):
+    return tuple(max(a, b) for a, b in zip(e1, e2))
+
+
+def _reference_s_polynomial(f, g):
+    fe, fc = f.leading()
+    ge_, gc = g.leading()
+    l = _reference_lcm(fe, ge_)
+    return f.term_mul(tuple(a - b for a, b in zip(l, fe)), exact_div(1, fc)) - g.term_mul(
+        tuple(a - b for a, b in zip(l, ge_)), exact_div(1, gc)
+    )
+
+
+def _reference_interreduce(basis):
+    work = [g.monic() for g in basis if not g.is_zero()]
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(work):
+            r = _reference_normal_form(work[i], work[:i] + work[i + 1:])
+            if r.terms != work[i].terms:
+                changed = True
+                if r.is_zero():
+                    del work[i]
+                    continue
+                work[i] = r.monic()
+            i += 1
+    return sorted(work, key=lambda g: g.leading()[0])
+
+
+def _reference_buchberger(gens):
+    basis = _reference_interreduce(gens)
+    if not basis:
+        return []
+    leads = [g.leading()[0] for g in basis]
+    pair_key = {}
+
+    def add_pairs(new):
+        for t in range(new):
+            pair_key[new, t] = grevlex_key(_reference_lcm(leads[new], leads[t]))
+
+    for i in range(len(basis)):
+        add_pairs(i)
+    pairs = set(pair_key)
+    processed = set()
+    while pairs:
+        i, j = min(pairs, key=pair_key.__getitem__)
+        pairs.remove((i, j))
+        processed.add((i, j))
+        ei, ej = leads[i], leads[j]
+        if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+            continue
+        l = _reference_lcm(ei, ej)
+        skip = False
+        for k, ek in enumerate(leads):
+            if k in (i, j):
+                continue
+            if all(a >= b for a, b in zip(l, ek)):
+                p1 = (max(i, k), min(i, k))
+                p2 = (max(j, k), min(j, k))
+                if p1 in processed and p2 in processed:
+                    skip = True
+                    break
+        if skip:
+            continue
+        h = _reference_normal_form(_reference_s_polynomial(basis[i], basis[j]), basis)
+        if h.is_zero():
+            continue
+        basis.append(h.monic())
+        leads.append(basis[-1].leading()[0])
+        new = len(basis) - 1
+        add_pairs(new)
+        pairs.update((new, t) for t in range(new))
+    return _reference_interreduce(basis)
+
+
+def _seeded_ideal(rng, n, fractions, degree):
+    """1-3 generators of 1-3 terms; homogeneous of `degree` when it is given,
+    else of degree at most 2 in each variable."""
+
+    def exponent():
+        if degree is None:
+            return tuple(rng.randint(0, 2) for _ in range(n))
+        e = [0] * n
+        for _ in range(degree):
+            e[rng.randrange(n)] += 1
+        return tuple(e)
+
+    def coefficient():
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        return Fraction(c, rng.randint(1, 3)) if fractions else c
+
+    return [Poly(n, {exponent(): coefficient() for _ in range(rng.randint(1, 3))})
+            for _ in range(rng.randint(1, 3))]
+
+
+def _seeded_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        fractions = rng.random() < 0.5
+        degree = rng.randint(1, 3) if rng.random() < 0.5 else None
+        yield rng, n, fractions, degree
+
+
+def test_normal_form_matches_the_reference_engine():
+    for rng, n, fractions, degree in _seeded_cases(41, 150):
+        basis = _seeded_ideal(rng, n, fractions, degree)
+        for _ in range(3):
+            f = _seeded_ideal(rng, n, fractions, None)[0] * _seeded_ideal(rng, n, fractions, None)[0]
+            assert normal_form(f, basis) == _reference_normal_form(f, basis)
+
+
+def test_buchberger_matches_the_reference_engine():
+    for rng, n, fractions, degree in _seeded_cases(43, 80):
+        gens = _seeded_ideal(rng, n, fractions, degree)
+        assert buchberger(gens) == _reference_buchberger(gens)
+
+
+def test_interreduce_matches_the_reference_engine():
+    # Interreduction of a set that is no Groebner basis depends on which
+    # divisor reduces each term, and the reference's result changes with
+    # the order of its input.  A set holding a Groebner basis of the ideal
+    # it generates interreduces to the reduced basis, as do linear forms
+    # (to the reduced row echelon form); there the results are determined.
+    for rng, n, fractions, degree in _seeded_cases(47, 80):
+        gens = _seeded_ideal(rng, n, fractions, degree)
+        gb = _reference_buchberger(gens)
+        members = [g * Fraction(rng.randint(1, 5), rng.randint(1, 3)) for g in gb]
+        members += [a * b.term_mul(tuple(rng.randint(0, 1) for _ in range(n))) + b for a, b in zip(gens, gb)]
+        rng.shuffle(members)
+        assert interreduce(members) == _reference_interreduce(members) == gb
+        forms = [Poly.linear_form([rng.randint(-3, 3) for _ in range(n)]) for _ in range(rng.randint(1, 4))]
+        assert interreduce(forms) == _reference_interreduce(forms)
+
+
+def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # every K/K0 module basis of the conftest polytopes at W = 2 and 4: the
+    # same reduced basis, the same remainder for each seeded query, and so
+    # the same verdict
+    rng = random.Random(53)
+    clear_caches()
+    compared, verdicts = 0, set()
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            for window in (2, 4):
+                km = maker(T, Fraction(1, 2), window)
+                sub = km.subspace
+                if sub.is_zero_ring():
+                    continue
+                floor = _generator_floor(km.module, window)
+                images = [reduce_relations(Poly.monomial(tuple(map(add, g, floor))), sub)
+                          for g in _minimal_generators(km.module, window)]
+                reference = _reference_buchberger(images)
+                assert buchberger(images) == reference
+                assert len(_module_groebner(km.module, sub, window)) == len(reference)
+                for _ in range(6):
+                    q = Poly.monomial(tuple(rng.randint(-3, 3) for _ in range(T.n)))
+                    cleared = _cleared(q, floor, lambda f: reduce_relations(f, sub))
+                    want = cleared is not None and _reference_normal_form(cleared, reference).is_zero()
+                    if cleared is not None:
+                        assert normal_form(cleared, _module_groebner(km.module, sub, window)) == \
+                            _reference_normal_form(cleared, reference)
+                    assert _groebner_verdict(q, km.module, sub, window) == want
+                    verdicts.add(want)
+                compared += 1
+    assert compared == 16 and verdicts == {True, False}  # 4 of the 20 modules are zero rings

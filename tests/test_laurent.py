@@ -346,7 +346,8 @@ def test_memo_clear_caches_and_counts(T_monotone):
     classes = [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries]
     built = memo_counts()
     kinds = ("generators", "generator_floor", "groebner", "cleared_generators", "graded_slice",
-             "form_power", "relation_substitution", "relation_power", "restriction_groups")
+             "form_power", "relation_substitution", "relation_power", "restriction_groups",
+             "minimal_generators")
     for kind in kinds:
         assert built[kind][1] > 0, kind
     again = [membership(q, km.module, km.subspace) for q in queries]
@@ -361,6 +362,57 @@ def test_memo_clear_caches_and_counts(T_monotone):
     assert memo_counts() == {}
     assert [membership(q, km.module, km.subspace) for q in queries] == first
     assert memo_counts()["groebner"][1] == built["groebner"][1]
+
+
+def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeypatch):
+    # both backends read the minimal generators of a (level, window) from the
+    # memo; a query whose verdict is the same at W = 2 and 4 visits those two
+    import toricspec.laurent as laurent
+
+    built = []
+    minimal = laurent._minimal_monomials
+
+    def counted(exps_list):
+        built.append(len(exps_list))
+        return minimal(exps_list)
+
+    monkeypatch.setattr(laurent, "_minimal_monomials", counted)
+    km = kernel_K0(T_cube, H, 2)
+    clear_caches()
+    membership(U(1, 0, 0, 0, 0, 0), km.module, km.subspace, backend="both")
+    assert built == [len(km.module.generators(w)) for w in (2, 4)]
+    assert memo_counts()["minimal_generators"][1] == 2
+
+
+def _reference_minimal_monomials(exps_list):
+    """The quadratic scan the bitset version replaced."""
+    out = []
+    for e in sorted(exps_list, key=lambda g: (sum(g), g)):
+        if not any(all(a >= b for a, b in zip(e, f)) for f in out):
+            out.append(e)
+    return out
+
+
+def test_minimal_monomials_match_the_quadratic_scan(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    checked = repeats = 0
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            for window in (2, 4):
+                gens = maker(T, H, window).module.generators()
+                positive = [tuple(max(x, 0) for x in g) for g in gens]
+                repeats += len(set(positive)) < len(positive)
+                for exps in (gens, positive):
+                    assert _minimal_monomials(exps) == _reference_minimal_monomials(exps)
+                    checked += 1
+    assert repeats > 0
+    rng = random.Random(59)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        exps = [tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(rng.randint(0, 40))]
+        exps += rng.sample(exps, len(exps) // 3)
+        assert _minimal_monomials(exps) == _reference_minimal_monomials(exps)
+        checked += 1
+    assert checked == 5 * 2 * 2 * 2 + 200
 
 
 def test_tracked_span_certificates_round_trip(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
