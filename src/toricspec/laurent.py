@@ -507,13 +507,15 @@ def restriction_class_key(subspace: LinearSubspace, exps):
 
 
 def _cleared_generators(module, subspace, window):
-    """The restrictions of the minimal window generators g cleared to the
-    generator floor T: prod l_i^(g_i + T_i), in the order of the generators."""
+    """The generator floor T and the restrictions of the minimal window
+    generators g cleared to it: prod l_i^(g_i + T_i), in the order of the
+    generators."""
 
     def build():
         floor = _generator_floor(module, window)
-        return [subspace.form_product(tuple(a + b for a, b in zip(g, floor)))
-                for g in _minimal_generators(module, window)]
+        cleared = [subspace.form_product(tuple(a + b for a, b in zip(g, floor)))
+                   for g in _minimal_generators(module, window)]
+        return cleared, floor
 
     return memo("cleared_generators", (_level_key(module, window), subspace.basis), build)
 
@@ -651,8 +653,8 @@ def _brute_verdict(q, module, subspace, window, want_certificate=False):
     """
     if subspace.is_zero_ring():
         return True, {}
-    gens, floor = _minimal_generators(module, window), _generator_floor(module, window)
-    cleared_gens = _cleared_generators(module, subspace, window)
+    gens = _minimal_generators(module, window)
+    cleared_gens, floor = _cleared_generators(module, subspace, window)
     cleared_q = _cleared(q, floor, subspace.image)
     if cleared_q is None:
         return False, None
