@@ -291,7 +291,8 @@ def buchberger(gens):
                 any(_divides(l2, l) for _, l2 in new[n + 1:]) or any(_divides(l2, l) for _, l2 in kept)
             ):
                 kept.append((g, l))
-        # criterion B: lead(h) divides lcm(i, j) and differs from lcm(i, h) and lcm(j, h)
+        # criterion B: drop a pending pair (i, j) when lead(h) divides its lcm
+        # and that lcm differs from lcm(i, h) and from lcm(j, h)
         pending = [
             entry for entry in heap
             if not (_divides(lh, entry[3]) and _lcm(polys[entry[1]][0], lh) != entry[3]
