@@ -199,7 +199,7 @@ def cmd_kernel(args, report: Report) -> int:
     gens = km.module.generators()
     report.kv("generator_count", len(gens))
     for i, g in enumerate(gens):
-        report.kv(f"gen.{i}", vec_str(g))
+        report.kv(f"gen.{i}", ",".join(map(str, g)))  # integer exponent vectors
     if args.member is not None:
         verdict = membership(
             Poly.monomial(exps), km.module, km.subspace, backend=args.backend

@@ -37,6 +37,7 @@ from toricspec.lattice import (
     transpose,
     vec_gcd,
 )
+from toricspec.memo import clear_caches, memo, memo_counts  # the last two re-exported
 from toricspec.polys import Poly, exact_div, monomials_of_degree
 from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
 
@@ -50,40 +51,6 @@ class BackendMismatchError(Exception):
 
 
 WINDOW_CAP = 16
-
-
-# --- the memo ------------------------------------------------------------------
-#
-# Everything derived from a module and a window alone is built once and kept
-# here under (kind, key): generators, minimal generators, coordinate-form
-# powers, cleared minimal generators, graded slice spans, relation
-# substitutions and Groebner data.
-
-_MEMO: dict = {}
-_MEMO_COUNTS: dict = {}  # kind -> [hits, misses]
-
-
-def memo(kind: str, key, build):
-    """The value stored under (kind, key), built by `build()` on first use."""
-    counts = _MEMO_COUNTS.setdefault(kind, [0, 0])
-    value = _MEMO.get((kind, key), _MEMO)
-    if value is _MEMO:
-        counts[1] += 1
-        value = _MEMO[kind, key] = build()
-    else:
-        counts[0] += 1
-    return value
-
-
-def memo_counts() -> dict:
-    """kind -> (hits, misses) since the last `clear_caches()`."""
-    return {kind: tuple(c) for kind, c in _MEMO_COUNTS.items()}
-
-
-def clear_caches():
-    """Drop every memoized value and reset the hit/miss counts."""
-    _MEMO.clear()
-    _MEMO_COUNTS.clear()
 
 
 # --- linear subspaces and restriction ---------------------------------------

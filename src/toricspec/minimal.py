@@ -27,7 +27,6 @@ from toricspec.laurent import (
     _minimal_monomials,
     _reduced_ideal_gb,
     kernel_K0,
-    memo,
     membership,
     membership_certified,
     reduce_modulo,
@@ -36,6 +35,7 @@ from toricspec.laurent import (
     stable_verdict,
     verify_certificate,
 )
+from toricspec.memo import memo
 from toricspec.polys import Poly, monomials_of_degree
 from toricspec.polytope import ToricData, ToricHypothesisError, is_cpn, rationality_check
 

@@ -13,9 +13,10 @@ value group given by a rational gcd.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import gcd, lcm
 
 from toricspec.lattice import unimodular_inverse
+from toricspec.memo import memo
 from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
 
 
@@ -59,24 +60,33 @@ def feasible_supports(toric: ToricData) -> list[tuple[int, ...]]:
     )
 
 
+def _vertex_minor(toric: ToricData, support):
+    """The mu-independent part of a support's class: iota_S^-1, the integer
+    numerators of x = iota_S^-T p over the denominator of p, and the step."""
+    inv = unimodular_inverse(tuple(toric.iota[j - 1] for j in support))
+    p_den, p_num = _common_denominator(toric.p)
+    x_num = tuple(sum(row[t] * pi for row, pi in zip(inv, p_num)) for t in range(toric.k))
+    return inv, x_num, p_den, Fraction(gcd(*x_num), p_den)
+
+
 def _support_class(toric: ToricData, dmap: DiagonalMap, support) -> SpectrumClass:
     """Solve the phase congruence iota_S lam in c + Z^k on one support.
 
     The support is the complement of a Delzant vertex's facets, so the k x k
     minor iota_S is unimodular: the solutions are lam = iota_S^-1 (c + z) for
     z in Z^k, and their values -p(lam) = -x.(c + z), with x = iota_S^-T p,
-    form base + step Z.  Both products run on integer numerators over a
-    common denominator.
+    form base + step Z.  The minor's part is built once per support (memo
+    kind `vertex_minor`); both products with c run on integer numerators over
+    a common denominator.
     """
-    inv = unimodular_inverse(tuple(toric.iota[j - 1] for j in support))
+    support = tuple(support)
+    inv, x_num, p_den, step = memo("vertex_minor", (toric, support), lambda: _vertex_minor(toric, support))
     half = Fraction(1, 2) if dmap.twisted else Fraction(0)
-    p_den, p_num = _common_denominator(toric.p)
     c_den, c_num = _common_denominator([half - dmap.mu[j - 1] for j in support])
-    x_num = [sum(row[t] * pi for row, pi in zip(inv, p_num)) for t in range(toric.k)]
     return SpectrumClass(
-        support=tuple(support),
+        support=support,
         base=Fraction(-sum(xi * ci for xi, ci in zip(x_num, c_num)), p_den * c_den),
-        step=Fraction(gcd(*x_num), p_den),
+        step=step,
         witness_lambda=tuple(Fraction(sum(a * ci for a, ci in zip(row, c_num)), c_den) for row in inv),
     )
 
@@ -86,20 +96,6 @@ def _common_denominator(values):
     denominators."""
     den = lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
-
-
-def _class_values_in(cls: SpectrumClass, lo: Fraction, hi: Fraction):
-    if cls.step == 0:
-        return [cls.base] if lo <= cls.base <= hi else []
-    t0 = -floor((cls.base - lo) / cls.step)   # ceil((lo - base)/step)
-    out = []
-    t = t0
-    while cls.base + t * cls.step <= hi:
-        v = cls.base + t * cls.step
-        if v >= lo:
-            out.append(v)
-        t += 1
-    return out
 
 
 def spectrum_classes(toric: ToricData, dmap: DiagonalMap) -> tuple[SpectrumClass, ...]:
@@ -114,23 +110,32 @@ def spectrum_classes(toric: ToricData, dmap: DiagonalMap) -> tuple[SpectrumClass
 
 def window_report(classes, window) -> SpectrumReport:
     """The classes' values in the closed rational window, with the supports
-    realizing each value."""
+    realizing each value.
+
+    Over the lcm L of the window's and the classes' denominators it is
+    integer work: a class base + step Z with step s > 0 meets [lo L, hi L] in
+    the range from its first point at or above lo L up to hi L by s, and a
+    class with step 0 in its base alone, if that lies in the window.
+    """
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if lo > hi:
         raise ValueError(f"window {lo}:{hi} is empty (lo > hi)")
-    by_value: dict[Fraction, set] = {}
-    for cls in classes:
-        for v in _class_values_in(cls, lo, hi):
-            by_value.setdefault(v, set()).add(cls.support)
-    values = tuple(
-        (v, tuple(sorted(by_value[v]))) for v in sorted(by_value)
+    scale, (lo_n, hi_n, *nums) = _common_denominator(
+        [lo, hi, *(x for cls in classes for x in (cls.base, cls.step))]
     )
-    period = all(cls.step != 0 and (Fraction(1) / cls.step).denominator == 1 for cls in classes)
+    by_value: dict[int, set] = {}
+    for cls, b, s in zip(classes, nums[::2], nums[1::2]):
+        if s:
+            values = range(b - (b - lo_n) // s * s, hi_n + 1, s)
+        else:
+            values = (b,) if lo_n <= b <= hi_n else ()
+        for v in values:
+            by_value.setdefault(v, set()).add(cls.support)
     return SpectrumReport(
         window=(lo, hi),
-        values=values,
+        values=tuple((Fraction(v, scale), tuple(sorted(by_value[v]))) for v in sorted(by_value)),
         classes=tuple(classes),
-        period_check=period,
+        period_check=all(cls.step.numerator == 1 for cls in classes),
     )
 
 

@@ -29,6 +29,7 @@ from toricspec.lattice import (
     rref,
     vec_gcd,
 )
+from toricspec.memo import memo
 
 
 class ToricHypothesisError(Exception):
@@ -356,7 +357,17 @@ def is_cpn(data: ToricData) -> bool:
 
 def toric_data(poly: DelzantPolytope) -> ToricData:
     """All reduction data of a validated polytope; raises on non-compact or
-    non-smooth input."""
+    non-smooth input.
+
+    Built once per process for each polytope (memo kind `toric_data`), so
+    equal polytopes give the same object and every memo key holding it
+    compares by identity.  An input that raises is not kept: it raises again
+    on every call.
+    """
+    return memo("toric_data", poly, lambda: _build_toric_data(poly))
+
+
+def _build_toric_data(poly: DelzantPolytope) -> ToricData:
     report = validate(poly)
     if not report.compact:
         raise ToricHypothesisError("polytope is not compact")

@@ -31,6 +31,7 @@ from toricspec.laurent import (
     _Span,
     reduce_modulo,
 )
+from toricspec.oracle import DiagonalMap, spectrum_classes
 from toricspec.polys import Poly
 from toricspec.polytope import parse_polytope, toric_data
 
@@ -340,19 +341,24 @@ def test_integer_generators_match_fraction_enumeration(T_monotone, T_p12, T_cp2,
 def test_memo_clear_caches_and_counts(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
     queries = [U(1, 0, 0, 0), U(1, 1, 0, 0), U(0, 0, 1, 1), U(-1, 0, 2, 1), U(2, -1, 0, 0)]
+    dmap = DiagonalMap(mu=(H, 0, Fraction(1, 3), 0))
     clear_caches()
     assert memo_counts() == {}
     first = [membership(q, km.module, km.subspace) for q in queries]
     classes = [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries]
+    T = toric_data(T_monotone.polytope)
+    spectrum = spectrum_classes(T, dmap)
     built = memo_counts()
     kinds = ("generators", "generator_floor", "groebner", "cleared_generators", "graded_slice",
              "form_power", "relation_substitution", "relation_power", "restriction_groups",
-             "minimal_generators")
+             "minimal_generators", "toric_data", "vertex_minor")
     for kind in kinds:
         assert built[kind][1] > 0, kind
     again = [membership(q, km.module, km.subspace) for q in queries]
     assert again == first
     assert [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries] == classes
+    assert toric_data(T_monotone.polytope) is T
+    assert spectrum_classes(T, dmap) == spectrum
     km.module.generators()
     counts = memo_counts()
     for kind in kinds:

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import floor, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,9 @@ from toricspec.oracle import (
     count_in_period,
     count_report,
     feasible_supports,
+    period_report,
     spectrum,
+    window_report,
 )
 from toricspec.lattice import det, unimodular_inverse
 from toricspec.polytope import (
@@ -283,3 +285,104 @@ def test_support_class_matches_fraction_reference():
                 assert all(type(v) is Fraction for v in (got.base, got.step, *got.witness_lambda))
                 checked += 1
     assert checked > 100
+
+
+def _fraction_class_values_in(cls, lo, hi):
+    """Reference: one class's values in [lo, hi], stepped in Fraction arithmetic."""
+    if cls.step == 0:
+        return [cls.base] if lo <= cls.base <= hi else []
+    t = -floor((cls.base - lo) / cls.step)   # ceil((lo - base)/step)
+    out = []
+    while cls.base + t * cls.step <= hi:
+        v = cls.base + t * cls.step
+        if v >= lo:
+            out.append(v)
+        t += 1
+    return out
+
+
+def _fraction_window_report(classes, window):
+    """Reference: `window_report` with every value a Fraction from the start."""
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    if lo > hi:
+        raise ValueError(f"window {lo}:{hi} is empty (lo > hi)")
+    by_value = {}
+    for cls in classes:
+        for v in _fraction_class_values_in(cls, lo, hi):
+            by_value.setdefault(v, set()).add(cls.support)
+    return SpectrumReport(
+        window=(lo, hi),
+        values=tuple((v, tuple(sorted(by_value[v]))) for v in sorted(by_value)),
+        classes=tuple(classes),
+        period_check=all(cls.step != 0 and (1 / cls.step).denominator == 1 for cls in classes),
+    )
+
+
+def _fraction_period_report(classes, nu):
+    report = _fraction_window_report(classes, (nu, nu + 1))
+    return SpectrumReport(
+        window=report.window,
+        values=tuple((v, s) for v, s in report.values if v < nu + 1),
+        classes=report.classes,
+        period_check=report.period_check,
+        boundary_hits=tuple(v for v, _ in report.values if v == nu),
+    )
+
+
+def _check_window_against_fraction_reference(classes, lo, hi, nu):
+    got = window_report(classes, (lo, hi))
+    assert got == _fraction_window_report(classes, (lo, hi))
+    assert all(type(v) is Fraction for v, _ in got.values)
+    got = period_report(classes, nu)
+    assert got == _fraction_period_report(classes, nu)
+    assert all(type(v) is Fraction for v in got.boundary_hits)
+
+
+def test_integer_window_matches_fraction_reference_on_seeded_classes():
+    rng = random.Random(97)
+    big = (10**12 + 39, 2**61 - 1, 3**40)
+    dens = (1, 2, 3, 4, 6, 7, 12) + big
+
+    def rational(span):
+        return Fraction(rng.randint(-span, span), rng.choice(dens)) + rng.randint(-span, span)
+
+    def step():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 5, 7))) + Fraction(rng.randint(0, 9), rng.choice(big))
+
+    checked = on_edge = 0
+    for _ in range(300):
+        classes = [
+            SpectrumClass(support=tuple(sorted(rng.sample(range(1, 7), 2))), base=rational(20),
+                          step=step(), witness_lambda=())
+            for _ in range(rng.randint(0, 6))
+        ]
+        on_values = [c.base + rng.randint(-3, 3) * c.step for c in classes]
+        lo = rng.choice(on_values) if on_values and rng.random() < 0.5 else rational(10)
+        hi = rng.choice((lo, lo + rational(4) % 6, max(on_values + [lo])))
+        nu = rng.choice(on_values + [hi - 1, rational(10)])
+        _check_window_against_fraction_reference(classes, lo, hi, nu)
+        on_edge += sum(v in (lo, hi, nu, nu + 1) for v in on_values)
+        checked += 1
+    assert checked == 300 and on_edge > 100
+    with pytest.raises(ValueError, match="empty"):
+        window_report([], (Fraction(1), Fraction(0)))
+
+
+def test_integer_window_matches_fraction_reference_on_vertex_supports():
+    rng = random.Random(53)
+    windows = [(Fraction(-1), Fraction(1)), (Fraction(-1, 2), Fraction(3, 2)), (Fraction(1, 3), Fraction(1, 3)),
+               (Fraction(0), Fraction(2)), (Fraction(-7, 5), Fraction(-2, 5))]
+    files = compact_smooth_files()
+    assert len(files) == 20
+    for poly in files:
+        T = toric_data(poly)
+        for twisted in (True, False):
+            mu = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 6))) for _ in range(T.n))
+            dmap = DiagonalMap(mu=mu, twisted=twisted)
+            classes = [_support_class(T, dmap, support) for support in feasible_supports(T)]
+            for lo, hi in windows:
+                _check_window_against_fraction_reference(classes, lo, hi, lo)
+            nu = classes[0].base  # a value on the period's lower edge
+            _check_window_against_fraction_reference(classes, nu, nu + 1, nu)

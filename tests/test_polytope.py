@@ -8,6 +8,7 @@ import pytest
 
 from tests.conftest import cp1xcp1, cpn_simplex, cube3
 from toricspec.lattice import extends_to_lattice_basis, mat_vec, rref
+from toricspec.memo import clear_caches, memo_counts
 from toricspec.polys import monomials_of_degree
 from toricspec.polytope import (
     DelzantPolytope,
@@ -375,7 +376,9 @@ def test_toric_data_hash_is_the_field_hash_taken_once():
     from dataclasses import fields, replace
 
     for poly in (cp1xcp1(), cube3(), cpn_simplex(2)):
-        T, fresh = toric_data(poly), toric_data(poly)
+        T = toric_data(poly)
+        clear_caches()
+        fresh = toric_data(poly)
         assert T is not fresh and T == fresh
         expected = hash(tuple(getattr(T, f.name) for f in fields(T)))
         assert hash(T) == hash(fresh) == expected
@@ -384,3 +387,40 @@ def test_toric_data_hash_is_the_field_hash_taken_once():
         assert moved != T
         assert hash(moved) == hash(tuple(getattr(moved, f.name) for f in fields(moved)))
         assert "_hash" not in {f.name for f in fields(T)}
+
+
+def _gl_image(poly, u):
+    """The image of `poly` under x -> u^-T x, u in GL(d, Z): conormals v -> u v."""
+    return DelzantPolytope(d=poly.d, facets=tuple((mat_vec(u, v), a) for v, a in poly.facets))
+
+
+def test_toric_data_is_built_once_per_polytope():
+    text = (ROOT / "polytopes" / "hirzebruch_monotone.poly").read_text()
+    first, second = parse_polytope(text), parse_polytope(text)
+    assert first is not second
+    clear_caches()
+    T = toric_data(first)
+    assert toric_data(second) is T
+    assert memo_counts()["toric_data"] == (1, 1)
+    image = _gl_image(first, ((1, 1), (0, 1)))
+    T_image = toric_data(image)
+    assert T_image is not T and T_image.polytope == image
+    assert toric_data(_gl_image(second, ((1, 1), (0, 1)))) is T_image
+    assert memo_counts()["toric_data"] == (2, 2)
+    clear_caches()
+    fresh = toric_data(second)
+    assert fresh is not T and fresh == T
+    assert memo_counts()["toric_data"] == (0, 1)
+
+
+@pytest.mark.parametrize("poly, reason", [
+    (DelzantPolytope(d=1, facets=(((1,), Fraction(1)), ((1,), Fraction(2)))), "compact"),
+    (DelzantPolytope(d=2, facets=(((1, 1), Fraction(1)), ((1, -1), Fraction(1)),
+                                  ((-1, 1), Fraction(1)), ((-1, -1), Fraction(1)))), "smooth"),
+])
+def test_toric_data_raises_on_every_call(poly, reason):
+    clear_caches()
+    for calls in (1, 2, 3):
+        with pytest.raises(ToricHypothesisError, match=reason):
+            toric_data(poly)
+        assert memo_counts()["toric_data"] == (0, calls)  # nothing kept
