@@ -19,13 +19,15 @@ backends:
     each graded slice of the query by an exact span of generator multiples
     of every degree.  It is complete at each window.
 
-The two backends must agree; a disagreement raises.
+Before either backend, a monomial query below the least generator degree is
+decided a non-member in integers alone.  The two backends must agree on every
+query this leaves open; a disagreement raises.
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
-from math import ceil, gcd, lcm
+from math import ceil, gcd, lcm, prod
+from operator import add
 
 from toricspec.groebner import DivisionBasis, buchberger, normal_form
 from toricspec.lattice import (
@@ -38,7 +40,7 @@ from toricspec.lattice import (
     vec_gcd,
 )
 from toricspec.memo import clear_caches, memo, memo_counts  # the last two re-exported
-from toricspec.polys import Poly, exact_div, monomials_of_degree
+from toricspec.polys import Poly, exact_div, linear_form_product, monomials_of_degree
 from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
 
 
@@ -93,17 +95,10 @@ class LinearSubspace:
         """The linear form l_i = (row i of basis) . w."""
         return Poly.linear_form(self.basis[i])
 
-    def form_power(self, i: int, e: int) -> Poly:
-        """l_i ** e, built once per (subspace, i, e)."""
-        return memo("form_power", (self.basis, i, e), lambda: self.coordinate_form(i) ** e)
-
     def form_product(self, exps) -> Poly:
-        """prod l_i ** exps[i] for nonnegative exponents."""
-        out = Poly.constant(self.dim, 1)
-        for i, e in enumerate(exps):
-            if e:
-                out = out * self.form_power(i, e)
-        return out
+        """prod l_i ** exps[i] for nonnegative exponents, as one packed
+        integer product."""
+        return linear_form_product(self.basis, exps)
 
     def image(self, q: Poly) -> Poly:
         """sum c * prod l_i ** e_i over the terms c u^e of a polynomial q."""
@@ -115,7 +110,7 @@ class LinearSubspace:
     def is_zero_ring(self) -> bool:
         if self.dim == 0:
             return True
-        return any(all(x == 0 for x in row) for row in self.basis)
+        return not all(map(any, self.basis))
 
     def annihilator(self) -> tuple[IntVec, ...]:
         """Integer basis of the linear forms on Q^n vanishing on V."""
@@ -176,7 +171,7 @@ class RestrictedElement:
         for i in range(len(exps)):
             if exps[i] == 0:
                 continue
-            form = self.subspace.form_power(i, 1)
+            form = self.subspace.coordinate_form(i)
             while exps[i] > 0:
                 q = num.exact_divide(form)
                 if q is None:
@@ -239,26 +234,57 @@ class MonomialModule:
     def generators(self, window=None):
         """Exponent vectors iota(m), sorted by (total degree, lex); built once
         per (level, window)."""
-        w = self.window if window is None else window
-        return list(memo("generators", _level_key(self, w), lambda: self._enumerate(w)))
+        return list(_window_generators(self, self.window if window is None else window))
 
     def _enumerate(self, w):
         """The window box tested in integers: with D the lcm of the
-        denominators of p, keep m when sum (D p_i) m_i >= ceil(D threshold)."""
-        scale = lcm(*(x.denominator for x in self.toric.p))
-        weights = [int(x * scale) for x in self.toric.p]
+        denominators of p, keep m when sum (D p_i) m_i >= ceil(D threshold).
+        iota(m) is summed from precomputed column multiples over the outer
+        coordinates; the last coordinate's range is solved from the level
+        inequality, and its column is added once per step along it."""
+        toric = self.toric
+        scale = lcm(*(x.denominator for x in toric.p))
+        weights = [int(x * scale) for x in toric.p]
         floor = None if self.threshold is None else ceil(self.threshold * scale)
-        gens = [
-            self.toric.iota_apply(m)
-            for m in product(*(range(c - w, c + w + 1) for c in self.center))
-            if floor is None or sum(a * b for a, b in zip(weights, m)) >= floor
+        cols = list(zip(*toric.iota))
+        multiples = [
+            [(tuple(m * x for x in col), m * wt) for m in range(c - w, c + w + 1)]
+            for col, wt, c in zip(cols, weights, self.center[:-1])
         ]
+        last, weight, center = cols[-1], weights[-1], self.center[-1]
+        gens = []
+
+        def descend(j, vec, level):
+            if j < len(multiples):
+                for step, rise in multiples[j]:
+                    descend(j + 1, tuple(map(add, vec, step)), level + rise)
+                return
+            lo, hi = center - w, center + w
+            if floor is not None:
+                need = floor - level  # weight * m >= need
+                if weight > 0:
+                    lo = max(lo, -(-need // weight))
+                elif weight < 0:
+                    hi = min(hi, need // weight)
+                elif need > 0:
+                    return
+            vec = tuple(a + lo * b for a, b in zip(vec, last))
+            for _ in range(lo, hi + 1):
+                gens.append(vec)
+                vec = tuple(map(add, vec, last))
+
+        descend(0, (0,) * toric.n, 0)
         return tuple(sorted(gens, key=lambda g: (sum(g), g)))
 
 
 def _level_key(module: MonomialModule, window: int):
     """What the generators at `window` depend on."""
     return (module.toric, module.threshold, module.center, window)
+
+
+def _window_generators(module: MonomialModule, window: int):
+    """The memoized tuple behind `MonomialModule.generators`."""
+    return memo("generators", _level_key(module, window), lambda: module._enumerate(window))
 
 
 def module_generators(toric: ToricData, threshold, window: int):
@@ -323,31 +349,40 @@ def _linear_relations(subspace: LinearSubspace) -> list[Poly]:
 
 
 def _relation_substitution(subspace: LinearSubspace):
-    """Per coordinate, None for a free variable of the row echelon annihilator,
-    or for a pivot variable minus the rest of its monic row, which involves
-    free variables only."""
+    """The free variables of the row echelon annihilator, and per coordinate
+    an integer row over them with a positive denominator: a free variable is
+    itself, and a pivot variable is minus the rest of its monic row, which
+    involves free variables only."""
     red, pivots = rref(subspace.annihilator())
-    subs = [None] * subspace.nvars
+    free = [j for j in range(subspace.nvars) if j not in pivots]
+    rows = [tuple(int(i == j) for i in free) for j in range(subspace.nvars)]
+    dens = [1] * subspace.nvars
     for row, p in zip(red, pivots):
-        subs[p] = -Poly.linear_form(tuple(0 if j == p else x for j, x in enumerate(row)))
-    return subs
+        dens[p] = lcm(*(row[j].denominator for j in free))
+        rows[p] = tuple(-int(row[j] * dens[p]) for j in free)
+    return free, rows, dens
 
 
 def reduce_relations(q: Poly, subspace: LinearSubspace) -> Poly:
     """Normal form of a polynomial q modulo the relation ideal of V: each pivot
-    variable is replaced by its substitute, whose powers are built once.  The
-    result involves free variables only, so no leading term of the relation
-    basis divides it; it is the remainder of division by `_linear_relations`."""
+    variable is replaced by its substitute, each term's image built as one
+    packed product over the free variables and divided by its denominator.
+    The result involves free variables only, so no leading term of the
+    relation basis divides it; it is the remainder of division by
+    `_linear_relations`."""
     if subspace.is_zero_ring():
         return Poly.zero(q.nvars)
-    subs = memo("relation_substitution", subspace.basis, lambda: _relation_substitution(subspace))
+    free, rows, dens = memo("relation_substitution", subspace.basis, lambda: _relation_substitution(subspace))
     out = Poly.zero(q.nvars)
     for e, c in q.terms.items():
-        piece = Poly.monomial(tuple(0 if s is not None else x for x, s in zip(e, subs)), c)
-        for i, s in enumerate(subs):
-            if s is not None and e[i]:
-                piece = piece * memo("relation_power", (subspace.basis, i, e[i]), lambda: s ** e[i])
-        out = out + piece
+        den = prod(d ** x for d, x in zip(dens, e))
+        image = {}
+        for mono, v in linear_form_product(rows, e).terms.items():
+            full = [0] * q.nvars
+            for j, x in zip(free, mono):
+                full[j] = x
+            image[tuple(full)] = exact_div(c * v, den)
+        out = out + Poly(q.nvars, image)
     return out
 
 
@@ -668,7 +703,34 @@ def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
 # --- membership: public entry -------------------------------------------------
 
 
+def _below_degree(q: Poly, subspace: LinearSubspace, least) -> bool:
+    """The degree test: a monomial of total degree below `least` is no member
+    of a module (or ideal) whose generators restrict to V with degree at
+    least `least`, since every element then restricts with homogeneous
+    components of at least that degree, and a monomial restricts to one
+    nonzero component of its own degree unless V is a zero ring.  `least`
+    is None when there are no generators."""
+    return (least is not None and len(q.terms) == 1 and not subspace.is_zero_ring()
+            and sum(next(iter(q.terms))) < least)
+
+
+def _below_generator_degree(q: Poly, module: MonomialModule, subspace: LinearSubspace, window: int) -> bool:
+    """The degree test at the least generator degree of the window: the
+    generators are sorted by total degree, so this costs one memo lookup."""
+    gens = _window_generators(module, window)
+    return _below_degree(q, subspace, sum(gens[0]) if gens else None)
+
+
 def _verdict_at_window(q, module, subspace, window, backend):
+    """The degree test, then the backends."""
+    if _below_generator_degree(q, module, subspace, window):
+        return False
+    return _backend_verdict(q, module, subspace, window, backend)
+
+
+def _backend_verdict(q, module, subspace, window, backend):
+    """The verdict of the chosen backend at one window, or of both, which
+    must agree."""
     if backend == "groebner":
         return _groebner_verdict(q, module, subspace, window)
     if backend == "brute":

@@ -1,9 +1,9 @@
 """The one memo of the process.
 
 Everything derived from fixed inputs alone is built once and kept here under
-(kind, key): the reduction data of each polytope and its vertex minors, and
-everything derived from a module and a window (generators, minimal
-generators, coordinate-form powers, cleared minimal generators, graded slice
+(kind, key): the validation report and reduction data of each polytope and
+its vertex minors, and everything derived from a module and a window
+(generators, minimal generators, cleared minimal generators, graded slice
 spans, relation substitutions and Groebner data).  This module imports
 nothing from the package, so every layer can use it.
 """

@@ -23,9 +23,12 @@ from toricspec.laurent import (
     KernelModule,
     MonomialModule,
     RestrictedElement,
+    _backend_verdict,
+    _below_degree,
     _level_key,
     _minimal_monomials,
     _reduced_ideal_gb,
+    _window_generators,
     kernel_K0,
     membership,
     membership_certified,
@@ -142,7 +145,26 @@ def _polynomial_part_ideal(km: KernelModule, window: int):
     return memo("polynomial_part", (_level_key(km.module, window), km.subspace.basis), build)
 
 
+def _least_positive_degree(gens):
+    """The least total degree of the positive parts of generators sorted by
+    total degree, None without generators; a positive part is no lower than
+    its generator, so the scan stops at the first generator at or above the
+    best so far."""
+    best = None
+    for g in gens:
+        if best is not None and sum(g) >= best:
+            break
+        degree = sum(x for x in g if x > 0)
+        if best is None or degree < best:
+            best = degree
+    return best
+
+
 def _ideal_member_at(poly: Poly, km: KernelModule, window: int) -> bool:
+    """Membership in the polynomial-part ideal; the degree test at the least
+    degree of the positive parts decides without the basis."""
+    if _below_degree(poly, km.subspace, _least_positive_degree(_window_generators(km.module, window))):
+        return False
     return reduce_modulo(poly, _polynomial_part_ideal(km, window), km.subspace).is_zero()
 
 
@@ -240,7 +262,7 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
         for a in reversed(list(monomials_of_degree(n, degree))):
             if is_member(a):
                 continue
-            successors = [tuple(x + (1 if j == i else 0) for j, x in enumerate(a)) for i in range(n)]
+            successors = [a[:i] + (a[i] + 1,) + a[i + 1:] for i in range(n)]
             if all(is_member(s) for s in successors):
                 q_exps = back(a)
                 certs, windows = {}, {}
@@ -284,7 +306,9 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
             continue
         seen.add(key)
         checked += 1
-        if membership(Poly.monomial(a), km.module, km.subspace):
+        # both full backends, not the degree test: this scan is what checks it
+        q = Poly.monomial(a)
+        if stable_verdict(lambda w: _backend_verdict(q, km.module, km.subspace, w, "both"), window)[0]:
             violations.append(a)
     return violations, checked
 

@@ -7,11 +7,13 @@ Groebner engine (nonnegative exponents, graded reverse lexicographic order).
 Coefficients are exact and canonical: an `int` when integral, a `Fraction`
 otherwise.  The coordinate forms have integer coefficients, so most of the
 membership algebra runs in integers; coefficients are divided only through
-`exact_div`, since `int / int` would give a float.
+`exact_div`, since `int / int` would give a float.  Products of powers of
+integer linear forms, which make up the restrictions of monomials, are one
+big-integer product each (`linear_form_product`).
 """
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 
 def exact_coefficient(c):
@@ -231,3 +233,49 @@ class Poly:
         return " + ".join(bits).replace("+ -", "- ")
 
     __repr__ = render
+
+
+def linear_form_product(rows, exps) -> Poly:
+    """prod_i (rows[i] . w) ** exps[i] for integer rows of a common length
+    k >= 1 and nonnegative exponents, by Kronecker substitution.
+
+    The product is homogeneous of degree D = sum(exps), so w_k = 1 loses
+    nothing, and w_j -> X^((D+1)^(j-1)) keeps the remaining exponent vectors
+    apart.  With X = 2^B, B whole bytes above the coefficient bound
+    prod (sum |c|)^e plus a sign bit, the forms become Python ints, one
+    big-integer product multiplies them, and the coefficients are read back
+    from the bytes as balanced digits: a half slot is added to every slot
+    before `to_bytes` and subtracted from each digit after."""
+    k = len(rows[0])
+    factors = [(row, e) for row, e in zip(rows, exps) if e]
+    degree = sum(e for _, e in factors)
+    if k == 1:
+        c = 1
+        for (a,), e in factors:
+            c *= a ** e
+        return Poly(1, {(degree,): c})
+    bound = 1
+    for row, e in factors:
+        bound *= sum(map(abs, row)) ** e
+    width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    base = degree + 1
+    shifts = [8 * width * base ** j for j in range(k - 1)]
+    packed = 1
+    for row, e in factors:
+        packed *= (row[-1] + sum(c << s for c, s in zip(row, shifts))) ** e
+    slots = base ** (k - 1)
+    zero = b"\0" * (width - 1) + b"\x80"
+    half = 1 << (8 * width - 1)
+    digits = (packed + int.from_bytes(zero * slots, "little")).to_bytes(width * slots, "little")
+    offsets = [width * base ** j for j in range(1, k - 1)]
+    terms = {}
+    # the exponents of w_2..w_{k-1} pick a run of slots, one per exponent of w_1
+    for *rest, slack in monomials_of_degree(k - 1, degree):
+        at = sum(map(mul, rest, offsets))
+        rest = tuple(rest)
+        for a in range(slack + 1):
+            digit = digits[at:at + width]
+            if digit != zero:
+                terms[(a, *rest, slack - a)] = int.from_bytes(digit, "little") - half
+            at += width
+    return Poly(k, terms)

@@ -251,6 +251,12 @@ def _has_recession_ray(poly: DelzantPolytope) -> bool:
 
 
 def validate(poly: DelzantPolytope) -> ValidationReport:
+    """The validation report of `poly`, built once per process for each
+    polytope (memo kind `validation`); an input that raises is not kept."""
+    return memo("validation", poly, lambda: _validate(poly))
+
+
+def _validate(poly: DelzantPolytope) -> ValidationReport:
     """Compactness, smoothness, and the vertex list with each vertex's active
     facet set, all in integer arithmetic.
 

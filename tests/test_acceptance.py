@@ -15,11 +15,13 @@ from tests.conftest import cp1xcp1, cpn_simplex, cube3
 from toricspec.cli import run
 from toricspec.lattice import identity_matrix
 from toricspec.laurent import (
+    _backend_verdict,
     kernel_K0,
     kernel_membership,
     membership,
     novikov_shift,
     restrict,
+    stable_verdict,
 )
 from toricspec.minimal import (
     MinimalDegreeWitness,
@@ -209,7 +211,11 @@ def test_criterion_8_backend_agreement():
                             for _ in range(rng.randint(1, 3))
                         },
                     )
+                    # both full backends at every window, past the degree test;
                     # raises BackendMismatchError on any disagreement
-                    kernel_membership(q, km, backend="both")
+                    verdict, _ = stable_verdict(
+                        lambda w: _backend_verdict(q, km.module, km.subspace, w, "both"), 2
+                    )
+                    assert kernel_membership(q, km, backend="both") == verdict
                     count += 1
         assert count >= 100

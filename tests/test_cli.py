@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from toricspec.cli import parse_data_report, run
+from toricspec.memo import clear_caches, memo_counts
 
 POLY = Path(__file__).resolve().parent.parent / "polytopes"
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
@@ -46,6 +47,14 @@ def test_validate_square():
     assert d["compact"] == "true"
     assert d["smooth"] == "true"
     assert d["vertex_count"] == "4"
+
+
+def test_validate_then_data_validates_once():
+    clear_caches()
+    path = str(POLY / "hirzebruch_monotone.poly")
+    assert invoke("validate", path)[0] == 0
+    assert invoke("data", path)[0] == 0
+    assert memo_counts()["validation"] == (1, 1)
 
 
 def test_validate_halfplane_exits_2():

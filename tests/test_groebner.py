@@ -20,6 +20,7 @@ from toricspec.laurent import (
     kernel_K0,
     reduce_relations,
 )
+from toricspec.lattice import rref
 from toricspec.polys import Poly, exact_div, grevlex_key
 
 
@@ -226,6 +227,30 @@ def test_relation_substitution_matches_division(T_monotone, T_p12, T_cp2, T_cp3,
                 assert reduce_relations(q, sub) == normal_form(q, rel)
                 checked += 1
     assert checked == 5 * 2 * 8
+
+
+def test_relation_substitution_with_denominators():
+    # random integer subspaces, whose monic echelon annihilator rows mostly
+    # have denominators: the packed substitution still gives the remainder
+    rng = random.Random(23)
+    checked = with_denominators = 0
+    while checked < 60:
+        n = rng.randint(2, 5)
+        k = rng.randint(1, n - 1)
+        sub = LinearSubspace(basis=tuple(tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(n)))
+        if sub.is_zero_ring():
+            continue
+        red, pivots = rref(sub.annihilator())
+        with_denominators += any(x.denominator > 1 for row in red[: len(pivots)] for x in row)
+        rel = _linear_relations(sub)
+        for _ in range(3):
+            q = Poly(n, {
+                tuple(rng.randint(0, 3) for _ in range(n)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))
+            })
+            assert reduce_relations(q, sub) == normal_form(q, rel)
+        checked += 1
+    assert with_denominators >= 20
 
 
 def _rand_ideal(rng, n):

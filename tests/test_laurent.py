@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from toricspec.laurent import (
     restrict,
     restriction_class_key,
     verify_certificate,
+    _below_generator_degree,
     _brute_verdict,
     _generator_floor,
     _groebner_verdict,
@@ -33,7 +35,7 @@ from toricspec.laurent import (
 )
 from toricspec.oracle import DiagonalMap, spectrum_classes
 from toricspec.polys import Poly
-from toricspec.polytope import parse_polytope, toric_data
+from toricspec.polytope import parse_polytope, toric_data, validate
 
 H = Fraction(1, 2)
 
@@ -338,6 +340,37 @@ def test_integer_generators_match_fraction_enumeration(T_monotone, T_p12, T_cp2,
     assert checked == 5 * 6 * 3 * 4
 
 
+def _rebased(T, U):
+    """T in the kappa basis changed by the unimodular U (m = U m'): the same
+    lattice, with weights p U, which may be negative or zero."""
+    k = range(T.k)
+    return replace(
+        T,
+        iota=tuple(tuple(sum(row[i] * U[i][j] for i in k) for j in k) for row in T.iota),
+        p=tuple(sum(T.p[i] * U[i][j] for i in k) for j in k),
+    )
+
+
+def test_generators_match_the_box_filter(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # wide windows and levels far from the center, where the solved range of
+    # the last coordinate is cut at either end of the window or is empty, and
+    # kappa bases in which the last weight is negative or zero
+    shear = ((1, -2), (0, 1))
+    rebased = [_rebased(T_monotone, shear), _rebased(T_p12, shear), _rebased(T_cp2, ((-1,),)),
+               _rebased(T_cube, ((1, 0, -2), (0, 1, 0), (0, 0, 1)))]
+    assert sorted(T.p[-1] for T in rebased) == [-1, -1, -1, 0]
+    checked = 0
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube, *rebased):
+        for threshold in (None, H, Fraction(-7, 3), Fraction(9, 2)):
+            base = MonomialModule(toric=T, threshold=threshold, window=2)
+            for m in ((0,) * T.k, tuple((-1) ** i * (i + 2) for i in range(T.k))):
+                module = novikov_shift(base, m)
+                for window in (2, 4, 6):
+                    assert module.generators(window) == _direct_generators(module, window)
+                    checked += 1
+    assert checked == 9 * 4 * 2 * 3
+
+
 def test_memo_clear_caches_and_counts(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
     queries = [U(1, 0, 0, 0), U(1, 1, 0, 0), U(0, 0, 1, 1), U(-1, 0, 2, 1), U(2, -1, 0, 0)]
@@ -350,14 +383,15 @@ def test_memo_clear_caches_and_counts(T_monotone):
     spectrum = spectrum_classes(T, dmap)
     built = memo_counts()
     kinds = ("generators", "generator_floor", "groebner", "cleared_generators", "graded_slice",
-             "form_power", "relation_substitution", "relation_power", "restriction_groups",
-             "minimal_generators", "toric_data", "vertex_minor")
+             "relation_substitution", "restriction_groups", "minimal_generators", "toric_data",
+             "vertex_minor", "validation")
     for kind in kinds:
         assert built[kind][1] > 0, kind
     again = [membership(q, km.module, km.subspace) for q in queries]
     assert again == first
     assert [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries] == classes
     assert toric_data(T_monotone.polytope) is T
+    assert validate(T_monotone.polytope).vertex_facets == T.vertex_facets
     assert spectrum_classes(T, dmap) == spectrum
     km.module.generators()
     counts = memo_counts()
@@ -372,7 +406,8 @@ def test_memo_clear_caches_and_counts(T_monotone):
 
 def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeypatch):
     # both backends read the minimal generators of a (level, window) from the
-    # memo; a query whose verdict is the same at W = 2 and 4 visits those two
+    # memo; a query at the generator degree (2 here) whose verdict is the same
+    # at W = 2 and 4 visits those two
     import toricspec.laurent as laurent
 
     built = []
@@ -385,9 +420,55 @@ def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeyp
     monkeypatch.setattr(laurent, "_minimal_monomials", counted)
     km = kernel_K0(T_cube, H, 2)
     clear_caches()
-    membership(U(1, 0, 0, 0, 0, 0), km.module, km.subspace, backend="both")
+    membership(U(1, 1, 0, 0, 0, 0), km.module, km.subspace, backend="both")
     assert built == [len(km.module.generators(w)) for w in (2, 4)]
     assert memo_counts()["minimal_generators"][1] == 2
+
+
+def test_backends_reject_every_monomial_below_the_generator_degree(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # the degree test decides these queries before either backend; each
+    # backend, called directly, must reach the same verdict on its own
+    checked = 0
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        box = range(-1, 2) if T.n > 4 else range(-2, 3)
+        for maker in (kernel_K, kernel_K0):
+            for window in (2, 4):
+                km = maker(T, H, window)
+                if km.subspace.is_zero_ring():
+                    continue
+                least = sum(km.module.generators()[0])
+                for e in product(box, repeat=T.n):
+                    if sum(e) >= least:
+                        continue
+                    q = Poly.monomial(e)
+                    assert _below_generator_degree(q, km.module, km.subspace, window)
+                    assert not _groebner_verdict(q, km.module, km.subspace, window), (e, window)
+                    assert not _brute_verdict(q, km.module, km.subspace, window)[0], (e, window)
+                    checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("backend", ["groebner", "brute", "both"])
+def test_degree_test_builds_no_image_floor_basis_or_slice(T_cube, backend):
+    km = kernel_K0(T_cube, H, 2)
+    clear_caches()
+    assert not membership(U(1, 0, 0, 0, 0, 0), km.module, km.subspace, backend=backend)
+    assert not membership(U(-2, 0, 1, 0, 0, 0), km.module, km.subspace, backend=backend)
+    assert set(memo_counts()) == {"generators"}
+
+
+def test_degree_test_needs_one_term_and_a_nonzero_ring(T_monotone, T_cp2):
+    km = kernel_K0(T_monotone, H, 2)
+    least = sum(km.module.generators()[0])
+    low = (least - 1, 0, 0, 0)
+    assert _below_generator_degree(Poly.monomial(low), km.module, km.subspace, 2)
+    assert not _below_generator_degree(Poly.monomial((least, 0, 0, 0)), km.module, km.subspace, 2)
+    assert not _below_generator_degree(Poly(4, {low: 1, (0, least - 1, 0, 0): 1}), km.module, km.subspace, 2)
+    assert not _below_generator_degree(Poly.zero(4), km.module, km.subspace, 2)
+    zero_ring = kernel_K0(T_cp2, H, 2)
+    assert zero_ring.subspace.is_zero_ring()
+    assert not _below_generator_degree(Poly.monomial((-5, 0, 0)), zero_ring.module, zero_ring.subspace, 2)
+    assert membership(Poly.monomial((-5, 0, 0)), zero_ring.module, zero_ring.subspace)
 
 
 def _reference_minimal_monomials(exps_list):

@@ -11,6 +11,7 @@ from toricspec.laurent import (
     memo_counts,
     membership,
     novikov_shift,
+    reduce_modulo,
     restrict,
 )
 from toricspec.minimal import (
@@ -25,6 +26,8 @@ from toricspec.minimal import (
     monomial_ideal_member,
     nullstellensatz_exponents,
     translated_point_bound,
+    _least_positive_degree,
+    _polynomial_part_ideal,
 )
 from toricspec.polys import Poly
 from toricspec.polytope import ToricHypothesisError
@@ -100,6 +103,30 @@ def test_nullstellensatz_high_degree_monomials_member(T_monotone):
             target - cuts[2],
         )
         assert monomial_ideal_member(T_monotone, H, 2, parts)
+
+
+def test_least_positive_degree_matches_the_full_scan():
+    rng = random.Random(35)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        gens = sorted({tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 12))},
+                      key=lambda g: (sum(g), g))
+        assert _least_positive_degree(gens) == min(sum(max(x, 0) for x in g) for g in gens)
+
+
+def test_polynomial_part_degree_test_builds_no_basis(T_monotone):
+    # below the least positive-part degree (2 here) a monomial is decided
+    # without the basis; the basis, built afterwards, agrees
+    km = kernel_K0(T_monotone, H, 2)
+    below = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
+    clear_caches()
+    for q in below:
+        assert not monomial_ideal_member(T_monotone, H, 2, q)
+    assert "polynomial_part" not in memo_counts()
+    for window in (2, 4):
+        basis = _polynomial_part_ideal(km, window)
+        for q in below:
+            assert not reduce_modulo(Poly.monomial(q), basis, km.subspace).is_zero()
 
 
 def test_nullstellensatz_cpn_rejected(T_cp2):

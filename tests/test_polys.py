@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toricspec.groebner import normal_form
-from toricspec.polys import Poly, exact_div, grevlex_key
+from toricspec.polys import Poly, exact_div, grevlex_key, linear_form_product
 
 
 class _FractionPoly:
@@ -203,3 +203,49 @@ def test_exact_div():
     assert exact_div(1, Fraction(2, 3)) == Fraction(3, 2)
     with pytest.raises(ZeroDivisionError):
         exact_div(1, 0)
+
+
+def test_linear_form_product_matches_chained_products():
+    # the Kronecker-packed product against a chain of Poly products: k = 1-4
+    # variables, negative and zero coefficients, zero exponents, and rows
+    # over a denominator (a relation row), divided once at the end
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        k = draw(st.integers(1, 4))
+        count = draw(st.integers(1, 4))
+        row = st.tuples(*[st.integers(-6, 6)] * k)
+        rows = draw(st.lists(row, min_size=count, max_size=count))
+        exps = draw(st.lists(st.integers(0, 4), min_size=count, max_size=count))
+        dens = draw(st.lists(st.integers(1, 5), min_size=count, max_size=count))
+        return rows, exps, dens
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        rows, exps, dens = case
+        k = len(rows[0])
+        chained, over = Poly.constant(k, 1), Poly.constant(k, 1)
+        scale = 1
+        for row, e, den in zip(rows, exps, dens):
+            for _ in range(e):
+                chained = chained * Poly.linear_form(row)
+                over = over * Poly.linear_form([Fraction(c, den) for c in row])
+            scale *= den ** e
+        packed = linear_form_product(rows, exps)
+        assert packed.nvars == k and packed == chained
+        assert all(type(c) is int for c in packed.terms.values())
+        assert Poly(k, {e: exact_div(c, scale) for e, c in packed.terms.items()}) == over
+
+    check()
+
+
+def test_linear_form_product_edge_cases():
+    assert linear_form_product([(3,), (-2,)], (2, 3)) == Poly(1, {(5,): 9 * -8})
+    assert linear_form_product([(1, 2), (0, 5)], (0, 0)) == Poly.constant(2, 1)
+    assert linear_form_product([(0, 0, 0), (1, 1, 1)], (2, 1)).is_zero()
+    # coefficients right at the bound: (x + y)^8 peaks at 70, (x - y)^8 at -70
+    assert linear_form_product([(1, 1)], (8,)) == Poly.linear_form((1, 1)) ** 8
+    assert linear_form_product([(1, -1)], (8,)) == Poly.linear_form((1, -1)) ** 8
