@@ -156,6 +156,11 @@ def parse_data_report(text: str) -> dict:
 
 
 def cmd_spectrum_quadform(args, report: Report) -> int:
+    if args.numeric:
+        try:
+            import numpy as np
+        except ImportError:
+            raise ValueError("--numeric needs numpy (the [numeric] extra)") from None
     data = toric_data(_load(args.polytope))
     lam = parse_vector(args.lam)
     params = DecompositionParams(N1=0, N2=args.N)
@@ -168,8 +173,6 @@ def cmd_spectrum_quadform(args, report: Report) -> int:
     for e in sp.eigenvalues:
         report.kv(f"eigen.{e.j}.{e.k}.sign", e.sign())
     if args.numeric:
-        import numpy as np
-
         from toricspec.quadforms import assemble_numeric_form, numeric_negative_index
 
         m = assemble_numeric_form(params, lam, data.iota)

@@ -16,10 +16,10 @@ product criterion; Gebauer and Moeller, JSC 1988; Becker and Weispfenning,
 *Groebner Bases*, 1993, section 5.5), in a heap ordered by the lcm of the
 leading monomials (the normal strategy).
 
-The membership algebra needs no saturation: its relation ideals are generated
-by linear forms, so each is the ideal of a linear subspace and hence prime.
-Saturating it by the product of the coordinates changes it only when it
-contains a coordinate, and then the saturation is the unit ideal.
+The membership algebra brings its ideals here already restricted to a linear
+subspace V, in the coordinates of V: restriction maps the polynomial ring onto
+the coordinate ring of V with the relation ideal of V as kernel, so no
+relation ideal enters, and none needs saturating.
 """
 
 import heapq

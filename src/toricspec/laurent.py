@@ -7,17 +7,17 @@ the translation (shift) action; and a membership test with two independent
 backends:
 
   * a Groebner route: multiply the generators by the least monomial u^T
-    that clears their negative exponents, which turns the module into a
-    polynomial ideal, add the linear relation ideal of V, and reduce.  The
-    relation ideal is the ideal of a linear subspace, hence prime, so it
-    needs no saturation by u_1...u_n: its reduced basis is the row echelon
-    form of the annihilator of V, and reducing by it is substitution of the
-    pivot variables.  A query with deeper denominators is cleared further
-    and divided exactly by the extra monomial's image modulo the relations;
-  * a graded linear-algebra route ("brute"): restrict the minimal generators
-    to the subspace coordinates, clear their denominators once, and decide
-    each graded slice of the query by an exact span of generator multiples
-    of every degree.  It is complete at each window.
+    that clears their negative exponents, restrict these polynomials to V,
+    and reduce the equally cleared query's restriction by a Groebner basis of
+    theirs, in the coordinates w of V.  Restriction maps Q[u] onto Q[w] with
+    the prime relation ideal of V as kernel, so this is membership in the
+    cleared ideal plus the relation ideal.  A query with deeper denominators
+    is cleared further and divided exactly by the extra monomial's
+    restriction;
+  * a graded linear-algebra route ("brute"): decide each graded slice of the
+    same cleared query restriction by an exact span of the cleared generator
+    restrictions times monomials of every degree.  It is complete at each
+    window.
 
 Before either backend, a monomial query below the least generator degree is
 decided a non-member in integers alone.  The two backends must agree on every
@@ -26,19 +26,11 @@ query this leaves open; a disagreement raises.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, gcd, lcm, prod
+from math import ceil, gcd, lcm
 from operator import add
 
 from toricspec.groebner import DivisionBasis, buchberger, normal_form
-from toricspec.lattice import (
-    IntMat,
-    IntVec,
-    identity_matrix,
-    integer_kernel,
-    rref,
-    transpose,
-    vec_gcd,
-)
+from toricspec.lattice import IntMat, IntVec, vec_gcd
 from toricspec.memo import clear_caches, memo, memo_counts  # the last two re-exported
 from toricspec.polys import Poly, exact_div, linear_form_product, monomials_of_degree
 from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
@@ -111,12 +103,6 @@ class LinearSubspace:
         if self.dim == 0:
             return True
         return not all(map(any, self.basis))
-
-    def annihilator(self) -> tuple[IntVec, ...]:
-        """Integer basis of the linear forms on Q^n vanishing on V."""
-        if self.dim == 0:
-            return tuple(tuple(row) for row in identity_matrix(self.nvars))
-        return integer_kernel(transpose(self.basis)).vectors
 
 
 @dataclass
@@ -335,55 +321,7 @@ def kernel_K0(toric: ToricData, threshold, window: int) -> KernelModule:
     return _kernel_module(toric, threshold, window, basis, "R0")
 
 
-# --- membership: Groebner backend -------------------------------------------
-
-
-def _linear_relations(subspace: LinearSubspace) -> list[Poly]:
-    """Reduced Groebner basis of the relation ideal of V: the monic row echelon
-    form of the annihilator, sorted by leading exponent; [1] on a zero ring."""
-    if subspace.is_zero_ring():
-        return [Poly.constant(subspace.nvars, 1)]
-    red, pivots = rref(subspace.annihilator())
-    forms = [Poly.linear_form(row) for row in red[: len(pivots)]]
-    return sorted(forms, key=lambda g: g.leading()[0])
-
-
-def _relation_substitution(subspace: LinearSubspace):
-    """The free variables of the row echelon annihilator, and per coordinate
-    an integer row over them with a positive denominator: a free variable is
-    itself, and a pivot variable is minus the rest of its monic row, which
-    involves free variables only."""
-    red, pivots = rref(subspace.annihilator())
-    free = [j for j in range(subspace.nvars) if j not in pivots]
-    rows = [tuple(int(i == j) for i in free) for j in range(subspace.nvars)]
-    dens = [1] * subspace.nvars
-    for row, p in zip(red, pivots):
-        dens[p] = lcm(*(row[j].denominator for j in free))
-        rows[p] = tuple(-int(row[j] * dens[p]) for j in free)
-    return free, rows, dens
-
-
-def reduce_relations(q: Poly, subspace: LinearSubspace) -> Poly:
-    """Normal form of a polynomial q modulo the relation ideal of V: each pivot
-    variable is replaced by its substitute, each term's image built as one
-    packed product over the free variables and divided by its denominator.
-    The result involves free variables only, so no leading term of the
-    relation basis divides it; it is the remainder of division by
-    `_linear_relations`."""
-    if subspace.is_zero_ring():
-        return Poly.zero(q.nvars)
-    free, rows, dens = memo("relation_substitution", subspace.basis, lambda: _relation_substitution(subspace))
-    out = Poly.zero(q.nvars)
-    for e, c in q.terms.items():
-        den = prod(d ** x for d, x in zip(dens, e))
-        image = {}
-        for mono, v in linear_form_product(rows, e).terms.items():
-            full = [0] * q.nvars
-            for j, x in zip(free, mono):
-                full[j] = x
-            image[tuple(full)] = exact_div(c * v, den)
-        out = out + Poly(q.nvars, image)
-    return out
+# --- membership: the cleared restriction -------------------------------------
 
 
 def _minimal_monomials(exps_list):
@@ -420,63 +358,58 @@ def _minimal_generators(module: MonomialModule, window: int):
                 lambda: _minimal_monomials(module.generators(window)))
 
 
+def _cleared_generators(module, subspace, window):
+    """The restrictions prod l_i^(g_i + T_i) of the minimal window generators
+    g, in their order, and the generator floor T: the least exponents with
+    g + T >= 0 for every window generator g, which the minimal generators
+    attain.  Built once per (level, window, subspace) for both backends."""
+
+    def build():
+        gens = _minimal_generators(module, window)
+        floor = tuple(max(0, -min((g[i] for g in gens), default=0)) for i in range(module.toric.n))
+        return [subspace.form_product(tuple(map(add, g, floor))) for g in gens], floor
+
+    return memo("cleared_generators", (_level_key(module, window), subspace.basis), build)
+
+
+def _cleared(q: Poly, floor, subspace: LinearSubspace):
+    """The restriction of q * u^floor to V; None when it is no polynomial on V
+    (then q is no member).  Where q's denominator d exceeds the floor, q is
+    cleared at d and divided exactly by the restriction of u^(d - floor): the
+    generators cleared at d are the floor-cleared ones times that
+    restriction, and the coordinate ring of V is a domain."""
+    depth = tuple(max(t, -m) for t, m in zip(floor, q.min_exponents()))
+    num = subspace.image(q.term_mul(depth))
+    if depth == floor:
+        return num
+    return num.exact_divide(subspace.form_product(tuple(d - t for d, t in zip(depth, floor))))
+
+
+# --- membership: Groebner backend -------------------------------------------
+
+
 def _reduced_ideal_gb(monomial_exps, subspace: LinearSubspace) -> DivisionBasis:
-    """Groebner basis of <monomials> + relation ideal, computed through the
-    linear quotient: reducing by the relation basis substitutes away the
-    pivot variables, so Buchberger runs on supports of the subspace dimension
-    only.  Membership: `reduce_modulo` by this basis.  Monomials that are
-    multiples of others may be passed, but cost Buchberger steps; zero and
-    repeated images drop out in Buchberger's interreduction."""
-    images = [reduce_relations(Poly.monomial(e), subspace) for e in monomial_exps]
-    return DivisionBasis(subspace.nvars, buchberger(images))
+    """Groebner basis of the restrictions of the monomials to V, in the
+    coordinates w.  Membership: `reduce_modulo` by this basis.  Monomials
+    that are multiples of others may be passed, but cost Buchberger steps."""
+    return DivisionBasis(subspace.dim, buchberger([subspace.form_product(e) for e in monomial_exps]))
 
 
 def reduce_modulo(q_poly: Poly, gb, subspace: LinearSubspace) -> Poly:
-    return normal_form(reduce_relations(q_poly, subspace), gb)
-
-
-def _generator_floor(module: MonomialModule, window: int):
-    """The least exponents T with g + T >= 0 for every window generator g; the
-    minimal generators attain the same minima."""
-
-    def build():
-        gens = module.generators(window)
-        return tuple(max(0, -min((g[i] for g in gens), default=0)) for i in range(module.toric.n))
-
-    return memo("generator_floor", _level_key(module, window), build)
-
-
-def _cleared(q: Poly, floor, image):
-    """image(q * u^floor), where `image` is a backend's map from polynomials
-    in u onto coordinates of V; None when q * u^floor is no polynomial on V
-    (then q is no member).  Where q's denominator d exceeds the floor, q is
-    cleared at d and divided exactly by image(u^(d - floor)): the generators
-    cleared at d are the floor-cleared ones times that image, and the
-    coordinate ring of V is a domain."""
-    depth = tuple(max(t, -m) for t, m in zip(floor, q.min_exponents()))
-    num = image(q.term_mul(depth))
-    if depth == floor:
-        return num
-    return num.exact_divide(image(Poly.monomial(tuple(d - t for d, t in zip(depth, floor)))))
+    return normal_form(subspace.image(q_poly), gb)
 
 
 def _module_groebner(module: MonomialModule, subspace: LinearSubspace, window: int):
-    """Groebner basis of the minimal generators cleared at the generator
-    floor; built once per (level, window, subspace)."""
-
-    def build():
-        floor = _generator_floor(module, window)
-        cleared = [tuple(a + b for a, b in zip(g, floor)) for g in _minimal_generators(module, window)]
-        return _reduced_ideal_gb(cleared, subspace)
-
-    return memo("groebner", (_level_key(module, window), subspace.basis), build)
+    """Groebner basis of the cleared generator restrictions; built once per
+    (level, window, subspace)."""
+    return memo("groebner", (_level_key(module, window), subspace.basis),
+                lambda: DivisionBasis(subspace.dim, buchberger(_cleared_generators(module, subspace, window)[0])))
 
 
-def _groebner_verdict(q: Poly, module: MonomialModule, subspace: LinearSubspace, window: int) -> bool:
-    if q.is_zero() or subspace.is_zero_ring():
-        return True
-    cleared = _cleared(q, _generator_floor(module, window), lambda f: reduce_relations(f, subspace))
-    return cleared is not None and normal_form(cleared, _module_groebner(module, subspace, window)).is_zero()
+def _groebner_member(cleared: Poly, module, subspace, window) -> bool:
+    """Is the cleared query restriction in the ideal of the cleared generator
+    restrictions?"""
+    return normal_form(cleared, _module_groebner(module, subspace, window)).is_zero()
 
 
 # --- membership: brute (graded linear-algebra) backend -------------------------
@@ -506,20 +439,6 @@ def restriction_class_key(subspace: LinearSubspace, exps):
     for group, e in zip(groups, exps):
         sums[group] += e
     return tuple(sums)
-
-
-def _cleared_generators(module, subspace, window):
-    """The generator floor T and the restrictions of the minimal window
-    generators g cleared to it: prod l_i^(g_i + T_i), in the order of the
-    generators."""
-
-    def build():
-        floor = _generator_floor(module, window)
-        cleared = [subspace.form_product(tuple(a + b for a, b in zip(g, floor)))
-                   for g in _minimal_generators(module, window)]
-        return cleared, floor
-
-    return memo("cleared_generators", (_level_key(module, window), subspace.basis), build)
 
 
 def _axpy(target: dict, f, vec: dict):
@@ -645,25 +564,21 @@ class _GradedSlice:
         return vec, scale, combo
 
 
-def _brute_verdict(q, module, subspace, window, want_certificate=False):
+def _brute_member(cleared: Poly, module, subspace, window, want_certificate=False):
     """Exact linear algebra in the subspace coordinates, graded slice by slice;
     complete at each window, since every multiplier degree is admitted.
 
-    Returns (verdict, certificate); the certificate maps generator exponents
-    to multiplier polynomials (in restricted coordinates) for each graded
-    component of the cleared restriction, and is only assembled on request.
+    Returns (verdict, certificate) for the cleared query restriction; the
+    certificate maps generator exponents to multiplier polynomials (in
+    restricted coordinates) for each graded component, and is only
+    assembled on request.
     """
-    if subspace.is_zero_ring():
-        return True, {}
     gens = _minimal_generators(module, window)
-    cleared_gens, floor = _cleared_generators(module, subspace, window)
-    cleared_q = _cleared(q, floor, subspace.image)
-    if cleared_q is None:
-        return False, None
+    cleared_gens, _ = _cleared_generators(module, subspace, window)
     k = subspace.dim
     level = (_level_key(module, window), subspace.basis)
     certificate = {}
-    for degree, component in cleared_q.homogeneous_components().items():
+    for degree, component in cleared.homogeneous_components().items():
         graded = memo(
             "graded_slice",
             (level, degree, want_certificate),
@@ -680,6 +595,17 @@ def _brute_verdict(q, module, subspace, window, want_certificate=False):
     return True, certificate
 
 
+def _brute_verdict(q, module, subspace, window, want_certificate=False):
+    """The brute backend alone on the query q: (verdict, certificate) as in
+    `_brute_member`."""
+    if subspace.is_zero_ring():
+        return True, {}
+    cleared = _cleared(q, _cleared_generators(module, subspace, window)[1], subspace)
+    if cleared is None:
+        return False, None
+    return _brute_member(cleared, module, subspace, window, want_certificate)
+
+
 def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
     """Re-expand a brute-backend certificate and compare exactly.  A label g
     may be any u-multiple of a window generator (u^g is then in the module),
@@ -687,9 +613,10 @@ def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
     if subspace.is_zero_ring():
         return True
     window = module.window if window is None else window
-    gens, floor = _minimal_generators(module, window), _generator_floor(module, window)
-    cleared_q = _cleared(q, floor, subspace.image)
-    if cleared_q is None:
+    gens = _minimal_generators(module, window)
+    floor = _cleared_generators(module, subspace, window)[1]
+    cleared = _cleared(q, floor, subspace)
+    if cleared is None:
         return False
     total = Poly.zero(subspace.dim)
     for comp in certificate.values():
@@ -697,7 +624,7 @@ def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
             if not any(all(a >= b for a, b in zip(g, m)) for m in gens):
                 return False
             total = total + subspace.form_product(tuple(a + b for a, b in zip(g, floor))) * mult
-    return total == cleared_q
+    return total == cleared
 
 
 # --- membership: public entry -------------------------------------------------
@@ -730,18 +657,28 @@ def _verdict_at_window(q, module, subspace, window, backend):
 
 def _backend_verdict(q, module, subspace, window, backend):
     """The verdict of the chosen backend at one window, or of both, which
-    must agree."""
+    must agree; either way the query is cleared and restricted once."""
+    if subspace.is_zero_ring():
+        return True
+    cleared = _cleared(q, _cleared_generators(module, subspace, window)[1], subspace)
+    if cleared is None:
+        return False
     if backend == "groebner":
-        return _groebner_verdict(q, module, subspace, window)
+        return _groebner_member(cleared, module, subspace, window)
     if backend == "brute":
-        return _brute_verdict(q, module, subspace, window)[0]
-    gb = _groebner_verdict(q, module, subspace, window)
-    br = _brute_verdict(q, module, subspace, window)[0]
+        return _brute_member(cleared, module, subspace, window)[0]
+    gb = _groebner_member(cleared, module, subspace, window)
+    br = _brute_member(cleared, module, subspace, window)[0]
     if gb != br:
         raise BackendMismatchError(
             f"groebner={gb} brute={br} at window {window} for {q.render()}"
         )
     return gb
+
+
+def _groebner_verdict(q, module, subspace, window) -> bool:
+    """The Groebner backend alone on the query q."""
+    return _backend_verdict(q, module, subspace, window, "groebner")
 
 
 def check_start_window(window: int):

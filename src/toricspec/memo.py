@@ -4,7 +4,7 @@ Everything derived from fixed inputs alone is built once and kept here under
 (kind, key): the validation report and reduction data of each polytope and
 its vertex minors, and everything derived from a module and a window
 (generators, minimal generators, cleared minimal generators, graded slice
-spans, relation substitutions and Groebner data).  This module imports
+spans and Groebner data).  This module imports
 nothing from the package, so every layer can use it.
 """
 

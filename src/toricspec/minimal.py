@@ -134,9 +134,10 @@ def bounding_modules(toric: ToricData, nu, c_minus, c_plus, window: int = 2) -> 
 
 
 def _polynomial_part_ideal(km: KernelModule, window: int):
-    """Groebner basis of the positive-part monomial ideal plus the relation
-    ideal.  The polynomial part of the module is exactly the monomial
-    ideal generated by the componentwise-positive parts of the generators."""
+    """Groebner basis of the restriction to V of the positive-part monomial
+    ideal, which decides membership in that ideal plus the relation ideal.
+    The polynomial part of the module is exactly the monomial ideal
+    generated by the componentwise-positive parts of the generators."""
 
     def build():
         positive = [tuple(max(x, 0) for x in g) for g in km.module.generators(window)]
@@ -161,8 +162,11 @@ def _least_positive_degree(gens):
 
 
 def _ideal_member_at(poly: Poly, km: KernelModule, window: int) -> bool:
-    """Membership in the polynomial-part ideal; the degree test at the least
-    degree of the positive parts decides without the basis."""
+    """Membership in the polynomial-part ideal; on a zero ring every
+    polynomial is a member, and the degree test at the least degree of the
+    positive parts decides without the basis."""
+    if km.subspace.is_zero_ring():
+        return True
     if _below_degree(poly, km.subspace, _least_positive_degree(_window_generators(km.module, window))):
         return False
     return reduce_modulo(poly, _polynomial_part_ideal(km, window), km.subspace).is_zero()

@@ -1,0 +1,166 @@
+"""Test-only references: the Fraction Groebner engine, the relation ideal of a
+linear subspace, and module membership by its definition in Q[u_1..u_n]."""
+
+import heapq
+from operator import add, ge, sub
+
+from toricspec.lattice import identity_matrix, integer_kernel, rref, transpose
+from toricspec.polys import Poly, exact_div, grevlex_key
+
+
+# --- the reference engine ----------------------------------------------------------
+#
+# Division, interreduction and Buchberger's algorithm as the Fraction engine
+# computed them before the integer engine replaced it: monic bases, a chain
+# test over processed pairs, and interreduction repeated until a pass changes
+# nothing.  The integer engine must give the same results.
+
+
+def _reference_heap_key(exps):
+    return (-sum(exps), exps[::-1])
+
+
+def _reference_normal_form(f, basis):
+    if not basis:
+        return f
+    divisors = [(g.leading(), g.terms) for g in basis]
+    work = dict(f.terms)
+    heap = [(_reference_heap_key(e), e) for e in work]
+    heapq.heapify(heap)
+    rem_terms = {}
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        for (lead, gc), terms in divisors:
+            if all(map(ge, e, lead)):
+                diff = tuple(map(sub, e, lead))
+                factor = c if gc == 1 else exact_div(c, gc)
+                for te, tc in terms.items():
+                    if te == lead:
+                        continue
+                    t = tuple(map(add, te, diff))
+                    d = factor * tc
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = -d
+                        heapq.heappush(heap, (_reference_heap_key(t), t))
+                    elif old != d:
+                        work[t] = old - d
+                    else:
+                        del work[t]
+                break
+        else:
+            rem_terms[e] = c
+    return Poly(f.nvars, rem_terms)
+
+
+def _reference_lcm(e1, e2):
+    return tuple(max(a, b) for a, b in zip(e1, e2))
+
+
+def _reference_s_polynomial(f, g):
+    fe, fc = f.leading()
+    ge_, gc = g.leading()
+    l = _reference_lcm(fe, ge_)
+    return f.term_mul(tuple(a - b for a, b in zip(l, fe)), exact_div(1, fc)) - g.term_mul(
+        tuple(a - b for a, b in zip(l, ge_)), exact_div(1, gc)
+    )
+
+
+def _reference_interreduce(basis):
+    work = [g.monic() for g in basis if not g.is_zero()]
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(work):
+            r = _reference_normal_form(work[i], work[:i] + work[i + 1:])
+            if r.terms != work[i].terms:
+                changed = True
+                if r.is_zero():
+                    del work[i]
+                    continue
+                work[i] = r.monic()
+            i += 1
+    return sorted(work, key=lambda g: g.leading()[0])
+
+
+def _reference_buchberger(gens):
+    basis = _reference_interreduce(gens)
+    if not basis:
+        return []
+    leads = [g.leading()[0] for g in basis]
+    pair_key = {}
+
+    def add_pairs(new):
+        for t in range(new):
+            pair_key[new, t] = grevlex_key(_reference_lcm(leads[new], leads[t]))
+
+    for i in range(len(basis)):
+        add_pairs(i)
+    pairs = set(pair_key)
+    processed = set()
+    while pairs:
+        i, j = min(pairs, key=pair_key.__getitem__)
+        pairs.remove((i, j))
+        processed.add((i, j))
+        ei, ej = leads[i], leads[j]
+        if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+            continue
+        l = _reference_lcm(ei, ej)
+        skip = False
+        for k, ek in enumerate(leads):
+            if k in (i, j):
+                continue
+            if all(a >= b for a, b in zip(l, ek)):
+                p1 = (max(i, k), min(i, k))
+                p2 = (max(j, k), min(j, k))
+                if p1 in processed and p2 in processed:
+                    skip = True
+                    break
+        if skip:
+            continue
+        h = _reference_normal_form(_reference_s_polynomial(basis[i], basis[j]), basis)
+        if h.is_zero():
+            continue
+        basis.append(h.monic())
+        leads.append(basis[-1].leading()[0])
+        new = len(basis) - 1
+        add_pairs(new)
+        pairs.update((new, t) for t in range(new))
+    return _reference_interreduce(basis)
+
+
+# --- the relation ideal --------------------------------------------------------------
+#
+# The library restricts to V instead: u_i -> l_i(w) maps Q[u] onto Q[w] with
+# this ideal as its kernel.
+
+
+def annihilator(subspace):
+    """Integer basis of the linear forms on Q^n vanishing on V."""
+    if subspace.dim == 0:
+        return tuple(tuple(row) for row in identity_matrix(subspace.nvars))
+    return integer_kernel(transpose(subspace.basis)).vectors
+
+
+def _linear_relations(subspace):
+    """Reduced Groebner basis of the relation ideal of V: the monic row echelon
+    form of the annihilator, sorted by leading exponent; [1] on a zero ring,
+    where the ideal holds a coordinate, a unit of the Laurent ring."""
+    if subspace.is_zero_ring():
+        return [Poly.constant(subspace.nvars, 1)]
+    red, pivots = rref(annihilator(subspace))
+    forms = [Poly.linear_form(row) for row in red[: len(pivots)]]
+    return sorted(forms, key=lambda g: g.leading()[0])
+
+
+def reference_module_ideal(gens, depth, subspace):
+    """The reference engine's reduced basis of the ideal of Q[u] generated by
+    the u^(g + depth) over the generators g and by the relation ideal of V.
+    By definition, a query q with q * u^depth a polynomial lies in the module
+    plus the relation ideal when q * u^depth reduces to zero by it."""
+    monomials = [Poly.monomial(tuple(map(add, g, depth))) for g in gens]
+    return _reference_buchberger(monomials + _linear_relations(subspace))

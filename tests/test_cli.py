@@ -222,6 +222,16 @@ def test_spectrum_quadform_numeric_block_is_commented():
     assert numeric_lines and all(l.startswith("#") for l in numeric_lines)
 
 
+def test_spectrum_quadform_numeric_without_numpy_exits_1(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    code, out = invoke(
+        "spectrum-quadform", str(POLY / "cp1xcp1_monotone.poly"),
+        "--N", "2", "--lam", "1/3,0", "--numeric",
+    )
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: --numeric needs numpy (the [numeric] extra)\n"
+
+
 def test_spectrum_command():
     code, out = invoke(
         "spectrum", str(POLY / "cp1xcp1_monotone.poly"),

@@ -1,27 +1,30 @@
-import heapq
 import random
 import signal
 from fractions import Fraction
-from operator import add, ge, sub
 
 import pytest
 
 from toricspec.groebner import DivisionBasis, buchberger, ideal_member, interreduce, normal_form, s_polynomial
 from toricspec.laurent import (
     LinearSubspace,
-    _cleared,
-    _generator_floor,
+    _cleared_generators,
     _groebner_verdict,
-    _linear_relations,
-    _minimal_generators,
     _module_groebner,
     clear_caches,
     kernel_K,
     kernel_K0,
-    reduce_relations,
 )
 from toricspec.lattice import rref
-from toricspec.polys import Poly, exact_div, grevlex_key
+from toricspec.polys import Poly
+
+from tests.reference import (
+    _linear_relations,
+    _reference_buchberger,
+    _reference_interreduce,
+    _reference_normal_form,
+    annihilator,
+    reference_module_ideal,
+)
 
 
 def P(nvars, terms):
@@ -99,7 +102,7 @@ def test_linear_relations_match_buchberger(T_monotone, T_p12, T_cp2, T_cp3, T_cu
             if sub.is_zero_ring():
                 assert _linear_relations(sub) == [Poly.constant(T.n, 1)]
                 continue
-            forms = [Poly.linear_form(row) for row in sub.annihilator()]
+            forms = [Poly.linear_form(row) for row in annihilator(sub)]
             assert _linear_relations(sub) == buchberger(forms)
     cp2_k0 = kernel_K0(T_cp2, Fraction(1, 2), 2).subspace
     assert _linear_relations(cp2_k0) == [Poly.constant(3, 1)]
@@ -144,7 +147,7 @@ def test_saturate_whole_ring():
     # relation route returns directly
     sub = LinearSubspace(((0,), (1,)))
     assert sub.is_zero_ring()
-    forms = [Poly.linear_form(row) for row in sub.annihilator()]
+    forms = [Poly.linear_form(row) for row in annihilator(sub)]
     gb = buchberger(forms)
     assert ideal_member(P(2, {(1, 1): 1}), gb)
     assert not ideal_member(P(2, {(0, 0): 1}), gb)
@@ -210,47 +213,44 @@ def test_normal_form_matches_textbook_division():
             assert normal_form(f, basis) == _textbook_normal_form(f, basis)
 
 
-def test_relation_substitution_matches_division(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
-    # substituting the pivot variables gives the remainder of division by the
-    # relation basis, on zero rings too
+def test_restriction_kernel_is_the_relation_ideal(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # u_i -> l_i(w) maps Q[u] onto Q[w] with the relation ideal of V as its
+    # kernel: an integer polynomial restricts to zero exactly when division
+    # by the relation basis leaves no remainder, on the conftest subspaces
+    # and on random integer subspaces, whose monic echelon annihilator rows
+    # mostly have denominators
     rng = random.Random(17)
-    checked = 0
-    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
-        for maker in (kernel_K, kernel_K0):
-            sub = maker(T, Fraction(1, 2), 2).subspace
-            rel = _linear_relations(sub)
-            for _ in range(8):
-                q = Poly(T.n, {
-                    tuple(rng.randint(0, 3) for _ in range(T.n)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    for _ in range(rng.randint(1, 4))
-                })
-                assert reduce_relations(q, sub) == normal_form(q, rel)
-                checked += 1
-    assert checked == 5 * 2 * 8
-
-
-def test_relation_substitution_with_denominators():
-    # random integer subspaces, whose monic echelon annihilator rows mostly
-    # have denominators: the packed substitution still gives the remainder
-    rng = random.Random(23)
-    checked = with_denominators = 0
-    while checked < 60:
+    subspaces = [maker(T, Fraction(1, 2), 2).subspace
+                 for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube) for maker in (kernel_K, kernel_K0)]
+    subspaces = [sub for sub in subspaces if not sub.is_zero_ring()]  # 6 of the 10
+    while len(subspaces) < 66:
         n = rng.randint(2, 5)
         k = rng.randint(1, n - 1)
         sub = LinearSubspace(basis=tuple(tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(n)))
-        if sub.is_zero_ring():
-            continue
-        red, pivots = rref(sub.annihilator())
+        if not sub.is_zero_ring():
+            subspaces.append(sub)
+    with_denominators = 0
+    verdicts = set()
+    for sub in subspaces:
+        n = sub.nvars
+
+        def rand_poly(terms):
+            return Poly(n, {tuple(rng.randint(0, 3) for _ in range(n)): rng.randint(-4, 4) for _ in range(terms)})
+
+        red, pivots = rref(annihilator(sub))
         with_denominators += any(x.denominator > 1 for row in red[: len(pivots)] for x in row)
         rel = _linear_relations(sub)
-        for _ in range(3):
-            q = Poly(n, {
-                tuple(rng.randint(0, 3) for _ in range(n)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                for _ in range(rng.randint(1, 3))
-            })
-            assert reduce_relations(q, sub) == normal_form(q, rel)
-        checked += 1
-    assert with_denominators >= 20
+        for form in rel:
+            assert sub.image(form.term_mul(tuple(rng.randint(0, 3) for _ in range(n)))).is_zero()
+        forms = [Poly.linear_form(row) for row in annihilator(sub)]
+        for _ in range(4):
+            f = sum((form * rand_poly(rng.randint(1, 3)) for form in forms), Poly.zero(n))
+            if rng.random() < 0.5:
+                f = f + rand_poly(rng.randint(1, 3))
+            member = normal_form(f, rel).is_zero()
+            assert sub.image(f).is_zero() == member
+            verdicts.add(member)
+    assert with_denominators >= 20 and verdicts == {True, False}
 
 
 def _rand_ideal(rng, n):
@@ -332,131 +332,6 @@ def test_zero_basis_elements_divide_nothing():
             s_polynomial(f, g)
 
 
-# --- the reference engine ----------------------------------------------------------
-#
-# Division, interreduction and Buchberger's algorithm as the Fraction engine
-# computed them before the integer engine replaced it: monic bases, a chain
-# test over processed pairs, and interreduction repeated until a pass changes
-# nothing.  The integer engine must give the same results.
-
-
-def _reference_heap_key(exps):
-    return (-sum(exps), exps[::-1])
-
-
-def _reference_normal_form(f, basis):
-    if not basis:
-        return f
-    divisors = [(g.leading(), g.terms) for g in basis]
-    work = dict(f.terms)
-    heap = [(_reference_heap_key(e), e) for e in work]
-    heapq.heapify(heap)
-    rem_terms = {}
-    while heap:
-        e = heapq.heappop(heap)[1]
-        c = work.pop(e, None)
-        if c is None:
-            continue
-        for (lead, gc), terms in divisors:
-            if all(map(ge, e, lead)):
-                diff = tuple(map(sub, e, lead))
-                factor = c if gc == 1 else exact_div(c, gc)
-                for te, tc in terms.items():
-                    if te == lead:
-                        continue
-                    t = tuple(map(add, te, diff))
-                    d = factor * tc
-                    old = work.get(t)
-                    if old is None:
-                        work[t] = -d
-                        heapq.heappush(heap, (_reference_heap_key(t), t))
-                    elif old != d:
-                        work[t] = old - d
-                    else:
-                        del work[t]
-                break
-        else:
-            rem_terms[e] = c
-    return Poly(f.nvars, rem_terms)
-
-
-def _reference_lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
-
-
-def _reference_s_polynomial(f, g):
-    fe, fc = f.leading()
-    ge_, gc = g.leading()
-    l = _reference_lcm(fe, ge_)
-    return f.term_mul(tuple(a - b for a, b in zip(l, fe)), exact_div(1, fc)) - g.term_mul(
-        tuple(a - b for a, b in zip(l, ge_)), exact_div(1, gc)
-    )
-
-
-def _reference_interreduce(basis):
-    work = [g.monic() for g in basis if not g.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(work):
-            r = _reference_normal_form(work[i], work[:i] + work[i + 1:])
-            if r.terms != work[i].terms:
-                changed = True
-                if r.is_zero():
-                    del work[i]
-                    continue
-                work[i] = r.monic()
-            i += 1
-    return sorted(work, key=lambda g: g.leading()[0])
-
-
-def _reference_buchberger(gens):
-    basis = _reference_interreduce(gens)
-    if not basis:
-        return []
-    leads = [g.leading()[0] for g in basis]
-    pair_key = {}
-
-    def add_pairs(new):
-        for t in range(new):
-            pair_key[new, t] = grevlex_key(_reference_lcm(leads[new], leads[t]))
-
-    for i in range(len(basis)):
-        add_pairs(i)
-    pairs = set(pair_key)
-    processed = set()
-    while pairs:
-        i, j = min(pairs, key=pair_key.__getitem__)
-        pairs.remove((i, j))
-        processed.add((i, j))
-        ei, ej = leads[i], leads[j]
-        if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
-            continue
-        l = _reference_lcm(ei, ej)
-        skip = False
-        for k, ek in enumerate(leads):
-            if k in (i, j):
-                continue
-            if all(a >= b for a, b in zip(l, ek)):
-                p1 = (max(i, k), min(i, k))
-                p2 = (max(j, k), min(j, k))
-                if p1 in processed and p2 in processed:
-                    skip = True
-                    break
-        if skip:
-            continue
-        h = _reference_normal_form(_reference_s_polynomial(basis[i], basis[j]), basis)
-        if h.is_zero():
-            continue
-        basis.append(h.monic())
-        leads.append(basis[-1].leading()[0])
-        new = len(basis) - 1
-        add_pairs(new)
-        pairs.update((new, t) for t in range(new))
-    return _reference_interreduce(basis)
-
-
 def _seeded_ideal(rng, n, fractions, degree):
     """1-3 generators of 1-3 terms; homogeneous of `degree` when it is given,
     else of degree at most 2 in each variable."""
@@ -518,9 +393,11 @@ def test_interreduce_matches_the_reference_engine():
 
 
 def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
-    # every K/K0 module basis of the conftest polytopes at W = 2 and 4: the
-    # same reduced basis, the same remainder for each seeded query, and so
-    # the same verdict
+    # every K/K0 module of the conftest polytopes at W = 2 and 4: the engine
+    # gives the reference's basis of the cleared generator restrictions, and
+    # the Groebner verdict on each seeded query is membership by definition,
+    # q * u^depth in the ideal of Q[u] of the u^(g + depth) and the relation
+    # forms, at the query's own depth max(floor, -min q)
     rng = random.Random(53)
     clear_caches()
     compared, verdicts = 0, set()
@@ -529,22 +406,23 @@ def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3
             for window in (2, 4):
                 km = maker(T, Fraction(1, 2), window)
                 sub = km.subspace
-                if sub.is_zero_ring():
-                    continue
-                floor = _generator_floor(km.module, window)
-                images = [reduce_relations(Poly.monomial(tuple(map(add, g, floor))), sub)
-                          for g in _minimal_generators(km.module, window)]
-                reference = _reference_buchberger(images)
-                assert buchberger(images) == reference
-                assert len(_module_groebner(km.module, sub, window)) == len(reference)
+                gens = km.module.generators(window)
+                floor = tuple(max(0, -min(g[i] for g in gens)) for i in range(T.n))
+                if not sub.is_zero_ring():
+                    cleared, cleared_floor = _cleared_generators(km.module, sub, window)
+                    assert cleared_floor == floor
+                    reference = _reference_buchberger(cleared)
+                    assert buchberger(cleared) == reference
+                    assert len(_module_groebner(km.module, sub, window)) == len(reference)
+                ideals = {}
                 for _ in range(6):
                     q = Poly.monomial(tuple(rng.randint(-3, 3) for _ in range(T.n)))
-                    cleared = _cleared(q, floor, lambda f: reduce_relations(f, sub))
-                    want = cleared is not None and _reference_normal_form(cleared, reference).is_zero()
-                    if cleared is not None:
-                        assert normal_form(cleared, _module_groebner(km.module, sub, window)) == \
-                            _reference_normal_form(cleared, reference)
-                    assert _groebner_verdict(q, km.module, sub, window) == want
-                    verdicts.add(want)
+                    depth = tuple(max(t, -m) for t, m in zip(floor, q.min_exponents()))
+                    if depth not in ideals:
+                        ideals[depth] = reference_module_ideal(gens, depth, sub)
+                    want = _reference_normal_form(q.term_mul(depth), ideals[depth]).is_zero()
+                    assert _groebner_verdict(q, km.module, sub, window) == want, (T.n, maker, window, q)
+                    if not sub.is_zero_ring():
+                        verdicts.add((want, depth != floor))
                 compared += 1
-    assert compared == 16 and verdicts == {True, False}  # 4 of the 20 modules are zero rings
+    assert compared == 20 and verdicts == {(True, True), (False, True), (True, False), (False, False)}
