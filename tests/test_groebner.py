@@ -213,43 +213,58 @@ def test_normal_form_matches_textbook_division():
             assert normal_form(f, basis) == _textbook_normal_form(f, basis)
 
 
-def test_restriction_kernel_is_the_relation_ideal(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+def _check_restriction_kernel(sub, rng, verdicts):
     # u_i -> l_i(w) maps Q[u] onto Q[w] with the relation ideal of V as its
     # kernel: an integer polynomial restricts to zero exactly when division
-    # by the relation basis leaves no remainder, on the conftest subspaces
-    # and on random integer subspaces, whose monic echelon annihilator rows
-    # mostly have denominators
+    # by the relation basis leaves no remainder
+    n = sub.nvars
+
+    def rand_poly(terms):
+        return Poly(n, {tuple(rng.randint(0, 3) for _ in range(n)): rng.randint(-4, 4) for _ in range(terms)})
+
+    rel = _linear_relations(sub)
+    for form in rel:
+        assert sub.image(form.term_mul(tuple(rng.randint(0, 3) for _ in range(n)))).is_zero()
+    forms = [Poly.linear_form(row) for row in annihilator(sub)]
+    for _ in range(4):
+        f = sum((form * rand_poly(rng.randint(1, 3)) for form in forms), Poly.zero(n))
+        if rng.random() < 0.5:
+            f = f + rand_poly(rng.randint(1, 3))
+        member = normal_form(f, rel).is_zero()
+        assert sub.image(f).is_zero() == member
+        verdicts.add(member)
+
+
+def test_relation_substitution_matches_division(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # the restriction that replaced the pivot-variable substitution decides
+    # relation-ideal membership as division does, on the conftest subspaces
     rng = random.Random(17)
     subspaces = [maker(T, Fraction(1, 2), 2).subspace
                  for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube) for maker in (kernel_K, kernel_K0)]
-    subspaces = [sub for sub in subspaces if not sub.is_zero_ring()]  # 6 of the 10
-    while len(subspaces) < 66:
+    subspaces = [sub for sub in subspaces if not sub.is_zero_ring()]
+    assert len(subspaces) == 8  # of the 10
+    verdicts = set()
+    for sub in subspaces:
+        _check_restriction_kernel(sub, rng, verdicts)
+    assert verdicts == {True, False}
+
+
+def test_relation_substitution_with_denominators():
+    # random integer subspaces, whose monic echelon annihilator rows mostly
+    # have denominators: restriction still decides membership as division does
+    rng = random.Random(23)
+    checked = with_denominators = 0
+    verdicts = set()
+    while checked < 60:
         n = rng.randint(2, 5)
         k = rng.randint(1, n - 1)
         sub = LinearSubspace(basis=tuple(tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(n)))
-        if not sub.is_zero_ring():
-            subspaces.append(sub)
-    with_denominators = 0
-    verdicts = set()
-    for sub in subspaces:
-        n = sub.nvars
-
-        def rand_poly(terms):
-            return Poly(n, {tuple(rng.randint(0, 3) for _ in range(n)): rng.randint(-4, 4) for _ in range(terms)})
-
+        if sub.is_zero_ring():
+            continue
         red, pivots = rref(annihilator(sub))
         with_denominators += any(x.denominator > 1 for row in red[: len(pivots)] for x in row)
-        rel = _linear_relations(sub)
-        for form in rel:
-            assert sub.image(form.term_mul(tuple(rng.randint(0, 3) for _ in range(n)))).is_zero()
-        forms = [Poly.linear_form(row) for row in annihilator(sub)]
-        for _ in range(4):
-            f = sum((form * rand_poly(rng.randint(1, 3)) for form in forms), Poly.zero(n))
-            if rng.random() < 0.5:
-                f = f + rand_poly(rng.randint(1, 3))
-            member = normal_form(f, rel).is_zero()
-            assert sub.image(f).is_zero() == member
-            verdicts.add(member)
+        _check_restriction_kernel(sub, rng, verdicts)
+        checked += 1
     assert with_denominators >= 20 and verdicts == {True, False}
 
 
