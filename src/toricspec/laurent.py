@@ -22,6 +22,10 @@ backends:
 Before either backend, a monomial query below the least generator degree is
 decided a non-member in integers alone.  The two backends must agree on every
 query this leaves open; a disagreement raises.
+
+A monomial ideal of Q[u] is the monomial module whose generators have no
+negative exponents: it is cleared at floor 0 and restricted by the same map,
+so its membership takes the same path.
 """
 
 from dataclasses import dataclass, replace
@@ -264,8 +268,9 @@ class MonomialModule:
 
 
 def _level_key(module: MonomialModule, window: int):
-    """What the generators at `window` depend on."""
-    return (module.toric, module.threshold, module.center, window)
+    """What the generators at `window` depend on; the class tells a module
+    apart from a subclass derived from it at the same level."""
+    return (type(module), module.toric, module.threshold, module.center, window)
 
 
 def _window_generators(module: MonomialModule, window: int):
@@ -386,17 +391,6 @@ def _cleared(q: Poly, floor, subspace: LinearSubspace):
 
 
 # --- membership: Groebner backend -------------------------------------------
-
-
-def _reduced_ideal_gb(monomial_exps, subspace: LinearSubspace) -> DivisionBasis:
-    """Groebner basis of the restrictions of the monomials to V, in the
-    coordinates w.  Membership: `reduce_modulo` by this basis.  Monomials
-    that are multiples of others may be passed, but cost Buchberger steps."""
-    return DivisionBasis(subspace.dim, buchberger([subspace.form_product(e) for e in monomial_exps]))
-
-
-def reduce_modulo(q_poly: Poly, gb, subspace: LinearSubspace) -> Poly:
-    return normal_form(subspace.image(q_poly), gb)
 
 
 def _module_groebner(module: MonomialModule, subspace: LinearSubspace, window: int):
@@ -630,22 +624,16 @@ def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
 # --- membership: public entry -------------------------------------------------
 
 
-def _below_degree(q: Poly, subspace: LinearSubspace, least) -> bool:
-    """The degree test: a monomial of total degree below `least` is no member
-    of a module (or ideal) whose generators restrict to V with degree at
-    least `least`, since every element then restricts with homogeneous
-    components of at least that degree, and a monomial restricts to one
-    nonzero component of its own degree unless V is a zero ring.  `least`
-    is None when there are no generators."""
-    return (least is not None and len(q.terms) == 1 and not subspace.is_zero_ring()
-            and sum(next(iter(q.terms))) < least)
-
-
 def _below_generator_degree(q: Poly, module: MonomialModule, subspace: LinearSubspace, window: int) -> bool:
-    """The degree test at the least generator degree of the window: the
-    generators are sorted by total degree, so this costs one memo lookup."""
+    """The degree test: a monomial of total degree below the least generator
+    degree of the window is no member, since every module element then
+    restricts to V with homogeneous components of at least that degree, and
+    a monomial restricts to one nonzero component of its own degree unless V
+    is a zero ring.  The generators are sorted by total degree, so this costs
+    one memo lookup."""
     gens = _window_generators(module, window)
-    return _below_degree(q, subspace, sum(gens[0]) if gens else None)
+    return (bool(gens) and len(q.terms) == 1 and not subspace.is_zero_ring()
+            and sum(next(iter(q.terms))) < sum(gens[0]))
 
 
 def _verdict_at_window(q, module, subspace, window, backend):
@@ -674,11 +662,6 @@ def _backend_verdict(q, module, subspace, window, backend):
             f"groebner={gb} brute={br} at window {window} for {q.render()}"
         )
     return gb
-
-
-def _groebner_verdict(q, module, subspace, window) -> bool:
-    """The Groebner backend alone on the query q."""
-    return _backend_verdict(q, module, subspace, window, "groebner")
 
 
 def check_start_window(window: int):

@@ -11,11 +11,17 @@ multiplication by u^iota(s*b), so u^a lies in the shifted module exactly when
 u^(a - iota(s*b)) lies in the level module, and the search asks the level
 module at translated monomials.  The resulting point count lower bound is
 min_chern per unit period.
+
+The polynomial part of the module is the monomial ideal of its generators'
+positive parts, a monomial module of its own (`PolynomialPart`): its
+Nullstellensatz exponents, which cap the witness search, are decided on the
+module membership path, Groebner backend.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import ceil
 
 from toricspec.lattice import IntVec
 from toricspec.laurent import (
@@ -24,21 +30,16 @@ from toricspec.laurent import (
     MonomialModule,
     RestrictedElement,
     _backend_verdict,
-    _below_degree,
-    _level_key,
-    _minimal_monomials,
-    _reduced_ideal_gb,
+    _verdict_at_window,
     _window_generators,
     kernel_K0,
     membership,
     membership_certified,
-    reduce_modulo,
     restrict,
     restriction_class_key,
     stable_verdict,
     verify_certificate,
 )
-from toricspec.memo import memo
 from toricspec.polys import Poly, monomials_of_degree
 from toricspec.polytope import ToricData, ToricHypothesisError, is_cpn, rationality_check
 
@@ -133,43 +134,24 @@ def bounding_modules(toric: ToricData, nu, c_minus, c_plus, window: int = 2) -> 
 # --- the polynomial-part ideal ------------------------------------------------
 
 
-def _polynomial_part_ideal(km: KernelModule, window: int):
-    """Groebner basis of the restriction to V of the positive-part monomial
-    ideal, which decides membership in that ideal plus the relation ideal.
-    The polynomial part of the module is exactly the monomial ideal
-    generated by the componentwise-positive parts of the generators."""
+class PolynomialPart(MonomialModule):
+    """The polynomial part of the module at the same level: the monomial
+    ideal generated by the componentwise-positive parts of its generators.
+    As a monomial module with no negative exponents it is cleared at floor 0,
+    and its sorted generators put the least positive-part degree first."""
 
-    def build():
-        positive = [tuple(max(x, 0) for x in g) for g in km.module.generators(window)]
-        return _reduced_ideal_gb(_minimal_monomials(positive), km.subspace)
-
-    return memo("polynomial_part", (_level_key(km.module, window), km.subspace.basis), build)
-
-
-def _least_positive_degree(gens):
-    """The least total degree of the positive parts of generators sorted by
-    total degree, None without generators; a positive part is no lower than
-    its generator, so the scan stops at the first generator at or above the
-    best so far."""
-    best = None
-    for g in gens:
-        if best is not None and sum(g) >= best:
-            break
-        degree = sum(x for x in g if x > 0)
-        if best is None or degree < best:
-            best = degree
-    return best
+    def _enumerate(self, w):
+        """The distinct positive parts of the module's memoized window
+        generators, sorted by (total degree, lex)."""
+        module = MonomialModule(self.toric, self.threshold, self.window, self.center)
+        positive = {tuple(max(x, 0) for x in g) for g in _window_generators(module, w)}
+        return tuple(sorted(positive, key=lambda g: (sum(g), g)))
 
 
-def _ideal_member_at(poly: Poly, km: KernelModule, window: int) -> bool:
-    """Membership in the polynomial-part ideal; on a zero ring every
-    polynomial is a member, and the degree test at the least degree of the
-    positive parts decides without the basis."""
-    if km.subspace.is_zero_ring():
-        return True
-    if _below_degree(poly, km.subspace, _least_positive_degree(_window_generators(km.module, window))):
-        return False
-    return reduce_modulo(poly, _polynomial_part_ideal(km, window), km.subspace).is_zero()
+def _ideal_member(q: Poly, part: PolynomialPart, subspace, window: int) -> bool:
+    """Membership in the polynomial-part ideal plus the relation ideal, on
+    the Groebner backend under the window protocol."""
+    return stable_verdict(lambda w: _verdict_at_window(q, part, subspace, w, "groebner"), window)[0]
 
 
 def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -> tuple[int, ...]:
@@ -182,13 +164,14 @@ def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -
     if is_cpn(toric):
         raise ToricHypothesisError("projective-space type excluded")
     km = kernel_K0(toric, Fraction(r), window)
+    part = PolynomialPart(toric, km.module.threshold, window)
     n = toric.n
     out = []
     for i in range(n):
         found = None
         for m in range(cap + 1):
             q = Poly.monomial(tuple(m if j == i else 0 for j in range(n)))
-            if stable_verdict(lambda w: _ideal_member_at(q, km, w), window)[0]:
+            if _ideal_member(q, part, km.subspace, window):
                 found = m
                 break
         if found is None:
@@ -200,8 +183,8 @@ def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -
 def monomial_ideal_member(toric: ToricData, r, window: int, exps) -> bool:
     """Membership of a polynomial monomial in the polynomial-part ideal."""
     km = kernel_K0(toric, Fraction(r), window)
-    q = Poly.monomial(tuple(exps))
-    return stable_verdict(lambda w: _ideal_member_at(q, km, w), window)[0]
+    part = PolynomialPart(toric, km.module.threshold, window)
+    return _ideal_member(Poly.monomial(tuple(exps)), part, km.subspace, window)
 
 
 # --- the witness search ---------------------------------------------------------
@@ -210,11 +193,9 @@ def monomial_ideal_member(toric: ToricData, r, window: int, exps) -> bool:
 def _scaled_shift(toric: ToricData, nu: Fraction) -> IntVec:
     """Smallest positive multiple s*b with (nu + p(s*b)) * min_chern >= 1, so
     the shifted module sits strictly above degree zero."""
-    r0 = toric.p_value(toric.b)
+    r0 = toric.p_value(toric.b)  # positive, since b is strictly positive
     n_m = toric.min_chern if toric.min_chern is not None else 1
-    s = 1
-    while (nu + s * r0) * n_m < 1:
-        s += 1
+    s = max(1, ceil((Fraction(1, n_m) - nu) / r0))
     return tuple(s * x for x in toric.b)
 
 

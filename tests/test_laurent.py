@@ -24,9 +24,9 @@ from toricspec.laurent import (
     restrict,
     restriction_class_key,
     verify_certificate,
+    _backend_verdict,
     _below_generator_degree,
     _brute_verdict,
-    _groebner_verdict,
     _minimal_monomials,
     _Span,
 )
@@ -440,7 +440,7 @@ def test_backends_reject_every_monomial_below_the_generator_degree(T_monotone, T
                         continue
                     q = Poly.monomial(e)
                     assert _below_generator_degree(q, km.module, km.subspace, window)
-                    assert not _groebner_verdict(q, km.module, km.subspace, window), (e, window)
+                    assert not _backend_verdict(q, km.module, km.subspace, window, "groebner"), (e, window)
                     assert not _brute_verdict(q, km.module, km.subspace, window)[0], (e, window)
                     checked += 1
     assert checked > 1000
@@ -560,7 +560,7 @@ def test_backends_agree_at_one_window(name, maker, nu):
     members = 0
     for exps in product(range(0, 13, 3), repeat=T.n):
         q = U(*exps)
-        gb = _groebner_verdict(q, km.module, km.subspace, 2)
+        gb = _backend_verdict(q, km.module, km.subspace, 2, "groebner")
         assert _brute_verdict(q, km.module, km.subspace, 2)[0] == gb, exps
         members += gb
     assert members > 0
@@ -589,7 +589,7 @@ def test_deep_queries_match_a_basis_cleared_at_their_own_depth(T_monotone, T_p12
                 if depth not in reference:
                     reference[depth] = reference_module_ideal(gens, depth, km.subspace)
                 want = _reference_normal_form(q.term_mul(depth), reference[depth]).is_zero()
-                assert _groebner_verdict(q, km.module, km.subspace, 2) == want, (T.n, maker, q)
+                assert _backend_verdict(q, km.module, km.subspace, 2, "groebner") == want, (T.n, maker, q)
                 if km.ring != "ZeroRing":
                     verdicts.add((want, depth != floor))
     assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
@@ -609,7 +609,7 @@ def test_grown_slices_change_no_verdict(T_monotone, T_cube):
         clear_caches()
         backward = [_brute_verdict(q, km.module, km.subspace, 2)[0] for q in reversed(queries)]
         assert forward == backward[::-1]
-        assert forward == [_groebner_verdict(q, km.module, km.subspace, 2) for q in queries]
+        assert forward == [_backend_verdict(q, km.module, km.subspace, 2, "groebner") for q in queries]
         assert any(forward) and not all(forward)
 
 

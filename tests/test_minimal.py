@@ -1,19 +1,23 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
 from toricspec.laurent import (
     InconclusiveError,
+    MonomialModule,
     clear_caches,
+    kernel_K,
     kernel_K0,
     kernel_membership,
-    memo_counts,
     membership,
     novikov_shift,
-    reduce_modulo,
     restrict,
+    _backend_verdict,
+    _level_key,
 )
+from toricspec.memo import _MEMO
 from toricspec.minimal import (
     BoundingData,
     MinimalDegreeWitness,
@@ -26,11 +30,13 @@ from toricspec.minimal import (
     monomial_ideal_member,
     nullstellensatz_exponents,
     translated_point_bound,
-    _least_positive_degree,
-    _polynomial_part_ideal,
+    PolynomialPart,
+    _scaled_shift,
 )
 from toricspec.polys import Poly
 from toricspec.polytope import ToricHypothesisError
+
+from tests.reference import _reference_normal_form, reference_module_ideal
 
 H = Fraction(1, 2)
 
@@ -105,28 +111,90 @@ def test_nullstellensatz_high_degree_monomials_member(T_monotone):
         assert monomial_ideal_member(T_monotone, H, 2, parts)
 
 
-def test_least_positive_degree_matches_the_full_scan():
-    rng = random.Random(35)
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        gens = sorted({tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 12))},
-                      key=lambda g: (sum(g), g))
-        assert _least_positive_degree(gens) == min(sum(max(x, 0) for x in g) for g in gens)
+def test_least_positive_degree_matches_the_full_scan(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # the polynomial part's first generator has the least positive-part
+    # degree of the module's window generators
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for r in (Fraction(-1, 2), H, Fraction(3, 2)):
+            for window in (2, 4):
+                gens = MonomialModule(T, r, window).generators()
+                first = PolynomialPart(T, r, window).generators()[0]
+                assert sum(first) == min(sum(max(x, 0) for x in g) for g in gens), (T.n, r, window)
 
 
 def test_polynomial_part_degree_test_builds_no_basis(T_monotone):
     # below the least positive-part degree (2 here) a monomial is decided
-    # without the basis; the basis, built afterwards, agrees
+    # without a basis under the part's key; a basis built afterwards agrees
     km = kernel_K0(T_monotone, H, 2)
+    part = PolynomialPart(T_monotone, H, 2)
+    keys = [("groebner", (_level_key(part, w), km.subspace.basis)) for w in (2, 4)]
     below = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
     clear_caches()
     for q in below:
         assert not monomial_ideal_member(T_monotone, H, 2, q)
-    assert "polynomial_part" not in memo_counts()
+    assert not any(key in _MEMO for key in keys)
     for window in (2, 4):
-        basis = _polynomial_part_ideal(km, window)
         for q in below:
-            assert not reduce_modulo(Poly.monomial(q), basis, km.subspace).is_zero()
+            assert not _backend_verdict(Poly.monomial(q), part, km.subspace, window, "groebner")
+    assert all(key in _MEMO for key in keys)
+
+
+def test_polynomial_part_backends_match_the_definition(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # both backends decide the part, and agree with reduction by the reference
+    # basis of the positive-part monomials and the relation ideal
+    rng = random.Random(37)
+    verdicts = set()
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            for window in (2, 4):
+                sub = maker(T, H, window).subspace
+                part = PolynomialPart(T, H, window)
+                positive = part.generators()
+                ideal = reference_module_ideal(positive, (0,) * T.n, sub)
+                for _ in range(6):
+                    q = Poly.monomial(tuple(rng.randint(0, 3) for _ in range(T.n)))
+                    want = _reference_normal_form(q, ideal).is_zero()
+                    assert _backend_verdict(q, part, sub, window, "both") == want, (T.n, maker, window, q)
+                    if not sub.is_zero_ring():
+                        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _looped_shift(toric, nu):
+    """The least s >= 1 with (nu + s * p(b)) * N >= 1, by stepping s."""
+    r0 = toric.p_value(toric.b)
+    n_m = toric.min_chern if toric.min_chern is not None else 1
+    s = 1
+    while (nu + s * r0) * n_m < 1:
+        s += 1
+    return tuple(s * x for x in toric.b)
+
+
+def test_scaled_shift_matches_the_loop(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    rng = random.Random(41)
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for _ in range(100):
+            nu = Fraction(rng.randint(-300, 300), rng.randint(1, 12))
+            assert _scaled_shift(T, nu) == _looped_shift(T, nu), (T.n, nu)
+
+
+def test_scaled_shift_far_below_zero_returns_at_once(T_monotone):
+    def timeout(signum, frame):
+        raise TimeoutError("_scaled_shift did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        nu = Fraction(-10**12)
+        shift = _scaled_shift(T_monotone, nu)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # the least multiple of b that lifts the level above degree zero
+    s = shift[0] // T_monotone.b[0]
+    assert shift == tuple(s * x for x in T_monotone.b)
+    r0, n_m = T_monotone.p_value(T_monotone.b), T_monotone.min_chern
+    assert (nu + s * r0) * n_m >= 1 > (nu + (s - 1) * r0) * n_m
 
 
 def test_nullstellensatz_cpn_rejected(T_cp2):
@@ -178,10 +246,12 @@ def test_witness_search_builds_one_basis_per_window(T_monotone):
     # the search asks the level module at translated monomials, and every
     # query is cleared at the generator floor: one Groebner basis for each of
     # the two windows the protocol compares, whatever the shift and the depth
+    level = _level_key(kernel_K0(T_monotone, Fraction(3), 2).module, 0)[:-1]
     clear_caches()
     w = find_minimal_degree_element(T_monotone, Fraction(3))
     assert isinstance(w, MinimalDegreeWitness)
-    assert memo_counts()["groebner"][1] == 2
+    windows = [key[0][-1] for kind, key in _MEMO if kind == "groebner" and key[0][:-1] == level]
+    assert sorted(windows) == [2, 4]
 
 
 def test_degree_floor_exhaustive_square(T_monotone):
