@@ -1,14 +1,17 @@
 """Command-line front end: exact rational reports over polytope files.
 
-Machine format is line-oriented `key=value` with `#` comment lines; all
-numbers are exact rational literals.  Exit codes: 0 success, 1 parse/IO
-error, 2 hypothesis failure (named in the report).
+    toricspec [--format human|machine] COMMAND POLYTOPE [OPTIONS]
+
+`parse_args` reads the command line against one table, COMMANDS.  Machine
+format is line-oriented `key=value` with `#` comment lines; all numbers are
+exact rational literals.  Exit codes: 0 success or help, 1 command-line,
+parse or IO error (one `error:` line on stderr), 2 hypothesis failure or
+inconclusive result (named in the report).
 """
 
-import argparse
-import functools
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from toricspec.lattice import mat_vec
 from toricspec.laurent import (
@@ -274,88 +277,114 @@ def cmd_spectrum(args, report: Report) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toricspec",
-        description="Exact toric reduction data, kernel modules, and translated spectra.",
-    )
-    parser.add_argument("--format", choices=("human", "machine"), default="machine")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="compactness/smoothness and vertices")
-    p.add_argument("polytope")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("data", help="full reduction data")
-    p.add_argument("polytope")
-    p.set_defaults(func=cmd_data)
-
-    p = sub.add_parser("spectrum-quadform", help="exact quadratic-form spectrum")
-    p.add_argument("polytope")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--lam", required=True, help="rational vector in the kernel basis, e.g. 1/2,0")
-    p.add_argument("--numeric", action="store_true", help="append a floating cross-check block")
-    p.set_defaults(func=cmd_spectrum_quadform)
-
-    p = sub.add_parser("kernel", help="level module generators and membership")
-    p.add_argument("polytope")
-    p.add_argument("--nu", default=None)
-    p.add_argument("--W", type=int, default=2)
-    p.add_argument("--ring", choices=("K0", "K"), default="K0")
-    p.add_argument("--member", default=None, help="integer exponent vector, e.g. 1,0,0,0")
-    p.add_argument("--backend", choices=("groebner", "brute", "both"), default="both")
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("min-degree", help="minimal-degree witness search")
-    p.add_argument("polytope")
-    p.add_argument("--nu", required=True)
-    p.add_argument("--W", type=int, default=2)
-    p.set_defaults(func=cmd_min_degree)
-
-    p = sub.add_parser("bound", help="translated-point lower bound with witness chain")
-    p.add_argument("polytope")
-    p.add_argument("--nu", default=None)
-    p.add_argument("--W", type=int, default=2)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("spectrum", help="translated spectrum of a diagonal map")
-    p.add_argument("polytope")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--window", default=None, help="rational interval lo:hi")
-    p.add_argument("--nu", default=None, help="count values in [nu, nu+1)")
-    p.add_argument("--untwisted", action="store_true")
-    p.set_defaults(func=cmd_spectrum)
-
-    return parser
+# The command table: each command's handler, one-line help and options.  An
+# option maps its name ("nu" for --nu) to (kind, default): the kind is str,
+# int, a tuple of choices, or bool for a flag that takes no value; the default
+# REQUIRED makes the option mandatory.
+REQUIRED = ...
+LEVEL = {"nu": (str, None), "W": (int, 2)}
+COMMANDS = {
+    "validate": (cmd_validate, "compactness/smoothness and vertices", {}),
+    "data": (cmd_data, "full reduction data", {}),
+    "spectrum-quadform": (cmd_spectrum_quadform, "exact quadratic-form spectrum",
+                          {"N": (int, REQUIRED), "lam": (str, REQUIRED), "numeric": (bool, False)}),
+    "kernel": (cmd_kernel, "level module generators and membership",
+               {**LEVEL, "ring": (("K0", "K"), "K0"), "member": (str, None),
+                "backend": (("groebner", "brute", "both"), "both")}),
+    "min-degree": (cmd_min_degree, "minimal-degree witness search", {**LEVEL, "nu": (str, REQUIRED)}),
+    "bound": (cmd_bound, "translated-point lower bound with witness chain", LEVEL),
+    "spectrum": (cmd_spectrum, "translated spectrum of a diagonal map",
+                 {"mu": (str, REQUIRED), "window": (str, None), "nu": (str, None), "untwisted": (bool, False)}),
+}
+USAGE = "usage: toricspec [--format human|machine] {} POLYTOPE [OPTIONS]\n\n{}\n\n"
 
 
-VALUE_OPTIONS = ("--member", "--mu", "--lam", "--nu", "--window")
+class UsageError(Exception):
+    """A malformed command line."""
 
 
-def _attach_negative_values(argv):
-    """argparse reads `--nu -1/2` as two options; pass it on as `--nu=-1/2`."""
-    out = []
-    for tok in argv:
-        if out and out[-1] in VALUE_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
-            out[-1] = f"{out[-1]}={tok}"
-        else:
-            out.append(tok)
-    return out
+def _option_help(name, kind, default) -> str:
+    if kind is bool:
+        return f"  --{name}\n"
+    meta = "INT" if kind is int else "VALUE" if kind is str else "|".join(kind)
+    note = "" if default is None else " (required)" if default is REQUIRED else f" (default {default})"
+    return f"  --{name} {meta}{note}\n"
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first `run`, not at import."""
-    return build_parser()
+def usage(command=None) -> str:
+    """The help text: the command list, or one command's options."""
+    if command is None:
+        rows = [f"  {name:<19}{line}\n" for name, (_, line, _) in COMMANDS.items()]
+        return (USAGE.format("COMMAND", "Exact toric reduction data, kernel modules, and translated spectra.")
+                + "commands:\n" + "".join(rows) + "\nCOMMAND --help lists its options.\n")
+    _, text, options = COMMANDS[command]
+    rows = [_option_help(name, *spec) for name, spec in options.items()]
+    return USAGE.format(command, text) + "options:\n" + "".join(rows)
+
+
+def parse_args(argv):
+    """The namespace the handlers read, scanned from
+    `[--format human|machine] COMMAND POLYTOPE [OPTIONS]`, or None once the
+    help asked for by -h/--help is printed.  A value option takes the next
+    token, whatever it starts with; a repeated option keeps its last value;
+    names are matched in full.  Raises UsageError on any other malformed line."""
+    args = {"format": "machine"}
+    options = {"format": (("human", "machine"), "machine")}  # until the command
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            sys.stdout.write(usage(args.get("command")))
+            return None
+        if tok[:1] != "-":
+            if "command" not in args:
+                if tok not in COMMANDS:
+                    raise UsageError(f"unknown command '{tok}'")
+                args["func"], _, options = COMMANDS[tok]
+                args.update((name, default) for name, (_, default) in options.items())
+                args.update(command=tok, polytope=REQUIRED)
+            elif args["polytope"] is REQUIRED:
+                args["polytope"] = tok
+            else:
+                raise UsageError(f"unexpected argument '{tok}'")
+            continue
+        name, eq, value = tok.partition("=")
+        kind, _ = options.get(name[2:] if name[:2] == "--" else "", (None, None))
+        if kind is None:
+            raise UsageError(f"unknown option '{name}' for {args.get('command', 'toricspec')}")
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{name} takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{name} needs an integer, got '{value}'") from None
+        elif type(kind) is tuple and value not in kind:
+            raise UsageError(f"{name} must be one of {'|'.join(kind)}, got '{value}'")
+        args[name[2:]] = value
+    if "command" not in args:
+        raise UsageError("no command given")
+    missing = ["POLYTOPE" if k == "polytope" else f"--{k}" for k, v in args.items() if v is REQUIRED]
+    if missing:
+        raise UsageError(f"{args['command']} needs {', '.join(missing)}")
+    return SimpleNamespace(**args)
 
 
 def run(argv) -> int:
     try:
-        args = _parser().parse_args(_attach_negative_values(argv))
-    except SystemExit as exc:
-        return 1 if exc.code else 0
+        args = parse_args(argv)
+    except UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    if args is None:
+        return 0
     report = Report(args.format)
-    if args.format == "human" and getattr(args, "polytope", None):
+    if args.format == "human" and args.polytope:
         report.comment(f"toricspec {args.command}: {args.polytope}")
     try:
         code = args.func(args, report)

@@ -41,7 +41,8 @@ from toricspec.polytope import ToricData, ToricHypothesisError, rationality_chec
 
 
 class InconclusiveError(Exception):
-    """The window-stability protocol hit its cap without two agreeing verdicts."""
+    """A stated limit stopped the work before a verdict: a window, exponent or
+    degree cap, or the size of a window box (BOX_LIMIT)."""
 
 
 class BackendMismatchError(Exception):
@@ -49,6 +50,10 @@ class BackendMismatchError(Exception):
 
 
 WINDOW_CAP = 16
+# The most window-box points, (2W+1)^k, a module enumerates.  The hexagon's
+# box at WINDOW_CAP, 33^4 (about 1.19 M), fits; the largest box tier-1 and the
+# benchmark build is the cube's at W = 6, 13^3 = 2,197.
+BOX_LIMIT = 2_000_000
 
 
 # --- linear subspaces and restriction ---------------------------------------
@@ -231,8 +236,12 @@ class MonomialModule:
         denominators of p, keep m when sum (D p_i) m_i >= ceil(D threshold).
         iota(m) is summed from precomputed column multiples over the outer
         coordinates; the last coordinate's range is solved from the level
-        inequality, and its column is added once per step along it."""
+        inequality, and its column is added once per step along it.  A box
+        of more than BOX_LIMIT points raises InconclusiveError at once."""
         toric = self.toric
+        box = (2 * w + 1) ** toric.k
+        if box > BOX_LIMIT:
+            raise InconclusiveError(f"window {w} box has {box} points, above the limit {BOX_LIMIT}")
         scale = lcm(*(x.denominator for x in toric.p))
         weights = [int(x * scale) for x in toric.p]
         floor = None if self.threshold is None else ceil(self.threshold * scale)

@@ -1,9 +1,20 @@
 """Test-only references: the Fraction Groebner engine, the relation ideal of a
-linear subspace, and module membership by its definition in Q[u_1..u_n]."""
+linear subspace, module membership by its definition in Q[u_1..u_n], and the
+argparse command line that the command table replaced."""
 
+import argparse
 import heapq
 from operator import add, ge, sub
 
+from toricspec.cli import (
+    cmd_bound,
+    cmd_data,
+    cmd_kernel,
+    cmd_min_degree,
+    cmd_spectrum,
+    cmd_spectrum_quadform,
+    cmd_validate,
+)
 from toricspec.lattice import identity_matrix, integer_kernel, rref, transpose
 from toricspec.polys import Poly, exact_div, grevlex_key
 
@@ -164,3 +175,79 @@ def reference_module_ideal(gens, depth, subspace):
     plus the relation ideal when q * u^depth reduces to zero by it."""
     monomials = [Poly.monomial(tuple(map(add, g, depth))) for g in gens]
     return _reference_buchberger(monomials + _linear_relations(subspace))
+
+
+# --- the argparse command line ---------------------------------------------------------
+#
+# The parser `toricspec.cli` ran before its command table, kept verbatim: the
+# table's scanner must give the same namespace on every valid command line and
+# reject every line this parser rejects.
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="toricspec",
+        description="Exact toric reduction data, kernel modules, and translated spectra.",
+    )
+    parser.add_argument("--format", choices=("human", "machine"), default="machine")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="compactness/smoothness and vertices")
+    p.add_argument("polytope")
+    p.set_defaults(func=cmd_validate)
+
+    p = sub.add_parser("data", help="full reduction data")
+    p.add_argument("polytope")
+    p.set_defaults(func=cmd_data)
+
+    p = sub.add_parser("spectrum-quadform", help="exact quadratic-form spectrum")
+    p.add_argument("polytope")
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--lam", required=True, help="rational vector in the kernel basis, e.g. 1/2,0")
+    p.add_argument("--numeric", action="store_true", help="append a floating cross-check block")
+    p.set_defaults(func=cmd_spectrum_quadform)
+
+    p = sub.add_parser("kernel", help="level module generators and membership")
+    p.add_argument("polytope")
+    p.add_argument("--nu", default=None)
+    p.add_argument("--W", type=int, default=2)
+    p.add_argument("--ring", choices=("K0", "K"), default="K0")
+    p.add_argument("--member", default=None, help="integer exponent vector, e.g. 1,0,0,0")
+    p.add_argument("--backend", choices=("groebner", "brute", "both"), default="both")
+    p.set_defaults(func=cmd_kernel)
+
+    p = sub.add_parser("min-degree", help="minimal-degree witness search")
+    p.add_argument("polytope")
+    p.add_argument("--nu", required=True)
+    p.add_argument("--W", type=int, default=2)
+    p.set_defaults(func=cmd_min_degree)
+
+    p = sub.add_parser("bound", help="translated-point lower bound with witness chain")
+    p.add_argument("polytope")
+    p.add_argument("--nu", default=None)
+    p.add_argument("--W", type=int, default=2)
+    p.set_defaults(func=cmd_bound)
+
+    p = sub.add_parser("spectrum", help="translated spectrum of a diagonal map")
+    p.add_argument("polytope")
+    p.add_argument("--mu", required=True)
+    p.add_argument("--window", default=None, help="rational interval lo:hi")
+    p.add_argument("--nu", default=None, help="count values in [nu, nu+1)")
+    p.add_argument("--untwisted", action="store_true")
+    p.set_defaults(func=cmd_spectrum)
+
+    return parser
+
+
+VALUE_OPTIONS = ("--member", "--mu", "--lam", "--nu", "--window")
+
+
+def _attach_negative_values(argv):
+    """argparse reads `--nu -1/2` as two options; pass it on as `--nu=-1/2`."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in VALUE_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out

@@ -1,15 +1,20 @@
 import io
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from toricspec.cli import parse_data_report, run
+from toricspec.cli import COMMANDS, REQUIRED, parse_args, parse_data_report, run
 from toricspec.memo import clear_caches, memo_counts
+
+from tests.reference import _attach_negative_values, build_parser
 
 POLY = Path(__file__).resolve().parent.parent / "polytopes"
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
@@ -325,12 +330,22 @@ def test_human_format_runs():
 
 
 def test_import_leaves_numpy_unloaded():
+    # neither the import nor a `bound` run loads numpy, and the command line is
+    # read without argparse and the gettext/locale modules it pulls in
+    script = (
+        "import io, sys, contextlib\n"
+        "import toricspec.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = toricspec.cli.run(['bound', sys.argv[1]])\n"
+        "print(code, sorted(m for m in ('argparse', 'gettext', 'locale', 'numpy') if m in sys.modules))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, toricspec.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", script, str(POLY / "cp1xcp1_monotone.poly")],
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["False", "0 []"]
 
 
 @pytest.mark.parametrize("flag, value, rest", [
@@ -458,3 +473,160 @@ def test_frac_str_formats_every_exact_type():
     cases = [(0, "0"), (-3, "-3"), (True, "1"), (Fraction(6, 4), "3/2"), (Fraction(-4, 2), "-2"), ("2/4", "1/2")]
     for value, text in cases:
         assert frac_str(value) == text == str(Fraction(value))
+
+
+def test_help_lists_the_table():
+    code, out = invoke("-h")
+    assert code == 0 and invoke("--help") == (0, out)
+    for name, (_, line, _) in COMMANDS.items():
+        assert f"  {name}" in out and line in out
+    code, out = invoke("kernel", "--help")
+    assert code == 0 and out.startswith("usage: toricspec [--format human|machine] kernel POLYTOPE")
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+    assert listed == [f"--{name}" for name in COMMANDS["kernel"][2]]
+    # help wins wherever it stands, also after the polytope and options
+    assert invoke("kernel", str(POLY / "cp2.poly"), "--W", "4", "-h") == (0, out)
+
+
+def test_abbreviated_option_exits_1(capsys):
+    code, out = invoke("kernel", str(POLY / "cp1xcp1_monotone.poly"), "--nu", "1/2", "--mem=1,0,0,0")
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: unknown option '--mem' for kernel\n"
+
+
+def test_window_box_over_the_limit_exits_2_at_once():
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricspec.cli", "kernel", str(POLY / "cp1xcp1_monotone.poly"), "--W", "100000"],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert time.monotonic() - started < 5
+    assert proc.returncode == 2, proc.stderr
+    assert machine_dict(proc.stdout)["error"] == (
+        "inconclusive: window 100000 box has 40000400001 points, above the limit 2000000"
+    )
+
+
+# --- parity with the argparse command line the table replaced ----------------------
+
+SQUARE = str(POLY / "cp1xcp1_monotone.poly")
+
+
+def argparse_namespace(argv):
+    """The namespace the old parser gave, or its exit code."""
+    try:
+        return vars(build_parser().parse_args(_attach_negative_values(argv)))
+    except SystemExit as exc:
+        return 1 if exc.code else 0
+
+
+def table_namespace(argv):
+    args = parse_args(argv)
+    return None if args is None else vars(args)
+
+
+def readme_command_lines():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return [shlex.split(line, comments=True)[1:] for line in text.splitlines() if line.startswith("toricspec ")]
+
+
+def workload_command_lines(tmp_path):
+    from perfbench import workloads
+
+    groups = []
+    for seed in (0, 1):
+        groups += workloads.witness_groups(seed, str(tmp_path))
+        groups += workloads.exact_groups(seed, str(tmp_path))
+        for backend in (None, "groebner", "brute", "both"):
+            groups += workloads.membership_groups(seed, str(tmp_path), backend)
+    return [job["argv"] for group in groups for job in group]
+
+
+# Values of each option for the seeded command lines: negative values in both
+# forms, and for --W and --N too, where argparse reads "-1" as a number.
+OPTION_VALUES = {
+    "nu": ("1/2", "-1/2", "0", "-3", "5/2"),
+    "W": ("2", "4", "-1", "0", "+3"),
+    "N": ("2", "3", "-2"),
+    "lam": ("1/3,0", "-1/4,1/5"),
+    "mu": ("1/4,0,0,0", "-1/3,1/2,0,0"),
+    "member": ("1,0,0,0", "-1,2,0,-3"),
+    "window": ("0:2", "-1:1", "-1/2:3/2"),
+}
+FORMAT_PREFIXES = ((), ("--format", "human"), ("--format=machine",), ("--format", "machine", "--format=human"))
+
+
+def seeded_command_lines(rng, command, options):
+    """Every required option, a random subset of the others, some repeated with
+    another value, in either form, in a random order around the polytope."""
+    groups = []
+    for name, (kind, default) in options.items():
+        if default is not REQUIRED and rng.random() < 0.4:
+            continue
+        for _ in range(1 + (rng.random() < 0.3)):
+            if kind is bool:
+                groups.append([f"--{name}"])
+                continue
+            value = rng.choice(kind if type(kind) is tuple else OPTION_VALUES[name])
+            groups.append([f"--{name}={value}"] if rng.random() < 0.5 else [f"--{name}", value])
+    rng.shuffle(groups)
+    groups.insert(rng.randrange(len(groups) + 1), [SQUARE])
+    return [*rng.choice(FORMAT_PREFIXES), command, *(tok for group in groups for tok in group)]
+
+
+def test_table_matches_argparse_on_valid_command_lines(tmp_path, monkeypatch):
+    monkeypatch.chdir(POLY.parent)  # the workloads name corpus files relative to the checkout
+    rng = random.Random(7)
+    readme = readme_command_lines()
+    assert len(readme) == 12
+    lines = readme + workload_command_lines(tmp_path)
+    for command, (_, _, options) in COMMANDS.items():
+        lines += [seeded_command_lines(rng, command, options) for _ in range(60)]
+    for argv in lines:
+        expected = argparse_namespace(argv)
+        assert isinstance(expected, dict), argv
+        assert table_namespace(argv) == expected, argv
+    shapes = {(argv[0], tuple(sorted(t.partition("=")[0] for t in argv if t.startswith("--")))) for argv in lines}
+    assert len(shapes) > 100
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--format", "human"],
+    ["frobnicate", SQUARE],
+    ["kernel", SQUARE, "--bogus"],
+    ["kernel", SQUARE, "-W", "2"],
+    ["kernel", SQUARE, "--nu"],
+    ["kernel", SQUARE, "--W"],
+    ["--format"],
+    ["spectrum-quadform", SQUARE, "--N", "2"],
+    ["min-degree", SQUARE],
+    ["spectrum", SQUARE, "--window", "0:2"],
+    ["bound"],
+    ["bound", "--W", "2"],
+    ["kernel", SQUARE, "--W", "two"],
+    ["kernel", SQUARE, "--W=2.5"],
+    ["spectrum-quadform", SQUARE, "--lam", "1/3,0", "--N", "-1/2"],
+    ["kernel", SQUARE, "--ring", "Q"],
+    ["kernel", SQUARE, "--backend=sympy"],
+    ["--format", "xml", "data", SQUARE],
+    ["data", SQUARE, SQUARE],
+    ["data", SQUARE, "--format", "human"],
+    ["--nu", "1/2", "bound", SQUARE],
+    ["spectrum", SQUARE, "--mu", "1/4,0,0,0", "--window", "0:2", "--untwisted=yes"],
+])
+def test_table_and_argparse_reject_the_same_command_lines(argv, capsys):
+    assert argparse_namespace(argv) == 1
+    assert capsys.readouterr().out == ""
+    assert invoke(*argv) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_0_on_both(capsys):
+    for argv in (["-h"], ["--format", "human", "--help"], ["kernel", "-h"], ["bound", SQUARE, "--help"]):
+        assert argparse_namespace(argv) == 0
+        capsys.readouterr()
+        assert table_namespace(argv) is None
+        assert capsys.readouterr().out.startswith("usage: toricspec")
+

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -368,6 +369,35 @@ def test_generators_match_the_box_filter(T_monotone, T_p12, T_cp2, T_cp3, T_cube
                     assert module.generators(window) == _direct_generators(module, window)
                     checked += 1
     assert checked == 9 * 4 * 2 * 3
+
+
+def test_window_box_over_the_limit_raises_before_enumerating(T_monotone, T_cube, monkeypatch):
+    import toricspec.laurent as laurent_mod
+
+    def timeout(signum, frame):
+        raise TimeoutError("the window box was enumerated")
+
+    # every window the protocol reaches on a kernel of rank 4 stays below the limit
+    assert (2 * laurent_mod.WINDOW_CAP + 1) ** 4 <= laurent_mod.BOX_LIMIT
+    clear_caches()
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(laurent_mod.InconclusiveError) as exc:
+            MonomialModule(toric=T_monotone, threshold=H, window=100_000).generators()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(exc.value) == "window 100000 box has 40000400001 points, above the limit 2000000"
+    # the limit counts the whole box: the cube's 5^3 = 125 points at W = 2,
+    # of which only those above the level are generators
+    monkeypatch.setattr(laurent_mod, "BOX_LIMIT", 124)
+    cube = MonomialModule(toric=T_cube, threshold=H, window=2)
+    with pytest.raises(laurent_mod.InconclusiveError, match="window 2 box has 125 points"):
+        cube.generators()
+    assert len(cube.generators(1)) == len(_direct_generators(cube, 1)) > 0
+    monkeypatch.setattr(laurent_mod, "BOX_LIMIT", 125)
+    assert cube.generators() == _direct_generators(cube, 2)
 
 
 def test_memo_clear_caches_and_counts(T_monotone):
