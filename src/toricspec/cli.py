@@ -23,17 +23,15 @@ from toricspec.laurent import (
     membership,
 )
 from toricspec.minimal import (
-    MinimalDegreeWitness,
     NoMinimalElement,
     find_minimal_degree_element,
     translated_point_bound,
 )
-from toricspec.oracle import DiagonalMap, count_report, period_report, spectrum as oracle_spectrum
+from toricspec.oracle import DiagonalMap, period_report, spectrum_classes, window_report
 from toricspec.polys import Poly
 from toricspec.polytope import (
     ToricHypothesisError,
     is_cpn,
-    monotonicity_check,
     parse_fraction,
     parse_polytope,
     rationality_check,
@@ -70,11 +68,11 @@ class Report:
         self.fmt = fmt
         self.lines = []
 
-    def kv(self, key, value, human=None):
+    def kv(self, key, value):
         if self.fmt == "machine":
             self.lines.append(f"{key}={value}")
         else:
-            self.lines.append(human if human is not None else f"{key} = {value}")
+            self.lines.append(f"{key} = {value}")
 
     def comment(self, text):
         if self.fmt == "machine":
@@ -233,7 +231,7 @@ def cmd_min_degree(args, report: Report) -> int:
 
 def cmd_bound(args, report: Report) -> int:
     data = toric_data(_load(args.polytope))
-    nu = parse_fraction(args.nu) if args.nu is not None else Fraction(1, 2)
+    nu = parse_fraction(args.nu)
     bound, witness = translated_point_bound(data, nu=nu, window=args.W)
     report.kv("N_M", bound)
     report.kv("nu", frac_str(nu))
@@ -252,12 +250,10 @@ def cmd_spectrum(args, report: Report) -> int:
             raise ValueError(f"window must be lo:hi, got '{args.window}'")
     data = toric_data(_load(args.polytope))
     mu = parse_vector(args.mu)
-    dmap = DiagonalMap(mu=mu, twisted=not args.untwisted)
-    classes = None
+    classes = spectrum_classes(data, DiagonalMap(mu=mu, twisted=not args.untwisted))
     if args.window is not None:
         window = (parse_fraction(lo_text), parse_fraction(hi_text))
-        res = oracle_spectrum(data, dmap, window)
-        classes = res.classes
+        res = window_report(classes, window)
         report.kv("window", f"{frac_str(window[0])}:{frac_str(window[1])}")
         report.kv("value_count", len(res.values))
         for i, (v, supports) in enumerate(res.values):
@@ -269,7 +265,7 @@ def cmd_spectrum(args, report: Report) -> int:
         report.kv("period_check", str(res.period_check).lower())
     if args.nu is not None:
         nu = parse_fraction(args.nu)
-        res = count_report(data, dmap, nu) if classes is None else period_report(classes, nu)
+        res = period_report(classes, nu)
         report.kv("nu", frac_str(nu))
         report.kv("count_in_period", len(res.values))
         if res.boundary_hits:
@@ -292,7 +288,8 @@ COMMANDS = {
                {**LEVEL, "ring": (("K0", "K"), "K0"), "member": (str, None),
                 "backend": (("groebner", "brute", "both"), "both")}),
     "min-degree": (cmd_min_degree, "minimal-degree witness search", {**LEVEL, "nu": (str, REQUIRED)}),
-    "bound": (cmd_bound, "translated-point lower bound with witness chain", LEVEL),
+    "bound": (cmd_bound, "translated-point lower bound with witness chain",
+              {**LEVEL, "nu": (str, "1/2")}),
     "spectrum": (cmd_spectrum, "translated spectrum of a diagonal map",
                  {"mu": (str, REQUIRED), "window": (str, None), "nu": (str, None), "untwisted": (bool, False)}),
 }

@@ -612,10 +612,11 @@ def _brute_verdict(q, module, subspace, window, want_certificate=False):
 def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
     """Re-expand a brute-backend certificate and compare exactly.  A label g
     may be any u-multiple of a window generator (u^g is then in the module),
-    not only a minimal generator."""
+    not only a minimal generator.  The window defaults to W + 2, where
+    `membership_certified` takes its certificates."""
     if subspace.is_zero_ring():
         return True
-    window = module.window if window is None else window
+    window = module.window + 2 if window is None else window
     gens = _minimal_generators(module, window)
     floor = _cleared_generators(module, subspace, window)[1]
     cleared = _cleared(q, floor, subspace)
@@ -674,28 +675,12 @@ def _backend_verdict(q, module, subspace, window, backend):
 
 
 def check_start_window(window: int):
-    """The window protocol compares `window` with `window + 2` at least once;
-    a start window without that room below WINDOW_CAP is inconclusive."""
+    """Membership at start window W is decided at W + 2, which must not pass
+    WINDOW_CAP; a start window without that room is inconclusive."""
     if window + 2 > WINDOW_CAP:
         raise InconclusiveError(
             f"start window {window} leaves no room to widen below the cap {WINDOW_CAP}"
         )
-
-
-def stable_verdict(verdict_at, window):
-    """Window-stability loop: evaluate `verdict_at` at `window` and widen by 2
-    until two consecutive verdicts agree; returns (verdict, window at which it
-    stabilized).  Raises InconclusiveError past WINDOW_CAP, before evaluating
-    anything when the start window is already too close to it."""
-    check_start_window(window)
-    prev = verdict_at(window)
-    while window + 2 <= WINDOW_CAP:
-        window += 2
-        cur = verdict_at(window)
-        if cur == prev:
-            return cur, window
-        prev = cur
-    raise InconclusiveError(f"window protocol failed to stabilize below {WINDOW_CAP}")
 
 
 def membership(
@@ -706,25 +691,21 @@ def membership(
 ) -> bool:
     """Is q in the module plus the relation ideal of the subspace?
 
-    Window-stability protocol: evaluate at the module window W and W+2 and
-    widen by 2 until two consecutive verdicts agree (cap 16 -> Inconclusive).
-    """
-    verdict, _ = stable_verdict(
-        lambda w: _verdict_at_window(q, module, subspace, w, backend), module.window
-    )
-    return verdict
+    Decided at window W + 2 for the module window W (past the cap 16 ->
+    Inconclusive).  The generator box at W lies inside the box at W + 2, and
+    each backend decides the module of its window exactly, so the verdict
+    can only turn from False to True as the window widens: widening until
+    two consecutive verdicts agree returns the verdict at W + 2."""
+    check_start_window(module.window)
+    return _verdict_at_window(q, module, subspace, module.window + 2, backend)
 
 
 def membership_certified(q: Poly, module: MonomialModule, subspace: LinearSubspace):
     """Both-backend verdict plus, for members, the brute-backend certificate
-    extracted at the stabilized window.  Returns (verdict, certificate, window)."""
-    verdict, window = stable_verdict(
-        lambda w: _verdict_at_window(q, module, subspace, w, "both"), module.window
-    )
-    if not verdict:
-        return False, None, window
-    _, cert = _brute_verdict(q, module, subspace, window, want_certificate=True)
-    return True, cert, window
+    taken at the same window W + 2.  Returns (verdict, certificate)."""
+    if not membership(q, module, subspace):
+        return False, None
+    return True, _brute_verdict(q, module, subspace, module.window + 2, want_certificate=True)[1]
 
 
 def kernel_membership(q: Poly, km: KernelModule, backend: str = "both") -> bool:

@@ -30,14 +30,12 @@ from toricspec.laurent import (
     MonomialModule,
     RestrictedElement,
     _backend_verdict,
-    _verdict_at_window,
-    _window_generators,
+    check_start_window,
     kernel_K0,
     membership,
     membership_certified,
     restrict,
     restriction_class_key,
-    stable_verdict,
     verify_certificate,
 )
 from toricspec.polys import Poly, monomials_of_degree
@@ -63,7 +61,6 @@ class MinimalDegreeWitness:
     shift: IntVec                    # lattice translation used to normalize degrees
     shifted_monomial: IntVec         # the breadth-first hit, before translating back
     successor_certificates: dict     # i -> brute-backend certificate for u_i * q
-    windows: dict                    # i -> window at which the certificate was taken
 
     def laurent(self) -> Poly:
         return Poly.monomial(self.monomial)
@@ -76,13 +73,11 @@ class MinimalDegreeWitness:
         for i in range(n):
             succ = list(self.monomial)
             succ[i] += 1
-            if not membership(Poly.monomial(tuple(succ)), km.module, km.subspace, backend="brute"):
+            q = Poly.monomial(tuple(succ))
+            if not membership(q, km.module, km.subspace, backend="brute"):
                 return False
             cert = self.successor_certificates.get(i)
-            if cert is not None and not verify_certificate(
-                Poly.monomial(tuple(succ)), km.module, km.subspace, cert,
-                window=self.windows.get(i),
-            ):
+            if cert is not None and not verify_certificate(q, km.module, km.subspace, cert):
                 return False
         return True
 
@@ -144,14 +139,8 @@ class PolynomialPart(MonomialModule):
         """The distinct positive parts of the module's memoized window
         generators, sorted by (total degree, lex)."""
         module = MonomialModule(self.toric, self.threshold, self.window, self.center)
-        positive = {tuple(max(x, 0) for x in g) for g in _window_generators(module, w)}
+        positive = {tuple(max(x, 0) for x in g) for g in module.generators(w)}
         return tuple(sorted(positive, key=lambda g: (sum(g), g)))
-
-
-def _ideal_member(q: Poly, part: PolynomialPart, subspace, window: int) -> bool:
-    """Membership in the polynomial-part ideal plus the relation ideal, on
-    the Groebner backend under the window protocol."""
-    return stable_verdict(lambda w: _verdict_at_window(q, part, subspace, w, "groebner"), window)[0]
 
 
 def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -> tuple[int, ...]:
@@ -171,7 +160,7 @@ def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -
         found = None
         for m in range(cap + 1):
             q = Poly.monomial(tuple(m if j == i else 0 for j in range(n)))
-            if _ideal_member(q, part, km.subspace, window):
+            if membership(q, part, km.subspace, backend="groebner"):
                 found = m
                 break
         if found is None:
@@ -184,7 +173,7 @@ def monomial_ideal_member(toric: ToricData, r, window: int, exps) -> bool:
     """Membership of a polynomial monomial in the polynomial-part ideal."""
     km = kernel_K0(toric, Fraction(r), window)
     part = PolynomialPart(toric, km.module.threshold, window)
-    return _ideal_member(Poly.monomial(tuple(exps)), part, km.subspace, window)
+    return membership(Poly.monomial(tuple(exps)), part, km.subspace, backend="groebner")
 
 
 # --- the witness search ---------------------------------------------------------
@@ -250,15 +239,15 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
             successors = [a[:i] + (a[i] + 1,) + a[i + 1:] for i in range(n)]
             if all(is_member(s) for s in successors):
                 q_exps = back(a)
-                certs, windows = {}, {}
+                certs = {}
                 for i, s in enumerate(successors):
                     succ = Poly.monomial(back(s))
-                    ok, cert, w = membership_certified(succ, km.module, km.subspace)
+                    ok, cert = membership_certified(succ, km.module, km.subspace)
                     if not ok:
                         raise InconclusiveError("successor failed re-check on the original module")
-                    if not verify_certificate(succ, km.module, km.subspace, cert, window=w):
+                    if not verify_certificate(succ, km.module, km.subspace, cert):
                         raise InconclusiveError("successor certificate failed re-verification")
-                    certs[i], windows[i] = cert, w
+                    certs[i] = cert
                 return MinimalDegreeWitness(
                     monomial=q_exps,
                     restriction=restrict(Poly.monomial(q_exps), km.subspace),
@@ -266,7 +255,6 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
                     shift=shift,
                     shifted_monomial=a,
                     successor_certificates=certs,
-                    windows=windows,
                 )
     raise InconclusiveError("no witness below the degree cap")
 
@@ -279,6 +267,7 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
         raise ToricHypothesisError("not monotone")
     bound = min_degree_bound(r, toric.min_chern)
     km = kernel_K0(toric, Fraction(r), window)
+    check_start_window(window)
     n = toric.n
     seen = set()
     violations = []
@@ -291,9 +280,9 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
             continue
         seen.add(key)
         checked += 1
-        # both full backends, not the degree test: this scan is what checks it
-        q = Poly.monomial(a)
-        if stable_verdict(lambda w: _backend_verdict(q, km.module, km.subspace, w, "both"), window)[0]:
+        # both full backends at W + 2, as membership decides, but not the
+        # degree test: this scan is what checks it
+        if _backend_verdict(Poly.monomial(a), km.module, km.subspace, window + 2, "both"):
             violations.append(a)
     return violations, checked
 

@@ -8,9 +8,9 @@ proportionality factor between them, the p-kernel sublattice, and a strictly
 positive lattice direction b.  Validation works in integers: vertices by
 Cramer's rule over every facet d-subset, smoothness from the same
 determinants, and compactness from the extreme rays of the recession cone.
-Fourier-Motzkin elimination is left only to tell an empty input from one
-containing a line.  The vertices' active facet sets are kept on the
-reduction data, where they give the translated spectrum's minimal supports.
+Every offset is positive, so 0 is an interior point and no input is empty.
+The vertices' active facet sets are kept on the reduction data, where they
+give the translated spectrum's minimal supports.
 """
 
 from dataclasses import dataclass, fields
@@ -121,78 +121,6 @@ class ToricData:
         return sum(ci * mi for ci, mi in zip(self.chern, m))
 
 
-# --- exact feasibility (Fourier-Motzkin) -----------------------------------
-
-
-def _normalize_ineq(coeffs, const):
-    scale = None
-    for c in list(coeffs) + [const]:
-        if c != 0:
-            scale = abs(c)
-            break
-    if scale is None:
-        return tuple(Fraction(0) for _ in coeffs), Fraction(0)
-    return tuple(Fraction(c) / scale for c in coeffs), Fraction(const) / scale
-
-
-def fourier_motzkin_feasible(ineqs, nvars: int) -> bool:
-    """Feasibility of {x : sum c_i x_i + const >= 0 for each (c, const)} over Q."""
-    system = {(_normalize_ineq(c, k)) for c, k in ineqs}
-    for var in range(nvars):
-        pos, neg, zero = [], [], []
-        for coeffs, const in system:
-            cv = coeffs[var]
-            if cv > 0:
-                pos.append((coeffs, const))
-            elif cv < 0:
-                neg.append((coeffs, const))
-            else:
-                zero.append((coeffs, const))
-        new = set(zero)
-        for cp, kp in pos:
-            for cn, kn in neg:
-                a, b = cp[var], -cn[var]
-                coeffs = tuple(b * x + a * y for x, y in zip(cp, cn))
-                new.add(_normalize_ineq(coeffs, b * kp + a * kn))
-        system = new
-    return all(const >= 0 for _, const in system)
-
-
-def rational_feasible(eqs, ineqs, nvars: int) -> bool:
-    """Feasibility of {A x = b (eqs), C x + k >= 0 (ineqs)}: eliminate the
-    equalities by exact substitution, then Fourier-Motzkin the rest."""
-    if eqs:
-        aug = [[Fraction(c) for c in coeffs] + [Fraction(-const)] for coeffs, const in eqs]
-        red, pivots = rref(aug)
-        for row in red:
-            if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-                return False
-        free = [c for c in range(nvars) if c not in pivots]
-        # x_pivot = rhs - sum(free coeff * x_free)
-        subs = {}
-        for r, pc in enumerate(pivots):
-            if pc == nvars:
-                return False
-            subs[pc] = (red[r][-1], {fc: -red[r][fc] for fc in free})
-        reduced = []
-        for coeffs, const in ineqs:
-            new_const = Fraction(const)
-            new_coeffs = [Fraction(0)] * len(free)
-            for i, c in enumerate(coeffs):
-                if c == 0:
-                    continue
-                if i in subs:
-                    rhs, fdep = subs[i]
-                    new_const += c * rhs
-                    for fi, fc in enumerate(free):
-                        new_coeffs[fi] += c * fdep.get(fc, Fraction(0))
-                else:
-                    new_coeffs[free.index(i)] += Fraction(c)
-            reduced.append((tuple(new_coeffs), new_const))
-        return fourier_motzkin_feasible(reduced, len(free))
-    return fourier_motzkin_feasible(ineqs, nvars)
-
-
 # --- validation -------------------------------------------------------------
 
 
@@ -260,22 +188,19 @@ def _validate(poly: DelzantPolytope) -> ValidationReport:
     """Compactness, smoothness, and the vertex list with each vertex's active
     facet set, all in integer arithmetic.
 
-    Without a vertex the input is empty or contains a line, so it is not
-    compact; with one, it is compact iff its recession cone has no extreme
-    ray.  It is smooth iff it has a vertex and every vertex is simple with
-    conormals of determinant +-1.
+    Every offset is positive, so the input holds 0 and is never empty:
+    without a vertex it contains a line and is not compact; with one, it is
+    compact iff its recession cone has no extreme ray.  It is smooth iff it
+    has a vertex and every vertex is simple with conormals of determinant
+    +-1.
 
-    Raises ToricHypothesisError on an empty polytope, and on a compact one
-    with a facet repeated verbatim or with an inequality that is not tight at
-    d affinely independent vertices (a redundant facet, numbered from 1 in
-    file order; of two equal facets, the later one).
+    Raises ToricHypothesisError on a compact polytope with a facet repeated
+    verbatim or with an inequality that is not tight at d affinely
+    independent vertices (a redundant facet, numbered from 1 in file order;
+    of two equal facets, the later one).
     """
     d = poly.d
     verts = _enumerate_vertices(poly)
-    if not verts:  # empty, or containing a line: only Fourier-Motzkin tells which
-        full = [(tuple(Fraction(c) for c in v), Fraction(a)) for v, a in poly.facets]
-        if not fourier_motzkin_feasible(full, d):
-            raise ToricHypothesisError("empty polytope")
     compact = bool(verts) and not _has_recession_ray(poly)
     for j in range(poly.n if compact else 0):
         if poly.facets[j] in poly.facets[:j]:

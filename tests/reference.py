@@ -1,9 +1,11 @@
 """Test-only references: the Fraction Groebner engine, the relation ideal of a
-linear subspace, module membership by its definition in Q[u_1..u_n], and the
-argparse command line that the command table replaced."""
+linear subspace, module membership by its definition in Q[u_1..u_n], the
+window-stability loop that membership at W + 2 replaced, Fourier-Motzkin
+feasibility, and the argparse command line that the command table replaced."""
 
 import argparse
 import heapq
+from fractions import Fraction
 from operator import add, ge, sub
 
 from toricspec.cli import (
@@ -16,6 +18,7 @@ from toricspec.cli import (
     cmd_validate,
 )
 from toricspec.lattice import identity_matrix, integer_kernel, rref, transpose
+from toricspec.laurent import WINDOW_CAP, InconclusiveError, check_start_window
 from toricspec.polys import Poly, exact_div, grevlex_key
 
 
@@ -177,6 +180,105 @@ def reference_module_ideal(gens, depth, subspace):
     return _reference_buchberger(monomials + _linear_relations(subspace))
 
 
+# --- the window-stability loop ------------------------------------------------------
+#
+# Membership decided this way before it was decided at W + 2 alone.  The
+# module at W lies inside the module at W + 2, so the verdicts can only go
+# from False to True, and the loop returns the verdict at W + 2.
+
+
+def stable_verdict(verdict_at, window):
+    """Window-stability loop: evaluate `verdict_at` at `window` and widen by 2
+    until two consecutive verdicts agree; returns (verdict, window at which it
+    stabilized).  Raises InconclusiveError past WINDOW_CAP, before evaluating
+    anything when the start window is already too close to it."""
+    check_start_window(window)
+    prev = verdict_at(window)
+    while window + 2 <= WINDOW_CAP:
+        window += 2
+        cur = verdict_at(window)
+        if cur == prev:
+            return cur, window
+        prev = cur
+    raise InconclusiveError(f"window protocol failed to stabilize below {WINDOW_CAP}")
+
+
+# --- exact feasibility (Fourier-Motzkin) ---------------------------------------------
+#
+# Every offset of a Delzant polytope is positive, so `validate` never needs to
+# tell an empty input apart; the tests use this as an independent feasibility
+# test (compactness probes, minimal supports).
+
+
+def _normalize_ineq(coeffs, const):
+    scale = None
+    for c in list(coeffs) + [const]:
+        if c != 0:
+            scale = abs(c)
+            break
+    if scale is None:
+        return tuple(Fraction(0) for _ in coeffs), Fraction(0)
+    return tuple(Fraction(c) / scale for c in coeffs), Fraction(const) / scale
+
+
+def fourier_motzkin_feasible(ineqs, nvars: int) -> bool:
+    """Feasibility of {x : sum c_i x_i + const >= 0 for each (c, const)} over Q."""
+    system = {(_normalize_ineq(c, k)) for c, k in ineqs}
+    for var in range(nvars):
+        pos, neg, zero = [], [], []
+        for coeffs, const in system:
+            cv = coeffs[var]
+            if cv > 0:
+                pos.append((coeffs, const))
+            elif cv < 0:
+                neg.append((coeffs, const))
+            else:
+                zero.append((coeffs, const))
+        new = set(zero)
+        for cp, kp in pos:
+            for cn, kn in neg:
+                a, b = cp[var], -cn[var]
+                coeffs = tuple(b * x + a * y for x, y in zip(cp, cn))
+                new.add(_normalize_ineq(coeffs, b * kp + a * kn))
+        system = new
+    return all(const >= 0 for _, const in system)
+
+
+def rational_feasible(eqs, ineqs, nvars: int) -> bool:
+    """Feasibility of {A x = b (eqs), C x + k >= 0 (ineqs)}: eliminate the
+    equalities by exact substitution, then Fourier-Motzkin the rest."""
+    if eqs:
+        aug = [[Fraction(c) for c in coeffs] + [Fraction(-const)] for coeffs, const in eqs]
+        red, pivots = rref(aug)
+        for row in red:
+            if all(x == 0 for x in row[:-1]) and row[-1] != 0:
+                return False
+        free = [c for c in range(nvars) if c not in pivots]
+        # x_pivot = rhs - sum(free coeff * x_free)
+        subs = {}
+        for r, pc in enumerate(pivots):
+            if pc == nvars:
+                return False
+            subs[pc] = (red[r][-1], {fc: -red[r][fc] for fc in free})
+        reduced = []
+        for coeffs, const in ineqs:
+            new_const = Fraction(const)
+            new_coeffs = [Fraction(0)] * len(free)
+            for i, c in enumerate(coeffs):
+                if c == 0:
+                    continue
+                if i in subs:
+                    rhs, fdep = subs[i]
+                    new_const += c * rhs
+                    for fi, fc in enumerate(free):
+                        new_coeffs[fi] += c * fdep.get(fc, Fraction(0))
+                else:
+                    new_coeffs[free.index(i)] += Fraction(c)
+            reduced.append((tuple(new_coeffs), new_const))
+        return fourier_motzkin_feasible(reduced, len(free))
+    return fourier_motzkin_feasible(ineqs, nvars)
+
+
 # --- the argparse command line ---------------------------------------------------------
 #
 # The parser `toricspec.cli` ran before its command table, kept verbatim: the
@@ -224,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="translated-point lower bound with witness chain")
     p.add_argument("polytope")
-    p.add_argument("--nu", default=None)
+    p.add_argument("--nu", default="1/2")
     p.add_argument("--W", type=int, default=2)
     p.set_defaults(func=cmd_bound)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from tests.conftest import cp1xcp1, cpn_simplex, cube3
+from tests.reference import stable_verdict
 from toricspec.cli import run
 from toricspec.lattice import identity_matrix
 from toricspec.laurent import (
@@ -21,7 +22,6 @@ from toricspec.laurent import (
     membership,
     novikov_shift,
     restrict,
-    stable_verdict,
 )
 from toricspec.minimal import (
     MinimalDegreeWitness,

@@ -323,6 +323,20 @@ def test_corpus_validate_and_data_match_answers(name):
     assert d["is_cpn"] == str(ans["is_cpn"]).lower()
 
 
+# The full machine reports and exit codes of the witness benchmark's cases
+# (`bound` and `min-degree` on corpus files), every key included.
+WITNESS_REPORTS = json.loads((Path(__file__).resolve().parent / "witness_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_REPORTS))
+def test_witness_reports_match_the_recorded_ones(case, capsys):
+    command, name, *options = case.split()
+    clear_caches()
+    code, out = invoke(command, str(CORPUS / f"{name}.poly"), *options)
+    assert (code, out.splitlines()) == (WITNESS_REPORTS[case]["exit"], WITNESS_REPORTS[case]["report"])
+    assert capsys.readouterr().err == ""
+
+
 def test_human_format_runs():
     code, out = invoke("--format", "human", "data", str(POLY / "cp2.poly"))
     assert code == 0
@@ -486,6 +500,8 @@ def test_help_lists_the_table():
     assert listed == [f"--{name}" for name in COMMANDS["kernel"][2]]
     # help wins wherever it stands, also after the polytope and options
     assert invoke("kernel", str(POLY / "cp2.poly"), "--W", "4", "-h") == (0, out)
+    # the level a bound is taken at by default is the one its help shows
+    assert "  --nu VALUE (default 1/2)\n" in invoke("bound", "--help")[1]
 
 
 def test_abbreviated_option_exits_1(capsys):

@@ -35,7 +35,7 @@ from toricspec.oracle import DiagonalMap, spectrum_classes
 from toricspec.polys import Poly
 from toricspec.polytope import parse_polytope, toric_data, validate
 
-from tests.reference import _reference_normal_form, annihilator, reference_module_ideal
+from tests.reference import _reference_normal_form, annihilator, reference_module_ideal, stable_verdict
 
 H = Fraction(1, 2)
 
@@ -281,27 +281,105 @@ def test_window_protocol_escalates_until_agreement(T_cube):
     assert membership(q, km.module, km.subspace) is True
 
 
-def test_window_protocol_cap_raises(T_monotone, monkeypatch):
+def test_start_window_13_decides_where_the_loop_hit_the_cap(T_monotone, monkeypatch):
+    # a query that is no member at W and a member from W + 2 on: from W = 13
+    # the stability loop needs W + 4 = 17, past the cap, and raises; deciding
+    # at W + 2 answers it
     import toricspec.laurent as laurent_mod
 
-    flips = iter([False, True] * 20)
-    monkeypatch.setattr(
-        laurent_mod, "_verdict_at_window", lambda *a, **k: next(flips)
-    )
     km = kernel_K0(T_monotone, H, 2)
-    with pytest.raises(laurent_mod.InconclusiveError):
-        laurent_mod.membership(U(1, 0, 0, 0), km.module, km.subspace)
+    for window in (13, 14):
+        def verdict_at(w, start=window):
+            return w >= start + 2
+
+        monkeypatch.setattr(laurent_mod, "_verdict_at_window", lambda q, m, s, w, b: verdict_at(w))
+        with pytest.raises(laurent_mod.InconclusiveError, match="failed to stabilize below 16"):
+            stable_verdict(verdict_at, window)
+        assert laurent_mod.membership(U(1, 0, 0, 0), replace(km.module, window=window), km.subspace) is True
 
 
-def test_window_protocol_rejects_start_window_before_evaluating():
+def test_window_protocol_rejects_start_window_before_evaluating(T_monotone, monkeypatch):
     import toricspec.laurent as laurent_mod
 
-    def evaluated(window):
+    def evaluated(q, module, subspace, window, backend):
         raise AssertionError(f"evaluated at window {window}")
 
+    monkeypatch.setattr(laurent_mod, "_verdict_at_window", evaluated)
+    km = kernel_K0(T_monotone, H, 2)
     for window in (laurent_mod.WINDOW_CAP - 1, 40):
+        module = replace(km.module, window=window)
         with pytest.raises(laurent_mod.InconclusiveError, match=f"start window {window} .* cap 16"):
-            laurent_mod.stable_verdict(evaluated, window)
+            laurent_mod.membership(U(1, 0, 0, 0), module, km.subspace)
+
+
+MONOTONE_SEQUENCES = ([False, False], [True, True], [False, True, True])
+
+
+def _random_query(rng, n):
+    if rng.random() < 0.5:
+        return Poly.monomial(tuple(rng.randint(-3, 3) for _ in range(n)))
+    return Poly(n, {tuple(rng.randint(-3, 3) for _ in range(n)): rng.randint(-3, 3) or 1
+                    for _ in range(rng.randint(2, 3))})
+
+
+@pytest.mark.parametrize("backend", ["groebner", "brute", "both"])
+def test_membership_is_the_verdict_the_stability_loop_returns(T_monotone, T_p12, T_cp2, T_cp3, T_cube, backend):
+    # the module at W lies inside the module at W + 2, so the loop sees only
+    # FF, TT or FTT and returns the verdict at W + 2, the one window membership
+    # decides at; the same holds without the degree test
+    from toricspec.laurent import _verdict_at_window
+
+    rng = random.Random(1515)
+    seen = {}
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            for nu in (Fraction(0), H, Fraction(3, 2)):
+                for window in (2,) if T.n > 4 else (2, 3, 4):
+                    km = maker(T, nu, window)
+                    for _ in range(6 if T.n > 4 else 12):
+                        q = _random_query(rng, T.n)
+                        for path in (_verdict_at_window, _backend_verdict):
+                            verdicts = []
+
+                            def verdict_at(w):
+                                verdicts.append(path(q, km.module, km.subspace, w, backend))
+                                return verdicts[-1]
+
+                            reference, _ = stable_verdict(verdict_at, window)
+                            assert verdicts in MONOTONE_SEQUENCES, (q, window, verdicts)
+                            seen[tuple(verdicts)] = seen.get(tuple(verdicts), 0) + 1
+                            if path is _verdict_at_window:
+                                assert membership(q, km.module, km.subspace, backend) == reference
+                            else:
+                                assert path(q, km.module, km.subspace, window + 2, backend) == reference
+    assert len(seen) == 3 and seen[False, True, True] >= 10, seen
+
+
+def test_membership_evaluates_one_window_and_builds_no_basis_at_the_start(T_monotone, T_cube, monkeypatch):
+    import toricspec.laurent as laurent_mod
+    from toricspec.memo import _MEMO
+
+    windows = []
+    inner = laurent_mod._verdict_at_window
+
+    def recorded(q, module, subspace, window, backend):
+        windows.append(window)
+        return inner(q, module, subspace, window, backend)
+
+    monkeypatch.setattr(laurent_mod, "_verdict_at_window", recorded)
+    for T in (T_monotone, T_cube):
+        for window in (2, 3):
+            km = kernel_K0(T, H, window)
+            queries = _slice_queries(T)
+            clear_caches()
+            windows.clear()
+            for q in queries:
+                membership(q, km.module, km.subspace)
+                membership_certified(q, km.module, km.subspace)
+            assert windows == [window + 2] * (2 * len(queries))
+            built = {key[0][-1] for kind, key in _MEMO if kind == "groebner"}
+            assert built == {window + 2}
+            assert {key[-1] for kind, key in _MEMO if kind == "generators"} == {window + 2}
 
 
 def test_degree_grading_of_generators(T_monotone, T_cube):
@@ -421,7 +499,7 @@ def test_memo_clear_caches_and_counts(T_monotone):
     assert toric_data(T_monotone.polytope) is T
     assert validate(T_monotone.polytope).vertex_facets == T.vertex_facets
     assert spectrum_classes(T, dmap) == spectrum
-    km.module.generators()
+    km.module.generators(km.module.window + 2)
     counts = memo_counts()
     for kind in kinds:
         assert counts[kind][0] > built[kind][0], kind   # every kind answered from the memo
@@ -434,8 +512,8 @@ def test_memo_clear_caches_and_counts(T_monotone):
 
 def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeypatch):
     # both backends read the minimal generators of a (level, window) from the
-    # memo; a query at the generator degree (2 here) whose verdict is the same
-    # at W = 2 and 4 visits those two
+    # memo; a query at the generator degree (2 here) is decided at W + 2 = 4
+    # alone
     import toricspec.laurent as laurent
 
     built = []
@@ -449,8 +527,8 @@ def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeyp
     km = kernel_K0(T_cube, H, 2)
     clear_caches()
     membership(U(1, 1, 0, 0, 0, 0), km.module, km.subspace, backend="both")
-    assert built == [len(km.module.generators(w)) for w in (2, 4)]
-    assert memo_counts()["minimal_generators"][1] == 2
+    assert built == [len(km.module.generators(4))]
+    assert memo_counts()["minimal_generators"][1] == 1
 
 
 def test_backends_reject_every_monomial_below_the_generator_degree(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
@@ -542,11 +620,11 @@ def test_tracked_span_certificates_round_trip(T_monotone, T_p12, T_cp2, T_cp3, T
         members.append(Poly.monomial(tuple(x + (i == 0) for i, x in enumerate(picks[0]))))
         members.append(Poly.monomial(picks[0], Fraction(2, 3)) - Poly.monomial(picks[-1], 5))
         for q in members:
-            ok, cert, window = membership_certified(q, km.module, km.subspace)
+            ok, cert = membership_certified(q, km.module, km.subspace)
             assert ok
             if km.ring == "ZeroRing":
                 assert cert == {}
-            assert verify_certificate(q, km.module, km.subspace, cert, window=window)
+            assert verify_certificate(q, km.module, km.subspace, cert)
             nonempty += bool(cert)
     assert nonempty >= 10
 
@@ -653,9 +731,9 @@ def test_certificate_from_grown_slice_verifies(T_monotone, T_cube):
         for q in queries:
             _brute_verdict(q, km.module, km.subspace, 2, want_certificate=True)
         for q in members + [U(*(x + 1 for x in next(iter(members[0].terms))))]:
-            ok, cert, window = membership_certified(q, km.module, km.subspace)
+            ok, cert = membership_certified(q, km.module, km.subspace)
             assert ok and cert
-            assert verify_certificate(q, km.module, km.subspace, cert, window=window)
+            assert verify_certificate(q, km.module, km.subspace, cert)
 
 
 def test_certificate_labels_may_be_any_module_monomial(T_monotone):

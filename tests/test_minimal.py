@@ -1,6 +1,7 @@
 import random
 import signal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,8 +15,10 @@ from toricspec.laurent import (
     membership,
     novikov_shift,
     restrict,
+    restriction_class_key,
     _backend_verdict,
     _level_key,
+    _verdict_at_window,
 )
 from toricspec.memo import _MEMO
 from toricspec.minimal import (
@@ -36,7 +39,7 @@ from toricspec.minimal import (
 from toricspec.polys import Poly
 from toricspec.polytope import ToricHypothesisError
 
-from tests.reference import _reference_normal_form, reference_module_ideal
+from tests.reference import _reference_normal_form, reference_module_ideal, stable_verdict
 
 H = Fraction(1, 2)
 
@@ -160,6 +163,69 @@ def test_polynomial_part_backends_match_the_definition(T_monotone, T_p12, T_cp2,
     assert verdicts == {True, False}
 
 
+def _looped_verdict(verdict_at, window):
+    """The stability loop's verdict, asserting that the verdicts it saw were
+    monotone in the window: FF, TT or FTT."""
+    seen = []
+
+    def recorded(w):
+        seen.append(verdict_at(w))
+        return seen[-1]
+
+    verdict, _ = stable_verdict(recorded, window)
+    assert seen in ([False, False], [True, True], [False, True, True]), seen
+    return verdict
+
+
+def test_polynomial_part_membership_is_the_loop_verdict(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    rng = random.Random(43)
+    verdicts = set()
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            for r in (H, Fraction(3, 2)):
+                for window in (2,) if T.n > 4 else (2, 3, 4):
+                    sub = maker(T, r, window).subspace
+                    part = PolynomialPart(T, r, window)
+                    for _ in range(6):
+                        q = Poly.monomial(tuple(rng.randint(0, 3) for _ in range(T.n)))
+                        want = _looped_verdict(lambda w: _verdict_at_window(q, part, sub, w, "groebner"), window)
+                        assert membership(q, part, sub, backend="groebner") == want
+                        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _looped_degree_floor_violations(toric, r, window, box):
+    """`degree_floor_violations` with each class decided by the stability loop."""
+    bound = min_degree_bound(r, toric.min_chern)
+    km = kernel_K0(toric, Fraction(r), window)
+    seen, violations = set(), []
+    for a in product(range(-box, box + 1), repeat=toric.n):
+        key = restriction_class_key(km.subspace, a)
+        if Fraction(sum(a)) >= bound or key in seen:
+            continue
+        seen.add(key)
+        q = Poly.monomial(a)
+        if _looped_verdict(lambda w: _backend_verdict(q, km.module, km.subspace, w, "both"), window):
+            violations.append(a)
+    return violations, len(seen)
+
+
+def test_degree_floor_scan_is_the_loop_verdict_at_one_window(T_monotone, T_cp2, T_cube):
+    violated = 0
+    for T, box in ((T_monotone, 2), (T_cp2, 2), (T_cube, 1)):
+        for r in (H, Fraction(1)):
+            for window in (2, 3):
+                clear_caches()
+                got = degree_floor_violations(T, r, window, box=box)
+                level = _level_key(kernel_K0(T, r, window).module, 0)[:-1]
+                built = {key[0][-1] for kind, key in _MEMO if kind == "groebner" and key[0][:-1] == level}
+                assert built <= {window + 2}
+                assert got == _looped_degree_floor_violations(T, r, window, box)
+                violated += bool(got[0])
+    # on the zero ring of the projective plane every class is a member
+    assert violated == 4
+
+
 def _looped_shift(toric, nu):
     """The least s >= 1 with (nu + s * p(b)) * N >= 1, by stepping s."""
     r0 = toric.p_value(toric.b)
@@ -244,14 +310,14 @@ def test_witness_shift_invariance(T_monotone):
 
 def test_witness_search_builds_one_basis_per_window(T_monotone):
     # the search asks the level module at translated monomials, and every
-    # query is cleared at the generator floor: one Groebner basis for each of
-    # the two windows the protocol compares, whatever the shift and the depth
+    # query is cleared at the generator floor: one Groebner basis, at the
+    # window W + 2 that membership decides at, whatever the shift and the depth
     level = _level_key(kernel_K0(T_monotone, Fraction(3), 2).module, 0)[:-1]
     clear_caches()
     w = find_minimal_degree_element(T_monotone, Fraction(3))
     assert isinstance(w, MinimalDegreeWitness)
     windows = [key[0][-1] for kind, key in _MEMO if kind == "groebner" and key[0][:-1] == level]
-    assert sorted(windows) == [2, 4]
+    assert sorted(windows) == [4]
 
 
 def test_degree_floor_exhaustive_square(T_monotone):
@@ -284,9 +350,7 @@ def test_witness_successor_certificates_are_verified(T_monotone, monkeypatch):
     km = kernel_K0(T_monotone, H, 2)
     for i, cert in witness.successor_certificates.items():
         succ = tuple(x + (j == i) for j, x in enumerate(witness.monomial))
-        assert minimal_mod.verify_certificate(
-            Poly.monomial(succ), km.module, km.subspace, cert, window=witness.windows[i]
-        )
+        assert minimal_mod.verify_certificate(Poly.monomial(succ), km.module, km.subspace, cert)
     monkeypatch.setattr(minimal_mod, "verify_certificate", lambda *a, **k: False)
     with pytest.raises(InconclusiveError, match="certificate failed re-verification"):
         find_minimal_degree_element(T_monotone, H)

@@ -22,12 +22,12 @@ from toricspec.lattice import det, unimodular_inverse
 from toricspec.polytope import (
     ToricHypothesisError,
     parse_polytope,
-    rational_feasible,
     toric_data,
     validate,
 )
 from toricspec.quadforms import front_coordinates
 from tests.conftest import cp1xcp1, cpn_simplex, cube3
+from tests.reference import rational_feasible
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tests.conftest import cp1xcp1, cpn_simplex, cube3
+from tests.reference import fourier_motzkin_feasible, rational_feasible
 from toricspec.lattice import extends_to_lattice_basis, mat_vec, rref
 from toricspec.memo import clear_caches, memo_counts
 from toricspec.polys import monomials_of_degree
@@ -16,7 +17,6 @@ from toricspec.polytope import (
     _enumerate_vertices,
     find_positive_b,
     format_polytope,
-    fourier_motzkin_feasible,
     is_cpn,
     monotonicity_check,
     parse_polytope,
@@ -89,8 +89,9 @@ def test_validate_weighted_triangle_not_smooth():
 
 
 def test_empty_system_infeasible():
-    # a_j > 0 forces 0 into the interior, so Delzant input is never empty; the
-    # emptiness guard is exercised at the Fourier-Motzkin level directly.
+    # a_j > 0 forces 0 into the interior, so Delzant input is never empty and
+    # validate has no emptiness test; the reference Fourier-Motzkin test,
+    # which the compactness references use, must still tell an empty system.
     ineqs = [((Fraction(1),), Fraction(-1)), ((Fraction(-1),), Fraction(-1))]
     assert not fourier_motzkin_feasible(ineqs, 1)
     both = [((Fraction(1),), Fraction(2)), ((Fraction(-1),), Fraction(3))]
@@ -183,8 +184,6 @@ def test_momentum_consistency(T_monotone, T_cube):
 
 def _dual_cone_trivial(kappa_vectors, n):
     # {x >= 0, iota^T x = 0} = {0}: the dual form of the compactness condition
-    from toricspec.polytope import rational_feasible
-
     eqs = [
         (tuple(Fraction(v[j]) for j in range(n)), Fraction(0)) for v in kappa_vectors
     ]
