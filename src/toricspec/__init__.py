@@ -8,11 +8,9 @@ torus maps.
 
 from toricspec.lattice import (
     LatticeBasis,
-    extends_to_lattice_basis,
     hermite_normal_form,
     integer_kernel,
     is_primitive,
-    smith_invariants,
 )
 from toricspec.laurent import (
     BackendMismatchError,
@@ -23,16 +21,13 @@ from toricspec.laurent import (
     RestrictedElement,
     ZERO_RING,
     ZeroRing,
-    clear_caches,
     kernel_K,
     kernel_K0,
-    kernel_membership,
-    memo_counts,
     membership,
-    module_generators,
     novikov_shift,
     restrict,
 )
+from toricspec.memo import clear_caches, memo_counts
 from toricspec.minimal import (
     BoundingData,
     MinimalDegreeWitness,
@@ -48,11 +43,8 @@ from toricspec.oracle import (
     DiagonalMap,
     SpectrumClass,
     SpectrumReport,
-    count_in_period,
-    count_report,
     feasible_supports,
 )
-from toricspec.oracle import spectrum as translated_spectrum
 from toricspec.polys import Poly
 from toricspec.polytope import (
     DelzantPolytope,
@@ -60,7 +52,6 @@ from toricspec.polytope import (
     ToricHypothesisError,
     ValidationReport,
     find_positive_b,
-    format_polytope,
     is_cpn,
     monotonicity_check,
     parse_polytope,

@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from toricspec.lattice import mat_vec
 from toricspec.laurent import (
     BackendMismatchError,
     InconclusiveError,
@@ -112,7 +111,7 @@ def _emit_toric(data, report: Report):
     for i, v in enumerate(data.k0.vectors):
         report.kv(f"k0.{i}", vec_str(v))
     report.kv("b", vec_str(data.b))
-    report.kv("iota_b", vec_str(mat_vec(data.iota, data.b)))
+    report.kv("iota_b", vec_str(data.iota_apply(data.b)))
     report.kv("p_b", frac_str(data.p_value(data.b)))
     report.kv("hbar", frac_str(data.hbar) if data.hbar is not None else "absent")
     report.kv("rational", str(rationality_check(data)).lower())
@@ -124,36 +123,6 @@ def cmd_data(args, report: Report) -> int:
     data = toric_data(_load(args.polytope))
     _emit_toric(data, report)
     return 0
-
-
-def parse_data_report(text: str) -> dict:
-    """Re-parse a machine-format `data` report into exact values."""
-    out: dict = {}
-    kappa, k0 = [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        if key.startswith("kappa."):
-            kappa.append(parse_int_vector(value))
-        elif key.startswith("k0."):
-            k0.append(parse_int_vector(value))
-        elif key in {"p", "iota_b"}:
-            out[key] = parse_vector(value)
-        elif key in {"chern", "b"}:
-            out[key] = parse_int_vector(value)
-        elif key in {"n", "d", "k"}:
-            out[key] = int(value)
-        elif key == "N_M":
-            out[key] = None if value == "absent" else int(value)
-        elif key in {"hbar", "p_b"}:
-            out[key] = None if value == "absent" else parse_fraction(value)
-        else:
-            out[key] = value
-    out["kappa"] = tuple(kappa)
-    out["k0"] = tuple(k0)
-    return out
 
 
 def cmd_spectrum_quadform(args, report: Report) -> int:

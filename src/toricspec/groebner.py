@@ -175,10 +175,6 @@ def normal_form(f: Poly, basis) -> Poly:
     return Poly(f.nvars, {e: exact_div(c, scale * den) for e, c in rem.items()})
 
 
-def ideal_member(f: Poly, groebner_basis) -> bool:
-    return normal_form(f, groebner_basis).is_zero()
-
-
 def _lcm(e1, e2):
     return tuple(map(max, e1, e2))
 
@@ -189,17 +185,6 @@ def _divides(e1, e2):
 
 def _disjoint(e1, e2):
     return not any(map(min, e1, e2))
-
-
-def s_polynomial(f: Poly, g: Poly) -> Poly:
-    if f.is_zero() or g.is_zero():
-        raise ValueError("S-polynomial of the zero polynomial")
-    fe, fc = f.leading()
-    ge_, gc = g.leading()
-    l = _lcm(fe, ge_)
-    return f.term_mul(tuple(map(sub, l, fe)), exact_div(1, fc)) - g.term_mul(
-        tuple(map(sub, l, ge_)), exact_div(1, gc)
-    )
 
 
 # --- interreduction and Buchberger --------------------------------------------------
@@ -241,12 +226,6 @@ def _reduced_basis(divisors):
         others = divisors[:n] + divisors[n + 1:]
         out.append(_monic(_divisor(_reduce(d[3], others))))
     return sorted(out, key=lambda g: g.leading()[0])
-
-
-def interreduce(basis):
-    """Reduce each element against the others; drop zeros; monic output,
-    sorted by leading exponent."""
-    return _reduced_basis(_autoreduce(_primitive_divisors(basis)))
 
 
 def _s_poly(d1, d2, l):

@@ -35,7 +35,7 @@ from operator import add
 
 from toricspec.groebner import DivisionBasis, buchberger, normal_form
 from toricspec.lattice import IntMat, IntVec, vec_gcd
-from toricspec.memo import clear_caches, memo, memo_counts  # the last two re-exported
+from toricspec.memo import memo
 from toricspec.polys import Poly, exact_div, linear_form_product, monomials_of_degree
 from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
 
@@ -130,34 +130,6 @@ class RestrictedElement:
         if self.numerator.is_zero():
             return None
         return self.numerator.total_degree() - sum(self.denom_exps)
-
-    def _denom_poly(self) -> Poly:
-        return self.subspace.form_product(self.denom_exps)
-
-    def __mul__(self, other):
-        return RestrictedElement(
-            numerator=self.numerator * other.numerator,
-            denom_exps=tuple(a + b for a, b in zip(self.denom_exps, other.denom_exps)),
-            subspace=self.subspace,
-        ).reduced()
-
-    def __eq__(self, other):
-        if not isinstance(other, RestrictedElement):
-            return NotImplemented
-        return (self.numerator * other._denom_poly()) == (other.numerator * self._denom_poly())
-
-    def is_scalar_multiple_of(self, other) -> int | Fraction | None:
-        """The scalar c with self = c * other, if one exists."""
-        left = self.numerator * other._denom_poly()
-        right = other.numerator * self._denom_poly()
-        if right.is_zero():
-            return 0 if left.is_zero() else None
-        e, c = right.leading()
-        lc = left.terms.get(e)
-        if lc is None:
-            return None
-        scale = exact_div(lc, c)
-        return scale if left == right * scale else None
 
     def reduced(self):
         """Cancel coordinate linear forms that divide the numerator exactly."""
@@ -285,10 +257,6 @@ def _level_key(module: MonomialModule, window: int):
 def _window_generators(module: MonomialModule, window: int):
     """The memoized tuple behind `MonomialModule.generators`."""
     return memo("generators", _level_key(module, window), lambda: module._enumerate(window))
-
-
-def module_generators(toric: ToricData, threshold, window: int):
-    return MonomialModule(toric=toric, threshold=threshold, window=window).generators()
 
 
 def novikov_shift(module: MonomialModule, m) -> MonomialModule:
@@ -706,7 +674,3 @@ def membership_certified(q: Poly, module: MonomialModule, subspace: LinearSubspa
     if not membership(q, module, subspace):
         return False, None
     return True, _brute_verdict(q, module, subspace, module.window + 2, want_certificate=True)[1]
-
-
-def kernel_membership(q: Poly, km: KernelModule, backend: str = "both") -> bool:
-    return membership(q, km.module, km.subspace, backend=backend)

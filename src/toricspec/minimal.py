@@ -62,25 +62,6 @@ class MinimalDegreeWitness:
     shifted_monomial: IntVec         # the breadth-first hit, before translating back
     successor_certificates: dict     # i -> brute-backend certificate for u_i * q
 
-    def laurent(self) -> Poly:
-        return Poly.monomial(self.monomial)
-
-    def verify(self, km: KernelModule) -> bool:
-        """Re-check all n + 1 verdicts on the brute backend alone."""
-        if membership(self.laurent(), km.module, km.subspace, backend="brute"):
-            return False
-        n = km.module.toric.n
-        for i in range(n):
-            succ = list(self.monomial)
-            succ[i] += 1
-            q = Poly.monomial(tuple(succ))
-            if not membership(q, km.module, km.subspace, backend="brute"):
-                return False
-            cert = self.successor_certificates.get(i)
-            if cert is not None and not verify_certificate(q, km.module, km.subspace, cert):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class NoMinimalElement:
@@ -93,14 +74,6 @@ class NoMinimalElement:
 def min_degree_bound(r, min_chern: int) -> Fraction:
     """Every element of the level-r module has homogeneity degree >= r * min_chern."""
     return Fraction(r) * min_chern
-
-
-def check_generator_degree_floor(toric: ToricData, r, window: int) -> bool:
-    if toric.min_chern is None:
-        raise ToricHypothesisError("not monotone")
-    bound = min_degree_bound(r, toric.min_chern)
-    module = MonomialModule(toric=toric, threshold=Fraction(r), window=window)
-    return all(Fraction(sum(g)) >= bound for g in module.generators())
 
 
 def bounding_modules(toric: ToricData, nu, c_minus, c_plus, window: int = 2) -> BoundingData:
@@ -167,13 +140,6 @@ def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -
             raise InconclusiveError(f"no exponent below cap {cap} for coordinate {i + 1}")
         out.append(found)
     return tuple(out)
-
-
-def monomial_ideal_member(toric: ToricData, r, window: int, exps) -> bool:
-    """Membership of a polynomial monomial in the polynomial-part ideal."""
-    km = kernel_K0(toric, Fraction(r), window)
-    part = PolynomialPart(toric, km.module.threshold, window)
-    return membership(Poly.monomial(tuple(exps)), part, km.subspace, backend="groebner")
 
 
 # --- the witness search ---------------------------------------------------------

@@ -7,15 +7,15 @@ coordinates that can carry a ray meeting the momentum level) and p(lam) = -s.
 Per support the solutions form an affine lattice, so the spectrum is a finite
 union of arithmetic progressions of rationals, computed exactly: the minimal
 feasible supports are the complements of the vertices' facet sets, and each
-support's class takes one inverse of a unimodular minor of iota, with the
-value group given by a rational gcd.
+support's class takes one inverse of a unimodular minor of iota, read from
+its Hermite form, with the value group given by a rational gcd.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from toricspec.lattice import unimodular_inverse
+from toricspec.lattice import hermite_normal_form, identity_matrix
 from toricspec.memo import memo
 from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
 
@@ -62,8 +62,13 @@ def feasible_supports(toric: ToricData) -> list[tuple[int, ...]]:
 
 def _vertex_minor(toric: ToricData, support):
     """The mu-independent part of a support's class: iota_S^-1, the integer
-    numerators of x = iota_S^-T p over the denominator of p, and the step."""
-    inv = unimodular_inverse(tuple(toric.iota[j - 1] for j in support))
+    numerators of x = iota_S^-T p over the denominator of p, and the step.
+
+    The inverse is the transform U of the column Hermite form H = iota_S U:
+    H is the identity exactly when the minor is unimodular."""
+    h, inv = hermite_normal_form(tuple(toric.iota[j - 1] for j in support))
+    if h != identity_matrix(toric.k):
+        raise ValueError("matrix is not unimodular")
     p_den, p_num = _common_denominator(toric.p)
     x_num = tuple(sum(row[t] * pi for row, pi in zip(inv, p_num)) for t in range(toric.k))
     return inv, x_num, p_den, Fraction(gcd(*x_num), p_den)
@@ -153,19 +158,3 @@ def period_report(classes, nu) -> SpectrumReport:
         period_check=report.period_check,
         boundary_hits=boundary,
     )
-
-
-def spectrum(toric: ToricData, dmap: DiagonalMap, window) -> SpectrumReport:
-    """All realized shift values in the closed rational window, with the
-    supports realizing each value."""
-    return window_report(spectrum_classes(toric, dmap), window)
-
-
-def count_in_period(toric: ToricData, dmap: DiagonalMap, nu) -> int:
-    """|spectrum in [nu, nu + 1)| -- half-open, so a boundary hit at nu counts."""
-    return len(count_report(toric, dmap, nu).values)
-
-
-def count_report(toric: ToricData, dmap: DiagonalMap, nu) -> SpectrumReport:
-    """Like count_in_period but returning the full report with boundary flags."""
-    return period_report(spectrum_classes(toric, dmap), nu)

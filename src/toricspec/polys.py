@@ -170,10 +170,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def homogeneous_components(self):
         comps = {}
         for e, c in self.terms.items():

@@ -7,7 +7,8 @@ the induced rational covector p and integral covector c, the minimal
 proportionality factor between them, the p-kernel sublattice, and a strictly
 positive lattice direction b.  Validation works in integers: vertices by
 Cramer's rule over every facet d-subset, smoothness from the same
-determinants, and compactness from the extreme rays of the recession cone.
+determinants, compactness from the extreme rays of the recession cone, and
+redundant facets from the integer rank of the tight vertices' spans.
 Every offset is positive, so 0 is an interior point and no input is empty.
 The vertices' active facet sets are kept on the reduction data, where they
 give the translated spectrum's minimal supports.
@@ -22,11 +23,11 @@ from toricspec.lattice import (
     IntMat,
     IntVec,
     LatticeBasis,
+    canonical_lattice_basis,
     det,
     integer_kernel,
     is_primitive,
     mat_vec,
-    rref,
     vec_gcd,
 )
 from toricspec.memo import memo
@@ -208,8 +209,11 @@ def _validate(poly: DelzantPolytope) -> ValidationReport:
         tight = [x for x, (active, _) in verts.items() if j in active]
         if any(len(verts[x][0]) == d for x in tight):
             continue  # the d - 1 edges along j from a simple vertex end in vertices
-        spans = [[a - b for a, b in zip(x, tight[0])] for x in tight[1:]]
-        if len(tight) < d or len(rref(spans)[1]) < d - 1:
+        # the integer rank of the spans from one tight vertex, scaled to
+        # integers: the nonzero columns of their Hermite form
+        den = lcm(*(c.denominator for x in tight for c in x))
+        spans = [[int((a - b) * den) for a, b in zip(x, tight[0])] for x in tight[1:]]
+        if len(tight) < d or len(canonical_lattice_basis(spans, d)) < d - 1:
             raise ToricHypothesisError(f"redundant facet {j + 1}")
     vertices = tuple(sorted(verts))
     return ValidationReport(
@@ -386,10 +390,3 @@ def parse_polytope(text: str) -> DelzantPolytope:
     if len(facets) < d + 1:
         raise ValueError(f"line {dim_line}: dim {d} needs at least {d + 1} facets, found {len(facets)}")
     return DelzantPolytope(d=d, facets=tuple(facets))
-
-
-def format_polytope(poly: DelzantPolytope) -> str:
-    lines = [f"dim {poly.d}"]
-    for v, a in poly.facets:
-        lines.append("facet " + " ".join(str(x) for x in v) + " ; " + str(a))
-    return "\n".join(lines) + "\n"

@@ -1,11 +1,15 @@
-"""Test-only references: the Fraction Groebner engine, the relation ideal of a
-linear subspace, module membership by its definition in Q[u_1..u_n], the
-window-stability loop that membership at W + 2 replaced, Fourier-Motzkin
-feasibility, and the argparse command line that the command table replaced."""
+"""Test-only references: Fraction elimination (RREF, inverses) and the
+maximal-minors basis test, the Fraction Groebner engine, the relation ideal
+of a linear subspace, module membership by its definition in Q[u_1..u_n],
+the window-stability loop that membership at W + 2 replaced, a witness's
+verdicts re-checked on the brute backend, Fourier-Motzkin feasibility, and
+the argparse command line that the command table replaced."""
 
 import argparse
 import heapq
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from operator import add, ge, sub
 
 from toricspec.cli import (
@@ -17,9 +21,68 @@ from toricspec.cli import (
     cmd_spectrum_quadform,
     cmd_validate,
 )
-from toricspec.lattice import identity_matrix, integer_kernel, rref, transpose
-from toricspec.laurent import WINDOW_CAP, InconclusiveError, check_start_window
+from toricspec.lattice import det, identity_matrix, integer_kernel
+from toricspec.laurent import WINDOW_CAP, InconclusiveError, check_start_window, membership, verify_certificate
 from toricspec.polys import Poly, exact_div, grevlex_key
+
+
+# --- Fraction elimination -----------------------------------------------------------
+#
+# The library eliminates in integers only, with the Hermite form; these are
+# the rational references it is checked against.
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q; returns (rows, pivot column indices)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if a[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def fraction_unimodular_inverse(m):
+    """Reference: RREF of [M | I] over Q, with integral output required."""
+    n = len(m)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    if pivots[:n] != list(range(n)) or any(x.denominator != 1 for row in red for x in row):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(x.numerator for x in row[n:]) for row in red)
+
+
+def minors_gcd_oracle(vectors, dim):
+    """Independent basis-extension oracle: gcd of all maximal minors is 1."""
+    s = len(vectors)
+    if s == 0:
+        return True
+    if s > dim:
+        return False
+    colmat = tuple(tuple(v[i] for v in vectors) for i in range(dim))
+    g = 0
+    for rows in combinations(range(dim), s):
+        sub = tuple(colmat[r] for r in rows)
+        g = gcd(g, abs(det(sub)))
+    return g == 1
 
 
 # --- the reference engine ----------------------------------------------------------
@@ -157,7 +220,7 @@ def annihilator(subspace):
     """Integer basis of the linear forms on Q^n vanishing on V."""
     if subspace.dim == 0:
         return tuple(tuple(row) for row in identity_matrix(subspace.nvars))
-    return integer_kernel(transpose(subspace.basis)).vectors
+    return integer_kernel(tuple(zip(*subspace.basis))).vectors
 
 
 def _linear_relations(subspace):
@@ -201,6 +264,27 @@ def stable_verdict(verdict_at, window):
             return cur, window
         prev = cur
     raise InconclusiveError(f"window protocol failed to stabilize below {WINDOW_CAP}")
+
+
+# --- the witness re-check -------------------------------------------------------------
+
+
+def verify_witness(witness, km) -> bool:
+    """Re-check a witness's n + 1 verdicts on the brute backend alone, and
+    its successors' certificates."""
+    if membership(Poly.monomial(witness.monomial), km.module, km.subspace, backend="brute"):
+        return False
+    n = km.module.toric.n
+    for i in range(n):
+        succ = list(witness.monomial)
+        succ[i] += 1
+        q = Poly.monomial(tuple(succ))
+        if not membership(q, km.module, km.subspace, backend="brute"):
+            return False
+        cert = witness.successor_certificates.get(i)
+        if cert is not None and not verify_certificate(q, km.module, km.subspace, cert):
+            return False
+    return True
 
 
 # --- exact feasibility (Fourier-Motzkin) ---------------------------------------------

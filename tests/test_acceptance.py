@@ -12,13 +12,12 @@ from pathlib import Path
 import pytest
 
 from tests.conftest import cp1xcp1, cpn_simplex, cube3
-from tests.reference import stable_verdict
+from tests.reference import stable_verdict, verify_witness
 from toricspec.cli import run
 from toricspec.lattice import identity_matrix
 from toricspec.laurent import (
     _backend_verdict,
     kernel_K0,
-    kernel_membership,
     membership,
     novikov_shift,
     restrict,
@@ -28,7 +27,7 @@ from toricspec.minimal import (
     degree_floor_violations,
     find_minimal_degree_element,
 )
-from toricspec.oracle import DiagonalMap, count_in_period, spectrum as oracle_spectrum
+from toricspec.oracle import DiagonalMap, period_report, spectrum_classes, window_report
 from toricspec.polys import Poly
 from toricspec.polytope import is_cpn, toric_data
 from toricspec.quadforms import (
@@ -90,7 +89,7 @@ def test_criterion_2_nonmonotone_whole_ring():
         for nu in (Fraction(0), H, Fraction(1)):
             km = kernel_K0(data, nu, 2)
             # backend="both" asserts the two backends agree internally
-            assert kernel_membership(one, km, backend="both")
+            assert membership(one, km.module, km.subspace, backend="both")
 
 
 def test_criterion_3_monotone_witness():
@@ -101,8 +100,9 @@ def test_criterion_3_monotone_witness():
         assert isinstance(witness, MinimalDegreeWitness)
         km = kernel_K0(data, H, 2)
         target = restrict(Poly.monomial((1, 0, 0, 0)), km.subspace)
-        assert witness.restriction.is_scalar_multiple_of(target) is not None
-        assert witness.verify(km)  # n + 1 verdicts on the bounded-degree backend
+        assert witness.restriction.numerator.monic() == target.numerator.monic()
+        assert not any(witness.restriction.denom_exps)
+        assert verify_witness(witness, km)  # n + 1 verdicts on the bounded-degree backend
 
 
 def test_criterion_4_spectrum_negative_index():
@@ -169,20 +169,20 @@ def test_criterion_7_spectrum_oracle():
         rng = random.Random(77)
         for _ in range(10):
             nu = Fraction(rng.randint(-60, 60), 16) + Fraction(1, 32)
-            assert count_in_period(data, dmap, nu) == 2 == data.min_chern
+            assert len(period_report(spectrum_classes(data, dmap), nu).values) == 2 == data.min_chern
         for _ in range(5):
             lo = Fraction(rng.randint(-10, 10), 4)
             hi = lo + rng.randint(1, 3)
-            r1 = oracle_spectrum(data, dmap, (lo, hi))
-            r2 = oracle_spectrum(data, dmap, (lo + 1, hi + 1))
+            r1 = window_report(spectrum_classes(data, dmap), (lo, hi))
+            r2 = window_report(spectrum_classes(data, dmap), (lo + 1, hi + 1))
             assert [v + 1 for v, _ in r1.values] == [v for v, _ in r2.values]
             assert r1.period_check
         for _ in range(10):
             m = (rng.randint(-3, 3), rng.randint(-3, 3))
             shift = data.p_value(m)
             moved = tuple(a + Fraction(b) for a, b in zip(mu, data.iota_apply(m)))
-            r_moved = oracle_spectrum(data, DiagonalMap(mu=moved), (Fraction(-2), Fraction(2)))
-            r_base = oracle_spectrum(data, dmap, (Fraction(-2) + shift, Fraction(2) + shift))
+            r_moved = window_report(spectrum_classes(data, DiagonalMap(mu=moved)), (Fraction(-2), Fraction(2)))
+            r_base = window_report(spectrum_classes(data, dmap), (Fraction(-2) + shift, Fraction(2) + shift))
             assert [v for v, _ in r_moved.values] == [v - shift for v, _ in r_base.values]
 
 
@@ -216,6 +216,6 @@ def test_criterion_8_backend_agreement():
                     verdict, _ = stable_verdict(
                         lambda w: _backend_verdict(q, km.module, km.subspace, w, "both"), 2
                     )
-                    assert kernel_membership(q, km, backend="both") == verdict
+                    assert membership(q, km.module, km.subspace, backend="both") == verdict
                     count += 1
         assert count >= 100

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from toricspec.cli import COMMANDS, REQUIRED, parse_args, parse_data_report, run
+from toricspec.cli import COMMANDS, REQUIRED, parse_args, parse_int_vector, parse_vector, run
 from toricspec.memo import clear_caches, memo_counts
 
 from tests.reference import _attach_negative_values, build_parser
@@ -95,17 +95,13 @@ def test_data_monotone_square():
 def test_data_roundtrip(T_monotone):
     code, out = invoke("data", str(POLY / "cp1xcp1_monotone.poly"))
     assert code == 0
-    parsed = parse_data_report(out)
-    assert parsed["n"] == T_monotone.n
-    assert parsed["d"] == T_monotone.d
-    assert parsed["k"] == T_monotone.k
-    assert parsed["kappa"] == T_monotone.kappa.vectors
-    assert parsed["p"] == T_monotone.p
-    assert parsed["chern"] == T_monotone.chern
-    assert parsed["N_M"] == T_monotone.min_chern
-    assert parsed["k0"] == T_monotone.k0.vectors
-    assert parsed["b"] == T_monotone.b
-    assert parsed["hbar"] == T_monotone.hbar
+    d, T = machine_dict(out), T_monotone
+    assert [int(d[key]) for key in ("n", "d", "k", "N_M")] == [T.n, T.d, T.k, T.min_chern]
+    assert tuple(parse_int_vector(d[f"kappa.{i}"]) for i in range(T.k)) == T.kappa.vectors
+    assert tuple(parse_int_vector(d[f"k0.{i}"]) for i in range(len(T.k0))) == T.k0.vectors
+    assert (parse_vector(d["p"]), parse_int_vector(d["chern"])) == (T.p, T.chern)
+    assert (parse_int_vector(d["b"]), parse_int_vector(d["iota_b"])) == (T.b, T.iota_apply(T.b))
+    assert (parse_vector(d["p_b"]), parse_vector(d["hbar"])) == ((T.p_value(T.b),), (T.hbar,))
 
 
 def test_machine_reports_are_deterministic():

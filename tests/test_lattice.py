@@ -6,20 +6,18 @@ import pytest
 
 from toricspec.lattice import (
     det,
-    extends_to_lattice_basis,
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
     is_primitive,
-    mat_mul,
     mat_vec,
-    nullspace_rational,
-    rref,
-    smith_invariants,
-    solve_rational,
-    transpose,
-    unimodular_inverse,
 )
+
+from tests.reference import fraction_unimodular_inverse, rref
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def hnf_shape_ok(h):
@@ -102,9 +100,9 @@ def in_lattice(basis, x):
     """Oracle: x is an integer combination of the basis vectors (exact solve)."""
     if not basis.vectors:
         return not any(x)
-    a = [[Fraction(v[i]) for v in basis.vectors] for i in range(basis.ambient_dim)]
-    sol = solve_rational(a, x)
-    return sol is not None and all(c.denominator == 1 for c in sol)
+    r = len(basis)
+    red, pivots = rref([[v[i] for v in basis.vectors] + [x[i]] for i in range(basis.ambient_dim)])
+    return r not in pivots and all(red[i][r].denominator == 1 for i in range(len(pivots)))
 
 
 def test_kernel_exactness_and_saturation():
@@ -130,83 +128,6 @@ def test_primitive():
         is_primitive((0, 0))
 
 
-def minors_gcd_oracle(vectors, dim):
-    """Independent basis-extension oracle: gcd of all maximal minors is 1."""
-    from itertools import combinations
-    from math import gcd
-
-    s = len(vectors)
-    if s == 0:
-        return True
-    if s > dim:
-        return False
-    colmat = tuple(tuple(v[i] for v in vectors) for i in range(dim))
-    g = 0
-    for rows in combinations(range(dim), s):
-        sub = tuple(colmat[r] for r in rows)
-        g = gcd(g, abs(det(sub)))
-    return g == 1
-
-
-def test_extends_examples():
-    assert extends_to_lattice_basis([(1, 0), (0, 1)], 2)
-    assert not extends_to_lattice_basis([(2, 0)], 2)
-    assert extends_to_lattice_basis([(1, 1), (0, 1)], 2)
-
-
-def test_extends_matches_minor_oracle():
-    rng = random.Random(99)
-    for _ in range(150):
-        dim = rng.randint(1, 4)
-        s = rng.randint(1, dim)
-        vecs = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(s)]
-        assert extends_to_lattice_basis(vecs, dim) == minors_gcd_oracle(vecs, dim)
-
-
-def test_smith_invariants_examples():
-    assert smith_invariants(((1, 0), (0, 1))) == (1, 1)
-    assert smith_invariants(((2, 0), (0, 3))) == (1, 6)
-    assert smith_invariants(((2, 4), (4, 8))) == (2,)
-
-
-def test_smith_divisibility_chain_random():
-    rng = random.Random(7)
-    for _ in range(100):
-        rows = rng.randint(1, 3)
-        cols = rng.randint(1, 3)
-        m = tuple(tuple(rng.randint(-5, 5) for _ in range(cols)) for _ in range(rows))
-        inv = smith_invariants(m)
-        assert all(x > 0 for x in inv)
-        for a, b in zip(inv, inv[1:]):
-            assert b % a == 0
-        # product of the first i invariants equals the gcd of i x i minors
-        from itertools import combinations
-        from math import gcd
-
-        for i in range(1, len(inv) + 1):
-            g = 0
-            for rsel in combinations(range(rows), i):
-                for csel in combinations(range(cols), i):
-                    sub = tuple(tuple(m[r][c] for c in csel) for r in rsel)
-                    g = gcd(g, abs(det(sub)))
-            prod = 1
-            for x in inv[:i]:
-                prod *= x
-            assert g == prod
-
-
-def test_rational_solvers():
-    a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    x = solve_rational(a, [Fraction(5), Fraction(6)])
-    assert [sum(r * c for r, c in zip(row, x)) for row in a] == [Fraction(5), Fraction(6)]
-    assert solve_rational([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
-                          [Fraction(0), Fraction(1)]) is None
-    ns = nullspace_rational([[Fraction(1), Fraction(1), Fraction(0)]], 3)
-    assert len(ns) == 2
-    for v in ns:
-        assert v[0] + v[1] == 0
-
-
 def test_unimodular_inverse():
     rng = random.Random(5)
     for n in (1, 2, 3, 5):
@@ -219,20 +140,12 @@ def test_unimodular_inverse():
             else:
                 step[i][j] = rng.randint(-3, 3)
             m = mat_mul(m, tuple(tuple(row) for row in step))
-        assert abs(det(m)) == 1
-        assert mat_mul(unimodular_inverse(m), m) == identity_matrix(n)
+        # the column Hermite form of a unimodular matrix is I = M U
+        h, u = hermite_normal_form(m)
+        assert abs(det(m)) == 1 and h == identity_matrix(n)
+        assert mat_mul(u, m) == identity_matrix(n)
     for bad in (((2,),), ((1, 1), (1, 1)), ((1, 0), (0, 3))):
-        with pytest.raises(ValueError):
-            unimodular_inverse(bad)
-
-
-def fraction_unimodular_inverse(m):
-    """Reference: RREF of [M | I] over Q, with integral output required."""
-    n = len(m)
-    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
-    if pivots[:n] != list(range(n)) or any(x.denominator != 1 for row in red for x in row):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(x.numerator for x in row[n:]) for row in red)
+        assert hermite_normal_form(bad)[0] != identity_matrix(len(bad))
 
 
 def random_unimodular(rng, n, steps):
@@ -255,7 +168,7 @@ def test_unimodular_inverse_matches_fraction_reference():
         for _ in range(40):
             m = random_unimodular(rng, n, 3 * n)
             assert abs(det(m)) == 1
-            assert unimodular_inverse(m) == fraction_unimodular_inverse(m)
+            assert hermite_normal_form(m) == (identity_matrix(n), fraction_unimodular_inverse(m))
     for _ in range(40):
         n = rng.randint(2, 6)
         m = [list(row) for row in random_unimodular(rng, n, 3 * n)]
@@ -263,6 +176,6 @@ def test_unimodular_inverse_matches_fraction_reference():
         singular = tuple(tuple(row) for row in m[:-1]) + (tuple(-2 * x for x in m[0]),)
         assert abs(det(doubled)) == 2 and det(singular) == 0
         for bad in (doubled, singular):
-            for inverse in (unimodular_inverse, fraction_unimodular_inverse):
-                with pytest.raises(ValueError):
-                    inverse(bad)
+            assert hermite_normal_form(bad)[0] != identity_matrix(n)
+            with pytest.raises(ValueError):
+                fraction_unimodular_inverse(bad)

@@ -8,10 +8,8 @@ import pytest
 from toricspec.laurent import (
     InconclusiveError,
     MonomialModule,
-    clear_caches,
     kernel_K,
     kernel_K0,
-    kernel_membership,
     membership,
     novikov_shift,
     restrict,
@@ -20,17 +18,15 @@ from toricspec.laurent import (
     _level_key,
     _verdict_at_window,
 )
-from toricspec.memo import _MEMO
+from toricspec.memo import _MEMO, clear_caches
 from toricspec.minimal import (
     BoundingData,
     MinimalDegreeWitness,
     NoMinimalElement,
     bounding_modules,
-    check_generator_degree_floor,
     degree_floor_violations,
     find_minimal_degree_element,
     min_degree_bound,
-    monomial_ideal_member,
     nullstellensatz_exponents,
     translated_point_bound,
     PolynomialPart,
@@ -39,7 +35,7 @@ from toricspec.minimal import (
 from toricspec.polys import Poly
 from toricspec.polytope import ToricHypothesisError
 
-from tests.reference import _reference_normal_form, reference_module_ideal, stable_verdict
+from tests.reference import _reference_normal_form, reference_module_ideal, stable_verdict, verify_witness
 
 H = Fraction(1, 2)
 
@@ -51,9 +47,9 @@ def test_min_degree_bound_values():
 
 
 def test_generator_degree_floor(T_monotone, T_cp3, T_cube):
-    assert check_generator_degree_floor(T_monotone, H, 3)
-    assert check_generator_degree_floor(T_cp3, Fraction(1), 3)
-    assert check_generator_degree_floor(T_cube, H, 2)
+    for T, r, window in ((T_monotone, H, 3), (T_cp3, Fraction(1), 3), (T_cube, H, 2)):
+        bound = min_degree_bound(r, T.min_chern)
+        assert all(sum(g) >= bound for g in MonomialModule(T, r, window).generators())
 
 
 def test_bounding_modules_square(T_monotone):
@@ -87,8 +83,8 @@ def test_bounding_sandwich_on_random_monomials(T_monotone):
     for _ in range(20):
         exps = tuple(rng.randint(-2, 2) for _ in range(4))
         q = Poly.monomial(exps)
-        in_upper = kernel_membership(q, data.upper)
-        in_lower = kernel_membership(q, data.lower)
+        in_upper = membership(q, data.upper.module, data.upper.subspace)
+        in_lower = membership(q, data.lower.module, data.lower.subspace)
         assert not in_upper or in_lower
 
 
@@ -99,6 +95,7 @@ def test_nullstellensatz_exponents_square(T_monotone):
 
 def test_nullstellensatz_high_degree_monomials_member(T_monotone):
     rng = random.Random(33)
+    part, subspace = PolynomialPart(T_monotone, H, 2), kernel_K0(T_monotone, H, 2).subspace
     exps = nullstellensatz_exponents(T_monotone, H, 2)
     total = sum(exps)
     for _ in range(10):
@@ -111,7 +108,7 @@ def test_nullstellensatz_high_degree_monomials_member(T_monotone):
             cuts[2] - cuts[1],
             target - cuts[2],
         )
-        assert monomial_ideal_member(T_monotone, H, 2, parts)
+        assert membership(Poly.monomial(parts), part, subspace, backend="groebner")
 
 
 def test_least_positive_degree_matches_the_full_scan(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
@@ -134,7 +131,7 @@ def test_polynomial_part_degree_test_builds_no_basis(T_monotone):
     below = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
     clear_caches()
     for q in below:
-        assert not monomial_ideal_member(T_monotone, H, 2, q)
+        assert not membership(Poly.monomial(q), part, km.subspace, backend="groebner")
     assert not any(key in _MEMO for key in keys)
     for window in (2, 4):
         for q in below:
@@ -279,9 +276,10 @@ def test_witness_monotone_square(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
     # restriction is a scalar multiple of the first coordinate restriction
     target = restrict(Poly.monomial((1, 0, 0, 0)), km.subspace)
-    assert w.restriction.is_scalar_multiple_of(target) is not None
+    assert w.restriction.numerator.monic() == target.numerator.monic()
+    assert not any(w.restriction.denom_exps)
     assert w.restriction.degree() == 1
-    assert w.verify(km)
+    assert verify_witness(w, km)
 
 
 def test_witness_nonmonotone_square(T_p12):

@@ -11,14 +11,12 @@ from toricspec.oracle import (
     SpectrumReport,
     SpectrumClass,
     _support_class,
-    count_in_period,
-    count_report,
     feasible_supports,
     period_report,
-    spectrum,
+    spectrum_classes,
     window_report,
 )
-from toricspec.lattice import det, unimodular_inverse
+from toricspec.lattice import det
 from toricspec.polytope import (
     ToricHypothesisError,
     parse_polytope,
@@ -27,7 +25,7 @@ from toricspec.polytope import (
 )
 from toricspec.quadforms import front_coordinates
 from tests.conftest import cp1xcp1, cpn_simplex, cube3
-from tests.reference import rational_feasible
+from tests.reference import fraction_unimodular_inverse, rational_feasible
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -134,7 +132,7 @@ def report_residues(report: SpectrumReport):
 
 def test_spectrum_square_mu_zero(T_monotone):
     dmap = DiagonalMap(mu=(Fraction(0),) * 4)
-    report = spectrum(T_monotone, dmap, (Fraction(0), Fraction(2)))
+    report = window_report(spectrum_classes(T_monotone, dmap), (Fraction(0), Fraction(2)))
     assert report_residues(report) == square_residues_oracle((Fraction(0),) * 4) == {Fraction(0)}
     assert [v for v, _ in report.values] == [0, 1, 2]
     assert report.period_check
@@ -143,7 +141,7 @@ def test_spectrum_square_mu_zero(T_monotone):
 def test_spectrum_square_quarter_perturbation(T_monotone):
     mu = (Q, Fraction(0), Fraction(0), Fraction(0))
     dmap = DiagonalMap(mu=mu)
-    report = spectrum(T_monotone, dmap, (Fraction(0), Fraction(2)))
+    report = window_report(spectrum_classes(T_monotone, dmap), (Fraction(0), Fraction(2)))
     want = square_residues_oracle(mu)
     assert report_residues(report) == want
     assert len(want) == 2
@@ -156,7 +154,7 @@ def test_spectrum_square_quarter_perturbation(T_monotone):
 
 def test_spectrum_witness_lambdas_lie_on_front(T_monotone):
     mu = (Q, Fraction(0), Fraction(0), Fraction(0))
-    report = spectrum(T_monotone, DiagonalMap(mu=mu), (Fraction(0), Fraction(1)))
+    report = window_report(spectrum_classes(T_monotone, DiagonalMap(mu=mu)), (Fraction(0), Fraction(1)))
     for cls in report.classes:
         coords = [
             sum((Fraction(T_monotone.iota[j][i]) * cls.witness_lambda[i] for i in range(2)),
@@ -171,9 +169,9 @@ def test_spectrum_witness_lambdas_lie_on_front(T_monotone):
 
 
 def test_count_in_period_examples(T_monotone):
-    mu = (Q, Fraction(0), Fraction(0), Fraction(0))
-    assert count_in_period(T_monotone, DiagonalMap(mu=mu), Fraction(1, 8)) == 2
-    assert count_in_period(T_monotone, DiagonalMap(mu=(Fraction(0),) * 4), Fraction(1, 8)) == 1
+    for mu, count in (((Q, Fraction(0), Fraction(0), Fraction(0)), 2), ((Fraction(0),) * 4, 1)):
+        classes = spectrum_classes(T_monotone, DiagonalMap(mu=mu))
+        assert len(period_report(classes, Fraction(1, 8)).values) == count
 
 
 def test_count_matches_minimal_chern(T_monotone):
@@ -182,7 +180,7 @@ def test_count_matches_minimal_chern(T_monotone):
     dmap = DiagonalMap(mu=mu)
     for _ in range(10):
         nu = Fraction(rng.randint(-40, 40), 8) + Fraction(1, 16)
-        assert count_in_period(T_monotone, dmap, nu) == T_monotone.min_chern
+        assert len(period_report(spectrum_classes(T_monotone, dmap), nu).values) == T_monotone.min_chern
 
 
 def test_periodicity_exact(T_monotone):
@@ -192,8 +190,8 @@ def test_periodicity_exact(T_monotone):
     for _ in range(8):
         lo = Fraction(rng.randint(-20, 20), 4)
         hi = lo + Fraction(rng.randint(1, 8), 2)
-        r1 = spectrum(T_monotone, dmap, (lo, hi))
-        r2 = spectrum(T_monotone, dmap, (lo + 1, hi + 1))
+        r1 = window_report(spectrum_classes(T_monotone, dmap), (lo, hi))
+        r2 = window_report(spectrum_classes(T_monotone, dmap), (lo + 1, hi + 1))
         assert [v + 1 for v, _ in r1.values] == [v for v, _ in r2.values]
         assert r1.period_check and r2.period_check
 
@@ -209,8 +207,8 @@ def test_novikov_shift_consistency(T_monotone):
             for mi, x in zip(mu, T_monotone.iota_apply(m))
         )
         lo, hi = Fraction(-2), Fraction(2)
-        r_moved = spectrum(T_monotone, DiagonalMap(mu=moved), (lo, hi))
-        r_base = spectrum(T_monotone, DiagonalMap(mu=mu), (lo + shift, hi + shift))
+        r_moved = window_report(spectrum_classes(T_monotone, DiagonalMap(mu=moved)), (lo, hi))
+        r_base = window_report(spectrum_classes(T_monotone, DiagonalMap(mu=mu)), (lo + shift, hi + shift))
         assert [v for v, _ in r_moved.values] == [v - shift for v, _ in r_base.values]
 
 
@@ -218,15 +216,14 @@ def test_count_period_translation_invariance(T_monotone):
     mu = (Q, Fraction(0), Fraction(0), Fraction(0))
     dmap = DiagonalMap(mu=mu)
     for nu in (Fraction(1, 8), Fraction(9, 8), Fraction(-7, 8)):
-        assert count_in_period(T_monotone, dmap, nu) == count_in_period(
-            T_monotone, dmap, nu + 1
-        )
+        classes = spectrum_classes(T_monotone, dmap)
+        assert len(period_report(classes, nu).values) == len(period_report(classes, nu + 1).values)
 
 
 def test_boundary_value_flagged(T_monotone):
     # mu = 0 puts integer values in the spectrum; nu = 1 sits on one
     dmap = DiagonalMap(mu=(Fraction(0),) * 4)
-    report = count_report(T_monotone, dmap, Fraction(1))
+    report = period_report(spectrum_classes(T_monotone, dmap), Fraction(1))
     assert report.boundary_hits == (Fraction(1),)
     assert [v for v, _ in report.values] == [Fraction(1)]
 
@@ -235,25 +232,25 @@ def test_untwisted_variant(T_monotone):
     # without the sign twist and with mu = 0 the identity is recovered:
     # solutions need lam integral, s = -p(lam) integer, same residue {0}
     dmap = DiagonalMap(mu=(Fraction(0),) * 4, twisted=False)
-    report = spectrum(T_monotone, dmap, (Fraction(0), Fraction(1)))
+    report = window_report(spectrum_classes(T_monotone, dmap), (Fraction(0), Fraction(1)))
     assert report_residues(report) == {Fraction(0)}
 
 
 def test_spectrum_requires_primitive_p():
     doubled = toric_data(cp1xcp1((Fraction(1),) * 4))
     with pytest.raises(ToricHypothesisError):
-        spectrum(doubled, DiagonalMap(mu=(Fraction(0),) * 4), (Fraction(0), Fraction(1)))
+        spectrum_classes(doubled, DiagonalMap(mu=(Fraction(0),) * 4))
 
 
 def test_spectrum_cube(T_cube):
     mu = (Q, Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
     dmap = DiagonalMap(mu=mu)
-    assert count_in_period(T_cube, dmap, Fraction(1, 16)) == T_cube.min_chern
+    assert len(period_report(spectrum_classes(T_cube, dmap), Fraction(1, 16)).values) == T_cube.min_chern
 
 
 def _fraction_support_class(toric, dmap, support):
     """Reference: the class of one support in Fraction arithmetic throughout."""
-    inv = unimodular_inverse(tuple(toric.iota[j - 1] for j in support))
+    inv = fraction_unimodular_inverse(tuple(toric.iota[j - 1] for j in support))
     half = H if dmap.twisted else Fraction(0)
     c = [half - dmap.mu[j - 1] for j in support]
     x = [sum((row[t] * pi for row, pi in zip(inv, toric.p)), Fraction(0)) for t in range(toric.k)]
