@@ -20,14 +20,25 @@ The membership algebra brings its ideals here already restricted to a linear
 subspace V, in the coordinates of V: restriction maps the polynomial ring onto
 the coordinate ring of V with the relation ideal of V as kernel, so no
 relation ideal enters, and none needs saturating.
+
+Many of those ideals are powers m^D of the maximal ideal: homogeneous
+generators of least degree D whose degree-D parts span all C(D+k-1, k-1)
+monomials of degree D in k variables.  `buchberger` tests for that first, by
+the rank of the degree-D generators over GF(p) (`polys.rank_mod_p`), and then
+returns the degree-D monomials, the reduced basis of m^D, instead of reducing
+the dependent generators to zero one term at a time.  A prime can only ever
+prove this: a minor of the integer coefficient matrix that is nonzero mod p is
+nonzero, so a rank mod p is at most the rank over Q, and a full one is full
+over Q, while the generators of degree above D lie in m^D anyway.  Any other
+input, and an unlucky prime that drops the rank, takes the algorithm below.
 """
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, ge, sub
 
-from toricspec.polys import Poly, exact_div, grevlex_key
+from toricspec.polys import Poly, exact_div, grevlex_key, monomials_of_degree, rank_mod_p
 
 
 # --- integer polynomials ---------------------------------------------------------
@@ -249,9 +260,44 @@ def _s_poly(d1, d2, l):
     return out
 
 
+def _maximal_ideal_power(gens):
+    """The monomials of degree D, sorted, when `gens` are homogeneous with least
+    degree D and their degree-D elements have full rank mod p, which proves
+    that they generate m^D; else None."""
+    gens = [g for g in gens if g.terms]
+    degrees = []
+    for g in gens:
+        d = sum(next(iter(g.terms)))
+        if any(sum(e) != d for e in g.terms):
+            return None
+        degrees.append(d)
+    if not gens or not gens[0].nvars:
+        return None
+    k, low = gens[0].nvars, min(degrees)
+    least = [g for g, d in zip(gens, degrees) if d == low]
+    if len(least) < comb(low + k - 1, k - 1):
+        return None
+    monomials = list(monomials_of_degree(k, low))
+    column = {e: j for j, e in enumerate(monomials)}
+
+    def rows():
+        for g in least:
+            row = [0] * len(monomials)
+            for e, c in _integral(g.terms)[0].items():
+                row[column[e]] = c
+            yield row
+
+    if rank_mod_p(rows(), len(monomials)) < len(monomials):
+        return None
+    return [Poly.monomial(e) for e in reversed(monomials)]
+
+
 def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by `gens`: monic, sorted
     by leading exponent."""
+    power = _maximal_ideal_power(gens)
+    if power is not None:
+        return power
     polys = []  # every primitive divisor made, indexed by pair entries
     basis = []  # indices into polys of the current basis, in insertion order
     heap = []   # (grevlex key of lcm, i, j, lcm) for each pending pair

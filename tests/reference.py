@@ -1,4 +1,5 @@
-"""Test-only references: Fraction elimination (RREF, inverses) and the
+"""Test-only references: Fraction elimination (RREF, integer spans,
+inverses) and the
 maximal-minors basis test, the Fraction Groebner engine, the relation ideal
 of a linear subspace, module membership by its definition in Q[u_1..u_n],
 the window-stability loop that membership at W + 2 replaced, a witness's
@@ -59,6 +60,17 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if r == nrows:
             break
     return a, pivots
+
+
+def in_integer_span(columns, x) -> bool:
+    """x is an integer combination of the linearly independent integer
+    `columns`: the Fraction solve of sum c_j columns[j] = x is consistent and
+    its solution, unique by independence, is integral."""
+    if not columns:
+        return not any(x)
+    r = len(columns)
+    red, pivots = rref([[col[i] for col in columns] + [x[i]] for i in range(len(x))])
+    return r not in pivots and all(red[i][r].denominator == 1 for i in range(len(pivots)))
 
 
 def fraction_unimodular_inverse(m):

@@ -8,6 +8,7 @@ from toricspec.groebner import (
     DivisionBasis,
     _autoreduce,
     _lcm,
+    _maximal_ideal_power,
     _primitive_divisors,
     _reduced_basis,
     _s_poly,
@@ -23,7 +24,7 @@ from toricspec.laurent import (
     kernel_K0,
 )
 from toricspec.memo import clear_caches
-from toricspec.polys import Poly
+from toricspec.polys import RANK_PRIME, Poly, monomials_of_degree, rank_mod_p
 
 from tests.reference import (
     _linear_relations,
@@ -332,26 +333,79 @@ def test_buchberger_returns_the_reduced_basis_in_any_order():
         assert all(normal_form(g, gb).is_zero() for g in gens)
 
 
+def _sympy_basis(sympy, gens, n):
+    """sympy's reduced grevlex basis of `gens`, as monic Polys sorted by
+    leading exponent."""
+    xs = sympy.symbols(f"x0:{n}")
+    exprs = [
+        sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(x ** a for x, a in zip(xs, e))
+            for e, c in g.terms.items())
+        for g in gens
+    ]
+    theirs = sympy.groebner(exprs, *xs, order="grevlex")
+    return sorted(
+        # sympy clears denominators; the reduced basis is monic
+        (Poly(n, {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(h, *xs).terms()}).monic()
+         for h in theirs.exprs),
+        key=lambda g: g.leading()[0],
+    )
+
+
 def test_buchberger_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(31)
     for _ in range(25):
         n = rng.randint(1, 3)
-        xs = sympy.symbols(f"x0:{n}")
         gens = [g for g in _rand_ideal(rng, n) if g]
-        exprs = [
-            sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(x ** a for x, a in zip(xs, e))
-                for e, c in g.terms.items())
-            for g in gens
-        ]
-        theirs = sympy.groebner(exprs, *xs, order="grevlex")
-        converted = sorted(
-            # sympy clears denominators; the reduced basis is monic
-            (Poly(n, {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(h, *xs).terms()}).monic()
-             for h in theirs.exprs),
-            key=lambda g: g.leading()[0],
-        )
-        assert buchberger(gens) == converted
+        assert buchberger(gens) == _sympy_basis(sympy, gens, n)
+
+
+def test_maximal_ideal_power_matches_sympy():
+    # seeded homogeneous blocks in 2 and 3 variables with more generators of
+    # the least degree than monomials of that degree, some with generators
+    # of the next degree as well: the m^D exit is taken, and its basis is
+    # sympy's
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(67)
+    for _ in range(30):
+        n = rng.choice((2, 3))
+        degree = rng.randint(1, 5 - n)
+        monomials = list(monomials_of_degree(n, degree))
+        above = list(monomials_of_degree(n, degree + 1))
+        gens = [Poly(n, {e: rng.randint(-20, 20) for e in monomials})
+                for _ in range(len(monomials) + rng.randint(1, 4))]
+        gens += [Poly(n, {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for e in rng.sample(above, 2)})
+                 for _ in range(rng.randint(0, 2))]
+        gens = [g for g in gens if g]
+        assert _maximal_ideal_power(gens) is not None
+        assert buchberger(gens) == _sympy_basis(sympy, gens, n) == [Poly.monomial(e) for e in sorted(monomials)]
+
+
+def test_bad_prime_takes_the_unchanged_path():
+    # x^2, xy + y^2, xy + (1 + p) y^2 span degree 2 over Q, but the last two
+    # agree mod p: rank 2 of 3, so the exit is not taken, and Buchberger's
+    # algorithm still finds m^2
+    gens = [P(2, {(2, 0): 1}), P(2, {(1, 1): 1, (0, 2): 1}), P(2, {(1, 1): 1, (0, 2): 1 + RANK_PRIME})]
+    assert rank_mod_p([[1, 0, 0], [0, 1, 1], [0, 1, 1 + RANK_PRIME]], 3) == 2
+    assert _maximal_ideal_power(gens) is None
+    square = [Poly.monomial(e) for e in ((0, 2), (1, 1), (2, 0))]
+    assert buchberger(gens) == _reference_buchberger(gens) == square
+
+
+def test_other_inputs_take_the_unchanged_path():
+    x2, xy, y2 = (P(2, {e: 1}) for e in ((2, 0), (1, 1), (0, 2)))
+    cube = P(2, {(3, 0): 1, (0, 3): -1})
+    cases = (
+        [P(2, {(2, 0): 1, (0, 1): -1}), xy, y2],  # not homogeneous
+        [x2, y2, cube, xy * Poly.linear_form((1, 1))],  # 2 generators of degree 2, 3 monomials
+        [x2, x2 * Fraction(3, 2), y2, cube],  # 3 generators of degree 2, rank 2
+    )
+    for gens in cases:
+        assert _maximal_ideal_power(gens) is None
+        assert buchberger(gens) == _reference_buchberger(gens)
+    # the exit ignores zero generators and any above the least degree
+    assert _maximal_ideal_power([Poly.zero(2), cube, y2, x2 + xy, xy]) == [y2, xy, x2]
+    assert _maximal_ideal_power([Poly.zero(2)]) is None
 
 
 def test_zero_basis_elements_divide_nothing():
@@ -426,13 +480,18 @@ def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3
     # gives the reference's basis of the cleared generator restrictions, and
     # the Groebner verdict on each seeded query is membership by definition,
     # q * u^depth in the ideal of Q[u] of the u^(g + depth) and the relation
-    # forms, at the query's own depth max(floor, -min q)
+    # forms, at the query's own depth max(floor, -min q).  At W = 6 the K0
+    # bases are compared too, among them the cube's 126-generator build of
+    # m^38 (0.2 s in the reference engine); the cube's K basis there takes
+    # 5 s, and the reference ideals of Q[u] 10 s.
     rng = random.Random(53)
     clear_caches()
-    compared, verdicts = 0, set()
+    compared, verdicts, exits = 0, set(), []
     for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
         for maker in (kernel_K, kernel_K0):
-            for window in (2, 4):
+            for window in (2, 4, 6):
+                if window == 6 and maker is kernel_K:
+                    continue
                 km = maker(T, Fraction(1, 2), window)
                 sub = km.subspace
                 gens = km.module.generators(window)
@@ -443,6 +502,10 @@ def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3
                     reference = _reference_buchberger(cleared)
                     assert buchberger(cleared) == reference
                     assert len(_module_groebner(km.module, sub, window)) == len(reference)
+                    if _maximal_ideal_power(cleared) is not None:
+                        exits.append((T.n, window, len(cleared), len(reference)))
+                if window == 6:
+                    continue
                 ideals = {}
                 for _ in range(6):
                     q = Poly.monomial(tuple(rng.randint(-3, 3) for _ in range(T.n)))
@@ -455,3 +518,4 @@ def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3
                         verdicts.add((want, depth != floor))
                 compared += 1
     assert compared == 20 and verdicts == {(True, True), (False, True), (True, False), (False, False)}
+    assert (6, 6, 126, 39) in exits and (6, 4, 60, 27) in exits

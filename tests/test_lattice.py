@@ -13,7 +13,7 @@ from toricspec.lattice import (
     mat_vec,
 )
 
-from tests.reference import fraction_unimodular_inverse, rref
+from tests.reference import fraction_unimodular_inverse, in_integer_span, rref
 
 
 def mat_mul(a, b):
@@ -96,15 +96,6 @@ def test_kernel_injective():
     assert integer_kernel(identity_matrix(2)).vectors == ()
 
 
-def in_lattice(basis, x):
-    """Oracle: x is an integer combination of the basis vectors (exact solve)."""
-    if not basis.vectors:
-        return not any(x)
-    r = len(basis)
-    red, pivots = rref([[v[i] for v in basis.vectors] + [x[i]] for i in range(basis.ambient_dim)])
-    return r not in pivots and all(red[i][r].denominator == 1 for i in range(len(pivots)))
-
-
 def test_kernel_exactness_and_saturation():
     rng = random.Random(515)
     for _ in range(40):
@@ -117,7 +108,7 @@ def test_kernel_exactness_and_saturation():
         # brute force: every small integer solution lies in the returned lattice
         for x in product(range(-5, 6), repeat=cols):
             if mat_vec(m, x) == (0,) * rows:
-                assert in_lattice(basis, x), (m, x)
+                assert in_integer_span(basis.vectors, x), (m, x)
 
 
 def test_primitive():
@@ -179,3 +170,40 @@ def test_unimodular_inverse_matches_fraction_reference():
             assert hermite_normal_form(bad)[0] != identity_matrix(n)
             with pytest.raises(ValueError):
                 fraction_unimodular_inverse(bad)
+
+
+def _seeded_matrix(rng, rows, cols):
+    """A seeded rows x cols integer matrix: half the time with random entries,
+    else a product through an inner dimension below min(rows, cols), so that
+    its rank is not full."""
+    if rng.random() < 0.5:
+        return tuple(tuple(rng.randint(-6, 6) for _ in range(cols)) for _ in range(rows))
+    inner = rng.randint(0, min(rows, cols) - 1)
+    a = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+    b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) if inner else (0,) * cols
+                 for row in a)
+
+
+def test_hnf_column_lattice_matches_sympy():
+    # sympy returns only the nonzero columns, in its own triangular
+    # convention, so the column lattices are compared: each basis lies in the
+    # other's integer span, and both have the rank of the matrix
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    rng = random.Random(61)
+    deficient = 0
+    for _ in range(120):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        m = _seeded_matrix(rng, rows, cols)
+        h, _ = hermite_normal_form(m)
+        ours = [col for col in zip(*h) if any(col)]
+        theirs_matrix = sympy_hnf(sympy.Matrix(m))
+        theirs = [tuple(int(x) for x in theirs_matrix.col(j)) for j in range(theirs_matrix.cols)]
+        rank = len(rref(m)[1])
+        assert len(ours) == len(theirs) == rank, m
+        assert all(in_integer_span(theirs, col) for col in ours), m
+        assert all(in_integer_span(ours, col) for col in theirs), m
+        deficient += rank < min(rows, cols)
+    assert deficient >= 30

@@ -4,7 +4,18 @@ from fractions import Fraction
 import pytest
 
 from toricspec.groebner import normal_form
-from toricspec.polys import Poly, exact_div, grevlex_key, linear_form_product
+from toricspec.laurent import _cleared_generators, kernel_K, kernel_K0
+from toricspec.polys import (
+    RANK_PRIME,
+    Poly,
+    exact_div,
+    grevlex_key,
+    linear_form_product,
+    monomials_of_degree,
+    rank_mod_p,
+)
+
+from tests.reference import rref
 
 
 class _FractionPoly:
@@ -249,3 +260,65 @@ def test_linear_form_product_edge_cases():
     # coefficients right at the bound: (x + y)^8 peaks at 70, (x - y)^8 at -70
     assert linear_form_product([(1, 1)], (8,)) == Poly.linear_form((1, 1)) ** 8
     assert linear_form_product([(1, -1)], (8,)) == Poly.linear_form((1, -1)) ** 8
+
+
+def _exact_rank(rows):
+    return len(rref(rows)[1]) if rows else 0
+
+
+def test_rank_mod_p_matches_exact_rank():
+    # seeded integer matrices: wide and tall, entries up to 80 bits and
+    # negative, and products through a narrower inner dimension, so that many
+    # have less than full rank
+    rng = random.Random(59)
+    deficient = full = 0
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        bits = rng.choice((3, 20, 80))
+        inner = rng.randint(1, min(nrows, ncols)) if rng.random() < 0.5 else None
+        rows = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(inner or ncols)] for _ in range(nrows)]
+        if inner:
+            b = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(inner)]
+            rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in rows]
+        rank = _exact_rank(rows)
+        assert rank_mod_p(rows, ncols) == rank, rows
+        deficient += rank < min(nrows, ncols)
+        full += rank == ncols
+    assert deficient >= 30 and full >= 30
+
+
+def test_rank_mod_p_stops_at_full_rank():
+    def rows():
+        yield [0, 1]
+        yield [1, 5]
+        raise AssertionError("read past full rank")
+
+    assert rank_mod_p(rows(), 2) == 2
+    assert rank_mod_p([], 3) == 0
+    assert rank_mod_p([[0, 0], [RANK_PRIME, -RANK_PRIME]], 2) == 0
+    # rank 1 mod p, rank 2 over Q: a prime can only lower a rank
+    bad = [[1, 1], [1, 1 + RANK_PRIME]]
+    assert rank_mod_p(bad, 2) == 1 and _exact_rank(bad) == 2
+
+
+def test_rank_mod_p_on_cleared_blocks(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # the least-degree block of the cleared generator restrictions of every
+    # conftest K/K0 module at windows 4 and 6: the rows Groebner builds test
+    checked = full = 0
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            for window in (4, 6):
+                km = maker(T, Fraction(1, 2), window)
+                if km.subspace.is_zero_ring():
+                    continue
+                cleared, _ = _cleared_generators(km.module, km.subspace, window)
+                least = min(g.total_degree() for g in cleared)
+                monomials = list(monomials_of_degree(km.subspace.dim, least))
+                rows = [[g.terms.get(e, 0) for e in monomials] for g in cleared if g.total_degree() == least]
+                rank = _exact_rank(rows)
+                assert rank_mod_p(rows, len(monomials)) == rank, (T.n, maker, window)
+                checked += 1
+                full += rank == len(monomials) < len(rows)
+    # full with rows to spare: the K0 blocks of the two squares (rank 1) and
+    # of the cube (60 and 126 rows, ranks 27 and 39)
+    assert checked == 16 and full == 6
