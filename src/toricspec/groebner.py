@@ -263,19 +263,20 @@ def _s_poly(d1, d2, l):
 def _maximal_ideal_power(gens):
     """The monomials of degree D, sorted, when `gens` are homogeneous with least
     degree D and their degree-D elements have full rank mod p, which proves
-    that they generate m^D; else None."""
+    that they generate m^D; else None.  The count of degree-D generators is
+    checked before the scan of every term for homogeneity, since most inputs
+    that miss the exit have too few; when some generator is not homogeneous,
+    the count read off first terms may be wrong, but the answer is None
+    either way."""
     gens = [g for g in gens if g.terms]
-    degrees = []
-    for g in gens:
-        d = sum(next(iter(g.terms)))
-        if any(sum(e) != d for e in g.terms):
-            return None
-        degrees.append(d)
     if not gens or not gens[0].nvars:
         return None
+    degrees = [sum(next(iter(g.terms))) for g in gens]
     k, low = gens[0].nvars, min(degrees)
     least = [g for g, d in zip(gens, degrees) if d == low]
     if len(least) < comb(low + k - 1, k - 1):
+        return None
+    if any(sum(e) != d for g, d in zip(gens, degrees) for e in g.terms):
         return None
     monomials = list(monomials_of_degree(k, low))
     column = {e: j for j, e in enumerate(monomials)}

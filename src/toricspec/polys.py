@@ -14,8 +14,7 @@ are packed into ints the same way for their rank over a prime field
 (`rank_mod_p`), which can only ever prove a rank over Q full.
 """
 
-import sys
-from array import array
+import struct
 from fractions import Fraction
 from operator import add, mul
 
@@ -284,49 +283,36 @@ def linear_form_product(rows, exps) -> Poly:
 RANK_PRIME = 1_048_573  # the largest prime below 2^20
 
 
-def _slots(packed: int, ncols: int) -> array:
-    """The 64-bit slots of a packed row, lowest column first."""
-    slots = array("Q", packed.to_bytes(8 * ncols, "little"))
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return slots
-
-
-def _packed(slots) -> int:
-    """One int holding `slots` (each below 2^64), lowest column first."""
-    slots = array("Q", slots)
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return int.from_bytes(slots.tobytes(), "little")
-
-
-def rank_mod_p(rows, ncols: int, p: int = RANK_PRIME) -> int:
-    """Rank over GF(p) of integer rows of length `ncols`, for a prime p below
-    2^20; the scan stops once the rank is `ncols`.
+def rank_mod_p(rows, ncols: int) -> int:
+    """Rank over GF(RANK_PRIME) of integer rows of length `ncols`, below 2^24;
+    the scan stops once the rank is `ncols`.
 
     A minor that is nonzero mod p is nonzero, so the rank mod p is at most
     the rank over Q: a full rank here proves the rank over Q full, and a
     lower one proves nothing.  Each row is one Python int with a 64-bit slot
     per column.  Pivot rows are kept reduced into [0, p) with pivot 1, and a
     row r is cleared at a pivot's column by r += (p - v) * pivot, where v is
-    r's slot there mod p.  A step adds less than 2^40 to a slot and a row
-    takes fewer steps than there are columns, so below 2^24 columns no slot
-    carries into the next, and a row is reduced mod p once, after its last
-    step."""
-    mask = (1 << 64) - 1
+    r's slot there mod p.  As p < 2^20, a step adds less than 2^40 to a slot,
+    and a row takes fewer steps than there are columns, so below 2^24 columns
+    no slot carries into the next, and a row is reduced mod p once, after its
+    last step."""
+    if ncols >= 1 << 24:
+        raise ValueError(f"rank_mod_p takes fewer than 2^24 columns, not {ncols}")
+    p, mask = RANK_PRIME, (1 << 64) - 1
+    slots = struct.Struct(f"<{ncols}Q")
     pivots = []  # (bit offset of the pivot's slot, pivot row)
     for row in rows:
-        r = _packed([c % p for c in row])
+        r = int.from_bytes(slots.pack(*(c % p for c in row)), "little")
         for shift, pivot in pivots:
             v = (r >> shift & mask) % p
             if v:
                 r += (p - v) * pivot
-        slots = [v % p for v in _slots(r, ncols)]
-        col = next((j for j, v in enumerate(slots) if v), None)
+        reduced = [v % p for v in slots.unpack(r.to_bytes(slots.size, "little"))]
+        col = next((j for j, v in enumerate(reduced) if v), None)
         if col is None:
             continue
-        inv = pow(slots[col], -1, p)
-        pivots.append((64 * col, _packed([v * inv % p for v in slots])))
+        inv = pow(reduced[col], -1, p)
+        pivots.append((64 * col, int.from_bytes(slots.pack(*(v * inv % p for v in reduced)), "little")))
         if len(pivots) == ncols:
             break
     return len(pivots)

@@ -301,6 +301,12 @@ def test_rank_mod_p_stops_at_full_rank():
     assert rank_mod_p(bad, 2) == 1 and _exact_rank(bad) == 2
 
 
+def test_rank_mod_p_refuses_columns_that_could_carry():
+    # from 2^24 columns a row's steps could carry out of a 64-bit slot
+    with pytest.raises(ValueError):
+        rank_mod_p([], 1 << 24)
+
+
 def test_rank_mod_p_on_cleared_blocks(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
     # the least-degree block of the cleared generator restrictions of every
     # conftest K/K0 module at windows 4 and 6: the rows Groebner builds test
