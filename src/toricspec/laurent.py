@@ -31,12 +31,12 @@ so its membership takes the same path.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, gcd, lcm
-from operator import add
+from operator import add, ge
 
 from toricspec.groebner import DivisionBasis, buchberger, normal_form
 from toricspec.lattice import IntMat, IntVec, vec_gcd
 from toricspec.memo import memo
-from toricspec.polys import Poly, exact_div, linear_form_product, monomials_of_degree
+from toricspec.polys import Poly, linear_form_product, monomials_of_degree
 from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
 
 
@@ -520,11 +520,11 @@ class _GradedSlice:
             for mono in monomials_of_degree(k, degree - rg.total_degree())
         )
 
-    def residual(self, vec, track=False):
+    def residual(self, vec):
         """`vec` reduced against the span, pulling columns while it is nonzero:
         (residual, scale, combo) as in `_Span.reduce`, the residual empty
         exactly when `vec` lies in the slice."""
-        vec, scale, combo = self.span.reduce(vec, 1, {} if track else None)
+        vec, scale, combo = self.span.reduce(vec, 1, {} if self.span.track else None)
         while vec:
             column = next(self.columns, None)
             if column is None:
@@ -539,38 +539,35 @@ def _brute_member(cleared: Poly, module, subspace, window, want_certificate=Fals
     """Exact linear algebra in the subspace coordinates, graded slice by slice;
     complete at each window, since every multiplier degree is admitted.
 
-    Returns (verdict, certificate) for the cleared query restriction; the
-    certificate maps generator exponents to multiplier polynomials (in
-    restricted coordinates) for each graded component, and is only
-    assembled on request.
-    """
+    Returns (verdict, certificate); a member's certificate, on request, is
+    one integer relation (scale, {(g, a): c}): scale * cleared = sum c *
+    (u^(g + T))|_V * w^a over minimal window generators g, merged from the
+    components over the lcm of their scales (a label fixes its degree)."""
     gens = _minimal_generators(module, window)
     cleared_gens, _ = _cleared_generators(module, subspace, window)
-    k = subspace.dim
     level = (_level_key(module, window), subspace.basis)
-    certificate = {}
+    parts = []
     for degree, component in cleared.homogeneous_components().items():
         graded = memo(
             "graded_slice",
             (level, degree, want_certificate),
-            lambda: _GradedSlice(gens, cleared_gens, degree, k, want_certificate),
+            lambda: _GradedSlice(gens, cleared_gens, degree, subspace.dim, want_certificate),
         )
-        residual, scale, combo = graded.residual(component.terms, want_certificate)
+        residual, scale, combo = graded.residual(component.terms)
         if residual:
             return False, None
-        if want_certificate:
-            multipliers = {}
-            for (g, mono), c in combo.items():
-                multipliers.setdefault(g, {})[mono] = exact_div(c, scale)
-            certificate[degree] = {g: Poly(k, t) for g, t in multipliers.items()}
-    return True, certificate
+        parts.append((scale, combo))
+    if not want_certificate:
+        return True, None
+    common = lcm(*(scale for scale, _ in parts))
+    return True, (common, {lab: c * (common // scale) for scale, combo in parts for lab, c in combo.items()})
 
 
 def _brute_verdict(q, module, subspace, window, want_certificate=False):
     """The brute backend alone on the query q: (verdict, certificate) as in
-    `_brute_member`."""
+    `_brute_member`; on the zero ring (1, {}) certifies every q."""
     if subspace.is_zero_ring():
-        return True, {}
+        return True, ((1, {}) if want_certificate else None)
     cleared = _cleared(q, _cleared_generators(module, subspace, window)[1], subspace)
     if cleared is None:
         return False, None
@@ -578,25 +575,29 @@ def _brute_verdict(q, module, subspace, window, want_certificate=False):
 
 
 def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
-    """Re-expand a brute-backend certificate and compare exactly.  A label g
-    may be any u-multiple of a window generator (u^g is then in the module),
-    not only a minimal generator.  The window defaults to W + 2, where
-    `membership_certified` takes its certificates."""
+    """Check a brute-backend certificate in integers: scale is a positive int,
+    each label g is a u-multiple of a window generator (g need not be
+    minimal) and a a monomial in w, and the relation holds, with each
+    (u^(g + T))|_V built anew once.  The window defaults to W + 2."""
+    scale, relation = certificate
+    if type(scale) is not int or scale < 1:
+        return False
     if subspace.is_zero_ring():
         return True
     window = module.window + 2 if window is None else window
     gens = _minimal_generators(module, window)
     floor = _cleared_generators(module, subspace, window)[1]
     cleared = _cleared(q, floor, subspace)
-    if cleared is None:
+    if cleared is None or not all(
+        len(g) == len(floor) and any(all(map(ge, g, m)) for m in gens) and len(a) == subspace.dim and min(a) >= 0
+        for g, a in relation
+    ):
         return False
-    total = Poly.zero(subspace.dim)
-    for comp in certificate.values():
-        for g, mult in comp.items():
-            if not any(all(a >= b for a, b in zip(g, m)) for m in gens):
-                return False
-            total = total + subspace.form_product(tuple(a + b for a, b in zip(g, floor))) * mult
-    return total == cleared
+    forms = {g: subspace.form_product(tuple(map(add, g, floor))) for g in {g for g, _ in relation}}
+    total = {}
+    for (g, a), c in relation.items():
+        _axpy(total, c, forms[g].term_mul(a).terms)
+    return total == {e: scale * c for e, c in cleared.terms.items()}
 
 
 # --- membership: public entry -------------------------------------------------
@@ -669,8 +670,6 @@ def membership(
 
 
 def membership_certified(q: Poly, module: MonomialModule, subspace: LinearSubspace):
-    """Both-backend verdict plus, for members, the brute-backend certificate
-    taken at the same window W + 2.  Returns (verdict, certificate)."""
-    if not membership(q, module, subspace):
-        return False, None
-    return True, _brute_verdict(q, module, subspace, module.window + 2, want_certificate=True)[1]
+    """(verdict, certificate) at window W + 2 from one tracked brute pass."""
+    check_start_window(module.window)
+    return _brute_verdict(q, module, subspace, module.window + 2, want_certificate=True)

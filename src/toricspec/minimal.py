@@ -60,7 +60,7 @@ class MinimalDegreeWitness:
     nu: Fraction
     shift: IntVec                    # lattice translation used to normalize degrees
     shifted_monomial: IntVec         # the breadth-first hit, before translating back
-    successor_certificates: dict     # i -> brute-backend certificate for u_i * q
+    successor_certificates: dict     # i -> relation (scale, {(g, a): c}) certifying u_i * q
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
     until degree 0 is excluded, walk monomials breadth-first ordered by total
     degree then lex, and stop at the first monomial all of whose successors
     are members.  Each question is asked of the level module at the monomial
-    translated back, where each successor's certificate is also re-verified.
+    translated back, where each successor's certificate is checked in integers.
     """
     nu = Fraction(nu)
     if not rationality_check(toric):
@@ -208,12 +208,11 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
                 certs = {}
                 for i, s in enumerate(successors):
                     succ = Poly.monomial(back(s))
-                    ok, cert = membership_certified(succ, km.module, km.subspace)
+                    ok, certs[i] = membership_certified(succ, km.module, km.subspace)
                     if not ok:
                         raise InconclusiveError("successor failed re-check on the original module")
-                    if not verify_certificate(succ, km.module, km.subspace, cert):
+                    if not verify_certificate(succ, km.module, km.subspace, certs[i]):
                         raise InconclusiveError("successor certificate failed re-verification")
-                    certs[i] = cert
                 return MinimalDegreeWitness(
                     monomial=q_exps,
                     restriction=restrict(Poly.monomial(q_exps), km.subspace),

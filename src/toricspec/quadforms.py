@@ -123,6 +123,15 @@ def apply_iota(iota: IntMat, lam) -> tuple[Fraction, ...]:
     )
 
 
+def _checked_coords(params: DecompositionParams, lam, iota: IntMat) -> tuple[Fraction, ...]:
+    """`apply_iota`, with every coordinate required inside (-N, N)."""
+    coords, N = apply_iota(iota, lam), params.N
+    for c in coords:
+        if not (-N < c < N):
+            raise ValueError(f"coordinate {c} outside (-{N}, {N})")
+    return coords
+
+
 def floor_half_shift(x: Fraction) -> int:
     return math.floor(Fraction(x) + Fraction(1, 2))
 
@@ -131,10 +140,7 @@ def spectrum(params: DecompositionParams, lam, iota: IntMat) -> GenFormSpectrum:
     """Exact eigenvalue descriptors and negative index for the torus-generated
     quadratic form at lam (given in the kernel basis)."""
     N = params.N
-    coords = apply_iota(iota, lam)
-    for c in coords:
-        if not (-N < c < N):
-            raise ValueError(f"coordinate {c} outside (-{N}, {N})")
+    coords = _checked_coords(params, lam, iota)
     n = len(coords)
     eig = tuple(
         EigenDescriptor(j=j, k=k, N=N, lam=coords[j - 1])
@@ -163,12 +169,7 @@ def front_coordinates(coords) -> set[int]:
 
 
 def front_membership(params: DecompositionParams, lam, iota: IntMat) -> set[int]:
-    coords = apply_iota(iota, lam)
-    N = params.N
-    for c in coords:
-        if not (-N < c < N):
-            raise ValueError(f"coordinate {c} outside (-{N}, {N})")
-    return front_coordinates(coords)
+    return front_coordinates(_checked_coords(params, lam, iota))
 
 
 def t_lambda_value(lam_coords, N2: int, x) -> float:

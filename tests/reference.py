@@ -283,7 +283,7 @@ def stable_verdict(verdict_at, window):
 
 def verify_witness(witness, km) -> bool:
     """Re-check a witness's n + 1 verdicts on the brute backend alone, and
-    its successors' certificates."""
+    the certificate that each successor must carry."""
     if membership(Poly.monomial(witness.monomial), km.module, km.subspace, backend="brute"):
         return False
     n = km.module.toric.n
@@ -294,7 +294,7 @@ def verify_witness(witness, km) -> bool:
         if not membership(q, km.module, km.subspace, backend="brute"):
             return False
         cert = witness.successor_certificates.get(i)
-        if cert is not None and not verify_certificate(q, km.module, km.subspace, cert):
+        if cert is None or not verify_certificate(q, km.module, km.subspace, cert):
             return False
     return True
 

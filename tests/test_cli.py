@@ -7,12 +7,17 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from toricspec.cli import COMMANDS, REQUIRED, parse_args, parse_int_vector, parse_vector, run
+from toricspec.laurent import kernel_K0, verify_certificate
 from toricspec.memo import clear_caches, memo_counts
+from toricspec.minimal import translated_point_bound
+from toricspec.polys import Poly
+from toricspec.polytope import parse_polytope, toric_data
 
 from tests.reference import _attach_negative_values, build_parser
 
@@ -331,6 +336,34 @@ def test_witness_reports_match_the_recorded_ones(case, capsys):
     code, out = invoke(command, str(CORPUS / f"{name}.poly"), *options)
     assert (code, out.splitlines()) == (WITNESS_REPORTS[case]["exit"], WITNESS_REPORTS[case]["report"])
     assert capsys.readouterr().err == ""
+
+
+# `bound` on corpus files whose witness search takes no m^D exit: the exit
+# code and the witness lines as printed, and a verified certificate for each
+# successor of the witness.
+OFF_EXIT_WITNESSES = {
+    "pentagon": ("-1,-1,-1,-2,6", "(w1^6 + 6*w1^5*w2 + 15*w1^4*w2^2 + 20*w1^3*w2^3 + 15*w1^2*w2^4 + 6*w1*w2^5"
+                 " + w2^6) / ((w1)*(2*w2)*(-w1 - 3*w2)*(w1 + 2*w2)^2)"),
+    "blp3": ("-1,-1,-1,-2,6", "64*w1"),
+    "cp2xcp1": ("-1,-1,-1,-1,4", "-27/8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_EXIT_WITNESSES))
+def test_bound_witness_lines_and_certificates(name):
+    witness, restriction = OFF_EXIT_WITNESSES[name]
+    clear_caches()
+    code, out = invoke("bound", str(CORPUS / f"{name}.poly"))
+    lines = out.splitlines()
+    assert code == 0 and f"witness={witness}" in lines and f"restriction={restriction}" in lines
+    T = toric_data(parse_polytope((CORPUS / f"{name}.poly").read_text()))
+    _, found = translated_point_bound(T)
+    km = kernel_K0(T, Fraction(1, 2), 2)
+    assert ",".join(map(str, found.monomial)) == witness
+    assert sorted(found.successor_certificates) == list(range(T.n))
+    for i, cert in found.successor_certificates.items():
+        succ = Poly.monomial(tuple(x + (j == i) for j, x in enumerate(found.monomial)))
+        assert verify_certificate(succ, km.module, km.subspace, cert)
 
 
 def test_human_format_runs():

@@ -227,7 +227,8 @@ def test_brute_certificate_roundtrip(T_monotone):
     ok, cert = _brute_verdict(
         U(1, 1, 0, 0), km.module, km.subspace, 2, want_certificate=True
     )
-    assert ok and cert
+    scale, relation = cert
+    assert ok and type(scale) is int and scale > 0 and relation
     assert verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, cert, window=2)
 
 
@@ -377,7 +378,8 @@ def test_membership_evaluates_one_window_and_builds_no_basis_at_the_start(T_mono
             for q in queries:
                 membership(q, km.module, km.subspace)
                 membership_certified(q, km.module, km.subspace)
-            assert windows == [window + 2] * (2 * len(queries))
+            # the certified pass is the brute backend alone: no second verdict
+            assert windows == [window + 2] * len(queries)
             built = {key[0][-1] for kind, key in _MEMO if kind == "groebner"}
             assert built == {window + 2}
             assert {key[-1] for kind, key in _MEMO if kind == "generators"} == {window + 2}
@@ -624,9 +626,9 @@ def test_tracked_span_certificates_round_trip(T_monotone, T_p12, T_cp2, T_cp3, T
             ok, cert = membership_certified(q, km.module, km.subspace)
             assert ok
             if km.ring == "ZeroRing":
-                assert cert == {}
+                assert cert == (1, {})
             assert verify_certificate(q, km.module, km.subspace, cert)
-            nonempty += bool(cert)
+            nonempty += bool(cert[1])
     assert nonempty >= 10
 
 
@@ -638,11 +640,65 @@ def test_tracked_span_agrees_with_verdict_and_rejects_forgeries(T_monotone):
         tracked = _brute_verdict(q, km.module, km.subspace, 2, want_certificate=True)
         assert plain[0] == tracked[0]
         assert (tracked[1] is None) == (not tracked[0])
-    ok, cert = _brute_verdict(U(1, 1, 0, 0), km.module, km.subspace, 2, want_certificate=True)
-    degree, comp = next(iter(cert.items()))
-    g, mult = next(iter(comp.items()))
-    forged = {degree: {**comp, g: mult * Fraction(2)}}
+    ok, (scale, relation) = _brute_verdict(U(1, 1, 0, 0), km.module, km.subspace, 2, want_certificate=True)
+    label, c = next(iter(relation.items()))
+    forged = (scale, {**relation, label: 2 * c})
     assert not verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, forged, window=2)
+
+
+def test_verify_certificate_rejects_forgeries(T_monotone):
+    km = kernel_K0(T_monotone, H, 2)
+    q = U(3, 0, 0, 1)
+    ok, (scale, relation) = membership_certified(q, km.module, km.subspace)
+    assert ok and verify_certificate(q, km.module, km.subspace, (scale, relation))
+    (g, a), c = next(iter(relation.items()))
+    rest = {lab: v for lab, v in relation.items() if lab != (g, a)}
+    zero = (0,) * T_monotone.n
+    gens = km.module.generators(4)
+    assert not any(all(x >= y for x, y in zip(zero, h)) for h in gens)
+    forgeries = [
+        (0, {}),  # 0 * q = 0 holds for every q
+        (-scale, {lab: -v for lab, v in relation.items()}),  # the scale must be positive
+        (2 * scale, relation),
+        (scale, {**relation, (g, a): c + 1}),
+        (scale, {**rest, (zero, a): c}),  # u^0 lies above no window generator
+        (scale, {**rest, (g, (a[0] + 1,)): c}),  # the same label one degree up
+    ]
+    for forged in forgeries:
+        assert not verify_certificate(q, km.module, km.subspace, forged), forged
+    # the square's K0 subspace is a line, so the cleared restriction e * w^d of
+    # the constant, a non-member, is matched exactly by a label with no u
+    # exponents, or by a generator times a negative power of w: only the label
+    # checks reject these
+    floor = tuple(max(0, -min(h[i] for h in gens)) for i in range(T_monotone.n))
+    ((d,), e), = km.subspace.form_product(floor).terms.items()
+    ((m,), f), = km.subspace.form_product(tuple(x + t for x, t in zip(g, floor))).terms.items()
+    one = Poly.constant(T_monotone.n, 1)
+    assert not membership(one, km.module, km.subspace) and f in (1, -1) and m > d
+    for forged in ((1, {((), (d,)): e}), (1, {(g, (d - m,)): e * f})):
+        assert not verify_certificate(one, km.module, km.subspace, forged), forged
+
+
+def test_certifying_a_member_takes_one_tracked_brute_pass(T_monotone, T_cube, monkeypatch):
+    # no second verdict: no Groebner basis is built, the degree test and the
+    # backends are not asked, and every slice it grows is a tracked one at W + 2
+    import toricspec.laurent as laurent_mod
+    from toricspec.memo import _MEMO
+
+    def asked(*args):
+        raise AssertionError("a verdict pass ran")
+
+    monkeypatch.setattr(laurent_mod, "_verdict_at_window", asked)
+    for T in (T_monotone, T_cube):
+        for window in (2, 3):
+            km = kernel_K0(T, H, window)
+            q = U(*(x + 1 for x in km.module.generators()[-1]))
+            clear_caches()
+            ok, cert = membership_certified(q, km.module, km.subspace)
+            assert ok and verify_certificate(q, km.module, km.subspace, cert)
+            assert not any(kind == "groebner" for kind, _ in _MEMO)
+            slices = [key for kind, key in _MEMO if kind == "graded_slice"]
+            assert slices and all(key[0][0][-1] == window + 2 and key[2] for key in slices)
 
 
 # --- the graded slices of the brute backend --------------------------------------
@@ -733,7 +789,7 @@ def test_certificate_from_grown_slice_verifies(T_monotone, T_cube):
             _brute_verdict(q, km.module, km.subspace, 2, want_certificate=True)
         for q in members + [U(*(x + 1 for x in next(iter(members[0].terms))))]:
             ok, cert = membership_certified(q, km.module, km.subspace)
-            assert ok and cert
+            assert ok and cert[1]
             assert verify_certificate(q, km.module, km.subspace, cert)
 
 
@@ -745,12 +801,12 @@ def test_certificate_labels_may_be_any_module_monomial(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
     gens = km.module.generators()
     g = next(g for g in gens if g not in _minimal_monomials(gens))
-    one = Poly.constant(km.subspace.dim, 1)
+    one = (0,) * km.subspace.dim
     for label in (g, tuple(x + (i == 1) for i, x in enumerate(g))):
-        assert verify_certificate(Poly.monomial(label), km.module, km.subspace, {0: {label: one}}, window=2)
+        assert verify_certificate(Poly.monomial(label), km.module, km.subspace, (1, {(label, one): 1}), window=2)
     zero = (0,) * T_monotone.n
     assert not any(all(a >= b for a, b in zip(zero, h)) for h in gens)
-    assert not verify_certificate(Poly.monomial(zero), km.module, km.subspace, {0: {zero: one}}, window=2)
+    assert not verify_certificate(Poly.monomial(zero), km.module, km.subspace, (1, {(zero, one): 1}), window=2)
 
 
 # --- the fraction-free span ---------------------------------------------------------

@@ -346,9 +346,14 @@ def test_witness_successor_certificates_are_verified(T_monotone, monkeypatch):
 
     witness = find_minimal_degree_element(T_monotone, H)
     km = kernel_K0(T_monotone, H, 2)
+    assert sorted(witness.successor_certificates) == list(range(T_monotone.n))
     for i, cert in witness.successor_certificates.items():
         succ = tuple(x + (j == i) for j, x in enumerate(witness.monomial))
         assert minimal_mod.verify_certificate(Poly.monomial(succ), km.module, km.subspace, cert)
-    monkeypatch.setattr(minimal_mod, "verify_certificate", lambda *a, **k: False)
-    with pytest.raises(InconclusiveError, match="certificate failed re-verification"):
+    with monkeypatch.context() as patch:
+        patch.setattr(minimal_mod, "verify_certificate", lambda *a, **k: False)
+        with pytest.raises(InconclusiveError, match="certificate failed re-verification"):
+            find_minimal_degree_element(T_monotone, H)
+    monkeypatch.setattr(minimal_mod, "membership_certified", lambda *a, **k: (False, None))
+    with pytest.raises(InconclusiveError, match="successor failed re-check on the original module"):
         find_minimal_degree_element(T_monotone, H)

@@ -126,8 +126,10 @@ def test_negative_index_examples():
 
 def test_spectrum_out_of_range():
     params = DecompositionParams(N1=0, N2=2)
-    with pytest.raises(ValueError):
-        spectrum(params, (Fraction(2),), identity_matrix(1))
+    for exact in (spectrum, front_membership):
+        for c in (2, -2, Fraction(5, 2)):
+            with pytest.raises(ValueError, match=rf"^coordinate {c} outside \(-2, 2\)$"):
+                exact(params, (Fraction(1, 3), Fraction(c)), identity_matrix(2))
 
 
 def test_front_membership():
