@@ -51,6 +51,7 @@ from toricspec.polytope import (
     ToricData,
     ToricHypothesisError,
     ValidationReport,
+    check_hypotheses,
     find_positive_b,
     is_cpn,
     monotonicity_check,

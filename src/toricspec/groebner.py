@@ -166,9 +166,6 @@ class DivisionBasis:
         self.nvars = nvars
         self.divisors = tuple(_primitive_divisors(basis))
 
-    def __len__(self):
-        return len(self.divisors)
-
 
 def normal_form(f: Poly, basis) -> Poly:
     """Remainder of f under multivariate division by `basis` (a sequence of

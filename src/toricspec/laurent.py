@@ -19,9 +19,12 @@ backends:
     restrictions times monomials of every degree.  It is complete at each
     window.
 
-Before either backend, a monomial query below the least generator degree is
-decided a non-member in integers alone.  The two backends must agree on every
-query this leaves open; a disagreement raises.
+Membership at module window W is decided at window W + 2 by one function,
+`_verdict`: on a zero ring every query is a member; otherwise the query is
+cleared and restricted once and handed to the chosen backend, or to both,
+which must agree (a disagreement raises).  `membership` first decides a
+monomial query below the least generator degree a non-member in integers
+alone; `membership_certified` asks the brute backend for its integer relation.
 
 A monomial ideal of Q[u] is the monomial module whose generators have no
 negative exponents: it is cleared at floor 0 and restricted by the same map,
@@ -37,7 +40,7 @@ from toricspec.groebner import DivisionBasis, buchberger, normal_form
 from toricspec.lattice import IntMat, IntVec, vec_gcd
 from toricspec.memo import memo
 from toricspec.polys import Poly, linear_form_product, monomials_of_degree
-from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
+from toricspec.polytope import ToricData, check_hypotheses
 
 
 class InconclusiveError(Exception):
@@ -121,15 +124,6 @@ class RestrictedElement:
     numerator: Poly
     denom_exps: IntVec
     subspace: LinearSubspace
-
-    def is_zero(self):
-        return self.numerator.is_zero()
-
-    def degree(self):
-        """Homogeneity degree; meaningful when the numerator is homogeneous."""
-        if self.numerator.is_zero():
-            return None
-        return self.numerator.total_degree() - sum(self.denom_exps)
 
     def reduced(self):
         """Cancel coordinate linear forms that divide the numerator exactly."""
@@ -281,8 +275,7 @@ class KernelModule:
 
 
 def _kernel_module(toric: ToricData, threshold, window: int, basis, ring: str) -> KernelModule:
-    if not rationality_check(toric):
-        raise ToricHypothesisError("p is not primitive integral")
+    check_hypotheses(toric)
     subspace = LinearSubspace(basis=basis)
     return KernelModule(
         module=MonomialModule(toric=toric, threshold=threshold, window=window),
@@ -563,17 +556,6 @@ def _brute_member(cleared: Poly, module, subspace, window, want_certificate=Fals
     return True, (common, {lab: c * (common // scale) for scale, combo in parts for lab, c in combo.items()})
 
 
-def _brute_verdict(q, module, subspace, window, want_certificate=False):
-    """The brute backend alone on the query q: (verdict, certificate) as in
-    `_brute_member`; on the zero ring (1, {}) certifies every q."""
-    if subspace.is_zero_ring():
-        return True, ((1, {}) if want_certificate else None)
-    cleared = _cleared(q, _cleared_generators(module, subspace, window)[1], subspace)
-    if cleared is None:
-        return False, None
-    return _brute_member(cleared, module, subspace, window, want_certificate)
-
-
 def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
     """Check a brute-backend certificate in integers: scale is a positive int,
     each label g is a u-multiple of a window generator (g need not be
@@ -615,32 +597,25 @@ def _below_generator_degree(q: Poly, module: MonomialModule, subspace: LinearSub
             and sum(next(iter(q.terms))) < sum(gens[0]))
 
 
-def _verdict_at_window(q, module, subspace, window, backend):
-    """The degree test, then the backends."""
-    if _below_generator_degree(q, module, subspace, window):
-        return False
-    return _backend_verdict(q, module, subspace, window, backend)
-
-
-def _backend_verdict(q, module, subspace, window, backend):
-    """The verdict of the chosen backend at one window, or of both, which
-    must agree; either way the query is cleared and restricted once."""
+def _verdict(q, module, subspace, window, backend, want_certificate=False):
+    """The verdict at one window of the chosen backend, or of both, which must
+    agree, as (verdict, certificate); the query is cleared and restricted
+    once.  A certificate, on request, comes from the brute backend as in
+    `_brute_member`; on the zero ring (1, {}) certifies every q."""
     if subspace.is_zero_ring():
-        return True
+        return True, ((1, {}) if want_certificate else None)
     cleared = _cleared(q, _cleared_generators(module, subspace, window)[1], subspace)
     if cleared is None:
-        return False
+        return False, None
+    gb = None if backend == "brute" else _groebner_member(cleared, module, subspace, window)
     if backend == "groebner":
-        return _groebner_member(cleared, module, subspace, window)
-    if backend == "brute":
-        return _brute_member(cleared, module, subspace, window)[0]
-    gb = _groebner_member(cleared, module, subspace, window)
-    br = _brute_member(cleared, module, subspace, window)[0]
-    if gb != br:
+        return gb, None
+    verdict, certificate = _brute_member(cleared, module, subspace, window, want_certificate)
+    if gb is not None and gb != verdict:
         raise BackendMismatchError(
-            f"groebner={gb} brute={br} at window {window} for {q.render()}"
+            f"groebner={gb} brute={verdict} at window {window} for {q.render()}"
         )
-    return gb
+    return verdict, certificate
 
 
 def check_start_window(window: int):
@@ -666,10 +641,13 @@ def membership(
     can only turn from False to True as the window widens: widening until
     two consecutive verdicts agree returns the verdict at W + 2."""
     check_start_window(module.window)
-    return _verdict_at_window(q, module, subspace, module.window + 2, backend)
+    window = module.window + 2
+    if _below_generator_degree(q, module, subspace, window):
+        return False
+    return _verdict(q, module, subspace, window, backend)[0]
 
 
 def membership_certified(q: Poly, module: MonomialModule, subspace: LinearSubspace):
     """(verdict, certificate) at window W + 2 from one tracked brute pass."""
     check_start_window(module.window)
-    return _brute_verdict(q, module, subspace, module.window + 2, want_certificate=True)
+    return _verdict(q, module, subspace, module.window + 2, "brute", want_certificate=True)

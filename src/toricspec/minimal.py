@@ -29,7 +29,7 @@ from toricspec.laurent import (
     KernelModule,
     MonomialModule,
     RestrictedElement,
-    _backend_verdict,
+    _verdict,
     check_start_window,
     kernel_K0,
     membership,
@@ -39,7 +39,7 @@ from toricspec.laurent import (
     verify_certificate,
 )
 from toricspec.polys import Poly, monomials_of_degree
-from toricspec.polytope import ToricData, ToricHypothesisError, is_cpn, rationality_check
+from toricspec.polytope import ToricData, ToricHypothesisError, check_hypotheses
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,7 @@ def bounding_modules(toric: ToricData, nu, c_minus, c_plus, window: int = 2) -> 
     c_minus, c_plus = Fraction(c_minus), Fraction(c_plus)
     if not c_minus < c_plus:
         raise ValueError("need c_minus < c_plus")
-    if not rationality_check(toric):
-        raise ToricHypothesisError("p is not primitive integral")
-    if toric.min_chern is None:
-        raise ToricHypothesisError("not monotone")
+    check_hypotheses(toric, monotone=True)
     nu = Fraction(nu)
     r_minus, r_plus = nu + c_minus, nu + c_plus
     lower = kernel_K0(toric, r_minus, window)
@@ -119,12 +116,7 @@ class PolynomialPart(MonomialModule):
 def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -> tuple[int, ...]:
     """Per coordinate, the least exponent with u_i^m in the polynomial-part
     ideal of the level-r module plus the relation ideal."""
-    if not rationality_check(toric):
-        raise ToricHypothesisError("p is not primitive integral")
-    if toric.min_chern is None:
-        raise ToricHypothesisError("not monotone")
-    if is_cpn(toric):
-        raise ToricHypothesisError("projective-space type excluded")
+    check_hypotheses(toric, monotone=True, exclude_cpn=True)
     km = kernel_K0(toric, Fraction(r), window)
     part = PolynomialPart(toric, km.module.threshold, window)
     n = toric.n
@@ -149,8 +141,7 @@ def _scaled_shift(toric: ToricData, nu: Fraction) -> IntVec:
     """Smallest positive multiple s*b with (nu + p(s*b)) * min_chern >= 1, so
     the shifted module sits strictly above degree zero."""
     r0 = toric.p_value(toric.b)  # positive, since b is strictly positive
-    n_m = toric.min_chern if toric.min_chern is not None else 1
-    s = max(1, ceil((Fraction(1, n_m) - nu) / r0))
+    s = max(1, ceil((Fraction(1, toric.min_chern) - nu) / r0))
     return tuple(s * x for x in toric.b)
 
 
@@ -166,10 +157,7 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
     translated back, where each successor's certificate is checked in integers.
     """
     nu = Fraction(nu)
-    if not rationality_check(toric):
-        raise ToricHypothesisError("p is not primitive integral")
-    if is_cpn(toric):
-        raise ToricHypothesisError("projective-space type excluded")
+    check_hypotheses(toric, exclude_cpn=True)
     km = kernel_K0(toric, nu, window)
     n = toric.n
     if toric.min_chern is None:
@@ -228,8 +216,7 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
     """Exhaustive scan: monomial classes of homogeneity degree below
     r * min_chern must stay outside the projected module.  Returns the list of
     violating exponent vectors (empty = pass) and the number of classes checked."""
-    if toric.min_chern is None:
-        raise ToricHypothesisError("not monotone")
+    check_hypotheses(toric, monotone=True)
     bound = min_degree_bound(r, toric.min_chern)
     km = kernel_K0(toric, Fraction(r), window)
     check_start_window(window)
@@ -247,21 +234,14 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
         checked += 1
         # both full backends at W + 2, as membership decides, but not the
         # degree test: this scan is what checks it
-        if _backend_verdict(Poly.monomial(a), km.module, km.subspace, window + 2, "both"):
+        if _verdict(Poly.monomial(a), km.module, km.subspace, window + 2, "both")[0]:
             violations.append(a)
     return violations, checked
 
 
 def translated_point_bound(toric: ToricData, nu=Fraction(1, 2), window: int = 2):
     """Lower bound for the number of translated points per period, with its
-    witness chain.  Returns (min_chern, witness)."""
-    if not rationality_check(toric):
-        raise ToricHypothesisError("p is not primitive integral")
-    if toric.min_chern is None:
-        raise ToricHypothesisError("not monotone")
-    if is_cpn(toric):
-        raise ToricHypothesisError("projective-space type excluded")
-    witness = find_minimal_degree_element(toric, nu, window)
-    if isinstance(witness, NoMinimalElement):
-        raise ToricHypothesisError("kernel module is the whole ring")
-    return toric.min_chern, witness
+    witness chain.  Returns (min_chern, witness); monotone data never yields
+    NoMinimalElement."""
+    check_hypotheses(toric, monotone=True, exclude_cpn=True)
+    return toric.min_chern, find_minimal_degree_element(toric, nu, window)

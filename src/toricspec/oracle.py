@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from toricspec.lattice import hermite_normal_form, identity_matrix
 from toricspec.memo import memo
-from toricspec.polytope import ToricData, ToricHypothesisError, rationality_check
+from toricspec.polytope import ToricData, check_hypotheses
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ def _common_denominator(values):
 def spectrum_classes(toric: ToricData, dmap: DiagonalMap) -> tuple[SpectrumClass, ...]:
     """One class per minimal feasible support: the values it realizes are
     base + step Z."""
-    if not rationality_check(toric):
-        raise ToricHypothesisError("p is not primitive integral")
+    check_hypotheses(toric)
     if len(dmap.mu) != toric.n:
         raise ValueError("mu length must match the facet count")
     return tuple(_support_class(toric, dmap, support) for support in feasible_supports(toric))

@@ -143,18 +143,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = Poly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def term_mul(self, exps, coeff=1):
         if len(exps) != self.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} and {len(exps)}")
@@ -186,12 +174,6 @@ class Poly:
             e = max(self.terms, key=grevlex_key)
             self._leading = (e, self.terms[e])
         return self._leading
-
-    def monic(self):
-        if not self.terms:
-            return self
-        _, c = self.leading()
-        return self * exact_div(1, c)
 
     def exact_divide(self, divisor):
         """Quotient if divisor divides exactly, else None."""

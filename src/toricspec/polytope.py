@@ -290,6 +290,18 @@ def is_cpn(data: ToricData) -> bool:
     return len(data.k0) == 0
 
 
+def check_hypotheses(data: ToricData, monotone=False, exclude_cpn=False):
+    """The pipeline's gate: p must be primitive integral, then, on request,
+    the data monotone and not of projective-space type.  Raises
+    ToricHypothesisError naming the first hypothesis that fails."""
+    if not rationality_check(data):
+        raise ToricHypothesisError("p is not primitive integral")
+    if monotone and data.min_chern is None:
+        raise ToricHypothesisError("not monotone")
+    if exclude_cpn and is_cpn(data):
+        raise ToricHypothesisError("projective-space type excluded")
+
+
 def toric_data(poly: DelzantPolytope) -> ToricData:
     """All reduction data of a validated polytope; raises on non-compact or
     non-smooth input.

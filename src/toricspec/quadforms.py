@@ -198,7 +198,7 @@ def assemble_numeric_form(params: DecompositionParams, lam, iota: IntMat) -> np.
     import numpy as np
 
     N = params.N
-    coords = apply_iota(iota, lam)
+    coords = _checked_coords(params, lam, iota)
     n = len(coords)
     c_small = quad_form_matrix(N)
     c_full = np.kron(c_small, np.eye(n))

@@ -1,6 +1,7 @@
 """Test-only references: Fraction elimination (RREF, integer spans,
 inverses) and the
-maximal-minors basis test, the Fraction Groebner engine, the relation ideal
+maximal-minors basis test, powers, monic scaling and restriction degrees
+that the library never needs, the Fraction Groebner engine, the relation ideal
 of a linear subspace, module membership by its definition in Q[u_1..u_n],
 the window-stability loop that membership at W + 2 replaced, a witness's
 verdicts re-checked on the brute backend, Fourier-Motzkin feasibility, and
@@ -23,8 +24,38 @@ from toricspec.cli import (
     cmd_validate,
 )
 from toricspec.lattice import det, identity_matrix, integer_kernel
-from toricspec.laurent import WINDOW_CAP, InconclusiveError, check_start_window, membership, verify_certificate
+from toricspec.laurent import (
+    WINDOW_CAP,
+    InconclusiveError,
+    _below_generator_degree,
+    _verdict,
+    check_start_window,
+    membership,
+    verify_certificate,
+)
 from toricspec.polys import Poly, exact_div, grevlex_key
+
+
+# --- small polynomial helpers ---------------------------------------------------------
+
+
+def poly_pow(f, k: int):
+    """f ** k by repeated multiplication."""
+    out = Poly.constant(f.nvars, 1)
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+def monic(f):
+    """f scaled to leading coefficient 1 (the zero polynomial stays zero)."""
+    return f * exact_div(1, f.leading()[1]) if f.terms else f
+
+
+def restriction_degree(r) -> int:
+    """Homogeneity degree of a restricted element with a nonzero homogeneous
+    numerator."""
+    return r.numerator.total_degree() - sum(r.denom_exps)
 
 
 # --- Fraction elimination -----------------------------------------------------------
@@ -159,7 +190,7 @@ def _reference_s_polynomial(f, g):
 
 
 def _reference_interreduce(basis):
-    work = [g.monic() for g in basis if not g.is_zero()]
+    work = [monic(g) for g in basis if not g.is_zero()]
     changed = True
     while changed:
         changed = False
@@ -171,7 +202,7 @@ def _reference_interreduce(basis):
                 if r.is_zero():
                     del work[i]
                     continue
-                work[i] = r.monic()
+                work[i] = monic(r)
             i += 1
     return sorted(work, key=lambda g: g.leading()[0])
 
@@ -214,7 +245,7 @@ def _reference_buchberger(gens):
         h = _reference_normal_form(_reference_s_polynomial(basis[i], basis[j]), basis)
         if h.is_zero():
             continue
-        basis.append(h.monic())
+        basis.append(monic(h))
         leads.append(basis[-1].leading()[0])
         new = len(basis) - 1
         add_pairs(new)
@@ -260,6 +291,12 @@ def reference_module_ideal(gens, depth, subspace):
 # Membership decided this way before it was decided at W + 2 alone.  The
 # module at W lies inside the module at W + 2, so the verdicts can only go
 # from False to True, and the loop returns the verdict at W + 2.
+
+
+def verdict_at_window(q, module, subspace, window, backend):
+    """What `membership` decides at W + 2, asked at any window: the degree
+    test, then `_verdict`."""
+    return not _below_generator_degree(q, module, subspace, window) and _verdict(q, module, subspace, window, backend)[0]
 
 
 def stable_verdict(verdict_at, window):

@@ -158,6 +158,32 @@ def test_bound_nonmonotone_exits_2():
     assert "monotone" in d["error"]
 
 
+QUARTER_SQUARE = "dim 2\nfacet 1 0 ; 1/4\nfacet -1 0 ; 1/4\nfacet 0 1 ; 1/4\nfacet 0 -1 ; 1/4\n"
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("bound", "cp3"), ["error=projective-space type excluded"]),
+    (("min-degree", "cp3", "--nu", "0"), ["error=projective-space type excluded"]),
+    (("bound", "cp1xcp1_p12"), ["error=not monotone"]),
+    (("min-degree", "cp1xcp1_p12", "--nu", "0"), ["nu=0", "result=NoMinimalElement", "reason=module is the whole ring"]),
+    # the monotone square with offsets 1/4 has p = (1/2, 1/2)
+    (("bound", "quarter"), ["error=p is not primitive integral"]),
+    (("min-degree", "quarter", "--nu", "0"), ["error=p is not primitive integral"]),
+    (("kernel", "quarter", "--member=0,0,0,0"), ["error=p is not primitive integral"]),
+    (("spectrum", "quarter", "--mu", "1/3,0,0,0", "--nu", "1/2"), ["error=p is not primitive integral"]),
+])
+def test_hypothesis_failures_report_the_first_failed_hypothesis(tmp_path, capsys, argv, lines):
+    command, name, *rest = argv
+    if name == "quarter":
+        path = tmp_path / "quarter.poly"
+        path.write_text(QUARTER_SQUARE)
+    else:
+        path = POLY / f"{name}.poly"
+    code, out = invoke(command, str(path), *rest)
+    assert (code, out) == (2, "\n".join(lines) + "\n")
+    assert capsys.readouterr().err == ""
+
+
 def test_min_degree_witness():
     code, out = invoke(
         "min-degree", str(POLY / "cp1xcp1_monotone.poly"), "--nu", "1/2"

@@ -17,9 +17,9 @@ from toricspec.groebner import (
 )
 from toricspec.laurent import (
     LinearSubspace,
-    _backend_verdict,
     _cleared_generators,
     _module_groebner,
+    _verdict,
     kernel_K,
     kernel_K0,
 )
@@ -33,6 +33,7 @@ from tests.reference import (
     _reference_normal_form,
     _reference_s_polynomial,
     annihilator,
+    monic,
     reference_module_ideal,
     rref,
 )
@@ -345,7 +346,7 @@ def _sympy_basis(sympy, gens, n):
     theirs = sympy.groebner(exprs, *xs, order="grevlex")
     return sorted(
         # sympy clears denominators; the reduced basis is monic
-        (Poly(n, {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(h, *xs).terms()}).monic()
+        (monic(Poly(n, {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(h, *xs).terms()}))
          for h in theirs.exprs),
         key=lambda g: g.leading()[0],
     )
@@ -412,7 +413,7 @@ def test_zero_basis_elements_divide_nothing():
     x, zero = Poly.linear_form((1, 0)), Poly.zero(2)
     assert normal_form(x, [zero]) == x
     assert normal_form(x, [zero, x]) == zero
-    assert len(DivisionBasis(2, [zero, x, zero])) == 1
+    assert len(DivisionBasis(2, [zero, x, zero]).divisors) == 1
 
 
 def _seeded_ideal(rng, n, fractions, degree):
@@ -501,7 +502,7 @@ def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3
                     assert cleared_floor == floor
                     reference = _reference_buchberger(cleared)
                     assert buchberger(cleared) == reference
-                    assert len(_module_groebner(km.module, sub, window)) == len(reference)
+                    assert len(_module_groebner(km.module, sub, window).divisors) == len(reference)
                     if _maximal_ideal_power(cleared) is not None:
                         exits.append((T.n, window, len(cleared), len(reference)))
                 if window == 6:
@@ -513,7 +514,7 @@ def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3
                     if depth not in ideals:
                         ideals[depth] = reference_module_ideal(gens, depth, sub)
                     want = _reference_normal_form(q.term_mul(depth), ideals[depth]).is_zero()
-                    assert _backend_verdict(q, km.module, sub, window, "groebner") == want, (T.n, maker, window, q)
+                    assert _verdict(q, km.module, sub, window, "groebner")[0] == want, (T.n, maker, window, q)
                     if not sub.is_zero_ring():
                         verdicts.add((want, depth != floor))
                 compared += 1

@@ -21,18 +21,24 @@ from toricspec.laurent import (
     restrict,
     restriction_class_key,
     verify_certificate,
-    _backend_verdict,
     _below_generator_degree,
-    _brute_verdict,
     _minimal_monomials,
     _Span,
+    _verdict,
 )
 from toricspec.memo import clear_caches, memo_counts
 from toricspec.oracle import DiagonalMap, spectrum_classes
 from toricspec.polys import Poly
 from toricspec.polytope import parse_polytope, toric_data, validate
 
-from tests.reference import _reference_normal_form, annihilator, reference_module_ideal, stable_verdict
+from tests.reference import (
+    _reference_normal_form,
+    annihilator,
+    reference_module_ideal,
+    restriction_degree,
+    stable_verdict,
+    verdict_at_window,
+)
 
 H = Fraction(1, 2)
 
@@ -61,7 +67,7 @@ def test_restrict_constant_is_one(T_monotone, T_cube):
         sub = k0_subspace(T)
         r = restrict(Poly.constant(T.n, 1), sub)
         assert r.numerator == Poly.constant(sub.dim, 1)
-        assert r.degree() == 0
+        assert restriction_degree(r) == 0
 
 
 def test_restrict_cpn_is_zero_ring(T_cp2):
@@ -112,9 +118,9 @@ def test_restriction_preserves_monomial_degree(T_monotone, T_cube):
         for _ in range(25):
             exps = tuple(rng.randint(-3, 3) for _ in range(T.n))
             r = restrict(U(*exps), sub)
-            assert not r.is_zero()
+            assert not r.numerator.is_zero()
             assert len(r.numerator.homogeneous_components()) == 1
-            assert r.degree() == sum(exps)
+            assert restriction_degree(r) == sum(exps)
 
 
 # --- generator enumeration ----------------------------------------------------
@@ -224,9 +230,7 @@ def test_membership_backends_agree_on_random_queries(T_monotone, T_p12, T_cp2):
 
 def test_brute_certificate_roundtrip(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
-    ok, cert = _brute_verdict(
-        U(1, 1, 0, 0), km.module, km.subspace, 2, want_certificate=True
-    )
+    ok, cert = _verdict(U(1, 1, 0, 0), km.module, km.subspace, 2, "brute", want_certificate=True)
     scale, relation = cert
     assert ok and type(scale) is int and scale > 0 and relation
     assert verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, cert, window=2)
@@ -272,21 +276,20 @@ def test_novikov_equivariance(T_monotone):
 
 
 def test_window_protocol_escalates_until_agreement(T_cube):
-    from toricspec.laurent import _verdict_at_window
-
     # the witnessing lattice point sits outside the initial box, so the first
     # two windows disagree and the protocol must widen once more
     km = kernel_K0(T_cube, Fraction(7, 2), 2)
     q = Poly.monomial(T_cube.iota_apply((4, 0, 0)))
-    assert _verdict_at_window(q, km.module, km.subspace, 2, "both") is False
-    assert _verdict_at_window(q, km.module, km.subspace, 4, "both") is True
+    assert _verdict(q, km.module, km.subspace, 2, "both") == (False, None)
+    assert _verdict(q, km.module, km.subspace, 4, "both") == (True, None)
     assert membership(q, km.module, km.subspace) is True
 
 
 def test_start_window_13_decides_where_the_loop_hit_the_cap(T_monotone, monkeypatch):
     # a query that is no member at W and a member from W + 2 on: from W = 13
     # the stability loop needs W + 4 = 17, past the cap, and raises; deciding
-    # at W + 2 answers it
+    # at W + 2 answers it.  The query has the least generator degree, 2, so
+    # the degree test leaves it to `_verdict`
     import toricspec.laurent as laurent_mod
 
     km = kernel_K0(T_monotone, H, 2)
@@ -294,24 +297,26 @@ def test_start_window_13_decides_where_the_loop_hit_the_cap(T_monotone, monkeypa
         def verdict_at(w, start=window):
             return w >= start + 2
 
-        monkeypatch.setattr(laurent_mod, "_verdict_at_window", lambda q, m, s, w, b: verdict_at(w))
+        monkeypatch.setattr(laurent_mod, "_verdict", lambda q, m, s, w, b, want_certificate=False: (verdict_at(w), None))
         with pytest.raises(laurent_mod.InconclusiveError, match="failed to stabilize below 16"):
             stable_verdict(verdict_at, window)
-        assert laurent_mod.membership(U(1, 0, 0, 0), replace(km.module, window=window), km.subspace) is True
+        assert laurent_mod.membership(U(1, 1, 0, 0), replace(km.module, window=window), km.subspace) is True
 
 
 def test_window_protocol_rejects_start_window_before_evaluating(T_monotone, monkeypatch):
     import toricspec.laurent as laurent_mod
 
-    def evaluated(q, module, subspace, window, backend):
+    def evaluated(q, module, subspace, window, *args, **kwargs):
         raise AssertionError(f"evaluated at window {window}")
 
-    monkeypatch.setattr(laurent_mod, "_verdict_at_window", evaluated)
+    monkeypatch.setattr(laurent_mod, "_below_generator_degree", evaluated)
+    monkeypatch.setattr(laurent_mod, "_verdict", evaluated)
     km = kernel_K0(T_monotone, H, 2)
     for window in (laurent_mod.WINDOW_CAP - 1, 40):
         module = replace(km.module, window=window)
-        with pytest.raises(laurent_mod.InconclusiveError, match=f"start window {window} .* cap 16"):
-            laurent_mod.membership(U(1, 0, 0, 0), module, km.subspace)
+        for decide in (laurent_mod.membership, laurent_mod.membership_certified):
+            with pytest.raises(laurent_mod.InconclusiveError, match=f"start window {window} .* cap 16"):
+                decide(U(1, 0, 0, 0), module, km.subspace)
 
 
 MONOTONE_SEQUENCES = ([False, False], [True, True], [False, True, True])
@@ -329,7 +334,8 @@ def test_membership_is_the_verdict_the_stability_loop_returns(T_monotone, T_p12,
     # the module at W lies inside the module at W + 2, so the loop sees only
     # FF, TT or FTT and returns the verdict at W + 2, the one window membership
     # decides at; the same holds without the degree test
-    from toricspec.laurent import _verdict_at_window
+    def without_degree_test(q, module, subspace, window, backend):
+        return _verdict(q, module, subspace, window, backend)[0]
 
     rng = random.Random(1515)
     seen = {}
@@ -340,7 +346,7 @@ def test_membership_is_the_verdict_the_stability_loop_returns(T_monotone, T_p12,
                     km = maker(T, nu, window)
                     for _ in range(6 if T.n > 4 else 12):
                         q = _random_query(rng, T.n)
-                        for path in (_verdict_at_window, _backend_verdict):
+                        for path in (verdict_at_window, without_degree_test):
                             verdicts = []
 
                             def verdict_at(w):
@@ -350,7 +356,7 @@ def test_membership_is_the_verdict_the_stability_loop_returns(T_monotone, T_p12,
                             reference, _ = stable_verdict(verdict_at, window)
                             assert verdicts in MONOTONE_SEQUENCES, (q, window, verdicts)
                             seen[tuple(verdicts)] = seen.get(tuple(verdicts), 0) + 1
-                            if path is _verdict_at_window:
+                            if path is verdict_at_window:
                                 assert membership(q, km.module, km.subspace, backend) == reference
                             else:
                                 assert path(q, km.module, km.subspace, window + 2, backend) == reference
@@ -361,25 +367,29 @@ def test_membership_evaluates_one_window_and_builds_no_basis_at_the_start(T_mono
     import toricspec.laurent as laurent_mod
     from toricspec.memo import _MEMO
 
-    windows = []
-    inner = laurent_mod._verdict_at_window
+    asked = []
+    inner = laurent_mod._verdict
 
-    def recorded(q, module, subspace, window, backend):
-        windows.append(window)
-        return inner(q, module, subspace, window, backend)
+    def recorded(q, module, subspace, window, backend, want_certificate=False):
+        asked.append((window, backend))
+        return inner(q, module, subspace, window, backend, want_certificate)
 
-    monkeypatch.setattr(laurent_mod, "_verdict_at_window", recorded)
+    monkeypatch.setattr(laurent_mod, "_verdict", recorded)
     for T in (T_monotone, T_cube):
         for window in (2, 3):
             km = kernel_K0(T, H, window)
             queries = _slice_queries(T)
             clear_caches()
-            windows.clear()
+            asked.clear()
+            expected = []
             for q in queries:
                 membership(q, km.module, km.subspace)
+                if not _below_generator_degree(q, km.module, km.subspace, window + 2):
+                    expected.append((window + 2, "both"))
                 membership_certified(q, km.module, km.subspace)
-            # the certified pass is the brute backend alone: no second verdict
-            assert windows == [window + 2] * len(queries)
+                # the certified pass is the brute backend alone: no second verdict
+                expected.append((window + 2, "brute"))
+            assert asked == expected
             built = {key[0][-1] for kind, key in _MEMO if kind == "groebner"}
             assert built == {window + 2}
             assert {key[-1] for kind, key in _MEMO if kind == "generators"} == {window + 2}
@@ -551,8 +561,8 @@ def test_backends_reject_every_monomial_below_the_generator_degree(T_monotone, T
                         continue
                     q = Poly.monomial(e)
                     assert _below_generator_degree(q, km.module, km.subspace, window)
-                    assert not _backend_verdict(q, km.module, km.subspace, window, "groebner"), (e, window)
-                    assert not _brute_verdict(q, km.module, km.subspace, window)[0], (e, window)
+                    assert not _verdict(q, km.module, km.subspace, window, "groebner")[0], (e, window)
+                    assert not _verdict(q, km.module, km.subspace, window, "brute")[0], (e, window)
                     checked += 1
     assert checked > 1000
 
@@ -636,11 +646,11 @@ def test_tracked_span_agrees_with_verdict_and_rejects_forgeries(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
     for exps in ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (2, 1, -1, 0), (0, 1, 0, 0)):
         q = U(*exps)
-        plain = _brute_verdict(q, km.module, km.subspace, 2)
-        tracked = _brute_verdict(q, km.module, km.subspace, 2, want_certificate=True)
+        plain = _verdict(q, km.module, km.subspace, 2, "brute")
+        tracked = _verdict(q, km.module, km.subspace, 2, "brute", want_certificate=True)
         assert plain[0] == tracked[0]
         assert (tracked[1] is None) == (not tracked[0])
-    ok, (scale, relation) = _brute_verdict(U(1, 1, 0, 0), km.module, km.subspace, 2, want_certificate=True)
+    ok, (scale, relation) = _verdict(U(1, 1, 0, 0), km.module, km.subspace, 2, "brute", want_certificate=True)
     label, c = next(iter(relation.items()))
     forged = (scale, {**relation, label: 2 * c})
     assert not verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, forged, window=2)
@@ -680,21 +690,33 @@ def test_verify_certificate_rejects_forgeries(T_monotone):
 
 
 def test_certifying_a_member_takes_one_tracked_brute_pass(T_monotone, T_cube, monkeypatch):
-    # no second verdict: no Groebner basis is built, the degree test and the
-    # backends are not asked, and every slice it grows is a tracked one at W + 2
+    # no second verdict: one brute `_verdict` call, no Groebner basis built,
+    # the degree test not asked, and every slice it grows is a tracked one at
+    # W + 2
     import toricspec.laurent as laurent_mod
     from toricspec.memo import _MEMO
+
+    calls = []
+    inner = laurent_mod._verdict
+
+    def recorded(q, module, subspace, window, backend, want_certificate=False):
+        calls.append((window, backend, want_certificate))
+        return inner(q, module, subspace, window, backend, want_certificate)
 
     def asked(*args):
         raise AssertionError("a verdict pass ran")
 
-    monkeypatch.setattr(laurent_mod, "_verdict_at_window", asked)
+    monkeypatch.setattr(laurent_mod, "_verdict", recorded)
+    monkeypatch.setattr(laurent_mod, "_below_generator_degree", asked)
+    monkeypatch.setattr(laurent_mod, "_groebner_member", asked)
     for T in (T_monotone, T_cube):
         for window in (2, 3):
             km = kernel_K0(T, H, window)
             q = U(*(x + 1 for x in km.module.generators()[-1]))
             clear_caches()
+            calls.clear()
             ok, cert = membership_certified(q, km.module, km.subspace)
+            assert calls == [(window + 2, "brute", True)]
             assert ok and verify_certificate(q, km.module, km.subspace, cert)
             assert not any(kind == "groebner" for kind, _ in _MEMO)
             slices = [key for kind, key in _MEMO if kind == "graded_slice"]
@@ -725,8 +747,8 @@ def test_backends_agree_at_one_window(name, maker, nu):
     members = 0
     for exps in product(range(0, 13, 3), repeat=T.n):
         q = U(*exps)
-        gb = _backend_verdict(q, km.module, km.subspace, 2, "groebner")
-        assert _brute_verdict(q, km.module, km.subspace, 2)[0] == gb, exps
+        gb = _verdict(q, km.module, km.subspace, 2, "groebner")[0]
+        assert _verdict(q, km.module, km.subspace, 2, "brute")[0] == gb, exps
         members += gb
     assert members > 0
 
@@ -754,7 +776,7 @@ def test_deep_queries_match_a_basis_cleared_at_their_own_depth(T_monotone, T_p12
                 if depth not in reference:
                     reference[depth] = reference_module_ideal(gens, depth, km.subspace)
                 want = _reference_normal_form(q.term_mul(depth), reference[depth]).is_zero()
-                assert _backend_verdict(q, km.module, km.subspace, 2, "groebner") == want, (T.n, maker, q)
+                assert _verdict(q, km.module, km.subspace, 2, "groebner")[0] == want, (T.n, maker, q)
                 if km.ring != "ZeroRing":
                     verdicts.add((want, depth != floor))
     assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
@@ -770,11 +792,11 @@ def test_grown_slices_change_no_verdict(T_monotone, T_cube):
         km = kernel_K0(T, H, 2)
         queries = _slice_queries(T)
         clear_caches()
-        forward = [_brute_verdict(q, km.module, km.subspace, 2)[0] for q in queries]
+        forward = [_verdict(q, km.module, km.subspace, 2, "brute")[0] for q in queries]
         clear_caches()
-        backward = [_brute_verdict(q, km.module, km.subspace, 2)[0] for q in reversed(queries)]
+        backward = [_verdict(q, km.module, km.subspace, 2, "brute")[0] for q in reversed(queries)]
         assert forward == backward[::-1]
-        assert forward == [_backend_verdict(q, km.module, km.subspace, 2, "groebner") for q in queries]
+        assert forward == [_verdict(q, km.module, km.subspace, 2, "groebner")[0] for q in queries]
         assert any(forward) and not all(forward)
 
 
@@ -786,7 +808,7 @@ def test_certificate_from_grown_slice_verifies(T_monotone, T_cube):
         members = [q for q in queries if membership_certified(q, km.module, km.subspace)[0]]
         # grow the slices through unrelated queries first, then certify
         for q in queries:
-            _brute_verdict(q, km.module, km.subspace, 2, want_certificate=True)
+            _verdict(q, km.module, km.subspace, 2, "brute", want_certificate=True)
         for q in members + [U(*(x + 1 for x in next(iter(members[0].terms))))]:
             ok, cert = membership_certified(q, km.module, km.subspace)
             assert ok and cert[1]

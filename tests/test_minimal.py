@@ -14,9 +14,8 @@ from toricspec.laurent import (
     novikov_shift,
     restrict,
     restriction_class_key,
-    _backend_verdict,
     _level_key,
-    _verdict_at_window,
+    _verdict,
 )
 from toricspec.memo import _MEMO, clear_caches
 from toricspec.minimal import (
@@ -33,9 +32,18 @@ from toricspec.minimal import (
     _scaled_shift,
 )
 from toricspec.polys import Poly
-from toricspec.polytope import ToricHypothesisError
+from toricspec.polytope import ToricHypothesisError, toric_data
 
-from tests.reference import _reference_normal_form, reference_module_ideal, stable_verdict, verify_witness
+from tests.conftest import cp1xcp1
+from tests.reference import (
+    _reference_normal_form,
+    monic,
+    reference_module_ideal,
+    restriction_degree,
+    stable_verdict,
+    verdict_at_window,
+    verify_witness,
+)
 
 H = Fraction(1, 2)
 
@@ -135,7 +143,7 @@ def test_polynomial_part_degree_test_builds_no_basis(T_monotone):
     assert not any(key in _MEMO for key in keys)
     for window in (2, 4):
         for q in below:
-            assert not _backend_verdict(Poly.monomial(q), part, km.subspace, window, "groebner")
+            assert not _verdict(Poly.monomial(q), part, km.subspace, window, "groebner")[0]
     assert all(key in _MEMO for key in keys)
 
 
@@ -154,7 +162,7 @@ def test_polynomial_part_backends_match_the_definition(T_monotone, T_p12, T_cp2,
                 for _ in range(6):
                     q = Poly.monomial(tuple(rng.randint(0, 3) for _ in range(T.n)))
                     want = _reference_normal_form(q, ideal).is_zero()
-                    assert _backend_verdict(q, part, sub, window, "both") == want, (T.n, maker, window, q)
+                    assert _verdict(q, part, sub, window, "both")[0] == want, (T.n, maker, window, q)
                     if not sub.is_zero_ring():
                         verdicts.add(want)
     assert verdicts == {True, False}
@@ -185,7 +193,7 @@ def test_polynomial_part_membership_is_the_loop_verdict(T_monotone, T_p12, T_cp2
                     part = PolynomialPart(T, r, window)
                     for _ in range(6):
                         q = Poly.monomial(tuple(rng.randint(0, 3) for _ in range(T.n)))
-                        want = _looped_verdict(lambda w: _verdict_at_window(q, part, sub, w, "groebner"), window)
+                        want = _looped_verdict(lambda w: verdict_at_window(q, part, sub, w, "groebner"), window)
                         assert membership(q, part, sub, backend="groebner") == want
                         verdicts.add(want)
     assert verdicts == {True, False}
@@ -202,7 +210,7 @@ def _looped_degree_floor_violations(toric, r, window, box):
             continue
         seen.add(key)
         q = Poly.monomial(a)
-        if _looped_verdict(lambda w: _backend_verdict(q, km.module, km.subspace, w, "both"), window):
+        if _looped_verdict(lambda w: _verdict(q, km.module, km.subspace, w, "both")[0], window):
             violations.append(a)
     return violations, len(seen)
 
@@ -276,9 +284,9 @@ def test_witness_monotone_square(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
     # restriction is a scalar multiple of the first coordinate restriction
     target = restrict(Poly.monomial((1, 0, 0, 0)), km.subspace)
-    assert w.restriction.numerator.monic() == target.numerator.monic()
+    assert monic(w.restriction.numerator) == monic(target.numerator)
     assert not any(w.restriction.denom_exps)
-    assert w.restriction.degree() == 1
+    assert restriction_degree(w.restriction) == 1
     assert verify_witness(w, km)
 
 
@@ -333,6 +341,32 @@ def test_translated_point_bound(T_monotone, T_cube, T_cp3, T_p12):
         translated_point_bound(T_cp3)
     with pytest.raises(ToricHypothesisError, match="monotone"):
         translated_point_bound(T_p12)
+
+
+def test_library_hypothesis_messages(T_cp3, T_p12):
+    # the gate checks p primitive integral, then monotone, then not
+    # projective space, and names the first of them an entry needs that fails
+    quarter = toric_data(cp1xcp1((Fraction(1, 4),) * 4))  # p = (1/2, 1/2)
+    entries = {
+        "nullstellensatz_exponents": lambda T: nullstellensatz_exponents(T, H, 2),
+        "bounding_modules": lambda T: bounding_modules(T, H, Fraction(-1, 4), Fraction(1, 4)),
+        "degree_floor_violations": lambda T: degree_floor_violations(T, H, 2, box=1),
+    }
+    cases = [
+        ("nullstellensatz_exponents", T_cp3, "projective-space type excluded"),
+        ("nullstellensatz_exponents", T_p12, "not monotone"),
+        ("nullstellensatz_exponents", quarter, "p is not primitive integral"),
+        ("bounding_modules", T_p12, "not monotone"),
+        ("bounding_modules", quarter, "p is not primitive integral"),
+        ("degree_floor_violations", T_p12, "not monotone"),
+        ("degree_floor_violations", quarter, "p is not primitive integral"),
+    ]
+    for name, T, reason in cases:
+        with pytest.raises(ToricHypothesisError, match=f"^{reason}$"):
+            entries[name](T)
+    # projective space is monotone: the entries that skip the third check run on it
+    assert isinstance(bounding_modules(T_cp3, H, Fraction(-1, 4), Fraction(1, 4)), BoundingData)
+    assert degree_floor_violations(T_cp3, H, 2, box=1)[1] > 0
 
 
 def test_translated_point_bound_cube(T_cube):

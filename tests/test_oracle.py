@@ -236,10 +236,15 @@ def test_untwisted_variant(T_monotone):
     assert report_residues(report) == {Fraction(0)}
 
 
-def test_spectrum_requires_primitive_p():
-    doubled = toric_data(cp1xcp1((Fraction(1),) * 4))
-    with pytest.raises(ToricHypothesisError):
-        spectrum_classes(doubled, DiagonalMap(mu=(Fraction(0),) * 4))
+def test_spectrum_requires_primitive_p(T_cp3, T_p12):
+    doubled = toric_data(cp1xcp1((Fraction(1),) * 4))  # p = (2, 2)
+    quarter = toric_data(cp1xcp1((Fraction(1, 4),) * 4))  # p = (1/2, 1/2)
+    for T in (doubled, quarter):
+        with pytest.raises(ToricHypothesisError, match="^p is not primitive integral$"):
+            spectrum_classes(T, DiagonalMap(mu=(Fraction(0),) * 4))
+    # neither monotonicity nor the projective-space exclusion is asked
+    for T in (T_cp3, T_p12):
+        assert spectrum_classes(T, DiagonalMap(mu=(Fraction(0),) * T.n))
 
 
 def test_spectrum_cube(T_cube):

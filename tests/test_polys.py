@@ -15,7 +15,7 @@ from toricspec.polys import (
     rank_mod_p,
 )
 
-from tests.reference import rref
+from tests.reference import monic, poly_pow, rref
 
 
 class _FractionPoly:
@@ -138,12 +138,12 @@ def test_poly_matches_fraction_reference():
         _same(f - f, rf - rf)
         _same(f * g, rf * rg)
         k = rng.randint(0, 3)
-        _same(f ** k, rf ** k)
+        _same(poly_pow(f, k), rf ** k)
         exps = tuple(rng.randint(-1, 2) for _ in range(nvars))
         coeff = _rand_coeff(rng, True)
         _same(f.term_mul(exps, coeff), rf.term_mul(exps, coeff))
         _same(f * coeff, rf.term_mul((0,) * nvars, coeff))
-        _same(f.monic(), rf.monic())
+        _same(monic(f), rf.monic())
         # equality and hashing do not see how a coefficient was written
         same = Poly(nvars, {e: Fraction(c) for e, c in f.terms.items()})
         assert same == f and hash(same) == hash(f)
@@ -171,7 +171,7 @@ def test_normal_form_matches_fraction_reference():
         # non-monic divisors as well as the monic ones of a Groebner basis
         for divisors, refs in (
             ([g for g, _ in basis], [rg for _, rg in basis]),
-            ([g.monic() for g, _ in basis], [rg.monic() for _, rg in basis]),
+            ([monic(g) for g, _ in basis], [rg.monic() for _, rg in basis]),
         ):
             _same(normal_form(f, divisors), rf.normal_form(refs))
 
@@ -181,13 +181,13 @@ def test_integer_polys_stay_integer():
     for _ in range(50):
         f, _ = _rand_pair(rng, 3, 4, 3, False)
         g, _ = _rand_pair(rng, 3, 3, 2, False)
-        for p in (f + g, f * g, f ** 3, f.term_mul((1, -1, 0), 7)):
+        for p in (f + g, f * g, poly_pow(f, 3), f.term_mul((1, -1, 0), 7)):
             assert all(type(c) is int for c in p.terms.values())
     assert Poly(2, {(1, 0): Fraction(4, 2)}).terms == {(1, 0): 2}
     assert type(Poly(2, {(1, 0): Fraction(4, 2)}).terms[1, 0]) is int
     assert type(Poly.monomial((1, 1), True).terms[1, 1]) is int
-    assert (Poly.linear_form((2, 4)).monic()).terms == {(1, 0): 1, (0, 1): 2}
-    assert Poly.linear_form((3, 4)).monic().terms == {(1, 0): 1, (0, 1): Fraction(4, 3)}
+    assert monic(Poly.linear_form((2, 4))).terms == {(1, 0): 1, (0, 1): 2}
+    assert monic(Poly.linear_form((3, 4))).terms == {(1, 0): 1, (0, 1): Fraction(4, 3)}
 
 
 def test_float_coefficients_raise():
@@ -258,8 +258,8 @@ def test_linear_form_product_edge_cases():
     assert linear_form_product([(1, 2), (0, 5)], (0, 0)) == Poly.constant(2, 1)
     assert linear_form_product([(0, 0, 0), (1, 1, 1)], (2, 1)).is_zero()
     # coefficients right at the bound: (x + y)^8 peaks at 70, (x - y)^8 at -70
-    assert linear_form_product([(1, 1)], (8,)) == Poly.linear_form((1, 1)) ** 8
-    assert linear_form_product([(1, -1)], (8,)) == Poly.linear_form((1, -1)) ** 8
+    assert linear_form_product([(1, 1)], (8,)) == poly_pow(Poly.linear_form((1, 1)), 8)
+    assert linear_form_product([(1, -1)], (8,)) == poly_pow(Poly.linear_form((1, -1)), 8)
 
 
 def _exact_rank(rows):

@@ -130,6 +130,10 @@ def test_spectrum_out_of_range():
         for c in (2, -2, Fraction(5, 2)):
             with pytest.raises(ValueError, match=rf"^coordinate {c} outside \(-2, 2\)$"):
                 exact(params, (Fraction(1, 3), Fraction(c)), identity_matrix(2))
+    # the numeric cross-check takes the same range check before assembling
+    pytest.importorskip("numpy")
+    with pytest.raises(ValueError, match=r"^coordinate 3 outside \(-2, 2\)$"):
+        assemble_numeric_form(params, (Fraction(1, 3), Fraction(3)), identity_matrix(2))
 
 
 def test_front_membership():
