@@ -20,7 +20,6 @@ from toricspec.laurent import (
     MonomialModule,
     RestrictedElement,
     ZERO_RING,
-    ZeroRing,
     kernel_K,
     kernel_K0,
     membership,
@@ -61,7 +60,6 @@ from toricspec.polytope import (
     validate,
 )
 from toricspec.quadforms import (
-    DecompositionParams,
     EigenDescriptor,
     GenFormSpectrum,
     eigen_vector,

@@ -37,7 +37,7 @@ from toricspec.polytope import (
     toric_data,
     validate,
 )
-from toricspec.quadforms import DecompositionParams, spectrum as quad_spectrum
+from toricspec.quadforms import spectrum as quad_spectrum
 
 
 def frac_str(x) -> str:
@@ -133,9 +133,8 @@ def cmd_spectrum_quadform(args, report: Report) -> int:
             raise ValueError("--numeric needs numpy (the [numeric] extra)") from None
     data = toric_data(_load(args.polytope))
     lam = parse_vector(args.lam)
-    params = DecompositionParams(N1=0, N2=args.N)
-    sp = quad_spectrum(params, lam, data.iota)
-    report.kv("N", params.N)
+    sp = quad_spectrum(args.N, lam, data.iota)
+    report.kv("N", sp.N)
     report.kv("lambda", vec_str(sp.lam))
     report.kv("coords", vec_str(sp.coords))
     report.kv("negative_index", sp.negative_index)
@@ -145,7 +144,7 @@ def cmd_spectrum_quadform(args, report: Report) -> int:
     if args.numeric:
         from toricspec.quadforms import assemble_numeric_form, numeric_negative_index
 
-        m = assemble_numeric_form(params, lam, data.iota)
+        m = assemble_numeric_form(args.N, lam, data.iota)
         report.comment("numeric cross-check (floating point)")
         report.comment(f"numeric_negative_index={numeric_negative_index(m)}")
         vals = ", ".join(f"{v:.9f}" for v in sorted(np.linalg.eigvalsh(m)))

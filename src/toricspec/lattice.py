@@ -3,14 +3,14 @@
 The column Hermite normal form is the one elimination: saturated integer
 kernels, canonical lattice bases and integer ranks are read from it, and a
 unimodular matrix's inverse is its transform U, since the form of such a
-matrix is the identity.  Besides it: primitivity and fraction-free
-(Bareiss) determinants.  Everything here is arbitrary-precision and
-allocation-light: vectors are tuples of ints, matrices are row-major tuples
-of tuples.
+matrix is the identity.  Besides it: primitivity, fraction-free (Bareiss)
+determinants, matrix-vector products and rationals over their common
+denominator.  Everything here is arbitrary-precision and allocation-light:
+vectors are tuples of ints, matrices are row-major tuples of tuples.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -24,11 +24,11 @@ def mat_vec(a: IntMat, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+def common_denominator(values) -> tuple[int, list[int]]:
+    """(D, numerators) with values[i] = numerators[i] / D, D the lcm of the
+    denominators of the ints and Fractions in `values`."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def det(m: IntMat) -> int:
@@ -169,4 +169,4 @@ def is_primitive(v) -> bool:
     """gcd of the entries equals 1; undefined (raises) on the zero vector."""
     if not any(v):
         raise ValueError("primitivity is undefined for the zero vector")
-    return vec_gcd(v) == 1
+    return gcd(*v) == 1

@@ -37,7 +37,7 @@ from math import ceil, gcd, lcm
 from operator import add, ge
 
 from toricspec.groebner import DivisionBasis, buchberger, normal_form
-from toricspec.lattice import IntMat, IntVec, vec_gcd
+from toricspec.lattice import IntMat, IntVec, common_denominator
 from toricspec.memo import memo
 from toricspec.polys import Poly, linear_form_product, monomials_of_degree
 from toricspec.polytope import ToricData, check_hypotheses
@@ -62,20 +62,9 @@ BOX_LIMIT = 2_000_000
 # --- linear subspaces and restriction ---------------------------------------
 
 
-class ZeroRing:
-    """The restriction target collapses: some coordinate vanishes on V."""
-
-    def __repr__(self):
-        return "ZeroRing"
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroRing)
-
-    def __hash__(self):
-        return hash("ZeroRing")
-
-
-ZERO_RING = ZeroRing()
+# What `restrict` returns, and the ring a kernel module reports, when the
+# restriction target collapses: some coordinate vanishes on V.
+ZERO_RING = "ZeroRing"
 
 
 @dataclass(frozen=True)
@@ -208,8 +197,7 @@ class MonomialModule:
         box = (2 * w + 1) ** toric.k
         if box > BOX_LIMIT:
             raise InconclusiveError(f"window {w} box has {box} points, above the limit {BOX_LIMIT}")
-        scale = lcm(*(x.denominator for x in toric.p))
-        weights = [int(x * scale) for x in toric.p]
+        scale, weights = common_denominator(toric.p)
         floor = None if self.threshold is None else ceil(self.threshold * scale)
         cols = list(zip(*toric.iota))
         multiples = [
@@ -271,7 +259,7 @@ def novikov_shift(module: MonomialModule, m) -> MonomialModule:
 class KernelModule:
     module: MonomialModule
     subspace: LinearSubspace
-    ring: str  # "R" | "R0" | "ZeroRing"
+    ring: str  # "R" | "R0" | ZERO_RING
 
 
 def _kernel_module(toric: ToricData, threshold, window: int, basis, ring: str) -> KernelModule:
@@ -280,7 +268,7 @@ def _kernel_module(toric: ToricData, threshold, window: int, basis, ring: str) -
     return KernelModule(
         module=MonomialModule(toric=toric, threshold=threshold, window=window),
         subspace=subspace,
-        ring="ZeroRing" if subspace.is_zero_ring() else ring,
+        ring=ZERO_RING if subspace.is_zero_ring() else ring,
     )
 
 
@@ -385,7 +373,7 @@ def _direction_groups(basis):
     directions: dict = {}
     groups = []
     for row in basis:
-        g = vec_gcd(row)
+        g = gcd(*row)
         key = tuple(x // g for x in row) if g else tuple(row)
         neg = tuple(-x for x in key)
         if key not in directions and neg in directions:

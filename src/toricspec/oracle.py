@@ -13,9 +13,9 @@ its Hermite form, with the value group given by a rational gcd.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from toricspec.lattice import hermite_normal_form, identity_matrix
+from toricspec.lattice import common_denominator, hermite_normal_form, identity_matrix
 from toricspec.memo import memo
 from toricspec.polytope import ToricData, check_hypotheses
 
@@ -69,7 +69,7 @@ def _vertex_minor(toric: ToricData, support):
     h, inv = hermite_normal_form(tuple(toric.iota[j - 1] for j in support))
     if h != identity_matrix(toric.k):
         raise ValueError("matrix is not unimodular")
-    p_den, p_num = _common_denominator(toric.p)
+    p_den, p_num = common_denominator(toric.p)
     x_num = tuple(sum(row[t] * pi for row, pi in zip(inv, p_num)) for t in range(toric.k))
     return inv, x_num, p_den, Fraction(gcd(*x_num), p_den)
 
@@ -87,20 +87,13 @@ def _support_class(toric: ToricData, dmap: DiagonalMap, support) -> SpectrumClas
     support = tuple(support)
     inv, x_num, p_den, step = memo("vertex_minor", (toric, support), lambda: _vertex_minor(toric, support))
     half = Fraction(1, 2) if dmap.twisted else Fraction(0)
-    c_den, c_num = _common_denominator([half - dmap.mu[j - 1] for j in support])
+    c_den, c_num = common_denominator([half - dmap.mu[j - 1] for j in support])
     return SpectrumClass(
         support=support,
         base=Fraction(-sum(xi * ci for xi, ci in zip(x_num, c_num)), p_den * c_den),
         step=step,
         witness_lambda=tuple(Fraction(sum(a * ci for a, ci in zip(row, c_num)), c_den) for row in inv),
     )
-
-
-def _common_denominator(values):
-    """(D, numerators) with values[i] = numerators[i] / D, D the lcm of the
-    denominators."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def spectrum_classes(toric: ToricData, dmap: DiagonalMap) -> tuple[SpectrumClass, ...]:
@@ -124,7 +117,7 @@ def window_report(classes, window) -> SpectrumReport:
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if lo > hi:
         raise ValueError(f"window {lo}:{hi} is empty (lo > hi)")
-    scale, (lo_n, hi_n, *nums) = _common_denominator(
+    scale, (lo_n, hi_n, *nums) = common_denominator(
         [lo, hi, *(x for cls in classes for x in (cls.base, cls.step))]
     )
     by_value: dict[int, set] = {}

@@ -57,11 +57,10 @@ class Poly:
     """Polynomial in `nvars` variables with exact coefficients (`int` when
     integral, else `Fraction`); exponents may be negative."""
 
-    __slots__ = ("nvars", "terms", "_leading")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self._leading = None
         self.terms = {}
         if terms:
             for exps, c in terms.items():
@@ -168,12 +167,9 @@ class Poly:
         return {d: Poly(self.nvars, t) for d, t in sorted(comps.items())}
 
     def leading(self):
-        """(exponents, coefficient) of the grevlex-largest term, found once:
-        the terms of a Poly never change after construction."""
-        if self._leading is None:
-            e = max(self.terms, key=grevlex_key)
-            self._leading = (e, self.terms[e])
-        return self._leading
+        """(exponents, coefficient) of the grevlex-largest term."""
+        e = max(self.terms, key=grevlex_key)
+        return e, self.terms[e]
 
     def exact_divide(self, divisor):
         """Quotient if divisor divides exactly, else None."""

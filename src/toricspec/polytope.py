@@ -17,18 +17,18 @@ give the translated spectrum's minimal supports.
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from toricspec.lattice import (
     IntMat,
     IntVec,
     LatticeBasis,
     canonical_lattice_basis,
+    common_denominator,
     det,
     integer_kernel,
     is_primitive,
     mat_vec,
-    vec_gcd,
 )
 from toricspec.memo import memo
 
@@ -136,8 +136,8 @@ def _enumerate_vertices(poly: DelzantPolytope):
     sign(D) (v_j . X + A_j D) >= 0, with equality iff it is active there.
     """
     d = poly.d
-    scale = lcm(*(a.denominator for _, a in poly.facets))
-    rows = [(v, a.numerator * (scale // a.denominator)) for v, a in poly.facets]
+    scale, numerators = common_denominator(poly.offsets())
+    rows = [(v, A) for (v, _), A in zip(poly.facets, numerators)]
     verts = {}
     for subset in combinations(range(poly.n), d):
         mat = [rows[j][0] for j in subset]
@@ -225,20 +225,15 @@ def _validate(poly: DelzantPolytope) -> ValidationReport:
 # --- reduction data ---------------------------------------------------------
 
 
-def rationality_check(data: ToricData) -> bool:
-    """p is a primitive integral covector."""
-    if any(pi.denominator != 1 for pi in data.p):
-        return False
-    ints = [pi.numerator for pi in data.p]
-    if not any(ints):
-        return False
-    return vec_gcd(ints) == 1
+def _primitive_integral(p) -> bool:
+    """p is a primitive integral covector: integer entries of gcd 1."""
+    return all(pi.denominator == 1 for pi in p) and gcd(*(pi.numerator for pi in p)) == 1
 
 
-def monotonicity_check(data: ToricData) -> int | None:
+def _chern_ratio(p, chern) -> int | None:
     """The unique positive integer N with chern = N * p, if it exists."""
     ratio = None
-    for ci, pi in zip(data.chern, data.p):
+    for ci, pi in zip(chern, p):
         if pi == 0:
             if ci != 0:
                 return None
@@ -251,6 +246,16 @@ def monotonicity_check(data: ToricData) -> int | None:
     if ratio is None or ratio <= 0 or ratio.denominator != 1:
         return None
     return ratio.numerator
+
+
+def rationality_check(data: ToricData) -> bool:
+    """p is a primitive integral covector."""
+    return _primitive_integral(data.p)
+
+
+def monotonicity_check(data: ToricData) -> int | None:
+    """The unique positive integer N with chern = N * p, if it exists."""
+    return _chern_ratio(data.p, data.chern)
 
 
 def find_positive_b(iota: IntMat, k: int, grade_cap: int = 64) -> IntVec:
@@ -322,28 +327,16 @@ def _build_toric_data(poly: DelzantPolytope) -> ToricData:
         raise ToricHypothesisError("polytope is not smooth")
     beta = poly.conormal_matrix()
     kappa = integer_kernel(beta)
-    k = len(kappa)
-    n = poly.n
     iota = kappa.matrix()
-    a = poly.offsets()
-    p = tuple(sum((Fraction(iota[j][i]) * a[j] for j in range(n)), Fraction(0)) for i in range(k))
-    chern = tuple(sum(iota[j][i] for j in range(n)) for i in range(k))
-    # data object is assembled in two steps: p/chern live on it already
-    stub = ToricData(
-        n=n, d=poly.d, beta=beta, kappa=kappa, iota=iota, p=p, chern=chern,
-        min_chern=None, k0=LatticeBasis(k, ()), b=(0,) * k, hbar=None, polytope=poly,
-        vertex_facets=report.vertex_facets,
-    )
-    rational = rationality_check(stub)
-    min_chern = monotonicity_check(stub) if rational else None
-    # kernel of p inside the kappa lattice: clear denominators first
-    denom = lcm(*(pi.denominator for pi in p))
-    p_int = tuple(int(pi * denom) for pi in p)
-    k0 = integer_kernel((p_int,))
-    b = find_positive_b(iota, k)
+    cols, a = list(zip(*iota)), poly.offsets()
+    p = tuple(sum((Fraction(c) * aj for c, aj in zip(col, a)), Fraction(0)) for col in cols)
+    chern = tuple(map(sum, cols))
+    rational = _primitive_integral(p)
+    _, p_int = common_denominator(p)  # the kernel of p is that of its cleared numerators
     return ToricData(
-        n=n, d=poly.d, beta=beta, kappa=kappa, iota=iota, p=p, chern=chern,
-        min_chern=min_chern, k0=k0, b=b,
+        n=poly.n, d=poly.d, beta=beta, kappa=kappa, iota=iota, p=p, chern=chern,
+        min_chern=_chern_ratio(p, chern) if rational else None,
+        k0=integer_kernel((tuple(p_int),)), b=find_positive_b(iota, len(kappa)),
         hbar=Fraction(1) if rational else None, polytope=poly,
         vertex_facets=report.vertex_facets,
     )

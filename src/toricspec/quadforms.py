@@ -5,8 +5,10 @@ form C = i(Id - A)(Id + A)^{-1}; composing with a diagonal torus rotation
 subtracts tan(pi*lam_j / 2N) on the j-th coordinate block.  Eigenvalues come
 in closed form tan(pi(2k+1)/4N) - tan(pi*lam_j/2N), so the negative index and
 the degenerate locus (half-integer coordinates) are exact rational data.
-Floating point appears only in the cross-validation helpers, which import
-numpy on first use (the optional `numeric` extra).
+They depend on N alone, the total factor count, not on how the 2N blocks
+split into isotopy and torus factors.  Floating point appears only in the
+cross-validation helpers, which import numpy on first use (the optional
+`numeric` extra).
 """
 
 from __future__ import annotations
@@ -15,23 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from toricspec.lattice import IntMat
-
-
-@dataclass(frozen=True)
-class DecompositionParams:
-    """2*N1 isotopy factors plus 2*N2 torus factors, N = N1 + N2."""
-
-    N1: int
-    N2: int
-
-    def __post_init__(self):
-        if self.N1 < 0 or self.N2 < 1:
-            raise ValueError("need N1 >= 0 and N2 >= 1")
-
-    @property
-    def N(self) -> int:
-        return self.N1 + self.N2
+from toricspec.lattice import IntMat, mat_vec
 
 
 @dataclass(frozen=True)
@@ -59,7 +45,7 @@ class EigenDescriptor:
 
 @dataclass(frozen=True)
 class GenFormSpectrum:
-    params: DecompositionParams
+    N: int                             # total factor count: the form lives on 2N blocks
     lam: tuple[Fraction, ...]          # in the kernel-lattice basis
     coords: tuple[Fraction, ...]       # image in Q^n
     eigenvalues: tuple[EigenDescriptor, ...]
@@ -111,21 +97,14 @@ def eigen_vector(N: int, j: int, k: int, n: int | None = None) -> np.ndarray:
     return out
 
 
-def apply_iota(iota: IntMat, lam) -> tuple[Fraction, ...]:
-    """Coordinates in Q^n of a kernel-basis vector given by rational coefficients."""
-    n = len(iota)
-    k = len(iota[0]) if n else 0
-    if len(lam) != k:
+def _checked_coords(N: int, lam, iota: IntMat) -> tuple[Fraction, ...]:
+    """The coordinates iota(lam) in Q^n of a kernel-basis vector lam, for
+    N >= 1 and lam of the kernel rank, each required inside (-N, N)."""
+    if N < 1:
+        raise ValueError("N >= 1 required")
+    if len(lam) != len(iota[0]):
         raise ValueError("lambda length must match the kernel rank")
-    return tuple(
-        sum((Fraction(iota[jj][i]) * Fraction(lam[i]) for i in range(k)), Fraction(0))
-        for jj in range(n)
-    )
-
-
-def _checked_coords(params: DecompositionParams, lam, iota: IntMat) -> tuple[Fraction, ...]:
-    """`apply_iota`, with every coordinate required inside (-N, N)."""
-    coords, N = apply_iota(iota, lam), params.N
+    coords = mat_vec(iota, tuple(map(Fraction, lam)))
     for c in coords:
         if not (-N < c < N):
             raise ValueError(f"coordinate {c} outside (-{N}, {N})")
@@ -136,11 +115,10 @@ def floor_half_shift(x: Fraction) -> int:
     return math.floor(Fraction(x) + Fraction(1, 2))
 
 
-def spectrum(params: DecompositionParams, lam, iota: IntMat) -> GenFormSpectrum:
+def spectrum(N: int, lam, iota: IntMat) -> GenFormSpectrum:
     """Exact eigenvalue descriptors and negative index for the torus-generated
-    quadratic form at lam (given in the kernel basis)."""
-    N = params.N
-    coords = _checked_coords(params, lam, iota)
+    quadratic form on 2N blocks at lam (given in the kernel basis)."""
+    coords = _checked_coords(N, lam, iota)
     n = len(coords)
     eig = tuple(
         EigenDescriptor(j=j, k=k, N=N, lam=coords[j - 1])
@@ -149,7 +127,7 @@ def spectrum(params: DecompositionParams, lam, iota: IntMat) -> GenFormSpectrum:
     )
     negative_index = sum(2 * (N + floor_half_shift(c)) for c in coords)
     return GenFormSpectrum(
-        params=params,
+        N=N,
         lam=tuple(Fraction(x) for x in lam),
         coords=coords,
         eigenvalues=eig,
@@ -168,12 +146,13 @@ def front_coordinates(coords) -> set[int]:
     return out
 
 
-def front_membership(params: DecompositionParams, lam, iota: IntMat) -> set[int]:
-    return front_coordinates(_checked_coords(params, lam, iota))
+def front_membership(N: int, lam, iota: IntMat) -> set[int]:
+    """The front coordinates of iota(lam), which must lie inside (-N, N)."""
+    return front_coordinates(_checked_coords(N, lam, iota))
 
 
 def t_lambda_value(lam_coords, N2: int, x) -> float:
-    """Torus-factor generating term: sum over blocks of tan(pi*lam_k/2N2)|x_k|^2.
+    """Torus-factor generating term on 2*N2 blocks: sum of tan(pi*lam_k/2N2)|x_k|^2.
 
     `x` is a flat complex vector whose length is a multiple of n = len(lam_coords).
     """
@@ -193,12 +172,11 @@ def t_lambda_value(lam_coords, N2: int, x) -> float:
 # --- numeric cross-validation ----------------------------------------------
 
 
-def assemble_numeric_form(params: DecompositionParams, lam, iota: IntMat) -> np.ndarray:
+def assemble_numeric_form(N: int, lam, iota: IntMat) -> np.ndarray:
     """2nN x 2nN Hermitian matrix of the full quadratic form, block-major layout."""
     import numpy as np
 
-    N = params.N
-    coords = _checked_coords(params, lam, iota)
+    coords = _checked_coords(N, lam, iota)
     n = len(coords)
     c_small = quad_form_matrix(N)
     c_full = np.kron(c_small, np.eye(n))

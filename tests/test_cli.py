@@ -264,6 +264,15 @@ def test_spectrum_quadform_numeric_without_numpy_exits_1(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: --numeric needs numpy (the [numeric] extra)\n"
 
 
+@pytest.mark.parametrize("N", ("0", "-1"))
+def test_spectrum_quadform_needs_N_at_least_one(N, capsys):
+    code, out = invoke(
+        "spectrum-quadform", str(POLY / "cp1xcp1_monotone.poly"), "--N", N, "--lam", "0,0",
+    )
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: N >= 1 required\n"
+
+
 def test_spectrum_command():
     code, out = invoke(
         "spectrum", str(POLY / "cp1xcp1_monotone.poly"),

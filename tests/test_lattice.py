@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from toricspec.lattice import (
+    common_denominator,
     det,
     hermite_normal_form,
     identity_matrix,
@@ -117,6 +118,17 @@ def test_primitive():
     assert is_primitive((3, 5))
     with pytest.raises(ValueError):
         is_primitive((0, 0))
+    # negative entries: the gcd is of absolute values
+    assert is_primitive((-2, 3)) and not is_primitive((-4, -6, 0))
+
+
+def test_common_denominator():
+    assert common_denominator((3, -4, 0)) == (1, [3, -4, 0])
+    assert common_denominator((Fraction(-1, 2), Fraction(-2, 3))) == (6, [-3, -4])
+    assert common_denominator([Fraction(5, 4), 2, Fraction(-1, 6)]) == (12, [15, 24, -2])
+    assert common_denominator([]) == (1, [])
+    den, nums = common_denominator([Fraction(7, 10), Fraction(-3, 4), 1])
+    assert [Fraction(x, den) for x in nums] == [Fraction(7, 10), Fraction(-3, 4), 1]
 
 
 def test_unimodular_inverse():

@@ -4,10 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from toricspec.lattice import identity_matrix
+from toricspec.lattice import identity_matrix, mat_vec
 from toricspec.quadforms import (
-    DecompositionParams,
-    apply_iota,
     assemble_numeric_form,
     eigen_vector,
     front_coordinates,
@@ -110,46 +108,45 @@ def test_eigen_relation_residuals():
 
 def test_spectrum_lambda_zero():
     for n, N in ((1, 2), (2, 3)):
-        params = DecompositionParams(N1=0, N2=N)
-        sp = spectrum(params, (Fraction(0),) * n, identity_matrix(n))
+        sp = spectrum(N, (Fraction(0),) * n, identity_matrix(n))
         assert sp.negative_index == 2 * n * N
         assert len(sp.eigenvalues) == 2 * n * N
 
 
 def test_negative_index_examples():
-    params = DecompositionParams(N1=0, N2=2)
-    sp = spectrum(params, (Fraction(1),), identity_matrix(1))
+    N = 2
+    sp = spectrum(N, (Fraction(1),), identity_matrix(1))
     assert sp.negative_index == 6
-    sp = spectrum(params, (Fraction(-1),), identity_matrix(1))
+    sp = spectrum(N, (Fraction(-1),), identity_matrix(1))
     assert sp.negative_index == 2
 
 
 def test_spectrum_out_of_range():
-    params = DecompositionParams(N1=0, N2=2)
+    N = 2
     for exact in (spectrum, front_membership):
         for c in (2, -2, Fraction(5, 2)):
             with pytest.raises(ValueError, match=rf"^coordinate {c} outside \(-2, 2\)$"):
-                exact(params, (Fraction(1, 3), Fraction(c)), identity_matrix(2))
+                exact(N, (Fraction(1, 3), Fraction(c)), identity_matrix(2))
     # the numeric cross-check takes the same range check before assembling
     pytest.importorskip("numpy")
     with pytest.raises(ValueError, match=r"^coordinate 3 outside \(-2, 2\)$"):
-        assemble_numeric_form(params, (Fraction(1, 3), Fraction(3)), identity_matrix(2))
+        assemble_numeric_form(N, (Fraction(1, 3), Fraction(3)), identity_matrix(2))
 
 
 def test_front_membership():
-    params = DecompositionParams(N1=0, N2=3)
-    assert front_membership(params, (H,), identity_matrix(1)) == {1}
-    assert front_membership(params, (Fraction(1, 3),), identity_matrix(1)) == set()
+    N = 3
+    assert front_membership(N, (H,), identity_matrix(1)) == {1}
+    assert front_membership(N, (Fraction(1, 3),), identity_matrix(1)) == set()
     assert front_coordinates((H, Fraction(-3, 2))) == {1, 2}
 
 
 def test_zero_sign_exactly_on_front():
-    params = DecompositionParams(N1=0, N2=3)
-    sp = spectrum(params, (H, Fraction(1, 3)), identity_matrix(2))
+    N = 3
+    sp = spectrum(N, (H, Fraction(1, 3)), identity_matrix(2))
     zero_descriptors = {(e.j, e.k) for e in sp.eigenvalues if e.sign() == 0}
     # the half-integer coordinate contributes exactly one degenerate pair
     assert zero_descriptors == {(1, 0)}
-    assert front_membership(params, (H, Fraction(1, 3)), identity_matrix(2)) == {1}
+    assert front_membership(N, (H, Fraction(1, 3)), identity_matrix(2)) == {1}
 
 
 def test_t_lambda_value():
@@ -183,11 +180,10 @@ def test_negative_index_matches_numeric_count():
     rng = random.Random(1234)
     for n in (1, 2, 3):
         for N in (1, 2, 4, 6):
-            params = DecompositionParams(N1=0, N2=N)
             for _ in range(6):
                 lam = random_off_front_lambda(rng, n, N)
-                sp = spectrum(params, lam, identity_matrix(n))
-                m = assemble_numeric_form(params, lam, identity_matrix(n))
+                sp = spectrum(N, lam, identity_matrix(n))
+                m = assemble_numeric_form(N, lam, identity_matrix(n))
                 assert numeric_negative_index(m) == sp.negative_index
                 got = np.sort(np.linalg.eigvalsh(m))
                 want = np.sort([e.numeric() for e in sp.eigenvalues])
@@ -195,12 +191,12 @@ def test_negative_index_matches_numeric_count():
 
 
 def test_spectrum_monotone_in_positive_directions():
-    params = DecompositionParams(N1=0, N2=4)
+    N = 4
     iota = identity_matrix(2)
     lam = (Fraction(-1, 3), Fraction(1, 5))
     step = (Fraction(1, 2), Fraction(3, 4))
-    sp0 = spectrum(params, lam, iota)
-    sp1 = spectrum(params, tuple(a + b for a, b in zip(lam, step)), iota)
+    sp0 = spectrum(N, lam, iota)
+    sp1 = spectrum(N, tuple(a + b for a, b in zip(lam, step)), iota)
     by_key0 = {(e.j, e.k): e.numeric() for e in sp0.eigenvalues}
     by_key1 = {(e.j, e.k): e.numeric() for e in sp1.eigenvalues}
     assert all(by_key1[key] <= by_key0[key] + 1e-15 for key in by_key0)
@@ -209,30 +205,34 @@ def test_spectrum_monotone_in_positive_directions():
 def test_empty_front_means_no_zero_eigenvalue():
     np = pytest.importorskip("numpy")
     rng = random.Random(77)
-    params = DecompositionParams(N1=0, N2=3)
+    N = 3
     for _ in range(20):
         lam = random_off_front_lambda(rng, 2, 3)
-        m = assemble_numeric_form(params, lam, identity_matrix(2))
+        m = assemble_numeric_form(N, lam, identity_matrix(2))
         vals = np.linalg.eigvalsh(m)
         assert np.min(np.abs(vals)) > 1e-6
 
 
-def test_params_with_isotopy_factors():
-    # the full factor count N = N1 + N2 drives every tangent argument
-    assert DecompositionParams(N1=1, N2=1).N == 2
-    sp = spectrum(DecompositionParams(N1=1, N2=1), (Fraction(1),), identity_matrix(1))
-    assert sp.negative_index == 6  # same closed formula as N1=0, N2=2
-    with pytest.raises(ValueError):
-        DecompositionParams(N1=0, N2=0)
-    with pytest.raises(ValueError):
-        DecompositionParams(N1=-1, N2=2)
+def test_spectrum_needs_N_at_least_one():
+    # the form lives on 2N blocks; only the total factor count N is taken
+    lam, iota = (Fraction(1, 3),), identity_matrix(1)
+    for N in (0, -1):
+        for exact in (spectrum, front_membership):
+            with pytest.raises(ValueError, match=r"^N >= 1 required$"):
+                exact(N, lam, iota)
+    pytest.importorskip("numpy")
+    for N in (0, -1):
+        with pytest.raises(ValueError, match=r"^N >= 1 required$"):
+            assemble_numeric_form(N, lam, iota)
 
 
 def test_spectrum_with_nontrivial_iota(T_monotone):
     # lambda in the kernel basis, coordinates through the inclusion matrix
-    params = DecompositionParams(N1=0, N2=2)
     lam = (Fraction(1, 3), Fraction(-1, 5))
-    coords = apply_iota(T_monotone.iota, lam)
-    assert coords == (Fraction(1, 3), Fraction(1, 3), Fraction(-1, 5), Fraction(-1, 5))
-    sp = spectrum(params, lam, T_monotone.iota)
+    sp = spectrum(2, lam, T_monotone.iota)
+    assert sp.N == 2
+    assert sp.coords == mat_vec(T_monotone.iota, lam)
+    assert sp.coords == (Fraction(1, 3), Fraction(1, 3), Fraction(-1, 5), Fraction(-1, 5))
     assert sp.negative_index == sum(2 * (2 + 0) for _ in range(4))
+    with pytest.raises(ValueError, match=r"^lambda length must match the kernel rank$"):
+        spectrum(2, lam[:1], T_monotone.iota)
