@@ -53,7 +53,6 @@ from toricspec.polytope import (
     check_hypotheses,
     find_positive_b,
     is_cpn,
-    monotonicity_check,
     parse_polytope,
     rationality_check,
     toric_data,

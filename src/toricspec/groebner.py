@@ -35,9 +35,10 @@ input, and an unlucky prime that drops the rank, takes the algorithm below.
 
 import heapq
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import add, ge, sub
 
+from toricspec.lattice import common_denominator
 from toricspec.polys import Poly, exact_div, grevlex_key, monomials_of_degree, rank_mod_p
 
 
@@ -53,9 +54,8 @@ def _integral(terms):
     coefficients; the dict is a new one."""
     if all(type(c) is int for c in terms.values()):
         return dict(terms), 1
-    den = lcm(*(Fraction(c).denominator for c in terms.values()))
-    return {e: c.numerator * (den // c.denominator) if type(c) is Fraction else c * den
-            for e, c in terms.items()}, den
+    den, numerators = common_denominator(terms.values())
+    return dict(zip(terms, numerators)), den
 
 
 def _divisor(terms):

@@ -19,21 +19,25 @@ backends:
     restrictions times monomials of every degree.  It is complete at each
     window.
 
-Membership at module window W is decided at window W + 2 by one function,
-`_verdict`: on a zero ring every query is a member; otherwise the query is
-cleared and restricted once and handed to the chosen backend, or to both,
-which must agree (a disagreement raises).  `membership` first decides a
-monomial query below the least generator degree a non-member in integers
-alone; `membership_certified` asks the brute backend for its integer relation.
+A module's window is the one its questions are decided at: `decision_module`
+turns module window W into W + 2, and every other membership function reads
+the window off the module, which is also the memo key of everything built
+from it.  One function, `_verdict`, decides: on a zero ring every query is a
+member; otherwise the query is cleared and restricted once (past QUERY_LIMIT
+monomials of its cleared degree -> Inconclusive) and handed to the chosen
+backend, or to both, which must agree (a disagreement raises).  `membership`
+first decides a monomial query below the least generator degree a non-member
+in integers alone; `membership_certified` asks the brute backend for its
+integer relation.
 
 A monomial ideal of Q[u] is the monomial module whose generators have no
 negative exponents: it is cleared at floor 0 and restricted by the same map,
 so its membership takes the same path.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import ceil, comb, gcd, lcm
 from operator import add, ge
 
 from toricspec.groebner import DivisionBasis, buchberger, normal_form
@@ -45,7 +49,8 @@ from toricspec.polytope import ToricData, check_hypotheses
 
 class InconclusiveError(Exception):
     """A stated limit stopped the work before a verdict: a window, exponent or
-    degree cap, or the size of a window box (BOX_LIMIT)."""
+    degree cap, the size of a window box (BOX_LIMIT) or of a cleared query's
+    degree (QUERY_LIMIT)."""
 
 
 class BackendMismatchError(Exception):
@@ -57,6 +62,9 @@ WINDOW_CAP = 16
 # box at WINDOW_CAP, 33^4 (about 1.19 M), fits; the largest box tier-1 and the
 # benchmark build is the cube's at W = 6, 13^3 = 2,197.
 BOX_LIMIT = 2_000_000
+# The most monomials of one degree in the k coordinates of a subspace that a
+# cleared membership query may reach, C(D + k - 1, k - 1) at cleared degree D.
+QUERY_LIMIT = 100_000
 
 
 # --- linear subspaces and restriction ---------------------------------------
@@ -170,7 +178,7 @@ class MonomialModule:
     """
 
     toric: ToricData
-    threshold: Fraction | None
+    threshold: Fraction | None = field(hash=False)  # compared, not hashed: a Fraction's hash is slow
     window: int
     center: IntVec = None  # type: ignore[assignment]
     degree_shift: int = 0
@@ -181,19 +189,19 @@ class MonomialModule:
         if self.center is None:
             object.__setattr__(self, "center", (0,) * self.toric.k)
 
-    def generators(self, window=None):
-        """Exponent vectors iota(m), sorted by (total degree, lex); built once
-        per (level, window)."""
-        return list(_window_generators(self, self.window if window is None else window))
+    def generators(self):
+        """Exponent vectors iota(m), sorted by (total degree, lex); the tuple
+        is built once per module and returned itself."""
+        return memo("generators", self, self._enumerate)
 
-    def _enumerate(self, w):
+    def _enumerate(self):
         """The window box tested in integers: with D the lcm of the
         denominators of p, keep m when sum (D p_i) m_i >= ceil(D threshold).
         iota(m) is summed from precomputed column multiples over the outer
         coordinates; the last coordinate's range is solved from the level
         inequality, and its column is added once per step along it.  A box
         of more than BOX_LIMIT points raises InconclusiveError at once."""
-        toric = self.toric
+        toric, w = self.toric, self.window
         box = (2 * w + 1) ** toric.k
         if box > BOX_LIMIT:
             raise InconclusiveError(f"window {w} box has {box} points, above the limit {BOX_LIMIT}")
@@ -228,17 +236,6 @@ class MonomialModule:
 
         descend(0, (0,) * toric.n, 0)
         return tuple(sorted(gens, key=lambda g: (sum(g), g)))
-
-
-def _level_key(module: MonomialModule, window: int):
-    """What the generators at `window` depend on; the class tells a module
-    apart from a subclass derived from it at the same level."""
-    return (type(module), module.toric, module.threshold, module.center, window)
-
-
-def _window_generators(module: MonomialModule, window: int):
-    """The memoized tuple behind `MonomialModule.generators`."""
-    return memo("generators", _level_key(module, window), lambda: module._enumerate(window))
 
 
 def novikov_shift(module: MonomialModule, m) -> MonomialModule:
@@ -314,25 +311,19 @@ def _minimal_monomials(exps_list):
     return out
 
 
-def _minimal_generators(module: MonomialModule, window: int):
-    """The minimal window generators: every other generator is a u-multiple of
-    one; built once per (level, window) for both backends."""
-    return memo("minimal_generators", _level_key(module, window),
-                lambda: _minimal_monomials(module.generators(window)))
-
-
-def _cleared_generators(module, subspace, window):
-    """The restrictions prod l_i^(g_i + T_i) of the minimal window generators
-    g, in their order, and the generator floor T: the least exponents with
-    g + T >= 0 for every window generator g, which the minimal generators
-    attain.  Built once per (level, window, subspace) for both backends."""
+def _cleared_generators(module, subspace):
+    """The minimal generators g of the module at its window (every other
+    generator is a u-multiple of one), their restrictions prod l_i^(g_i + T_i)
+    in the same order, and the generator floor T: the least exponents with
+    g + T >= 0 for every generator g, which the minimal generators attain.
+    Built once per (module, subspace) for both backends."""
 
     def build():
-        gens = _minimal_generators(module, window)
+        gens = _minimal_monomials(module.generators())
         floor = tuple(max(0, -min((g[i] for g in gens), default=0)) for i in range(module.toric.n))
-        return [subspace.form_product(tuple(map(add, g, floor))) for g in gens], floor
+        return gens, [subspace.form_product(tuple(map(add, g, floor))) for g in gens], floor
 
-    return memo("cleared_generators", (_level_key(module, window), subspace.basis), build)
+    return memo("cleared_generators", (module, subspace.basis), build)
 
 
 def _cleared(q: Poly, floor, subspace: LinearSubspace):
@@ -340,9 +331,16 @@ def _cleared(q: Poly, floor, subspace: LinearSubspace):
     (then q is no member).  Where q's denominator d exceeds the floor, q is
     cleared at d and divided exactly by the restriction of u^(d - floor): the
     generators cleared at d are the floor-cleared ones times that
-    restriction, and the coordinate ring of V is a domain."""
+    restriction, and the coordinate ring of V is a domain.  A cleared degree
+    with more than QUERY_LIMIT monomials in the k coordinates of V raises
+    InconclusiveError before anything is restricted."""
     depth = tuple(max(t, -m) for t, m in zip(floor, q.min_exponents()))
-    num = subspace.image(q.term_mul(depth))
+    cleared = q.term_mul(depth)
+    degree, k = max(cleared.total_degree(), 0), subspace.dim
+    if comb(degree + k - 1, k - 1) > QUERY_LIMIT:
+        raise InconclusiveError(f"cleared query degree {degree} has more than {QUERY_LIMIT} monomials"
+                                f" in {k} coordinates")
+    num = subspace.image(cleared)
     if depth == floor:
         return num
     return num.exact_divide(subspace.form_product(tuple(d - t for d, t in zip(depth, floor))))
@@ -351,17 +349,12 @@ def _cleared(q: Poly, floor, subspace: LinearSubspace):
 # --- membership: Groebner backend -------------------------------------------
 
 
-def _module_groebner(module: MonomialModule, subspace: LinearSubspace, window: int):
-    """Groebner basis of the cleared generator restrictions; built once per
-    (level, window, subspace)."""
-    return memo("groebner", (_level_key(module, window), subspace.basis),
-                lambda: DivisionBasis(subspace.dim, buchberger(_cleared_generators(module, subspace, window)[0])))
-
-
-def _groebner_member(cleared: Poly, module, subspace, window) -> bool:
+def _groebner_member(cleared: Poly, module, subspace) -> bool:
     """Is the cleared query restriction in the ideal of the cleared generator
-    restrictions?"""
-    return normal_form(cleared, _module_groebner(module, subspace, window)).is_zero()
+    restrictions?  Their Groebner basis is built once per (module, subspace)."""
+    basis = memo("groebner", (module, subspace.basis),
+                 lambda: DivisionBasis(subspace.dim, buchberger(_cleared_generators(module, subspace)[1])))
+    return normal_form(cleared, basis).is_zero()
 
 
 # --- membership: brute (graded linear-algebra) backend -------------------------
@@ -430,8 +423,8 @@ class _Span:
         scale * query = residual + sum combo[label] * column when that held
         for the given `vec`."""
         if not all(type(c) is int for c in vec.values()):
-            den = lcm(*(c.denominator for c in vec.values()))
-            vec = {e: c.numerator * (den // c.denominator) for e, c in vec.items()}
+            den, numerators = common_denominator(vec.values())
+            vec = dict(zip(vec, numerators))
             scale *= den
         vec, scale, combo = _primitive({e: c for e, c in vec.items() if c}, scale, combo)
         pivots = self.pivots
@@ -516,22 +509,21 @@ class _GradedSlice:
         return vec, scale, combo
 
 
-def _brute_member(cleared: Poly, module, subspace, window, want_certificate=False):
+def _brute_member(cleared: Poly, module, subspace, want_certificate=False):
     """Exact linear algebra in the subspace coordinates, graded slice by slice;
-    complete at each window, since every multiplier degree is admitted.
+    complete at the module's window, since every multiplier degree is
+    admitted.
 
     Returns (verdict, certificate); a member's certificate, on request, is
     one integer relation (scale, {(g, a): c}): scale * cleared = sum c *
-    (u^(g + T))|_V * w^a over minimal window generators g, merged from the
+    (u^(g + T))|_V * w^a over minimal generators g, merged from the
     components over the lcm of their scales (a label fixes its degree)."""
-    gens = _minimal_generators(module, window)
-    cleared_gens, _ = _cleared_generators(module, subspace, window)
-    level = (_level_key(module, window), subspace.basis)
+    gens, cleared_gens, _ = _cleared_generators(module, subspace)
     parts = []
     for degree, component in cleared.homogeneous_components().items():
         graded = memo(
             "graded_slice",
-            (level, degree, want_certificate),
+            ((module, subspace.basis), degree, want_certificate),
             lambda: _GradedSlice(gens, cleared_gens, degree, subspace.dim, want_certificate),
         )
         residual, scale, combo = graded.residual(component.terms)
@@ -544,19 +536,17 @@ def _brute_member(cleared: Poly, module, subspace, window, want_certificate=Fals
     return True, (common, {lab: c * (common // scale) for scale, combo in parts for lab, c in combo.items()})
 
 
-def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
-    """Check a brute-backend certificate in integers: scale is a positive int,
-    each label g is a u-multiple of a window generator (g need not be
-    minimal) and a a monomial in w, and the relation holds, with each
-    (u^(g + T))|_V built anew once.  The window defaults to W + 2."""
+def verify_certificate(q, module, subspace, certificate) -> bool:
+    """Check a brute-backend certificate in integers at the window W + 2 that
+    membership decides at: scale is a positive int, each label g is a
+    u-multiple of a generator (g need not be minimal) and a a monomial in w,
+    and the relation holds, with each (u^(g + T))|_V built anew once."""
     scale, relation = certificate
     if type(scale) is not int or scale < 1:
         return False
     if subspace.is_zero_ring():
         return True
-    window = module.window + 2 if window is None else window
-    gens = _minimal_generators(module, window)
-    floor = _cleared_generators(module, subspace, window)[1]
+    gens, _, floor = _cleared_generators(decision_module(module), subspace)
     cleared = _cleared(q, floor, subspace)
     if cleared is None or not all(
         len(g) == len(floor) and any(all(map(ge, g, m)) for m in gens) and len(a) == subspace.dim and min(a) >= 0
@@ -573,35 +563,35 @@ def verify_certificate(q, module, subspace, certificate, window=None) -> bool:
 # --- membership: public entry -------------------------------------------------
 
 
-def _below_generator_degree(q: Poly, module: MonomialModule, subspace: LinearSubspace, window: int) -> bool:
+def _below_generator_degree(q: Poly, module: MonomialModule, subspace: LinearSubspace) -> bool:
     """The degree test: a monomial of total degree below the least generator
-    degree of the window is no member, since every module element then
+    degree of the module is no member, since every module element then
     restricts to V with homogeneous components of at least that degree, and
     a monomial restricts to one nonzero component of its own degree unless V
     is a zero ring.  The generators are sorted by total degree, so this costs
     one memo lookup."""
-    gens = _window_generators(module, window)
+    gens = module.generators()
     return (bool(gens) and len(q.terms) == 1 and not subspace.is_zero_ring()
             and sum(next(iter(q.terms))) < sum(gens[0]))
 
 
-def _verdict(q, module, subspace, window, backend, want_certificate=False):
-    """The verdict at one window of the chosen backend, or of both, which must
-    agree, as (verdict, certificate); the query is cleared and restricted
-    once.  A certificate, on request, comes from the brute backend as in
-    `_brute_member`; on the zero ring (1, {}) certifies every q."""
+def _verdict(q, module, subspace, backend, want_certificate=False):
+    """The verdict at the module's window of the chosen backend, or of both,
+    which must agree, as (verdict, certificate); the query is cleared and
+    restricted once.  A certificate, on request, comes from the brute backend
+    as in `_brute_member`; on the zero ring (1, {}) certifies every q."""
     if subspace.is_zero_ring():
         return True, ((1, {}) if want_certificate else None)
-    cleared = _cleared(q, _cleared_generators(module, subspace, window)[1], subspace)
+    cleared = _cleared(q, _cleared_generators(module, subspace)[2], subspace)
     if cleared is None:
         return False, None
-    gb = None if backend == "brute" else _groebner_member(cleared, module, subspace, window)
+    gb = None if backend == "brute" else _groebner_member(cleared, module, subspace)
     if backend == "groebner":
         return gb, None
-    verdict, certificate = _brute_member(cleared, module, subspace, window, want_certificate)
+    verdict, certificate = _brute_member(cleared, module, subspace, want_certificate)
     if gb is not None and gb != verdict:
         raise BackendMismatchError(
-            f"groebner={gb} brute={verdict} at window {window} for {q.render()}"
+            f"groebner={gb} brute={verdict} at window {module.window} for {q.render()}"
         )
     return verdict, certificate
 
@@ -615,27 +605,27 @@ def check_start_window(window: int):
         )
 
 
-def membership(
-    q: Poly,
-    module: MonomialModule,
-    subspace: LinearSubspace,
-    backend: str = "both",
-) -> bool:
+def decision_module(module: MonomialModule) -> MonomialModule:
+    """The module at window W + 2, where its membership questions are
+    decided, for the module window W (past the cap 16 -> Inconclusive)."""
+    check_start_window(module.window)
+    return replace(module, window=module.window + 2)
+
+
+def membership(q: Poly, module: MonomialModule, subspace: LinearSubspace, backend: str = "both") -> bool:
     """Is q in the module plus the relation ideal of the subspace?
 
-    Decided at window W + 2 for the module window W (past the cap 16 ->
-    Inconclusive).  The generator box at W lies inside the box at W + 2, and
+    Decided by the module at window W + 2, `decision_module`, for the module
+    window W.  The generator box at W lies inside the box at W + 2, and
     each backend decides the module of its window exactly, so the verdict
     can only turn from False to True as the window widens: widening until
     two consecutive verdicts agree returns the verdict at W + 2."""
-    check_start_window(module.window)
-    window = module.window + 2
-    if _below_generator_degree(q, module, subspace, window):
+    module = decision_module(module)
+    if _below_generator_degree(q, module, subspace):
         return False
-    return _verdict(q, module, subspace, window, backend)[0]
+    return _verdict(q, module, subspace, backend)[0]
 
 
 def membership_certified(q: Poly, module: MonomialModule, subspace: LinearSubspace):
     """(verdict, certificate) at window W + 2 from one tracked brute pass."""
-    check_start_window(module.window)
-    return _verdict(q, module, subspace, module.window + 2, "brute", want_certificate=True)
+    return _verdict(q, decision_module(module), subspace, "brute", want_certificate=True)

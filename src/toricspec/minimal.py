@@ -30,7 +30,7 @@ from toricspec.laurent import (
     MonomialModule,
     RestrictedElement,
     _verdict,
-    check_start_window,
+    decision_module,
     kernel_K0,
     membership,
     membership_certified,
@@ -105,11 +105,11 @@ class PolynomialPart(MonomialModule):
     As a monomial module with no negative exponents it is cleared at floor 0,
     and its sorted generators put the least positive-part degree first."""
 
-    def _enumerate(self, w):
-        """The distinct positive parts of the module's memoized window
-        generators, sorted by (total degree, lex)."""
+    def _enumerate(self):
+        """The distinct positive parts of the module's memoized generators,
+        sorted by (total degree, lex)."""
         module = MonomialModule(self.toric, self.threshold, self.window, self.center)
-        positive = {tuple(max(x, 0) for x in g) for g in module.generators(w)}
+        positive = {tuple(max(x, 0) for x in g) for g in module.generators()}
         return tuple(sorted(positive, key=lambda g: (sum(g), g)))
 
 
@@ -219,7 +219,7 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
     check_hypotheses(toric, monotone=True)
     bound = min_degree_bound(r, toric.min_chern)
     km = kernel_K0(toric, Fraction(r), window)
-    check_start_window(window)
+    module = decision_module(km.module)
     n = toric.n
     seen = set()
     violations = []
@@ -234,7 +234,7 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
         checked += 1
         # both full backends at W + 2, as membership decides, but not the
         # degree test: this scan is what checks it
-        if _verdict(Poly.monomial(a), km.module, km.subspace, window + 2, "both")[0]:
+        if _verdict(Poly.monomial(a), module, km.subspace, "both")[0]:
             violations.append(a)
     return violations, checked
 

@@ -253,11 +253,6 @@ def rationality_check(data: ToricData) -> bool:
     return _primitive_integral(data.p)
 
 
-def monotonicity_check(data: ToricData) -> int | None:
-    """The unique positive integer N with chern = N * p, if it exists."""
-    return _chern_ratio(data.p, data.chern)
-
-
 def find_positive_b(iota: IntMat, k: int, grade_cap: int = 64) -> IntVec:
     """Smallest (graded-lex over 1-norm shells) lattice vector b with iota(b)
     componentwise strictly positive.

@@ -9,6 +9,7 @@ the argparse command line that the command table replaced."""
 
 import argparse
 import heapq
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -294,9 +295,10 @@ def reference_module_ideal(gens, depth, subspace):
 
 
 def verdict_at_window(q, module, subspace, window, backend):
-    """What `membership` decides at W + 2, asked at any window: the degree
-    test, then `_verdict`."""
-    return not _below_generator_degree(q, module, subspace, window) and _verdict(q, module, subspace, window, backend)[0]
+    """What `membership` decides at W + 2, asked of the module at any window:
+    the degree test, then `_verdict`."""
+    module = replace(module, window=window)
+    return not _below_generator_degree(q, module, subspace) and _verdict(q, module, subspace, backend)[0]
 
 
 def stable_verdict(verdict_at, window):

@@ -6,6 +6,7 @@ import io
 import random
 import time
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,7 +214,7 @@ def test_criterion_8_backend_agreement():
                     # both full backends at every window, past the degree test;
                     # raises BackendMismatchError on any disagreement
                     verdict, _ = stable_verdict(
-                        lambda w: _verdict(q, km.module, km.subspace, w, "both")[0], 2
+                        lambda w: _verdict(q, replace(km.module, window=w), km.subspace, "both")[0], 2
                     )
                     assert membership(q, km.module, km.subspace, backend="both") == verdict
                     count += 1

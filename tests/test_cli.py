@@ -524,6 +524,16 @@ def test_start_window_past_cap_fails_before_building():
     }
 
 
+@pytest.mark.parametrize("argv", (["bound", "--W", "15"], ["min-degree", "--W", "15", "--nu", "0"]))
+def test_start_window_15_leaves_no_room_below_the_cap(argv):
+    # membership at W is decided at W + 2 = 17, past the cap
+    code, out = invoke(argv[0], str(POLY / "cp1xcp1_monotone.poly"), *argv[1:])
+    assert code == 2
+    assert machine_dict(out) == {
+        "error": "inconclusive: start window 15 leaves no room to widen below the cap 16"
+    }
+
+
 def test_member_length_mismatch_exits_1(capsys):
     code, out = invoke("kernel", str(POLY / "cp1xcp1_monotone.poly"), "--nu", "1/2", "--member", "1,0,0")
     assert code == 1
@@ -585,6 +595,26 @@ def test_window_box_over_the_limit_exits_2_at_once():
     assert machine_dict(proc.stdout)["error"] == (
         "inconclusive: window 100000 box has 40000400001 points, above the limit 2000000"
     )
+
+
+def test_query_over_the_limit_exits_2_at_once():
+    # K of the square has k = 2 coordinates, so u1^E clears to a degree with
+    # about E monomials; K0 has one coordinate and answers at once
+    member = "--member=100000000,0,0,0"
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricspec.cli", "kernel", str(POLY / "cp1xcp1_monotone.poly"), "--ring", "K",
+         "--nu", "1/2", member],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert time.monotonic() - started < 5
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    assert machine_dict(proc.stdout)["error"] == (
+        "inconclusive: cleared query degree 100000012 has more than 100000 monomials in 2 coordinates"
+    )
+    code, out = invoke("kernel", str(POLY / "cp1xcp1_monotone.poly"), "--ring", "K0", "--nu", "1/2", member)
+    assert code == 0 and machine_dict(out)["member"] == "true"
 
 
 # --- parity with the argparse command line the table replaced ----------------------
@@ -658,7 +688,7 @@ def test_table_matches_argparse_on_valid_command_lines(tmp_path, monkeypatch):
     monkeypatch.chdir(POLY.parent)  # the workloads name corpus files relative to the checkout
     rng = random.Random(7)
     readme = readme_command_lines()
-    assert len(readme) == 12
+    assert len(readme) == 13
     lines = readme + workload_command_lines(tmp_path)
     for command, (_, _, options) in COMMANDS.items():
         lines += [seeded_command_lines(rng, command, options) for _ in range(60)]

@@ -25,6 +25,7 @@ from toricspec.laurent import (
     _minimal_monomials,
     _Span,
     _verdict,
+    decision_module,
 )
 from toricspec.memo import clear_caches, memo_counts
 from toricspec.oracle import DiagonalMap, spectrum_classes
@@ -128,7 +129,7 @@ def test_restriction_preserves_monomial_degree(T_monotone, T_cube):
 
 def test_generators_cp2(T_cp2):
     gens = MonomialModule(T_cp2, Fraction(1), 3).generators()
-    assert gens == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
+    assert gens == ((1, 1, 1), (2, 2, 2), (3, 3, 3))
 
 
 def test_generators_monotone_square(T_monotone):
@@ -143,7 +144,7 @@ def test_generators_monotone_square(T_monotone):
 
 def test_generators_no_threshold(T_cp2):
     gens = MonomialModule(T_cp2, None, 2).generators()
-    assert gens == sorted(((m,) * 3 for m in range(-2, 3)), key=lambda g: (sum(g), g))
+    assert gens == tuple((m,) * 3 for m in range(-2, 3))
 
 
 # --- membership ----------------------------------------------------------------
@@ -230,10 +231,10 @@ def test_membership_backends_agree_on_random_queries(T_monotone, T_p12, T_cp2):
 
 def test_brute_certificate_roundtrip(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
-    ok, cert = _verdict(U(1, 1, 0, 0), km.module, km.subspace, 2, "brute", want_certificate=True)
+    ok, cert = _verdict(U(1, 1, 0, 0), decision_module(km.module), km.subspace, "brute", want_certificate=True)
     scale, relation = cert
     assert ok and type(scale) is int and scale > 0 and relation
-    assert verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, cert, window=2)
+    assert verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, cert)
 
 
 # --- shift action ---------------------------------------------------------------
@@ -280,8 +281,8 @@ def test_window_protocol_escalates_until_agreement(T_cube):
     # two windows disagree and the protocol must widen once more
     km = kernel_K0(T_cube, Fraction(7, 2), 2)
     q = Poly.monomial(T_cube.iota_apply((4, 0, 0)))
-    assert _verdict(q, km.module, km.subspace, 2, "both") == (False, None)
-    assert _verdict(q, km.module, km.subspace, 4, "both") == (True, None)
+    assert _verdict(q, km.module, km.subspace, "both") == (False, None)
+    assert _verdict(q, replace(km.module, window=4), km.subspace, "both") == (True, None)
     assert membership(q, km.module, km.subspace) is True
 
 
@@ -297,7 +298,7 @@ def test_start_window_13_decides_where_the_loop_hit_the_cap(T_monotone, monkeypa
         def verdict_at(w, start=window):
             return w >= start + 2
 
-        monkeypatch.setattr(laurent_mod, "_verdict", lambda q, m, s, w, b, want_certificate=False: (verdict_at(w), None))
+        monkeypatch.setattr(laurent_mod, "_verdict", lambda q, m, s, b, want_certificate=False: (verdict_at(m.window), None))
         with pytest.raises(laurent_mod.InconclusiveError, match="failed to stabilize below 16"):
             stable_verdict(verdict_at, window)
         assert laurent_mod.membership(U(1, 1, 0, 0), replace(km.module, window=window), km.subspace) is True
@@ -306,8 +307,8 @@ def test_start_window_13_decides_where_the_loop_hit_the_cap(T_monotone, monkeypa
 def test_window_protocol_rejects_start_window_before_evaluating(T_monotone, monkeypatch):
     import toricspec.laurent as laurent_mod
 
-    def evaluated(q, module, subspace, window, *args, **kwargs):
-        raise AssertionError(f"evaluated at window {window}")
+    def evaluated(q, module, subspace, *args, **kwargs):
+        raise AssertionError(f"evaluated at window {module.window}")
 
     monkeypatch.setattr(laurent_mod, "_below_generator_degree", evaluated)
     monkeypatch.setattr(laurent_mod, "_verdict", evaluated)
@@ -317,6 +318,8 @@ def test_window_protocol_rejects_start_window_before_evaluating(T_monotone, monk
         for decide in (laurent_mod.membership, laurent_mod.membership_certified):
             with pytest.raises(laurent_mod.InconclusiveError, match=f"start window {window} .* cap 16"):
                 decide(U(1, 0, 0, 0), module, km.subspace)
+        with pytest.raises(laurent_mod.InconclusiveError, match=f"start window {window} .* cap 16"):
+            laurent_mod.verify_certificate(U(1, 0, 0, 0), module, km.subspace, (1, {}))
 
 
 MONOTONE_SEQUENCES = ([False, False], [True, True], [False, True, True])
@@ -335,7 +338,7 @@ def test_membership_is_the_verdict_the_stability_loop_returns(T_monotone, T_p12,
     # FF, TT or FTT and returns the verdict at W + 2, the one window membership
     # decides at; the same holds without the degree test
     def without_degree_test(q, module, subspace, window, backend):
-        return _verdict(q, module, subspace, window, backend)[0]
+        return _verdict(q, replace(module, window=window), subspace, backend)[0]
 
     rng = random.Random(1515)
     seen = {}
@@ -370,9 +373,9 @@ def test_membership_evaluates_one_window_and_builds_no_basis_at_the_start(T_mono
     asked = []
     inner = laurent_mod._verdict
 
-    def recorded(q, module, subspace, window, backend, want_certificate=False):
-        asked.append((window, backend))
-        return inner(q, module, subspace, window, backend, want_certificate)
+    def recorded(q, module, subspace, backend, want_certificate=False):
+        asked.append((module.window, backend))
+        return inner(q, module, subspace, backend, want_certificate)
 
     monkeypatch.setattr(laurent_mod, "_verdict", recorded)
     for T in (T_monotone, T_cube):
@@ -384,15 +387,15 @@ def test_membership_evaluates_one_window_and_builds_no_basis_at_the_start(T_mono
             expected = []
             for q in queries:
                 membership(q, km.module, km.subspace)
-                if not _below_generator_degree(q, km.module, km.subspace, window + 2):
+                if not _below_generator_degree(q, replace(km.module, window=window + 2), km.subspace):
                     expected.append((window + 2, "both"))
                 membership_certified(q, km.module, km.subspace)
                 # the certified pass is the brute backend alone: no second verdict
                 expected.append((window + 2, "brute"))
             assert asked == expected
-            built = {key[0][-1] for kind, key in _MEMO if kind == "groebner"}
+            built = {key[0].window for kind, key in _MEMO if kind == "groebner"}
             assert built == {window + 2}
-            assert {key[-1] for kind, key in _MEMO if kind == "generators"} == {window + 2}
+            assert {key.window for kind, key in _MEMO if kind == "generators"} == {window + 2}
 
 
 def test_degree_grading_of_generators(T_monotone, T_cube):
@@ -414,7 +417,7 @@ def _direct_generators(module, window):
         level = sum((Fraction(p) * x for p, x in zip(toric.p, m)), Fraction(0))
         if module.threshold is None or level >= module.threshold:
             gens.append(tuple(sum(a * b for a, b in zip(row, m)) for row in toric.iota))
-    return sorted(gens, key=lambda g: (sum(g), g))
+    return tuple(sorted(gens, key=lambda g: (sum(g), g)))
 
 
 def test_integer_generators_match_fraction_enumeration(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
@@ -426,7 +429,7 @@ def test_integer_generators_match_fraction_enumeration(T_monotone, T_p12, T_cp2,
             for m in shifts:
                 module = novikov_shift(base, m)
                 for window in (1, 2, 3, 4):
-                    assert module.generators(window) == _direct_generators(module, window)
+                    assert replace(module, window=window).generators() == _direct_generators(module, window)
                     checked += 1
     assert checked == 5 * 6 * 3 * 4
 
@@ -457,7 +460,7 @@ def test_generators_match_the_box_filter(T_monotone, T_p12, T_cp2, T_cp3, T_cube
             for m in ((0,) * T.k, tuple((-1) ** i * (i + 2) for i in range(T.k))):
                 module = novikov_shift(base, m)
                 for window in (2, 4, 6):
-                    assert module.generators(window) == _direct_generators(module, window)
+                    assert replace(module, window=window).generators() == _direct_generators(module, window)
                     checked += 1
     assert checked == 9 * 4 * 2 * 3
 
@@ -486,9 +489,47 @@ def test_window_box_over_the_limit_raises_before_enumerating(T_monotone, T_cube,
     cube = MonomialModule(toric=T_cube, threshold=H, window=2)
     with pytest.raises(laurent_mod.InconclusiveError, match="window 2 box has 125 points"):
         cube.generators()
-    assert len(cube.generators(1)) == len(_direct_generators(cube, 1)) > 0
+    assert len(replace(cube, window=1).generators()) == len(_direct_generators(cube, 1)) > 0
     monkeypatch.setattr(laurent_mod, "BOX_LIMIT", 125)
     assert cube.generators() == _direct_generators(cube, 2)
+
+
+def test_query_over_the_limit_raises_before_restricting(T_monotone, T_cube, monkeypatch):
+    import toricspec.laurent as laurent_mod
+
+    def timeout(signum, frame):
+        raise TimeoutError("the query was restricted")
+
+    # K of the square has k = 2 coordinates: u1^E at cleared degree D has
+    # D + 1 monomials; on K0, one coordinate, the same query is answered
+    km = kernel_K(T_monotone, H, 2)
+    floor = laurent_mod._cleared_generators(decision_module(km.module), km.subspace)[2]
+    big = U(10**8, 0, 0, 0)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for decide in (membership, membership_certified):
+            with pytest.raises(laurent_mod.InconclusiveError) as exc:
+                decide(big, km.module, km.subspace)
+            degree = 10**8 + sum(floor)
+            assert str(exc.value) == f"cleared query degree {degree} has more than 100000 monomials in 2 coordinates"
+        line = kernel_K0(T_monotone, H, 2)
+        assert membership(big, line.module, line.subspace)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # the limit counts C(D + k - 1, k - 1): the cube's K0 subspace has k = 2
+    # coordinates, so a query cleared at degree D reaches D + 1 monomials
+    cube = kernel_K0(T_cube, H, 2)
+    exps = (-1, 3, 1, 0, 1, 3)
+    q = U(*exps)
+    floor = laurent_mod._cleared_generators(decision_module(cube.module), cube.subspace)[2]
+    count = sum(exps) + sum(max(t, -e) for t, e in zip(floor, exps)) + 1
+    monkeypatch.setattr(laurent_mod, "QUERY_LIMIT", count - 1)
+    with pytest.raises(laurent_mod.InconclusiveError, match=f"more than {count - 1} monomials in 2 coordinates"):
+        membership(q, cube.module, cube.subspace)
+    monkeypatch.setattr(laurent_mod, "QUERY_LIMIT", count)
+    assert membership(q, cube.module, cube.subspace) == membership(q, cube.module, cube.subspace, "brute")
 
 
 def test_memo_clear_caches_and_counts(T_monotone):
@@ -503,7 +544,7 @@ def test_memo_clear_caches_and_counts(T_monotone):
     spectrum = spectrum_classes(T, dmap)
     built = memo_counts()
     kinds = ("generators", "groebner", "cleared_generators", "graded_slice", "restriction_groups",
-             "minimal_generators", "toric_data", "vertex_minor", "validation")
+             "toric_data", "vertex_minor", "validation")
     for kind in kinds:
         assert built[kind][1] > 0, kind
     again = [membership(q, km.module, km.subspace) for q in queries]
@@ -512,7 +553,7 @@ def test_memo_clear_caches_and_counts(T_monotone):
     assert toric_data(T_monotone.polytope) is T
     assert validate(T_monotone.polytope).vertex_facets == T.vertex_facets
     assert spectrum_classes(T, dmap) == spectrum
-    km.module.generators(km.module.window + 2)
+    decision_module(km.module).generators()
     counts = memo_counts()
     for kind in kinds:
         assert counts[kind][0] > built[kind][0], kind   # every kind answered from the memo
@@ -523,10 +564,32 @@ def test_memo_clear_caches_and_counts(T_monotone):
     assert memo_counts()["groebner"][1] == built["groebner"][1]
 
 
+def test_one_membership_keys_every_entry_by_the_module_at_its_decision_window(T_cube):
+    # the frozen module at window W + 2 is its own memo key: the cleared
+    # generators and the Groebner basis sit under (module, basis), each graded
+    # slice under ((module, basis), degree, tracking)
+    from toricspec.memo import _MEMO
+
+    km = kernel_K0(T_cube, H, 4)
+    decided = replace(km.module, window=6)
+    clear_caches()
+    assert membership(U(-1, 3, 1, 0, 1, 3), km.module, km.subspace)
+    level = (decided, km.subspace.basis)
+    keys = {kind: [key for k, key in _MEMO if k == kind] for kind in ("cleared_generators", "groebner", "graded_slice")}
+    assert keys["cleared_generators"] == keys["groebner"] == [level]
+    assert keys["graded_slice"] and all(key[0] == level for key in keys["graded_slice"])
+    assert all(key[0].window == 6 for kind in keys for key in keys[kind] if kind != "graded_slice")
+    assert all(key[0][0].window == 6 for key in keys["graded_slice"])
+    assert [key for kind, key in _MEMO if kind == "generators"] == [decided]
+    gens = decided.generators()
+    assert type(gens) is tuple and decided.generators() is gens
+    assert replace(km.module, window=6).generators() is gens
+
+
 def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeypatch):
-    # both backends read the minimal generators of a (level, window) from the
-    # memo; a query at the generator degree (2 here) is decided at W + 2 = 4
-    # alone
+    # both backends read the minimal generators of a module at its window
+    # from its one cleared-generators entry; a query at the generator degree
+    # (2 here) is decided at W + 2 = 4 alone
     import toricspec.laurent as laurent
 
     built = []
@@ -540,8 +603,8 @@ def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeyp
     km = kernel_K0(T_cube, H, 2)
     clear_caches()
     membership(U(1, 1, 0, 0, 0, 0), km.module, km.subspace, backend="both")
-    assert built == [len(km.module.generators(4))]
-    assert memo_counts()["minimal_generators"][1] == 1
+    assert built == [len(decision_module(km.module).generators())]
+    assert memo_counts()["cleared_generators"][1] == 1
 
 
 def test_backends_reject_every_monomial_below_the_generator_degree(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
@@ -560,9 +623,9 @@ def test_backends_reject_every_monomial_below_the_generator_degree(T_monotone, T
                     if sum(e) >= least:
                         continue
                     q = Poly.monomial(e)
-                    assert _below_generator_degree(q, km.module, km.subspace, window)
-                    assert not _verdict(q, km.module, km.subspace, window, "groebner")[0], (e, window)
-                    assert not _verdict(q, km.module, km.subspace, window, "brute")[0], (e, window)
+                    assert _below_generator_degree(q, km.module, km.subspace)
+                    assert not _verdict(q, km.module, km.subspace, "groebner")[0], (e, window)
+                    assert not _verdict(q, km.module, km.subspace, "brute")[0], (e, window)
                     checked += 1
     assert checked > 1000
 
@@ -580,13 +643,13 @@ def test_degree_test_needs_one_term_and_a_nonzero_ring(T_monotone, T_cp2):
     km = kernel_K0(T_monotone, H, 2)
     least = sum(km.module.generators()[0])
     low = (least - 1, 0, 0, 0)
-    assert _below_generator_degree(Poly.monomial(low), km.module, km.subspace, 2)
-    assert not _below_generator_degree(Poly.monomial((least, 0, 0, 0)), km.module, km.subspace, 2)
-    assert not _below_generator_degree(Poly(4, {low: 1, (0, least - 1, 0, 0): 1}), km.module, km.subspace, 2)
-    assert not _below_generator_degree(Poly.zero(4), km.module, km.subspace, 2)
+    assert _below_generator_degree(Poly.monomial(low), km.module, km.subspace)
+    assert not _below_generator_degree(Poly.monomial((least, 0, 0, 0)), km.module, km.subspace)
+    assert not _below_generator_degree(Poly(4, {low: 1, (0, least - 1, 0, 0): 1}), km.module, km.subspace)
+    assert not _below_generator_degree(Poly.zero(4), km.module, km.subspace)
     zero_ring = kernel_K0(T_cp2, H, 2)
     assert zero_ring.subspace.is_zero_ring()
-    assert not _below_generator_degree(Poly.monomial((-5, 0, 0)), zero_ring.module, zero_ring.subspace, 2)
+    assert not _below_generator_degree(Poly.monomial((-5, 0, 0)), zero_ring.module, zero_ring.subspace)
     assert membership(Poly.monomial((-5, 0, 0)), zero_ring.module, zero_ring.subspace)
 
 
@@ -646,14 +709,16 @@ def test_tracked_span_agrees_with_verdict_and_rejects_forgeries(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
     for exps in ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (2, 1, -1, 0), (0, 1, 0, 0)):
         q = U(*exps)
-        plain = _verdict(q, km.module, km.subspace, 2, "brute")
-        tracked = _verdict(q, km.module, km.subspace, 2, "brute", want_certificate=True)
+        plain = _verdict(q, km.module, km.subspace, "brute")
+        tracked = _verdict(q, km.module, km.subspace, "brute", want_certificate=True)
         assert plain[0] == tracked[0]
         assert (tracked[1] is None) == (not tracked[0])
-    ok, (scale, relation) = _verdict(U(1, 1, 0, 0), km.module, km.subspace, 2, "brute", want_certificate=True)
+    decided = decision_module(km.module)
+    ok, (scale, relation) = _verdict(U(1, 1, 0, 0), decided, km.subspace, "brute", want_certificate=True)
+    assert ok and verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, (scale, relation))
     label, c = next(iter(relation.items()))
     forged = (scale, {**relation, label: 2 * c})
-    assert not verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, forged, window=2)
+    assert not verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, forged)
 
 
 def test_verify_certificate_rejects_forgeries(T_monotone):
@@ -664,7 +729,7 @@ def test_verify_certificate_rejects_forgeries(T_monotone):
     (g, a), c = next(iter(relation.items()))
     rest = {lab: v for lab, v in relation.items() if lab != (g, a)}
     zero = (0,) * T_monotone.n
-    gens = km.module.generators(4)
+    gens = decision_module(km.module).generators()
     assert not any(all(x >= y for x, y in zip(zero, h)) for h in gens)
     forgeries = [
         (0, {}),  # 0 * q = 0 holds for every q
@@ -699,9 +764,9 @@ def test_certifying_a_member_takes_one_tracked_brute_pass(T_monotone, T_cube, mo
     calls = []
     inner = laurent_mod._verdict
 
-    def recorded(q, module, subspace, window, backend, want_certificate=False):
-        calls.append((window, backend, want_certificate))
-        return inner(q, module, subspace, window, backend, want_certificate)
+    def recorded(q, module, subspace, backend, want_certificate=False):
+        calls.append((module.window, backend, want_certificate))
+        return inner(q, module, subspace, backend, want_certificate)
 
     def asked(*args):
         raise AssertionError("a verdict pass ran")
@@ -720,7 +785,7 @@ def test_certifying_a_member_takes_one_tracked_brute_pass(T_monotone, T_cube, mo
             assert ok and verify_certificate(q, km.module, km.subspace, cert)
             assert not any(kind == "groebner" for kind, _ in _MEMO)
             slices = [key for kind, key in _MEMO if kind == "graded_slice"]
-            assert slices and all(key[0][0][-1] == window + 2 and key[2] for key in slices)
+            assert slices and all(key[0][0].window == window + 2 and key[2] for key in slices)
 
 
 # --- the graded slices of the brute backend --------------------------------------
@@ -747,8 +812,8 @@ def test_backends_agree_at_one_window(name, maker, nu):
     members = 0
     for exps in product(range(0, 13, 3), repeat=T.n):
         q = U(*exps)
-        gb = _verdict(q, km.module, km.subspace, 2, "groebner")[0]
-        assert _verdict(q, km.module, km.subspace, 2, "brute")[0] == gb, exps
+        gb = _verdict(q, km.module, km.subspace, "groebner")[0]
+        assert _verdict(q, km.module, km.subspace, "brute")[0] == gb, exps
         members += gb
     assert members > 0
 
@@ -776,7 +841,7 @@ def test_deep_queries_match_a_basis_cleared_at_their_own_depth(T_monotone, T_p12
                 if depth not in reference:
                     reference[depth] = reference_module_ideal(gens, depth, km.subspace)
                 want = _reference_normal_form(q.term_mul(depth), reference[depth]).is_zero()
-                assert _verdict(q, km.module, km.subspace, 2, "groebner")[0] == want, (T.n, maker, q)
+                assert _verdict(q, km.module, km.subspace, "groebner")[0] == want, (T.n, maker, q)
                 if km.ring != "ZeroRing":
                     verdicts.add((want, depth != floor))
     assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
@@ -792,11 +857,11 @@ def test_grown_slices_change_no_verdict(T_monotone, T_cube):
         km = kernel_K0(T, H, 2)
         queries = _slice_queries(T)
         clear_caches()
-        forward = [_verdict(q, km.module, km.subspace, 2, "brute")[0] for q in queries]
+        forward = [_verdict(q, km.module, km.subspace, "brute")[0] for q in queries]
         clear_caches()
-        backward = [_verdict(q, km.module, km.subspace, 2, "brute")[0] for q in reversed(queries)]
+        backward = [_verdict(q, km.module, km.subspace, "brute")[0] for q in reversed(queries)]
         assert forward == backward[::-1]
-        assert forward == [_verdict(q, km.module, km.subspace, 2, "groebner")[0] for q in queries]
+        assert forward == [_verdict(q, km.module, km.subspace, "groebner")[0] for q in queries]
         assert any(forward) and not all(forward)
 
 
@@ -806,9 +871,9 @@ def test_certificate_from_grown_slice_verifies(T_monotone, T_cube):
         queries = _slice_queries(T)
         clear_caches()
         members = [q for q in queries if membership_certified(q, km.module, km.subspace)[0]]
-        # grow the slices through unrelated queries first, then certify
+        # grow the slices of W + 2 through unrelated queries first, then certify
         for q in queries:
-            _verdict(q, km.module, km.subspace, 2, "brute", want_certificate=True)
+            _verdict(q, decision_module(km.module), km.subspace, "brute", want_certificate=True)
         for q in members + [U(*(x + 1 for x in next(iter(members[0].terms))))]:
             ok, cert = membership_certified(q, km.module, km.subspace)
             assert ok and cert[1]
@@ -821,14 +886,14 @@ def test_certificate_labels_may_be_any_module_monomial(T_monotone):
     # just as valid; the constant 1 names no module element, so "1 = 1 * 1"
     # certifies nothing
     km = kernel_K0(T_monotone, H, 2)
-    gens = km.module.generators()
+    gens = decision_module(km.module).generators()
     g = next(g for g in gens if g not in _minimal_monomials(gens))
     one = (0,) * km.subspace.dim
     for label in (g, tuple(x + (i == 1) for i, x in enumerate(g))):
-        assert verify_certificate(Poly.monomial(label), km.module, km.subspace, (1, {(label, one): 1}), window=2)
+        assert verify_certificate(Poly.monomial(label), km.module, km.subspace, (1, {(label, one): 1}))
     zero = (0,) * T_monotone.n
     assert not any(all(a >= b for a, b in zip(zero, h)) for h in gens)
-    assert not verify_certificate(Poly.monomial(zero), km.module, km.subspace, (1, {(zero, one): 1}), window=2)
+    assert not verify_certificate(Poly.monomial(zero), km.module, km.subspace, (1, {(zero, one): 1}))
 
 
 # --- the fraction-free span ---------------------------------------------------------

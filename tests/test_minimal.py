@@ -1,5 +1,6 @@
 import random
 import signal
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -14,10 +15,10 @@ from toricspec.laurent import (
     novikov_shift,
     restrict,
     restriction_class_key,
-    _level_key,
+    _cleared_generators,
     _verdict,
 )
-from toricspec.memo import _MEMO, clear_caches
+from toricspec.memo import _MEMO, clear_caches, memo_counts
 from toricspec.minimal import (
     BoundingData,
     MinimalDegreeWitness,
@@ -135,7 +136,7 @@ def test_polynomial_part_degree_test_builds_no_basis(T_monotone):
     # without a basis under the part's key; a basis built afterwards agrees
     km = kernel_K0(T_monotone, H, 2)
     part = PolynomialPart(T_monotone, H, 2)
-    keys = [("groebner", (_level_key(part, w), km.subspace.basis)) for w in (2, 4)]
+    keys = [("groebner", (replace(part, window=w), km.subspace.basis)) for w in (2, 4)]
     below = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
     clear_caches()
     for q in below:
@@ -143,8 +144,26 @@ def test_polynomial_part_degree_test_builds_no_basis(T_monotone):
     assert not any(key in _MEMO for key in keys)
     for window in (2, 4):
         for q in below:
-            assert not _verdict(Poly.monomial(q), part, km.subspace, window, "groebner")[0]
+            assert not _verdict(Poly.monomial(q), replace(part, window=window), km.subspace, "groebner")[0]
     assert all(key in _MEMO for key in keys)
+
+
+def test_polynomial_part_and_module_with_equal_fields_are_distinct_memo_keys(T_monotone):
+    # dataclass equality compares the class: the two hash alike, but each
+    # builds its own entries; the part's generators read the module's
+    module = MonomialModule(T_monotone, H, 4)
+    part = PolynomialPart(T_monotone, H, 4)
+    assert hash(part) == hash(module) and part != module and module != part
+    sub = kernel_K0(T_monotone, H, 2).subspace
+    clear_caches()
+    gens, positive = module.generators(), part.generators()
+    assert memo_counts()["generators"] == (1, 2)
+    assert all(min(g) >= 0 for g in positive) and any(min(g) < 0 for g in gens)
+    assert _cleared_generators(part, sub)[2] == (0,) * T_monotone.n != _cleared_generators(module, sub)[2]
+    assert memo_counts()["cleared_generators"] == (0, 2)
+    kinds = [kind for kind, key in _MEMO if key in (module, (module, sub.basis))]
+    assert kinds.count("generators") == kinds.count("cleared_generators") == 1
+    assert sum(kind in ("generators", "cleared_generators") for kind, _ in _MEMO) == 4
 
 
 def test_polynomial_part_backends_match_the_definition(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
@@ -162,7 +181,7 @@ def test_polynomial_part_backends_match_the_definition(T_monotone, T_p12, T_cp2,
                 for _ in range(6):
                     q = Poly.monomial(tuple(rng.randint(0, 3) for _ in range(T.n)))
                     want = _reference_normal_form(q, ideal).is_zero()
-                    assert _verdict(q, part, sub, window, "both")[0] == want, (T.n, maker, window, q)
+                    assert _verdict(q, part, sub, "both")[0] == want, (T.n, maker, window, q)
                     if not sub.is_zero_ring():
                         verdicts.add(want)
     assert verdicts == {True, False}
@@ -210,7 +229,7 @@ def _looped_degree_floor_violations(toric, r, window, box):
             continue
         seen.add(key)
         q = Poly.monomial(a)
-        if _looped_verdict(lambda w: _verdict(q, km.module, km.subspace, w, "both")[0], window):
+        if _looped_verdict(lambda w: _verdict(q, replace(km.module, window=w), km.subspace, "both")[0], window):
             violations.append(a)
     return violations, len(seen)
 
@@ -222,8 +241,9 @@ def test_degree_floor_scan_is_the_loop_verdict_at_one_window(T_monotone, T_cp2, 
             for window in (2, 3):
                 clear_caches()
                 got = degree_floor_violations(T, r, window, box=box)
-                level = _level_key(kernel_K0(T, r, window).module, 0)[:-1]
-                built = {key[0][-1] for kind, key in _MEMO if kind == "groebner" and key[0][:-1] == level}
+                module = kernel_K0(T, r, window).module
+                built = {key[0].window for kind, key in _MEMO
+                         if kind == "groebner" and replace(key[0], window=window) == module}
                 assert built <= {window + 2}
                 assert got == _looped_degree_floor_violations(T, r, window, box)
                 violated += bool(got[0])
@@ -318,11 +338,11 @@ def test_witness_search_builds_one_basis_per_window(T_monotone):
     # the search asks the level module at translated monomials, and every
     # query is cleared at the generator floor: one Groebner basis, at the
     # window W + 2 that membership decides at, whatever the shift and the depth
-    level = _level_key(kernel_K0(T_monotone, Fraction(3), 2).module, 0)[:-1]
+    module = kernel_K0(T_monotone, Fraction(3), 2).module
     clear_caches()
     w = find_minimal_degree_element(T_monotone, Fraction(3))
     assert isinstance(w, MinimalDegreeWitness)
-    windows = [key[0][-1] for kind, key in _MEMO if kind == "groebner" and key[0][:-1] == level]
+    windows = [key[0].window for kind, key in _MEMO if kind == "groebner" and replace(key[0], window=2) == module]
     assert sorted(windows) == [4]
 
 

@@ -17,7 +17,6 @@ from toricspec.polytope import (
     _enumerate_vertices,
     find_positive_b,
     is_cpn,
-    monotonicity_check,
     parse_polytope,
     rationality_check,
     toric_data,
@@ -156,14 +155,20 @@ def test_toric_data_cube():
 
 def test_rationality_and_monotonicity_checks(T_monotone, T_p12, T_cp2):
     assert rationality_check(T_monotone)
-    assert monotonicity_check(T_monotone) == 2
+    assert T_monotone.min_chern == 2
     assert rationality_check(T_p12)
-    assert monotonicity_check(T_p12) is None
-    assert monotonicity_check(T_cp2) == 3
+    assert T_p12.min_chern is None
+    assert T_cp2.min_chern == 3
     # scaled p: integral but not primitive
     doubled = toric_data(cp1xcp1((Fraction(1), Fraction(1), Fraction(1), Fraction(1))))
     assert doubled.p == (Fraction(2), Fraction(2))
     assert not rationality_check(doubled)
+    # offsets 1/4: chern = 4 p, but p = (1/2, 1/2) is not integral, so there
+    # is no N_M
+    quarter = toric_data(cp1xcp1((Fraction(1, 4),) * 4))
+    assert quarter.p == (H, H) and quarter.chern == (2, 2)
+    assert not rationality_check(quarter)
+    assert quarter.min_chern is None
     # non-integral p
     thirds = toric_data(cp1xcp1((H, H, Fraction(3, 4), Fraction(3, 4))))
     assert thirds.p == (Fraction(1), Fraction(3, 2))
