@@ -173,9 +173,7 @@ def cmd_kernel(args, report: Report) -> int:
     for i, g in enumerate(gens):
         report.kv(f"gen.{i}", ",".join(map(str, g)))  # integer exponent vectors
     if args.member is not None:
-        verdict = membership(
-            Poly.monomial(exps), km.module, km.subspace, backend=args.backend
-        )
+        verdict = membership(Poly.monomial(exps), km, backend=args.backend)
         report.kv("member", str(verdict).lower())
         report.kv("backend", args.backend)
     return 0

@@ -19,13 +19,13 @@ backends:
     restrictions times monomials of every degree.  It is complete at each
     window.
 
-A module's window is the one its questions are decided at: `decision_module`
-turns module window W into W + 2, and every other membership function reads
-the window off the module, which is also the memo key of everything built
-from it.  One function, `_verdict`, decides: on a zero ring every query is a
-member; otherwise the query is cleared and restricted once (past QUERY_LIMIT
-monomials of its cleared degree -> Inconclusive) and handed to the chosen
-backend, or to both, which must agree (a disagreement raises).  `membership`
+Every membership function takes one `KernelModule` (module, subspace, ring),
+decided at its window: `decision_module` builds, once per kernel module at W,
+the one at W + 2, which keys everything built from it in the memo.
+One function, `_verdict`, decides: on a zero ring every query is a member;
+otherwise generators and query are cleared and restricted once (past
+QUERY_LIMIT monomials of a cleared degree -> Inconclusive) and handed to the
+chosen backend, or to both, which must agree (a disagreement raises).  `membership`
 first decides a monomial query below the least generator degree a non-member
 in integers alone; `membership_certified` asks the brute backend for its
 integer relation.
@@ -49,8 +49,8 @@ from toricspec.polytope import ToricData, check_hypotheses
 
 class InconclusiveError(Exception):
     """A stated limit stopped the work before a verdict: a window, exponent or
-    degree cap, the size of a window box (BOX_LIMIT) or of a cleared query's
-    degree (QUERY_LIMIT)."""
+    degree cap, the size of a window box (BOX_LIMIT) or of one degree of the
+    cleared generators or of a cleared query (QUERY_LIMIT)."""
 
 
 class BackendMismatchError(Exception):
@@ -62,8 +62,8 @@ WINDOW_CAP = 16
 # box at WINDOW_CAP, 33^4 (about 1.19 M), fits; the largest box tier-1 and the
 # benchmark build is the cube's at W = 6, 13^3 = 2,197.
 BOX_LIMIT = 2_000_000
-# The most monomials of one degree in the k coordinates of a subspace that a
-# cleared membership query may reach, C(D + k - 1, k - 1) at cleared degree D.
+# The most monomials of one degree in the k coordinates of a subspace that the
+# cleared generators or a cleared query may reach, C(D + k - 1, k - 1) at D.
 QUERY_LIMIT = 100_000
 
 
@@ -109,9 +109,7 @@ class LinearSubspace:
         return total
 
     def is_zero_ring(self) -> bool:
-        if self.dim == 0:
-            return True
-        return not all(map(any, self.basis))
+        return self.dim == 0 or not all(map(any, self.basis))
 
 
 @dataclass
@@ -311,19 +309,27 @@ def _minimal_monomials(exps_list):
     return out
 
 
-def _cleared_generators(module, subspace):
+def _check_query_limit(what, degree, k):
+    """Inconclusive when `degree` has more than QUERY_LIMIT monomials in k coordinates."""
+    if comb(degree + k - 1, k - 1) > QUERY_LIMIT:
+        raise InconclusiveError(f"{what} degree {degree} has more than {QUERY_LIMIT} monomials in {k} coordinates")
+
+
+def _cleared_generators(km: KernelModule):
     """The minimal generators g of the module at its window (every other
     generator is a u-multiple of one), their restrictions prod l_i^(g_i + T_i)
     in the same order, and the generator floor T: the least exponents with
     g + T >= 0 for every generator g, which the minimal generators attain.
-    Built once per (module, subspace) for both backends."""
+    Built once per kernel module for both backends; a largest cleared degree
+    past QUERY_LIMIT raises before any generator is restricted."""
 
     def build():
-        gens = _minimal_monomials(module.generators())
-        floor = tuple(max(0, -min((g[i] for g in gens), default=0)) for i in range(module.toric.n))
-        return gens, [subspace.form_product(tuple(map(add, g, floor))) for g in gens], floor
+        gens = _minimal_monomials(km.module.generators())
+        floor = tuple(max(0, -min((g[i] for g in gens), default=0)) for i in range(km.module.toric.n))
+        _check_query_limit("cleared generator", max(map(sum, gens), default=0) + sum(floor), km.subspace.dim)
+        return gens, [km.subspace.form_product(tuple(map(add, g, floor))) for g in gens], floor
 
-    return memo("cleared_generators", (module, subspace.basis), build)
+    return memo("cleared_generators", km, build)
 
 
 def _cleared(q: Poly, floor, subspace: LinearSubspace):
@@ -336,10 +342,7 @@ def _cleared(q: Poly, floor, subspace: LinearSubspace):
     InconclusiveError before anything is restricted."""
     depth = tuple(max(t, -m) for t, m in zip(floor, q.min_exponents()))
     cleared = q.term_mul(depth)
-    degree, k = max(cleared.total_degree(), 0), subspace.dim
-    if comb(degree + k - 1, k - 1) > QUERY_LIMIT:
-        raise InconclusiveError(f"cleared query degree {degree} has more than {QUERY_LIMIT} monomials"
-                                f" in {k} coordinates")
+    _check_query_limit("cleared query", max(cleared.total_degree(), 0), subspace.dim)
     num = subspace.image(cleared)
     if depth == floor:
         return num
@@ -349,11 +352,10 @@ def _cleared(q: Poly, floor, subspace: LinearSubspace):
 # --- membership: Groebner backend -------------------------------------------
 
 
-def _groebner_member(cleared: Poly, module, subspace) -> bool:
+def _groebner_member(cleared: Poly, km: KernelModule) -> bool:
     """Is the cleared query restriction in the ideal of the cleared generator
-    restrictions?  Their Groebner basis is built once per (module, subspace)."""
-    basis = memo("groebner", (module, subspace.basis),
-                 lambda: DivisionBasis(subspace.dim, buchberger(_cleared_generators(module, subspace)[1])))
+    restrictions?  Their Groebner basis is built once per kernel module."""
+    basis = memo("groebner", km, lambda: DivisionBasis(km.subspace.dim, buchberger(_cleared_generators(km)[1])))
     return normal_form(cleared, basis).is_zero()
 
 
@@ -509,7 +511,7 @@ class _GradedSlice:
         return vec, scale, combo
 
 
-def _brute_member(cleared: Poly, module, subspace, want_certificate=False):
+def _brute_member(cleared: Poly, km: KernelModule, want_certificate=False):
     """Exact linear algebra in the subspace coordinates, graded slice by slice;
     complete at the module's window, since every multiplier degree is
     admitted.
@@ -518,14 +520,11 @@ def _brute_member(cleared: Poly, module, subspace, want_certificate=False):
     one integer relation (scale, {(g, a): c}): scale * cleared = sum c *
     (u^(g + T))|_V * w^a over minimal generators g, merged from the
     components over the lcm of their scales (a label fixes its degree)."""
-    gens, cleared_gens, _ = _cleared_generators(module, subspace)
+    gens, cleared_gens, _ = _cleared_generators(km)
     parts = []
     for degree, component in cleared.homogeneous_components().items():
-        graded = memo(
-            "graded_slice",
-            ((module, subspace.basis), degree, want_certificate),
-            lambda: _GradedSlice(gens, cleared_gens, degree, subspace.dim, want_certificate),
-        )
+        graded = memo("graded_slice", (km, degree, want_certificate),
+                      lambda: _GradedSlice(gens, cleared_gens, degree, km.subspace.dim, want_certificate))
         residual, scale, combo = graded.residual(component.terms)
         if residual:
             return False, None
@@ -536,7 +535,7 @@ def _brute_member(cleared: Poly, module, subspace, want_certificate=False):
     return True, (common, {lab: c * (common // scale) for scale, combo in parts for lab, c in combo.items()})
 
 
-def verify_certificate(q, module, subspace, certificate) -> bool:
+def verify_certificate(q, km: KernelModule, certificate) -> bool:
     """Check a brute-backend certificate in integers at the window W + 2 that
     membership decides at: scale is a positive int, each label g is a
     u-multiple of a generator (g need not be minimal) and a a monomial in w,
@@ -544,9 +543,11 @@ def verify_certificate(q, module, subspace, certificate) -> bool:
     scale, relation = certificate
     if type(scale) is not int or scale < 1:
         return False
-    if subspace.is_zero_ring():
+    if km.ring == ZERO_RING:
         return True
-    gens, _, floor = _cleared_generators(decision_module(module), subspace)
+    km = decision_module(km)
+    subspace = km.subspace
+    gens, _, floor = _cleared_generators(km)
     cleared = _cleared(q, floor, subspace)
     if cleared is None or not all(
         len(g) == len(floor) and any(all(map(ge, g, m)) for m in gens) and len(a) == subspace.dim and min(a) >= 0
@@ -563,35 +564,35 @@ def verify_certificate(q, module, subspace, certificate) -> bool:
 # --- membership: public entry -------------------------------------------------
 
 
-def _below_generator_degree(q: Poly, module: MonomialModule, subspace: LinearSubspace) -> bool:
+def _below_generator_degree(q: Poly, km: KernelModule) -> bool:
     """The degree test: a monomial of total degree below the least generator
     degree of the module is no member, since every module element then
     restricts to V with homogeneous components of at least that degree, and
     a monomial restricts to one nonzero component of its own degree unless V
     is a zero ring.  The generators are sorted by total degree, so this costs
     one memo lookup."""
-    gens = module.generators()
-    return (bool(gens) and len(q.terms) == 1 and not subspace.is_zero_ring()
+    gens = km.module.generators()
+    return (bool(gens) and len(q.terms) == 1 and km.ring != ZERO_RING
             and sum(next(iter(q.terms))) < sum(gens[0]))
 
 
-def _verdict(q, module, subspace, backend, want_certificate=False):
+def _verdict(q, km: KernelModule, backend, want_certificate=False):
     """The verdict at the module's window of the chosen backend, or of both,
     which must agree, as (verdict, certificate); the query is cleared and
     restricted once.  A certificate, on request, comes from the brute backend
     as in `_brute_member`; on the zero ring (1, {}) certifies every q."""
-    if subspace.is_zero_ring():
+    if km.ring == ZERO_RING:
         return True, ((1, {}) if want_certificate else None)
-    cleared = _cleared(q, _cleared_generators(module, subspace)[2], subspace)
+    cleared = _cleared(q, _cleared_generators(km)[2], km.subspace)
     if cleared is None:
         return False, None
-    gb = None if backend == "brute" else _groebner_member(cleared, module, subspace)
+    gb = None if backend == "brute" else _groebner_member(cleared, km)
     if backend == "groebner":
         return gb, None
-    verdict, certificate = _brute_member(cleared, module, subspace, want_certificate)
+    verdict, certificate = _brute_member(cleared, km, want_certificate)
     if gb is not None and gb != verdict:
         raise BackendMismatchError(
-            f"groebner={gb} brute={verdict} at window {module.window} for {q.render()}"
+            f"groebner={gb} brute={verdict} at window {km.module.window} for {q.render()}"
         )
     return verdict, certificate
 
@@ -605,14 +606,15 @@ def check_start_window(window: int):
         )
 
 
-def decision_module(module: MonomialModule) -> MonomialModule:
-    """The module at window W + 2, where its membership questions are
-    decided, for the module window W (past the cap 16 -> Inconclusive)."""
-    check_start_window(module.window)
-    return replace(module, window=module.window + 2)
+def decision_module(km: KernelModule) -> KernelModule:
+    """The kernel module at window W + 2, where its membership questions are
+    decided, for the module window W (past the cap 16 -> Inconclusive); built
+    once per kernel module, so every later memo key holds the same object."""
+    check_start_window(km.module.window)
+    return memo("decision_module", km, lambda: replace(km, module=replace(km.module, window=km.module.window + 2)))
 
 
-def membership(q: Poly, module: MonomialModule, subspace: LinearSubspace, backend: str = "both") -> bool:
+def membership(q: Poly, km: KernelModule, backend: str = "both") -> bool:
     """Is q in the module plus the relation ideal of the subspace?
 
     Decided by the module at window W + 2, `decision_module`, for the module
@@ -620,12 +622,12 @@ def membership(q: Poly, module: MonomialModule, subspace: LinearSubspace, backen
     each backend decides the module of its window exactly, so the verdict
     can only turn from False to True as the window widens: widening until
     two consecutive verdicts agree returns the verdict at W + 2."""
-    module = decision_module(module)
-    if _below_generator_degree(q, module, subspace):
+    km = decision_module(km)
+    if _below_generator_degree(q, km):
         return False
-    return _verdict(q, module, subspace, backend)[0]
+    return _verdict(q, km, backend)[0]
 
 
-def membership_certified(q: Poly, module: MonomialModule, subspace: LinearSubspace):
+def membership_certified(q: Poly, km: KernelModule):
     """(verdict, certificate) at window W + 2 from one tracked brute pass."""
-    return _verdict(q, decision_module(module), subspace, "brute", want_certificate=True)
+    return _verdict(q, decision_module(km), "brute", want_certificate=True)

@@ -2,10 +2,10 @@
 
 Everything derived from fixed inputs alone is built once and kept here under
 (kind, key): the validation report and reduction data of each polytope and
-its vertex minors, and everything derived from a module at its window, the
-module being its own key (generators, cleared minimal generators, graded slice
-spans and Groebner data).  This module imports nothing from the package, so
-every layer can use it.
+its vertex minors, each module's generators, and everything membership derives
+from a kernel module at its decision window, which is built once and is the
+key (cleared minimal generators, graded slice spans, Groebner data).  This
+module imports nothing from the package, so every layer can use it.
 """
 
 _MEMO: dict = {}

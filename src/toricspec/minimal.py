@@ -18,7 +18,7 @@ Nullstellensatz exponents, which cap the witness search, are decided on the
 module membership path, Groebner backend.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import ceil
@@ -88,7 +88,7 @@ def bounding_modules(toric: ToricData, nu, c_minus, c_plus, window: int = 2) -> 
     lower = kernel_K0(toric, r_minus, window)
     upper = kernel_K0(toric, r_plus, window)
     for g in upper.module.generators():
-        if not membership(Poly.monomial(g), lower.module, lower.subspace):
+        if not membership(Poly.monomial(g), lower):
             raise InconclusiveError("bounding inclusion failed on a generator")
     return BoundingData(
         nu=nu, c_minus=c_minus, c_plus=c_plus, r_minus=r_minus, r_plus=r_plus,
@@ -118,14 +118,14 @@ def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -
     ideal of the level-r module plus the relation ideal."""
     check_hypotheses(toric, monotone=True, exclude_cpn=True)
     km = kernel_K0(toric, Fraction(r), window)
-    part = PolynomialPart(toric, km.module.threshold, window)
+    part = replace(km, module=PolynomialPart(toric, km.module.threshold, window))
     n = toric.n
     out = []
     for i in range(n):
         found = None
         for m in range(cap + 1):
             q = Poly.monomial(tuple(m if j == i else 0 for j in range(n)))
-            if membership(q, part, km.subspace, backend="groebner"):
+            if membership(q, part, backend="groebner"):
                 found = m
                 break
         if found is None:
@@ -163,7 +163,7 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
     if toric.min_chern is None:
         # without proportionality the module can swallow the whole ring; probe
         # the constant at the given level
-        if membership(Poly.constant(n, 1), km.module, km.subspace):
+        if membership(Poly.constant(n, 1), km):
             return NoMinimalElement(nu=nu)
         raise ToricHypothesisError("not monotone")
     shift = _scaled_shift(toric, nu)
@@ -172,7 +172,7 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
     def back(a):
         return tuple(x - y for x, y in zip(a, iota_shift))
 
-    if membership(Poly.monomial(back((0,) * n)), km.module, km.subspace):
+    if membership(Poly.monomial(back((0,) * n)), km):
         raise InconclusiveError("degree normalization failed to exclude the constant")
     exps = nullstellensatz_exponents(toric, nu + toric.p_value(shift), window)
     cap = sum(exps) + 2
@@ -182,7 +182,7 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
         # verdicts only depend on the restriction class of the monomial
         key = restriction_class_key(km.subspace, a)
         if key not in member_cache:
-            member_cache[key] = membership(Poly.monomial(back(a)), km.module, km.subspace)
+            member_cache[key] = membership(Poly.monomial(back(a)), km)
         return member_cache[key]
 
     for degree in range(cap + 1):
@@ -196,10 +196,10 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
                 certs = {}
                 for i, s in enumerate(successors):
                     succ = Poly.monomial(back(s))
-                    ok, certs[i] = membership_certified(succ, km.module, km.subspace)
+                    ok, certs[i] = membership_certified(succ, km)
                     if not ok:
                         raise InconclusiveError("successor failed re-check on the original module")
-                    if not verify_certificate(succ, km.module, km.subspace, certs[i]):
+                    if not verify_certificate(succ, km, certs[i]):
                         raise InconclusiveError("successor certificate failed re-verification")
                 return MinimalDegreeWitness(
                     monomial=q_exps,
@@ -218,8 +218,7 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
     violating exponent vectors (empty = pass) and the number of classes checked."""
     check_hypotheses(toric, monotone=True)
     bound = min_degree_bound(r, toric.min_chern)
-    km = kernel_K0(toric, Fraction(r), window)
-    module = decision_module(km.module)
+    km = decision_module(kernel_K0(toric, Fraction(r), window))
     n = toric.n
     seen = set()
     violations = []
@@ -234,7 +233,7 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
         checked += 1
         # both full backends at W + 2, as membership decides, but not the
         # degree test: this scan is what checks it
-        if _verdict(Poly.monomial(a), module, km.subspace, "both")[0]:
+        if _verdict(Poly.monomial(a), km, "both")[0]:
             violations.append(a)
     return violations, checked
 

@@ -294,11 +294,16 @@ def reference_module_ideal(gens, depth, subspace):
 # from False to True, and the loop returns the verdict at W + 2.
 
 
-def verdict_at_window(q, module, subspace, window, backend):
-    """What `membership` decides at W + 2, asked of the module at any window:
-    the degree test, then `_verdict`."""
-    module = replace(module, window=window)
-    return not _below_generator_degree(q, module, subspace) and _verdict(q, module, subspace, backend)[0]
+def at_window(km, window):
+    """The kernel module `km` with its module at window `window`."""
+    return replace(km, module=replace(km.module, window=window))
+
+
+def verdict_at_window(q, km, window, backend):
+    """What `membership` decides at W + 2, asked of the kernel module at any
+    window: the degree test, then `_verdict`."""
+    km = at_window(km, window)
+    return not _below_generator_degree(q, km) and _verdict(q, km, backend)[0]
 
 
 def stable_verdict(verdict_at, window):
@@ -323,17 +328,17 @@ def stable_verdict(verdict_at, window):
 def verify_witness(witness, km) -> bool:
     """Re-check a witness's n + 1 verdicts on the brute backend alone, and
     the certificate that each successor must carry."""
-    if membership(Poly.monomial(witness.monomial), km.module, km.subspace, backend="brute"):
+    if membership(Poly.monomial(witness.monomial), km, backend="brute"):
         return False
     n = km.module.toric.n
     for i in range(n):
         succ = list(witness.monomial)
         succ[i] += 1
         q = Poly.monomial(tuple(succ))
-        if not membership(q, km.module, km.subspace, backend="brute"):
+        if not membership(q, km, backend="brute"):
             return False
         cert = witness.successor_certificates.get(i)
-        if cert is None or not verify_certificate(q, km.module, km.subspace, cert):
+        if cert is None or not verify_certificate(q, km, cert):
             return False
     return True
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from tests.conftest import cp1xcp1, cpn_simplex, cube3
-from tests.reference import monic, stable_verdict, verify_witness
+from tests.reference import at_window, monic, stable_verdict, verify_witness
 from toricspec.cli import run
 from toricspec.lattice import identity_matrix
 from toricspec.laurent import (
@@ -90,7 +90,7 @@ def test_criterion_2_nonmonotone_whole_ring():
         for nu in (Fraction(0), H, Fraction(1)):
             km = kernel_K0(data, nu, 2)
             # backend="both" asserts the two backends agree internally
-            assert membership(one, km.module, km.subspace, backend="both")
+            assert membership(one, km, backend="both")
 
 
 def test_criterion_3_monotone_witness():
@@ -155,9 +155,9 @@ def test_criterion_6_novikov_equivariance():
                 },
             )
             m = (rng.randint(-2, 2), rng.randint(-2, 2))
-            before = membership(q, km.module, km.subspace)
+            before = membership(q, km)
             moved = q.term_mul(data.iota_apply(m))
-            after = membership(moved, novikov_shift(km.module, m), km.subspace)
+            after = membership(moved, replace(km, module=novikov_shift(km.module, m)))
             assert before == after
 
 
@@ -214,8 +214,8 @@ def test_criterion_8_backend_agreement():
                     # both full backends at every window, past the degree test;
                     # raises BackendMismatchError on any disagreement
                     verdict, _ = stable_verdict(
-                        lambda w: _verdict(q, replace(km.module, window=w), km.subspace, "both")[0], 2
+                        lambda w: _verdict(q, at_window(km, w), "both")[0], 2
                     )
-                    assert membership(q, km.module, km.subspace, backend="both") == verdict
+                    assert membership(q, km, backend="both") == verdict
                     count += 1
         assert count >= 100

@@ -398,7 +398,7 @@ def test_bound_witness_lines_and_certificates(name):
     assert sorted(found.successor_certificates) == list(range(T.n))
     for i, cert in found.successor_certificates.items():
         succ = Poly.monomial(tuple(x + (j == i) for j, x in enumerate(found.monomial)))
-        assert verify_certificate(succ, km.module, km.subspace, cert)
+        assert verify_certificate(succ, km, cert)
 
 
 def test_human_format_runs():
@@ -615,6 +615,23 @@ def test_query_over_the_limit_exits_2_at_once():
     )
     code, out = invoke("kernel", str(POLY / "cp1xcp1_monotone.poly"), "--ring", "K0", "--nu", "1/2", member)
     assert code == 0 and machine_dict(out)["member"] == "true"
+
+
+def test_cleared_generators_over_the_limit_exit_2_at_once():
+    # the K ring of hexagon x CP^1 has k = 5 coordinates, and its minimal
+    # generators at the decision window clear to degree 50: C(54, 4) monomials
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricspec.cli", "kernel", str(CORPUS / "hexagonxcp1.poly"), "--ring", "K",
+         "--nu", "1/2", "--member=1,0,0,0,0,0,0,0"],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert time.monotonic() - started < 10
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "" and "Traceback" not in proc.stdout
+    assert machine_dict(proc.stdout)["error"] == (
+        "inconclusive: cleared generator degree 50 has more than 100000 monomials in 5 coordinates"
+    )
 
 
 # --- parity with the argparse command line the table replaced ----------------------

@@ -16,6 +16,7 @@ from toricspec.groebner import (
     normal_form,
 )
 from toricspec.laurent import (
+    ZERO_RING,
     LinearSubspace,
     _cleared_generators,
     _groebner_member,
@@ -334,22 +335,22 @@ def test_buchberger_returns_the_reduced_basis_in_any_order():
         assert all(normal_form(g, gb).is_zero() for g in gens)
 
 
+def _to_sympy(sympy, g, xs):
+    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.prod(x ** a for x, a in zip(xs, e))
+                for e, c in g.terms.items()), sympy.Integer(0))
+
+
+def _from_sympy(sympy, h, xs):
+    return Poly(len(xs), {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(h, *xs).terms() if c})
+
+
 def _sympy_basis(sympy, gens, n):
     """sympy's reduced grevlex basis of `gens`, as monic Polys sorted by
     leading exponent."""
     xs = sympy.symbols(f"x0:{n}")
-    exprs = [
-        sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(x ** a for x, a in zip(xs, e))
-            for e, c in g.terms.items())
-        for g in gens
-    ]
-    theirs = sympy.groebner(exprs, *xs, order="grevlex")
-    return sorted(
-        # sympy clears denominators; the reduced basis is monic
-        (monic(Poly(n, {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(h, *xs).terms()}))
-         for h in theirs.exprs),
-        key=lambda g: g.leading()[0],
-    )
+    theirs = sympy.groebner([_to_sympy(sympy, g, xs) for g in gens], *xs, order="grevlex")
+    # sympy clears denominators; the reduced basis is monic
+    return sorted((monic(_from_sympy(sympy, h, xs)) for h in theirs.exprs), key=lambda g: g.leading()[0])
 
 
 def test_buchberger_matches_sympy():
@@ -359,6 +360,35 @@ def test_buchberger_matches_sympy():
         n = rng.randint(1, 3)
         gens = [g for g in _rand_ideal(rng, n) if g]
         assert buchberger(gens) == _sympy_basis(sympy, gens, n)
+
+
+def test_normal_form_matches_sympy_reduced(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+    # the remainder by a reduced basis is unique, so on the reduced basis of
+    # each conftest K/K0 module's cleared generators `normal_form` must give
+    # sympy's `reduced` remainder in the same grevlex order, w0 > w1 > ...
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(71)
+    compared, nonzero, divided = 0, 0, 0
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            km = maker(T, Fraction(1, 2), 2)
+            if km.ring == ZERO_RING:
+                continue
+            k = km.subspace.dim
+            basis = buchberger(_cleared_generators(km)[1])
+            ws = sympy.symbols(f"w0:{k}")
+            theirs = [_to_sympy(sympy, g, ws) for g in basis]
+            top = max(g.total_degree() for g in basis) + 1
+            for _ in range(4):
+                f = Poly(k, {rng.choice(list(monomials_of_degree(k, rng.randint(0, top)))):
+                             Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))})
+                _, remainder = sympy.reduced(_to_sympy(sympy, f, ws), theirs, *ws, order="grevlex")
+                ours = normal_form(f, basis)
+                assert ours == _from_sympy(sympy, remainder, ws), (T.n, maker, f)
+                compared += 1
+                nonzero += bool(ours.terms)
+                divided += ours != f
+    assert compared == 32 and nonzero >= 8 and divided >= 8
 
 
 def test_maximal_ideal_power_matches_sympy():
@@ -498,12 +528,12 @@ def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3
                 gens = km.module.generators()
                 floor = tuple(max(0, -min(g[i] for g in gens)) for i in range(T.n))
                 if not sub.is_zero_ring():
-                    _, cleared, cleared_floor = _cleared_generators(km.module, sub)
+                    _, cleared, cleared_floor = _cleared_generators(km)
                     assert cleared_floor == floor
                     reference = _reference_buchberger(cleared)
                     assert buchberger(cleared) == reference
-                    assert _groebner_member(Poly.zero(sub.dim), km.module, sub)
-                    assert len(_MEMO["groebner", (km.module, sub.basis)].divisors) == len(reference)
+                    assert _groebner_member(Poly.zero(sub.dim), km)
+                    assert len(_MEMO["groebner", km].divisors) == len(reference)
                     if _maximal_ideal_power(cleared) is not None:
                         exits.append((T.n, window, len(cleared), len(reference)))
                 if window == 6:
@@ -515,7 +545,7 @@ def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3
                     if depth not in ideals:
                         ideals[depth] = reference_module_ideal(gens, depth, sub)
                     want = _reference_normal_form(q.term_mul(depth), ideals[depth]).is_zero()
-                    assert _verdict(q, km.module, sub, "groebner")[0] == want, (T.n, maker, window, q)
+                    assert _verdict(q, km, "groebner")[0] == want, (T.n, maker, window, q)
                     if not sub.is_zero_ring():
                         verdicts.add((want, depth != floor))
                 compared += 1

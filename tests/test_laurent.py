@@ -2,7 +2,7 @@ import random
 import signal
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import comb, gcd
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,6 +37,7 @@ from tests.reference import (
     annihilator,
     reference_module_ideal,
     restriction_degree,
+    at_window,
     stable_verdict,
     verdict_at_window,
 )
@@ -152,11 +153,11 @@ def test_generators_no_threshold(T_cp2):
 
 def test_membership_monotone_square(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
-    assert not membership(U(1, 0, 0, 0), km.module, km.subspace)
-    assert membership(U(1, 1, 0, 0), km.module, km.subspace)
-    assert membership(U(0, 0, 1, 1), km.module, km.subspace)
+    assert not membership(U(1, 0, 0, 0), km)
+    assert membership(U(1, 1, 0, 0), km)
+    assert membership(U(0, 0, 1, 1), km)
     # restriction of u1*u2 is w^2, the minimal degree in the projected module
-    assert not membership(Poly.constant(4, 1), km.module, km.subspace)
+    assert not membership(Poly.constant(4, 1), km)
 
 
 def test_membership_mixed_degree_polynomials(T_monotone):
@@ -164,29 +165,29 @@ def test_membership_mixed_degree_polynomials(T_monotone):
     inside = U(1, 1, 0, 0) + U(2, 2, 0, 0)           # w^2 + w^4
     straddling = U(1, 0, 0, 0) + U(1, 1, 0, 0)       # w + w^2: low part escapes
     cancelling = U(1, 0, 0, 0) - U(0, 1, 0, 0)       # restricts to 0
-    assert membership(inside, km.module, km.subspace)
-    assert not membership(straddling, km.module, km.subspace)
-    assert membership(cancelling, km.module, km.subspace)
+    assert membership(inside, km)
+    assert not membership(straddling, km)
+    assert membership(cancelling, km)
 
 
 def test_membership_nonmonotone_contains_one(T_p12):
     for nu in (Fraction(0), H, Fraction(1)):
         km = kernel_K0(T_p12, nu, 2)
-        assert membership(Poly.constant(4, 1), km.module, km.subspace)
+        assert membership(Poly.constant(4, 1), km)
 
 
 def test_membership_generators_always_members(T_monotone, T_cp2):
     for T, maker in ((T_monotone, kernel_K0), (T_cp2, kernel_K)):
         km = maker(T, H, 2)
         for g in km.module.generators():
-            assert membership(Poly.monomial(g), km.module, km.subspace)
+            assert membership(Poly.monomial(g), km)
 
 
 def test_membership_zero_ring_trivially_true(T_cp2):
     km = kernel_K0(T_cp2, H, 2)
     assert km.ring == "ZeroRing"
-    assert membership(U(5, 0, 0), km.module, km.subspace)
-    assert membership(Poly.constant(3, 1), km.module, km.subspace)
+    assert membership(U(5, 0, 0), km)
+    assert membership(Poly.constant(3, 1), km)
 
 
 def test_kernel_tags(T_monotone, T_cp2, T_p12):
@@ -200,9 +201,9 @@ def test_projected_module_is_degrees_at_least_two(T_monotone):
     # hand computation: the projection is span{w^d : d >= 2} inside Q[w, w^-1]
     km = kernel_K0(T_monotone, H, 2)
     for exps in [(1, 0, 0, 0), (0, 0, 0, 1), (-1, 2, 0, 0), (0, 0, 1, 0)]:
-        assert not membership(U(*exps), km.module, km.subspace)
+        assert not membership(U(*exps), km)
     for exps in [(2, 0, 0, 0), (1, 0, 1, 0), (0, 0, 2, 0), (1, 1, 1, 1), (3, 0, -1, 0)]:
-        assert membership(U(*exps), km.module, km.subspace)
+        assert membership(U(*exps), km)
 
 
 def test_membership_backends_agree_on_random_queries(T_monotone, T_p12, T_cp2):
@@ -224,17 +225,17 @@ def test_membership_backends_agree_on_random_queries(T_monotone, T_p12, T_cp2):
                         for _ in range(rng.randint(1, 2))
                     },
                 )
-                membership(q, km.module, km.subspace)  # backend="both" raises on mismatch
+                membership(q, km)  # backend="both" raises on mismatch
                 count += 1
     assert count >= 100
 
 
 def test_brute_certificate_roundtrip(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
-    ok, cert = _verdict(U(1, 1, 0, 0), decision_module(km.module), km.subspace, "brute", want_certificate=True)
+    ok, cert = _verdict(U(1, 1, 0, 0), decision_module(km), "brute", want_certificate=True)
     scale, relation = cert
     assert ok and type(scale) is int and scale > 0 and relation
-    assert verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, cert)
+    assert verify_certificate(U(1, 1, 0, 0), km, cert)
 
 
 # --- shift action ---------------------------------------------------------------
@@ -269,10 +270,10 @@ def test_novikov_equivariance(T_monotone):
             },
         )
         m = tuple(rng.randint(-2, 2) for _ in range(2))
-        before = membership(q, km.module, km.subspace)
-        shifted = novikov_shift(km.module, m)
+        before = membership(q, km)
+        shifted = replace(km, module=novikov_shift(km.module, m))
         moved = q.term_mul(T_monotone.iota_apply(m))
-        after = membership(moved, shifted, km.subspace)
+        after = membership(moved, shifted)
         assert before == after
 
 
@@ -281,9 +282,9 @@ def test_window_protocol_escalates_until_agreement(T_cube):
     # two windows disagree and the protocol must widen once more
     km = kernel_K0(T_cube, Fraction(7, 2), 2)
     q = Poly.monomial(T_cube.iota_apply((4, 0, 0)))
-    assert _verdict(q, km.module, km.subspace, "both") == (False, None)
-    assert _verdict(q, replace(km.module, window=4), km.subspace, "both") == (True, None)
-    assert membership(q, km.module, km.subspace) is True
+    assert _verdict(q, km, "both") == (False, None)
+    assert _verdict(q, at_window(km, 4), "both") == (True, None)
+    assert membership(q, km) is True
 
 
 def test_start_window_13_decides_where_the_loop_hit_the_cap(T_monotone, monkeypatch):
@@ -298,28 +299,28 @@ def test_start_window_13_decides_where_the_loop_hit_the_cap(T_monotone, monkeypa
         def verdict_at(w, start=window):
             return w >= start + 2
 
-        monkeypatch.setattr(laurent_mod, "_verdict", lambda q, m, s, b, want_certificate=False: (verdict_at(m.window), None))
+        monkeypatch.setattr(laurent_mod, "_verdict", lambda q, km, b, want_certificate=False: (verdict_at(km.module.window), None))
         with pytest.raises(laurent_mod.InconclusiveError, match="failed to stabilize below 16"):
             stable_verdict(verdict_at, window)
-        assert laurent_mod.membership(U(1, 1, 0, 0), replace(km.module, window=window), km.subspace) is True
+        assert laurent_mod.membership(U(1, 1, 0, 0), at_window(km, window)) is True
 
 
 def test_window_protocol_rejects_start_window_before_evaluating(T_monotone, monkeypatch):
     import toricspec.laurent as laurent_mod
 
-    def evaluated(q, module, subspace, *args, **kwargs):
-        raise AssertionError(f"evaluated at window {module.window}")
+    def evaluated(q, km, *args, **kwargs):
+        raise AssertionError(f"evaluated at window {km.module.window}")
 
     monkeypatch.setattr(laurent_mod, "_below_generator_degree", evaluated)
     monkeypatch.setattr(laurent_mod, "_verdict", evaluated)
     km = kernel_K0(T_monotone, H, 2)
     for window in (laurent_mod.WINDOW_CAP - 1, 40):
-        module = replace(km.module, window=window)
+        wide = at_window(km, window)
         for decide in (laurent_mod.membership, laurent_mod.membership_certified):
             with pytest.raises(laurent_mod.InconclusiveError, match=f"start window {window} .* cap 16"):
-                decide(U(1, 0, 0, 0), module, km.subspace)
+                decide(U(1, 0, 0, 0), wide)
         with pytest.raises(laurent_mod.InconclusiveError, match=f"start window {window} .* cap 16"):
-            laurent_mod.verify_certificate(U(1, 0, 0, 0), module, km.subspace, (1, {}))
+            laurent_mod.verify_certificate(U(1, 0, 0, 0), wide, (1, {}))
 
 
 MONOTONE_SEQUENCES = ([False, False], [True, True], [False, True, True])
@@ -337,8 +338,8 @@ def test_membership_is_the_verdict_the_stability_loop_returns(T_monotone, T_p12,
     # the module at W lies inside the module at W + 2, so the loop sees only
     # FF, TT or FTT and returns the verdict at W + 2, the one window membership
     # decides at; the same holds without the degree test
-    def without_degree_test(q, module, subspace, window, backend):
-        return _verdict(q, replace(module, window=window), subspace, backend)[0]
+    def without_degree_test(q, km, window, backend):
+        return _verdict(q, at_window(km, window), backend)[0]
 
     rng = random.Random(1515)
     seen = {}
@@ -353,16 +354,16 @@ def test_membership_is_the_verdict_the_stability_loop_returns(T_monotone, T_p12,
                             verdicts = []
 
                             def verdict_at(w):
-                                verdicts.append(path(q, km.module, km.subspace, w, backend))
+                                verdicts.append(path(q, km, w, backend))
                                 return verdicts[-1]
 
                             reference, _ = stable_verdict(verdict_at, window)
                             assert verdicts in MONOTONE_SEQUENCES, (q, window, verdicts)
                             seen[tuple(verdicts)] = seen.get(tuple(verdicts), 0) + 1
                             if path is verdict_at_window:
-                                assert membership(q, km.module, km.subspace, backend) == reference
+                                assert membership(q, km, backend) == reference
                             else:
-                                assert path(q, km.module, km.subspace, window + 2, backend) == reference
+                                assert path(q, km, window + 2, backend) == reference
     assert len(seen) == 3 and seen[False, True, True] >= 10, seen
 
 
@@ -373,9 +374,9 @@ def test_membership_evaluates_one_window_and_builds_no_basis_at_the_start(T_mono
     asked = []
     inner = laurent_mod._verdict
 
-    def recorded(q, module, subspace, backend, want_certificate=False):
-        asked.append((module.window, backend))
-        return inner(q, module, subspace, backend, want_certificate)
+    def recorded(q, km, backend, want_certificate=False):
+        asked.append((km.module.window, backend))
+        return inner(q, km, backend, want_certificate)
 
     monkeypatch.setattr(laurent_mod, "_verdict", recorded)
     for T in (T_monotone, T_cube):
@@ -386,14 +387,14 @@ def test_membership_evaluates_one_window_and_builds_no_basis_at_the_start(T_mono
             asked.clear()
             expected = []
             for q in queries:
-                membership(q, km.module, km.subspace)
-                if not _below_generator_degree(q, replace(km.module, window=window + 2), km.subspace):
+                membership(q, km)
+                if not _below_generator_degree(q, at_window(km, window + 2)):
                     expected.append((window + 2, "both"))
-                membership_certified(q, km.module, km.subspace)
+                membership_certified(q, km)
                 # the certified pass is the brute backend alone: no second verdict
                 expected.append((window + 2, "brute"))
             assert asked == expected
-            built = {key[0].window for kind, key in _MEMO if kind == "groebner"}
+            built = {key.module.window for kind, key in _MEMO if kind == "groebner"}
             assert built == {window + 2}
             assert {key.window for kind, key in _MEMO if kind == "generators"} == {window + 2}
 
@@ -503,18 +504,18 @@ def test_query_over_the_limit_raises_before_restricting(T_monotone, T_cube, monk
     # K of the square has k = 2 coordinates: u1^E at cleared degree D has
     # D + 1 monomials; on K0, one coordinate, the same query is answered
     km = kernel_K(T_monotone, H, 2)
-    floor = laurent_mod._cleared_generators(decision_module(km.module), km.subspace)[2]
+    floor = laurent_mod._cleared_generators(decision_module(km))[2]
     big = U(10**8, 0, 0, 0)
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.setitimer(signal.ITIMER_REAL, 5)
     try:
         for decide in (membership, membership_certified):
             with pytest.raises(laurent_mod.InconclusiveError) as exc:
-                decide(big, km.module, km.subspace)
+                decide(big, km)
             degree = 10**8 + sum(floor)
             assert str(exc.value) == f"cleared query degree {degree} has more than 100000 monomials in 2 coordinates"
         line = kernel_K0(T_monotone, H, 2)
-        assert membership(big, line.module, line.subspace)
+        assert membership(big, line)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -523,13 +524,60 @@ def test_query_over_the_limit_raises_before_restricting(T_monotone, T_cube, monk
     cube = kernel_K0(T_cube, H, 2)
     exps = (-1, 3, 1, 0, 1, 3)
     q = U(*exps)
-    floor = laurent_mod._cleared_generators(decision_module(cube.module), cube.subspace)[2]
+    floor = laurent_mod._cleared_generators(decision_module(cube))[2]
     count = sum(exps) + sum(max(t, -e) for t, e in zip(floor, exps)) + 1
     monkeypatch.setattr(laurent_mod, "QUERY_LIMIT", count - 1)
     with pytest.raises(laurent_mod.InconclusiveError, match=f"more than {count - 1} monomials in 2 coordinates"):
-        membership(q, cube.module, cube.subspace)
+        membership(q, cube)
     monkeypatch.setattr(laurent_mod, "QUERY_LIMIT", count)
-    assert membership(q, cube.module, cube.subspace) == membership(q, cube.module, cube.subspace, "brute")
+    assert membership(q, cube) == membership(q, cube, "brute")
+
+
+def test_cleared_generators_over_the_limit_raise_before_restricting(T_cube, monkeypatch):
+    import toricspec.laurent as laurent_mod
+    from toricspec.memo import _MEMO
+
+    def timeout(signum, frame):
+        raise TimeoutError("the cleared generators were restricted")
+
+    def restricted(self, exps):
+        raise AssertionError("a generator was restricted")
+
+    # the limit counts C(D + k - 1, k - 1) at the largest cleared degree D of
+    # the minimal generators at the decision window: the cube's K subspace has
+    # k = 3 coordinates; a generator of the least degree is the query
+    km = kernel_K(T_cube, H, 2)
+    gens = _minimal_monomials(decision_module(km).module.generators())
+    floor = tuple(max(0, -min(g[i] for g in gens)) for i in range(T_cube.n))
+    degree = max(sum(g) for g in gens) + sum(floor)
+    count = comb(degree + 2, 2)
+    q = U(*gens[0])
+    hexagonxcp1 = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "hexagonxcp1.poly"
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(laurent_mod, "QUERY_LIMIT", count - 1)
+            patch.setattr(LinearSubspace, "form_product", restricted)
+            clear_caches()
+            for decide in (membership, membership_certified):
+                with pytest.raises(laurent_mod.InconclusiveError) as exc:
+                    decide(q, km)
+                assert str(exc.value) == f"cleared generator degree {degree} has more than {count - 1} monomials in 3 coordinates"
+            assert memo_counts()["cleared_generators"] == (0, 2)  # a raising build stores nothing
+            assert not any(kind == "cleared_generators" for kind, _ in _MEMO)
+        with monkeypatch.context() as patch:
+            patch.setattr(laurent_mod, "QUERY_LIMIT", count)
+            assert membership(q, km) and membership_certified(q, km)[0]
+        # the K ring of hexagon x CP^1 (k = 5) clears to degree 50 at the
+        # decision window, C(54, 4) = 316,251 monomials: refused at once
+        big = kernel_K(toric_data(parse_polytope(hexagonxcp1.read_text())), H, 2)
+        with pytest.raises(laurent_mod.InconclusiveError) as exc:
+            membership(U(1, *(0,) * 7), big)
+        assert str(exc.value) == "cleared generator degree 50 has more than 100000 monomials in 5 coordinates"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_memo_clear_caches_and_counts(T_monotone):
@@ -538,51 +586,51 @@ def test_memo_clear_caches_and_counts(T_monotone):
     dmap = DiagonalMap(mu=(H, 0, Fraction(1, 3), 0))
     clear_caches()
     assert memo_counts() == {}
-    first = [membership(q, km.module, km.subspace) for q in queries]
+    first = [membership(q, km) for q in queries]
     classes = [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries]
     T = toric_data(T_monotone.polytope)
     spectrum = spectrum_classes(T, dmap)
     built = memo_counts()
-    kinds = ("generators", "groebner", "cleared_generators", "graded_slice", "restriction_groups",
-             "toric_data", "vertex_minor", "validation")
+    kinds = ("decision_module", "generators", "groebner", "cleared_generators", "graded_slice",
+             "restriction_groups", "toric_data", "vertex_minor", "validation")
     for kind in kinds:
         assert built[kind][1] > 0, kind
-    again = [membership(q, km.module, km.subspace) for q in queries]
+    again = [membership(q, km) for q in queries]
     assert again == first
     assert [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries] == classes
     assert toric_data(T_monotone.polytope) is T
     assert validate(T_monotone.polytope).vertex_facets == T.vertex_facets
     assert spectrum_classes(T, dmap) == spectrum
-    decision_module(km.module).generators()
+    decision_module(km).module.generators()
     counts = memo_counts()
     for kind in kinds:
         assert counts[kind][0] > built[kind][0], kind   # every kind answered from the memo
         assert counts[kind][1] == built[kind][1], kind  # and nothing was rebuilt
     clear_caches()
     assert memo_counts() == {}
-    assert [membership(q, km.module, km.subspace) for q in queries] == first
+    assert [membership(q, km) for q in queries] == first
     assert memo_counts()["groebner"][1] == built["groebner"][1]
 
 
 def test_one_membership_keys_every_entry_by_the_module_at_its_decision_window(T_cube):
-    # the frozen module at window W + 2 is its own memo key: the cleared
-    # generators and the Groebner basis sit under (module, basis), each graded
-    # slice under ((module, basis), degree, tracking)
+    # the kernel module at window W + 2 is built once and is the memo key
+    # itself: the cleared generators and the Groebner basis sit under it, each
+    # graded slice under (it, degree, tracking)
     from toricspec.memo import _MEMO
 
     km = kernel_K0(T_cube, H, 4)
-    decided = replace(km.module, window=6)
     clear_caches()
-    assert membership(U(-1, 3, 1, 0, 1, 3), km.module, km.subspace)
-    level = (decided, km.subspace.basis)
+    assert membership(U(-1, 3, 1, 0, 1, 3), km)
+    decided = decision_module(km)
+    assert decided is decision_module(km) and decided == at_window(km, 6) and decided.module.window == 6
+    assert [key for kind, key in _MEMO if kind == "decision_module"] == [km]
     keys = {kind: [key for k, key in _MEMO if k == kind] for kind in ("cleared_generators", "groebner", "graded_slice")}
-    assert keys["cleared_generators"] == keys["groebner"] == [level]
-    assert keys["graded_slice"] and all(key[0] == level for key in keys["graded_slice"])
-    assert all(key[0].window == 6 for kind in keys for key in keys[kind] if kind != "graded_slice")
-    assert all(key[0][0].window == 6 for key in keys["graded_slice"])
-    assert [key for kind, key in _MEMO if kind == "generators"] == [decided]
-    gens = decided.generators()
-    assert type(gens) is tuple and decided.generators() is gens
+    assert keys["cleared_generators"] == keys["groebner"] == [decided]
+    assert all(key is decided for kind in ("cleared_generators", "groebner") for key in keys[kind])
+    assert keys["graded_slice"] and all(key[0] is decided for key in keys["graded_slice"])
+    assert [key for kind, key in _MEMO if kind == "generators"] == [decided.module]
+    gens = decided.module.generators()
+    assert type(gens) is tuple and decided.module.generators() is gens
     assert replace(km.module, window=6).generators() is gens
 
 
@@ -602,8 +650,8 @@ def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeyp
     monkeypatch.setattr(laurent, "_minimal_monomials", counted)
     km = kernel_K0(T_cube, H, 2)
     clear_caches()
-    membership(U(1, 1, 0, 0, 0, 0), km.module, km.subspace, backend="both")
-    assert built == [len(decision_module(km.module).generators())]
+    membership(U(1, 1, 0, 0, 0, 0), km, backend="both")
+    assert built == [len(decision_module(km).module.generators())]
     assert memo_counts()["cleared_generators"][1] == 1
 
 
@@ -623,9 +671,9 @@ def test_backends_reject_every_monomial_below_the_generator_degree(T_monotone, T
                     if sum(e) >= least:
                         continue
                     q = Poly.monomial(e)
-                    assert _below_generator_degree(q, km.module, km.subspace)
-                    assert not _verdict(q, km.module, km.subspace, "groebner")[0], (e, window)
-                    assert not _verdict(q, km.module, km.subspace, "brute")[0], (e, window)
+                    assert _below_generator_degree(q, km)
+                    assert not _verdict(q, km, "groebner")[0], (e, window)
+                    assert not _verdict(q, km, "brute")[0], (e, window)
                     checked += 1
     assert checked > 1000
 
@@ -634,23 +682,23 @@ def test_backends_reject_every_monomial_below_the_generator_degree(T_monotone, T
 def test_degree_test_builds_no_image_floor_basis_or_slice(T_cube, backend):
     km = kernel_K0(T_cube, H, 2)
     clear_caches()
-    assert not membership(U(1, 0, 0, 0, 0, 0), km.module, km.subspace, backend=backend)
-    assert not membership(U(-2, 0, 1, 0, 0, 0), km.module, km.subspace, backend=backend)
-    assert set(memo_counts()) == {"generators"}
+    assert not membership(U(1, 0, 0, 0, 0, 0), km, backend=backend)
+    assert not membership(U(-2, 0, 1, 0, 0, 0), km, backend=backend)
+    assert set(memo_counts()) == {"decision_module", "generators"}
 
 
 def test_degree_test_needs_one_term_and_a_nonzero_ring(T_monotone, T_cp2):
     km = kernel_K0(T_monotone, H, 2)
     least = sum(km.module.generators()[0])
     low = (least - 1, 0, 0, 0)
-    assert _below_generator_degree(Poly.monomial(low), km.module, km.subspace)
-    assert not _below_generator_degree(Poly.monomial((least, 0, 0, 0)), km.module, km.subspace)
-    assert not _below_generator_degree(Poly(4, {low: 1, (0, least - 1, 0, 0): 1}), km.module, km.subspace)
-    assert not _below_generator_degree(Poly.zero(4), km.module, km.subspace)
+    assert _below_generator_degree(Poly.monomial(low), km)
+    assert not _below_generator_degree(Poly.monomial((least, 0, 0, 0)), km)
+    assert not _below_generator_degree(Poly(4, {low: 1, (0, least - 1, 0, 0): 1}), km)
+    assert not _below_generator_degree(Poly.zero(4), km)
     zero_ring = kernel_K0(T_cp2, H, 2)
     assert zero_ring.subspace.is_zero_ring()
-    assert not _below_generator_degree(Poly.monomial((-5, 0, 0)), zero_ring.module, zero_ring.subspace)
-    assert membership(Poly.monomial((-5, 0, 0)), zero_ring.module, zero_ring.subspace)
+    assert not _below_generator_degree(Poly.monomial((-5, 0, 0)), zero_ring)
+    assert membership(Poly.monomial((-5, 0, 0)), zero_ring)
 
 
 def _reference_minimal_monomials(exps_list):
@@ -696,11 +744,11 @@ def test_tracked_span_certificates_round_trip(T_monotone, T_p12, T_cp2, T_cp3, T
         members.append(Poly.monomial(tuple(x + (i == 0) for i, x in enumerate(picks[0]))))
         members.append(Poly.monomial(picks[0], Fraction(2, 3)) - Poly.monomial(picks[-1], 5))
         for q in members:
-            ok, cert = membership_certified(q, km.module, km.subspace)
+            ok, cert = membership_certified(q, km)
             assert ok
             if km.ring == "ZeroRing":
                 assert cert == (1, {})
-            assert verify_certificate(q, km.module, km.subspace, cert)
+            assert verify_certificate(q, km, cert)
             nonempty += bool(cert[1])
     assert nonempty >= 10
 
@@ -709,27 +757,27 @@ def test_tracked_span_agrees_with_verdict_and_rejects_forgeries(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
     for exps in ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (2, 1, -1, 0), (0, 1, 0, 0)):
         q = U(*exps)
-        plain = _verdict(q, km.module, km.subspace, "brute")
-        tracked = _verdict(q, km.module, km.subspace, "brute", want_certificate=True)
+        plain = _verdict(q, km, "brute")
+        tracked = _verdict(q, km, "brute", want_certificate=True)
         assert plain[0] == tracked[0]
         assert (tracked[1] is None) == (not tracked[0])
-    decided = decision_module(km.module)
-    ok, (scale, relation) = _verdict(U(1, 1, 0, 0), decided, km.subspace, "brute", want_certificate=True)
-    assert ok and verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, (scale, relation))
+    decided = decision_module(km)
+    ok, (scale, relation) = _verdict(U(1, 1, 0, 0), decided, "brute", want_certificate=True)
+    assert ok and verify_certificate(U(1, 1, 0, 0), km, (scale, relation))
     label, c = next(iter(relation.items()))
     forged = (scale, {**relation, label: 2 * c})
-    assert not verify_certificate(U(1, 1, 0, 0), km.module, km.subspace, forged)
+    assert not verify_certificate(U(1, 1, 0, 0), km, forged)
 
 
 def test_verify_certificate_rejects_forgeries(T_monotone):
     km = kernel_K0(T_monotone, H, 2)
     q = U(3, 0, 0, 1)
-    ok, (scale, relation) = membership_certified(q, km.module, km.subspace)
-    assert ok and verify_certificate(q, km.module, km.subspace, (scale, relation))
+    ok, (scale, relation) = membership_certified(q, km)
+    assert ok and verify_certificate(q, km, (scale, relation))
     (g, a), c = next(iter(relation.items()))
     rest = {lab: v for lab, v in relation.items() if lab != (g, a)}
     zero = (0,) * T_monotone.n
-    gens = decision_module(km.module).generators()
+    gens = decision_module(km).module.generators()
     assert not any(all(x >= y for x, y in zip(zero, h)) for h in gens)
     forgeries = [
         (0, {}),  # 0 * q = 0 holds for every q
@@ -740,7 +788,7 @@ def test_verify_certificate_rejects_forgeries(T_monotone):
         (scale, {**rest, (g, (a[0] + 1,)): c}),  # the same label one degree up
     ]
     for forged in forgeries:
-        assert not verify_certificate(q, km.module, km.subspace, forged), forged
+        assert not verify_certificate(q, km, forged), forged
     # the square's K0 subspace is a line, so the cleared restriction e * w^d of
     # the constant, a non-member, is matched exactly by a label with no u
     # exponents, or by a generator times a negative power of w: only the label
@@ -749,9 +797,9 @@ def test_verify_certificate_rejects_forgeries(T_monotone):
     ((d,), e), = km.subspace.form_product(floor).terms.items()
     ((m,), f), = km.subspace.form_product(tuple(x + t for x, t in zip(g, floor))).terms.items()
     one = Poly.constant(T_monotone.n, 1)
-    assert not membership(one, km.module, km.subspace) and f in (1, -1) and m > d
+    assert not membership(one, km) and f in (1, -1) and m > d
     for forged in ((1, {((), (d,)): e}), (1, {(g, (d - m,)): e * f})):
-        assert not verify_certificate(one, km.module, km.subspace, forged), forged
+        assert not verify_certificate(one, km, forged), forged
 
 
 def test_certifying_a_member_takes_one_tracked_brute_pass(T_monotone, T_cube, monkeypatch):
@@ -764,9 +812,9 @@ def test_certifying_a_member_takes_one_tracked_brute_pass(T_monotone, T_cube, mo
     calls = []
     inner = laurent_mod._verdict
 
-    def recorded(q, module, subspace, backend, want_certificate=False):
-        calls.append((module.window, backend, want_certificate))
-        return inner(q, module, subspace, backend, want_certificate)
+    def recorded(q, km, backend, want_certificate=False):
+        calls.append((km.module.window, backend, want_certificate))
+        return inner(q, km, backend, want_certificate)
 
     def asked(*args):
         raise AssertionError("a verdict pass ran")
@@ -780,12 +828,12 @@ def test_certifying_a_member_takes_one_tracked_brute_pass(T_monotone, T_cube, mo
             q = U(*(x + 1 for x in km.module.generators()[-1]))
             clear_caches()
             calls.clear()
-            ok, cert = membership_certified(q, km.module, km.subspace)
+            ok, cert = membership_certified(q, km)
             assert calls == [(window + 2, "brute", True)]
-            assert ok and verify_certificate(q, km.module, km.subspace, cert)
+            assert ok and verify_certificate(q, km, cert)
             assert not any(kind == "groebner" for kind, _ in _MEMO)
             slices = [key for kind, key in _MEMO if kind == "graded_slice"]
-            assert slices and all(key[0][0].window == window + 2 and key[2] for key in slices)
+            assert slices and all(key[0].module.window == window + 2 and key[2] for key in slices)
 
 
 # --- the graded slices of the brute backend --------------------------------------
@@ -812,8 +860,8 @@ def test_backends_agree_at_one_window(name, maker, nu):
     members = 0
     for exps in product(range(0, 13, 3), repeat=T.n):
         q = U(*exps)
-        gb = _verdict(q, km.module, km.subspace, "groebner")[0]
-        assert _verdict(q, km.module, km.subspace, "brute")[0] == gb, exps
+        gb = _verdict(q, km, "groebner")[0]
+        assert _verdict(q, km, "brute")[0] == gb, exps
         members += gb
     assert members > 0
 
@@ -841,7 +889,7 @@ def test_deep_queries_match_a_basis_cleared_at_their_own_depth(T_monotone, T_p12
                 if depth not in reference:
                     reference[depth] = reference_module_ideal(gens, depth, km.subspace)
                 want = _reference_normal_form(q.term_mul(depth), reference[depth]).is_zero()
-                assert _verdict(q, km.module, km.subspace, "groebner")[0] == want, (T.n, maker, q)
+                assert _verdict(q, km, "groebner")[0] == want, (T.n, maker, q)
                 if km.ring != "ZeroRing":
                     verdicts.add((want, depth != floor))
     assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
@@ -857,11 +905,11 @@ def test_grown_slices_change_no_verdict(T_monotone, T_cube):
         km = kernel_K0(T, H, 2)
         queries = _slice_queries(T)
         clear_caches()
-        forward = [_verdict(q, km.module, km.subspace, "brute")[0] for q in queries]
+        forward = [_verdict(q, km, "brute")[0] for q in queries]
         clear_caches()
-        backward = [_verdict(q, km.module, km.subspace, "brute")[0] for q in reversed(queries)]
+        backward = [_verdict(q, km, "brute")[0] for q in reversed(queries)]
         assert forward == backward[::-1]
-        assert forward == [_verdict(q, km.module, km.subspace, "groebner")[0] for q in queries]
+        assert forward == [_verdict(q, km, "groebner")[0] for q in queries]
         assert any(forward) and not all(forward)
 
 
@@ -870,14 +918,14 @@ def test_certificate_from_grown_slice_verifies(T_monotone, T_cube):
         km = kernel_K0(T, H, 2)
         queries = _slice_queries(T)
         clear_caches()
-        members = [q for q in queries if membership_certified(q, km.module, km.subspace)[0]]
+        members = [q for q in queries if membership_certified(q, km)[0]]
         # grow the slices of W + 2 through unrelated queries first, then certify
         for q in queries:
-            _verdict(q, decision_module(km.module), km.subspace, "brute", want_certificate=True)
+            _verdict(q, decision_module(km), "brute", want_certificate=True)
         for q in members + [U(*(x + 1 for x in next(iter(members[0].terms))))]:
-            ok, cert = membership_certified(q, km.module, km.subspace)
+            ok, cert = membership_certified(q, km)
             assert ok and cert[1]
-            assert verify_certificate(q, km.module, km.subspace, cert)
+            assert verify_certificate(q, km, cert)
 
 
 def test_certificate_labels_may_be_any_module_monomial(T_monotone):
@@ -886,14 +934,14 @@ def test_certificate_labels_may_be_any_module_monomial(T_monotone):
     # just as valid; the constant 1 names no module element, so "1 = 1 * 1"
     # certifies nothing
     km = kernel_K0(T_monotone, H, 2)
-    gens = decision_module(km.module).generators()
+    gens = decision_module(km).module.generators()
     g = next(g for g in gens if g not in _minimal_monomials(gens))
     one = (0,) * km.subspace.dim
     for label in (g, tuple(x + (i == 1) for i, x in enumerate(g))):
-        assert verify_certificate(Poly.monomial(label), km.module, km.subspace, (1, {(label, one): 1}))
+        assert verify_certificate(Poly.monomial(label), km, (1, {(label, one): 1}))
     zero = (0,) * T_monotone.n
     assert not any(all(a >= b for a, b in zip(zero, h)) for h in gens)
-    assert not verify_certificate(Poly.monomial(zero), km.module, km.subspace, (1, {(zero, one): 1}))
+    assert not verify_certificate(Poly.monomial(zero), km, (1, {(zero, one): 1}))
 
 
 # --- the fraction-free span ---------------------------------------------------------

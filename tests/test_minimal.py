@@ -38,6 +38,7 @@ from toricspec.polytope import ToricHypothesisError, toric_data
 from tests.conftest import cp1xcp1
 from tests.reference import (
     _reference_normal_form,
+    at_window,
     monic,
     reference_module_ideal,
     restriction_degree,
@@ -92,8 +93,8 @@ def test_bounding_sandwich_on_random_monomials(T_monotone):
     for _ in range(20):
         exps = tuple(rng.randint(-2, 2) for _ in range(4))
         q = Poly.monomial(exps)
-        in_upper = membership(q, data.upper.module, data.upper.subspace)
-        in_lower = membership(q, data.lower.module, data.lower.subspace)
+        in_upper = membership(q, data.upper)
+        in_lower = membership(q, data.lower)
         assert not in_upper or in_lower
 
 
@@ -104,7 +105,7 @@ def test_nullstellensatz_exponents_square(T_monotone):
 
 def test_nullstellensatz_high_degree_monomials_member(T_monotone):
     rng = random.Random(33)
-    part, subspace = PolynomialPart(T_monotone, H, 2), kernel_K0(T_monotone, H, 2).subspace
+    part = replace(kernel_K0(T_monotone, H, 2), module=PolynomialPart(T_monotone, H, 2))
     exps = nullstellensatz_exponents(T_monotone, H, 2)
     total = sum(exps)
     for _ in range(10):
@@ -117,7 +118,7 @@ def test_nullstellensatz_high_degree_monomials_member(T_monotone):
             cuts[2] - cuts[1],
             target - cuts[2],
         )
-        assert membership(Poly.monomial(parts), part, subspace, backend="groebner")
+        assert membership(Poly.monomial(parts), part, backend="groebner")
 
 
 def test_least_positive_degree_matches_the_full_scan(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
@@ -134,17 +135,16 @@ def test_least_positive_degree_matches_the_full_scan(T_monotone, T_p12, T_cp2, T
 def test_polynomial_part_degree_test_builds_no_basis(T_monotone):
     # below the least positive-part degree (2 here) a monomial is decided
     # without a basis under the part's key; a basis built afterwards agrees
-    km = kernel_K0(T_monotone, H, 2)
-    part = PolynomialPart(T_monotone, H, 2)
-    keys = [("groebner", (replace(part, window=w), km.subspace.basis)) for w in (2, 4)]
+    part = replace(kernel_K0(T_monotone, H, 2), module=PolynomialPart(T_monotone, H, 2))
+    keys = [("groebner", at_window(part, w)) for w in (2, 4)]
     below = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
     clear_caches()
     for q in below:
-        assert not membership(Poly.monomial(q), part, km.subspace, backend="groebner")
+        assert not membership(Poly.monomial(q), part, backend="groebner")
     assert not any(key in _MEMO for key in keys)
     for window in (2, 4):
         for q in below:
-            assert not _verdict(Poly.monomial(q), replace(part, window=window), km.subspace, "groebner")[0]
+            assert not _verdict(Poly.monomial(q), at_window(part, window), "groebner")[0]
     assert all(key in _MEMO for key in keys)
 
 
@@ -154,14 +154,15 @@ def test_polynomial_part_and_module_with_equal_fields_are_distinct_memo_keys(T_m
     module = MonomialModule(T_monotone, H, 4)
     part = PolynomialPart(T_monotone, H, 4)
     assert hash(part) == hash(module) and part != module and module != part
-    sub = kernel_K0(T_monotone, H, 2).subspace
+    km = kernel_K0(T_monotone, H, 2)
+    part_km, module_km = replace(km, module=part), replace(km, module=module)
     clear_caches()
     gens, positive = module.generators(), part.generators()
     assert memo_counts()["generators"] == (1, 2)
     assert all(min(g) >= 0 for g in positive) and any(min(g) < 0 for g in gens)
-    assert _cleared_generators(part, sub)[2] == (0,) * T_monotone.n != _cleared_generators(module, sub)[2]
+    assert _cleared_generators(part_km)[2] == (0,) * T_monotone.n != _cleared_generators(module_km)[2]
     assert memo_counts()["cleared_generators"] == (0, 2)
-    kinds = [kind for kind, key in _MEMO if key in (module, (module, sub.basis))]
+    kinds = [kind for kind, key in _MEMO if key in (module, module_km)]
     assert kinds.count("generators") == kinds.count("cleared_generators") == 1
     assert sum(kind in ("generators", "cleared_generators") for kind, _ in _MEMO) == 4
 
@@ -174,14 +175,15 @@ def test_polynomial_part_backends_match_the_definition(T_monotone, T_p12, T_cp2,
     for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
         for maker in (kernel_K, kernel_K0):
             for window in (2, 4):
-                sub = maker(T, H, window).subspace
-                part = PolynomialPart(T, H, window)
-                positive = part.generators()
+                km = maker(T, H, window)
+                sub = km.subspace
+                part = replace(km, module=PolynomialPart(T, H, window))
+                positive = part.module.generators()
                 ideal = reference_module_ideal(positive, (0,) * T.n, sub)
                 for _ in range(6):
                     q = Poly.monomial(tuple(rng.randint(0, 3) for _ in range(T.n)))
                     want = _reference_normal_form(q, ideal).is_zero()
-                    assert _verdict(q, part, sub, "both")[0] == want, (T.n, maker, window, q)
+                    assert _verdict(q, part, "both")[0] == want, (T.n, maker, window, q)
                     if not sub.is_zero_ring():
                         verdicts.add(want)
     assert verdicts == {True, False}
@@ -208,12 +210,11 @@ def test_polynomial_part_membership_is_the_loop_verdict(T_monotone, T_p12, T_cp2
         for maker in (kernel_K, kernel_K0):
             for r in (H, Fraction(3, 2)):
                 for window in (2,) if T.n > 4 else (2, 3, 4):
-                    sub = maker(T, r, window).subspace
-                    part = PolynomialPart(T, r, window)
+                    part = replace(maker(T, r, window), module=PolynomialPart(T, r, window))
                     for _ in range(6):
                         q = Poly.monomial(tuple(rng.randint(0, 3) for _ in range(T.n)))
-                        want = _looped_verdict(lambda w: verdict_at_window(q, part, sub, w, "groebner"), window)
-                        assert membership(q, part, sub, backend="groebner") == want
+                        want = _looped_verdict(lambda w: verdict_at_window(q, part, w, "groebner"), window)
+                        assert membership(q, part, backend="groebner") == want
                         verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -229,7 +230,7 @@ def _looped_degree_floor_violations(toric, r, window, box):
             continue
         seen.add(key)
         q = Poly.monomial(a)
-        if _looped_verdict(lambda w: _verdict(q, replace(km.module, window=w), km.subspace, "both")[0], window):
+        if _looped_verdict(lambda w: _verdict(q, at_window(km, w), "both")[0], window):
             violations.append(a)
     return violations, len(seen)
 
@@ -241,9 +242,9 @@ def test_degree_floor_scan_is_the_loop_verdict_at_one_window(T_monotone, T_cp2, 
             for window in (2, 3):
                 clear_caches()
                 got = degree_floor_violations(T, r, window, box=box)
-                module = kernel_K0(T, r, window).module
-                built = {key[0].window for kind, key in _MEMO
-                         if kind == "groebner" and replace(key[0], window=window) == module}
+                km = kernel_K0(T, r, window)
+                built = {key.module.window for kind, key in _MEMO
+                         if kind == "groebner" and at_window(key, window) == km}
                 assert built <= {window + 2}
                 assert got == _looped_degree_floor_violations(T, r, window, box)
                 violated += bool(got[0])
@@ -327,22 +328,46 @@ def test_witness_shift_invariance(T_monotone):
         moved = tuple(
             a + b for a, b in zip(w.monomial, T_monotone.iota_apply(m))
         )
-        shifted_module = novikov_shift(km.module, m)
-        assert not membership(Poly.monomial(moved), shifted_module, km.subspace)
+        shifted = replace(km, module=novikov_shift(km.module, m))
+        assert not membership(Poly.monomial(moved), shifted)
         for i in range(4):
             succ = tuple(x + (1 if j == i else 0) for j, x in enumerate(moved))
-            assert membership(Poly.monomial(succ), shifted_module, km.subspace)
+            assert membership(Poly.monomial(succ), shifted)
+
+
+def test_a_bound_run_builds_one_decision_module_per_kernel_module(T_cube, monkeypatch):
+    # `toricspec bound` on the cube asks two kernel modules, the level module
+    # and its polynomial part (for the Nullstellensatz exponents): each is
+    # widened to W + 2 once, and every later lookup returns that same object
+    import toricspec.laurent as laurent_mod
+
+    asked = []
+    inner = laurent_mod.decision_module
+
+    def counted(km):
+        asked.append(km)
+        return inner(km)
+
+    monkeypatch.setattr(laurent_mod, "decision_module", counted)
+    clear_caches()
+    translated_point_bound(T_cube)
+    hits, misses = memo_counts()["decision_module"]
+    assert misses == len(set(asked)) == 2 and hits == len(asked) - 2 > 100
+    assert {type(km.module) for km in asked} == {MonomialModule, PolynomialPart}
+    level = kernel_K0(T_cube, H, 2)
+    assert inner(level) is inner(level) is inner(kernel_K0(T_cube, H, 2))
+    assert memo_counts()["decision_module"] == (hits + 3, 2)
 
 
 def test_witness_search_builds_one_basis_per_window(T_monotone):
     # the search asks the level module at translated monomials, and every
     # query is cleared at the generator floor: one Groebner basis, at the
     # window W + 2 that membership decides at, whatever the shift and the depth
-    module = kernel_K0(T_monotone, Fraction(3), 2).module
+    km = kernel_K0(T_monotone, Fraction(3), 2)
     clear_caches()
     w = find_minimal_degree_element(T_monotone, Fraction(3))
     assert isinstance(w, MinimalDegreeWitness)
-    windows = [key[0].window for kind, key in _MEMO if kind == "groebner" and replace(key[0], window=2) == module]
+    windows = [key.module.window for kind, key in _MEMO if kind == "groebner" and at_window(key, 2) == km]
     assert sorted(windows) == [4]
 
 
@@ -403,7 +428,7 @@ def test_witness_successor_certificates_are_verified(T_monotone, monkeypatch):
     assert sorted(witness.successor_certificates) == list(range(T_monotone.n))
     for i, cert in witness.successor_certificates.items():
         succ = tuple(x + (j == i) for j, x in enumerate(witness.monomial))
-        assert minimal_mod.verify_certificate(Poly.monomial(succ), km.module, km.subspace, cert)
+        assert minimal_mod.verify_certificate(Poly.monomial(succ), km, cert)
     with monkeypatch.context() as patch:
         patch.setattr(minimal_mod, "verify_certificate", lambda *a, **k: False)
         with pytest.raises(InconclusiveError, match="certificate failed re-verification"):

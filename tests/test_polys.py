@@ -317,7 +317,7 @@ def test_rank_mod_p_on_cleared_blocks(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
                 km = maker(T, Fraction(1, 2), window)
                 if km.subspace.is_zero_ring():
                     continue
-                _, cleared, _ = _cleared_generators(km.module, km.subspace)
+                _, cleared, _ = _cleared_generators(km)
                 least = min(g.total_degree() for g in cleared)
                 monomials = list(monomials_of_degree(km.subspace.dim, least))
                 rows = [[g.terms.get(e, 0) for e in monomials] for g in cleared if g.total_degree() == least]
