@@ -37,6 +37,7 @@ from toricspec.polytope import (
     toric_data,
     validate,
 )
+from toricspec.quadforms import assemble_numeric_form, numeric_negative_index
 from toricspec.quadforms import spectrum as quad_spectrum
 
 
@@ -133,6 +134,8 @@ def cmd_spectrum_quadform(args, report: Report) -> int:
             raise ValueError("--numeric needs numpy (the [numeric] extra)") from None
     data = toric_data(_load(args.polytope))
     lam = parse_vector(args.lam)
+    # the numeric form has the lower size limit, so it is built (or refused) first
+    m = assemble_numeric_form(args.N, lam, data.iota) if args.numeric else None
     sp = quad_spectrum(args.N, lam, data.iota)
     report.kv("N", sp.N)
     report.kv("lambda", vec_str(sp.lam))
@@ -142,9 +145,6 @@ def cmd_spectrum_quadform(args, report: Report) -> int:
     for e in sp.eigenvalues:
         report.kv(f"eigen.{e.j}.{e.k}.sign", e.sign())
     if args.numeric:
-        from toricspec.quadforms import assemble_numeric_form, numeric_negative_index
-
-        m = assemble_numeric_form(args.N, lam, data.iota)
         report.comment("numeric cross-check (floating point)")
         report.comment(f"numeric_negative_index={numeric_negative_index(m)}")
         vals = ", ".join(f"{v:.9f}" for v in sorted(np.linalg.eigvalsh(m)))

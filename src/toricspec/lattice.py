@@ -9,8 +9,9 @@ denominator.  Everything here is arbitrary-precision and allocation-light:
 vectors are tuples of ints, matrices are row-major tuples of tuples.
 """
 
-from dataclasses import dataclass
 from math import gcd, lcm
+
+from toricspec.memo import Value
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -116,8 +117,7 @@ def hermite_normal_form(m: IntMat) -> tuple[IntMat, IntMat]:
     return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Value):
     """Basis of a saturated sublattice of Z^ambient_dim (vectors independent over Q)."""
 
     ambient_dim: int

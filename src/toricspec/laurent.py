@@ -35,14 +35,13 @@ negative exponents: it is cleared at floor 0 and restricted by the same map,
 so its membership takes the same path.
 """
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, comb, gcd, lcm
 from operator import add, ge
 
 from toricspec.groebner import DivisionBasis, buchberger, normal_form
 from toricspec.lattice import IntMat, IntVec, common_denominator
-from toricspec.memo import memo
+from toricspec.memo import Value, memo, replace
 from toricspec.polys import Poly, linear_form_product, monomials_of_degree
 from toricspec.polytope import ToricData, check_hypotheses
 
@@ -75,8 +74,7 @@ QUERY_LIMIT = 100_000
 ZERO_RING = "ZeroRing"
 
 
-@dataclass(frozen=True)
-class LinearSubspace:
+class LinearSubspace(Value):
     """Saturated integer column span V of Q^n; coordinates w_1..w_k on V."""
 
     basis: IntMat  # n rows, k columns
@@ -112,8 +110,7 @@ class LinearSubspace:
         return self.dim == 0 or not all(map(any, self.basis))
 
 
-@dataclass
-class RestrictedElement:
+class RestrictedElement(Value):
     """numerator / prod l_i^{denom_exps[i]} as a function on V."""
 
     numerator: Poly
@@ -165,8 +162,7 @@ def restrict(q: Poly, subspace: LinearSubspace):
 # --- monomial modules --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonomialModule:
+class MonomialModule(Value, unhashed=("threshold",)):
     """Module generated by the lattice monomials at or above a level.
 
     Generators: u^{iota(m)} for m in the kernel lattice with p(m) >= threshold
@@ -176,7 +172,7 @@ class MonomialModule:
     """
 
     toric: ToricData
-    threshold: Fraction | None = field(hash=False)  # compared, not hashed: a Fraction's hash is slow
+    threshold: Fraction | None  # compared, not hashed: a Fraction's hash is slow
     window: int
     center: IntVec = None  # type: ignore[assignment]
     degree_shift: int = 0
@@ -250,8 +246,7 @@ def novikov_shift(module: MonomialModule, m) -> MonomialModule:
     )
 
 
-@dataclass(frozen=True)
-class KernelModule:
+class KernelModule(Value):
     module: MonomialModule
     subspace: LinearSubspace
     ring: str  # "R" | "R0" | ZERO_RING

@@ -18,7 +18,6 @@ Nullstellensatz exponents, which cap the witness search, are decided on the
 module membership path, Groebner backend.
 """
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import ceil
@@ -38,12 +37,12 @@ from toricspec.laurent import (
     restriction_class_key,
     verify_certificate,
 )
+from toricspec.memo import Value, replace
 from toricspec.polys import Poly, monomials_of_degree
 from toricspec.polytope import ToricData, ToricHypothesisError, check_hypotheses
 
 
-@dataclass(frozen=True)
-class BoundingData:
+class BoundingData(Value):
     nu: Fraction
     c_minus: Fraction
     c_plus: Fraction
@@ -53,8 +52,7 @@ class BoundingData:
     upper: KernelModule   # projection of the level-r_plus module (inner bound)
 
 
-@dataclass
-class MinimalDegreeWitness:
+class MinimalDegreeWitness(Value):
     monomial: IntVec                 # exponents of q, possibly negative
     restriction: RestrictedElement
     nu: Fraction
@@ -63,8 +61,7 @@ class MinimalDegreeWitness:
     successor_certificates: dict     # i -> relation (scale, {(g, a): c}) certifying u_i * q
 
 
-@dataclass(frozen=True)
-class NoMinimalElement:
+class NoMinimalElement(Value):
     """The projected module is the whole ring; no witness exists."""
 
     nu: Fraction

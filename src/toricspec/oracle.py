@@ -11,38 +11,34 @@ support's class takes one inverse of a unimodular minor of iota, read from
 its Hermite form, with the value group given by a rational gcd.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from toricspec.lattice import common_denominator, hermite_normal_form, identity_matrix
-from toricspec.memo import memo
+from toricspec.memo import Value, memo
 from toricspec.polytope import ToricData, check_hypotheses
 
 
-@dataclass(frozen=True)
-class DiagonalMap:
+class DiagonalMap(Value):
     """z -> -exp(mu) z; `twisted=False` drops the global sign."""
 
     mu: tuple[Fraction, ...]
     twisted: bool = True
 
 
-@dataclass(frozen=True)
-class SpectrumClass:
+class SpectrumClass(Value):
     support: tuple[int, ...]          # 1-based coordinate indices
     base: Fraction                    # one realized shift value
     step: Fraction                    # generator of the value group (0 = isolated)
     witness_lambda: tuple[Fraction, ...]  # kernel-basis coordinates realizing base
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Value):
     window: tuple[Fraction, Fraction]
     values: tuple[tuple[Fraction, tuple[tuple[int, ...], ...]], ...]
     classes: tuple[SpectrumClass, ...]
     period_check: bool
-    boundary_hits: tuple[Fraction, ...] = field(default_factory=tuple)
+    boundary_hits: tuple[Fraction, ...] = ()
 
 
 def feasible_supports(toric: ToricData) -> list[tuple[int, ...]]:

@@ -14,7 +14,6 @@ The vertices' active facet sets are kept on the reduction data, where they
 give the translated spectrum's minimal supports.
 """
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -30,7 +29,7 @@ from toricspec.lattice import (
     is_primitive,
     mat_vec,
 )
-from toricspec.memo import memo
+from toricspec.memo import Value, memo
 
 
 class ToricHypothesisError(Exception):
@@ -49,8 +48,7 @@ def _check_facet(conormal, offset):
         raise ValueError("offsets must be positive")
 
 
-@dataclass(frozen=True)
-class DelzantPolytope:
+class DelzantPolytope(Value):
     d: int
     facets: tuple[tuple[IntVec, Fraction], ...]  # (conormal v_j, offset a_j)
 
@@ -74,16 +72,14 @@ class DelzantPolytope:
         return tuple(a for _, a in self.facets)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     compact: bool
     smooth: bool
     vertices: tuple[tuple[Fraction, ...], ...]
     vertex_facets: tuple[frozenset[int], ...]  # 0-based active facets, per vertex
 
 
-@dataclass(frozen=True)
-class ToricData:
+class ToricData(Value):
     n: int
     d: int
     beta: IntMat                      # d x n, columns are the conormals
@@ -99,11 +95,11 @@ class ToricData:
     vertex_facets: tuple[frozenset[int], ...]  # 0-based active facets, per vertex
 
     def __hash__(self):
-        """The hash of the field tuple, as the dataclass would compute it, but
-        taken once per instance: a ToricData sits in every memo key."""
+        """The hash of the field tuple, taken once per instance: a ToricData
+        sits in every memo key."""
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            h = hash(self._key(self))
             object.__setattr__(self, "_hash", h)
         return h
 

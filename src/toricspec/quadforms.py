@@ -14,14 +14,21 @@ cross-validation helpers, which import numpy on first use (the optional
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from toricspec.lattice import IntMat, mat_vec
+from toricspec.memo import Value
+
+# The exact spectrum lists 2nN eigenvalues, one report line each: N = 10^5 on
+# the square (n = 4) lists 800,000 in 6-9 s and holds 200 MB.
+EIGEN_LIMIT = 1_000_000
+# The numeric cross-check builds dense complex matrices of dimension 2nN, 16 MB
+# each at 1,000: one eigvalsh there takes 0.3-2 s on a shared 2-core machine,
+# at 2,000 it takes 1.8-11 s, and the report takes two.
+NUMERIC_LIMIT = 1_000
 
 
-@dataclass(frozen=True)
-class EigenDescriptor:
+class EigenDescriptor(Value):
     """Symbolic eigenvalue tan(pi(2k+1)/4N) - tan(pi*lam/2N) of complex multiplicity 1
     (real multiplicity 2) on the j-th coordinate block."""
 
@@ -43,8 +50,7 @@ class EigenDescriptor:
         return (diff > 0) - (diff < 0)
 
 
-@dataclass(frozen=True)
-class GenFormSpectrum:
+class GenFormSpectrum(Value):
     N: int                             # total factor count: the form lives on 2N blocks
     lam: tuple[Fraction, ...]          # in the kernel-lattice basis
     coords: tuple[Fraction, ...]       # image in Q^n
@@ -97,6 +103,12 @@ def eigen_vector(N: int, j: int, k: int, n: int | None = None) -> np.ndarray:
     return out
 
 
+def _check_size(N: int, iota: IntMat, size: str, limit: int):
+    """2nN, the `size` about to be built, must not pass `limit`."""
+    if 2 * len(iota) * N > limit:
+        raise ValueError(f"{size} 2nN = {2 * len(iota) * N} is above the limit {limit}")
+
+
 def _checked_coords(N: int, lam, iota: IntMat) -> tuple[Fraction, ...]:
     """The coordinates iota(lam) in Q^n of a kernel-basis vector lam, for
     N >= 1 and lam of the kernel rank, each required inside (-N, N)."""
@@ -117,11 +129,13 @@ def floor_half_shift(x: Fraction) -> int:
 
 def spectrum(N: int, lam, iota: IntMat) -> GenFormSpectrum:
     """Exact eigenvalue descriptors and negative index for the torus-generated
-    quadratic form on 2N blocks at lam (given in the kernel basis)."""
+    quadratic form on 2N blocks at lam (given in the kernel basis); at most
+    EIGEN_LIMIT of them."""
+    _check_size(N, iota, "eigenvalue count", EIGEN_LIMIT)
     coords = _checked_coords(N, lam, iota)
     n = len(coords)
     eig = tuple(
-        EigenDescriptor(j=j, k=k, N=N, lam=coords[j - 1])
+        EigenDescriptor(j, k, N, coords[j - 1])
         for j in range(1, n + 1)
         for k in range(-N, N)
     )
@@ -173,9 +187,11 @@ def t_lambda_value(lam_coords, N2: int, x) -> float:
 
 
 def assemble_numeric_form(N: int, lam, iota: IntMat) -> np.ndarray:
-    """2nN x 2nN Hermitian matrix of the full quadratic form, block-major layout."""
+    """2nN x 2nN Hermitian matrix of the full quadratic form, block-major
+    layout; 2nN at most NUMERIC_LIMIT."""
     import numpy as np
 
+    _check_size(N, iota, "numeric matrix dimension", NUMERIC_LIMIT)
     coords = _checked_coords(N, lam, iota)
     n = len(coords)
     c_small = quad_form_matrix(N)

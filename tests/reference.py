@@ -9,7 +9,6 @@ the argparse command line that the command table replaced."""
 
 import argparse
 import heapq
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -34,6 +33,7 @@ from toricspec.laurent import (
     membership,
     verify_certificate,
 )
+from toricspec.memo import replace
 from toricspec.polys import Poly, exact_div, grevlex_key
 
 

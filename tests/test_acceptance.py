@@ -6,7 +6,6 @@ import io
 import random
 import time
 from contextlib import redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from toricspec.minimal import (
     degree_floor_violations,
     find_minimal_degree_element,
 )
+from toricspec.memo import replace
 from toricspec.oracle import DiagonalMap, period_report, spectrum_classes, window_report
 from toricspec.polys import Poly
 from toricspec.polytope import is_cpn, toric_data

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -273,6 +274,30 @@ def test_spectrum_quadform_needs_N_at_least_one(N, capsys):
     assert capsys.readouterr().err == "error: N >= 1 required\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("--N", "100000000", "--lam", "0,0"), "eigenvalue count 2nN = 800000000 is above the limit 1000000"),
+    (("--N", "126", "--lam", "0,0", "--numeric"), "numeric matrix dimension 2nN = 1008 is above the limit 1000"),
+])
+def test_spectrum_quadform_over_the_size_limits_exits_1_at_once(argv, error, capsys):
+    # the square has n = 4 coordinates: 2nN eigenvalues, and for --numeric
+    # matrices of dimension 2nN, are refused before any is built
+    if "--numeric" in argv:
+        pytest.importorskip("numpy")
+
+    def timeout(signum, frame):
+        raise TimeoutError("spectrum-quadform ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        code, out = invoke("spectrum-quadform", str(POLY / "cp1xcp1_monotone.poly"), *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_spectrum_command():
     code, out = invoke(
         "spectrum", str(POLY / "cp1xcp1_monotone.poly"),
@@ -408,15 +433,17 @@ def test_human_format_runs():
 
 
 def test_import_leaves_numpy_unloaded():
-    # neither the import nor a `bound` run loads numpy, and the command line is
-    # read without argparse and the gettext/locale modules it pulls in
+    # neither the import nor a `bound` run loads numpy, the command line is
+    # read without argparse and the gettext/locale modules it pulls in, and the
+    # value types are built without dataclasses and the inspect module it pulls in
     script = (
         "import io, sys, contextlib\n"
         "import toricspec.cli\n"
         "print('numpy' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = toricspec.cli.run(['bound', sys.argv[1]])\n"
-        "print(code, sorted(m for m in ('argparse', 'gettext', 'locale', 'numpy') if m in sys.modules))\n"
+        "unwanted = ('argparse', 'dataclasses', 'gettext', 'inspect', 'locale', 'numpy')\n"
+        "print(code, sorted(m for m in unwanted if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(POLY / "cp1xcp1_monotone.poly")],

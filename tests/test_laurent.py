@@ -3,7 +3,6 @@ import signal
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +26,7 @@ from toricspec.laurent import (
     _verdict,
     decision_module,
 )
-from toricspec.memo import clear_caches, memo_counts
+from toricspec.memo import clear_caches, memo_counts, replace
 from toricspec.oracle import DiagonalMap, spectrum_classes
 from toricspec.polys import Poly
 from toricspec.polytope import parse_polytope, toric_data, validate

@@ -1,0 +1,88 @@
+from fractions import Fraction
+
+import pytest
+
+from tests.conftest import cp1xcp1
+from toricspec.laurent import LinearSubspace, MonomialModule, kernel_K0, restrict
+from toricspec.memo import Value, replace
+from toricspec.minimal import NoMinimalElement, PolynomialPart, bounding_modules, find_minimal_degree_element
+from toricspec.oracle import DiagonalMap, spectrum_classes, window_report
+from toricspec.polys import Poly
+from toricspec.polytope import toric_data, validate
+from toricspec.quadforms import spectrum
+
+H = Fraction(1, 2)
+
+
+def every_value_type():
+    """One value of each of the library's value types, from the square."""
+    poly = cp1xcp1()
+    T = toric_data(poly)
+    km = kernel_K0(T, H, 2)
+    dmap = DiagonalMap((Fraction(1, 4), 0, 0, 0))
+    classes = spectrum_classes(T, dmap)
+    quad = spectrum(2, (Fraction(1, 3), 0), T.iota)
+    return [
+        poly, validate(poly), T, T.kappa,
+        km, km.module, km.subspace, PolynomialPart(T, H, 2),
+        restrict(Poly.monomial((1, 0, -1, 0)), km.subspace),
+        bounding_modules(T, H, Fraction(-1, 4), Fraction(1, 4)),
+        find_minimal_degree_element(T, H), NoMinimalElement(H),
+        dmap, classes[0], window_report(classes, (Fraction(0), Fraction(1))),
+        quad, quad.eigenvalues[0],
+    ]
+
+
+def test_values_are_frozen_records_compared_by_class_and_fields():
+    values = every_value_type()
+    # the sixteen value types and PolynomialPart, a MonomialModule subclass
+    assert len({type(v) for v in values}) == 17 and all(isinstance(v, Value) for v in values)
+    for v in values:
+        fields = {name: getattr(v, name) for name in v._fields}
+        for name in v._fields:
+            with pytest.raises(AttributeError):
+                setattr(v, name, fields[name])
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        assert {name: getattr(v, name) for name in v._fields} == fields
+        # a copy is equal; a value of another class with equal fields, or the
+        # tuple of the fields, is not
+        assert replace(v) == v and type(v)(**fields) == v
+        other = type("Other", (type(v),), {})(**fields)
+        assert v != other and other != v
+        assert v != tuple(fields.values()) and tuple(fields.values()) != v
+    # the polynomial part and the module with equal fields are distinct memo keys
+    T = values[2]
+    part, module = PolynomialPart(T, H, 4), MonomialModule(T, H, 4)
+    assert hash(part) == hash(module) and part != module and {part: 1, module: 2}[part] == 1
+
+
+def test_fields_take_positions_keywords_and_defaults():
+    T = toric_data(cp1xcp1())
+    by_position = MonomialModule(T, H, 2)
+    assert by_position == MonomialModule(toric=T, threshold=H, window=2, center=(0,) * T.k, degree_shift=0)
+    assert by_position.center == (0,) * T.k  # completed by __post_init__
+    assert NoMinimalElement(H).reason == "module is the whole ring"
+    with pytest.raises(TypeError):
+        MonomialModule(T, H)
+    with pytest.raises(TypeError):
+        MonomialModule(T, H, 2, window=3)
+    with pytest.raises(TypeError):
+        MonomialModule(T, H, 2, radius=3)
+    with pytest.raises(TypeError):
+        LinearSubspace(((1,),), ((1,),))
+
+
+def test_replace_checks_again_and_threshold_is_compared_not_hashed():
+    T = toric_data(cp1xcp1())
+    module = kernel_K0(T, H, 2).module
+    with pytest.raises(ValueError, match=r"^window must be >= 1$"):
+        replace(module, window=0)
+    with pytest.raises(ValueError, match=r"^need at least d\+1 facets$"):
+        replace(T.polytope, facets=())
+    with pytest.raises(TypeError):
+        replace(module, radius=3)
+    moved = replace(module, threshold=module.threshold + 1)
+    assert moved.window == module.window and moved.center == module.center
+    assert hash(moved) == hash(module) and moved != module
+    assert hash(module) == hash((module.toric, module.window, module.center, module.degree_shift))

@@ -1,6 +1,5 @@
 import random
 import signal
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +17,7 @@ from toricspec.laurent import (
     _cleared_generators,
     _verdict,
 )
-from toricspec.memo import _MEMO, clear_caches, memo_counts
+from toricspec.memo import _MEMO, clear_caches, memo_counts, replace
 from toricspec.minimal import (
     BoundingData,
     MinimalDegreeWitness,
@@ -149,7 +148,7 @@ def test_polynomial_part_degree_test_builds_no_basis(T_monotone):
 
 
 def test_polynomial_part_and_module_with_equal_fields_are_distinct_memo_keys(T_monotone):
-    # dataclass equality compares the class: the two hash alike, but each
+    # value equality compares the class: the two hash alike, but each
     # builds its own entries; the part's generators read the module's
     module = MonomialModule(T_monotone, H, 4)
     part = PolynomialPart(T_monotone, H, 4)

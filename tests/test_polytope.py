@@ -9,7 +9,7 @@ import pytest
 from tests.conftest import cp1xcp1, cpn_simplex, cube3
 from tests.reference import fourier_motzkin_feasible, minors_gcd_oracle, rational_feasible, rref
 from toricspec.lattice import mat_vec
-from toricspec.memo import clear_caches, memo_counts
+from toricspec.memo import clear_caches, memo_counts, replace
 from toricspec.polys import monomials_of_degree
 from toricspec.polytope import (
     DelzantPolytope,
@@ -385,20 +385,18 @@ def test_find_positive_b_matches_sorted_shells():
 
 
 def test_toric_data_hash_is_the_field_hash_taken_once():
-    from dataclasses import fields, replace
-
     for poly in (cp1xcp1(), cube3(), cpn_simplex(2)):
         T = toric_data(poly)
         clear_caches()
         fresh = toric_data(poly)
         assert T is not fresh and T == fresh
-        expected = hash(tuple(getattr(T, f.name) for f in fields(T)))
+        expected = hash(tuple(getattr(T, name) for name in T._fields))
         assert hash(T) == hash(fresh) == expected
         assert hash(T) == expected  # the cached value
         moved = replace(T, b=tuple(2 * x for x in T.b))
         assert moved != T
-        assert hash(moved) == hash(tuple(getattr(moved, f.name) for f in fields(moved)))
-        assert "_hash" not in {f.name for f in fields(T)}
+        assert hash(moved) == hash(tuple(getattr(moved, name) for name in moved._fields))
+        assert "_hash" not in T._fields
 
 
 def _gl_image(poly, u):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricspec import quadforms
 from toricspec.lattice import identity_matrix, mat_vec
 from toricspec.quadforms import (
     assemble_numeric_form,
@@ -224,6 +225,36 @@ def test_spectrum_needs_N_at_least_one():
     for N in (0, -1):
         with pytest.raises(ValueError, match=r"^N >= 1 required$"):
             assemble_numeric_form(N, lam, iota)
+
+
+def test_spectrum_lists_at_most_the_eigenvalue_limit(monkeypatch):
+    # 2nN eigenvalues: n = 2 coordinates and N = 3 give 12, N = 4 gives 16
+    lam, iota = (Fraction(1, 3), Fraction(0)), identity_matrix(2)
+    monkeypatch.setattr(quadforms, "EIGEN_LIMIT", 12)
+    assert len(spectrum(3, lam, iota).eigenvalues) == 12
+    with pytest.raises(ValueError, match=r"^eigenvalue count 2nN = 16 is above the limit 12$"):
+        spectrum(4, lam, iota)
+    # the front lists no eigenvalues, so it has no limit
+    assert front_membership(4, lam, iota) == set()
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"^eigenvalue count 2nN = 400000000 is above the limit 1000000$"):
+        spectrum(10**8, lam, iota)
+
+
+def test_numeric_form_is_at_most_the_dimension_limit(monkeypatch):
+    pytest.importorskip("numpy")
+    lam, iota = (Fraction(1, 3), Fraction(0)), identity_matrix(2)
+    monkeypatch.setattr(quadforms, "NUMERIC_LIMIT", 12)
+    assert assemble_numeric_form(3, lam, iota).shape == (12, 12)
+    with pytest.raises(ValueError, match=r"^numeric matrix dimension 2nN = 16 is above the limit 12$"):
+        assemble_numeric_form(4, lam, iota)
+    monkeypatch.undo()
+    # refused before the (2N)^2 shift matrix is built
+    with pytest.raises(ValueError, match=r"^numeric matrix dimension 2nN = 1004 is above the limit 1000$"):
+        assemble_numeric_form(251, lam, iota)
+    # N >= 1 is checked first
+    with pytest.raises(ValueError, match=r"^N >= 1 required$"):
+        assemble_numeric_form(0, lam, iota)
 
 
 def test_spectrum_with_nontrivial_iota(T_monotone):
