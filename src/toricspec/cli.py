@@ -145,10 +145,10 @@ def cmd_spectrum_quadform(args, report: Report) -> int:
     for e in sp.eigenvalues:
         report.kv(f"eigen.{e.j}.{e.k}.sign", e.sign())
     if args.numeric:
+        vals = np.linalg.eigvalsh(m)  # ascending
         report.comment("numeric cross-check (floating point)")
-        report.comment(f"numeric_negative_index={numeric_negative_index(m)}")
-        vals = ", ".join(f"{v:.9f}" for v in sorted(np.linalg.eigvalsh(m)))
-        report.comment(f"numeric_eigenvalues={vals}")
+        report.comment(f"numeric_negative_index={numeric_negative_index(vals)}")
+        report.comment(f"numeric_eigenvalues={', '.join(f'{v:.9f}' for v in vals)}")
     return 0
 
 

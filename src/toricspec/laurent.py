@@ -372,11 +372,17 @@ def _direction_groups(basis):
     return tuple(groups), len(directions)
 
 
+def restriction_groups(subspace: LinearSubspace):
+    """(groups, count) of `_direction_groups` for the subspace basis, built
+    once per subspace: group ids are numbered by first appearance."""
+    return memo("restriction_groups", subspace.basis, lambda: _direction_groups(subspace.basis))
+
+
 def restriction_class_key(subspace: LinearSubspace, exps):
     """Monomials with equal keys restrict to scalar multiples of each other:
-    group the coordinates by restriction direction (built once per subspace)
-    and sum the exponents within each group."""
-    groups, count = memo("restriction_groups", subspace.basis, lambda: _direction_groups(subspace.basis))
+    group the coordinates by restriction direction and sum the exponents
+    within each group."""
+    groups, count = restriction_groups(subspace)
     sums = [0] * count
     for group, e in zip(groups, exps):
         sums[group] += e

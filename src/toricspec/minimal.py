@@ -4,13 +4,16 @@ In the proportional (monotone) case every module element has homogeneity
 degree at least threshold * min_chern, the polynomial part of the module plus
 the relation ideal is zero-dimensional away from the origin, and some
 monomial class q escapes the module while all its coordinate successors u_i*q
-fall in.  The witness search shifts the level up by a positive lattice
-direction s*b until the constant 1 escapes, walks monomials breadth-first by
-(total degree, lex), and translates back.  The shift acts on generators as
-multiplication by u^iota(s*b), so u^a lies in the shifted module exactly when
-u^(a - iota(s*b)) lies in the level module, and the search asks the level
-module at translated monomials.  The resulting point count lower bound is
-min_chern per unit period.
+fall in.  Only the restriction class of q matters: monomials whose exponent
+sums agree over each group of coordinates with one restriction direction
+restrict to scalar multiples of each other.  The witness search shifts the
+level up by a positive lattice direction s*b until the constant 1 escapes,
+walks the restriction classes by total degree and then by the lex order of
+their lex-least monomials, and translates back.  The shift acts on generators
+as multiplication by u^iota(s*b), so u^a lies in the shifted module exactly
+when u^(a - iota(s*b)) lies in the level module, and the search asks the
+level module once per class, at its lex-least monomial translated back.  The
+resulting point count lower bound is min_chern per unit period.
 
 The polynomial part of the module is the monomial ideal of its generators'
 positive parts, a monomial module of its own (`PolynomialPart`): its
@@ -35,6 +38,7 @@ from toricspec.laurent import (
     membership_certified,
     restrict,
     restriction_class_key,
+    restriction_groups,
     verify_certificate,
 )
 from toricspec.memo import Value, replace
@@ -57,7 +61,7 @@ class MinimalDegreeWitness(Value):
     restriction: RestrictedElement
     nu: Fraction
     shift: IntVec                    # lattice translation used to normalize degrees
-    shifted_monomial: IntVec         # the breadth-first hit, before translating back
+    shifted_monomial: IntVec         # the class walk's hit (lex-least in its class), before translating back
     successor_certificates: dict     # i -> relation (scale, {(g, a): c}) certifying u_i * q
 
 
@@ -112,23 +116,27 @@ class PolynomialPart(MonomialModule):
 
 def nullstellensatz_exponents(toric: ToricData, r, window: int, cap: int = 32) -> tuple[int, ...]:
     """Per coordinate, the least exponent with u_i^m in the polynomial-part
-    ideal of the level-r module plus the relation ideal."""
+    ideal of the level-r module plus the relation ideal.  Coordinates with one
+    restriction direction restrict to scalar multiples of each other and share
+    their exponent, so only the first coordinate of each group is scanned."""
     check_hypotheses(toric, monotone=True, exclude_cpn=True)
     km = kernel_K0(toric, Fraction(r), window)
     part = replace(km, module=PolynomialPart(toric, km.module.threshold, window))
     n = toric.n
-    out = []
-    for i in range(n):
-        found = None
-        for m in range(cap + 1):
-            q = Poly.monomial(tuple(m if j == i else 0 for j in range(n)))
-            if membership(q, part, backend="groebner"):
-                found = m
+    groups, _ = restriction_groups(km.subspace)
+    if membership(Poly.monomial((0,) * n), part, backend="groebner"):
+        return (0,) * n
+    found: dict = {}
+    for i, g in enumerate(groups):
+        if g in found:
+            continue
+        for m in range(1, cap + 1):
+            if membership(Poly.monomial(tuple(m if j == i else 0 for j in range(n))), part, backend="groebner"):
+                found[g] = m
                 break
-        if found is None:
+        else:
             raise InconclusiveError(f"no exponent below cap {cap} for coordinate {i + 1}")
-        out.append(found)
-    return tuple(out)
+    return tuple(found[g] for g in groups)
 
 
 # --- the witness search ---------------------------------------------------------
@@ -148,10 +156,15 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
     whole ring.
 
     Search: translate the level up along a strictly positive lattice direction
-    until degree 0 is excluded, walk monomials breadth-first ordered by total
-    degree then lex, and stop at the first monomial all of whose successors
-    are members.  Each question is asked of the level module at the monomial
-    translated back, where each successor's certificate is checked in integers.
+    until degree 0 is excluded, then walk the restriction classes, keyed by
+    their exponent sums per direction group (the compositions of each total
+    degree), in the lex order of their lex-least monomials, which hold each
+    group's sum on its last coordinate.  A class qualifies when it is no
+    member and adding one to any group makes it a member; the first one gives
+    the witness, the same monomial a walk over every monomial by (total
+    degree, lex) would stop at.  Each class is asked once, of the level
+    module at its lex-least monomial translated back; the witness's n
+    coordinate successors are then certified in integers.
     """
     nu = Fraction(nu)
     check_hypotheses(toric, exclude_cpn=True)
@@ -173,24 +186,36 @@ def find_minimal_degree_element(toric: ToricData, nu, window: int = 2):
         raise InconclusiveError("degree normalization failed to exclude the constant")
     exps = nullstellensatz_exponents(toric, nu + toric.p_value(shift), window)
     cap = sum(exps) + 2
-    member_cache: dict = {}
+    groups, count = restriction_groups(km.subspace)
+    last = {g: i for i, g in enumerate(groups)}  # each group's last coordinate
+    rank = {g: j for j, g in enumerate(sorted(last, key=last.get))}
+    verdicts = {(0,) * count: False}  # the constant, asked above
 
-    def is_member(a):
-        # verdicts only depend on the restriction class of the monomial
-        key = restriction_class_key(km.subspace, a)
-        if key not in member_cache:
-            member_cache[key] = membership(Poly.monomial(back(a)), km)
-        return member_cache[key]
+    def lex_least(key):
+        a = [0] * n
+        for g, e in enumerate(key):
+            a[last[g]] = e
+        return tuple(a)
+
+    def is_member(key):
+        if key not in verdicts:
+            verdicts[key] = membership(Poly.monomial(back(lex_least(key))), km)
+        return verdicts[key]
 
     for degree in range(cap + 1):
-        # ascending lex: the reverse of the descending enumeration
-        for a in reversed(list(monomials_of_degree(n, degree))):
-            if is_member(a):
+        # ascending lex over the sums in last-coordinate order: the reverse of
+        # the descending enumeration
+        for sums in reversed(list(monomials_of_degree(count, degree))):
+            key = tuple(sums[rank[g]] for g in range(count))
+            if is_member(key):
                 continue
-            successors = [a[:i] + (a[i] + 1,) + a[i + 1:] for i in range(n)]
-            if all(is_member(s) for s in successors):
+            # groups in id order, numbered by first appearance: the order in
+            # which the coordinate successors reach them
+            if all(is_member(key[:g] + (key[g] + 1,) + key[g + 1:]) for g in range(count)):
+                a = lex_least(key)
                 q_exps = back(a)
                 certs = {}
+                successors = [a[:i] + (a[i] + 1,) + a[i + 1:] for i in range(n)]
                 for i, s in enumerate(successors):
                     succ = Poly.monomial(back(s))
                     ok, certs[i] = membership_certified(succ, km)

@@ -24,7 +24,7 @@ from toricspec.memo import Value
 EIGEN_LIMIT = 1_000_000
 # The numeric cross-check builds dense complex matrices of dimension 2nN, 16 MB
 # each at 1,000: one eigvalsh there takes 0.3-2 s on a shared 2-core machine,
-# at 2,000 it takes 1.8-11 s, and the report takes two.
+# at 2,000 it takes 1.8-11 s, and the report runs one.
 NUMERIC_LIMIT = 1_000
 
 
@@ -200,9 +200,7 @@ def assemble_numeric_form(N: int, lam, iota: IntMat) -> np.ndarray:
     return c_full - d_full
 
 
-def numeric_negative_index(matrix: np.ndarray, tol: float = 1e-9) -> int:
-    """Real dimension (twice the complex count) of the negative eigenspace."""
-    import numpy as np
-
-    vals = np.linalg.eigvalsh(matrix)
-    return 2 * int((vals < -tol).sum())
+def numeric_negative_index(eigenvalues: np.ndarray, tol: float = 1e-9) -> int:
+    """Real dimension (twice the complex count) of the negative eigenspace,
+    from the eigenvalues (`numpy.linalg.eigvalsh`) of the numeric form."""
+    return 2 * int((eigenvalues < -tol).sum())

@@ -3,8 +3,9 @@ inverses) and the
 maximal-minors basis test, powers, monic scaling and restriction degrees
 that the library never needs, the Fraction Groebner engine, the relation ideal
 of a linear subspace, module membership by its definition in Q[u_1..u_n],
-the window-stability loop that membership at W + 2 replaced, a witness's
-verdicts re-checked on the brute backend, Fourier-Motzkin feasibility, and
+the window-stability loop that membership at W + 2 replaced, the witness
+search over every monomial that the walk over restriction classes replaced,
+a witness's verdicts re-checked on the brute backend, Fourier-Motzkin feasibility, and
 the argparse command line that the command table replaced."""
 
 import argparse
@@ -30,11 +31,17 @@ from toricspec.laurent import (
     _below_generator_degree,
     _verdict,
     check_start_window,
+    kernel_K0,
     membership,
+    membership_certified,
+    restrict,
+    restriction_class_key,
     verify_certificate,
 )
 from toricspec.memo import replace
-from toricspec.polys import Poly, exact_div, grevlex_key
+from toricspec.minimal import MinimalDegreeWitness, PolynomialPart, _scaled_shift
+from toricspec.polys import Poly, exact_div, grevlex_key, monomials_of_degree
+from toricspec.polytope import check_hypotheses
 
 
 # --- small polynomial helpers ---------------------------------------------------------
@@ -320,6 +327,76 @@ def stable_verdict(verdict_at, window):
             return cur, window
         prev = cur
     raise InconclusiveError(f"window protocol failed to stabilize below {WINDOW_CAP}")
+
+
+# --- the witness search, monomial by monomial -----------------------------------------
+#
+# The search before it walked restriction classes: every coordinate scanned
+# for its Nullstellensatz exponent, and every monomial of N^n listed by (total
+# degree, lex), each verdict cached by the monomial's restriction class.
+
+
+def reference_nullstellensatz_exponents(toric, r, window: int, cap: int = 32):
+    """Per coordinate, the least m <= cap with u_i^m in the polynomial part of
+    the level-r module, each coordinate scanned from m = 0."""
+    check_hypotheses(toric, monotone=True, exclude_cpn=True)
+    km = kernel_K0(toric, Fraction(r), window)
+    part = replace(km, module=PolynomialPart(toric, km.module.threshold, window))
+    n = toric.n
+    out = []
+    for i in range(n):
+        for m in range(cap + 1):
+            if membership(Poly.monomial(tuple(m if j == i else 0 for j in range(n))), part, backend="groebner"):
+                out.append(m)
+                break
+        else:
+            raise InconclusiveError(f"no exponent below cap {cap} for coordinate {i + 1}")
+    return tuple(out)
+
+
+def reference_minimal_degree_element(toric, nu, window: int = 2):
+    """The first monomial a of the shifted level, by (total degree, lex),
+    outside the module with every coordinate successor inside, as a
+    `MinimalDegreeWitness` with its successors certified; monotone data only."""
+    nu = Fraction(nu)
+    check_hypotheses(toric, monotone=True, exclude_cpn=True)
+    km = kernel_K0(toric, nu, window)
+    n = toric.n
+    shift = _scaled_shift(toric, nu)
+    iota_shift = toric.iota_apply(shift)
+
+    def back(a):
+        return tuple(map(sub, a, iota_shift))
+
+    if membership(Poly.monomial(back((0,) * n)), km):
+        raise InconclusiveError("degree normalization failed to exclude the constant")
+    cap = sum(reference_nullstellensatz_exponents(toric, nu + toric.p_value(shift), window)) + 2
+    cache = {}
+
+    def is_member(a):
+        key = restriction_class_key(km.subspace, a)
+        if key not in cache:
+            cache[key] = membership(Poly.monomial(back(a)), km)
+        return cache[key]
+
+    for degree in range(cap + 1):
+        for a in reversed(list(monomials_of_degree(n, degree))):
+            successors = [a[:i] + (a[i] + 1,) + a[i + 1:] for i in range(n)]
+            if is_member(a) or not all(map(is_member, successors)):
+                continue
+            certs = {}
+            for i, s in enumerate(successors):
+                ok, certs[i] = membership_certified(Poly.monomial(back(s)), km)
+                assert ok and verify_certificate(Poly.monomial(back(s)), km, certs[i])
+            return MinimalDegreeWitness(
+                monomial=back(a),
+                restriction=restrict(Poly.monomial(back(a)), km.subspace),
+                nu=nu,
+                shift=shift,
+                shifted_monomial=a,
+                successor_certificates=certs,
+            )
+    raise InconclusiveError("no witness below the degree cap")
 
 
 # --- the witness re-check -------------------------------------------------------------

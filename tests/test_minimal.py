@@ -2,6 +2,7 @@ import random
 import signal
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -32,14 +33,16 @@ from toricspec.minimal import (
     _scaled_shift,
 )
 from toricspec.polys import Poly
-from toricspec.polytope import ToricHypothesisError, toric_data
+from toricspec.polytope import ToricHypothesisError, parse_polytope, toric_data
 
-from tests.conftest import cp1xcp1
+from tests.conftest import cp1xcp1, cube3
 from tests.reference import (
     _reference_normal_form,
     at_window,
     monic,
+    reference_minimal_degree_element,
     reference_module_ideal,
+    reference_nullstellensatz_exponents,
     restriction_degree,
     stable_verdict,
     verdict_at_window,
@@ -308,6 +311,91 @@ def test_witness_monotone_square(T_monotone):
     assert not any(w.restriction.denom_exps)
     assert restriction_degree(w.restriction) == 1
     assert verify_witness(w, km)
+
+
+def _hirzebruch():
+    path = Path(__file__).resolve().parent.parent / "polytopes" / "hirzebruch_monotone.poly"
+    return toric_data(parse_polytope(path.read_text()))
+
+
+def _reordered_cube():
+    """The cube with facets e1, -e1, e3, e2, -e2, -e3: its direction groups
+    (0, 0, 1, 2, 2, 1) end at coordinates 2, 6, 5, out of group id order."""
+    facets = {f[0]: f for f in cube3().facets}
+    order = ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 1, 0), (0, -1, 0), (0, 0, -1))
+    return toric_data(replace(cube3(), facets=tuple(facets[v] for v in order)))
+
+
+@pytest.mark.parametrize("name, nus", [
+    ("square", (0, H, 1, Fraction(3, 2), Fraction(5, 2), 3)),
+    ("hirzebruch", (0, Fraction(5, 2))),
+    ("cube", (0, H)),
+    ("reordered cube", (0, H)),
+])
+def test_class_walk_finds_the_monomial_walk_witness(name, nus, T_monotone, T_cube):
+    # the walk over restriction classes stops at the monomial the walk over
+    # every monomial by (total degree, lex) stops at, with the same shift,
+    # restriction and certified successors
+    T = {"square": T_monotone, "hirzebruch": _hirzebruch(), "cube": T_cube, "reordered cube": _reordered_cube()}[name]
+    for nu in nus:
+        got = find_minimal_degree_element(T, nu)
+        want = reference_minimal_degree_element(T, nu)
+        assert (got.monomial, got.shifted_monomial, got.shift, got.restriction) == (
+            want.monomial, want.shifted_monomial, want.shift, want.restriction)
+        assert sorted(got.successor_certificates) == sorted(want.successor_certificates) == list(range(T.n))
+
+
+def test_grouped_nullstellensatz_scan_matches_the_per_coordinate_scan(T_monotone, T_cube, T_cp2, T_cp3):
+    # one scan per restriction direction gives every coordinate's exponent,
+    # and under a cap too small for some coordinate names the same first one
+    for T in (T_monotone, T_cube, _hirzebruch()):
+        for r in (H, 1, Fraction(5, 2), 4):
+            want = reference_nullstellensatz_exponents(T, r, 2)
+            assert nullstellensatz_exponents(T, r, 2) == want
+            for cap in range(max(want)):
+                with pytest.raises(InconclusiveError) as got:
+                    nullstellensatz_exponents(T, r, 2, cap=cap)
+                with pytest.raises(InconclusiveError) as ref:
+                    reference_nullstellensatz_exponents(T, r, 2, cap=cap)
+                assert str(got.value) == str(ref.value)
+    for T in (T_cp2, T_cp3):
+        with pytest.raises(ToricHypothesisError, match="projective"):
+            nullstellensatz_exponents(T, H, 2)
+
+
+def _recorded_queries(module, monkeypatch):
+    """Patch `membership` in `module` to record (kernel module, restriction
+    class) for each query."""
+    asked = []
+    inner = module.membership
+
+    def recording(q, km, *args, **kwargs):
+        asked.append((km, restriction_class_key(km.subspace, next(iter(q.terms)))))
+        return inner(q, km, *args, **kwargs)
+
+    monkeypatch.setattr(module, "membership", recording)
+    return asked
+
+
+def test_witness_search_asks_each_class_once(T_monotone, T_cube, monkeypatch):
+    import tests.reference as reference_mod
+    import toricspec.minimal as minimal_mod
+
+    asked = _recorded_queries(minimal_mod, monkeypatch)
+    for T, nu in ((T_monotone, H), (T_monotone, 3), (T_cube, 0), (_hirzebruch(), Fraction(5, 2))):
+        asked.clear()
+        find_minimal_degree_element(T, nu)
+        assert asked and len(set(asked)) == len(asked)
+    # the cube `bound` search asks the level module the same classes as the
+    # monomial walk, each once, and its polynomial part fewer
+    level = kernel_K0(T_cube, H, 2)
+    asked.clear()
+    translated_point_bound(T_cube)
+    walked = _recorded_queries(reference_mod, monkeypatch)
+    reference_minimal_degree_element(T_cube, H)
+    assert len(set(asked)) == len(asked) <= len(set(walked))
+    assert {c for km, c in asked if km == level} == {c for km, c in walked if km == level}
+    assert len([c for km, c in asked if km != level]) < len([c for km, c in walked if km != level])
 
 
 def test_witness_nonmonotone_square(T_p12):
