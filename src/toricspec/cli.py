@@ -141,9 +141,9 @@ def cmd_spectrum_quadform(args, report: Report) -> int:
     report.kv("lambda", vec_str(sp.lam))
     report.kv("coords", vec_str(sp.coords))
     report.kv("negative_index", sp.negative_index)
-    report.kv("eigen_count", len(sp.eigenvalues))
-    for e in sp.eigenvalues:
-        report.kv(f"eigen.{e.j}.{e.k}.sign", e.sign())
+    report.kv("eigen_count", 2 * len(sp.coords) * sp.N)
+    for j, k, sign in sp.signs():
+        report.kv(f"eigen.{j}.{k}.sign", sign)
     if args.numeric:
         vals = np.linalg.eigvalsh(m)  # ascending
         report.comment("numeric cross-check (floating point)")

@@ -339,6 +339,8 @@ def _build_toric_data(poly: DelzantPolytope) -> ToricData:
 def parse_fraction(text: str) -> Fraction:
     """Exact rational literal `p/q` or integer; floating-point forms rejected."""
     text = text.strip()
+    if (text[1:] if text[:1] in "+-" else text).isdecimal():
+        return Fraction(int(text))
     if any(ch in text for ch in ".eE"):
         raise ValueError(f"not an exact rational literal: {text!r}")
     try:
@@ -360,7 +362,7 @@ def parse_polytope(text: str) -> DelzantPolytope:
             if parts[0] == "dim":
                 if d is not None:
                     raise ValueError("duplicate dim")
-                if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+                if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                     raise ValueError("dim must be one positive integer")
                 d, dim_line = int(parts[1]), lineno
             elif parts[0] == "facet":

@@ -6,9 +6,12 @@ subtracts tan(pi*lam_j / 2N) on the j-th coordinate block.  Eigenvalues come
 in closed form tan(pi(2k+1)/4N) - tan(pi*lam_j/2N), so the negative index and
 the degenerate locus (half-integer coordinates) are exact rational data.
 They depend on N alone, the total factor count, not on how the 2N blocks
-split into isotopy and torus factors.  Floating point appears only in the
-cross-validation helpers, which import numpy on first use (the optional
-`numeric` extra).
+split into isotopy and torus factors.  Each (j, k) sign is one integer
+comparison on the numerator and denominator of lam_j (`eigen_sign`), so the
+exact spectrum keeps only the coordinates and the negative index and lists
+its 2nN signs without building a descriptor for each.  Floating point appears
+only in the cross-validation helpers, which import numpy on first use (the
+optional `numeric` extra).
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from fractions import Fraction
 from toricspec.lattice import IntMat, mat_vec
 from toricspec.memo import Value
 
-# The exact spectrum lists 2nN eigenvalues, one report line each: N = 10^5 on
-# the square (n = 4) lists 800,000 in 6-9 s and holds 200 MB.
+# The exact spectrum lists 2nN eigenvalue signs, one report line each: N = 10^5
+# on the square (n = 4) lists 800,000 in 0.7 s and peaks at 116 MB RSS (one
+# run on a shared 2-core machine), most of it the report lines.
 EIGEN_LIMIT = 1_000_000
 # The numeric cross-check builds dense complex matrices of dimension 2nN, 16 MB
 # each at 1,000: one eigvalsh there takes 0.3-2 s on a shared 2-core machine,
@@ -45,17 +49,37 @@ class EigenDescriptor(Value):
         )
 
     def sign(self) -> int:
-        """Exact sign: negative iff k < lam - 1/2, zero iff lam = k + 1/2."""
-        diff = Fraction(self.lam) - Fraction(2 * self.k + 1, 2)
-        return (diff > 0) - (diff < 0)
+        """The reported sign, `eigen_sign(lam, k)`."""
+        return eigen_sign(self.lam, self.k)
+
+
+def eigen_sign(lam, k: int) -> int:
+    """The sign of lam - (k + 1/2), taken in integers as sign(2a - (2k+1)b) for
+    lam = a/b: +1 iff k < lam - 1/2, 0 iff lam = k + 1/2 (the front).  The
+    eigenvalue tan(pi(2k+1)/4N) - tan(pi*lam/2N) has the opposite sign."""
+    diff = 2 * lam.numerator - (2 * k + 1) * lam.denominator
+    return (diff > 0) - (diff < 0)
 
 
 class GenFormSpectrum(Value):
     N: int                             # total factor count: the form lives on 2N blocks
     lam: tuple[Fraction, ...]          # in the kernel-lattice basis
     coords: tuple[Fraction, ...]       # image in Q^n
-    eigenvalues: tuple[EigenDescriptor, ...]
     negative_index: int
+
+    @property
+    def eigenvalues(self) -> tuple[EigenDescriptor, ...]:
+        """The 2nN descriptors, coordinate-major, built on each access."""
+        N = self.N
+        return tuple(EigenDescriptor(j, k, N, c) for j, c in enumerate(self.coords, 1) for k in range(-N, N))
+
+    def signs(self):
+        """(j, k, eigen_sign(lam_j, k)) in the order of `eigenvalues`, without
+        building a descriptor."""
+        N = self.N
+        for j, c in enumerate(self.coords, 1):
+            for k in range(-N, N):
+                yield j, k, eigen_sign(c, k)
 
 
 def shift_matrix(N: int) -> IntMat:
@@ -128,24 +152,17 @@ def floor_half_shift(x: Fraction) -> int:
 
 
 def spectrum(N: int, lam, iota: IntMat) -> GenFormSpectrum:
-    """Exact eigenvalue descriptors and negative index for the torus-generated
-    quadratic form on 2N blocks at lam (given in the kernel basis); at most
-    EIGEN_LIMIT of them."""
+    """Exact spectrum and negative index of the torus-generated quadratic form
+    on 2N blocks at lam (given in the kernel basis); at most EIGEN_LIMIT
+    eigenvalues 2nN.  The descriptors and their signs are read from the
+    coordinates on demand."""
     _check_size(N, iota, "eigenvalue count", EIGEN_LIMIT)
     coords = _checked_coords(N, lam, iota)
-    n = len(coords)
-    eig = tuple(
-        EigenDescriptor(j, k, N, coords[j - 1])
-        for j in range(1, n + 1)
-        for k in range(-N, N)
-    )
-    negative_index = sum(2 * (N + floor_half_shift(c)) for c in coords)
     return GenFormSpectrum(
         N=N,
         lam=tuple(Fraction(x) for x in lam),
         coords=coords,
-        eigenvalues=eig,
-        negative_index=negative_index,
+        negative_index=sum(2 * (N + floor_half_shift(c)) for c in coords),
     )
 
 

@@ -5,7 +5,8 @@ that the library never needs, the Fraction Groebner engine, the relation ideal
 of a linear subspace, module membership by its definition in Q[u_1..u_n],
 the window-stability loop that membership at W + 2 replaced, the witness
 search over every monomial that the walk over restriction classes replaced,
-a witness's verdicts re-checked on the brute backend, Fourier-Motzkin feasibility, and
+a witness's verdicts re-checked on the brute backend, Fourier-Motzkin feasibility,
+the Fraction eigenvalue sign that the integer `quadforms.eigen_sign` replaced, and
 the argparse command line that the command table replaced."""
 
 import argparse
@@ -425,6 +426,12 @@ def verify_witness(witness, km) -> bool:
 # Every offset of a Delzant polytope is positive, so `validate` never needs to
 # tell an empty input apart; the tests use this as an independent feasibility
 # test (compactness probes, minimal supports).
+
+
+def fraction_eigen_sign(lam, k: int) -> int:
+    """The sign of the quadratic-form descriptor at (lam, k) in Fraction arithmetic."""
+    diff = Fraction(lam) - Fraction(2 * k + 1, 2)
+    return (diff > 0) - (diff < 0)
 
 
 def _normalize_ineq(coeffs, const):

@@ -341,9 +341,9 @@ def test_spectrum_builds_classes_once(monkeypatch):
     calls = []
     support_class = oracle._support_class
 
-    def counted(toric, dmap, support):
+    def counted(toric, support, den, c):
         calls.append(support)
-        return support_class(toric, dmap, support)
+        return support_class(toric, support, den, c)
 
     monkeypatch.setattr(oracle, "_support_class", counted)
     code, both = invoke("spectrum", path, mu, "--window=-1:2", "--nu=1/2")
@@ -396,6 +396,38 @@ def test_witness_reports_match_the_recorded_ones(case, capsys):
     code, out = invoke(command, str(CORPUS / f"{name}.poly"), *options)
     assert (code, out.splitlines()) == (WITNESS_REPORTS[case]["exit"], WITNESS_REPORTS[case]["report"])
     assert capsys.readouterr().err == ""
+
+
+# The full reports of `spectrum` (every compact smooth file of `polytopes/` and
+# `perfbench/corpus/`, with `--window`, `--nu` or both, twisted or not) and of
+# `spectrum-quadform` (N = 1, 2, 3, coordinates on half-integers): stdout,
+# stderr and exit code, keyed by the command line run from the repository root.
+SPECTRUM_REPORTS = json.loads((Path(__file__).resolve().parent / "spectrum_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(SPECTRUM_REPORTS))
+def test_spectrum_reports_match_the_recorded_ones(case, capsys, monkeypatch):
+    monkeypatch.chdir(POLY.parent)
+    clear_caches()
+    code, out = invoke(*case.split())
+    want = SPECTRUM_REPORTS[case]
+    assert (code, out, capsys.readouterr().err) == (want["exit"], want["stdout"], want["stderr"])
+
+
+def test_spectrum_over_the_value_limit_exits_1_at_once(capsys):
+    def timeout(signum, frame):
+        raise TimeoutError("spectrum ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        code, out = invoke("spectrum", str(POLY / "cp1xcp1_monotone.poly"), "--mu", "1/4,0,0,0",
+                           "--window=0:100000000")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: class value count 400000002 is above the limit 1000000\n"
 
 
 # `bound` on corpus files whose witness search takes no m^D exit: the exit
@@ -527,6 +559,7 @@ def test_reused_parser_keeps_no_state(first, second):
 
 
 @pytest.mark.parametrize("text, message", [
+    ("dim \u00b2\nfacet 1 ; 1\nfacet -1 ; 1\n", "error: line 1: dim must be one positive integer"),
     ("dim 1\nfacet 1 ; 0\nfacet -1 ; 1\n", "error: line 2: offsets must be positive"),
     ("dim 1\nfacet -1 ; 1\n# comment\nfacet 2 ; 1\n", "error: line 4: conormal (2,) is not primitive"),
     ("# square missing two sides\ndim 2\nfacet 1 0 ; 1\nfacet 0 1 ; 1\n",

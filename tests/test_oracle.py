@@ -6,15 +6,18 @@ from pathlib import Path
 
 import pytest
 
+from toricspec import oracle
 from toricspec.oracle import (
     DiagonalMap,
     SpectrumReport,
     SpectrumClass,
+    _phases,
     _support_class,
     feasible_supports,
     period_report,
     spectrum_classes,
     window_report,
+    witness_lambda,
 )
 from toricspec.lattice import det
 from toricspec.polytope import (
@@ -154,10 +157,12 @@ def test_spectrum_square_quarter_perturbation(T_monotone):
 
 def test_spectrum_witness_lambdas_lie_on_front(T_monotone):
     mu = (Q, Fraction(0), Fraction(0), Fraction(0))
-    report = window_report(spectrum_classes(T_monotone, DiagonalMap(mu=mu)), (Fraction(0), Fraction(1)))
+    dmap = DiagonalMap(mu=mu)
+    report = window_report(spectrum_classes(T_monotone, dmap), (Fraction(0), Fraction(1)))
     for cls in report.classes:
+        lam = witness_lambda(T_monotone, dmap, cls.support)
         coords = [
-            sum((Fraction(T_monotone.iota[j][i]) * cls.witness_lambda[i] for i in range(2)),
+            sum((Fraction(T_monotone.iota[j][i]) * lam[i] for i in range(2)),
                 Fraction(0))
             for j in range(4)
         ]
@@ -165,7 +170,7 @@ def test_spectrum_witness_lambdas_lie_on_front(T_monotone):
         front = front_coordinates(shifted)
         assert set(cls.support).issubset(front)
         # the class base value is realized by the witness
-        assert cls.base == -T_monotone.p_value(cls.witness_lambda)
+        assert cls.base == -T_monotone.p_value(lam)
 
 
 def test_count_in_period_examples(T_monotone):
@@ -254,7 +259,8 @@ def test_spectrum_cube(T_cube):
 
 
 def _fraction_support_class(toric, dmap, support):
-    """Reference: the class of one support in Fraction arithmetic throughout."""
+    """Reference: the class of one support and its witness lambda, in Fraction
+    arithmetic throughout."""
     inv = fraction_unimodular_inverse(tuple(toric.iota[j - 1] for j in support))
     half = H if dmap.twisted else Fraction(0)
     c = [half - dmap.mu[j - 1] for j in support]
@@ -264,12 +270,12 @@ def _fraction_support_class(toric, dmap, support):
     g = 0
     for v in nums:
         g = gcd(g, int(v * denom))
-    return SpectrumClass(
+    cls = SpectrumClass(
         support=tuple(support),
         base=-sum((xi * ci for xi, ci in zip(x, c)), Fraction(0)),
         step=Fraction(g, denom),
-        witness_lambda=tuple(sum((a * ci for a, ci in zip(row, c)), Fraction(0)) for row in inv),
     )
+    return cls, tuple(sum((a * ci for a, ci in zip(row, c)), Fraction(0)) for row in inv)
 
 
 def test_support_class_matches_fraction_reference():
@@ -282,9 +288,10 @@ def test_support_class_matches_fraction_reference():
             mu = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(T.n))
             dmap = DiagonalMap(mu=mu, twisted=twisted)
             for support in feasible_supports(T):
-                got = _support_class(T, dmap, support)
-                assert got == _fraction_support_class(T, dmap, support)
-                assert all(type(v) is Fraction for v in (got.base, got.step, *got.witness_lambda))
+                got = _support_class(T, support, *_phases(dmap))
+                lam = witness_lambda(T, dmap, support)
+                assert (got, lam) == _fraction_support_class(T, dmap, support)
+                assert all(type(v) is Fraction for v in (got.base, got.step, *lam))
                 checked += 1
     assert checked > 100
 
@@ -357,7 +364,7 @@ def test_integer_window_matches_fraction_reference_on_seeded_classes():
     for _ in range(300):
         classes = [
             SpectrumClass(support=tuple(sorted(rng.sample(range(1, 7), 2))), base=rational(20),
-                          step=step(), witness_lambda=())
+                          step=step())
             for _ in range(rng.randint(0, 6))
         ]
         on_values = [c.base + rng.randint(-3, 3) * c.step for c in classes]
@@ -383,8 +390,34 @@ def test_integer_window_matches_fraction_reference_on_vertex_supports():
         for twisted in (True, False):
             mu = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 6))) for _ in range(T.n))
             dmap = DiagonalMap(mu=mu, twisted=twisted)
-            classes = [_support_class(T, dmap, support) for support in feasible_supports(T)]
+            classes = [_support_class(T, support, *_phases(dmap)) for support in feasible_supports(T)]
             for lo, hi in windows:
                 _check_window_against_fraction_reference(classes, lo, hi, lo)
             nu = classes[0].base  # a value on the period's lower edge
             _check_window_against_fraction_reference(classes, nu, nu + 1, nu)
+
+
+def test_listing_stops_at_the_value_limit(T_monotone, monkeypatch):
+    # the square with mu = (1/4, 0, 0, 0): four classes of step 1, with bases
+    # -3/4 (twice) and -1 (twice); [0, 2] holds 2 + 2 + 3 + 3 = 10 class values
+    # and the period [0, 1) holds 4
+    classes = spectrum_classes(T_monotone, DiagonalMap(mu=(Q, Fraction(0), Fraction(0), Fraction(0))))
+    window, nu = (Fraction(0), Fraction(2)), Fraction(0)
+    full = window_report(classes, window), period_report(classes, nu)
+    assert [len(r.values) for r in full] == [5, 2]
+    monkeypatch.setattr(oracle, "VALUE_LIMIT", 10)
+    assert window_report(classes, window) == full[0]
+    monkeypatch.setattr(oracle, "VALUE_LIMIT", 9)
+    with pytest.raises(ValueError, match=r"^class value count 10 is above the limit 9$"):
+        window_report(classes, window)
+    monkeypatch.setattr(oracle, "VALUE_LIMIT", 4)
+    assert period_report(classes, nu) == full[1]
+    monkeypatch.setattr(oracle, "VALUE_LIMIT", 3)
+    with pytest.raises(ValueError, match=r"^class value count 4 is above the limit 3$"):
+        period_report(classes, nu)
+    monkeypatch.undo()
+    # the count is taken in closed form, so a window of any width is refused at once
+    with pytest.raises(ValueError, match=r"^class value count 400000002 is above the limit 1000000$"):
+        window_report(classes, (Fraction(0), Fraction(10**8)))
+    with pytest.raises(ValueError, match=rf"^class value count {4 * 10**40 + 2} is above the limit 1000000$"):
+        window_report(classes, (Fraction(0), Fraction(10**40)))

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -17,6 +18,7 @@ from toricspec.polytope import (
     _enumerate_vertices,
     find_positive_b,
     is_cpn,
+    parse_fraction,
     parse_polytope,
     rationality_check,
     toric_data,
@@ -261,6 +263,33 @@ def test_parse_rejects_malformed_lines():
         parse_polytope("dim 2\nfacet 1/2 0 ; 1\nfacet -1 0 ; 1\nfacet 0 1 ; 1\n")
     with pytest.raises(ValueError):
         parse_polytope("dim 1\nridge 1 ; 1\n")  # unknown directive
+
+
+@pytest.mark.parametrize("text, result", [
+    ("+3", Fraction(3)), ("-0", Fraction(0)), ("03", Fraction(3)), ("\u0663", Fraction(3)),
+    # Fraction reads underscores from Python 3.11 on
+    ("1_000", Fraction(1000) if sys.version_info >= (3, 11) else "Invalid literal for Fraction: '1_000'"),
+    (" 7 ", Fraction(7)), ("-12/8", Fraction(-3, 2)),
+    ("+-3", "Invalid literal for Fraction: '+-3'"), ("\u00b2", "Invalid literal for Fraction: '\u00b2'"),
+    ("1/0", "zero denominator: '1/0'"), ("1.0", "not an exact rational literal: '1.0'"),
+    ("1e3", "not an exact rational literal: '1e3'"), ("", "Invalid literal for Fraction: ''"),
+])
+def test_parse_fraction_keeps_its_results_and_messages(text, result):
+    # plain decimal integers take the int path, every other literal Fraction's
+    if isinstance(result, str):
+        with pytest.raises(ValueError) as err:
+            parse_fraction(text)
+        assert str(err.value) == result
+    else:
+        got = parse_fraction(text)
+        assert type(got) is Fraction and got == result
+
+
+def test_dim_takes_decimal_digits_only():
+    rest = "\nfacet 1 ; 1\nfacet -1 ; 1\n"
+    with pytest.raises(ValueError, match=r"^line 1: dim must be one positive integer$"):
+        parse_polytope("dim \u00b2" + rest)  # a digit, but not a decimal one
+    assert parse_polytope("dim \u0661" + rest).d == 1  # Arabic-Indic one, as int() reads it
 
 
 # --- integer validation against the Fraction / Fourier-Motzkin references ---

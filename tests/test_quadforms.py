@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from toricspec import quadforms
 from toricspec.lattice import identity_matrix, mat_vec
 from toricspec.quadforms import (
+    EigenDescriptor,
     assemble_numeric_form,
+    eigen_sign,
     eigen_vector,
     front_coordinates,
     front_membership,
@@ -17,6 +20,7 @@ from toricspec.quadforms import (
     spectrum,
     t_lambda_value,
 )
+from tests.reference import fraction_eigen_sign
 
 H = Fraction(1, 2)
 
@@ -267,3 +271,37 @@ def test_spectrum_with_nontrivial_iota(T_monotone):
     assert sp.negative_index == sum(2 * (2 + 0) for _ in range(4))
     with pytest.raises(ValueError, match=r"^lambda length must match the kernel rank$"):
         spectrum(2, lam[:1], T_monotone.iota)
+
+
+def test_integer_sign_matches_fraction_reference():
+    # coordinates on a grid of halves, thirds and sixths inside (-N, N), where
+    # the half-integers put a zero sign on the front
+    checked = zeros = 0
+    for N in range(1, 5):
+        grid = sorted({Fraction(a, 6) for a in range(-6 * N + 1, 6 * N)})
+        for c in grid:
+            for k in range(-N, N):
+                want = fraction_eigen_sign(c, k)
+                assert eigen_sign(c, k) == EigenDescriptor(1, k, N, c).sign() == want
+                checked += 1
+                zeros += want == 0
+        # the report's signs come in the order of the descriptors
+        sp = spectrum(N, grid[:3], identity_matrix(3))
+        assert list(sp.signs()) == [(e.j, e.k, e.sign()) for e in sp.eigenvalues]
+        assert len(sp.eigenvalues) == 6 * N
+    assert checked == sum(2 * N * (12 * N - 1) for N in range(1, 5)) and zeros == sum(2 * N for N in range(1, 5))
+    # an integer coordinate takes the same sign as its Fraction
+    assert eigen_sign(1, 0) == eigen_sign(Fraction(1), 0) == 1
+
+
+def test_spectrum_holds_no_descriptor_list(T_monotone):
+    # N = 10^5 on the square has 800,000 eigenvalues; the spectrum keeps the
+    # coordinates and the negative index only
+    tracemalloc.start()
+    try:
+        sp = spectrum(10**5, (0, 0), T_monotone.iota)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert sp.negative_index == 2 * 4 * 10**5
