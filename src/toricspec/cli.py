@@ -63,6 +63,13 @@ def parse_int_vector(text: str):
     return tuple(out)
 
 
+def parse_window(text: str):
+    lo, colon, hi = text.partition(":")
+    if not (colon and lo and hi):
+        raise ValueError(f"window must be lo:hi, got '{text}'")
+    return parse_fraction(lo), parse_fraction(hi)
+
+
 class Report:
     def __init__(self, fmt: str):
         self.fmt = fmt
@@ -133,10 +140,9 @@ def cmd_spectrum_quadform(args, report: Report) -> int:
         except ImportError:
             raise ValueError("--numeric needs numpy (the [numeric] extra)") from None
     data = toric_data(_load(args.polytope))
-    lam = parse_vector(args.lam)
     # the numeric form has the lower size limit, so it is built (or refused) first
-    m = assemble_numeric_form(args.N, lam, data.iota) if args.numeric else None
-    sp = quad_spectrum(args.N, lam, data.iota)
+    m = assemble_numeric_form(args.N, args.lam, data.iota) if args.numeric else None
+    sp = quad_spectrum(args.N, args.lam, data.iota)
     report.kv("N", sp.N)
     report.kv("lambda", vec_str(sp.lam))
     report.kv("coords", vec_str(sp.coords))
@@ -152,28 +158,22 @@ def cmd_spectrum_quadform(args, report: Report) -> int:
     return 0
 
 
-def _kernel_module(data, ring, nu, window):
-    return kernel_K0(data, nu, window) if ring == "K0" else kernel_K(data, nu, window)
-
-
 def cmd_kernel(args, report: Report) -> int:
     data = toric_data(_load(args.polytope))
-    nu = parse_fraction(args.nu) if args.nu is not None else None
-    km = _kernel_module(data, args.ring, nu, args.W)
+    km = (kernel_K0 if args.ring == "K0" else kernel_K)(data, args.nu, args.W)
     if args.member is not None:
-        exps = parse_int_vector(args.member)
-        if len(exps) != data.n:
-            raise ValueError(f"--member needs {data.n} exponents, got {len(exps)}")
+        if len(args.member) != data.n:
+            raise ValueError(f"--member needs {data.n} exponents, got {len(args.member)}")
         check_start_window(args.W)
     report.kv("ring", km.ring)
-    report.kv("threshold", frac_str(nu) if nu is not None else "-inf")
+    report.kv("threshold", frac_str(args.nu) if args.nu is not None else "-inf")
     report.kv("window", args.W)
     gens = km.module.generators()
     report.kv("generator_count", len(gens))
     for i, g in enumerate(gens):
         report.kv(f"gen.{i}", ",".join(map(str, g)))  # integer exponent vectors
     if args.member is not None:
-        verdict = membership(Poly.monomial(exps), km, backend=args.backend)
+        verdict = membership(Poly.monomial(args.member), km, backend=args.backend)
         report.kv("member", str(verdict).lower())
         report.kv("backend", args.backend)
     return 0
@@ -181,9 +181,8 @@ def cmd_kernel(args, report: Report) -> int:
 
 def cmd_min_degree(args, report: Report) -> int:
     data = toric_data(_load(args.polytope))
-    nu = parse_fraction(args.nu)
-    witness = find_minimal_degree_element(data, nu, window=args.W)
-    report.kv("nu", frac_str(nu))
+    witness = find_minimal_degree_element(data, args.nu, window=args.W)
+    report.kv("nu", frac_str(args.nu))
     if isinstance(witness, NoMinimalElement):
         report.kv("result", "NoMinimalElement")
         report.kv("reason", witness.reason)
@@ -197,10 +196,9 @@ def cmd_min_degree(args, report: Report) -> int:
 
 def cmd_bound(args, report: Report) -> int:
     data = toric_data(_load(args.polytope))
-    nu = parse_fraction(args.nu)
-    bound, witness = translated_point_bound(data, nu=nu, window=args.W)
+    bound, witness = translated_point_bound(data, nu=args.nu, window=args.W)
     report.kv("N_M", bound)
-    report.kv("nu", frac_str(nu))
+    report.kv("nu", frac_str(args.nu))
     report.kv("witness", vec_str(witness.monomial))
     report.kv("restriction", witness.restriction.render())
     report.kv("degree_shift_per_period", 2 * bound)
@@ -210,17 +208,11 @@ def cmd_bound(args, report: Report) -> int:
 def cmd_spectrum(args, report: Report) -> int:
     if args.window is None and args.nu is None:
         raise ValueError("spectrum requires --window and/or --nu")
-    if args.window is not None:
-        lo_text, colon, hi_text = args.window.partition(":")
-        if not (colon and lo_text and hi_text):
-            raise ValueError(f"window must be lo:hi, got '{args.window}'")
     data = toric_data(_load(args.polytope))
-    mu = parse_vector(args.mu)
-    classes = spectrum_classes(data, DiagonalMap(mu=mu, twisted=not args.untwisted))
+    classes = spectrum_classes(data, DiagonalMap(mu=args.mu, twisted=not args.untwisted))
     if args.window is not None:
-        window = (parse_fraction(lo_text), parse_fraction(hi_text))
-        res = window_report(classes, window)
-        report.kv("window", f"{frac_str(window[0])}:{frac_str(window[1])}")
+        res = window_report(classes, args.window)
+        report.kv("window", ":".join(map(frac_str, args.window)))
         report.kv("value_count", len(res.values))
         for i, (v, supports) in enumerate(res.values):
             report.kv(f"value.{i}", frac_str(v))
@@ -230,9 +222,8 @@ def cmd_spectrum(args, report: Report) -> int:
             )
         report.kv("period_check", str(res.period_check).lower())
     if args.nu is not None:
-        nu = parse_fraction(args.nu)
-        res = period_report(classes, nu)
-        report.kv("nu", frac_str(nu))
+        res = period_report(classes, args.nu)
+        report.kv("nu", frac_str(args.nu))
         report.kv("count_in_period", len(res.values))
         if res.boundary_hits:
             report.kv("boundary", ";".join(frac_str(v) for v in res.boundary_hits))
@@ -240,24 +231,26 @@ def cmd_spectrum(args, report: Report) -> int:
 
 
 # The command table: each command's handler, one-line help and options.  An
-# option maps its name ("nu" for --nu) to (kind, default): the kind is str,
-# int, a tuple of choices, or bool for a flag that takes no value; the default
-# REQUIRED makes the option mandatory.
+# option maps its name ("nu" for --nu) to (kind, default): the kind is the
+# parser of its value (int, or a parser raising ValueError), a tuple of
+# choices, or bool for a flag that takes no value; the default is a parsed
+# value, and REQUIRED makes the option mandatory.
 REQUIRED = ...
-LEVEL = {"nu": (str, None), "W": (int, 2)}
+LEVEL = {"nu": (parse_fraction, None), "W": (int, 2)}
 COMMANDS = {
     "validate": (cmd_validate, "compactness/smoothness and vertices", {}),
     "data": (cmd_data, "full reduction data", {}),
     "spectrum-quadform": (cmd_spectrum_quadform, "exact quadratic-form spectrum",
-                          {"N": (int, REQUIRED), "lam": (str, REQUIRED), "numeric": (bool, False)}),
+                          {"N": (int, REQUIRED), "lam": (parse_vector, REQUIRED), "numeric": (bool, False)}),
     "kernel": (cmd_kernel, "level module generators and membership",
-               {**LEVEL, "ring": (("K0", "K"), "K0"), "member": (str, None),
+               {**LEVEL, "ring": (("K0", "K"), "K0"), "member": (parse_int_vector, None),
                 "backend": (("groebner", "brute", "both"), "both")}),
-    "min-degree": (cmd_min_degree, "minimal-degree witness search", {**LEVEL, "nu": (str, REQUIRED)}),
+    "min-degree": (cmd_min_degree, "minimal-degree witness search", {**LEVEL, "nu": (parse_fraction, REQUIRED)}),
     "bound": (cmd_bound, "translated-point lower bound with witness chain",
-              {**LEVEL, "nu": (str, "1/2")}),
+              {**LEVEL, "nu": (parse_fraction, Fraction(1, 2))}),
     "spectrum": (cmd_spectrum, "translated spectrum of a diagonal map",
-                 {"mu": (str, REQUIRED), "window": (str, None), "nu": (str, None), "untwisted": (bool, False)}),
+                 {"mu": (parse_vector, REQUIRED), "window": (parse_window, None),
+                  "nu": (parse_fraction, None), "untwisted": (bool, False)}),
 }
 USAGE = "usage: toricspec [--format human|machine] {} POLYTOPE [OPTIONS]\n\n{}\n\n"
 
@@ -269,7 +262,7 @@ class UsageError(Exception):
 def _option_help(name, kind, default) -> str:
     if kind is bool:
         return f"  --{name}\n"
-    meta = "INT" if kind is int else "VALUE" if kind is str else "|".join(kind)
+    meta = "INT" if kind is int else "|".join(kind) if type(kind) is tuple else "VALUE"
     note = "" if default is None else " (required)" if default is REQUIRED else f" (default {default})"
     return f"  --{name} {meta}{note}\n"
 
@@ -289,8 +282,9 @@ def parse_args(argv):
     """The namespace the handlers read, scanned from
     `[--format human|machine] COMMAND POLYTOPE [OPTIONS]`, or None once the
     help asked for by -h/--help is printed.  A value option takes the next
-    token, whatever it starts with; a repeated option keeps its last value;
-    names are matched in full.  Raises UsageError on any other malformed line."""
+    token, whatever it starts with, and is parsed by its kind as it is read; a
+    repeated option keeps its last value; names are matched in full.  Raises
+    UsageError on any other malformed line, a malformed value included."""
     args = {"format": "machine"}
     options = {"format": (("human", "machine"), "machine")}  # until the command
     tokens = iter(argv)
@@ -322,13 +316,14 @@ def parse_args(argv):
             value = next(tokens, None)
             if value is None:
                 raise UsageError(f"{name} needs a value")
-        if kind is int:
+        if type(kind) is tuple:
+            if value not in kind:
+                raise UsageError(f"{name} must be one of {'|'.join(kind)}, got '{value}'")
+        elif kind is not bool:
             try:
-                value = int(value)
-            except ValueError:
-                raise UsageError(f"{name} needs an integer, got '{value}'") from None
-        elif type(kind) is tuple and value not in kind:
-            raise UsageError(f"{name} must be one of {'|'.join(kind)}, got '{value}'")
+                value = kind(value)
+            except ValueError as exc:
+                raise UsageError(f"{name} needs an integer, got '{value}'" if kind is int else str(exc)) from None
         args[name[2:]] = value
     if "command" not in args:
         raise UsageError("no command given")

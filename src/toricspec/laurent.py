@@ -162,7 +162,7 @@ def restrict(q: Poly, subspace: LinearSubspace):
 # --- monomial modules --------------------------------------------------------
 
 
-class MonomialModule(Value, unhashed=("threshold",)):
+class MonomialModule(Value):
     """Module generated by the lattice monomials at or above a level.
 
     Generators: u^{iota(m)} for m in the kernel lattice with p(m) >= threshold
@@ -172,7 +172,7 @@ class MonomialModule(Value, unhashed=("threshold",)):
     """
 
     toric: ToricData
-    threshold: Fraction | None  # compared, not hashed: a Fraction's hash is slow
+    threshold: Fraction | None
     window: int
     center: IntVec = None  # type: ignore[assignment]
     degree_shift: int = 0
@@ -375,7 +375,7 @@ def _direction_groups(basis):
 def restriction_groups(subspace: LinearSubspace):
     """(groups, count) of `_direction_groups` for the subspace basis, built
     once per subspace: group ids are numbered by first appearance."""
-    return memo("restriction_groups", subspace.basis, lambda: _direction_groups(subspace.basis))
+    return memo("restriction_groups", subspace, lambda: _direction_groups(subspace.basis))
 
 
 def restriction_class_key(subspace: LinearSubspace, exps):

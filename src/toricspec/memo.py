@@ -56,37 +56,38 @@ class Value:
     Fields are set by position or keyword, `__post_init__` checks or
     completes them on construction and on `replace`, and none can be assigned
     or deleted afterwards.  Two values are equal when they have the same class
-    and equal fields.  The hash is that of the field tuple, less the fields
-    named by the class keyword `unhashed` (compared, not hashed)."""
+    and equal fields.  The hash is that of the whole field tuple, taken on
+    the first `hash()` and kept on the instance: values sit in every memo
+    key, and fields such as a `Fraction` are slow to hash."""
 
     _fields: tuple = ()
     _field_set: frozenset = frozenset()
     _defaults: dict = {}
-    _unhashed: tuple = ()
+    _hash = None  # set on the instance by its first hash()
 
-    def __init_subclass__(cls, unhashed=(), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(name for name in cls.__annotations__ if name not in cls._fields)
         cls._fields = cls._fields + own
         cls._field_set = frozenset(cls._fields)
         cls._defaults = {**cls._defaults, **{name: vars(cls)[name] for name in own if name in vars(cls)}}
-        cls._unhashed = cls._unhashed + tuple(unhashed)
-        # equality and hash read the fields through getters held in closures:
-        # the memo hashes and compares its keys on every lookup
+        # equality reads the fields through a getter held in a closure: the
+        # memo compares its keys on every lookup
         key = _getter(cls._fields)
-        hash_key = _getter(tuple(name for name in cls._fields if name not in cls._unhashed))
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
                 return key(self) == key(other)
             return NotImplemented
 
-        def __hash__(self):
-            return hash(hash_key(self))
-
         cls._key, cls.__eq__ = staticmethod(key), __eq__
-        if "__hash__" not in vars(cls):
-            cls.__hash__ = __hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __init__(self, *args, **kwargs):
         # fields are set in order, one at a time, so that instances share one

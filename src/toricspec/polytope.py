@@ -94,15 +94,6 @@ class ToricData(Value):
     polytope: DelzantPolytope
     vertex_facets: tuple[frozenset[int], ...]  # 0-based active facets, per vertex
 
-    def __hash__(self):
-        """The hash of the field tuple, taken once per instance: a ToricData
-        sits in every memo key."""
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._key(self))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     @property
     def k(self) -> int:
         return len(self.kappa)

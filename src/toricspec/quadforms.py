@@ -98,7 +98,8 @@ def shift_matrix(N: int) -> IntMat:
 
 
 def quad_form_matrix(N: int) -> np.ndarray:
-    """C = i(Id - A)(Id + A)^{-1}, Hermitian with spectrum -tan(pi(2k+1)/4N)."""
+    """C = i(Id - A)(Id + A)^{-1}, Hermitian; on `eigen_vector(N, j, k)` it has
+    the eigenvalue +tan(pi(2k+1)/4N), k = -N..N-1 (a set closed under sign)."""
     import numpy as np
 
     a = np.array(shift_matrix(N), dtype=complex)

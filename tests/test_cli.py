@@ -331,6 +331,26 @@ def test_spectrum_window_needs_both_ends(window, capsys):
         assert capsys.readouterr().err.strip() == f"error: window must be lo:hi, got '{window}'"
 
 
+@pytest.mark.parametrize("command, options, message", [
+    ("bound", ["--nu", "0.5"], "not an exact rational literal: '0.5'"),
+    ("bound", ["--nu", "0.5", "--nu", "1/2"], "not an exact rational literal: '0.5'"),
+    ("spectrum-quadform", ["--N", "2", "--lam", "1/3,x"], None),
+    ("spectrum", ["--mu", "0.25,0,0,0", "--nu", "0"], "not an exact rational literal: '0.25'"),
+    ("kernel", ["--member=1,x"], None),
+    ("spectrum", ["--mu", "1/4,0,0,0", "--window=0:0.5"], "not an exact rational literal: '0.5'"),
+])
+def test_malformed_option_value_exits_1_before_the_polytope_is_read(command, options, message, capsys):
+    # the same error for a valid polytope, one outside the hypotheses (exit 2
+    # once read) and a missing file: the value is parsed with the command line
+    errors = set()
+    for path in (POLY / "cp1xcp1_monotone.poly", POLY / "halfplane.poly", POLY / "no_such_file.poly"):
+        assert invoke(command, str(path), *options) == (1, "")
+        errors.add(capsys.readouterr().err)
+    (err,) = errors
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message is None or err == f"error: {message}\n"
+
+
 def test_spectrum_builds_classes_once(monkeypatch):
     import toricspec.oracle as oracle
 
@@ -707,6 +727,16 @@ def argparse_namespace(argv):
         return 1 if exc.code else 0
 
 
+def parsed_as_by_the_table(namespace):
+    """argparse's namespace with each option string read by the parser the
+    table gives that option, as the table reads it while it scans."""
+    _, _, options = COMMANDS[namespace["command"]]
+    for name, (kind, _) in options.items():
+        if type(namespace[name]) is str and kind not in (int, bool) and type(kind) is not tuple:
+            namespace[name] = kind(namespace[name])
+    return namespace
+
+
 def table_namespace(argv):
     args = parse_args(argv)
     return None if args is None else vars(args)
@@ -772,7 +802,7 @@ def test_table_matches_argparse_on_valid_command_lines(tmp_path, monkeypatch):
     for argv in lines:
         expected = argparse_namespace(argv)
         assert isinstance(expected, dict), argv
-        assert table_namespace(argv) == expected, argv
+        assert table_namespace(argv) == parsed_as_by_the_table(expected), argv
     shapes = {(argv[0], tuple(sorted(t.partition("=")[0] for t in argv if t.startswith("--")))) for argv in lines}
     assert len(shapes) > 100
 

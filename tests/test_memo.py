@@ -73,7 +73,7 @@ def test_fields_take_positions_keywords_and_defaults():
         LinearSubspace(((1,),), ((1,),))
 
 
-def test_replace_checks_again_and_threshold_is_compared_not_hashed():
+def test_replace_checks_again_and_the_hash_covers_every_field():
     T = toric_data(cp1xcp1())
     module = kernel_K0(T, H, 2).module
     with pytest.raises(ValueError, match=r"^window must be >= 1$"):
@@ -84,5 +84,38 @@ def test_replace_checks_again_and_threshold_is_compared_not_hashed():
         replace(module, radius=3)
     moved = replace(module, threshold=module.threshold + 1)
     assert moved.window == module.window and moved.center == module.center
-    assert hash(moved) == hash(module) and moved != module
-    assert hash(module) == hash((module.toric, module.window, module.center, module.degree_shift))
+    assert moved != module
+    for m in (module, moved):
+        assert hash(m) == hash((m.toric, m.threshold, m.window, m.center, m.degree_shift))
+
+
+class CountedHash:
+    """A field that counts the calls of its `__hash__`."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
+
+
+class Pair(Value):
+    left: object
+    right: int = 0
+
+
+def test_a_value_hashes_its_fields_once():
+    field = CountedHash()
+    pair = Pair(field)
+    # the first hash() reads the fields; later ones, the memo's included, do not
+    assert hash(pair) == hash(pair) and {pair: 1}[pair] == 1
+    assert field.calls == 1
+    assert hash(pair) == hash((field, 0)) and field.calls == 2
+    # an equal value is another instance: it hashes its fields once more, to the same hash
+    twin = Pair(field)
+    assert twin == pair and hash(twin) == hash(pair) and field.calls == 3
+    # a changed copy is hashed afresh, by every field
+    assert hash(replace(pair, right=1)) == hash((field, 1)) and field.calls == 5
+    # the kept hash is no field: equality, replace and repr read the fields only
+    assert pair._key(pair) == (field, 0) and repr(pair) == f"Pair(left={field!r}, right=0)"
