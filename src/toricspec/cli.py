@@ -21,6 +21,7 @@ from toricspec.laurent import (
     kernel_K0,
     membership,
 )
+from toricspec.memo import memo
 from toricspec.minimal import (
     NoMinimalElement,
     find_minimal_degree_element,
@@ -32,6 +33,7 @@ from toricspec.polytope import (
     ToricHypothesisError,
     is_cpn,
     parse_fraction,
+    parse_integer,
     parse_polytope,
     rationality_check,
     toric_data,
@@ -66,7 +68,7 @@ def parse_int_vector(text: str):
 def parse_window(text: str):
     lo, colon, hi = text.partition(":")
     if not (colon and lo and hi):
-        raise ValueError(f"window must be lo:hi, got '{text}'")
+        raise ValueError(f"must be lo:hi, got '{text}'")
     return parse_fraction(lo), parse_fraction(hi)
 
 
@@ -75,11 +77,11 @@ class Report:
         self.fmt = fmt
         self.lines = []
 
+    def line(self, key, value) -> str:
+        return f"{key}={value}" if self.fmt == "machine" else f"{key} = {value}"
+
     def kv(self, key, value):
-        if self.fmt == "machine":
-            self.lines.append(f"{key}={value}")
-        else:
-            self.lines.append(f"{key} = {value}")
+        self.lines.append(self.line(key, value))
 
     def comment(self, text):
         if self.fmt == "machine":
@@ -168,10 +170,11 @@ def cmd_kernel(args, report: Report) -> int:
     report.kv("ring", km.ring)
     report.kv("threshold", frac_str(args.nu) if args.nu is not None else "-inf")
     report.kv("window", args.W)
-    gens = km.module.generators()
-    report.kv("generator_count", len(gens))
-    for i, g in enumerate(gens):
-        report.kv(f"gen.{i}", ",".join(map(str, g)))  # integer exponent vectors
+    # the listing of integer exponent vectors, rendered once per module and format
+    gen_lines = memo("generator_lines", (km.module, report.fmt), lambda: tuple(
+        report.line(f"gen.{i}", ",".join(map(str, g))) for i, g in enumerate(km.module.generators())))
+    report.kv("generator_count", len(gen_lines))
+    report.lines += gen_lines
     if args.member is not None:
         verdict = membership(Poly.monomial(args.member), km, backend=args.backend)
         report.kv("member", str(verdict).lower())
@@ -232,16 +235,16 @@ def cmd_spectrum(args, report: Report) -> int:
 
 # The command table: each command's handler, one-line help and options.  An
 # option maps its name ("nu" for --nu) to (kind, default): the kind is the
-# parser of its value (int, or a parser raising ValueError), a tuple of
+# parser of its value (parse_integer, or a parser raising ValueError), a tuple of
 # choices, or bool for a flag that takes no value; the default is a parsed
 # value, and REQUIRED makes the option mandatory.
 REQUIRED = ...
-LEVEL = {"nu": (parse_fraction, None), "W": (int, 2)}
+LEVEL = {"nu": (parse_fraction, None), "W": (parse_integer, 2)}
 COMMANDS = {
     "validate": (cmd_validate, "compactness/smoothness and vertices", {}),
     "data": (cmd_data, "full reduction data", {}),
     "spectrum-quadform": (cmd_spectrum_quadform, "exact quadratic-form spectrum",
-                          {"N": (int, REQUIRED), "lam": (parse_vector, REQUIRED), "numeric": (bool, False)}),
+                          {"N": (parse_integer, REQUIRED), "lam": (parse_vector, REQUIRED), "numeric": (bool, False)}),
     "kernel": (cmd_kernel, "level module generators and membership",
                {**LEVEL, "ring": (("K0", "K"), "K0"), "member": (parse_int_vector, None),
                 "backend": (("groebner", "brute", "both"), "both")}),
@@ -262,7 +265,7 @@ class UsageError(Exception):
 def _option_help(name, kind, default) -> str:
     if kind is bool:
         return f"  --{name}\n"
-    meta = "INT" if kind is int else "|".join(kind) if type(kind) is tuple else "VALUE"
+    meta = "INT" if kind is parse_integer else "|".join(kind) if type(kind) is tuple else "VALUE"
     note = "" if default is None else " (required)" if default is REQUIRED else f" (default {default})"
     return f"  --{name} {meta}{note}\n"
 
@@ -284,7 +287,8 @@ def parse_args(argv):
     help asked for by -h/--help is printed.  A value option takes the next
     token, whatever it starts with, and is parsed by its kind as it is read; a
     repeated option keeps its last value; names are matched in full.  Raises
-    UsageError on any other malformed line, a malformed value included."""
+    UsageError on any other malformed line, a malformed value included; its
+    message names the option."""
     args = {"format": "machine"}
     options = {"format": (("human", "machine"), "machine")}  # until the command
     tokens = iter(argv)
@@ -323,7 +327,8 @@ def parse_args(argv):
             try:
                 value = kind(value)
             except ValueError as exc:
-                raise UsageError(f"{name} needs an integer, got '{value}'" if kind is int else str(exc)) from None
+                raise UsageError(f"{name} needs an integer, got '{value}'" if kind is parse_integer
+                                 else f"{name}: {exc}") from None
         args[name[2:]] = value
     if "command" not in args:
         raise UsageError("no command given")

@@ -20,8 +20,9 @@ backends:
     window.
 
 Every membership function takes one `KernelModule` (module, subspace, ring),
-decided at its window: `decision_module` builds, once per kernel module at W,
-the one at W + 2, which keys everything built from it in the memo.
+built once per input by `kernel_K`/`kernel_K0` and decided at its window:
+`decision_module` builds, once per kernel module at W, the one at W + 2,
+which keys everything built from it in the memo.
 One function, `_verdict`, decides: on a zero ring every query is a member;
 otherwise generators and query are cleared and restricted once (past
 QUERY_LIMIT monomials of a cleared degree -> Inconclusive) and handed to the
@@ -252,8 +253,22 @@ class KernelModule(Value):
     ring: str  # "R" | "R0" | ZERO_RING
 
 
-def _kernel_module(toric: ToricData, threshold, window: int, basis, ring: str) -> KernelModule:
+def _kernel_module(toric: ToricData, threshold, window: int, ring: str) -> KernelModule:
+    """One kernel module per (toric, threshold, window, ring) in the process
+    (memo kind `kernel_module`), so `decision_module` and every later memo
+    key hit by identity.  The hypotheses are checked in the build, and a
+    build that raises is not kept: it raises again on every call."""
+    return memo("kernel_module", (toric, threshold, window, ring),
+                lambda: _build_kernel_module(toric, threshold, window, ring))
+
+
+def _build_kernel_module(toric: ToricData, threshold, window: int, ring: str) -> KernelModule:
     check_hypotheses(toric)
+    if ring == "R":
+        basis = toric.iota
+    else:
+        cols = [toric.iota_apply(v) for v in toric.k0.vectors]
+        basis = tuple(tuple(col[i] for col in cols) for i in range(toric.n))
     subspace = LinearSubspace(basis=basis)
     return KernelModule(
         module=MonomialModule(toric=toric, threshold=threshold, window=window),
@@ -264,14 +279,12 @@ def _kernel_module(toric: ToricData, threshold, window: int, basis, ring: str) -
 
 def kernel_K(toric: ToricData, threshold, window: int) -> KernelModule:
     """The level module restricted to the full kernel subspace."""
-    return _kernel_module(toric, threshold, window, toric.iota, "R")
+    return _kernel_module(toric, threshold, window, "R")
 
 
 def kernel_K0(toric: ToricData, threshold, window: int) -> KernelModule:
     """The level module restricted to the p-kernel subspace."""
-    cols = [toric.iota_apply(v) for v in toric.k0.vectors]
-    basis = tuple(tuple(col[i] for col in cols) for i in range(toric.n))
-    return _kernel_module(toric, threshold, window, basis, "R0")
+    return _kernel_module(toric, threshold, window, "R0")
 
 
 # --- membership: the cleared restriction -------------------------------------

@@ -1,15 +1,17 @@
 """The one memo of the process, and the values it is keyed by.
 
 Everything derived from fixed inputs alone is built once and kept here under
-(kind, key): the validation report and reduction data of each polytope and
-its vertex minors, each module's generators, and everything membership derives
-from a kernel module at its decision window, which is built once and is the
-key (cleared minimal generators, graded slice spans, Groebner data).  This
-module imports nothing from the package, so every layer can use it.
+(kind, key): the polytope of each file text, the validation report and
+reduction data of each polytope and its vertex minors, each kernel module,
+each module's generators and their report lines, and everything membership
+derives from a kernel module at its decision window, which is built once and
+is the key (cleared minimal generators, graded slice spans, Groebner data).
+This module imports nothing from the package, so every layer can use it.
 
-The keys are `Value`s: immutable records compared and hashed by their fields,
-which every value type of the library (polytopes, reduction data, modules,
-subspaces, reports) is built on, with `replace` for a changed copy.
+The keys are file text or `Value`s, alone or in tuples with plain values.  A
+`Value` is an immutable record compared and hashed by its fields; every value
+type of the library (polytopes, reduction data, modules, subspaces, reports)
+is built on it, with `replace` for a changed copy.
 """
 
 from operator import attrgetter

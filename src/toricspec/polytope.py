@@ -327,13 +327,23 @@ def _build_toric_data(poly: DelzantPolytope) -> ToricData:
 # --- text format ------------------------------------------------------------
 
 
+def parse_integer(text: str) -> int:
+    """Integer literal as `int` reads it, without `_` digit separators."""
+    if "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Exact rational literal `p/q` or integer; floating-point forms rejected."""
+    """Exact rational literal `p/q` or integer; floating-point forms and `_`
+    digit separators rejected."""
     text = text.strip()
     if (text[1:] if text[:1] in "+-" else text).isdecimal():
         return Fraction(int(text))
     if any(ch in text for ch in ".eE"):
         raise ValueError(f"not an exact rational literal: {text!r}")
+    if "_" in text:  # Fraction reads them from Python 3.11 on
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -342,7 +352,15 @@ def parse_fraction(text: str) -> Fraction:
 
 def parse_polytope(text: str) -> DelzantPolytope:
     """Line-based format: `dim <d>` then `facet <v_1> ... <v_d> ; <a>` lines,
-    `#` starting a comment anywhere."""
+    `#` starting a comment anywhere.
+
+    Parsed once per process for each text (memo kind `polytope`), so the
+    same text gives the same object and an edited text is parsed again.  A
+    text that raises is not kept: it raises again on every call."""
+    return memo("polytope", text, lambda: _parse_polytope(text))
+
+
+def _parse_polytope(text: str) -> DelzantPolytope:
     d = dim_line = None
     facets = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -362,7 +380,7 @@ def parse_polytope(text: str) -> DelzantPolytope:
                 if ";" not in parts:
                     raise ValueError("missing ';' in facet line")
                 sep = parts.index(";")
-                conormal = tuple(int(x) for x in parts[1:sep])
+                conormal = tuple(map(parse_integer, parts[1:sep]))
                 if len(conormal) != d:
                     raise ValueError(f"expected {d} conormal entries")
                 if sep + 2 != len(parts):

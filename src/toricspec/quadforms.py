@@ -49,15 +49,16 @@ class EigenDescriptor(Value):
         )
 
     def sign(self) -> int:
-        """The reported sign, `eigen_sign(lam, k)`."""
+        """The sign of `numeric()` in exact arithmetic, `eigen_sign(lam, k)`."""
         return eigen_sign(self.lam, self.k)
 
 
 def eigen_sign(lam, k: int) -> int:
-    """The sign of lam - (k + 1/2), taken in integers as sign(2a - (2k+1)b) for
-    lam = a/b: +1 iff k < lam - 1/2, 0 iff lam = k + 1/2 (the front).  The
-    eigenvalue tan(pi(2k+1)/4N) - tan(pi*lam/2N) has the opposite sign."""
-    diff = 2 * lam.numerator - (2 * k + 1) * lam.denominator
+    """The sign of the eigenvalue tan(pi(2k+1)/4N) - tan(pi*lam/2N).  Both
+    angles lie in (-pi/2, pi/2), where tan increases, so it is the sign of
+    (k + 1/2) - lam, taken in integers as sign((2k+1)b - 2a) for lam = a/b:
+    -1 iff k < lam - 1/2, 0 iff lam = k + 1/2 (the front)."""
+    diff = (2 * k + 1) * lam.denominator - 2 * lam.numerator
     return (diff > 0) - (diff < 0)
 
 
@@ -65,7 +66,7 @@ class GenFormSpectrum(Value):
     N: int                             # total factor count: the form lives on 2N blocks
     lam: tuple[Fraction, ...]          # in the kernel-lattice basis
     coords: tuple[Fraction, ...]       # image in Q^n
-    negative_index: int
+    negative_index: int                # real dimension of the eigenvalues of sign -1 or 0 (the front)
 
     @property
     def eigenvalues(self) -> tuple[EigenDescriptor, ...]:

@@ -429,8 +429,9 @@ def verify_witness(witness, km) -> bool:
 
 
 def fraction_eigen_sign(lam, k: int) -> int:
-    """The sign of the quadratic-form descriptor at (lam, k) in Fraction arithmetic."""
-    diff = Fraction(lam) - Fraction(2 * k + 1, 2)
+    """The sign of the quadratic-form eigenvalue at (lam, k), that of
+    (k + 1/2) - lam, in Fraction arithmetic."""
+    diff = Fraction(2 * k + 1, 2) - Fraction(lam)
     return (diff > 0) - (diff < 0)
 
 

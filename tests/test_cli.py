@@ -18,7 +18,7 @@ from toricspec.laurent import kernel_K0, verify_certificate
 from toricspec.memo import clear_caches, memo_counts
 from toricspec.minimal import translated_point_bound
 from toricspec.polys import Poly
-from toricspec.polytope import parse_polytope, toric_data
+from toricspec.polytope import parse_integer, parse_polytope, toric_data
 
 from tests.reference import _attach_negative_values, build_parser
 
@@ -328,16 +328,16 @@ def test_spectrum_window_needs_both_ends(window, capsys):
         code, out = invoke("spectrum", path, "--mu", "1/4,0,0,0", f"--window={window}")
         assert code == 1
         assert out == ""
-        assert capsys.readouterr().err.strip() == f"error: window must be lo:hi, got '{window}'"
+        assert capsys.readouterr().err.strip() == f"error: --window: must be lo:hi, got '{window}'"
 
 
 @pytest.mark.parametrize("command, options, message", [
     ("bound", ["--nu", "0.5"], "not an exact rational literal: '0.5'"),
     ("bound", ["--nu", "0.5", "--nu", "1/2"], "not an exact rational literal: '0.5'"),
-    ("spectrum-quadform", ["--N", "2", "--lam", "1/3,x"], None),
+    ("spectrum-quadform", ["--lam", "1/3,x", "--N", "2"], None),
     ("spectrum", ["--mu", "0.25,0,0,0", "--nu", "0"], "not an exact rational literal: '0.25'"),
     ("kernel", ["--member=1,x"], None),
-    ("spectrum", ["--mu", "1/4,0,0,0", "--window=0:0.5"], "not an exact rational literal: '0.5'"),
+    ("spectrum", ["--window=0:0.5", "--mu", "1/4,0,0,0"], "not an exact rational literal: '0.5'"),
 ])
 def test_malformed_option_value_exits_1_before_the_polytope_is_read(command, options, message, capsys):
     # the same error for a valid polytope, one outside the hypotheses (exit 2
@@ -348,7 +348,10 @@ def test_malformed_option_value_exits_1_before_the_polytope_is_read(command, opt
         errors.add(capsys.readouterr().err)
     (err,) = errors
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert message is None or err == f"error: {message}\n"
+    # the value parser's message, after the name of the option, the first of each row
+    option = options[0].partition("=")[0]
+    assert err.startswith(f"error: {option}: ")
+    assert message is None or err == f"error: {option}: {message}\n"
 
 
 def test_spectrum_builds_classes_once(monkeypatch):
@@ -584,6 +587,8 @@ def test_reused_parser_keeps_no_state(first, second):
     ("dim 1\nfacet -1 ; 1\n# comment\nfacet 2 ; 1\n", "error: line 4: conormal (2,) is not primitive"),
     ("# square missing two sides\ndim 2\nfacet 1 0 ; 1\nfacet 0 1 ; 1\n",
      "error: line 2: dim 2 needs at least 3 facets, found 2"),
+    ("dim 1\nfacet 1_0 ; 1\nfacet -1 ; 1\n", "error: line 2: invalid literal for int() with base 10: '1_0'"),
+    ("dim 1\nfacet 1 ; 1\nfacet -1 ; 1_0\n", "error: line 3: Invalid literal for Fraction: '1_0'"),
 ])
 def test_facet_errors_name_their_line(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.poly"
@@ -732,7 +737,7 @@ def parsed_as_by_the_table(namespace):
     table gives that option, as the table reads it while it scans."""
     _, _, options = COMMANDS[namespace["command"]]
     for name, (kind, _) in options.items():
-        if type(namespace[name]) is str and kind not in (int, bool) and type(kind) is not tuple:
+        if type(namespace[name]) is str and kind not in (parse_integer, bool) and type(kind) is not tuple:
             namespace[name] = kind(namespace[name])
     return namespace
 
@@ -838,6 +843,20 @@ def test_table_and_argparse_reject_the_same_command_lines(argv, capsys):
     assert invoke(*argv) == (1, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", SQUARE, "--W", "1_0"], "--W needs an integer, got '1_0'"),
+    (["spectrum-quadform", SQUARE, "--N=1_0", "--lam", "0,0"], "--N needs an integer, got '1_0'"),
+    (["bound", SQUARE, "--nu", "1_0"], "--nu: Invalid literal for Fraction: '1_0'"),
+    (["kernel", SQUARE, "--member=1_0,0,0,0"], "--member: Invalid literal for Fraction: '1_0'"),
+    (["spectrum", SQUARE, "--mu", "1/4,0,0,0", "--window=0:1_0"], "--window: Invalid literal for Fraction: '1_0'"),
+])
+def test_option_values_take_no_digit_separators(argv, message, capsys):
+    # one literal grammar on every Python: int() and, from 3.11, Fraction()
+    # would read "1_0" as 10
+    assert invoke(*argv) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_help_exits_0_on_both(capsys):

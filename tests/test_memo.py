@@ -1,17 +1,22 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tests.conftest import cp1xcp1
-from toricspec.laurent import LinearSubspace, MonomialModule, kernel_K0, restrict
-from toricspec.memo import Value, replace
+from toricspec.cli import run
+from toricspec.laurent import LinearSubspace, MonomialModule, decision_module, kernel_K, kernel_K0, restrict
+from toricspec.memo import _MEMO, Value, clear_caches, memo_counts, replace
 from toricspec.minimal import NoMinimalElement, PolynomialPart, bounding_modules, find_minimal_degree_element
 from toricspec.oracle import DiagonalMap, spectrum_classes, window_report
 from toricspec.polys import Poly
-from toricspec.polytope import toric_data, validate
+from toricspec.polytope import ToricHypothesisError, parse_polytope, toric_data, validate
 from toricspec.quadforms import spectrum
 
 H = Fraction(1, 2)
+POLY = Path(__file__).resolve().parent.parent / "polytopes"
 
 
 def every_value_type():
@@ -119,3 +124,76 @@ def test_a_value_hashes_its_fields_once():
     assert hash(replace(pair, right=1)) == hash((field, 1)) and field.calls == 5
     # the kept hash is no field: equality, replace and repr read the fields only
     assert pair._key(pair) == (field, 0) and repr(pair) == f"Pair(left={field!r}, right=0)"
+
+
+def report(argv):
+    """(exit code, stdout, stderr) of one command line in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_kernel_query_stream_reads_its_inputs_from_the_memo():
+    # 21 queries of the cube's K0 module in one process: the polytope text,
+    # the kernel module and its generator listing are built by the first query
+    # and read by the other 20, and each report is the one a cleared memo gives
+    path = str(POLY / "cube_monotone.poly")
+    vectors = [",".join(str((3 * q + 5 * i) % 7 - 3) for i in range(6)) for q in range(21)]
+    verdicts = set()
+    for fmt in ("machine", "human"):
+        argvs = [["--format", fmt, "kernel", path, "--W", "4", "--nu", "1/2", f"--member={v}"] for v in vectors]
+        cold = []
+        for argv in argvs:
+            clear_caches()
+            cold.append(report(argv))
+        clear_caches()
+        assert [report(argv) for argv in argvs] == cold
+        counts = memo_counts()
+        assert [counts[kind] for kind in ("polytope", "kernel_module", "generator_lines")] == [(20, 1)] * 3
+        verdicts |= {line for _, out, _ in cold for line in out.splitlines() if line.startswith("member")}
+    assert verdicts == {"member=true", "member=false", "member = true", "member = false"}
+
+
+def test_one_polytope_per_text():
+    text = (POLY / "cp2.poly").read_text()
+    clear_caches()
+    poly = parse_polytope(text)
+    copy = text[:1] + text[1:]
+    assert copy is not text and parse_polytope(copy) is poly
+    edited = parse_polytope(text.replace("; 1", "; 2"))
+    assert edited is not poly and edited != poly and toric_data(edited) is not toric_data(poly)
+    assert memo_counts()["polytope"] == (1, 2)
+    # a malformed text raises on every call and is not kept
+    bad = text + "facet 1_0 0 ; 1\n"
+    for calls in (1, 2, 3):
+        with pytest.raises(ValueError, match=r"^line \d+: invalid literal for int\(\) with base 10: '1_0'$"):
+            parse_polytope(bad)
+        assert memo_counts()["polytope"] == (1, 2 + calls)
+    assert sum(kind == "polytope" for kind, _ in _MEMO) == 2
+
+
+def test_one_kernel_module_per_input(T_monotone):
+    clear_caches()
+    km = kernel_K0(T_monotone, H, 2)
+    assert kernel_K0(T_monotone, Fraction(1, 2), 2) is km
+    assert decision_module(kernel_K0(T_monotone, H, 2)) is decision_module(km)
+    others = [kernel_K(T_monotone, H, 2), kernel_K0(T_monotone, H, 4), kernel_K0(T_monotone, 0, 2)]
+    assert len({id(km), *map(id, others)}) == 4 and km not in others
+    assert memo_counts()["kernel_module"] == (2, 4)
+    # a failed hypothesis is checked in the build: it raises on every call
+    quarter = toric_data(cp1xcp1((Fraction(1, 4),) * 4))
+    for calls in (1, 2, 3):
+        with pytest.raises(ToricHypothesisError, match="^p is not primitive integral$"):
+            kernel_K0(quarter, H, 2)
+        assert memo_counts()["kernel_module"] == (2, 4 + calls)
+    assert sum(kind == "kernel_module" for kind, _ in _MEMO) == 4
+
+
+def test_a_listing_over_the_box_limit_raises_on_every_call():
+    clear_caches()
+    argv = ["kernel", str(POLY / "cp1xcp1_monotone.poly"), "--W", "100000"]
+    first = report(argv)
+    assert first[0] == 2 and "error=inconclusive: window 100000 box has" in first[1]
+    assert report(argv) == first
+    assert memo_counts()["generator_lines"] == (0, 2) and memo_counts()["kernel_module"] == (1, 1)

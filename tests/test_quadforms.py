@@ -1,11 +1,16 @@
+import io
+import json
 import math
 import random
 import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from toricspec import quadforms
+from toricspec.cli import run
 from toricspec.lattice import identity_matrix, mat_vec
 from toricspec.quadforms import (
     EigenDescriptor,
@@ -291,7 +296,7 @@ def test_integer_sign_matches_fraction_reference():
         assert len(sp.eigenvalues) == 6 * N
     assert checked == sum(2 * N * (12 * N - 1) for N in range(1, 5)) and zeros == sum(2 * N for N in range(1, 5))
     # an integer coordinate takes the same sign as its Fraction
-    assert eigen_sign(1, 0) == eigen_sign(Fraction(1), 0) == 1
+    assert eigen_sign(1, 0) == eigen_sign(Fraction(1), 0) == -1
 
 
 def test_spectrum_holds_no_descriptor_list(T_monotone):
@@ -305,3 +310,59 @@ def test_spectrum_holds_no_descriptor_list(T_monotone):
         tracemalloc.stop()
     assert peak < 10**6
     assert sp.negative_index == 2 * 4 * 10**5
+
+
+def report_values(stdout):
+    """The key -> value lines of a machine or human report."""
+    pairs = (line.replace(" = ", "=", 1).partition("=") for line in stdout.splitlines())
+    return {key: value for key, eq, value in pairs if eq}
+
+
+def test_negative_index_is_twice_the_sign_lines_at_or_below_zero(T_monotone):
+    # every line is an eigenvalue of real multiplicity 2; the index counts the
+    # negative ones and, on the front, the zero one.  Each pinned report has a
+    # coordinate on the front; off it the index is twice the sign=-1 lines
+    reports = json.loads((Path(__file__).resolve().parent / "spectrum_reports.json").read_text())
+    checked = 0
+    for case, want in reports.items():
+        if "spectrum-quadform" not in case.split() or want["exit"]:
+            continue
+        values = report_values(want["stdout"])
+        signs = [int(v) for key, v in values.items() if key.endswith(".sign")]
+        assert len(signs) == int(values["eigen_count"]) and 0 in signs
+        assert int(values["negative_index"]) == 2 * (signs.count(-1) + signs.count(0)), case
+        checked += 1
+    assert checked == 6
+    for N, lam in ((1, (0, 0)), (2, (Fraction(1, 3), Fraction(-1, 5))), (3, (Fraction(4, 3), Fraction(5, 2)))):
+        sp = spectrum(N, lam, T_monotone.iota)
+        signs = [sign for _, _, sign in sp.signs()]
+        assert sp.negative_index == 2 * (signs.count(-1) + signs.count(0)), N
+        assert (0 in signs) == bool(front_coordinates(sp.coords))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_reported_signs_are_those_of_the_numeric_eigenvalues(N, T_monotone):
+    np = pytest.importorskip("numpy")
+    lam = (H, Fraction(1, 3))
+    out = io.StringIO()
+    square = str(Path(__file__).resolve().parent.parent / "polytopes" / "cp1xcp1_monotone.poly")
+    with redirect_stdout(out):
+        assert run(["spectrum-quadform", square, "--N", str(N), "--lam", "1/2,1/3"]) == 0
+    values = report_values(out.getvalue())
+    coords = spectrum(N, lam, T_monotone.iota).coords
+    form = assemble_numeric_form(N, lam, T_monotone.iota)
+    seen = set()
+    for key, value in values.items():
+        if not key.endswith(".sign"):
+            continue
+        _, j, k, _ = key.split(".")
+        j, k = int(j), int(k)
+        x = eigen_vector(N, j, k, len(coords))
+        image = form @ x
+        eigenvalue = (np.vdot(x, image) / np.vdot(x, x)).real
+        assert np.linalg.norm(image - eigenvalue * x) < 1e-9
+        assert abs(eigenvalue - EigenDescriptor(j, k, N, coords[j - 1]).numeric()) < 1e-9
+        sign = 0 if abs(eigenvalue) < 1e-9 else 1 if eigenvalue > 0 else -1
+        assert int(value) == sign, key
+        seen.add(sign)
+    assert seen == {-1, 0, 1}
