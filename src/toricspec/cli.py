@@ -39,7 +39,7 @@ from toricspec.polytope import (
     toric_data,
     validate,
 )
-from toricspec.quadforms import assemble_numeric_form, numeric_negative_index
+from toricspec.quadforms import assemble_numeric_form, numeric_negative_index, numeric_zero_index
 from toricspec.quadforms import spectrum as quad_spectrum
 
 
@@ -156,6 +156,7 @@ def cmd_spectrum_quadform(args, report: Report) -> int:
         vals = np.linalg.eigvalsh(m)  # ascending
         report.comment("numeric cross-check (floating point)")
         report.comment(f"numeric_negative_index={numeric_negative_index(vals)}")
+        report.comment(f"numeric_zero_index={numeric_zero_index(vals)}")
         report.comment(f"numeric_eigenvalues={', '.join(f'{v:.9f}' for v in vals)}")
     return 0
 

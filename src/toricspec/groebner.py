@@ -23,14 +23,18 @@ relation ideal enters, and none needs saturating.
 
 Many of those ideals are powers m^D of the maximal ideal: homogeneous
 generators of least degree D whose degree-D parts span all C(D+k-1, k-1)
-monomials of degree D in k variables.  `buchberger` tests for that first, by
-the rank of the degree-D generators over GF(p) (`polys.rank_mod_p`), and then
-returns the degree-D monomials, the reduced basis of m^D, instead of reducing
-the dependent generators to zero one term at a time.  A prime can only ever
-prove this: a minor of the integer coefficient matrix that is nonzero mod p is
-nonzero, so a rank mod p is at most the rank over Q, and a full one is full
-over Q, while the generators of degree above D lie in m^D anyway.  Any other
-input, and an unlucky prime that drops the rank, takes the algorithm below.
+monomials of degree D in k variables.  `maximal_ideal_power` is the one test
+for that, by the rank of the degree-D generators over GF(p)
+(`polys.rank_mod_p`); it returns the degree-D monomials, the reduced basis of
+m^D.  `buchberger` takes this exit first instead of reducing the dependent
+generators to zero one term at a time, and the membership algebra keeps the
+answer once per kernel module (`laurent.maximal_power`) for both of its
+backends, handing `buchberger` the monomials themselves, whose test is cheap.
+A prime can only ever prove this: a minor of the integer coefficient matrix
+that is nonzero mod p is nonzero, so a rank mod p is at most the rank over Q,
+and a full one is full over Q, while the generators of degree above D lie in
+m^D anyway.  Any other input, and an unlucky prime that drops the rank,
+takes the algorithm below.
 """
 
 import heapq
@@ -257,7 +261,7 @@ def _s_poly(d1, d2, l):
     return out
 
 
-def _maximal_ideal_power(gens):
+def maximal_ideal_power(gens):
     """The monomials of degree D, sorted, when `gens` are homogeneous with least
     degree D and their degree-D elements have full rank mod p, which proves
     that they generate m^D; else None.  The count of degree-D generators is
@@ -293,7 +297,7 @@ def _maximal_ideal_power(gens):
 def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by `gens`: monic, sorted
     by leading exponent."""
-    power = _maximal_ideal_power(gens)
+    power = maximal_ideal_power(gens)
     if power is not None:
         return power
     polys = []  # every primitive divisor made, indexed by pair entries

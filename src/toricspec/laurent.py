@@ -17,7 +17,11 @@ backends:
   * a graded linear-algebra route ("brute"): decide each graded slice of the
     same cleared query restriction by an exact span of the cleared generator
     restrictions times monomials of every degree.  It is complete at each
-    window.
+    window.  Where the cleared generators generate m^D, D their least degree
+    (`maximal_power`, one rank mod p per kernel module that both routes
+    read), every component of degree at least D is a member without a
+    slice; certificates, components below D and every other module take
+    the slices.
 
 Every membership function takes one `KernelModule` (module, subspace, ring),
 built once per input by `kernel_K`/`kernel_K0` and decided at its window:
@@ -40,7 +44,7 @@ from fractions import Fraction
 from math import ceil, comb, gcd, lcm
 from operator import add, ge
 
-from toricspec.groebner import DivisionBasis, buchberger, normal_form
+from toricspec.groebner import DivisionBasis, buchberger, maximal_ideal_power, normal_form
 from toricspec.lattice import IntMat, IntVec, common_denominator
 from toricspec.memo import Value, memo, replace
 from toricspec.polys import Poly, linear_form_product, monomials_of_degree
@@ -340,6 +344,15 @@ def _cleared_generators(km: KernelModule):
     return memo("cleared_generators", km, build)
 
 
+def maximal_power(km: KernelModule):
+    """The monomials of degree D when the cleared generator restrictions
+    generate m^D, D their least degree, and None otherwise: the one rank mod p
+    of `groebner.maximal_ideal_power`, run once per kernel module whichever
+    backend asks first (memo kind `maximal_power`).  A full rank mod p is
+    full over Q, so the fact is exact."""
+    return memo("maximal_power", km, lambda: maximal_ideal_power(_cleared_generators(km)[1]))
+
+
 def _cleared(q: Poly, floor, subspace: LinearSubspace):
     """The restriction of q * u^floor to V; None when it is no polynomial on V
     (then q is no member).  Where q's denominator d exceeds the floor, q is
@@ -362,8 +375,11 @@ def _cleared(q: Poly, floor, subspace: LinearSubspace):
 
 def _groebner_member(cleared: Poly, km: KernelModule) -> bool:
     """Is the cleared query restriction in the ideal of the cleared generator
-    restrictions?  Their Groebner basis is built once per kernel module."""
-    basis = memo("groebner", km, lambda: DivisionBasis(km.subspace.dim, buchberger(_cleared_generators(km)[1])))
+    restrictions?  Their Groebner basis is built once per kernel module; of
+    an m^D module, from the degree-D monomials, its reduced basis, so the
+    rank test on the generators is not run again."""
+    basis = memo("groebner", km, lambda: DivisionBasis(
+        km.subspace.dim, buchberger(maximal_power(km) or _cleared_generators(km)[1])))
     return normal_form(cleared, basis).is_zero()
 
 
@@ -530,13 +546,19 @@ def _brute_member(cleared: Poly, km: KernelModule, want_certificate=False):
     complete at the module's window, since every multiplier degree is
     admitted.
 
+    Without a certificate, on an m^D module (`maximal_power`), a component
+    of degree E >= D is a member with no slice built: m^(E - D) m^D = m^E.
+
     Returns (verdict, certificate); a member's certificate, on request, is
     one integer relation (scale, {(g, a): c}): scale * cleared = sum c *
     (u^(g + T))|_V * w^a over minimal generators g, merged from the
     components over the lcm of their scales (a label fixes its degree)."""
     gens, cleared_gens, _ = _cleared_generators(km)
+    power = None if want_certificate else maximal_power(km)
     parts = []
     for degree, component in cleared.homogeneous_components().items():
+        if power and degree >= power[0].total_degree():
+            continue
         graded = memo("graded_slice", (km, degree, want_certificate),
                       lambda: _GradedSlice(gens, cleared_gens, degree, km.subspace.dim, want_certificate))
         residual, scale, combo = graded.residual(component.terms)

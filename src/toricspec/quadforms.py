@@ -223,3 +223,9 @@ def numeric_negative_index(eigenvalues: np.ndarray, tol: float = 1e-9) -> int:
     """Real dimension (twice the complex count) of the negative eigenspace,
     from the eigenvalues (`numpy.linalg.eigvalsh`) of the numeric form."""
     return 2 * int((eigenvalues < -tol).sum())
+
+
+def numeric_zero_index(eigenvalues: np.ndarray, tol: float = 1e-9) -> int:
+    """Real dimension of the numeric form's kernel, the eigenvalues within
+    `tol` of zero: the front, which the exact negative index counts too."""
+    return 2 * int((abs(eigenvalues) <= tol).sum())

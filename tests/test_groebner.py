@@ -8,11 +8,11 @@ from toricspec.groebner import (
     DivisionBasis,
     _autoreduce,
     _lcm,
-    _maximal_ideal_power,
     _primitive_divisors,
     _reduced_basis,
     _s_poly,
     buchberger,
+    maximal_ideal_power,
     normal_form,
 )
 from toricspec.laurent import (
@@ -408,7 +408,7 @@ def test_maximal_ideal_power_matches_sympy():
         gens += [Poly(n, {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for e in rng.sample(above, 2)})
                  for _ in range(rng.randint(0, 2))]
         gens = [g for g in gens if g]
-        assert _maximal_ideal_power(gens) is not None
+        assert maximal_ideal_power(gens) is not None
         assert buchberger(gens) == _sympy_basis(sympy, gens, n) == [Poly.monomial(e) for e in sorted(monomials)]
 
 
@@ -418,7 +418,7 @@ def test_bad_prime_takes_the_unchanged_path():
     # algorithm still finds m^2
     gens = [P(2, {(2, 0): 1}), P(2, {(1, 1): 1, (0, 2): 1}), P(2, {(1, 1): 1, (0, 2): 1 + RANK_PRIME})]
     assert rank_mod_p([[1, 0, 0], [0, 1, 1], [0, 1, 1 + RANK_PRIME]], 3) == 2
-    assert _maximal_ideal_power(gens) is None
+    assert maximal_ideal_power(gens) is None
     square = [Poly.monomial(e) for e in ((0, 2), (1, 1), (2, 0))]
     assert buchberger(gens) == _reference_buchberger(gens) == square
 
@@ -432,11 +432,11 @@ def test_other_inputs_take_the_unchanged_path():
         [x2, x2 * Fraction(3, 2), y2, cube],  # 3 generators of degree 2, rank 2
     )
     for gens in cases:
-        assert _maximal_ideal_power(gens) is None
+        assert maximal_ideal_power(gens) is None
         assert buchberger(gens) == _reference_buchberger(gens)
     # the exit ignores zero generators and any above the least degree
-    assert _maximal_ideal_power([Poly.zero(2), cube, y2, x2 + xy, xy]) == [y2, xy, x2]
-    assert _maximal_ideal_power([Poly.zero(2)]) is None
+    assert maximal_ideal_power([Poly.zero(2), cube, y2, x2 + xy, xy]) == [y2, xy, x2]
+    assert maximal_ideal_power([Poly.zero(2)]) is None
 
 
 def test_zero_basis_elements_divide_nothing():
@@ -534,7 +534,7 @@ def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3
                     assert buchberger(cleared) == reference
                     assert _groebner_member(Poly.zero(sub.dim), km)
                     assert len(_MEMO["groebner", km].divisors) == len(reference)
-                    if _maximal_ideal_power(cleared) is not None:
+                    if maximal_ideal_power(cleared) is not None:
                         exits.append((T.n, window, len(cleared), len(reference)))
                 if window == 6:
                     continue

@@ -21,10 +21,14 @@ from toricspec.laurent import (
     restriction_class_key,
     verify_certificate,
     _below_generator_degree,
+    _cleared,
+    _cleared_generators,
+    _GradedSlice,
     _minimal_monomials,
     _Span,
     _verdict,
     decision_module,
+    maximal_power,
 )
 from toricspec.memo import clear_caches, memo_counts, replace
 from toricspec.oracle import DiagonalMap, spectrum_classes
@@ -585,17 +589,22 @@ def test_memo_clear_caches_and_counts(T_monotone):
     dmap = DiagonalMap(mu=(H, 0, Fraction(1, 3), 0))
     clear_caches()
     assert memo_counts() == {}
+    # the module is m^14: untracked queries build no graded slice, and a
+    # certified one builds the tracked slices
     first = [membership(q, km) for q in queries]
+    certified = membership_certified(queries[1], km)
     classes = [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries]
     T = toric_data(T_monotone.polytope)
     spectrum = spectrum_classes(T, dmap)
     built = memo_counts()
-    kinds = ("decision_module", "generators", "groebner", "cleared_generators", "graded_slice",
+    kinds = ("decision_module", "generators", "groebner", "cleared_generators", "maximal_power", "graded_slice",
              "restriction_groups", "toric_data", "vertex_minor", "validation")
     for kind in kinds:
         assert built[kind][1] > 0, kind
+    assert built["maximal_power"][1] == 1  # one rank test, read by both backends
     again = [membership(q, km) for q in queries]
     assert again == first
+    assert membership_certified(queries[1], km) == certified
     assert [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries] == classes
     assert toric_data(T_monotone.polytope) is T
     assert validate(T_monotone.polytope).vertex_facets == T.vertex_facets
@@ -613,20 +622,24 @@ def test_memo_clear_caches_and_counts(T_monotone):
 
 def test_one_membership_keys_every_entry_by_the_module_at_its_decision_window(T_cube):
     # the kernel module at window W + 2 is built once and is the memo key
-    # itself: the cleared generators and the Groebner basis sit under it, each
-    # graded slice under (it, degree, tracking)
+    # itself: the cleared generators, the m^D fact and the Groebner basis sit
+    # under it, each graded slice under (it, degree, tracking); the module is
+    # m^38, so only the certified query builds slices
     from toricspec.memo import _MEMO
 
     km = kernel_K0(T_cube, H, 4)
     clear_caches()
     assert membership(U(-1, 3, 1, 0, 1, 3), km)
+    assert not any(kind == "graded_slice" for kind, _ in _MEMO)
+    assert membership_certified(U(-1, 3, 1, 0, 1, 3), km)[0]
     decided = decision_module(km)
     assert decided is decision_module(km) and decided == at_window(km, 6) and decided.module.window == 6
     assert [key for kind, key in _MEMO if kind == "decision_module"] == [km]
-    keys = {kind: [key for k, key in _MEMO if k == kind] for kind in ("cleared_generators", "groebner", "graded_slice")}
-    assert keys["cleared_generators"] == keys["groebner"] == [decided]
-    assert all(key is decided for kind in ("cleared_generators", "groebner") for key in keys[kind])
-    assert keys["graded_slice"] and all(key[0] is decided for key in keys["graded_slice"])
+    kinds = ("cleared_generators", "maximal_power", "groebner", "graded_slice")
+    keys = {kind: [key for k, key in _MEMO if k == kind] for kind in kinds}
+    assert keys["cleared_generators"] == keys["maximal_power"] == keys["groebner"] == [decided]
+    assert all(key is decided for kind in kinds[:3] for key in keys[kind])
+    assert keys["graded_slice"] and all(key[0] is decided and key[2] for key in keys["graded_slice"])
     assert [key for kind, key in _MEMO if kind == "generators"] == [decided.module]
     gens = decided.module.generators()
     assert type(gens) is tuple and decided.module.generators() is gens
@@ -892,6 +905,91 @@ def test_deep_queries_match_a_basis_cleared_at_their_own_depth(T_monotone, T_p12
                 if km.ring != "ZeroRing":
                     verdicts.add((want, depth != floor))
     assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def _exact_slice_verdict(q, km):
+    """Membership by fresh exact graded slices of every component of the
+    cleared query, outside the memo: the path the m^D shortcut skips."""
+    gens, cleared_gens, floor = _cleared_generators(km)
+    cleared = _cleared(q, floor, km.subspace)
+    return cleared is not None and not any(
+        _GradedSlice(gens, cleared_gens, degree, km.subspace.dim, False).residual(component.terms)[0]
+        for degree, component in cleared.homogeneous_components().items()
+    )
+
+
+def test_m_d_shortcut_matches_the_exact_slices(T_monotone, T_p12, T_cp2, T_cp3, T_cube, monkeypatch):
+    # every conftest K/K0 module at W = 2 and 4, the cube's K0 at W = 4 (m^38
+    # at window 6) among them: on an m^D module the untracked brute verdict
+    # skips every component of degree >= D, and must still be the verdict of
+    # exact slices, of the tracked (certificate) pass and of the Groebner
+    # backend, on seeded monomials and on polynomials mixing a component
+    # below D with ones at or above it.  Under `both` the rank test runs once
+    # per module, and `buchberger` is handed the monomials of m^D.
+    import toricspec.laurent as laurent_mod
+    from toricspec.memo import _MEMO
+
+    tested, handed = [], []
+    rank_test, build = laurent_mod.maximal_ideal_power, laurent_mod.buchberger
+
+    def counted(gens):
+        tested.append(gens)
+        return rank_test(gens)
+
+    def recorded(gens):
+        handed.append(gens)
+        return build(gens)
+
+    monkeypatch.setattr(laurent_mod, "maximal_ideal_power", counted)
+    monkeypatch.setattr(laurent_mod, "buchberger", recorded)
+    rng = random.Random(37)
+    clear_caches()
+    modules = powers = shortcuts = mixed = 0
+    verdicts = set()
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            for window in (2, 4):
+                km = maker(T, H, window)
+                if km.ring == ZERO_RING:
+                    continue
+                decided = decision_module(km)
+                gens = decided.module.generators()
+                # below the least generator degree, so below D once cleared
+                low = [tuple(x - (i == j) * rng.randint(1, 3) for i, x in enumerate(gens[0])) for j in range(T.n)]
+                relation = Poly.linear_form(annihilator(km.subspace)[0])
+                queries = [U(*(rng.randint(-3, 4) for _ in range(T.n))) for _ in range(4)]
+                queries += [U(*(x + rng.randint(0, 2) for x in rng.choice(gens))) for _ in range(4)]
+                queries += [U(*rng.choice(gens)) + U(*rng.choice(low)) * Fraction(rng.randint(1, 3), 2),
+                            U(*rng.choice(gens)) * 3 + relation * U(*rng.choice(low)),
+                            U(*rng.choice(gens)) - U(*(x + 1 for x in rng.choice(gens))) + relation]
+                tested.clear()
+                handed.clear()
+                for q in queries:
+                    membership(q, km, "both")
+                power = maximal_power(decided)
+                assert len(tested) == 1 and len(handed) == 1
+                cleared_gens = _cleared_generators(decided)[1]
+                assert tested[0] is cleared_gens and handed[0] is (cleared_gens if power is None else power)
+                assert power == rank_test(cleared_gens)
+                for q in queries:
+                    want = _exact_slice_verdict(q, decided)
+                    assert _verdict(q, decided, "brute")[0] == want, (T.n, maker, window, q)
+                    assert _verdict(q, decided, "brute", want_certificate=True)[0] == want
+                    assert _verdict(q, decided, "groebner")[0] == want
+                    verdicts.add(want)
+                    cleared = _cleared(q, _cleared_generators(decided)[2], decided.subspace)
+                    degrees = [] if cleared is None else list(cleared.homogeneous_components())
+                    if power and degrees and max(degrees) >= power[0].total_degree():
+                        shortcuts += 1
+                        mixed += min(degrees) < power[0].total_degree()
+                assert len(tested) == 1
+                untracked = [key for kind, key in _MEMO if kind == "graded_slice" and key[0] is decided and not key[2]]
+                if power is None:
+                    # the square's K ring and the other modules that are no m^D build slices as before
+                    assert untracked
+                modules += 1
+                powers += power is not None
+    assert modules == 16 and powers == 10 and shortcuts >= 60 and mixed >= 10 and verdicts == {True, False}
 
 
 def _slice_queries(T):

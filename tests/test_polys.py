@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toricspec.groebner import normal_form
-from toricspec.laurent import _cleared_generators, kernel_K, kernel_K0
+from toricspec.laurent import _cleared_generators, _Span, kernel_K, kernel_K0
 from toricspec.polys import (
     RANK_PRIME,
     Poly,
@@ -307,9 +307,18 @@ def test_rank_mod_p_refuses_columns_that_could_carry():
         rank_mod_p([], 1 << 24)
 
 
+def _span_rank(polys):
+    """The exact rank of the coefficient vectors of `polys`: the pivot count
+    of the brute backend's fraction-free span."""
+    span = _Span()
+    return sum(span.add(p.terms) for p in polys)
+
+
 def test_rank_mod_p_on_cleared_blocks(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
     # the least-degree block of the cleared generator restrictions of every
-    # conftest K/K0 module at windows 4 and 6: the rows Groebner builds test
+    # conftest K/K0 module at windows 4 and 6, where membership decides at
+    # W = 2 and 4: the rows of the one m^D test per module; the rank mod p
+    # is the exact rank, by rref and by the span's pivot count
     checked = full = 0
     for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
         for maker in (kernel_K, kernel_K0):
@@ -323,8 +332,23 @@ def test_rank_mod_p_on_cleared_blocks(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
                 rows = [[g.terms.get(e, 0) for e in monomials] for g in cleared if g.total_degree() == least]
                 rank = _exact_rank(rows)
                 assert rank_mod_p(rows, len(monomials)) == rank, (T.n, maker, window)
+                assert _span_rank(g for g in cleared if g.total_degree() == least) == rank
                 checked += 1
                 full += rank == len(monomials) < len(rows)
     # full with rows to spare: the K0 blocks of the two squares (rank 1) and
     # of the cube (60 and 126 rows, ranks 27 and 39)
     assert checked == 16 and full == 6
+
+
+def test_rank_mod_p_on_the_cube_slices(T_cube):
+    # the brute backend's graded slices of the cube's K0 module at window 6
+    # (m^38, 126 generator restrictions in 2 coordinates), degrees 38-40:
+    # every generator times every monomial of the missing degree, rank mod p
+    # against the span's pivot count
+    km = kernel_K0(T_cube, Fraction(1, 2), 6)
+    _, cleared, _ = _cleared_generators(km)
+    for degree in (38, 39, 40):
+        monomials = list(monomials_of_degree(2, degree))
+        columns = [g.term_mul(a) for g in cleared for a in monomials_of_degree(2, degree - g.total_degree())]
+        rows = [[c.terms.get(e, 0) for e in monomials] for c in columns]
+        assert rank_mod_p(rows, len(monomials)) == _span_rank(columns) == len(monomials) < len(columns)

@@ -20,6 +20,7 @@ from toricspec.quadforms import (
     front_coordinates,
     front_membership,
     numeric_negative_index,
+    numeric_zero_index,
     quad_form_matrix,
     shift_matrix,
     spectrum,
@@ -338,6 +339,26 @@ def test_negative_index_is_twice_the_sign_lines_at_or_below_zero(T_monotone):
         signs = [sign for _, _, sign in sp.signs()]
         assert sp.negative_index == 2 * (signs.count(-1) + signs.count(0)), N
         assert (0 in signs) == bool(front_coordinates(sp.coords))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_numeric_indices_add_up_to_the_exact_index_on_the_front(N, T_monotone):
+    # lam = (1/2, 0) puts the square's coordinates +-1/2 on the front: the
+    # exact index counts their zero eigenvalues, the numeric one only the
+    # negative ones, and the `--numeric` block prints the zero ones apart
+    np = pytest.importorskip("numpy")
+    out = io.StringIO()
+    square = str(Path(__file__).resolve().parent.parent / "polytopes" / "cp1xcp1_monotone.poly")
+    with redirect_stdout(out):
+        assert run(["spectrum-quadform", square, "--N", str(N), "--lam=1/2,0", "--numeric"]) == 0
+    lines = out.getvalue().splitlines()
+    values = report_values(out.getvalue())
+    negative, zero = int(values["# numeric_negative_index"]), int(values["# numeric_zero_index"])
+    assert lines[lines.index(f"# numeric_negative_index={negative}") + 1] == f"# numeric_zero_index={zero}"
+    sp = spectrum(N, (H, 0), T_monotone.iota)
+    assert front_coordinates(sp.coords) and zero == 4
+    assert int(values["negative_index"]) == sp.negative_index == negative + zero
+    assert numeric_zero_index(np.array([e.numeric() for e in sp.eigenvalues])) == zero
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
