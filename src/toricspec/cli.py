@@ -11,6 +11,7 @@ inconclusive result (named in the report).
 
 import sys
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 from toricspec.laurent import (
@@ -27,7 +28,7 @@ from toricspec.minimal import (
     find_minimal_degree_element,
     translated_point_bound,
 )
-from toricspec.oracle import DiagonalMap, period_report, spectrum_classes, window_report
+from toricspec.oracle import DiagonalMap, class_set, listing, period_check
 from toricspec.polys import Poly
 from toricspec.polytope import (
     ToricHypothesisError,
@@ -45,6 +46,12 @@ from toricspec.quadforms import spectrum as quad_spectrum
 
 def frac_str(x) -> str:
     return str(x) if type(x) in (int, Fraction) else str(Fraction(x))
+
+
+def ratio_str(num: int, den: int) -> str:
+    """num / den (den > 0) in lowest terms, as its `Fraction` prints."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def vec_str(v) -> str:
@@ -213,24 +220,21 @@ def cmd_spectrum(args, report: Report) -> int:
     if args.window is None and args.nu is None:
         raise ValueError("spectrum requires --window and/or --nu")
     data = toric_data(_load(args.polytope))
-    classes = spectrum_classes(data, DiagonalMap(mu=args.mu, twisted=not args.untwisted))
+    classes = class_set(data, DiagonalMap(mu=args.mu, twisted=not args.untwisted))
     if args.window is not None:
-        res = window_report(classes, args.window)
+        scale, values = listing(classes, *args.window, closed=True)
         report.kv("window", ":".join(map(frac_str, args.window)))
-        report.kv("value_count", len(res.values))
-        for i, (v, supports) in enumerate(res.values):
-            report.kv(f"value.{i}", frac_str(v))
-            report.kv(
-                f"supports.{i}",
-                ";".join(",".join(str(j) for j in s) for s in supports),
-            )
-        report.kv("period_check", str(res.period_check).lower())
+        report.kv("value_count", len(values))
+        for i, (v, supports) in enumerate(values):
+            report.kv(f"value.{i}", ratio_str(v, scale))
+            report.kv(f"supports.{i}", ";".join(",".join(map(str, s)) for s in supports))
+        report.kv("period_check", str(period_check(classes)).lower())
     if args.nu is not None:
-        res = period_report(classes, args.nu)
+        scale, values = listing(classes, args.nu, args.nu + 1, closed=False)
         report.kv("nu", frac_str(args.nu))
-        report.kv("count_in_period", len(res.values))
-        if res.boundary_hits:
-            report.kv("boundary", ";".join(frac_str(v) for v in res.boundary_hits))
+        report.kv("count_in_period", len(values))
+        if values and values[0][0] * args.nu.denominator == args.nu.numerator * scale:  # the least is nu
+            report.kv("boundary", frac_str(args.nu))
     return 0
 
 

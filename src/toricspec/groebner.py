@@ -29,7 +29,7 @@ for that, by the rank of the degree-D generators over GF(p)
 m^D.  `buchberger` takes this exit first instead of reducing the dependent
 generators to zero one term at a time, and the membership algebra keeps the
 answer once per kernel module (`laurent.maximal_power`) for both of its
-backends, handing `buchberger` the monomials themselves, whose test is cheap.
+backends, taking the monomials as its Groebner basis without `buchberger`.
 A prime can only ever prove this: a minor of the integer coefficient matrix
 that is nonzero mod p is nonzero, so a rank mod p is at most the rank over Q,
 and a full one is full over Q, while the generators of degree above D lie in

@@ -376,10 +376,10 @@ def _cleared(q: Poly, floor, subspace: LinearSubspace):
 def _groebner_member(cleared: Poly, km: KernelModule) -> bool:
     """Is the cleared query restriction in the ideal of the cleared generator
     restrictions?  Their Groebner basis is built once per kernel module; of
-    an m^D module, from the degree-D monomials, its reduced basis, so the
-    rank test on the generators is not run again."""
+    an m^D module it is the degree-D monomials, its reduced basis, taken
+    without `buchberger`, whose own m^D test would only repeat the proof."""
     basis = memo("groebner", km, lambda: DivisionBasis(
-        km.subspace.dim, buchberger(maximal_power(km) or _cleared_generators(km)[1])))
+        km.subspace.dim, maximal_power(km) or buchberger(_cleared_generators(km)[1])))
     return normal_form(cleared, basis).is_zero()
 
 

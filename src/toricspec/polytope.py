@@ -336,10 +336,13 @@ def parse_integer(text: str) -> int:
 
 def parse_fraction(text: str) -> Fraction:
     """Exact rational literal `p/q` or integer; floating-point forms and `_`
-    digit separators rejected."""
+    digit separators rejected.  Decimal p and q, only p signed, are read by int()."""
     text = text.strip()
-    if (text[1:] if text[:1] in "+-" else text).isdecimal():
-        return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    if (num[1:] if num[:1] in "+-" else num).isdecimal() and (den.isdecimal() or not slash):
+        if slash and not int(den):
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(int(num), int(den) if slash else 1)
     if any(ch in text for ch in ".eE"):
         raise ValueError(f"not an exact rational literal: {text!r}")
     if "_" in text:  # Fraction reads them from Python 3.11 on

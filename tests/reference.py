@@ -6,14 +6,16 @@ of a linear subspace, module membership by its definition in Q[u_1..u_n],
 the window-stability loop that membership at W + 2 replaced, the witness
 search over every monomial that the walk over restriction classes replaced,
 a witness's verdicts re-checked on the brute backend, Fourier-Motzkin feasibility,
-the Fraction eigenvalue sign that the integer `quadforms.eigen_sign` replaced, and
+the Fraction eigenvalue sign that the integer `quadforms.eigen_sign` replaced,
+the Fraction spectrum classes and listings that the integer class set replaced,
+the `parse_fraction` before its int() path for p/q, and
 the argparse command line that the command table replaced."""
 
 import argparse
 import heapq
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import floor, gcd, lcm
 from operator import add, ge, sub
 
 from toricspec.cli import (
@@ -42,6 +44,7 @@ from toricspec.laurent import (
 from toricspec.memo import replace
 from toricspec.minimal import MinimalDegreeWitness, PolynomialPart, _scaled_shift
 from toricspec.polys import Poly, exact_div, grevlex_key, monomials_of_degree
+from toricspec.oracle import SpectrumClass, SpectrumReport
 from toricspec.polytope import check_hypotheses
 
 
@@ -433,6 +436,89 @@ def fraction_eigen_sign(lam, k: int) -> int:
     (k + 1/2) - lam, in Fraction arithmetic."""
     diff = Fraction(2 * k + 1, 2) - Fraction(lam)
     return (diff > 0) - (diff < 0)
+
+
+# --- the Fraction spectrum ------------------------------------------------------------
+
+
+def fraction_support_class(toric, dmap, support):
+    """The class of one support and its witness lambda, in Fraction
+    arithmetic throughout."""
+    inv = fraction_unimodular_inverse(tuple(toric.iota[j - 1] for j in support))
+    half = Fraction(1, 2) if dmap.twisted else Fraction(0)
+    c = [half - dmap.mu[j - 1] for j in support]
+    x = [sum((row[t] * pi for row, pi in zip(inv, toric.p)), Fraction(0)) for t in range(toric.k)]
+    nums = [v for v in x if v]
+    denom = lcm(*(v.denominator for v in nums))
+    g = 0
+    for v in nums:
+        g = gcd(g, int(v * denom))
+    cls = SpectrumClass(
+        support=tuple(support),
+        base=-sum((xi * ci for xi, ci in zip(x, c)), Fraction(0)),
+        step=Fraction(g, denom),
+    )
+    return cls, tuple(sum((a * ci for a, ci in zip(row, c)), Fraction(0)) for row in inv)
+
+
+def _fraction_class_values_in(cls, lo, hi):
+    """One class's values in [lo, hi], stepped in Fraction arithmetic."""
+    if cls.step == 0:
+        return [cls.base] if lo <= cls.base <= hi else []
+    t = -floor((cls.base - lo) / cls.step)   # ceil((lo - base)/step)
+    out = []
+    while cls.base + t * cls.step <= hi:
+        v = cls.base + t * cls.step
+        if v >= lo:
+            out.append(v)
+        t += 1
+    return out
+
+
+def fraction_window_report(classes, window):
+    """`oracle.window_report` with every value a Fraction from the start."""
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    if lo > hi:
+        raise ValueError(f"window {lo}:{hi} is empty (lo > hi)")
+    by_value = {}
+    for cls in classes:
+        for v in _fraction_class_values_in(cls, lo, hi):
+            by_value.setdefault(v, set()).add(cls.support)
+    return SpectrumReport(
+        window=(lo, hi),
+        values=tuple((v, tuple(sorted(by_value[v]))) for v in sorted(by_value)),
+        classes=tuple(classes),
+        period_check=all(cls.step != 0 and (1 / cls.step).denominator == 1 for cls in classes),
+    )
+
+
+def fraction_period_report(classes, nu):
+    """`oracle.period_report` in Fractions: the closed window [nu, nu + 1]
+    without its top value."""
+    report = fraction_window_report(classes, (nu, nu + 1))
+    return SpectrumReport(
+        window=report.window,
+        values=tuple((v, s) for v, s in report.values if v < nu + 1),
+        classes=report.classes,
+        period_check=report.period_check,
+        boundary_hits=tuple(v for v, _ in report.values if v == nu),
+    )
+
+
+def reference_parse_fraction(text: str) -> Fraction:
+    """`polytope.parse_fraction` as it was before p/q took the int() path:
+    every literal but a plain decimal integer goes through `Fraction(str)`."""
+    text = text.strip()
+    if (text[1:] if text[:1] in "+-" else text).isdecimal():
+        return Fraction(int(text))
+    if any(ch in text for ch in ".eE"):
+        raise ValueError(f"not an exact rational literal: {text!r}")
+    if "_" in text:  # Fraction reads them from Python 3.11 on
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def _normalize_ineq(coeffs, const):

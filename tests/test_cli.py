@@ -18,9 +18,22 @@ from toricspec.laurent import kernel_K0, verify_certificate
 from toricspec.memo import clear_caches, memo_counts
 from toricspec.minimal import translated_point_bound
 from toricspec.polys import Poly
-from toricspec.polytope import parse_integer, parse_polytope, toric_data
+from toricspec.oracle import DiagonalMap, feasible_supports
+from toricspec.polytope import (
+    ToricHypothesisError,
+    parse_integer,
+    parse_polytope,
+    toric_data,
+    validate,
+)
 
-from tests.reference import _attach_negative_values, build_parser
+from tests.reference import (
+    _attach_negative_values,
+    build_parser,
+    fraction_period_report,
+    fraction_support_class,
+    fraction_window_report,
+)
 
 POLY = Path(__file__).resolve().parent.parent / "polytopes"
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
@@ -451,6 +464,65 @@ def test_spectrum_over_the_value_limit_exits_1_at_once(capsys):
         signal.signal(signal.SIGALRM, previous)
     assert code == 1 and out == ""
     assert capsys.readouterr().err == "error: class value count 400000002 is above the limit 1000000\n"
+
+
+def fraction_spectrum_lines(T, dmap, window, nu):
+    """The `spectrum` report built from the Fraction references alone."""
+    classes = [fraction_support_class(T, dmap, support)[0] for support in feasible_supports(T)]
+    lines = []
+    if window is not None:
+        res = fraction_window_report(classes, window)
+        lines += [f"window={window[0]}:{window[1]}", f"value_count={len(res.values)}"]
+        for i, (v, supports) in enumerate(res.values):
+            lines += [f"value.{i}={v}", f"supports.{i}=" + ";".join(",".join(map(str, s)) for s in supports)]
+        lines.append(f"period_check={str(res.period_check).lower()}")
+    if nu is not None:
+        res = fraction_period_report(classes, nu)
+        lines += [f"nu={nu}", f"count_in_period={len(res.values)}"]
+        lines += [f"boundary={v}" for v in res.boundary_hits]
+    return lines
+
+
+def test_spectrum_reports_match_the_fraction_reference(tmp_path):
+    # every compact smooth file of `polytopes/` and `perfbench/corpus/` and one
+    # seeded GL(d,Z) image of each, twisted and untwisted, with windows of one
+    # point (on a class value and half a step past it) and a wider one, and nu
+    # on a class value, so that the period's lower end is a boundary hit
+    from perfbench import workloads
+
+    rng = random.Random(29)
+    paths = []
+    for path in sorted(POLY.glob("*.poly")) + sorted(CORPUS.glob("*.poly")):
+        try:
+            report = validate(parse_polytope(path.read_text()))
+        except ToricHypothesisError:
+            continue
+        if report.compact and report.smooth:
+            image = tmp_path / f"{path.stem}.{path.parent.name}.poly"
+            workloads.write_image(str(path), str(image), rng)
+            paths += [path, image]
+    assert len(paths) == 40
+    runs = hits = 0
+    for path in paths:
+        T = toric_data(parse_polytope(path.read_text()))
+        for twisted in (True, False):
+            mu = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 6))) for _ in range(T.n))
+            dmap = DiagonalMap(mu=mu, twisted=twisted)
+            cls = fraction_support_class(T, dmap, rng.choice(feasible_supports(T)))[0]
+            on_value = cls.base + rng.randint(-2, 2) * cls.step
+            off_value = on_value + cls.step / 2 if cls.step else on_value + 1
+            lo = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+            for window, nu in (((on_value, on_value), on_value), ((off_value, off_value), None),
+                               ((lo, lo + rng.randint(0, 3)), on_value - 1), (None, on_value + 1)):
+                argv = ["spectrum", str(path), "--mu=" + ",".join(map(str, mu))]
+                argv += [] if window is None else [f"--window={window[0]}:{window[1]}"]
+                argv += [] if nu is None else [f"--nu={nu}"]
+                argv += [] if twisted else ["--untwisted"]
+                code, out = invoke(*argv)
+                assert (code, out.splitlines()) == (0, fraction_spectrum_lines(T, dmap, window, nu)), argv
+                hits += "boundary=" in out
+                runs += 1
+    assert runs == 320 and hits == 240  # every nu given is a class value
 
 
 # `bound` on corpus files whose witness search takes no m^D exit: the exit

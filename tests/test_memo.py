@@ -17,6 +17,7 @@ from toricspec.quadforms import spectrum
 
 H = Fraction(1, 2)
 POLY = Path(__file__).resolve().parent.parent / "polytopes"
+CORPUS = POLY.parent / "perfbench" / "corpus"
 
 
 def every_value_type():
@@ -153,6 +154,32 @@ def test_a_kernel_query_stream_reads_its_inputs_from_the_memo():
         assert [counts[kind] for kind in ("polytope", "kernel_module", "generator_lines")] == [(20, 1)] * 3
         verdicts |= {line for _, out, _ in cold for line in out.splitlines() if line.startswith("member")}
     assert verdicts == {"member=true", "member=false", "member = true", "member = false"}
+
+
+def test_spectrum_jobs_read_one_minor_table_per_polytope():
+    # 8 spectrum jobs on the pentagon in one process, with other maps, ends and
+    # twists: the minor table is built by the first and read by the other 7, and
+    # each report is the one a cleared memo gives
+    path = str(CORPUS / "pentagon.poly")
+    argvs = [["spectrum", path, f"--mu={mu}", *options]
+             for mu in ("1/4,0,1/3,0,0", "0,-2/5,0,1/2,0")
+             for options in (("--window=-1:2",), ("--nu=1/2", "--untwisted"), ("--window=0:0", "--nu=-1/3"),
+                             ("--window=1/3:1/3", "--untwisted"))]
+    cold = []
+    for argv in argvs:
+        clear_caches()
+        cold.append(report(argv))
+    clear_caches()
+    assert [report(argv) for argv in argvs] == cold
+    assert all(code == 0 and out and err == "" for code, out, err in cold)
+    assert memo_counts()["vertex_minor"] == (7, 1)
+    # a polytope that fails a hypothesis raises in the build, on every job, and keeps nothing
+    quarter = toric_data(cp1xcp1((Fraction(1, 4),) * 4))
+    for calls in (1, 2):
+        with pytest.raises(ToricHypothesisError, match="^p is not primitive integral$"):
+            spectrum_classes(quarter, DiagonalMap((0, 0, 0, 0)))
+        assert memo_counts()["vertex_minor"] == (7, 1 + calls)
+    assert sum(kind == "vertex_minor" for kind, _ in _MEMO) == 1
 
 
 def test_one_polytope_per_text():

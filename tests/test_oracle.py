@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import floor, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -11,8 +10,7 @@ from toricspec.oracle import (
     DiagonalMap,
     SpectrumReport,
     SpectrumClass,
-    _phases,
-    _support_class,
+    class_set,
     feasible_supports,
     period_report,
     spectrum_classes,
@@ -28,7 +26,12 @@ from toricspec.polytope import (
 )
 from toricspec.quadforms import front_coordinates
 from tests.conftest import cp1xcp1, cpn_simplex, cube3
-from tests.reference import fraction_unimodular_inverse, rational_feasible
+from tests.reference import (
+    fraction_period_report,
+    fraction_support_class,
+    fraction_window_report,
+    rational_feasible,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -258,26 +261,6 @@ def test_spectrum_cube(T_cube):
     assert len(period_report(spectrum_classes(T_cube, dmap), Fraction(1, 16)).values) == T_cube.min_chern
 
 
-def _fraction_support_class(toric, dmap, support):
-    """Reference: the class of one support and its witness lambda, in Fraction
-    arithmetic throughout."""
-    inv = fraction_unimodular_inverse(tuple(toric.iota[j - 1] for j in support))
-    half = H if dmap.twisted else Fraction(0)
-    c = [half - dmap.mu[j - 1] for j in support]
-    x = [sum((row[t] * pi for row, pi in zip(inv, toric.p)), Fraction(0)) for t in range(toric.k)]
-    nums = [v for v in x if v]
-    denom = lcm(*(v.denominator for v in nums))
-    g = 0
-    for v in nums:
-        g = gcd(g, int(v * denom))
-    cls = SpectrumClass(
-        support=tuple(support),
-        base=-sum((xi * ci for xi, ci in zip(x, c)), Fraction(0)),
-        step=Fraction(g, denom),
-    )
-    return cls, tuple(sum((a * ci for a, ci in zip(row, c)), Fraction(0)) for row in inv)
-
-
 def test_support_class_matches_fraction_reference():
     rng = random.Random(61)
     polys = [cp1xcp1(), cp1xcp1((H, H, Fraction(1), Fraction(1))), cpn_simplex(3), cube3()]
@@ -287,63 +270,24 @@ def test_support_class_matches_fraction_reference():
         for twisted in (True, False):
             mu = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(T.n))
             dmap = DiagonalMap(mu=mu, twisted=twisted)
-            for support in feasible_supports(T):
-                got = _support_class(T, support, *_phases(dmap))
+            # the integer class set, one class per feasible support in order, and its Fraction view
+            scale, classes = class_set(T, dmap)
+            assert [support for support, _, _ in classes] == feasible_supports(T)
+            for got, (support, base, step) in zip(spectrum_classes(T, dmap), classes, strict=True):
                 lam = witness_lambda(T, dmap, support)
-                assert (got, lam) == _fraction_support_class(T, dmap, support)
+                assert (got, lam) == fraction_support_class(T, dmap, support)
+                assert (got.base, got.step) == (Fraction(base, scale), Fraction(step, scale))
                 assert all(type(v) is Fraction for v in (got.base, got.step, *lam))
                 checked += 1
     assert checked > 100
 
 
-def _fraction_class_values_in(cls, lo, hi):
-    """Reference: one class's values in [lo, hi], stepped in Fraction arithmetic."""
-    if cls.step == 0:
-        return [cls.base] if lo <= cls.base <= hi else []
-    t = -floor((cls.base - lo) / cls.step)   # ceil((lo - base)/step)
-    out = []
-    while cls.base + t * cls.step <= hi:
-        v = cls.base + t * cls.step
-        if v >= lo:
-            out.append(v)
-        t += 1
-    return out
-
-
-def _fraction_window_report(classes, window):
-    """Reference: `window_report` with every value a Fraction from the start."""
-    lo, hi = Fraction(window[0]), Fraction(window[1])
-    if lo > hi:
-        raise ValueError(f"window {lo}:{hi} is empty (lo > hi)")
-    by_value = {}
-    for cls in classes:
-        for v in _fraction_class_values_in(cls, lo, hi):
-            by_value.setdefault(v, set()).add(cls.support)
-    return SpectrumReport(
-        window=(lo, hi),
-        values=tuple((v, tuple(sorted(by_value[v]))) for v in sorted(by_value)),
-        classes=tuple(classes),
-        period_check=all(cls.step != 0 and (1 / cls.step).denominator == 1 for cls in classes),
-    )
-
-
-def _fraction_period_report(classes, nu):
-    report = _fraction_window_report(classes, (nu, nu + 1))
-    return SpectrumReport(
-        window=report.window,
-        values=tuple((v, s) for v, s in report.values if v < nu + 1),
-        classes=report.classes,
-        period_check=report.period_check,
-        boundary_hits=tuple(v for v, _ in report.values if v == nu),
-    )
-
-
 def _check_window_against_fraction_reference(classes, lo, hi, nu):
     got = window_report(classes, (lo, hi))
-    assert got == _fraction_window_report(classes, (lo, hi))
+    assert got == fraction_window_report(classes, (lo, hi))
     assert all(type(v) is Fraction for v, _ in got.values)
     got = period_report(classes, nu)
-    assert got == _fraction_period_report(classes, nu)
+    assert got == fraction_period_report(classes, nu)
     assert all(type(v) is Fraction for v in got.boundary_hits)
 
 
@@ -390,7 +334,7 @@ def test_integer_window_matches_fraction_reference_on_vertex_supports():
         for twisted in (True, False):
             mu = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 6))) for _ in range(T.n))
             dmap = DiagonalMap(mu=mu, twisted=twisted)
-            classes = [_support_class(T, support, *_phases(dmap)) for support in feasible_supports(T)]
+            classes = spectrum_classes(T, dmap)
             for lo, hi in windows:
                 _check_window_against_fraction_reference(classes, lo, hi, lo)
             nu = classes[0].base  # a value on the period's lower edge

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from tests.conftest import cp1xcp1, cpn_simplex, cube3
-from tests.reference import fourier_motzkin_feasible, minors_gcd_oracle, rational_feasible, rref
+from tests.reference import (
+    fourier_motzkin_feasible,
+    minors_gcd_oracle,
+    rational_feasible,
+    reference_parse_fraction,
+    rref,
+)
 from toricspec.lattice import mat_vec
 from toricspec.memo import clear_caches, memo_counts, replace
 from toricspec.polys import monomials_of_degree
@@ -283,6 +289,37 @@ def test_parse_fraction_keeps_its_results_and_messages(text, result):
     else:
         got = parse_fraction(text)
         assert type(got) is Fraction and got == result
+
+
+def _parsed(parse, text):
+    """(type, value) of a parse, or ("error", message) of the ValueError it raises."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+def test_parse_fraction_matches_the_fraction_str_path():
+    # p/q with both sides decimal and only p signed is read by int(); every
+    # result and every error message must be those of the Fraction(str) path
+    texts = ["+1/2", "-0/3", "1/0", "-0/00", "1/-2", "1/+2", "1/2/3", " 1/2 ", "0x1", "\u0663/4", "4/\u0663",
+             "1_0/3", "1e3", ".5", "1/", "/2", "-/2", "+", "", "\u00b2/3", "\uff11/2", "1 /2", "--1/2"]
+    rng = random.Random(43)
+    signs = ("", "", "+", "-", "--", "+-")
+    digits = ("0", "1", "7", "00", "12", "070", "\u0663", "\uff17", "\u00b2", "1_0", "x", "", "1.5", "2e1", "E")
+    spaces = ("", "", " ", "\t", "\u00a0")
+    for _ in range(3000):
+        text = rng.choice(signs) + rng.choice(digits)
+        if rng.random() < 0.8:
+            text += rng.choice(("/", "/", "/", "//", ".", ":")) + rng.choice(signs[:3]) + rng.choice(digits)
+        texts.append(rng.choice(spaces) + text + rng.choice(spaces))
+    outcomes = set()
+    for text in texts:
+        want = _parsed(reference_parse_fraction, text)
+        assert _parsed(parse_fraction, text) == want, text
+        outcomes.add(want[0] if want[0] is Fraction else want[1].partition(":")[0])
+    assert outcomes == {Fraction, "zero denominator", "Invalid literal for Fraction", "not an exact rational literal"}
 
 
 def test_dim_takes_decimal_digits_only():
