@@ -38,12 +38,7 @@ from toricspec.minimal import (
     nullstellensatz_exponents,
     translated_point_bound,
 )
-from toricspec.oracle import (
-    DiagonalMap,
-    SpectrumClass,
-    SpectrumReport,
-    feasible_supports,
-)
+from toricspec.oracle import DiagonalMap, feasible_supports
 from toricspec.polys import Poly
 from toricspec.polytope import (
     DelzantPolytope,

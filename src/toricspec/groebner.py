@@ -26,15 +26,15 @@ generators of least degree D whose degree-D parts span all C(D+k-1, k-1)
 monomials of degree D in k variables.  `maximal_ideal_power` is the one test
 for that, by the rank of the degree-D generators over GF(p)
 (`polys.rank_mod_p`); it returns the degree-D monomials, the reduced basis of
-m^D.  `buchberger` takes this exit first instead of reducing the dependent
-generators to zero one term at a time, and the membership algebra keeps the
-answer once per kernel module (`laurent.maximal_power`) for both of its
-backends, taking the monomials as its Groebner basis without `buchberger`.
+m^D.  The membership algebra keeps the answer once per kernel module
+(`laurent.maximal_power`) for both of its backends, and takes the monomials
+as its Groebner basis instead of calling `buchberger`, which would reduce the
+dependent generators to zero one term at a time.
 A prime can only ever prove this: a minor of the integer coefficient matrix
 that is nonzero mod p is nonzero, so a rank mod p is at most the rank over Q,
 and a full one is full over Q, while the generators of degree above D lie in
-m^D anyway.  Any other input, and an unlucky prime that drops the rank,
-takes the algorithm below.
+m^D anyway.  Any other module, and an unlucky prime that drops the rank,
+goes to `buchberger`, which does not repeat the test.
 """
 
 import heapq
@@ -297,9 +297,6 @@ def maximal_ideal_power(gens):
 def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by `gens`: monic, sorted
     by leading exponent."""
-    power = maximal_ideal_power(gens)
-    if power is not None:
-        return power
     polys = []  # every primitive divisor made, indexed by pair entries
     basis = []  # indices into polys of the current basis, in insertion order
     heap = []   # (grevlex key of lcm, i, j, lcm) for each pending pair

@@ -2,9 +2,22 @@ from fractions import Fraction
 
 import pytest
 
+from toricspec.oracle import class_set, listing
 from toricspec.polytope import DelzantPolytope, toric_data
 
 H = Fraction(1, 2)
+
+
+def window_values(toric, dmap, lo, hi, closed=True):
+    """The map's spectrum values in [lo, hi] ([lo, hi) when not `closed`), as
+    Fractions, each with the sorted supports realizing it."""
+    scale, values = listing(class_set(toric, dmap), Fraction(lo), Fraction(hi), closed)
+    return [(Fraction(v, scale), supports) for v, supports in values]
+
+
+def period_values(toric, dmap, nu):
+    """The map's spectrum values in the period [nu, nu + 1)."""
+    return window_values(toric, dmap, nu, Fraction(nu) + 1, closed=False)
 
 
 def cp1xcp1(offsets=(H, H, H, H)) -> DelzantPolytope:

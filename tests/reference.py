@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, lcm
 from operator import add, ge, sub
+from typing import NamedTuple
 
 from toricspec.cli import (
     cmd_bound,
@@ -44,7 +45,6 @@ from toricspec.laurent import (
 from toricspec.memo import replace
 from toricspec.minimal import MinimalDegreeWitness, PolynomialPart, _scaled_shift
 from toricspec.polys import Poly, exact_div, grevlex_key, monomials_of_degree
-from toricspec.oracle import SpectrumClass, SpectrumReport
 from toricspec.polytope import check_hypotheses
 
 
@@ -441,6 +441,19 @@ def fraction_eigen_sign(lam, k: int) -> int:
 # --- the Fraction spectrum ------------------------------------------------------------
 
 
+class FractionClass(NamedTuple):
+    support: tuple[int, ...]          # 1-based coordinate indices
+    base: Fraction                    # one realized shift value
+    step: Fraction                    # generator of the value group (0 = isolated)
+
+
+class FractionReport(NamedTuple):
+    window: tuple[Fraction, Fraction]
+    values: tuple[tuple[Fraction, tuple[tuple[int, ...], ...]], ...]
+    period_check: bool                # every step is 1/m, m an integer
+    boundary_hits: tuple[Fraction, ...] = ()
+
+
 def fraction_support_class(toric, dmap, support):
     """The class of one support and its witness lambda, in Fraction
     arithmetic throughout."""
@@ -453,7 +466,7 @@ def fraction_support_class(toric, dmap, support):
     g = 0
     for v in nums:
         g = gcd(g, int(v * denom))
-    cls = SpectrumClass(
+    cls = FractionClass(
         support=tuple(support),
         base=-sum((xi * ci for xi, ci in zip(x, c)), Fraction(0)),
         step=Fraction(g, denom),
@@ -476,7 +489,8 @@ def _fraction_class_values_in(cls, lo, hi):
 
 
 def fraction_window_report(classes, window):
-    """`oracle.window_report` with every value a Fraction from the start."""
+    """The classes' values in the closed window, each with the sorted supports
+    realizing it, stepped in Fraction arithmetic."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if lo > hi:
         raise ValueError(f"window {lo}:{hi} is empty (lo > hi)")
@@ -484,22 +498,20 @@ def fraction_window_report(classes, window):
     for cls in classes:
         for v in _fraction_class_values_in(cls, lo, hi):
             by_value.setdefault(v, set()).add(cls.support)
-    return SpectrumReport(
+    return FractionReport(
         window=(lo, hi),
         values=tuple((v, tuple(sorted(by_value[v]))) for v in sorted(by_value)),
-        classes=tuple(classes),
         period_check=all(cls.step != 0 and (1 / cls.step).denominator == 1 for cls in classes),
     )
 
 
 def fraction_period_report(classes, nu):
-    """`oracle.period_report` in Fractions: the closed window [nu, nu + 1]
-    without its top value."""
+    """The classes' values in the period [nu, nu + 1): the closed window
+    [nu, nu + 1] without its top value, a value at nu a boundary hit."""
     report = fraction_window_report(classes, (nu, nu + 1))
-    return SpectrumReport(
+    return FractionReport(
         window=report.window,
         values=tuple((v, s) for v, s in report.values if v < nu + 1),
-        classes=report.classes,
         period_check=report.period_check,
         boundary_hits=tuple(v for v, _ in report.values if v == nu),
     )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.conftest import cp1xcp1, cpn_simplex, cube3
+from tests.conftest import cp1xcp1, cpn_simplex, cube3, period_values, window_values
 from tests.reference import at_window, monic, stable_verdict, verify_witness
 from toricspec.cli import run
 from toricspec.lattice import identity_matrix
@@ -29,7 +29,7 @@ from toricspec.minimal import (
     find_minimal_degree_element,
 )
 from toricspec.memo import replace
-from toricspec.oracle import DiagonalMap, period_report, spectrum_classes, window_report
+from toricspec.oracle import DiagonalMap, feasible_supports
 from toricspec.polys import Poly
 from toricspec.polytope import is_cpn, toric_data
 from toricspec.quadforms import (
@@ -169,21 +169,23 @@ def test_criterion_7_spectrum_oracle():
         rng = random.Random(77)
         for _ in range(10):
             nu = Fraction(rng.randint(-60, 60), 16) + Fraction(1, 32)
-            assert len(period_report(spectrum_classes(data, dmap), nu).values) == 2 == data.min_chern
+            assert len(period_values(data, dmap, nu)) == 2 == data.min_chern
         for _ in range(5):
             lo = Fraction(rng.randint(-10, 10), 4)
             hi = lo + rng.randint(1, 3)
-            r1 = window_report(spectrum_classes(data, dmap), (lo, hi))
-            r2 = window_report(spectrum_classes(data, dmap), (lo + 1, hi + 1))
-            assert [v + 1 for v, _ in r1.values] == [v for v, _ in r2.values]
-            assert r1.period_check
+            r1 = window_values(data, dmap, lo, hi)
+            r2 = window_values(data, dmap, lo + 1, hi + 1)
+            assert [v + 1 for v, _ in r1] == [v for v, _ in r2]
+            # every class steps by 1: one (value, support) pair per vertex per period
+            pairs = sum(len(supports) for _, supports in period_values(data, dmap, lo))
+            assert pairs == len(feasible_supports(data))
         for _ in range(10):
             m = (rng.randint(-3, 3), rng.randint(-3, 3))
             shift = data.p_value(m)
             moved = tuple(a + Fraction(b) for a, b in zip(mu, data.iota_apply(m)))
-            r_moved = window_report(spectrum_classes(data, DiagonalMap(mu=moved)), (Fraction(-2), Fraction(2)))
-            r_base = window_report(spectrum_classes(data, dmap), (Fraction(-2) + shift, Fraction(2) + shift))
-            assert [v for v, _ in r_moved.values] == [v - shift for v, _ in r_base.values]
+            r_moved = window_values(data, DiagonalMap(mu=moved), -2, 2)
+            r_base = window_values(data, dmap, -2 + shift, 2 + shift)
+            assert [v for v, _ in r_moved] == [v - shift for v, _ in r_base]
 
 
 def test_criterion_8_backend_agreement():

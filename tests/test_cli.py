@@ -368,24 +368,26 @@ def test_malformed_option_value_exits_1_before_the_polytope_is_read(command, opt
 
 
 def test_spectrum_builds_classes_once(monkeypatch):
-    import toricspec.oracle as oracle
+    import toricspec.cli as cli
 
     path = str(CORPUS / "pentagon.poly")
     mu = "--mu=1/4,0,1/3,0,0"
     _, window_only = invoke("spectrum", path, mu, "--window=-1:2")
     _, nu_only = invoke("spectrum", path, mu, "--nu=1/2")
     calls = []
-    support_class = oracle._support_class
+    build = cli.class_set
 
-    def counted(toric, support, den, c):
-        calls.append(support)
-        return support_class(toric, support, den, c)
+    def counted(toric, dmap):
+        calls.append(build(toric, dmap))
+        return calls[-1]
 
-    monkeypatch.setattr(oracle, "_support_class", counted)
+    monkeypatch.setattr(cli, "class_set", counted)
     code, both = invoke("spectrum", path, mu, "--window=-1:2", "--nu=1/2")
     assert code == 0
     assert both == window_only + nu_only
-    assert len(calls) == len(set(calls)) == 5  # the pentagon's vertex supports, once each
+    (classes,) = calls
+    supports = [support for support, _ in classes[1]]
+    assert len(supports) == len(set(supports)) == 5  # the pentagon's vertex supports, one class each
 
 
 @pytest.mark.parametrize("path", [POLY / "halfplane.poly", POLY / "cp1xcp1_monotone.poly"])
@@ -510,7 +512,7 @@ def test_spectrum_reports_match_the_fraction_reference(tmp_path):
             dmap = DiagonalMap(mu=mu, twisted=twisted)
             cls = fraction_support_class(T, dmap, rng.choice(feasible_supports(T)))[0]
             on_value = cls.base + rng.randint(-2, 2) * cls.step
-            off_value = on_value + cls.step / 2 if cls.step else on_value + 1
+            off_value = on_value + cls.step / 2
             lo = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
             for window, nu in (((on_value, on_value), on_value), ((off_value, off_value), None),
                                ((lo, lo + rng.randint(0, 3)), on_value - 1), (None, on_value + 1)):

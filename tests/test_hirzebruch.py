@@ -16,10 +16,11 @@ from toricspec.minimal import (
     degree_floor_violations,
     translated_point_bound,
 )
-from toricspec.oracle import DiagonalMap, feasible_supports, period_report, spectrum_classes
+from toricspec.oracle import DiagonalMap, feasible_supports
 from toricspec.polys import Poly
 from toricspec.polytope import parse_polytope, toric_data, validate
 
+from tests.conftest import period_values
 from tests.reference import verify_witness
 
 H = Fraction(1, 2)
@@ -79,8 +80,7 @@ def test_spectrum_counts(T_hirz):
     dmap = DiagonalMap(mu=mu)
     # independent solve: the four supports give residues 7/10, 1/10, 1/2, 1/2
     for nu in (Fraction(1, 7), Fraction(3, 7), Fraction(-15, 7)):
-        count = len(period_report(spectrum_classes(T_hirz, dmap), nu).values)
+        count = len(period_values(T_hirz, dmap, nu))
         assert count == 3
         assert count >= T_hirz.min_chern
-    classes = spectrum_classes(T_hirz, DiagonalMap(mu=(Fraction(0),) * 4))
-    assert len(period_report(classes, Fraction(1, 7)).values) == 1
+    assert len(period_values(T_hirz, DiagonalMap(mu=(Fraction(0),) * 4), Fraction(1, 7))) == 1

@@ -31,7 +31,7 @@ from toricspec.laurent import (
     maximal_power,
 )
 from toricspec.memo import clear_caches, memo_counts, replace
-from toricspec.oracle import DiagonalMap, spectrum_classes
+from toricspec.oracle import DiagonalMap, class_set
 from toricspec.polys import Poly
 from toricspec.polytope import parse_polytope, toric_data, validate
 
@@ -595,7 +595,7 @@ def test_memo_clear_caches_and_counts(T_monotone):
     certified = membership_certified(queries[1], km)
     classes = [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries]
     T = toric_data(T_monotone.polytope)
-    spectrum = spectrum_classes(T, dmap)
+    spectrum = class_set(T, dmap)
     built = memo_counts()
     kinds = ("decision_module", "generators", "groebner", "cleared_generators", "maximal_power", "graded_slice",
              "restriction_groups", "toric_data", "vertex_minor", "validation")
@@ -608,7 +608,7 @@ def test_memo_clear_caches_and_counts(T_monotone):
     assert [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries] == classes
     assert toric_data(T_monotone.polytope) is T
     assert validate(T_monotone.polytope).vertex_facets == T.vertex_facets
-    assert spectrum_classes(T, dmap) == spectrum
+    assert class_set(T, dmap) == spectrum
     decision_module(km).module.generators()
     counts = memo_counts()
     for kind in kinds:

@@ -10,7 +10,7 @@ from toricspec.cli import run
 from toricspec.laurent import LinearSubspace, MonomialModule, decision_module, kernel_K, kernel_K0, restrict
 from toricspec.memo import _MEMO, Value, clear_caches, memo_counts, replace
 from toricspec.minimal import NoMinimalElement, PolynomialPart, bounding_modules, find_minimal_degree_element
-from toricspec.oracle import DiagonalMap, spectrum_classes, window_report
+from toricspec.oracle import DiagonalMap, class_set
 from toricspec.polys import Poly
 from toricspec.polytope import ToricHypothesisError, parse_polytope, toric_data, validate
 from toricspec.quadforms import spectrum
@@ -26,7 +26,6 @@ def every_value_type():
     T = toric_data(poly)
     km = kernel_K0(T, H, 2)
     dmap = DiagonalMap((Fraction(1, 4), 0, 0, 0))
-    classes = spectrum_classes(T, dmap)
     quad = spectrum(2, (Fraction(1, 3), 0), T.iota)
     return [
         poly, validate(poly), T, T.kappa,
@@ -34,15 +33,15 @@ def every_value_type():
         restrict(Poly.monomial((1, 0, -1, 0)), km.subspace),
         bounding_modules(T, H, Fraction(-1, 4), Fraction(1, 4)),
         find_minimal_degree_element(T, H), NoMinimalElement(H),
-        dmap, classes[0], window_report(classes, (Fraction(0), Fraction(1))),
+        dmap,
         quad, quad.eigenvalues[0],
     ]
 
 
 def test_values_are_frozen_records_compared_by_class_and_fields():
     values = every_value_type()
-    # the sixteen value types and PolynomialPart, a MonomialModule subclass
-    assert len({type(v) for v in values}) == 17 and all(isinstance(v, Value) for v in values)
+    # the fourteen value types and PolynomialPart, a MonomialModule subclass
+    assert len({type(v) for v in values}) == 15 and all(isinstance(v, Value) for v in values)
     for v in values:
         fields = {name: getattr(v, name) for name in v._fields}
         for name in v._fields:
@@ -177,7 +176,7 @@ def test_spectrum_jobs_read_one_minor_table_per_polytope():
     quarter = toric_data(cp1xcp1((Fraction(1, 4),) * 4))
     for calls in (1, 2):
         with pytest.raises(ToricHypothesisError, match="^p is not primitive integral$"):
-            spectrum_classes(quarter, DiagonalMap((0, 0, 0, 0)))
+            class_set(quarter, DiagonalMap((0, 0, 0, 0)))
         assert memo_counts()["vertex_minor"] == (7, 1 + calls)
     assert sum(kind == "vertex_minor" for kind, _ in _MEMO) == 1
 

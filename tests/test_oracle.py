@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -6,27 +7,19 @@ from pathlib import Path
 import pytest
 
 from toricspec import oracle
-from toricspec.oracle import (
-    DiagonalMap,
-    SpectrumReport,
-    SpectrumClass,
-    class_set,
-    feasible_supports,
-    period_report,
-    spectrum_classes,
-    window_report,
-    witness_lambda,
-)
+from toricspec.oracle import DiagonalMap, class_set, feasible_supports, listing, witness_lambda
 from toricspec.lattice import det
 from toricspec.polytope import (
     ToricHypothesisError,
+    check_hypotheses,
     parse_polytope,
     toric_data,
     validate,
 )
 from toricspec.quadforms import front_coordinates
-from tests.conftest import cp1xcp1, cpn_simplex, cube3
+from tests.conftest import cp1xcp1, cpn_simplex, cube3, period_values, window_values
 from tests.reference import (
+    FractionClass,
     fraction_period_report,
     fraction_support_class,
     fraction_window_report,
@@ -132,27 +125,33 @@ def square_residues_oracle(mu, twisted=True):
     return residues
 
 
-def report_residues(report: SpectrumReport):
-    return {v % 1 for v, _ in report.values}
+def residues(values):
+    return {v % 1 for v, _ in values}
+
+
+def pairs_per_period(T, dmap, nu):
+    """The (value, support) pairs of the period [nu, nu + 1)."""
+    return sum(len(supports) for _, supports in period_values(T, dmap, nu))
 
 
 def test_spectrum_square_mu_zero(T_monotone):
     dmap = DiagonalMap(mu=(Fraction(0),) * 4)
-    report = window_report(spectrum_classes(T_monotone, dmap), (Fraction(0), Fraction(2)))
-    assert report_residues(report) == square_residues_oracle((Fraction(0),) * 4) == {Fraction(0)}
-    assert [v for v, _ in report.values] == [0, 1, 2]
-    assert report.period_check
+    values = window_values(T_monotone, dmap, 0, 2)
+    assert residues(values) == square_residues_oracle((Fraction(0),) * 4) == {Fraction(0)}
+    assert [v for v, _ in values] == [0, 1, 2]
+    # one value per vertex support per period, all four on the integers
+    assert period_values(T_monotone, dmap, 0) == [(0, ((1, 3), (1, 4), (2, 3), (2, 4)))]
 
 
 def test_spectrum_square_quarter_perturbation(T_monotone):
     mu = (Q, Fraction(0), Fraction(0), Fraction(0))
     dmap = DiagonalMap(mu=mu)
-    report = window_report(spectrum_classes(T_monotone, dmap), (Fraction(0), Fraction(2)))
+    values = window_values(T_monotone, dmap, 0, 2)
     want = square_residues_oracle(mu)
-    assert report_residues(report) == want
+    assert residues(values) == want
     assert len(want) == 2
     # each value carries the supports that realize it
-    for v, supports in report.values:
+    for v, supports in values:
         assert supports
         for s in supports:
             assert s in {(1, 3), (1, 4), (2, 3), (2, 4)}
@@ -161,9 +160,9 @@ def test_spectrum_square_quarter_perturbation(T_monotone):
 def test_spectrum_witness_lambdas_lie_on_front(T_monotone):
     mu = (Q, Fraction(0), Fraction(0), Fraction(0))
     dmap = DiagonalMap(mu=mu)
-    report = window_report(spectrum_classes(T_monotone, dmap), (Fraction(0), Fraction(1)))
-    for cls in report.classes:
-        lam = witness_lambda(T_monotone, dmap, cls.support)
+    den, classes = class_set(T_monotone, dmap)
+    for support, base in classes:
+        lam = witness_lambda(T_monotone, dmap, support)
         coords = [
             sum((Fraction(T_monotone.iota[j][i]) * lam[i] for i in range(2)),
                 Fraction(0))
@@ -171,15 +170,22 @@ def test_spectrum_witness_lambdas_lie_on_front(T_monotone):
         ]
         shifted = [c + m for c, m in zip(coords, mu)]
         front = front_coordinates(shifted)
-        assert set(cls.support).issubset(front)
+        assert set(support).issubset(front)
         # the class base value is realized by the witness
-        assert cls.base == -T_monotone.p_value(lam)
+        assert Fraction(base, den) == -T_monotone.p_value(lam)
+
+
+def test_witness_lambda_names_a_support_that_is_not_a_vertex_support(T_monotone):
+    dmap = DiagonalMap(mu=(Q, Fraction(0), Fraction(0), Fraction(0)))
+    for support in ((1, 2), [3, 4], (1, 3, 4), ()):
+        with pytest.raises(ValueError, match=rf"^support {re.escape(str(tuple(support)))} is not a vertex support$"):
+            witness_lambda(T_monotone, dmap, support)
+    assert witness_lambda(T_monotone, dmap, [1, 3]) == witness_lambda(T_monotone, dmap, (1, 3))
 
 
 def test_count_in_period_examples(T_monotone):
     for mu, count in (((Q, Fraction(0), Fraction(0), Fraction(0)), 2), ((Fraction(0),) * 4, 1)):
-        classes = spectrum_classes(T_monotone, DiagonalMap(mu=mu))
-        assert len(period_report(classes, Fraction(1, 8)).values) == count
+        assert len(period_values(T_monotone, DiagonalMap(mu=mu), Fraction(1, 8))) == count
 
 
 def test_count_matches_minimal_chern(T_monotone):
@@ -188,7 +194,7 @@ def test_count_matches_minimal_chern(T_monotone):
     dmap = DiagonalMap(mu=mu)
     for _ in range(10):
         nu = Fraction(rng.randint(-40, 40), 8) + Fraction(1, 16)
-        assert len(period_report(spectrum_classes(T_monotone, dmap), nu).values) == T_monotone.min_chern
+        assert len(period_values(T_monotone, dmap, nu)) == T_monotone.min_chern
 
 
 def test_periodicity_exact(T_monotone):
@@ -198,10 +204,11 @@ def test_periodicity_exact(T_monotone):
     for _ in range(8):
         lo = Fraction(rng.randint(-20, 20), 4)
         hi = lo + Fraction(rng.randint(1, 8), 2)
-        r1 = window_report(spectrum_classes(T_monotone, dmap), (lo, hi))
-        r2 = window_report(spectrum_classes(T_monotone, dmap), (lo + 1, hi + 1))
-        assert [v + 1 for v, _ in r1.values] == [v for v, _ in r2.values]
-        assert r1.period_check and r2.period_check
+        r1 = window_values(T_monotone, dmap, lo, hi)
+        r2 = window_values(T_monotone, dmap, lo + 1, hi + 1)
+        assert [v + 1 for v, _ in r1] == [v for v, _ in r2]
+        # every class steps by 1: one (value, support) pair per vertex per period
+        assert pairs_per_period(T_monotone, dmap, lo) == len(feasible_supports(T_monotone))
 
 
 def test_novikov_shift_consistency(T_monotone):
@@ -215,33 +222,30 @@ def test_novikov_shift_consistency(T_monotone):
             for mi, x in zip(mu, T_monotone.iota_apply(m))
         )
         lo, hi = Fraction(-2), Fraction(2)
-        r_moved = window_report(spectrum_classes(T_monotone, DiagonalMap(mu=moved)), (lo, hi))
-        r_base = window_report(spectrum_classes(T_monotone, DiagonalMap(mu=mu)), (lo + shift, hi + shift))
-        assert [v for v, _ in r_moved.values] == [v - shift for v, _ in r_base.values]
+        r_moved = window_values(T_monotone, DiagonalMap(mu=moved), lo, hi)
+        r_base = window_values(T_monotone, DiagonalMap(mu=mu), lo + shift, hi + shift)
+        assert [v for v, _ in r_moved] == [v - shift for v, _ in r_base]
 
 
 def test_count_period_translation_invariance(T_monotone):
     mu = (Q, Fraction(0), Fraction(0), Fraction(0))
     dmap = DiagonalMap(mu=mu)
     for nu in (Fraction(1, 8), Fraction(9, 8), Fraction(-7, 8)):
-        classes = spectrum_classes(T_monotone, dmap)
-        assert len(period_report(classes, nu).values) == len(period_report(classes, nu + 1).values)
+        assert len(period_values(T_monotone, dmap, nu)) == len(period_values(T_monotone, dmap, nu + 1))
 
 
 def test_boundary_value_flagged(T_monotone):
-    # mu = 0 puts integer values in the spectrum; nu = 1 sits on one
+    # mu = 0 puts integer values in the spectrum; nu = 1 sits on one, the
+    # period's least value
     dmap = DiagonalMap(mu=(Fraction(0),) * 4)
-    report = period_report(spectrum_classes(T_monotone, dmap), Fraction(1))
-    assert report.boundary_hits == (Fraction(1),)
-    assert [v for v, _ in report.values] == [Fraction(1)]
+    assert [v for v, _ in period_values(T_monotone, dmap, Fraction(1))] == [Fraction(1)]
 
 
 def test_untwisted_variant(T_monotone):
     # without the sign twist and with mu = 0 the identity is recovered:
     # solutions need lam integral, s = -p(lam) integer, same residue {0}
     dmap = DiagonalMap(mu=(Fraction(0),) * 4, twisted=False)
-    report = window_report(spectrum_classes(T_monotone, dmap), (Fraction(0), Fraction(1)))
-    assert report_residues(report) == {Fraction(0)}
+    assert residues(window_values(T_monotone, dmap, 0, 1)) == {Fraction(0)}
 
 
 def test_spectrum_requires_primitive_p(T_cp3, T_p12):
@@ -249,16 +253,18 @@ def test_spectrum_requires_primitive_p(T_cp3, T_p12):
     quarter = toric_data(cp1xcp1((Fraction(1, 4),) * 4))  # p = (1/2, 1/2)
     for T in (doubled, quarter):
         with pytest.raises(ToricHypothesisError, match="^p is not primitive integral$"):
-            spectrum_classes(T, DiagonalMap(mu=(Fraction(0),) * 4))
+            class_set(T, DiagonalMap(mu=(Fraction(0),) * 4))
+        with pytest.raises(ToricHypothesisError, match="^p is not primitive integral$"):
+            witness_lambda(T, DiagonalMap(mu=(Fraction(0),) * 4), (1, 3))
     # neither monotonicity nor the projective-space exclusion is asked
     for T in (T_cp3, T_p12):
-        assert spectrum_classes(T, DiagonalMap(mu=(Fraction(0),) * T.n))
+        assert class_set(T, DiagonalMap(mu=(Fraction(0),) * T.n))[1]
 
 
 def test_spectrum_cube(T_cube):
     mu = (Q, Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
     dmap = DiagonalMap(mu=mu)
-    assert len(period_report(spectrum_classes(T_cube, dmap), Fraction(1, 16)).values) == T_cube.min_chern
+    assert len(period_values(T_cube, dmap, Fraction(1, 16))) == T_cube.min_chern
 
 
 def test_support_class_matches_fraction_reference():
@@ -270,25 +276,63 @@ def test_support_class_matches_fraction_reference():
         for twisted in (True, False):
             mu = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(T.n))
             dmap = DiagonalMap(mu=mu, twisted=twisted)
-            # the integer class set, one class per feasible support in order, and its Fraction view
-            scale, classes = class_set(T, dmap)
-            assert [support for support, _, _ in classes] == feasible_supports(T)
-            for got, (support, base, step) in zip(spectrum_classes(T, dmap), classes, strict=True):
+            # the integer class set, one class per feasible support in order
+            den, classes = class_set(T, dmap)
+            assert [support for support, _ in classes] == feasible_supports(T)
+            for support, base in classes:
                 lam = witness_lambda(T, dmap, support)
-                assert (got, lam) == fraction_support_class(T, dmap, support)
-                assert (got.base, got.step) == (Fraction(base, scale), Fraction(step, scale))
-                assert all(type(v) is Fraction for v in (got.base, got.step, *lam))
+                assert (FractionClass(support, Fraction(base, den), Fraction(1)), lam) == \
+                    fraction_support_class(T, dmap, support)
+                assert type(base) is int and all(type(v) is Fraction for v in lam)
                 checked += 1
     assert checked > 100
 
 
-def _check_window_against_fraction_reference(classes, lo, hi, nu):
-    got = window_report(classes, (lo, hi))
-    assert got == fraction_window_report(classes, (lo, hi))
-    assert all(type(v) is Fraction for v, _ in got.values)
-    got = period_report(classes, nu)
-    assert got == fraction_period_report(classes, nu)
-    assert all(type(v) is Fraction for v in got.boundary_hits)
+def test_every_vertex_class_steps_by_one(tmp_path):
+    # the fact the oracle rests on: past the hypothesis gate, p is primitive
+    # integral and every vertex minor unimodular, so the independent Fraction
+    # reference finds step 1 on every vertex support, on every compact smooth
+    # file and a seeded GL(d,Z) image of each, for seeded mu, twisted or not
+    from perfbench import workloads
+
+    rng = random.Random(31)
+    paths = []
+    for path in sorted(ROOT.glob("polytopes/*.poly")) + sorted(ROOT.glob("perfbench/corpus/*.poly")):
+        try:
+            T = toric_data(parse_polytope(path.read_text()))
+            check_hypotheses(T)
+        except ToricHypothesisError:
+            continue
+        image = tmp_path / f"{path.stem}.{path.parent.name}.poly"
+        workloads.write_image(str(path), str(image), rng)
+        paths += [path, image]
+    assert len(paths) == 40
+    checked = 0
+    for path in paths:
+        T = toric_data(parse_polytope(path.read_text()))
+        for twisted in (True, False):
+            mu = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 6, 7))) for _ in range(T.n))
+            dmap = DiagonalMap(mu=mu, twisted=twisted)
+            den, classes = class_set(T, dmap)
+            for support, base in classes:
+                cls, _ = fraction_support_class(T, dmap, support)
+                assert cls.step == 1 and cls.base == Fraction(base, den), (path.name, support)
+                checked += 1
+    assert checked > 300
+
+
+def _check_listing_against_fraction_reference(classes, reference, lo, hi, nu):
+    """The integer listing of the class set `classes` over [lo, hi] and over
+    the period [nu, nu + 1), against the Fraction listing of `reference`."""
+    scale, values = listing(classes, lo, hi, closed=True)
+    want = fraction_window_report(reference, (lo, hi))
+    assert tuple((Fraction(v, scale), s) for v, s in values) == want.values
+    assert want.period_check
+    scale, values = listing(classes, nu, nu + 1, closed=False)
+    want = fraction_period_report(reference, nu)
+    got = tuple((Fraction(v, scale), s) for v, s in values)
+    assert got == want.values
+    assert tuple(v for v, _ in got[:1] if v == nu) == want.boundary_hits
 
 
 def test_integer_window_matches_fraction_reference_on_seeded_classes():
@@ -299,28 +343,23 @@ def test_integer_window_matches_fraction_reference_on_seeded_classes():
     def rational(span):
         return Fraction(rng.randint(-span, span), rng.choice(dens)) + rng.randint(-span, span)
 
-    def step():
-        if rng.random() < 0.2:
-            return Fraction(0)
-        return Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 5, 7))) + Fraction(rng.randint(0, 9), rng.choice(big))
-
     checked = on_edge = 0
     for _ in range(300):
-        classes = [
-            SpectrumClass(support=tuple(sorted(rng.sample(range(1, 7), 2))), base=rational(20),
-                          step=step())
-            for _ in range(rng.randint(0, 6))
-        ]
-        on_values = [c.base + rng.randint(-3, 3) * c.step for c in classes]
+        # step-1 classes over one denominator, as `class_set` makes them
+        den = rng.choice(dens)
+        classes = [(tuple(sorted(rng.sample(range(1, 7), 2))), rng.randint(-20 * den, 20 * den))
+                   for _ in range(rng.randint(0, 6))]
+        reference = [FractionClass(s, Fraction(b, den), Fraction(1)) for s, b in classes]
+        on_values = [c.base + rng.randint(-3, 3) for c in reference]
         lo = rng.choice(on_values) if on_values and rng.random() < 0.5 else rational(10)
         hi = rng.choice((lo, lo + rational(4) % 6, max(on_values + [lo])))
         nu = rng.choice(on_values + [hi - 1, rational(10)])
-        _check_window_against_fraction_reference(classes, lo, hi, nu)
+        _check_listing_against_fraction_reference((den, classes), reference, lo, hi, nu)
         on_edge += sum(v in (lo, hi, nu, nu + 1) for v in on_values)
         checked += 1
     assert checked == 300 and on_edge > 100
-    with pytest.raises(ValueError, match="empty"):
-        window_report([], (Fraction(1), Fraction(0)))
+    with pytest.raises(ValueError, match=r"^window 1:0 is empty \(lo > hi\)$"):
+        listing((1, []), Fraction(1), Fraction(0), closed=True)
 
 
 def test_integer_window_matches_fraction_reference_on_vertex_supports():
@@ -334,34 +373,35 @@ def test_integer_window_matches_fraction_reference_on_vertex_supports():
         for twisted in (True, False):
             mu = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 6))) for _ in range(T.n))
             dmap = DiagonalMap(mu=mu, twisted=twisted)
-            classes = spectrum_classes(T, dmap)
+            classes = class_set(T, dmap)
+            reference = [fraction_support_class(T, dmap, support)[0] for support in feasible_supports(T)]
             for lo, hi in windows:
-                _check_window_against_fraction_reference(classes, lo, hi, lo)
-            nu = classes[0].base  # a value on the period's lower edge
-            _check_window_against_fraction_reference(classes, nu, nu + 1, nu)
+                _check_listing_against_fraction_reference(classes, reference, lo, hi, lo)
+            nu = reference[0].base  # a value on the period's lower edge
+            _check_listing_against_fraction_reference(classes, reference, nu, nu + 1, nu)
 
 
 def test_listing_stops_at_the_value_limit(T_monotone, monkeypatch):
     # the square with mu = (1/4, 0, 0, 0): four classes of step 1, with bases
     # -3/4 (twice) and -1 (twice); [0, 2] holds 2 + 2 + 3 + 3 = 10 class values
     # and the period [0, 1) holds 4
-    classes = spectrum_classes(T_monotone, DiagonalMap(mu=(Q, Fraction(0), Fraction(0), Fraction(0))))
-    window, nu = (Fraction(0), Fraction(2)), Fraction(0)
-    full = window_report(classes, window), period_report(classes, nu)
-    assert [len(r.values) for r in full] == [5, 2]
+    classes = class_set(T_monotone, DiagonalMap(mu=(Q, Fraction(0), Fraction(0), Fraction(0))))
+    window, period = (Fraction(0), Fraction(2), True), (Fraction(0), Fraction(1), False)
+    full = listing(classes, *window), listing(classes, *period)
+    assert [len(values) for _, values in full] == [5, 2]
     monkeypatch.setattr(oracle, "VALUE_LIMIT", 10)
-    assert window_report(classes, window) == full[0]
+    assert listing(classes, *window) == full[0]
     monkeypatch.setattr(oracle, "VALUE_LIMIT", 9)
     with pytest.raises(ValueError, match=r"^class value count 10 is above the limit 9$"):
-        window_report(classes, window)
+        listing(classes, *window)
     monkeypatch.setattr(oracle, "VALUE_LIMIT", 4)
-    assert period_report(classes, nu) == full[1]
+    assert listing(classes, *period) == full[1]
     monkeypatch.setattr(oracle, "VALUE_LIMIT", 3)
     with pytest.raises(ValueError, match=r"^class value count 4 is above the limit 3$"):
-        period_report(classes, nu)
+        listing(classes, *period)
     monkeypatch.undo()
     # the count is taken in closed form, so a window of any width is refused at once
     with pytest.raises(ValueError, match=r"^class value count 400000002 is above the limit 1000000$"):
-        window_report(classes, (Fraction(0), Fraction(10**8)))
+        listing(classes, Fraction(0), Fraction(10**8), closed=True)
     with pytest.raises(ValueError, match=rf"^class value count {4 * 10**40 + 2} is above the limit 1000000$"):
-        window_report(classes, (Fraction(0), Fraction(10**40)))
+        listing(classes, Fraction(0), Fraction(10**40), closed=True)
