@@ -25,16 +25,19 @@ Many of those ideals are powers m^D of the maximal ideal: homogeneous
 generators of least degree D whose degree-D parts span all C(D+k-1, k-1)
 monomials of degree D in k variables.  `maximal_ideal_power` is the one test
 for that, by the rank of the degree-D generators over GF(p)
-(`polys.rank_mod_p`); it returns the degree-D monomials, the reduced basis of
-m^D.  The membership algebra keeps the answer once per kernel module
-(`laurent.maximal_power`) for both of its backends, and takes the monomials
-as its Groebner basis instead of calling `buchberger`, which would reduce the
-dependent generators to zero one term at a time.
+(`polys.rank_mod_p`); it returns D.  A monomial ideal contains a polynomial
+exactly when it contains each of its terms, so membership in m^D is a degree
+comparison, which the membership algebra makes itself (`laurent._verdict`)
+and hands no m^D module to `buchberger`.
 A prime can only ever prove this: a minor of the integer coefficient matrix
 that is nonzero mod p is nonzero, so a rank mod p is at most the rank over Q,
 and a full one is full over Q, while the generators of degree above D lie in
 m^D anyway.  Any other module, and an unlucky prime that drops the rank,
 goes to `buchberger`, which does not repeat the test.
+
+The membership algebra keeps a basis as `groebner_divisors` returns it, the
+reduced basis as primitive integer divisors, and reduces its integer queries
+by them with `_reduce`; `buchberger` is the same basis made monic.
 """
 
 import heapq
@@ -157,33 +160,17 @@ def _monic(d) -> Poly:
 # --- division --------------------------------------------------------------------
 
 
-class DivisionBasis:
-    """A basis prepared for division once: the divisor tuples of its nonzero
-    elements, in list order.  `normal_form` accepts one in place of a list of
-    polynomials, so a basis divided by many times is converted once."""
-
-    __slots__ = ("nvars", "divisors")
-
-    def __init__(self, nvars: int, basis):
-        if any(g.nvars != nvars for g in basis):
-            raise ValueError("basis and polynomial have different variable counts")
-        self.nvars = nvars
-        self.divisors = tuple(_primitive_divisors(basis))
-
-
 def normal_form(f: Poly, basis) -> Poly:
-    """Remainder of f under multivariate division by `basis` (a sequence of
-    polynomials or a `DivisionBasis`): the largest remaining term is divided
-    by the first nonzero basis element whose leading monomial divides it, or
-    else moved to the remainder."""
-    if not isinstance(basis, DivisionBasis):
-        basis = DivisionBasis(f.nvars, basis)
-    elif basis.nvars != f.nvars:
+    """Remainder of f under multivariate division by the polynomials `basis`:
+    the largest remaining term is divided by the first nonzero basis element
+    whose leading monomial divides it, or else moved to the remainder."""
+    if any(g.nvars != f.nvars for g in basis):
         raise ValueError("basis and polynomial have different variable counts")
-    if not basis.divisors or not f.terms:
+    divisors = _primitive_divisors(basis)
+    if not divisors or not f.terms:
         return f
     work, den = _integral(f.terms)
-    rem, scale = _divide(work, basis.divisors)
+    rem, scale = _divide(work, divisors)
     return Poly(f.nvars, {e: exact_div(c, scale * den) for e, c in rem.items()})
 
 
@@ -230,14 +217,11 @@ def _autoreduce(divisors):
 
 
 def _reduced_basis(divisors):
-    """Monic polynomials, sorted by leading exponent, from divisors with
+    """Primitive divisors, sorted by leading exponent, from divisors with
     pairwise non-dividing leads: each element's tail is reduced once by the
     others, which leaves its lead in place."""
-    out = []
-    for n, d in enumerate(divisors):
-        others = divisors[:n] + divisors[n + 1:]
-        out.append(_monic(_divisor(_reduce(d[3], others))))
-    return sorted(out, key=lambda g: g.leading()[0])
+    out = [_divisor(_reduce(d[3], divisors[:n] + divisors[n + 1:])) for n, d in enumerate(divisors)]
+    return sorted(out, key=lambda d: d[0])
 
 
 def _s_poly(d1, d2, l):
@@ -262,13 +246,12 @@ def _s_poly(d1, d2, l):
 
 
 def maximal_ideal_power(gens):
-    """The monomials of degree D, sorted, when `gens` are homogeneous with least
-    degree D and their degree-D elements have full rank mod p, which proves
-    that they generate m^D; else None.  The count of degree-D generators is
-    checked before the scan of every term for homogeneity, since most inputs
-    that miss the exit have too few; when some generator is not homogeneous,
-    the count read off first terms may be wrong, but the answer is None
-    either way."""
+    """D when `gens` are homogeneous with least degree D and their degree-D
+    elements have full rank mod p, which proves that they generate m^D; else
+    None.  The count of degree-D generators is checked before the scan of
+    every term for homogeneity, since most inputs that are no m^D have too
+    few; when some generator is not homogeneous, the count read off first
+    terms may be wrong, but the answer is None either way."""
     gens = [g for g in gens if g.terms]
     if not gens or not gens[0].nvars:
         return None
@@ -289,14 +272,18 @@ def maximal_ideal_power(gens):
                 row[column[e]] = c
             yield row
 
-    if rank_mod_p(rows(), len(monomials)) < len(monomials):
-        return None
-    return [Poly.monomial(e) for e in reversed(monomials)]
+    return low if rank_mod_p(rows(), len(monomials)) == len(monomials) else None
 
 
 def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by `gens`: monic, sorted
     by leading exponent."""
+    return [_monic(d) for d in groebner_divisors(gens)]
+
+
+def groebner_divisors(gens):
+    """The reduced Groebner basis of the ideal generated by `gens` as a tuple
+    of primitive divisors, sorted by leading exponent."""
     polys = []  # every primitive divisor made, indexed by pair entries
     basis = []  # indices into polys of the current basis, in insertion order
     heap = []   # (grevlex key of lcm, i, j, lcm) for each pending pair
@@ -337,4 +324,4 @@ def buchberger(gens):
         if r:
             polys.append(_divisor(r))
             update(len(polys) - 1)
-    return _reduced_basis([polys[g] for g in basis])
+    return tuple(_reduced_basis([polys[g] for g in basis]))

@@ -17,11 +17,7 @@ backends:
   * a graded linear-algebra route ("brute"): decide each graded slice of the
     same cleared query restriction by an exact span of the cleared generator
     restrictions times monomials of every degree.  It is complete at each
-    window.  Where the cleared generators generate m^D, D their least degree
-    (`maximal_power`, one rank mod p per kernel module that both routes
-    read), every component of degree at least D is a member without a
-    slice; certificates, components below D and every other module take
-    the slices.
+    window.
 
 Every membership function takes one `KernelModule` (module, subspace, ring),
 built once per input by `kernel_K`/`kernel_K0` and decided at its window:
@@ -29,11 +25,15 @@ built once per input by `kernel_K`/`kernel_K0` and decided at its window:
 which keys everything built from it in the memo.
 One function, `_verdict`, decides: on a zero ring every query is a member;
 otherwise generators and query are cleared and restricted once (past
-QUERY_LIMIT monomials of a cleared degree -> Inconclusive) and handed to the
-chosen backend, or to both, which must agree (a disagreement raises).  `membership`
-first decides a monomial query below the least generator degree a non-member
-in integers alone; `membership_certified` asks the brute backend for its
-integer relation.
+QUERY_LIMIT monomials of a cleared degree -> Inconclusive), the query to
+integer coefficients.  Where the cleared generators generate m^D, D their
+least degree (one rank mod p per kernel module, in the cleared-generator
+build), the verdict is a degree comparison, since a monomial ideal holds a
+polynomial exactly when it holds each term; any other module, and every
+certificate, goes to the chosen backend, or to both, which must agree (a
+disagreement raises).  `membership` first decides a monomial query below the
+least generator degree a non-member in integers alone;
+`membership_certified` asks the brute backend for its integer relation.
 
 A monomial ideal of Q[u] is the monomial module whose generators have no
 negative exponents: it is cleared at floor 0 and restricted by the same map,
@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import ceil, comb, gcd, lcm
 from operator import add, ge
 
-from toricspec.groebner import DivisionBasis, buchberger, maximal_ideal_power, normal_form
+from toricspec.groebner import _reduce, groebner_divisors, maximal_ideal_power
 from toricspec.lattice import IntMat, IntVec, common_denominator
 from toricspec.memo import Value, memo, replace
 from toricspec.polys import Poly, linear_form_product, monomials_of_degree
@@ -330,34 +330,30 @@ def _check_query_limit(what, degree, k):
 def _cleared_generators(km: KernelModule):
     """The minimal generators g of the module at its window (every other
     generator is a u-multiple of one), their restrictions prod l_i^(g_i + T_i)
-    in the same order, and the generator floor T: the least exponents with
-    g + T >= 0 for every generator g, which the minimal generators attain.
-    Built once per kernel module for both backends; a largest cleared degree
-    past QUERY_LIMIT raises before any generator is restricted."""
+    in the same order, the generator floor T: the least exponents with
+    g + T >= 0 for every generator g, which the minimal generators attain,
+    and D when the restrictions generate m^D, D their least degree, else None
+    (the one rank mod p of `groebner.maximal_ideal_power`; a full rank mod p
+    is full over Q, so the fact is exact).  Built once per kernel module; a
+    largest cleared degree past QUERY_LIMIT raises before any generator is
+    restricted."""
 
     def build():
         gens = _minimal_monomials(km.module.generators())
         floor = tuple(max(0, -min((g[i] for g in gens), default=0)) for i in range(km.module.toric.n))
         _check_query_limit("cleared generator", max(map(sum, gens), default=0) + sum(floor), km.subspace.dim)
-        return gens, [km.subspace.form_product(tuple(map(add, g, floor))) for g in gens], floor
+        cleared = [km.subspace.form_product(tuple(map(add, g, floor))) for g in gens]
+        return gens, cleared, floor, maximal_ideal_power(cleared)
 
     return memo("cleared_generators", km, build)
 
 
-def maximal_power(km: KernelModule):
-    """The monomials of degree D when the cleared generator restrictions
-    generate m^D, D their least degree, and None otherwise: the one rank mod p
-    of `groebner.maximal_ideal_power`, run once per kernel module whichever
-    backend asks first (memo kind `maximal_power`).  A full rank mod p is
-    full over Q, so the fact is exact."""
-    return memo("maximal_power", km, lambda: maximal_ideal_power(_cleared_generators(km)[1]))
-
-
 def _cleared(q: Poly, floor, subspace: LinearSubspace):
-    """The restriction of q * u^floor to V; None when it is no polynomial on V
-    (then q is no member).  Where q's denominator d exceeds the floor, q is
-    cleared at d and divided exactly by the restriction of u^(d - floor): the
-    generators cleared at d are the floor-cleared ones times that
+    """The restriction of q * u^floor to V times the least common denominator
+    of its coefficients, an integer polynomial; None when it is no polynomial
+    on V (then q is no member).  Where q's denominator d exceeds the floor, q
+    is cleared at d and divided exactly by the restriction of u^(d - floor):
+    the generators cleared at d are the floor-cleared ones times that
     restriction, and the coordinate ring of V is a domain.  A cleared degree
     with more than QUERY_LIMIT monomials in the k coordinates of V raises
     InconclusiveError before anything is restricted."""
@@ -365,22 +361,25 @@ def _cleared(q: Poly, floor, subspace: LinearSubspace):
     cleared = q.term_mul(depth)
     _check_query_limit("cleared query", max(cleared.total_degree(), 0), subspace.dim)
     num = subspace.image(cleared)
-    if depth == floor:
-        return num
-    return num.exact_divide(subspace.form_product(tuple(d - t for d, t in zip(depth, floor))))
+    if depth != floor:
+        num = num.exact_divide(subspace.form_product(tuple(d - t for d, t in zip(depth, floor))))
+        if num is None:
+            return None
+    den, numerators = common_denominator(num.terms.values())
+    return num if den == 1 else Poly(subspace.dim, dict(zip(num.terms, numerators)))
 
 
 # --- membership: Groebner backend -------------------------------------------
 
 
 def _groebner_member(cleared: Poly, km: KernelModule) -> bool:
-    """Is the cleared query restriction in the ideal of the cleared generator
-    restrictions?  Their Groebner basis is built once per kernel module; of
-    an m^D module it is the degree-D monomials, its reduced basis, taken
-    without `buchberger`, whose own m^D test would only repeat the proof."""
-    basis = memo("groebner", km, lambda: DivisionBasis(
-        km.subspace.dim, maximal_power(km) or buchberger(_cleared_generators(km)[1])))
-    return normal_form(cleared, basis).is_zero()
+    """Is the integer cleared query restriction in the ideal of the cleared
+    generator restrictions?  Their reduced Groebner basis is built once per
+    kernel module and kept as primitive integer divisors; the division stops
+    at the first term that no leading monomial divides, a term of the
+    remainder."""
+    basis = memo("groebner", km, lambda: groebner_divisors(_cleared_generators(km)[1]))
+    return not _reduce(cleared.terms, basis, False)
 
 
 # --- membership: brute (graded linear-algebra) backend -------------------------
@@ -446,18 +445,12 @@ class _Span:
         """Eliminate the pivot exponents from `vec`; returns (residual, scale,
         combo), the residual empty exactly when `vec` lies in the span.
 
-        Membership does not change under scaling, so the denominators of a
-        fresh query (scale 1, no combination yet) are cleared first, and a
-        pivot with leading coefficient p removes an entry f as
-        vec <- (p/g) vec - (f/g) pivot, g = gcd(f, p), after which the
-        content is divided out.  With a label combination `combo`
+        `vec` has integer entries, and a pivot with leading coefficient p
+        removes an entry f as vec <- (p/g) vec - (f/g) pivot, g = gcd(f, p),
+        after which the content is divided out.  With a label combination `combo`
         (tracking), scale and combo follow along, keeping
         scale * query = residual + sum combo[label] * column when that held
         for the given `vec`."""
-        if not all(type(c) is int for c in vec.values()):
-            den, numerators = common_denominator(vec.values())
-            vec = dict(zip(vec, numerators))
-            scale *= den
         vec, scale, combo = _primitive({e: c for e, c in vec.items() if c}, scale, combo)
         pivots = self.pivots
         while True:
@@ -546,19 +539,14 @@ def _brute_member(cleared: Poly, km: KernelModule, want_certificate=False):
     complete at the module's window, since every multiplier degree is
     admitted.
 
-    Without a certificate, on an m^D module (`maximal_power`), a component
-    of degree E >= D is a member with no slice built: m^(E - D) m^D = m^E.
-
     Returns (verdict, certificate); a member's certificate, on request, is
     one integer relation (scale, {(g, a): c}): scale * cleared = sum c *
-    (u^(g + T))|_V * w^a over minimal generators g, merged from the
+    (u^(g + T))|_V * w^a over minimal generators g, with `cleared` the
+    integer cleared query restriction of `_cleared`, merged from the
     components over the lcm of their scales (a label fixes its degree)."""
-    gens, cleared_gens, _ = _cleared_generators(km)
-    power = None if want_certificate else maximal_power(km)
+    gens, cleared_gens = _cleared_generators(km)[:2]
     parts = []
     for degree, component in cleared.homogeneous_components().items():
-        if power and degree >= power[0].total_degree():
-            continue
         graded = memo("graded_slice", (km, degree, want_certificate),
                       lambda: _GradedSlice(gens, cleared_gens, degree, km.subspace.dim, want_certificate))
         residual, scale, combo = graded.residual(component.terms)
@@ -575,7 +563,9 @@ def verify_certificate(q, km: KernelModule, certificate) -> bool:
     """Check a brute-backend certificate in integers at the window W + 2 that
     membership decides at: scale is a positive int, each label g is a
     u-multiple of a generator (g need not be minimal) and a a monomial in w,
-    and the relation holds, with each (u^(g + T))|_V built anew once."""
+    and the relation holds against the integer cleared query restriction of
+    `_cleared`, with each (u^(g + T))|_V built anew once."""
+    _check_query(q, km)
     scale, relation = certificate
     if type(scale) is not int or scale < 1:
         return False
@@ -583,7 +573,7 @@ def verify_certificate(q, km: KernelModule, certificate) -> bool:
         return True
     km = decision_module(km)
     subspace = km.subspace
-    gens, _, floor = _cleared_generators(km)
+    gens, _, floor, _ = _cleared_generators(km)
     cleared = _cleared(q, floor, subspace)
     if cleared is None or not all(
         len(g) == len(floor) and any(all(map(ge, g, m)) for m in gens) and len(a) == subspace.dim and min(a) >= 0
@@ -600,6 +590,13 @@ def verify_certificate(q, km: KernelModule, certificate) -> bool:
 # --- membership: public entry -------------------------------------------------
 
 
+def _check_query(q: Poly, km: KernelModule):
+    """A query must be a polynomial in the n variables u of the module."""
+    n = km.module.toric.n
+    if q.nvars != n:
+        raise ValueError(f"variable count mismatch: query {q.nvars}, module {n}")
+
+
 def _below_generator_degree(q: Poly, km: KernelModule) -> bool:
     """The degree test: a monomial of total degree below the least generator
     degree of the module is no member, since every module element then
@@ -613,15 +610,20 @@ def _below_generator_degree(q: Poly, km: KernelModule) -> bool:
 
 
 def _verdict(q, km: KernelModule, backend, want_certificate=False):
-    """The verdict at the module's window of the chosen backend, or of both,
-    which must agree, as (verdict, certificate); the query is cleared and
-    restricted once.  A certificate, on request, comes from the brute backend
-    as in `_brute_member`; on the zero ring (1, {}) certifies every q."""
+    """The verdict at the module's window, as (verdict, certificate); the
+    query is cleared and restricted once.  On an m^D module the verdict
+    without a certificate is whether every term of the cleared query has
+    degree at least D; otherwise it is the chosen backend's, or both's, which
+    must agree.  A certificate, on request, comes from the brute backend as
+    in `_brute_member`; on the zero ring (1, {}) certifies every q."""
     if km.ring == ZERO_RING:
         return True, ((1, {}) if want_certificate else None)
-    cleared = _cleared(q, _cleared_generators(km)[2], km.subspace)
+    _, _, floor, power = _cleared_generators(km)
+    cleared = _cleared(q, floor, km.subspace)
     if cleared is None:
         return False, None
+    if power is not None and not want_certificate:
+        return all(sum(e) >= power for e in cleared.terms), None
     gb = None if backend == "brute" else _groebner_member(cleared, km)
     if backend == "groebner":
         return gb, None
@@ -657,7 +659,9 @@ def membership(q: Poly, km: KernelModule, backend: str = "both") -> bool:
     window W.  The generator box at W lies inside the box at W + 2, and
     each backend decides the module of its window exactly, so the verdict
     can only turn from False to True as the window widens: widening until
-    two consecutive verdicts agree returns the verdict at W + 2."""
+    two consecutive verdicts agree returns the verdict at W + 2.  A query
+    in other than the module's n variables raises ValueError."""
+    _check_query(q, km)
     km = decision_module(km)
     if _below_generator_degree(q, km):
         return False
@@ -666,4 +670,5 @@ def membership(q: Poly, km: KernelModule, backend: str = "both") -> bool:
 
 def membership_certified(q: Poly, km: KernelModule):
     """(verdict, certificate) at window W + 2 from one tracked brute pass."""
+    _check_query(q, km)
     return _verdict(q, decision_module(km), "brute", want_certificate=True)

@@ -253,8 +253,8 @@ def degree_floor_violations(toric: ToricData, r, window: int, box: int = 2):
             continue
         seen.add(key)
         checked += 1
-        # both full backends at W + 2, as membership decides, but not the
-        # degree test: this scan is what checks it
+        # the verdict at W + 2 as membership decides it (the m^D decision,
+        # else both backends), but not the degree test: this scan checks it
         if _verdict(Poly.monomial(a), km, "both")[0]:
             violations.append(a)
     return violations, checked

@@ -527,9 +527,9 @@ def test_spectrum_reports_match_the_fraction_reference(tmp_path):
     assert runs == 320 and hits == 240  # every nu given is a class value
 
 
-# `bound` on corpus files whose witness search takes no m^D exit: the exit
-# code and the witness lines as printed, and a verified certificate for each
-# successor of the witness.
+# `bound` on corpus files whose witness search decides modules that are not
+# m^D: the exit code and the witness lines as printed, and a verified
+# certificate for each successor of the witness.
 OFF_EXIT_WITNESSES = {
     "pentagon": ("-1,-1,-1,-2,6", "(w1^6 + 6*w1^5*w2 + 15*w1^4*w2^2 + 20*w1^3*w2^3 + 15*w1^2*w2^4 + 6*w1*w2^5"
                  " + w2^6) / ((w1)*(2*w2)*(-w1 - 3*w2)*(w1 + 2*w2)^2)"),

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from toricspec.groebner import (
-    DivisionBasis,
     _autoreduce,
     _lcm,
+    _monic,
     _primitive_divisors,
     _reduced_basis,
     _s_poly,
@@ -47,7 +47,7 @@ def P(nvars, terms):
 def interreduce(basis):
     """The interreduction that Buchberger's algorithm runs on its input
     (`_autoreduce`) and on its output (`_reduced_basis`), back to back."""
-    return _reduced_basis(_autoreduce(_primitive_divisors(basis)))
+    return [_monic(d) for d in _reduced_basis(_autoreduce(_primitive_divisors(basis)))]
 
 
 def test_grevlex_leading():
@@ -394,8 +394,8 @@ def test_normal_form_matches_sympy_reduced(T_monotone, T_p12, T_cp2, T_cp3, T_cu
 def test_maximal_ideal_power_matches_sympy():
     # seeded homogeneous blocks in 2 and 3 variables with more generators of
     # the least degree than monomials of that degree, some with generators
-    # of the next degree as well: the m^D exit is taken, and its basis is
-    # sympy's
+    # of the next degree as well: the m^D test returns their least degree,
+    # and sympy's basis is the monomials of that degree
     sympy = pytest.importorskip("sympy")
     rng = random.Random(67)
     for _ in range(30):
@@ -408,13 +408,13 @@ def test_maximal_ideal_power_matches_sympy():
         gens += [Poly(n, {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for e in rng.sample(above, 2)})
                  for _ in range(rng.randint(0, 2))]
         gens = [g for g in gens if g]
-        assert maximal_ideal_power(gens) is not None
+        assert maximal_ideal_power(gens) == degree
         assert buchberger(gens) == _sympy_basis(sympy, gens, n) == [Poly.monomial(e) for e in sorted(monomials)]
 
 
 def test_bad_prime_takes_the_unchanged_path():
     # x^2, xy + y^2, xy + (1 + p) y^2 span degree 2 over Q, but the last two
-    # agree mod p: rank 2 of 3, so the exit is not taken, and Buchberger's
+    # agree mod p: rank 2 of 3, so the m^D test fails, and Buchberger's
     # algorithm still finds m^2
     gens = [P(2, {(2, 0): 1}), P(2, {(1, 1): 1, (0, 2): 1}), P(2, {(1, 1): 1, (0, 2): 1 + RANK_PRIME})]
     assert rank_mod_p([[1, 0, 0], [0, 1, 1], [0, 1, 1 + RANK_PRIME]], 3) == 2
@@ -434,8 +434,8 @@ def test_other_inputs_take_the_unchanged_path():
     for gens in cases:
         assert maximal_ideal_power(gens) is None
         assert buchberger(gens) == _reference_buchberger(gens)
-    # the exit ignores zero generators and any above the least degree
-    assert maximal_ideal_power([Poly.zero(2), cube, y2, x2 + xy, xy]) == [y2, xy, x2]
+    # the test ignores zero generators and any above the least degree
+    assert maximal_ideal_power([Poly.zero(2), cube, y2, x2 + xy, xy]) == 2
     assert maximal_ideal_power([Poly.zero(2)]) is None
 
 
@@ -443,7 +443,7 @@ def test_zero_basis_elements_divide_nothing():
     x, zero = Poly.linear_form((1, 0)), Poly.zero(2)
     assert normal_form(x, [zero]) == x
     assert normal_form(x, [zero, x]) == zero
-    assert len(DivisionBasis(2, [zero, x, zero]).divisors) == 1
+    assert len(_primitive_divisors([zero, x, zero])) == 1
 
 
 def _seeded_ideal(rng, n, fractions, degree):
@@ -508,8 +508,10 @@ def test_interreduce_matches_the_reference_engine():
 
 def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
     # every K/K0 module of the conftest polytopes at W = 2 and 4: the engine
-    # gives the reference's basis of the cleared generator restrictions, and
-    # the Groebner verdict on each seeded query is membership by definition,
+    # gives the reference's basis of the cleared generator restrictions, also
+    # as the memo entry of the Groebner backend, the m^D test is the one of
+    # the cleared-generator build, and the verdict (the m^D decision or the
+    # Groebner backend) on each seeded query is membership by definition,
     # q * u^depth in the ideal of Q[u] of the u^(g + depth) and the relation
     # forms, at the query's own depth max(floor, -min q).  At W = 6 the K0
     # bases are compared too, among them the cube's 126-generator build of
@@ -528,13 +530,14 @@ def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3
                 gens = km.module.generators()
                 floor = tuple(max(0, -min(g[i] for g in gens)) for i in range(T.n))
                 if not sub.is_zero_ring():
-                    _, cleared, cleared_floor = _cleared_generators(km)
+                    _, cleared, cleared_floor, power = _cleared_generators(km)
                     assert cleared_floor == floor
                     reference = _reference_buchberger(cleared)
                     assert buchberger(cleared) == reference
                     assert _groebner_member(Poly.zero(sub.dim), km)
-                    assert len(_MEMO["groebner", km].divisors) == len(reference)
-                    if maximal_ideal_power(cleared) is not None:
+                    assert [_monic(d) for d in _MEMO["groebner", km]] == reference
+                    assert power == maximal_ideal_power(cleared)
+                    if power is not None:
                         exits.append((T.n, window, len(cleared), len(reference)))
                 if window == 6:
                     continue

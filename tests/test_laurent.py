@@ -28,8 +28,8 @@ from toricspec.laurent import (
     _Span,
     _verdict,
     decision_module,
-    maximal_power,
 )
+from toricspec.groebner import _integral, buchberger, normal_form
 from toricspec.memo import clear_caches, memo_counts, replace
 from toricspec.oracle import DiagonalMap, class_set
 from toricspec.polys import Poly
@@ -397,7 +397,8 @@ def test_membership_evaluates_one_window_and_builds_no_basis_at_the_start(T_mono
                 # the certified pass is the brute backend alone: no second verdict
                 expected.append((window + 2, "brute"))
             assert asked == expected
-            built = {key.module.window for kind, key in _MEMO if kind == "groebner"}
+            # the cleared generators, their m^D test and any basis: only at W + 2
+            built = {key.module.window for kind, key in _MEMO if kind in ("cleared_generators", "groebner")}
             assert built == {window + 2}
             assert {key.window for kind, key in _MEMO if kind == "generators"} == {window + 2}
 
@@ -584,25 +585,31 @@ def test_cleared_generators_over_the_limit_raise_before_restricting(T_cube, monk
 
 
 def test_memo_clear_caches_and_counts(T_monotone):
+    from toricspec.memo import _MEMO
+
     km = kernel_K0(T_monotone, H, 2)
+    ring_k = kernel_K(T_monotone, H, 2)
     queries = [U(1, 0, 0, 0), U(1, 1, 0, 0), U(0, 0, 1, 1), U(-1, 0, 2, 1), U(2, -1, 0, 0)]
     dmap = DiagonalMap(mu=(H, 0, Fraction(1, 3), 0))
     clear_caches()
     assert memo_counts() == {}
-    # the module is m^14: untracked queries build no graded slice, and a
-    # certified one builds the tracked slices
-    first = [membership(q, km) for q in queries]
+    # the K0 module is m^14: untracked queries build no graded slice and no
+    # Groebner basis, and a certified one builds the tracked slices; the K
+    # ring is no m^D, and its queries build both
+    first = [membership(q, m) for m in (km, ring_k) for q in queries]
     certified = membership_certified(queries[1], km)
     classes = [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries]
     T = toric_data(T_monotone.polytope)
     spectrum = class_set(T, dmap)
     built = memo_counts()
-    kinds = ("decision_module", "generators", "groebner", "cleared_generators", "maximal_power", "graded_slice",
+    kinds = ("decision_module", "generators", "groebner", "cleared_generators", "graded_slice",
              "restriction_groups", "toric_data", "vertex_minor", "validation")
     for kind in kinds:
         assert built[kind][1] > 0, kind
-    assert built["maximal_power"][1] == 1  # one rank test, read by both backends
-    again = [membership(q, km) for q in queries]
+    # one cleared-generator build, with its m^D test, per decided module
+    assert built["cleared_generators"][1] == 2
+    assert [key for kind, key in _MEMO if kind == "groebner"] == [decision_module(ring_k)]
+    again = [membership(q, m) for m in (km, ring_k) for q in queries]
     assert again == first
     assert membership_certified(queries[1], km) == certified
     assert [restriction_class_key(km.subspace, next(iter(q.terms))) for q in queries] == classes
@@ -616,15 +623,16 @@ def test_memo_clear_caches_and_counts(T_monotone):
         assert counts[kind][1] == built[kind][1], kind  # and nothing was rebuilt
     clear_caches()
     assert memo_counts() == {}
-    assert [membership(q, km) for q in queries] == first
+    assert [membership(q, m) for m in (km, ring_k) for q in queries] == first
     assert memo_counts()["groebner"][1] == built["groebner"][1]
 
 
-def test_one_membership_keys_every_entry_by_the_module_at_its_decision_window(T_cube):
+def test_one_membership_keys_every_entry_by_the_module_at_its_decision_window(T_cube, T_monotone):
     # the kernel module at window W + 2 is built once and is the memo key
-    # itself: the cleared generators, the m^D fact and the Groebner basis sit
-    # under it, each graded slice under (it, degree, tracking); the module is
-    # m^38, so only the certified query builds slices
+    # itself: the cleared generators with the m^D fact and the Groebner
+    # basis sit under it, each graded slice under (it, degree, tracking); the
+    # module is m^38, so only the certified query builds slices, and no
+    # query builds a basis
     from toricspec.memo import _MEMO
 
     km = kernel_K0(T_cube, H, 4)
@@ -635,15 +643,38 @@ def test_one_membership_keys_every_entry_by_the_module_at_its_decision_window(T_
     decided = decision_module(km)
     assert decided is decision_module(km) and decided == at_window(km, 6) and decided.module.window == 6
     assert [key for kind, key in _MEMO if kind == "decision_module"] == [km]
-    kinds = ("cleared_generators", "maximal_power", "groebner", "graded_slice")
+    kinds = ("cleared_generators", "groebner", "graded_slice")
     keys = {kind: [key for k, key in _MEMO if k == kind] for kind in kinds}
-    assert keys["cleared_generators"] == keys["maximal_power"] == keys["groebner"] == [decided]
-    assert all(key is decided for kind in kinds[:3] for key in keys[kind])
+    assert keys["cleared_generators"] == [decided] and keys["cleared_generators"][0] is decided
+    assert _cleared_generators(decided)[3] == 38 and keys["groebner"] == []
     assert keys["graded_slice"] and all(key[0] is decided and key[2] for key in keys["graded_slice"])
     assert [key for kind, key in _MEMO if kind == "generators"] == [decided.module]
     gens = decided.module.generators()
     assert type(gens) is tuple and decided.module.generators() is gens
     assert replace(km.module, window=6).generators() is gens
+    # the square's K ring is no m^D: its basis sits under its decided module
+    ring_k = kernel_K(T_monotone, H, 2)
+    other = decision_module(ring_k)
+    assert membership(U(*other.module.generators()[0]), ring_k)
+    assert _cleared_generators(other)[3] is None
+    assert [key for k, key in _MEMO if k == "groebner"] == [other]
+    assert all(key is other for k, key in _MEMO if k in ("cleared_generators", "groebner") and key == other)
+
+
+def test_a_query_in_another_variable_count_is_refused(T_monotone):
+    # the square's K0 module has n = 4: a query in 1 or 6 variables is refused
+    # where it enters, before the degree test and before anything is built
+    km = kernel_K0(T_monotone, H, 2)
+    queries = [Poly.monomial((0,)), Poly.monomial((5,)), Poly.monomial((0,) * 6), Poly.monomial((1,) * 6)]
+    clear_caches()
+    for q in queries:
+        entries = [lambda b=backend: membership(q, km, b) for backend in ("groebner", "brute", "both")]
+        entries += [lambda: membership_certified(q, km), lambda: verify_certificate(q, km, (1, {}))]
+        for entry in entries:
+            with pytest.raises(ValueError) as exc:
+                entry()
+            assert str(exc.value) == f"variable count mismatch: query {q.nvars}, module 4"
+    assert memo_counts() == {}
 
 
 def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeypatch):
@@ -668,8 +699,9 @@ def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeyp
 
 
 def test_backends_reject_every_monomial_below_the_generator_degree(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
-    # the degree test decides these queries before either backend; each
-    # backend, called directly, must reach the same verdict on its own
+    # the degree test decides these queries before either backend; `_verdict`
+    # under each backend choice (the m^D decision on an m^D module), asked
+    # directly, must reach the same verdict on its own
     checked = 0
     for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
         box = range(-1, 2) if T.n > 4 else range(-2, 3)
@@ -909,8 +941,8 @@ def test_deep_queries_match_a_basis_cleared_at_their_own_depth(T_monotone, T_p12
 
 def _exact_slice_verdict(q, km):
     """Membership by fresh exact graded slices of every component of the
-    cleared query, outside the memo: the path the m^D shortcut skips."""
-    gens, cleared_gens, floor = _cleared_generators(km)
+    cleared query, outside the memo: the path the m^D decision skips."""
+    gens, cleared_gens, floor, _ = _cleared_generators(km)
     cleared = _cleared(q, floor, km.subspace)
     return cleared is not None and not any(
         _GradedSlice(gens, cleared_gens, degree, km.subspace.dim, False).residual(component.terms)[0]
@@ -920,17 +952,20 @@ def _exact_slice_verdict(q, km):
 
 def test_m_d_shortcut_matches_the_exact_slices(T_monotone, T_p12, T_cp2, T_cp3, T_cube, monkeypatch):
     # every conftest K/K0 module at W = 2 and 4, the cube's K0 at W = 4 (m^38
-    # at window 6) among them: on an m^D module the untracked brute verdict
-    # skips every component of degree >= D, and must still be the verdict of
-    # exact slices, of the tracked (certificate) pass and of the Groebner
-    # backend, on seeded monomials and on polynomials mixing a component
-    # below D with ones at or above it.  Under `both` the rank test runs once
-    # per module, and `buchberger` runs only on a module that is not m^D.
+    # at window 6) among them: on an m^D module the verdict without a
+    # certificate is the degree comparison of `_verdict`, and neither backend
+    # runs; on every module the verdict must still be that of exact slices,
+    # of the tracked (certificate) pass, of each backend and of a zero
+    # `normal_form` under a full `buchberger` of the same cleared
+    # generators, on seeded monomials and on polynomials with Fraction
+    # coefficients mixing a component below D with ones at or above it.  The
+    # rank test runs once per module, in the cleared-generator build, and a
+    # basis is built only on a module that is not m^D.
     import toricspec.laurent as laurent_mod
     from toricspec.memo import _MEMO
 
     tested, handed = [], []
-    rank_test, build = laurent_mod.maximal_ideal_power, laurent_mod.buchberger
+    rank_test, build = laurent_mod.maximal_ideal_power, laurent_mod.groebner_divisors
 
     def counted(gens):
         tested.append(gens)
@@ -941,10 +976,10 @@ def test_m_d_shortcut_matches_the_exact_slices(T_monotone, T_p12, T_cp2, T_cp3, 
         return build(gens)
 
     monkeypatch.setattr(laurent_mod, "maximal_ideal_power", counted)
-    monkeypatch.setattr(laurent_mod, "buchberger", recorded)
+    monkeypatch.setattr(laurent_mod, "groebner_divisors", recorded)
     rng = random.Random(37)
     clear_caches()
-    modules = powers = shortcuts = mixed = 0
+    modules = powers = shortcuts = mixed = cleared_fractions = 0
     verdicts = set()
     for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
         for maker in (kernel_K, kernel_K0):
@@ -957,39 +992,56 @@ def test_m_d_shortcut_matches_the_exact_slices(T_monotone, T_p12, T_cp2, T_cp3, 
                 # below the least generator degree, so below D once cleared
                 low = [tuple(x - (i == j) * rng.randint(1, 3) for i, x in enumerate(gens[0])) for j in range(T.n)]
                 relation = Poly.linear_form(annihilator(km.subspace)[0])
+
+                def fraction():
+                    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((2, 3, 5, 7)))
+
                 queries = [U(*(rng.randint(-3, 4) for _ in range(T.n))) for _ in range(4)]
                 queries += [U(*(x + rng.randint(0, 2) for x in rng.choice(gens))) for _ in range(4)]
                 queries += [U(*rng.choice(gens)) + U(*rng.choice(low)) * Fraction(rng.randint(1, 3), 2),
                             U(*rng.choice(gens)) * 3 + relation * U(*rng.choice(low)),
-                            U(*rng.choice(gens)) - U(*(x + 1 for x in rng.choice(gens))) + relation]
+                            U(*rng.choice(gens)) - U(*(x + 1 for x in rng.choice(gens))) + relation,
+                            U(*rng.choice(gens)) * fraction() + U(*(x + 2 for x in rng.choice(gens))) * fraction(),
+                            (U(*rng.choice(gens)) * fraction() + U(*rng.choice(low)) * fraction()
+                             + U(*(x + 1 for x in rng.choice(gens))) * fraction())]
                 tested.clear()
                 handed.clear()
                 for q in queries:
                     membership(q, km, "both")
-                power = maximal_power(decided)
+                _, cleared_gens, floor, power = _cleared_generators(decided)
                 assert len(tested) == 1 and len(handed) == (power is None)
-                cleared_gens = _cleared_generators(decided)[1]
                 assert tested[0] is cleared_gens and all(gens is cleared_gens for gens in handed)
                 assert power == rank_test(cleared_gens)
+                full = buchberger(cleared_gens)
                 for q in queries:
                     want = _exact_slice_verdict(q, decided)
                     assert _verdict(q, decided, "brute")[0] == want, (T.n, maker, window, q)
                     assert _verdict(q, decided, "brute", want_certificate=True)[0] == want
                     assert _verdict(q, decided, "groebner")[0] == want
                     verdicts.add(want)
-                    cleared = _cleared(q, _cleared_generators(decided)[2], decided.subspace)
-                    degrees = [] if cleared is None else list(cleared.homogeneous_components())
-                    if power and degrees and max(degrees) >= power[0].total_degree():
-                        shortcuts += 1
-                        mixed += min(degrees) < power[0].total_degree()
+                    cleared = _cleared(q, floor, decided.subspace)
+                    if cleared is None:
+                        assert not want
+                        continue
+                    # one clearing: the restriction comes back in integers
+                    assert all(type(c) is int for c in cleared.terms.values())
+                    cleared_fractions += any(type(c) is not int for c in q.terms.values())
+                    assert normal_form(cleared, full).is_zero() == want
+                    degrees = list(cleared.homogeneous_components())
+                    if power is not None:
+                        assert want == (min(degrees, default=power) >= power)
+                        if degrees and max(degrees) >= power:
+                            shortcuts += 1
+                            mixed += min(degrees) < power
                 assert len(tested) == 1
                 untracked = [key for kind, key in _MEMO if kind == "graded_slice" and key[0] is decided and not key[2]]
-                if power is None:
-                    # the square's K ring and the other modules that are no m^D build slices as before
-                    assert untracked
+                # an m^D module builds no untracked slice and no basis; the
+                # square's K ring and the other modules that are no m^D do
+                assert bool(untracked) == (("groebner", decided) in _MEMO) == (power is None)
                 modules += 1
                 powers += power is not None
     assert modules == 16 and powers == 10 and shortcuts >= 60 and mixed >= 10 and verdicts == {True, False}
+    assert cleared_fractions >= 30
 
 
 def _slice_queries(T):
@@ -1107,6 +1159,10 @@ def _combination(rng, vecs):
 
 @pytest.mark.parametrize("rational", [False, True])
 def test_fraction_free_span_matches_fraction_span(rational):
+    # the span of the cleared columns against the Fraction span of the
+    # columns as drawn, on the cleared and the drawn queries: the
+    # fraction-free span takes integer vectors, and scaling changes no span
+    # membership
     rng = random.Random(53 + rational)
     verdicts = set()
     for trial in range(150):
@@ -1114,10 +1170,11 @@ def test_fraction_free_span_matches_fraction_span(rational):
         # repeats and combinations of earlier columns do not grow the span
         columns += [_combination(rng, columns) for _ in range(rng.randint(0, 3))]
         rng.shuffle(columns)
+        cleared = [_integral(col)[0] for col in columns]
         for track in (False, True):
             span, ref = _Span(track), _FractionSpan(track)
             for i, col in enumerate(columns):
-                assert span.add(col, i) == ref.add(col, i)
+                assert span.add(cleared[i], i) == ref.add(col, i)
             assert len(span.pivots) == len(ref.pivots)
             for lead, (vec, p, labels) in span.pivots.items():
                 assert all(type(c) is int for c in vec.values())
@@ -1127,20 +1184,20 @@ def test_fraction_free_span_matches_fraction_span(rational):
                     assert all(type(c) is int for c in labels.values())
                     rebuilt = {}
                     for lab, c in labels.items():
-                        ref._axpy(rebuilt, c, columns[lab])
+                        ref._axpy(rebuilt, c, cleared[lab])
                     assert rebuilt == vec
             queries = [_combination(rng, columns) for _ in range(3)] + [_rand_vec(rng, rational) for _ in range(3)]
             for q in queries:
-                residual, scale, combo = span.reduce(q, 1, {} if track else None)
+                residual, scale, combo = span.reduce(_integral(q)[0], 1, {} if track else None)
                 member = not ref.reduce(q)
                 assert (not residual) == member
                 verdicts.add(member)
                 if track and member:
-                    # combo / scale rebuilds the query exactly
+                    # combo / scale rebuilds the cleared query exactly
                     rebuilt = {}
                     for lab, c in combo.items():
-                        ref._axpy(rebuilt, Fraction(c, scale), columns[lab])
-                    assert rebuilt == {e: c for e, c in q.items() if c}
+                        ref._axpy(rebuilt, Fraction(c, scale), cleared[lab])
+                    assert rebuilt == {e: c for e, c in _integral(q)[0].items() if c}
     assert verdicts == {True, False}
 
 

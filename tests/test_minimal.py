@@ -136,9 +136,10 @@ def test_least_positive_degree_matches_the_full_scan(T_monotone, T_p12, T_cp2, T
 
 def test_polynomial_part_degree_test_builds_no_basis(T_monotone):
     # below the least positive-part degree (2 here) a monomial is decided
-    # without a basis under the part's key; a basis built afterwards agrees
+    # without cleared generators under the part's key, so with no m^D test
+    # and no basis; the verdicts that build them afterwards agree
     part = replace(kernel_K0(T_monotone, H, 2), module=PolynomialPart(T_monotone, H, 2))
-    keys = [("groebner", at_window(part, w)) for w in (2, 4)]
+    keys = [("cleared_generators", at_window(part, w)) for w in (2, 4)]
     below = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
     clear_caches()
     for q in below:
@@ -448,14 +449,18 @@ def test_a_bound_run_builds_one_decision_module_per_kernel_module(T_cube, monkey
 
 def test_witness_search_builds_one_basis_per_window(T_monotone):
     # the search asks the level module at translated monomials, and every
-    # query is cleared at the generator floor: one Groebner basis, at the
-    # window W + 2 that membership decides at, whatever the shift and the depth
+    # query is cleared at the generator floor: one cleared-generator build,
+    # with its m^D test, at the window W + 2 that membership decides at,
+    # whatever the shift and the depth; the module is m^D, so no Groebner
+    # basis is built at any window
     km = kernel_K0(T_monotone, Fraction(3), 2)
     clear_caches()
     w = find_minimal_degree_element(T_monotone, Fraction(3))
     assert isinstance(w, MinimalDegreeWitness)
-    windows = [key.module.window for kind, key in _MEMO if kind == "groebner" and at_window(key, 2) == km]
-    assert sorted(windows) == [4]
+    decided = [key for kind, key in _MEMO if kind == "cleared_generators" and at_window(key, 2) == km]
+    assert [key.module.window for key in decided] == [4]
+    assert _cleared_generators(decided[0])[3] is not None
+    assert not any(kind == "groebner" and at_window(key, 2) == km for kind, key in _MEMO)
 
 
 def test_degree_floor_exhaustive_square(T_monotone):

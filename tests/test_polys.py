@@ -326,7 +326,7 @@ def test_rank_mod_p_on_cleared_blocks(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
                 km = maker(T, Fraction(1, 2), window)
                 if km.subspace.is_zero_ring():
                     continue
-                _, cleared, _ = _cleared_generators(km)
+                cleared = _cleared_generators(km)[1]
                 least = min(g.total_degree() for g in cleared)
                 monomials = list(monomials_of_degree(km.subspace.dim, least))
                 rows = [[g.terms.get(e, 0) for e in monomials] for g in cleared if g.total_degree() == least]
@@ -346,7 +346,7 @@ def test_rank_mod_p_on_the_cube_slices(T_cube):
     # every generator times every monomial of the missing degree, rank mod p
     # against the span's pivot count
     km = kernel_K0(T_cube, Fraction(1, 2), 6)
-    _, cleared, _ = _cleared_generators(km)
+    cleared = _cleared_generators(km)[1]
     for degree in (38, 39, 40):
         monomials = list(monomials_of_degree(2, degree))
         columns = [g.term_mul(a) for g in cleared for a in monomials_of_degree(2, degree - g.total_degree())]
