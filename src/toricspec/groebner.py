@@ -24,8 +24,9 @@ relation ideal enters, and none needs saturating.
 Many of those ideals are powers m^D of the maximal ideal: homogeneous
 generators of least degree D whose degree-D parts span all C(D+k-1, k-1)
 monomials of degree D in k variables.  `maximal_ideal_power` is the one test
-for that, by the rank of the degree-D generators over GF(p)
-(`polys.rank_mod_p`); it returns D.  A monomial ideal contains a polynomial
+for that, by the rank over GF(p) (`polys.rank_mod_p`) of the degree-D block,
+which it takes as an iterable and pulls from only until the rank is full;
+it returns D.  A monomial ideal contains a polynomial
 exactly when it contains each of its terms, so membership in m^D is a degree
 comparison, which the membership algebra makes itself (`laurent._verdict`)
 and hands no m^D module to `buchberger`.
@@ -42,7 +43,8 @@ by them with `_reduce`; `buchberger` is the same basis made monic.
 
 import heapq
 from fractions import Fraction
-from math import comb, gcd
+from itertools import chain
+from math import gcd
 from operator import add, ge, sub
 
 from toricspec.lattice import common_denominator
@@ -245,34 +247,31 @@ def _s_poly(d1, d2, l):
     return out
 
 
-def maximal_ideal_power(gens):
-    """D when `gens` are homogeneous with least degree D and their degree-D
-    elements have full rank mod p, which proves that they generate m^D; else
-    None.  The count of degree-D generators is checked before the scan of
-    every term for homogeneity, since most inputs that are no m^D have too
-    few; when some generator is not homogeneous, the count read off first
-    terms may be wrong, but the answer is None either way."""
-    gens = [g for g in gens if g.terms]
-    if not gens or not gens[0].nvars:
+def maximal_ideal_power(block):
+    """D when `block`, an iterable of nonzero homogeneous polynomials of one
+    degree D in k >= 1 variables, has full rank mod p, which proves that it
+    spans the C(D+k-1, k-1) monomials of degree D and so generates m^D; else
+    None.  The polynomials are pulled one at a time as the rank needs rows,
+    and none is pulled past full rank; a term of another degree than the
+    first polynomial's ends the scan short of full rank, with None."""
+    block = iter(block)
+    first = next(block, None)
+    if first is None or not first.terms or not first.nvars:
         return None
-    degrees = [sum(next(iter(g.terms))) for g in gens]
-    k, low = gens[0].nvars, min(degrees)
-    least = [g for g, d in zip(gens, degrees) if d == low]
-    if len(least) < comb(low + k - 1, k - 1):
-        return None
-    if any(sum(e) != d for g, d in zip(gens, degrees) for e in g.terms):
-        return None
-    monomials = list(monomials_of_degree(k, low))
+    degree = first.total_degree()
+    monomials = list(monomials_of_degree(first.nvars, degree))
     column = {e: j for j, e in enumerate(monomials)}
 
     def rows():
-        for g in least:
+        for g in chain((first,), block):
             row = [0] * len(monomials)
             for e, c in _integral(g.terms)[0].items():
+                if sum(e) != degree:
+                    return
                 row[column[e]] = c
             yield row
 
-    return low if rank_mod_p(rows(), len(monomials)) == len(monomials) else None
+    return degree if rank_mod_p(rows(), len(monomials)) == len(monomials) else None
 
 
 def buchberger(gens):

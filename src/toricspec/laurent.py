@@ -27,19 +27,24 @@ One function, `_verdict`, decides: on a zero ring every query is a member;
 otherwise generators and query are cleared and restricted once (past
 QUERY_LIMIT monomials of a cleared degree -> Inconclusive), the query to
 integer coefficients.  Where the cleared generators generate m^D, D their
-least degree (one rank mod p per kernel module, in the cleared-generator
-build), the verdict is a degree comparison, since a monomial ideal holds a
-polynomial exactly when it holds each term; any other module, and every
-certificate, goes to the chosen backend, or to both, which must agree (a
-disagreement raises).  `membership` first decides a monomial query below the
-least generator degree a non-member in integers alone;
-`membership_certified` asks the brute backend for its integer relation.
+least degree, the verdict is a degree comparison, since a monomial ideal
+holds a polynomial exactly when it holds each term.  That fact is read, once
+per kernel module in the cleared-generator build, off the generators of
+least degree alone: one rank mod p, restricting them only as it needs rows.
+There a monomial query is decided from integer exponent sums and nothing is
+restricted, since its restriction is a product of powers of linear forms.
+Any other module, and every certificate, goes to the chosen backend, or to
+both, which must agree (a disagreement raises).  `membership` first decides
+a monomial query below the least generator degree a non-member in integers
+alone; `membership_certified` asks the brute backend for its integer
+relation.
 
 A monomial ideal of Q[u] is the monomial module whose generators have no
 negative exponents: it is cleared at floor 0 and restricted by the same map,
 so its membership takes the same path.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import ceil, comb, gcd, lcm
 from operator import add, ge
@@ -327,23 +332,48 @@ def _check_query_limit(what, degree, k):
         raise InconclusiveError(f"{what} degree {degree} has more than {QUERY_LIMIT} monomials in {k} coordinates")
 
 
+def _restrictions(gens, made, floor, subspace: LinearSubspace):
+    """The restrictions prod l_i^(g_i + T_i) of `gens` in order: those already
+    in the list `made`, then each one made as it is reached and appended."""
+    for n, g in enumerate(gens):
+        if n == len(made):
+            made.append(subspace.form_product(tuple(map(add, g, floor))))
+        yield made[n]
+
+
 def _cleared_generators(km: KernelModule):
-    """The minimal generators g of the module at its window (every other
-    generator is a u-multiple of one), their restrictions prod l_i^(g_i + T_i)
-    in the same order, the generator floor T: the least exponents with
-    g + T >= 0 for every generator g, which the minimal generators attain,
-    and D when the restrictions generate m^D, D their least degree, else None
-    (the one rank mod p of `groebner.maximal_ideal_power`; a full rank mod p
-    is full over Q, so the fact is exact).  Built once per kernel module; a
-    largest cleared degree past QUERY_LIMIT raises before any generator is
-    restricted."""
+    """(gens, made, T, D) for the module at its window, built once per kernel
+    module.  T, the generator floor, is the componentwise minimum: the least
+    exponents with g + T >= 0 for every generator g.  The generators are
+    sorted by degree, so those of least degree are a prefix, all minimal;
+    their cleared degree D is checked against QUERY_LIMIT before anything is
+    restricted.  Their restrictions prod l_i^(g_i + T_i) generate m^D when
+    they span the degree-D monomials, which `groebner.maximal_ideal_power`
+    decides by a rank mod p (full mod p is full over Q), restricting one
+    generator per row it pulls.  On m^D, gens are the least-degree
+    generators and `made` the restrictions made so far (`_restrictions`
+    makes the rest on demand).  Otherwise D is None, gens are the minimal
+    generators (every other generator is a u-multiple of one), their largest
+    cleared degree is checked against QUERY_LIMIT, and `made` holds every
+    restriction, the rank test's reused."""
 
     def build():
-        gens = _minimal_monomials(km.module.generators())
-        floor = tuple(max(0, -min((g[i] for g in gens), default=0)) for i in range(km.module.toric.n))
-        _check_query_limit("cleared generator", max(map(sum, gens), default=0) + sum(floor), km.subspace.dim)
-        cleared = [km.subspace.form_product(tuple(map(add, g, floor))) for g in gens]
-        return gens, cleared, floor, maximal_ideal_power(cleared)
+        module, subspace = km.module, km.subspace
+        every = module.generators()
+        if not every:
+            return every, [], (0,) * module.toric.n, None
+        floor = tuple(max(0, -min(column)) for column in zip(*every))
+        least = every[:bisect_right(every, sum(every[0]), key=sum)]
+        degree, k = sum(least[0]) + sum(floor), subspace.dim
+        _check_query_limit("cleared generator", degree, k)
+        made = []
+        if len(least) >= comb(degree + k - 1, k - 1):
+            power = maximal_ideal_power(_restrictions(least, made, floor, subspace))
+            if power is not None:
+                return least, made, floor, power
+        gens = _minimal_monomials(every)
+        _check_query_limit("cleared generator", sum(gens[-1]) + sum(floor), k)
+        return gens, list(_restrictions(gens, made, floor, subspace)), floor, None
 
     return memo("cleared_generators", km, build)
 
@@ -511,13 +541,22 @@ class _GradedSlice:
     cleared generators g and every monomial w^a of degree D - deg(g) >= 0,
     pulled into the span lazily and kept for later queries."""
 
-    def __init__(self, gens, cleared, degree, k, track):
+    def __init__(self, gens, restrictions, degree, k, track):
         self.span = _Span(track)
-        self.columns = (
-            ((g, mono), rg.term_mul(mono))
-            for g, rg in zip(gens, cleared)
-            for mono in monomials_of_degree(k, degree - rg.total_degree())
-        )
+        self.columns = self._columns(gens, restrictions, degree, k)
+
+    @staticmethod
+    def _columns(gens, restrictions, degree, k):
+        """(label, column) pairs in generator order; a restriction is pulled
+        from the iterable `restrictions` only when its columns are reached,
+        and the first one above `degree` ends them, the generators being
+        sorted by degree."""
+        for g, rg in zip(gens, restrictions):
+            rest = degree - rg.total_degree()
+            if rest < 0:
+                return
+            for mono in monomials_of_degree(k, rest):
+                yield (g, mono), rg.term_mul(mono)
 
     def residual(self, vec):
         """`vec` reduced against the span, pulling columns while it is nonzero:
@@ -541,14 +580,18 @@ def _brute_member(cleared: Poly, km: KernelModule, want_certificate=False):
 
     Returns (verdict, certificate); a member's certificate, on request, is
     one integer relation (scale, {(g, a): c}): scale * cleared = sum c *
-    (u^(g + T))|_V * w^a over minimal generators g, with `cleared` the
+    (u^(g + T))|_V * w^a over the generators g of the cleared-generator
+    entry (on an m^D module those of least degree, whose multiples span
+    every degree from D up; below D a slice is empty), with `cleared` the
     integer cleared query restriction of `_cleared`, merged from the
     components over the lcm of their scales (a label fixes its degree)."""
-    gens, cleared_gens = _cleared_generators(km)[:2]
+    gens, made, floor, _ = _cleared_generators(km)
+    subspace = km.subspace
     parts = []
     for degree, component in cleared.homogeneous_components().items():
         graded = memo("graded_slice", (km, degree, want_certificate),
-                      lambda: _GradedSlice(gens, cleared_gens, degree, km.subspace.dim, want_certificate))
+                      lambda: _GradedSlice(gens, _restrictions(gens, made, floor, subspace), degree,
+                                           subspace.dim, want_certificate))
         residual, scale, combo = graded.residual(component.terms)
         if residual:
             return False, None
@@ -562,7 +605,8 @@ def _brute_member(cleared: Poly, km: KernelModule, want_certificate=False):
 def verify_certificate(q, km: KernelModule, certificate) -> bool:
     """Check a brute-backend certificate in integers at the window W + 2 that
     membership decides at: scale is a positive int, each label g is a
-    u-multiple of a generator (g need not be minimal) and a a monomial in w,
+    u-multiple of a window generator (g need not be minimal, nor of the
+    least degree) and a a monomial in w,
     and the relation holds against the integer cleared query restriction of
     `_cleared`, with each (u^(g + T))|_V built anew once."""
     _check_query(q, km)
@@ -573,7 +617,8 @@ def verify_certificate(q, km: KernelModule, certificate) -> bool:
         return True
     km = decision_module(km)
     subspace = km.subspace
-    gens, _, floor, _ = _cleared_generators(km)
+    floor = _cleared_generators(km)[2]
+    gens = km.module.generators()
     cleared = _cleared(q, floor, subspace)
     if cleared is None or not all(
         len(g) == len(floor) and any(all(map(ge, g, m)) for m in gens) and len(a) == subspace.dim and min(a) >= 0
@@ -609,16 +654,34 @@ def _below_generator_degree(q: Poly, km: KernelModule) -> bool:
             and sum(next(iter(q.terms))) < sum(gens[0]))
 
 
+def _monomial_verdict(e, floor, power, subspace: LinearSubspace) -> bool:
+    """Is u^e in the m^D module, D = `power`, of generator floor T?  The
+    restriction of u^(e + T) is a scalar times prod_j L_j^(s_j), s_j the
+    group sums of e + T over the restriction directions L_j
+    (`restriction_class_key`), which are pairwise non-proportional linear
+    forms.  By unique factorization it is a polynomial, so `_cleared`'s exact
+    division succeeds, exactly when every s_j >= 0, and then it is
+    homogeneous of degree |e| + |T|.  The QUERY_LIMIT check is `_cleared`'s."""
+    depth = sum(max(t, -m) for t, m in zip(floor, e))
+    _check_query_limit("cleared query", max(sum(e) + depth, 0), subspace.dim)
+    return (min(restriction_class_key(subspace, map(add, e, floor))) >= 0
+            and sum(e) + sum(floor) >= power)
+
+
 def _verdict(q, km: KernelModule, backend, want_certificate=False):
     """The verdict at the module's window, as (verdict, certificate); the
     query is cleared and restricted once.  On an m^D module the verdict
     without a certificate is whether every term of the cleared query has
-    degree at least D; otherwise it is the chosen backend's, or both's, which
+    degree at least D, which for a monomial `_monomial_verdict` reads off its
+    exponents, restricting nothing (a polynomial's terms can cancel, so it
+    is restricted); otherwise it is the chosen backend's, or both's, which
     must agree.  A certificate, on request, comes from the brute backend as
     in `_brute_member`; on the zero ring (1, {}) certifies every q."""
     if km.ring == ZERO_RING:
         return True, ((1, {}) if want_certificate else None)
     _, _, floor, power = _cleared_generators(km)
+    if power is not None and not want_certificate and len(q.terms) == 1:
+        return _monomial_verdict(next(iter(q.terms)), floor, power, km.subspace), None
     cleared = _cleared(q, floor, km.subspace)
     if cleared is None:
         return False, None

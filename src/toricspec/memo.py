@@ -5,8 +5,9 @@ Everything derived from fixed inputs alone is built once and kept here under
 reduction data of each polytope and its vertex minors, each kernel module,
 each module's generators and their report lines, and everything membership
 derives from a kernel module at its decision window, which is built once and
-is the key (cleared minimal generators, whether they generate m^D, graded
-slice spans, Groebner data).
+is the key (whether the cleared generators generate m^D, with the least-degree
+generators there and the minimal ones elsewhere, and their restrictions;
+graded slice spans; Groebner data).
 This module imports nothing from the package, so every layer can use it.
 
 The keys are file text or `Value`s, alone or in tuples with plain values.  A

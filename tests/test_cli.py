@@ -777,8 +777,9 @@ def test_query_over_the_limit_exits_2_at_once():
 
 
 def test_cleared_generators_over_the_limit_exit_2_at_once():
-    # the K ring of hexagon x CP^1 has k = 5 coordinates, and its minimal
-    # generators at the decision window clear to degree 50: C(54, 4) monomials
+    # the K ring of hexagon x CP^1 has k = 5 coordinates, and its generators
+    # of least degree at the decision window clear to degree 49: C(53, 4)
+    # monomials, refused before the largest degree is read
     started = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "toricspec.cli", "kernel", str(CORPUS / "hexagonxcp1.poly"), "--ring", "K",
@@ -789,7 +790,7 @@ def test_cleared_generators_over_the_limit_exit_2_at_once():
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "" and "Traceback" not in proc.stdout
     assert machine_dict(proc.stdout)["error"] == (
-        "inconclusive: cleared generator degree 50 has more than 100000 monomials in 5 coordinates"
+        "inconclusive: cleared generator degree 49 has more than 100000 monomials in 5 coordinates"
     )
 
 

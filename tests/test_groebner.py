@@ -20,6 +20,7 @@ from toricspec.laurent import (
     LinearSubspace,
     _cleared_generators,
     _groebner_member,
+    _minimal_monomials,
     _verdict,
     kernel_K,
     kernel_K0,
@@ -394,8 +395,9 @@ def test_normal_form_matches_sympy_reduced(T_monotone, T_p12, T_cp2, T_cp3, T_cu
 def test_maximal_ideal_power_matches_sympy():
     # seeded homogeneous blocks in 2 and 3 variables with more generators of
     # the least degree than monomials of that degree, some with generators
-    # of the next degree as well: the m^D test returns their least degree,
-    # and sympy's basis is the monomials of that degree
+    # of the next degree as well: the m^D test of the least-degree block
+    # returns its degree, and sympy's basis of all of them is the monomials
+    # of that degree
     sympy = pytest.importorskip("sympy")
     rng = random.Random(67)
     for _ in range(30):
@@ -408,7 +410,7 @@ def test_maximal_ideal_power_matches_sympy():
         gens += [Poly(n, {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for e in rng.sample(above, 2)})
                  for _ in range(rng.randint(0, 2))]
         gens = [g for g in gens if g]
-        assert maximal_ideal_power(gens) == degree
+        assert maximal_ideal_power(g for g in gens if g.total_degree() == degree) == degree
         assert buchberger(gens) == _sympy_basis(sympy, gens, n) == [Poly.monomial(e) for e in sorted(monomials)]
 
 
@@ -426,17 +428,27 @@ def test_bad_prime_takes_the_unchanged_path():
 def test_other_inputs_take_the_unchanged_path():
     x2, xy, y2 = (P(2, {e: 1}) for e in ((2, 0), (1, 1), (0, 2)))
     cube = P(2, {(3, 0): 1, (0, 3): -1})
+    # (generators, their block of least degree); a term of another degree
+    # ends the rank test short of full rank
     cases = (
-        [P(2, {(2, 0): 1, (0, 1): -1}), xy, y2],  # not homogeneous
-        [x2, y2, cube, xy * Poly.linear_form((1, 1))],  # 2 generators of degree 2, 3 monomials
-        [x2, x2 * Fraction(3, 2), y2, cube],  # 3 generators of degree 2, rank 2
+        ([P(2, {(2, 0): 1, (0, 1): -1}), xy, y2], 3),  # not homogeneous
+        ([xy, y2, P(2, {(2, 0): 1, (0, 1): -1})], 3),  # the same, the odd term last
+        ([x2, y2, cube, xy * Poly.linear_form((1, 1))], 2),  # 2 generators of degree 2, 3 monomials
+        ([x2, x2 * Fraction(3, 2), y2, cube], 3),  # 3 generators of degree 2, rank 2
     )
-    for gens in cases:
-        assert maximal_ideal_power(gens) is None
+    for gens, least in cases:
+        assert maximal_ideal_power(gens[:least]) is None
         assert buchberger(gens) == _reference_buchberger(gens)
-    # the test ignores zero generators and any above the least degree
-    assert maximal_ideal_power([Poly.zero(2), cube, y2, x2 + xy, xy]) == 2
-    assert maximal_ideal_power([Poly.zero(2)]) is None
+    # the block is pulled as the rank needs rows, none past full rank
+    pulled = []
+
+    def block():
+        for g in (y2, x2 + xy, xy, cube):
+            pulled.append(g)
+            yield g
+
+    assert maximal_ideal_power(block()) == 2 and pulled == [y2, x2 + xy, xy]
+    assert maximal_ideal_power([]) is None and maximal_ideal_power([Poly.zero(2)]) is None
 
 
 def test_zero_basis_elements_divide_nothing():
@@ -530,13 +542,17 @@ def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3
                 gens = km.module.generators()
                 floor = tuple(max(0, -min(g[i] for g in gens)) for i in range(T.n))
                 if not sub.is_zero_ring():
-                    _, cleared, cleared_floor, power = _cleared_generators(km)
+                    _, _, cleared_floor, power = _cleared_generators(km)
                     assert cleared_floor == floor
+                    # the restrictions of every minimal generator, built here
+                    cleared = [sub.form_product(tuple(a + t for a, t in zip(g, floor)))
+                               for g in _minimal_monomials(gens)]
                     reference = _reference_buchberger(cleared)
                     assert buchberger(cleared) == reference
                     assert _groebner_member(Poly.zero(sub.dim), km)
                     assert [_monic(d) for d in _MEMO["groebner", km]] == reference
-                    assert power == maximal_ideal_power(cleared)
+                    least = min(g.total_degree() for g in cleared)
+                    assert power == maximal_ideal_power(g for g in cleared if g.total_degree() == least)
                     if power is not None:
                         exits.append((T.n, window, len(cleared), len(reference)))
                 if window == 6:

@@ -19,6 +19,7 @@ from toricspec.laurent import (
     novikov_shift,
     restrict,
     restriction_class_key,
+    restriction_groups,
     verify_certificate,
     _below_generator_degree,
     _cleared,
@@ -537,7 +538,7 @@ def test_query_over_the_limit_raises_before_restricting(T_monotone, T_cube, monk
     assert membership(q, cube) == membership(q, cube, "brute")
 
 
-def test_cleared_generators_over_the_limit_raise_before_restricting(T_cube, monkeypatch):
+def test_cleared_generators_over_the_limit_raise_before_restricting(T_cube, T_p12, monkeypatch):
     import toricspec.laurent as laurent_mod
     from toricspec.memo import _MEMO
 
@@ -547,13 +548,14 @@ def test_cleared_generators_over_the_limit_raise_before_restricting(T_cube, monk
     def restricted(self, exps):
         raise AssertionError("a generator was restricted")
 
-    # the limit counts C(D + k - 1, k - 1) at the largest cleared degree D of
-    # the minimal generators at the decision window: the cube's K subspace has
-    # k = 3 coordinates; a generator of the least degree is the query
+    # the limit counts C(D + k - 1, k - 1) at the cleared degree D of the
+    # generators of least degree at the decision window, read before anything
+    # is restricted: the cube's K subspace has k = 3 coordinates; a generator
+    # of the least degree is the query
     km = kernel_K(T_cube, H, 2)
-    gens = _minimal_monomials(decision_module(km).module.generators())
+    gens = decision_module(km).module.generators()
     floor = tuple(max(0, -min(g[i] for g in gens)) for i in range(T_cube.n))
-    degree = max(sum(g) for g in gens) + sum(floor)
+    degree = sum(gens[0]) + sum(floor)
     count = comb(degree + 2, 2)
     q = U(*gens[0])
     hexagonxcp1 = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "hexagonxcp1.poly"
@@ -573,12 +575,26 @@ def test_cleared_generators_over_the_limit_raise_before_restricting(T_cube, monk
         with monkeypatch.context() as patch:
             patch.setattr(laurent_mod, "QUERY_LIMIT", count)
             assert membership(q, km) and membership_certified(q, km)[0]
-        # the K ring of hexagon x CP^1 (k = 5) clears to degree 50 at the
-        # decision window, C(54, 4) = 316,251 monomials: refused at once
+        # the K ring of the square with offsets (1/2, 1/2, 1, 1) (k = 2) is no
+        # m^D: 2 generators of least cleared degree 8, too few for the 9
+        # monomials of that degree, so none is restricted for the rank test,
+        # and its minimal generators reach degree 14, 15 monomials: with the
+        # limit at 14 the largest degree is refused, still before any
+        # generator is restricted
+        p12 = kernel_K(T_p12, H, 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(laurent_mod, "QUERY_LIMIT", 14)
+            patch.setattr(LinearSubspace, "form_product", restricted)
+            with pytest.raises(laurent_mod.InconclusiveError) as exc:
+                membership(U(*(x + 1 for x in decision_module(p12).module.generators()[0])), p12)
+            assert str(exc.value) == "cleared generator degree 14 has more than 14 monomials in 2 coordinates"
+        # the K ring of hexagon x CP^1 (k = 5) clears its generators of least
+        # degree to 49 at the decision window, C(53, 4) = 292,825 monomials:
+        # refused at once
         big = kernel_K(toric_data(parse_polytope(hexagonxcp1.read_text())), H, 2)
         with pytest.raises(laurent_mod.InconclusiveError) as exc:
             membership(U(1, *(0,) * 7), big)
-        assert str(exc.value) == "cleared generator degree 50 has more than 100000 monomials in 5 coordinates"
+        assert str(exc.value) == "cleared generator degree 49 has more than 100000 monomials in 5 coordinates"
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -678,9 +694,12 @@ def test_a_query_in_another_variable_count_is_refused(T_monotone):
 
 
 def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeypatch):
-    # both backends read the minimal generators of a module at its window
-    # from its one cleared-generators entry; a query at the generator degree
-    # (2 here) is decided at W + 2 = 4 alone
+    # both backends read the generators of a module at its window from its
+    # one cleared-generators entry; a query at the generator degree (2 here)
+    # is decided at W + 2 = 4 alone.  The cube's K0 module is m^26 there: the
+    # entry holds its 60 generators of least degree, and the minimal ones are
+    # never computed; its K ring is no m^D, and its entry holds the minimal
+    # generators, computed once
     import toricspec.laurent as laurent
 
     built = []
@@ -691,11 +710,17 @@ def test_one_query_builds_the_minimal_generators_once_per_window(T_cube, monkeyp
         return minimal(exps_list)
 
     monkeypatch.setattr(laurent, "_minimal_monomials", counted)
-    km = kernel_K0(T_cube, H, 2)
+    km, ring_k = kernel_K0(T_cube, H, 2), kernel_K(T_cube, H, 2)
     clear_caches()
-    membership(U(1, 1, 0, 0, 0, 0), km, backend="both")
-    assert built == [len(decision_module(km).module.generators())]
-    assert memo_counts()["cleared_generators"][1] == 1
+    for backend in ("groebner", "brute", "both"):
+        membership(U(1, 1, 0, 0, 0, 0), km, backend=backend)
+    gens = decision_module(km).module.generators()
+    least = [g for g in gens if sum(g) == sum(gens[0])]
+    assert built == [] and list(_cleared_generators(decision_module(km))[0]) == least and len(least) == 60
+    for backend in ("groebner", "brute", "both"):
+        membership(U(1, 1, 0, 0, 0, 0), ring_k, backend=backend)
+    assert built == [len(gens)] and _cleared_generators(decision_module(ring_k))[0] == minimal(gens)
+    assert memo_counts()["cleared_generators"][1] == 2
 
 
 def test_backends_reject_every_monomial_below_the_generator_degree(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
@@ -939,10 +964,90 @@ def test_deep_queries_match_a_basis_cleared_at_their_own_depth(T_monotone, T_p12
     assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
 
 
-def _exact_slice_verdict(q, km):
+def test_monomial_verdict_on_an_m_d_module_is_the_cleared_degree(T_monotone, T_p12, T_cp2, T_cp3, T_cube,
+                                                                  monkeypatch):
+    # on every conftest m^D module (K/K0 at W = 2 and 4), a monomial query is
+    # decided from integer exponent sums, with nothing restricted: the
+    # verdict must be "the cleared restriction exists and every term has
+    # degree at least D".  The seeded queries reach below -T (the query is
+    # cleared deeper than the floor) and, on the cube's K0 modules (three
+    # restriction directions), put a negative group sum of e + T beside a
+    # total |e + T| >= D, so the degree alone would answer them wrongly
+    import toricspec.laurent as laurent_mod
+
+    cleared_calls = []
+    clear = laurent_mod._cleared
+
+    def counted(q, floor, subspace):
+        cleared_calls.append(q)
+        return clear(q, floor, subspace)
+
+    rng = random.Random(43)
+    modules = deep = split = 0
+    verdicts = set()
+    for T in (T_monotone, T_p12, T_cp2, T_cp3, T_cube):
+        for maker in (kernel_K, kernel_K0):
+            for window in (2, 4):
+                km = maker(T, H, window)
+                if km.ring == ZERO_RING:
+                    continue
+                decided = decision_module(km)
+                _, _, floor, power = _cleared_generators(decided)
+                if power is None:
+                    continue
+                groups, count = restriction_groups(decided.subspace)
+                queries = [tuple(rng.randint(-t - 3, 4) for t in floor) for _ in range(40)]
+                # e + T with group sums (s_1, .., s_count), one of them
+                # negative, the total at least D
+                for _ in range(20 if count > 1 else 0):
+                    low = rng.randrange(count)
+                    sums = [-rng.randint(1, 3) if j == low else 0 for j in range(count)]
+                    sums[(low + 1) % count] = power + rng.randint(3, 6)
+                    shifted = [0] * T.n
+                    for j, s in enumerate(sums):
+                        members = [i for i in range(T.n) if groups[i] == j]
+                        parts = [rng.randint(-2, 2) for _ in members[1:]]
+                        for i, x in zip(members, [s - sum(parts)] + parts):
+                            shifted[i] = x
+                    queries.append(tuple(x - t for x, t in zip(shifted, floor)))
+                for e in queries:
+                    q = U(*e)
+                    cleared = clear(q, floor, decided.subspace)
+                    want = cleared is not None and all(sum(t) >= power for t in cleared.terms)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(laurent_mod, "_cleared", counted)
+                        for backend in ("groebner", "brute", "both"):
+                            assert _verdict(q, decided, backend) == (want, None), (T.n, maker, window, e)
+                    assert cleared_calls == []
+                    verdicts.add(want)
+                    deep += any(x < -t for x, t in zip(e, floor))
+                    key = restriction_class_key(decided.subspace, tuple(x + t for x, t in zip(e, floor)))
+                    split += min(key) < 0 and sum(key) >= power
+                modules += 1
+    assert modules == 10 and verdicts == {True, False} and deep >= 100 and split >= 40
+
+
+def _reference_cleared(km):
+    """(minimal generators, their cleared restrictions, floor, D) built here,
+    outside the memo, the way the full build did: every minimal generator is
+    restricted, and D is their least cleared degree when the exact rank of
+    that degree's block (the span's pivot count) is the number of monomials
+    of the degree, else None."""
+    gens = _minimal_monomials(km.module.generators())
+    floor = tuple(max(0, -min(column)) for column in zip(*gens))
+    cleared = [km.subspace.form_product(tuple(a + t for a, t in zip(g, floor))) for g in gens]
+    least = min(g.total_degree() for g in cleared)
+    span = _Span()
+    rank = sum(span.add(g.terms) for g in cleared if g.total_degree() == least)
+    full = rank == comb(least + km.subspace.dim - 1, km.subspace.dim - 1)
+    return gens, cleared, floor, least if full else None
+
+
+def _exact_slice_verdict(q, reference, km):
     """Membership by fresh exact graded slices of every component of the
-    cleared query, outside the memo: the path the m^D decision skips."""
-    gens, cleared_gens, floor, _ = _cleared_generators(km)
+    cleared query over every minimal generator, outside the memo: the path
+    the m^D decision skips."""
+    gens, cleared_gens, floor, _ = reference
     cleared = _cleared(q, floor, km.subspace)
     return cleared is not None and not any(
         _GradedSlice(gens, cleared_gens, degree, km.subspace.dim, False).residual(component.terms)[0]
@@ -952,31 +1057,46 @@ def _exact_slice_verdict(q, km):
 
 def test_m_d_shortcut_matches_the_exact_slices(T_monotone, T_p12, T_cp2, T_cp3, T_cube, monkeypatch):
     # every conftest K/K0 module at W = 2 and 4, the cube's K0 at W = 4 (m^38
-    # at window 6) among them: on an m^D module the verdict without a
-    # certificate is the degree comparison of `_verdict`, and neither backend
-    # runs; on every module the verdict must still be that of exact slices,
-    # of the tracked (certificate) pass, of each backend and of a zero
-    # `normal_form` under a full `buchberger` of the same cleared
-    # generators, on seeded monomials and on polynomials with Fraction
-    # coefficients mixing a component below D with ones at or above it.  The
-    # rank test runs once per module, in the cleared-generator build, and a
-    # basis is built only on a module that is not m^D.
+    # at window 6) among them: the cleared-generator build reads the
+    # generators of least degree and restricts them only as the rank test
+    # pulls rows, and its D must be the full build's, over the restrictions
+    # of every minimal generator (`_reference_cleared`); the minimal
+    # generators are computed only on a module that is not m^D.  On an m^D
+    # module the verdict without a certificate is the degree comparison of
+    # `_verdict`, and neither backend runs; on every module the verdict must
+    # still be that of exact slices over every minimal generator, of the
+    # tracked (certificate) pass, of each backend and of a zero `normal_form`
+    # under a full `buchberger` of every cleared minimal generator, on seeded
+    # monomials and on polynomials with Fraction coefficients mixing a
+    # component below D with ones at or above it.  The rank test runs once
+    # per module, in the cleared-generator build, and a basis is built only
+    # on a module that is not m^D.
     import toricspec.laurent as laurent_mod
     from toricspec.memo import _MEMO
 
-    tested, handed = [], []
+    tested, handed, minimal, restricted = [], [], [], []
     rank_test, build = laurent_mod.maximal_ideal_power, laurent_mod.groebner_divisors
+    find_minimal, form_product = laurent_mod._minimal_monomials, LinearSubspace.form_product
 
-    def counted(gens):
-        tested.append(gens)
-        return rank_test(gens)
+    def counted(block):
+        tested.append(block)
+        return rank_test(block)
 
     def recorded(gens):
         handed.append(gens)
         return build(gens)
 
+    def scanned(exps_list):
+        minimal.append(len(exps_list))
+        return find_minimal(exps_list)
+
+    def restricting(self, exps):
+        restricted.append(exps)
+        return form_product(self, exps)
+
     monkeypatch.setattr(laurent_mod, "maximal_ideal_power", counted)
     monkeypatch.setattr(laurent_mod, "groebner_divisors", recorded)
+    monkeypatch.setattr(laurent_mod, "_minimal_monomials", scanned)
     rng = random.Random(37)
     clear_caches()
     modules = powers = shortcuts = mixed = cleared_fractions = 0
@@ -989,6 +1109,7 @@ def test_m_d_shortcut_matches_the_exact_slices(T_monotone, T_p12, T_cp2, T_cp3, 
                     continue
                 decided = decision_module(km)
                 gens = decided.module.generators()
+                reference = _reference_cleared(decided)
                 # below the least generator degree, so below D once cleared
                 low = [tuple(x - (i == j) * rng.randint(1, 3) for i, x in enumerate(gens[0])) for j in range(T.n)]
                 relation = Poly.linear_form(annihilator(km.subspace)[0])
@@ -1006,15 +1127,37 @@ def test_m_d_shortcut_matches_the_exact_slices(T_monotone, T_p12, T_cp2, T_cp3, 
                              + U(*(x + 1 for x in rng.choice(gens))) * fraction())]
                 tested.clear()
                 handed.clear()
+                minimal.clear()
+                monkeypatch.setattr(LinearSubspace, "form_product", restricting)
+                restricted.clear()
+                _cleared_generators(decided)
+                monkeypatch.setattr(LinearSubspace, "form_product", form_product)
                 for q in queries:
                     membership(q, km, "both")
-                _, cleared_gens, floor, power = _cleared_generators(decided)
-                assert len(tested) == 1 and len(handed) == (power is None)
-                assert tested[0] is cleared_gens and all(gens is cleared_gens for gens in handed)
-                assert power == rank_test(cleared_gens)
-                full = buchberger(cleared_gens)
+                entry_gens, made, floor, power = _cleared_generators(decided)
+                assert power == reference[3] and floor == reference[2]
+                # the rank test runs once, when there are enough generators
+                # of least degree for the monomials of their cleared degree
+                least = [g for g in gens if sum(g) == sum(gens[0])]
+                k, degree = decided.subspace.dim, sum(gens[0]) + sum(floor)
+                ran = len(least) >= comb(degree + k - 1, k - 1)
+                assert len(tested) == ran and len(handed) == (power is None)
+                assert minimal == ([] if power is not None else [len(gens)])
+                # each generator restricted in the build is restricted once,
+                # and the entry holds every restriction made
+                assert len(set(restricted)) == len(restricted) == len(made)
+                assert made == [form_product(decided.subspace, tuple(a + t for a, t in zip(g, floor)))
+                                for g in entry_gens[:len(made)]]
+                if power is None:
+                    assert entry_gens == reference[0] and made == reference[1]
+                    assert all(gens is made for gens in handed)
+                else:
+                    assert list(entry_gens) == least and 1 <= len(made) <= len(least)
+                if (T, maker, window) == (T_cube, kernel_K0, 4):
+                    assert len(entry_gens) == 126 and len(made) < 126
+                full = buchberger(reference[1])
                 for q in queries:
-                    want = _exact_slice_verdict(q, decided)
+                    want = _exact_slice_verdict(q, reference, decided)
                     assert _verdict(q, decided, "brute")[0] == want, (T.n, maker, window, q)
                     assert _verdict(q, decided, "brute", want_certificate=True)[0] == want
                     assert _verdict(q, decided, "groebner")[0] == want
@@ -1033,7 +1176,7 @@ def test_m_d_shortcut_matches_the_exact_slices(T_monotone, T_p12, T_cp2, T_cp3, 
                         if degrees and max(degrees) >= power:
                             shortcuts += 1
                             mixed += min(degrees) < power
-                assert len(tested) == 1
+                assert len(tested) == ran
                 untracked = [key for kind, key in _MEMO if kind == "graded_slice" and key[0] is decided and not key[2]]
                 # an m^D module builds no untracked slice and no basis; the
                 # square's K ring and the other modules that are no m^D do
@@ -1042,6 +1185,24 @@ def test_m_d_shortcut_matches_the_exact_slices(T_monotone, T_p12, T_cp2, T_cp3, 
                 powers += power is not None
     assert modules == 16 and powers == 10 and shortcuts >= 60 and mixed >= 10 and verdicts == {True, False}
     assert cleared_fractions >= 30
+    # the pentagon's K0 module is no m^D, but its 24 generators of least
+    # degree are enough for the 20 monomials of that degree: the rank test
+    # runs, and the restrictions it made are reused, so no generator is
+    # restricted twice
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    pentagon = kernel_K0(toric_data(parse_polytope((corpus / "pentagon.poly").read_text())), H, 2)
+    decided = decision_module(pentagon)
+    reference = _reference_cleared(decided)
+    clear_caches()
+    tested.clear()
+    minimal.clear()
+    monkeypatch.setattr(LinearSubspace, "form_product", restricting)
+    restricted.clear()
+    gens, made, floor, power = _cleared_generators(decided)
+    monkeypatch.setattr(LinearSubspace, "form_product", form_product)
+    assert power is None is reference[3] and len(tested) == 1 and minimal == [len(decided.module.generators())]
+    assert (gens, made, floor) == reference[:3] and len(gens) == 50
+    assert sorted(restricted) == sorted(tuple(a + t for a, t in zip(g, floor)) for g in gens)
 
 
 def _slice_queries(T):
@@ -1091,6 +1252,22 @@ def test_certificate_labels_may_be_any_module_monomial(T_monotone):
     zero = (0,) * T_monotone.n
     assert not any(all(a >= b for a, b in zip(zero, h)) for h in gens)
     assert not verify_certificate(Poly.monomial(zero), km, (1, {(zero, one): 1}))
+    # the Hirzebruch surface's K0 module at W = 2 is m^15 at its decision
+    # window 4, whose memo entry lists only the 4 generators of least degree:
+    # a label is checked against every window generator, so a minimal
+    # generator of higher degree still certifies itself
+    path = Path(__file__).resolve().parent.parent / "polytopes" / "hirzebruch_monotone.poly"
+    km = kernel_K0(toric_data(parse_polytope(path.read_text())), H, 2)
+    decided = decision_module(km)
+    gens = decided.module.generators()
+    least, minimal = _cleared_generators(decided)[0], _minimal_monomials(gens)
+    assert len(least) == 4 and len(minimal) == 9
+    g = next(g for g in minimal if g not in least)
+    assert verify_certificate(Poly.monomial(g), km, (1, {(g, (0,)): 1}))
+    low = tuple(x - (i == 0) for i, x in enumerate(least[0]))
+    assert not any(all(a >= b for a, b in zip(low, h)) for h in gens)
+    assert _cleared(Poly.monomial(low), _cleared_generators(decided)[2], decided.subspace) is not None
+    assert not verify_certificate(Poly.monomial(low), km, (1, {(low, (0,)): 1}))
 
 
 # --- the fraction-free span ---------------------------------------------------------

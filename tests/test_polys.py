@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricspec.groebner import normal_form
+from toricspec.groebner import maximal_ideal_power, normal_form
 from toricspec.laurent import _cleared_generators, _Span, kernel_K, kernel_K0
 from toricspec.polys import (
     RANK_PRIME,
@@ -314,6 +314,15 @@ def _span_rank(polys):
     return sum(span.add(p.terms) for p in polys)
 
 
+def _least_block(km):
+    """The cleared restrictions of the module's generators of least degree,
+    built here from the generators and their floor."""
+    gens = km.module.generators()
+    floor = [max(0, -min(column)) for column in zip(*gens)]
+    return [km.subspace.form_product(tuple(a + t for a, t in zip(g, floor)))
+            for g in gens if sum(g) == sum(gens[0])]
+
+
 def test_rank_mod_p_on_cleared_blocks(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
     # the least-degree block of the cleared generator restrictions of every
     # conftest K/K0 module at windows 4 and 6, where membership decides at
@@ -326,13 +335,14 @@ def test_rank_mod_p_on_cleared_blocks(T_monotone, T_p12, T_cp2, T_cp3, T_cube):
                 km = maker(T, Fraction(1, 2), window)
                 if km.subspace.is_zero_ring():
                     continue
-                cleared = _cleared_generators(km)[1]
-                least = min(g.total_degree() for g in cleared)
-                monomials = list(monomials_of_degree(km.subspace.dim, least))
-                rows = [[g.terms.get(e, 0) for e in monomials] for g in cleared if g.total_degree() == least]
+                block = _least_block(km)
+                monomials = list(monomials_of_degree(km.subspace.dim, block[0].total_degree()))
+                rows = [[g.terms.get(e, 0) for e in monomials] for g in block]
                 rank = _exact_rank(rows)
                 assert rank_mod_p(rows, len(monomials)) == rank, (T.n, maker, window)
-                assert _span_rank(g for g in cleared if g.total_degree() == least) == rank
+                assert _span_rank(block) == rank
+                assert (maximal_ideal_power(block) is not None) == (rank == len(monomials))
+                assert (_cleared_generators(km)[3] is not None) == (rank == len(monomials))
                 checked += 1
                 full += rank == len(monomials) < len(rows)
     # full with rows to spare: the K0 blocks of the two squares (rank 1) and
@@ -346,7 +356,8 @@ def test_rank_mod_p_on_the_cube_slices(T_cube):
     # every generator times every monomial of the missing degree, rank mod p
     # against the span's pivot count
     km = kernel_K0(T_cube, Fraction(1, 2), 6)
-    cleared = _cleared_generators(km)[1]
+    cleared = _least_block(km)
+    assert len(cleared) == 126
     for degree in (38, 39, 40):
         monomials = list(monomials_of_degree(2, degree))
         columns = [g.term_mul(a) for g in cleared for a in monomials_of_degree(2, degree - g.total_degree())]
