@@ -14,7 +14,11 @@ positive lead), builds S-polynomials by cross-multiplying the leads, and
 takes its pairs from the Gebauer-Moeller update (criteria B, M, F and the
 product criterion; Gebauer and Moeller, JSC 1988; Becker and Weispfenning,
 *Groebner Bases*, 1993, section 5.5), in a heap ordered by the lcm of the
-leading monomials (the normal strategy).
+leading monomials (the normal strategy).  Generators and S-pair remainders
+enter the basis by one path, reduced by the basis so far and passed to the
+update: the generators first, in ascending grevlex order of lead, with only
+the lead reduced, and S-polynomials in full.  So no basis lead ever divides
+another, which the final interreduction (`_reduced_basis`) relies on.
 
 The membership algebra brings its ideals here already restricted to a linear
 subspace V, in the coordinates of V: restriction maps the polynomial ring onto
@@ -188,34 +192,7 @@ def _disjoint(e1, e2):
     return not any(map(min, e1, e2))
 
 
-# --- interreduction and Buchberger --------------------------------------------------
-
-
-def _autoreduce(divisors):
-    """Primitive divisors with pairwise non-dividing leads generating the same
-    ideal.  One pass over a worklist in ascending order of leading monomial:
-    an element's leading term is reduced by the kept elements until no kept
-    lead divides it, the element is kept when nonzero, and kept elements
-    whose lead its new lead divides go back on the worklist."""
-    heap = [(grevlex_key(d[0]), n, d) for n, d in enumerate(divisors)]
-    heapq.heapify(heap)
-    count = len(heap)
-    kept = []
-    while heap:
-        d = heapq.heappop(heap)[2]
-        r = _reduce(d[3], kept, False)
-        if not r:
-            continue
-        d = _divisor(r)
-        lead = d[0]
-        back = [k for k in kept if _divides(lead, k[0])]
-        if back:
-            kept = [k for k in kept if not _divides(lead, k[0])]
-            for k in back:
-                heapq.heappush(heap, (grevlex_key(k[0]), count, k))
-                count += 1
-        kept.append(d)
-    return kept
+# --- Buchberger ----------------------------------------------------------------------
 
 
 def _reduced_basis(divisors):
@@ -314,13 +291,17 @@ def groebner_divisors(gens):
         heap = pending
         basis = [g for g in basis if not _divides(lh, polys[g][0])] + [h]
 
-    for d in _autoreduce(_primitive_divisors(gens)):
-        polys.append(d)
-        update(len(polys) - 1)
-    while heap:
-        _, i, j, l = heapq.heappop(heap)
-        r = _reduce(_s_poly(polys[i], polys[j], l), [polys[g] for g in basis])
+    def insert(terms, full):
+        """Reduce `terms` by the basis (its lead alone without `full`) and
+        add a nonzero remainder, whose lead no basis lead divides."""
+        r = _reduce(terms, [polys[g] for g in basis], full)
         if r:
             polys.append(_divisor(r))
             update(len(polys) - 1)
+
+    for d in sorted(_primitive_divisors(gens), key=lambda d: grevlex_key(d[0])):
+        insert(d[3], False)
+    while heap:
+        _, i, j, l = heapq.heappop(heap)
+        insert(_s_poly(polys[i], polys[j], l), True)
     return tuple(_reduced_basis([polys[g] for g in basis]))

@@ -25,9 +25,10 @@ built once per input by `kernel_K`/`kernel_K0` and decided at its window:
 which keys everything built from it in the memo.
 One function, `_verdict`, decides: on a zero ring every query is a member;
 otherwise generators and query are cleared and restricted once (past
-QUERY_LIMIT monomials of a cleared degree -> Inconclusive), the query to
-integer coefficients.  Where the cleared generators generate m^D, D their
-least degree, the verdict is a degree comparison, since a monomial ideal
+QUERY_LIMIT monomials of a cleared degree, or RESTRICTION_LIMIT summed over
+the minimal generators of a module that is not m^D -> Inconclusive), the
+query to integer coefficients.  Where the cleared generators generate m^D, D
+their least degree, the verdict is a degree comparison, since a monomial ideal
 holds a polynomial exactly when it holds each term.  That fact is read, once
 per kernel module in the cleared-generator build, off the generators of
 least degree alone: one rank mod p, restricting them only as it needs rows.
@@ -58,8 +59,9 @@ from toricspec.polytope import ToricData, check_hypotheses
 
 class InconclusiveError(Exception):
     """A stated limit stopped the work before a verdict: a window, exponent or
-    degree cap, the size of a window box (BOX_LIMIT) or of one degree of the
-    cleared generators or of a cleared query (QUERY_LIMIT)."""
+    degree cap, the size of a window box (BOX_LIMIT), of one degree of the
+    cleared generators or of a cleared query (QUERY_LIMIT) or of all the
+    restrictions of minimal cleared generators (RESTRICTION_LIMIT)."""
 
 
 class BackendMismatchError(Exception):
@@ -74,6 +76,11 @@ BOX_LIMIT = 2_000_000
 # The most monomials of one degree in the k coordinates of a subspace that the
 # cleared generators or a cleared query may reach, C(D + k - 1, k - 1) at D.
 QUERY_LIMIT = 100_000
+# The most monomials of their cleared degrees, summed over the minimal
+# generators of a module that is not m^D, in the k coordinates of a subspace:
+# the dense size of their restrictions.  Hexagon's K ring at W = 2 reaches
+# 7,786,569, hexagon x CP^1's K0 ring 99,997,825.
+RESTRICTION_LIMIT = 20_000_000
 
 
 # --- linear subspaces and restriction ---------------------------------------
@@ -354,8 +361,10 @@ def _cleared_generators(km: KernelModule):
     generators and `made` the restrictions made so far (`_restrictions`
     makes the rest on demand).  Otherwise D is None, gens are the minimal
     generators (every other generator is a u-multiple of one), their largest
-    cleared degree is checked against QUERY_LIMIT, and `made` holds every
-    restriction, the rank test's reused."""
+    cleared degree is checked against QUERY_LIMIT and the monomials of their
+    cleared degrees, summed, against RESTRICTION_LIMIT, before any past the
+    rank test's is restricted, and `made` holds every restriction, the rank
+    test's reused."""
 
     def build():
         module, subspace = km.module, km.subspace
@@ -373,6 +382,10 @@ def _cleared_generators(km: KernelModule):
                 return least, made, floor, power
         gens = _minimal_monomials(every)
         _check_query_limit("cleared generator", sum(gens[-1]) + sum(floor), k)
+        size = sum(comb(sum(g) + sum(floor) + k - 1, k - 1) for g in gens)
+        if size > RESTRICTION_LIMIT:
+            raise InconclusiveError(f"{len(gens)} cleared generators have {size} monomials of their degrees "
+                                    f"in {k} coordinates, above the limit {RESTRICTION_LIMIT}")
         return gens, list(_restrictions(gens, made, floor, subspace)), floor, None
 
     return memo("cleared_generators", km, build)

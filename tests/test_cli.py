@@ -779,19 +779,25 @@ def test_query_over_the_limit_exits_2_at_once():
 def test_cleared_generators_over_the_limit_exit_2_at_once():
     # the K ring of hexagon x CP^1 has k = 5 coordinates, and its generators
     # of least degree at the decision window clear to degree 49: C(53, 4)
-    # monomials, refused before the largest degree is read
-    started = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "toricspec.cli", "kernel", str(CORPUS / "hexagonxcp1.poly"), "--ring", "K",
-         "--nu", "1/2", "--member=1,0,0,0,0,0,0,0"],
-        capture_output=True, text=True, env=child_env(), timeout=60,
+    # monomials, refused before the largest degree is read; its K0 ring at
+    # nu = 0 passes both degree checks, and its minimal generators' degrees
+    # are refused by their monomials in all, before any is restricted
+    cases = (
+        ("K", "1/2", "cleared generator degree 49 has more than 100000 monomials in 5 coordinates"),
+        ("K0", "0", "4661 cleared generators have 99997825 monomials of their degrees in 4 coordinates, "
+                    "above the limit 20000000"),
     )
-    assert time.monotonic() - started < 10
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == "" and "Traceback" not in proc.stdout
-    assert machine_dict(proc.stdout)["error"] == (
-        "inconclusive: cleared generator degree 49 has more than 100000 monomials in 5 coordinates"
-    )
+    for ring, nu, error in cases:
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricspec.cli", "kernel", str(CORPUS / "hexagonxcp1.poly"), "--ring", ring,
+             "--nu", nu, "--member=1,0,0,0,0,0,0,0"],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert time.monotonic() - started < 10
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "" and "Traceback" not in proc.stdout
+        assert machine_dict(proc.stdout)["error"] == f"inconclusive: {error}"
 
 
 # --- parity with the argparse command line the table replaced ----------------------

@@ -1,17 +1,17 @@
 import random
 import signal
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from toricspec.groebner import (
-    _autoreduce,
     _lcm,
     _monic,
     _primitive_divisors,
-    _reduced_basis,
     _s_poly,
     buchberger,
+    groebner_divisors,
     maximal_ideal_power,
     normal_form,
 )
@@ -43,12 +43,6 @@ from tests.reference import (
 
 def P(nvars, terms):
     return Poly(nvars, {e: Fraction(c) for e, c in terms.items()})
-
-
-def interreduce(basis):
-    """The interreduction that Buchberger's algorithm runs on its input
-    (`_autoreduce`) and on its output (`_reduced_basis`), back to back."""
-    return [_monic(d) for d in _reduced_basis(_autoreduce(_primitive_divisors(basis)))]
 
 
 def test_grevlex_leading():
@@ -313,19 +307,25 @@ def _is_reduced(basis):
 
 
 def test_interreduce_reaches_a_fixed_point():
+    # the basis Buchberger's algorithm returns is interreduced: each element
+    # is its own remainder by the others, and the algorithm run on it again
+    # returns it unchanged
     rng = random.Random(23)
     for _ in range(60):
         n = rng.randint(1, 3)
         gens = _rand_ideal(rng, n)
-        out = interreduce(gens + [g * Fraction(3) for g in gens[:1]])
-        assert interreduce(out) == out
+        out = buchberger(gens + [g * Fraction(3) for g in gens[:1]])
+        assert buchberger(out) == out
         for i, g in enumerate(out):
             assert normal_form(g, out[:i] + out[i + 1:]) == g
         for g in gens:
-            assert normal_form(g, buchberger(out)).is_zero()
+            assert normal_form(g, out).is_zero()
 
 
 def test_buchberger_returns_the_reduced_basis_in_any_order():
+    # generators whose leads divide each other, each added to a seeded
+    # ideal: a duplicate, an integer multiple and a monomial multiple of one
+    # of its generators; in every input order the basis is the reference's
     rng = random.Random(29)
     for _ in range(40):
         n = rng.randint(1, 3)
@@ -334,6 +334,12 @@ def test_buchberger_returns_the_reduced_basis_in_any_order():
         assert _is_reduced(gb)
         assert buchberger(list(reversed(gens))) == gb
         assert all(normal_form(g, gb).is_zero() for g in gens)
+        g = rng.choice(gens)
+        for extra in (g, g * rng.choice((-3, -2, 2, 5)), g.term_mul(tuple(rng.randint(0, 2) for _ in range(n)))):
+            both = gens + [extra]
+            reference = _reference_buchberger(both)
+            assert reference == gb
+            assert all(buchberger(list(order)) == reference for order in permutations(both))
 
 
 def _to_sympy(sympy, g, xs):
@@ -502,20 +508,21 @@ def test_buchberger_matches_the_reference_engine():
 
 
 def test_interreduce_matches_the_reference_engine():
-    # Interreduction of a set that is no Groebner basis depends on which
-    # divisor reduces each term, and the reference's result changes with
-    # the order of its input.  A set holding a Groebner basis of the ideal
-    # it generates interreduces to the reduced basis, as do linear forms
-    # (to the reduced row echelon form); there the results are determined.
+    # The reference's interreduction of a set that is no Groebner basis
+    # depends on which divisor reduces each term and changes with the order
+    # of its input.  A set holding a Groebner basis of the ideal it generates
+    # interreduces to the reduced basis, as do linear forms (to the reduced
+    # row echelon form): there it is the basis Buchberger's algorithm returns.
     for rng, n, fractions, degree in _seeded_cases(47, 80):
         gens = _seeded_ideal(rng, n, fractions, degree)
         gb = _reference_buchberger(gens)
         members = [g * Fraction(rng.randint(1, 5), rng.randint(1, 3)) for g in gb]
         members += [a * b.term_mul(tuple(rng.randint(0, 1) for _ in range(n))) + b for a, b in zip(gens, gb)]
         rng.shuffle(members)
-        assert interreduce(members) == _reference_interreduce(members) == gb
+        assert buchberger(members) == _reference_interreduce(members) == gb
+        assert groebner_divisors(members) == tuple(_primitive_divisors(gb))
         forms = [Poly.linear_form([rng.randint(-3, 3) for _ in range(n)]) for _ in range(rng.randint(1, 4))]
-        assert interreduce(forms) == _reference_interreduce(forms)
+        assert buchberger(forms) == _reference_interreduce(forms)
 
 
 def test_module_bases_match_the_reference_engine(T_monotone, T_p12, T_cp2, T_cp3, T_cube):

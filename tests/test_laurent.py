@@ -588,13 +588,41 @@ def test_cleared_generators_over_the_limit_raise_before_restricting(T_cube, T_p1
             with pytest.raises(laurent_mod.InconclusiveError) as exc:
                 membership(U(*(x + 1 for x in decision_module(p12).module.generators()[0])), p12)
             assert str(exc.value) == "cleared generator degree 14 has more than 14 monomials in 2 coordinates"
+        # the same K ring's 5 minimal generators reach 57 monomials of their
+        # cleared degrees in all (9 + 9 + 11 + 13 + 15): with the restriction
+        # limit one below, that sum is refused, still before any generator is
+        # restricted
+        with monkeypatch.context() as patch:
+            patch.setattr(laurent_mod, "RESTRICTION_LIMIT", 56)
+            patch.setattr(LinearSubspace, "form_product", restricted)
+            clear_caches()
+            with pytest.raises(laurent_mod.InconclusiveError) as exc:
+                membership(U(*(x + 1 for x in decision_module(p12).module.generators()[0])), p12)
+            assert str(exc.value) == "5 cleared generators have 57 monomials of their degrees in 2 coordinates, above the limit 56"
+        with monkeypatch.context() as patch:
+            patch.setattr(laurent_mod, "RESTRICTION_LIMIT", 57)
+            clear_caches()
+            assert len(laurent_mod._cleared_generators(decision_module(p12))[1]) == 5
         # the K ring of hexagon x CP^1 (k = 5) clears its generators of least
         # degree to 49 at the decision window, C(53, 4) = 292,825 monomials:
         # refused at once
-        big = kernel_K(toric_data(parse_polytope(hexagonxcp1.read_text())), H, 2)
+        hexagon = toric_data(parse_polytope(hexagonxcp1.read_text()))
+        big = kernel_K(hexagon, H, 2)
         with pytest.raises(laurent_mod.InconclusiveError) as exc:
             membership(U(1, *(0,) * 7), big)
         assert str(exc.value) == "cleared generator degree 49 has more than 100000 monomials in 5 coordinates"
+        # its K0 ring at nu = 0 (k = 4) passes both degree checks (48 and 49)
+        # but not the rank test's count (2,361 generators of least degree for
+        # C(51, 3) = 20,825 monomials); its 4,661 minimal generators reach
+        # 99,997,825 monomials of their degrees in all: refused before any is
+        # restricted
+        with monkeypatch.context() as patch:
+            patch.setattr(LinearSubspace, "form_product", restricted)
+            with pytest.raises(laurent_mod.InconclusiveError) as exc:
+                membership(U(1, *(0,) * 7), kernel_K0(hexagon, Fraction(0), 2))
+        assert str(exc.value) == (
+            "4661 cleared generators have 99997825 monomials of their degrees in 4 coordinates, above the limit 20000000"
+        )
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
