@@ -3,10 +3,11 @@
 The column Hermite normal form is the one elimination: saturated integer
 kernels, canonical lattice bases and integer ranks are read from it, and a
 unimodular matrix's inverse is its transform U, since the form of such a
-matrix is the identity.  Besides it: primitivity, fraction-free (Bareiss)
-determinants, matrix-vector products and rationals over their common
-denominator.  Everything here is arbitrary-precision and allocation-light:
-vectors are tuples of ints, matrices are row-major tuples of tuples.
+matrix is the identity.  Besides it: primitivity, determinants (closed forms
+through 3 x 3, fraction-free Bareiss elimination above), matrix-vector
+products and rationals over their common denominator.  Everything here is
+arbitrary-precision and allocation-light: vectors are tuples of ints,
+matrices are row-major tuples of tuples.
 """
 
 from math import gcd, lcm
@@ -33,10 +34,19 @@ def common_denominator(values) -> tuple[int, list[int]]:
 
 
 def det(m: IntMat) -> int:
-    """Determinant by fraction-free Bareiss elimination; exact for int entries."""
+    """Determinant of a square int matrix: the cofactor expansion through
+    3 x 3, fraction-free Bareiss elimination above; exact either way."""
     n = len(m)
-    if n == 0:
-        return 1
+    if n <= 3:
+        if n == 0:
+            return 1
+        if n == 1:
+            return m[0][0]
+        if n == 2:
+            (a, b), (c, d) = m
+            return a * d - b * c
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(row) for row in m]
     sign = 1
     prev = 1

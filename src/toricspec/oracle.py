@@ -22,6 +22,7 @@ refused above VALUE_LIMIT values.
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from toricspec.lattice import hermite_normal_form, identity_matrix
 from toricspec.memo import Value, memo
@@ -63,13 +64,13 @@ def _vertex_minors(toric: ToricData):
     def build():
         check_hypotheses(toric)
         minors = {}
+        ident = identity_matrix(toric.k)
+        p = [pi.numerator for pi in toric.p]  # p is integral past the gate
         for support in feasible_supports(toric):
             h, inv = hermite_normal_form(tuple(toric.iota[j - 1] for j in support))
-            if h != identity_matrix(toric.k):
+            if h != ident:
                 raise ValueError("matrix is not unimodular")
-            # p is integral past the gate, so x is read in integers
-            x = tuple(sum(row[t] * pi.numerator for row, pi in zip(inv, toric.p)) for t in range(toric.k))
-            minors[support] = inv, x
+            minors[support] = inv, tuple(sum(map(mul, col, p)) for col in zip(*inv))
         return minors
 
     return memo("vertex_minor", toric, build)

@@ -6,17 +6,19 @@ compute the conormal map, the kernel lattice with its inclusion into Z^n,
 the induced rational covector p and integral covector c, the minimal
 proportionality factor between them, the p-kernel sublattice, and a strictly
 positive lattice direction b.  Validation works in integers: vertices by
-Cramer's rule over every facet d-subset, smoothness from the same
-determinants, compactness from the extreme rays of the recession cone, and
-redundant facets from the integer rank of the tight vertices' spans.
-Every offset is positive, so 0 is an interior point and no input is empty.
-The vertices' active facet sets are kept on the reduction data, where they
-give the translated spectrum's minimal supports.
+Cramer's rule over every facet d-subset, each known by its active facet set,
+smoothness from the same determinants, compactness from the extreme rays of
+the recession cone, and redundant facets from the integer rank of the tight
+vertices' spans.  Every offset is positive, so 0 is an interior point and
+no input is empty.  p = iota^*(a) is summed from the offsets' integer
+numerators over their lcm.  The vertices' active facet sets are kept on the
+reduction data, where they give the translated spectrum's minimal supports.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from toricspec.lattice import (
     IntMat,
@@ -113,14 +115,17 @@ class ToricData(Value):
 
 
 def _enumerate_vertices(poly: DelzantPolytope):
-    """Every vertex, in the order of the first facet d-subset that meets in
-    it, mapped to its active facet set and its smoothness (simple, with
-    conormals of determinant +-1, i.e. a lattice basis).
+    """Every vertex's active facet set, in the order of the first facet
+    d-subset that meets in the vertex, mapped to the vertex and its
+    smoothness (simple, with conormals of determinant +-1, i.e. a lattice
+    basis).  A vertex is the one point where all its active facets are
+    tight, so the sets tell the vertices apart in integers.
 
     Cramer's rule in integers: with L the lcm of the offset denominators and
-    A = L a, a d-subset S with D = det V_S != 0 meets in x = X / (L D), where
-    X_i is det V_S with column i replaced by -A_S.  Facet j holds at x iff
-    sign(D) (v_j . X + A_j D) >= 0, with equality iff it is active there.
+    A = L a, a d-subset S with det V_S != 0 meets in x = X / (L D), where
+    D = |det V_S| and X_i is sign(det V_S) times det V_S with column i
+    replaced by -A_S.  Facet j holds at x iff v_j . X + A_j D >= 0, with
+    equality iff it is active there.
     """
     d = poly.d
     scale, numerators = common_denominator(poly.offsets())
@@ -131,20 +136,20 @@ def _enumerate_vertices(poly: DelzantPolytope):
         D = det(mat)
         if D == 0:
             continue
-        rhs = [-rows[j][1] for j in subset]
+        rhs = [-rows[j][1] if D > 0 else rows[j][1] for j in subset]
         X = [det([v[:i] + (r,) + v[i + 1:] for v, r in zip(mat, rhs)]) for i in range(d)]
-        sign = 1 if D > 0 else -1
+        D = abs(D)
         active = []
         for j, (v, A) in enumerate(rows):
-            slack = sign * (sum(vi * xi for vi, xi in zip(v, X)) + A * D)
+            slack = sum(map(mul, v, X)) + A * D
             if slack < 0:
                 break
             if slack == 0:
                 active.append(j)
         else:
-            x = tuple(Fraction(xi, scale * D) for xi in X)
-            if x not in verts:
-                verts[x] = (frozenset(active), len(active) == d and abs(D) == 1)
+            active = frozenset(active)
+            if active not in verts:
+                verts[active] = tuple(Fraction(xi, scale * D) for xi in X), len(active) == d and D == 1
     return verts
 
 
@@ -160,7 +165,7 @@ def _has_recession_ray(poly: DelzantPolytope) -> bool:
         r = [(-1) ** i * det([v[:i] + v[i + 1:] for v in rows]) for i in range(d)]
         if not any(r):
             continue
-        dots = [sum(vi * ri for vi, ri in zip(v, r)) for v in conormals]
+        dots = [sum(map(mul, v, r)) for v in conormals]
         if min(dots) >= 0 or max(dots) <= 0:
             return True
     return False
@@ -193,19 +198,20 @@ def _validate(poly: DelzantPolytope) -> ValidationReport:
     for j in range(poly.n if compact else 0):
         if poly.facets[j] in poly.facets[:j]:
             raise ToricHypothesisError(f"redundant facet {j + 1}")
-        tight = [x for x, (active, _) in verts.items() if j in active]
-        if any(len(verts[x][0]) == d for x in tight):
+        tight = [active for active in verts if j in active]
+        if any(len(active) == d for active in tight):
             continue  # the d - 1 edges along j from a simple vertex end in vertices
+        points = [verts[active][0] for active in tight]
         # the integer rank of the spans from one tight vertex, scaled to
         # integers: the nonzero columns of their Hermite form
-        den = lcm(*(c.denominator for x in tight for c in x))
-        spans = [[int((a - b) * den) for a, b in zip(x, tight[0])] for x in tight[1:]]
-        if len(tight) < d or len(canonical_lattice_basis(spans, d)) < d - 1:
+        den = lcm(*(c.denominator for x in points for c in x))
+        spans = [[int((a - b) * den) for a, b in zip(x, points[0])] for x in points[1:]]
+        if len(points) < d or len(canonical_lattice_basis(spans, d)) < d - 1:
             raise ToricHypothesisError(f"redundant facet {j + 1}")
-    vertices = tuple(sorted(verts))
+    ordered = sorted((x, active) for active, (x, _) in verts.items())
     return ValidationReport(
         compact=compact, smooth=bool(verts) and all(ok for _, ok in verts.values()),
-        vertices=vertices, vertex_facets=tuple(verts[x][0] for x in vertices),
+        vertices=tuple(x for x, _ in ordered), vertex_facets=tuple(active for _, active in ordered),
     )
 
 
@@ -310,8 +316,9 @@ def _build_toric_data(poly: DelzantPolytope) -> ToricData:
     beta = poly.conormal_matrix()
     kappa = integer_kernel(beta)
     iota = kappa.matrix()
-    cols, a = list(zip(*iota)), poly.offsets()
-    p = tuple(sum((Fraction(c) * aj for c, aj in zip(col, a)), Fraction(0)) for col in cols)
+    cols = list(zip(*iota))
+    scale, A = common_denominator(poly.offsets())
+    p = tuple(Fraction(sum(map(mul, col, A)), scale) for col in cols)
     chern = tuple(map(sum, cols))
     rational = _primitive_integral(p)
     _, p_int = common_denominator(p)  # the kernel of p is that of its cleared numerators

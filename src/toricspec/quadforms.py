@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
-from toricspec.lattice import IntMat, mat_vec
+from toricspec.lattice import IntMat, common_denominator
 from toricspec.memo import Value
 
 # The exact spectrum lists 2nN eigenvalue signs, one report line each: N = 10^5
@@ -137,12 +138,14 @@ def _check_size(N: int, iota: IntMat, size: str, limit: int):
 
 def _checked_coords(N: int, lam, iota: IntMat) -> tuple[Fraction, ...]:
     """The coordinates iota(lam) in Q^n of a kernel-basis vector lam, for
-    N >= 1 and lam of the kernel rank, each required inside (-N, N)."""
+    N >= 1 and lam of the kernel rank, each required inside (-N, N).  Each
+    is one integer dot product over lam's common denominator."""
     if N < 1:
         raise ValueError("N >= 1 required")
     if len(lam) != len(iota[0]):
         raise ValueError("lambda length must match the kernel rank")
-    coords = mat_vec(iota, tuple(map(Fraction, lam)))
+    den, nums = common_denominator(tuple(map(Fraction, lam)))
+    coords = tuple(Fraction(sum(map(mul, row, nums)), den) for row in iota)
     for c in coords:
         if not (-N < c < N):
             raise ValueError(f"coordinate {c} outside (-{N}, {N})")
@@ -150,7 +153,8 @@ def _checked_coords(N: int, lam, iota: IntMat) -> tuple[Fraction, ...]:
 
 
 def floor_half_shift(x: Fraction) -> int:
-    return math.floor(Fraction(x) + Fraction(1, 2))
+    """floor(x + 1/2) of a rational x = a/b, in integers: (2a + b) // 2b."""
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
 def spectrum(N: int, lam, iota: IntMat) -> GenFormSpectrum:

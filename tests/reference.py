@@ -1,5 +1,5 @@
 """Test-only references: Fraction elimination (RREF, integer spans,
-inverses) and the
+inverses), determinants by the Leibniz expansion and the
 maximal-minors basis test, powers, monic scaling and restriction degrees
 that the library never needs, the Fraction Groebner engine, the relation ideal
 of a linear subspace, module membership by its definition in Q[u_1..u_n],
@@ -14,7 +14,7 @@ the argparse command line that the command table replaced."""
 import argparse
 import heapq
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import floor, gcd, lcm
 from operator import add, ge, sub
 from typing import NamedTuple
@@ -28,7 +28,7 @@ from toricspec.cli import (
     cmd_spectrum_quadform,
     cmd_validate,
 )
-from toricspec.lattice import det, identity_matrix, integer_kernel
+from toricspec.lattice import identity_matrix, integer_kernel
 from toricspec.laurent import (
     WINDOW_CAP,
     InconclusiveError,
@@ -125,6 +125,19 @@ def fraction_unimodular_inverse(m):
     return tuple(tuple(x.numerator for x in row[n:]) for row in red)
 
 
+def leibniz_det(m) -> int:
+    """Determinant by its definition: the signed sum over all n! permutations
+    of the products of one entry per row and column."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        term = -1 if sum(perm[i] > perm[j] for i, j in combinations(range(n), 2)) % 2 else 1
+        for row, col in zip(m, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
 def minors_gcd_oracle(vectors, dim):
     """Independent basis-extension oracle: gcd of all maximal minors is 1."""
     s = len(vectors)
@@ -136,7 +149,7 @@ def minors_gcd_oracle(vectors, dim):
     g = 0
     for rows in combinations(range(dim), s):
         sub = tuple(colmat[r] for r in rows)
-        g = gcd(g, abs(det(sub)))
+        g = gcd(g, abs(leibniz_det(sub)))
     return g == 1
 
 

@@ -422,6 +422,48 @@ def test_corpus_validate_and_data_match_answers(name):
     assert d["is_cpn"] == str(ans["is_cpn"]).lower()
 
 
+# The full `validate` and `data` reports of every file of `polytopes/` and
+# `perfbench/corpus/`, in both formats: stdout, stderr and exit code, keyed by
+# the command line run from the repository root.
+POLYTOPE_REPORTS = json.loads((Path(__file__).resolve().parent / "polytope_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(POLYTOPE_REPORTS))
+def test_polytope_reports_match_the_recorded_ones(case, capsys, monkeypatch):
+    monkeypatch.chdir(POLY.parent)
+    clear_caches()
+    code, out = invoke(*case.split())
+    want = POLYTOPE_REPORTS[case]
+    assert (code, out, capsys.readouterr().err) == (want["exit"], want["stdout"], want["stderr"])
+
+
+def test_gl_images_keep_the_data_report(tmp_path, capsys):
+    # a seeded GL(d,Z) image of each compact smooth file has the same kernel
+    # lattice, hence the same reduction data; its vertices move, but not their
+    # number, compactness or smoothness
+    from perfbench import workloads
+
+    rng = random.Random(31)
+    keys = ("compact", "smooth", "vertex_count")
+    images = 0
+    for path in sorted(POLY.glob("*.poly")) + sorted(CORPUS.glob("*.poly")):
+        clear_caches()
+        code, out = invoke("validate", str(path))
+        original = machine_dict(out)
+        if code != 0:
+            continue
+        image = tmp_path / f"{path.stem}.{path.parent.name}.poly"
+        workloads.write_image(str(path), str(image), rng)
+        code, out = invoke("validate", str(image))
+        moved = machine_dict(out)
+        assert code == 0
+        assert [moved[key] for key in keys] == [original[key] for key in keys]
+        want = (*invoke("data", str(path)), capsys.readouterr().err)
+        assert (*invoke("data", str(image)), capsys.readouterr().err) == want
+        images += 1
+    assert images == 20
+
+
 # The full machine reports and exit codes of the witness benchmark's cases
 # (`bound` and `min-degree` on corpus files), every key included.
 WITNESS_REPORTS = json.loads((Path(__file__).resolve().parent / "witness_reports.json").read_text())
@@ -881,7 +923,8 @@ def test_table_matches_argparse_on_valid_command_lines(tmp_path, monkeypatch):
     monkeypatch.chdir(POLY.parent)  # the workloads name corpus files relative to the checkout
     rng = random.Random(7)
     readme = readme_command_lines()
-    assert len(readme) == 13
+    # the README shows every command at least once, however many examples it has
+    assert {table_namespace(argv)["command"] for argv in readme} == set(COMMANDS)
     lines = readme + workload_command_lines(tmp_path)
     for command, (_, _, options) in COMMANDS.items():
         lines += [seeded_command_lines(rng, command, options) for _ in range(60)]

@@ -388,7 +388,7 @@ def test_compactness_matches_fm_probes():
     classes = set()
     for poly in random_polytopes(11, 400):
         compact = fm_compact(poly)
-        simple = all(len(active) == poly.d for active, _ in _enumerate_vertices(poly).values())
+        simple = all(len(active) == poly.d for active in _enumerate_vertices(poly))
         classes.add((compact, simple))
         try:
             assert validate(poly).compact == compact
@@ -405,9 +405,9 @@ def test_integer_vertices_match_fraction_rref():
     for poly in polys:
         verts = _enumerate_vertices(poly)
         expected = rref_vertices(poly)
-        assert list(verts) == list(expected)
-        assert [active for active, _ in verts.values()] == list(expected.values())
-        for active, smooth in verts.values():
+        assert [x for x, _ in verts.values()] == list(expected)
+        assert list(verts) == list(expected.values())
+        for active, (_, smooth) in verts.items():
             basis = len(active) == poly.d and minors_gcd_oracle(
                 [poly.facets[j][0] for j in sorted(active)], poly.d
             )
